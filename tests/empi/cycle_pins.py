@@ -1,0 +1,159 @@
+"""Exact ``total_cycles`` pins for bcast / reduce / allreduce.
+
+Every (collective, backend, algorithm, point-to-point path) combination
+is run blocking and non-blocking (``i<op>`` + ``wait``) across mesh
+sizes, roots and vector lengths, and its end-to-end cycle count compared
+with the committed table ``collective_cycles.json``.  The delivered
+vectors are checked against the combine-order references on the way, so
+a pinned number is always the cost of a *correct* collective.
+
+The table is what a refactor of the collective bodies is judged
+against: every timed op must still be emitted in the same order.
+After an *intentional* timing change regenerate it with
+``PYTHONPATH=src python -m tests.empi.cycle_pins`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from pathlib import Path
+
+from repro.empi.collectives import (
+    make_comm,
+    reference_allreduce,
+    reference_reduce,
+)
+from repro.system.config import SystemConfig
+from repro.system.medea import MedeaSystem
+
+TABLE_PATH = Path(__file__).with_name("collective_cycles.json")
+COLLECTIVES = ("bcast", "reduce", "allreduce")
+N_VALUES = (2, 16)  # 2 < P everywhere: the ring runs with empty segments
+ROOTS = (0, 2)
+
+_DMA = {"dma_tx_queue_depth": 4}
+_CHIPLET = {
+    "topology_kind": "chiplet", "chiplets": 2, "chiplet_grid": (2, 2),
+    "chiplet_link_latency": 8, "chiplet_link_width": 2,
+}
+
+
+@dataclass(frozen=True)
+class Combo:
+    """One backend x algorithm x point-to-point path."""
+
+    model: str
+    algorithm: str
+    overrides: dict = field(default_factory=dict)
+    sizes: tuple[int, ...] = (3, 5, 8)
+
+
+COMBOS = {
+    "empi-linear": Combo("empi", "linear"),
+    "empi-tree": Combo("empi", "tree"),
+    "empi-ring": Combo("empi", "ring"),
+    "empi-ring-dma": Combo("empi", "ring", _DMA),
+    "empi-hier": Combo("empi", "hier"),
+    # Real rank groups: the leader tree and the group broadcasts run.
+    "empi-hier-chiplet": Combo("empi", "hier", _CHIPLET, sizes=(8,)),
+    "empi-hw": Combo("empi", "hw", _DMA),
+    "empi-hw-noassist": Combo(
+        "empi", "hw", {**_DMA, "dma_reduce_assist": False}
+    ),
+    "sm-linear": Combo("pure_sm", "linear"),
+    "sm-tree": Combo("pure_sm", "tree"),
+    "sm-ring": Combo("pure_sm", "ring"),
+    # The hierarchical barrier under the slot arena.
+    "sm-tree-chiplet": Combo("pure_sm", "tree", _CHIPLET, sizes=(8,)),
+}
+
+
+def contribution(rank: int, n_values: int) -> list[float]:
+    return [(-1.0) ** rank * (rank + 1) + 0.375 * i for i in range(n_values)]
+
+
+def run_point(collective: str, combo: Combo, n_workers: int, root: int,
+              n_values: int, blocking: bool) -> int:
+    """Run one table point, validate its results, return total cycles."""
+    out: dict[int, object] = {}
+    contribs = [contribution(r, n_values) for r in range(n_workers)]
+
+    def factory(rank):
+        def program(ctx):
+            comm = make_comm(
+                ctx, combo.model, combo.algorithm, max_values=n_values
+            )
+            mine = contribs[rank]
+            if collective == "bcast":
+                args = (root, mine if rank == root else None, n_values)
+            elif collective == "reduce":
+                args = (root, mine)
+            else:
+                args = (mine,)
+            yield from comm.barrier()
+            if blocking:
+                out[rank] = yield from getattr(comm, collective)(*args)
+            else:
+                request = yield from getattr(comm, "i" + collective)(*args)
+                out[rank] = yield from comm.wait(request)
+            yield from comm.barrier()
+        return program
+
+    system = MedeaSystem(SystemConfig(
+        n_workers=n_workers, cache_size_kb=2, **combo.overrides
+    ))
+    system.load_programs([factory(r) for r in range(n_workers)])
+    cycles = system.run(max_cycles=5_000_000)
+    if collective == "bcast":
+        expected = {r: contribs[root] for r in range(n_workers)}
+    elif collective == "reduce":
+        expected = dict.fromkeys(range(n_workers))
+        expected[root] = reference_reduce(
+            contribs, root, "sum", combo.algorithm
+        )
+    else:
+        total = reference_allreduce(
+            contribs, "sum", combo.algorithm, groups=system.rank_groups
+        )
+        expected = {r: total for r in range(n_workers)}
+    assert out == expected, f"{collective} delivered the wrong vectors"
+    return cycles
+
+
+def measure(collective: str, combo_name: str) -> dict[str, int]:
+    """Every table point of one (collective, combo): key -> cycles."""
+    combo = COMBOS[combo_name]
+    roots = (0,) if collective == "allreduce" else ROOTS
+    return {
+        f"{collective}/{combo_name}/P{n_workers}/root{root}/n{n_values}/"
+        f"{'blocking' if blocking else 'nonblocking'}":
+        run_point(collective, combo, n_workers, root, n_values, blocking)
+        for n_workers in combo.sizes
+        for root in roots
+        for n_values in N_VALUES
+        for blocking in (True, False)
+    }
+
+
+def assert_pinned(collective: str, combo_name: str) -> None:
+    table = json.loads(TABLE_PATH.read_text())
+    measured = measure(collective, combo_name)
+    drifted = {
+        key: (table.get(key), cycles)
+        for key, cycles in measured.items()
+        if table.get(key) != cycles
+    }
+    assert not drifted, f"(pinned, measured) cycles drifted: {drifted}"
+
+
+if __name__ == "__main__":
+    TABLE_PATH.write_text(json.dumps(
+        {
+            key: cycles
+            for collective in COLLECTIVES
+            for combo_name in COMBOS
+            for key, cycles in measure(collective, combo_name).items()
+        },
+        indent=0, sort_keys=True,
+    ) + "\n")

@@ -30,6 +30,7 @@ from repro.empi.collectives import (
 from repro.errors import ConfigError, ProgramError
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
+from tests.empi.cycle_pins import COLLECTIVES, assert_pinned
 
 
 def run_system(factories, n_workers, **overrides):
@@ -300,6 +301,14 @@ def test_hw_engine_error_names_the_operation():
 
     with pytest.raises(ProgramError, match=r"\(reduce\).*dma_tx_queue_depth"):
         run_system([program, lambda ctx: iter(())], 2)
+
+
+@pytest.mark.parametrize("collective", COLLECTIVES)
+@pytest.mark.parametrize("combo", ["empi-hw", "empi-hw-noassist"])
+def test_hw_cycles_are_pinned(collective, combo):
+    """Exact total cycles with the reduction assist on and off,
+    blocking and non-blocking."""
+    assert_pinned(collective, combo)
 
 
 # ---------------------------------------------------------------------------

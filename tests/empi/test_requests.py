@@ -30,6 +30,7 @@ from repro.empi.requests import (
 from repro.errors import ProgramError
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
+from tests.empi.cycle_pins import COLLECTIVES, assert_pinned
 
 
 def drive(program, results=None):
@@ -536,3 +537,12 @@ def test_queued_nonblocking_collectives_complete_in_order(model):
     )
     for rank in range(n_workers):
         assert outputs[rank] == (expected_first, expected_second)
+
+
+@pytest.mark.parametrize("collective", COLLECTIVES)
+@pytest.mark.parametrize("combo", [
+    "empi-linear", "empi-tree", "sm-linear", "sm-tree", "sm-tree-chiplet",
+])
+def test_blocking_and_nonblocking_cycles_are_pinned(collective, combo):
+    """Exact total cycles, blocking and i<op>+wait, P x root x length."""
+    assert_pinned(collective, combo)

@@ -37,6 +37,7 @@ from repro.empi.collectives import (
 from repro.errors import ConfigError
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
+from tests.empi.cycle_pins import COLLECTIVES, assert_pinned
 
 
 def run_system(factories, n_workers, **overrides):
@@ -207,6 +208,17 @@ def test_rooted_collectives_under_ring_run_the_tree():
         reduced, bcast = out[rank]
         assert reduced == (expected if rank == 1 else None)
         assert bcast == contribs[0]
+
+
+@pytest.mark.parametrize("collective", COLLECTIVES)
+@pytest.mark.parametrize("combo", [
+    "empi-ring", "empi-ring-dma", "sm-ring", "empi-hier", "empi-hier-chiplet",
+])
+def test_ring_and_hier_cycles_are_pinned(collective, combo):
+    """Exact total cycles over the TIE, engine and slot-arena rings
+    (rooted collectives under ring/hier run the tree), blocking and
+    non-blocking, including vectors shorter than the ring."""
+    assert_pinned(collective, combo)
 
 
 # ---------------------------------------------------------------------------
