@@ -9,14 +9,14 @@ plus the projected wall time of the full paper sweep on this host.
 from __future__ import annotations
 
 from repro.apps.jacobi.driver import JacobiParams, run_jacobi
-from repro.dse.experiments import experiment_simspeed
+from repro.dse.experiments import ALL_EXPERIMENTS
 from repro.system.config import SystemConfig
 
 from conftest import save_and_echo
 
 
 def test_simspeed_report(benchmark, results_dir):
-    report = benchmark.pedantic(lambda: experiment_simspeed(), rounds=1,
+    report = benchmark.pedantic(lambda: ALL_EXPERIMENTS["simspeed"](), rounds=1,
                                 iterations=1)
     save_and_echo(report, results_dir)
     assert report.rows[0][2] > 0

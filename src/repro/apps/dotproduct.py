@@ -146,7 +146,9 @@ def _make_program(params: DotProductParams, chunks: list[Strip], rank: int,
             yield ctx.note("reduce_start")
 
         if model is ReductionModel.EMPI:
-            total = yield from ctx.empi.allreduce_sum(partial)
+            # Linear sum: rank 0 adds the partials in ascending rank
+            # order — reference_dot's order — and broadcasts the total.
+            total = (yield from ctx.empi.allreduce_doubles([partial]))[0]
         else:
             accumulator = ctx.shared_base + _ACCUMULATOR_OFFSET
             lock = SharedMemoryLock(ctx, accumulator + _RESULT_LINE_BYTES)

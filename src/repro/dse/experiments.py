@@ -1464,24 +1464,6 @@ register_experiment(
 )
 
 
-# ---------------------------------------------------------------------------
-# Back-compat callables: the registered objects under their classic names.
-# ---------------------------------------------------------------------------
-
-experiment_fig6 = ALL_EXPERIMENTS["fig6"]
-experiment_fig7 = ALL_EXPERIMENTS["fig7"]
-experiment_fig8 = ALL_EXPERIMENTS["fig8"]
-experiment_fig9 = ALL_EXPERIMENTS["fig9"]
-experiment_compare = ALL_EXPERIMENTS["compare"]
-experiment_collectives = ALL_EXPERIMENTS["collectives"]
-experiment_hw_collectives = ALL_EXPERIMENTS["hw_collectives"]
-experiment_matmul = ALL_EXPERIMENTS["matmul"]
-experiment_stream = ALL_EXPERIMENTS["stream"]
-experiment_cg = ALL_EXPERIMENTS["cg"]
-experiment_noc = ALL_EXPERIMENTS["noc"]
-experiment_simspeed = ALL_EXPERIMENTS["simspeed"]
-experiment_fault_sweep = ALL_EXPERIMENTS["fault_sweep"]
-
 __all__ = [
     "ALL_EXPERIMENTS",
     "DEFAULT_RESULTS_DIR",

@@ -26,7 +26,11 @@ from __future__ import annotations
 import enum
 import typing
 
-from repro.empi.requests import NOTE_PHASE_ENTER, NOTE_PHASE_EXIT
+from repro.empi.requests import (
+    NOTE_PHASE_ENTER,
+    NOTE_PHASE_EXIT,
+    EngineCompletion,
+)
 from repro.errors import ConfigError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -306,7 +310,7 @@ def reference_allreduce(
 # ---------------------------------------------------------------------------
 
 
-class EmpiCollectives:
+class EmpiCollectives(EngineCompletion):
     """Message-passing backend: collectives over TIE streams and tokens.
 
     A thin adapter presenting the shared collective interface (``barrier``
@@ -326,6 +330,7 @@ class EmpiCollectives:
             raise ConfigError("context has no eMPI endpoint bound")
         self.ctx = ctx
         self.empi = ctx.empi
+        self.engine = ctx.empi.engine
         self.algorithm = CollectiveAlgorithm.parse(algorithm)
 
     def _phased(self, label: str, frag: "Program") -> "Program":
@@ -401,7 +406,8 @@ class EmpiCollectives:
     # Thin delegation to the Empi request layer, with the backend's
     # configured algorithm applied to the collectives, so application
     # code is backend-agnostic for overlap exactly as it is for the
-    # blocking collectives.
+    # blocking collectives.  wait/test/overlap come from
+    # EngineCompletion over the endpoint's engine.
 
     def isend(self, dst_rank: int, values: list[float]) -> "Program":
         request = yield from self.empi.isend(dst_rank, values)
@@ -432,33 +438,6 @@ class EmpiCollectives:
         )
         return request
 
-    def wait(self, request) -> "Program":
-        result = yield from self.empi.wait(request)
-        return result
-
-    def waitall(self, requests) -> "Program":
-        results = yield from self.empi.waitall(requests)
-        return results
-
-    def waitany(self, requests) -> "Program":
-        index, result = yield from self.empi.waitany(requests)
-        return index, result
-
-    def waitsome(self, requests) -> "Program":
-        completed = yield from self.empi.waitsome(requests)
-        return completed
-
-    def test(self, request) -> "Program":
-        done = yield from self.empi.test(request)
-        return done
-
-    def progress(self) -> "Program":
-        yield from self.empi.progress()
-
-    def overlap(self, frag: "Program", poll_interval: int = 2) -> "Program":
-        result = yield from self.empi.overlap(frag, poll_interval)
-        return result
-
 
 def make_comm(
     ctx: "ProgramContext",
@@ -482,19 +461,6 @@ def make_comm(
     model = CommModel.parse(model)
     if model is CommModel.EMPI:
         return EmpiCollectives(ctx, algorithm)
-    parsed = CollectiveAlgorithm.parse(algorithm)
-    if parsed is CollectiveAlgorithm.HW:
-        raise ConfigError(
-            "the 'hw' collective algorithm rides the TIE/DMA hardware; "
-            "it is only available on the 'empi' model"
-        )
-    if parsed is CollectiveAlgorithm.HIER:
-        raise ConfigError(
-            "the 'hier' collective algorithm schedules around the NoC "
-            "topology; on 'pure_sm' every word serializes through the "
-            "MPMMU whatever the schedule, so it is only available on "
-            "the 'empi' model"
-        )
     from repro.empi.smsync import SharedMemoryCollectives
 
     return SharedMemoryCollectives(

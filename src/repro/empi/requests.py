@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from repro.errors import EmpiTimeoutError, ProgramError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.pe.program import Program
+    from repro.pe.program import Program, ProgramContext
 
 
 class _Reschedule:
@@ -250,6 +250,17 @@ class ProgressEngine:
             self._turns[key] = queue
         return queue
 
+    def in_turn(self, key: object, body: "Program") -> "Program":
+        """Run fragment ``body`` once it heads the ``key`` turn queue."""
+        turn = self.turn(key)
+        token = object()
+        turn.enter(token)
+        while not turn.holds(token):
+            yield RESCHEDULE
+        result = yield from body
+        turn.leave(token)
+        return result
+
     # -- posting and progressing ----------------------------------------------
 
     @property
@@ -406,6 +417,67 @@ class ProgressEngine:
                 yield from self.progress()
         yield ("note", NOTE_OVERLAP_EXIT)
         return result
+
+
+class EngineCompletion:
+    """The request surface of anything that owns an ``engine``.
+
+    Every communicator (the eMPI endpoint and both collective backends)
+    completes requests through its :class:`ProgressEngine`; this mixin
+    is the one place that surface is spelled, handing back the engine's
+    own generators, plus the guard blocking ops run first.
+    """
+
+    engine: ProgressEngine
+    ctx: "ProgramContext"
+
+    def _check_engine_idle(self, what: str, algorithm=None) -> None:
+        """Refuse a blocking data-path op while requests are outstanding.
+
+        It would race the engine's fragments for what they hold — the
+        TIE TX port and receive-stream fronts on eMPI; the mailboxes,
+        the slot arena and the barrier counter itself on shared memory
+        — silently corrupting a stream or shared state.  (eMPI barriers
+        ride the request-token segment and stay safe alongside
+        requests.)  The message names the collective ``algorithm`` in
+        use so mixed-algorithm apps can tell which call site raced.
+        """
+        if not self.engine.idle:
+            labels = ", ".join(self.engine.active_labels)
+            op = what if algorithm is None else f"{what}[{algorithm.value}]"
+            raise ProgramError(
+                f"rank {self.ctx.rank}: blocking {op} with "
+                f"{self.engine.n_active} non-blocking request(s) "
+                f"outstanding ({labels}); wait/waitall them first"
+            )
+
+    def wait(self, request: Request) -> "Program":
+        """MPI_Wait: progress until ``request`` completes; its result."""
+        return self.engine.wait(request)
+
+    def waitall(self, requests: list[Request]) -> "Program":
+        """MPI_Waitall: results in request order."""
+        return self.engine.waitall(requests)
+
+    def waitany(self, requests: list[Request]) -> "Program":
+        """MPI_Waitany: (index, result) of the first completed request."""
+        return self.engine.waitany(requests)
+
+    def waitsome(self, requests: list[Request]) -> "Program":
+        """MPI_Waitsome: [(index, result), ...] of the completed ones."""
+        return self.engine.waitsome(requests)
+
+    def test(self, request: Request) -> "Program":
+        """MPI_Test: one progress round; True when complete."""
+        return self.engine.test(request)
+
+    def progress(self) -> "Program":
+        """One explicit progress round over all outstanding requests."""
+        return self.engine.progress()
+
+    def overlap(self, frag: "Program", poll_interval: int = 2) -> "Program":
+        """Run a compute fragment while progressing outstanding requests."""
+        return self.engine.overlap(frag, poll_interval)
 
 
 # ---------------------------------------------------------------------------

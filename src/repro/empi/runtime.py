@@ -15,6 +15,26 @@ Two barrier algorithms are provided:
 Tokens carry an epoch (mod 256) so back-to-back barriers cannot steal each
 other's tokens; early tokens are stashed and matched later, giving the
 runtime MPI-like out-of-band tolerance with a tiny footprint.
+
+Collectives are written once.  Each algorithm is ONE generator over an
+ordered rank list (``_linear_*_over``, ``_tree_*_over``,
+``_ring_allreduce_over``, ``_mcast_bcast``); rooted collectives pass the
+ranks rotated so the root leads, ``hier`` passes chiplet groups.  What
+varies between the blocking op, the non-blocking request and the
+DMA-engine offload is only the *point-to-point flavour* handed to the
+body (:class:`_TieFlavour`, :class:`_DmaFlavour`), chosen once per call
+in ``_bcast`` / ``_reduce`` / ``_allreduce``.
+
+* To add an **algorithm**: write one ``_<name>_over(ranks, ..., p2p)``
+  body using only ``p2p.send`` / ``recv`` / ``expect_combine`` /
+  ``recv_combine``, dispatch to it from ``_bcast``/``_reduce``/
+  ``_allreduce``, and give :mod:`repro.empi.collectives` an independent
+  pure-python reference of its combine order.  Blocking, non-blocking
+  and engine-offloaded variants then exist by construction.
+* To add a **flavour** (say, in-switch combining): write one class with
+  those four generator methods, emitting its ``cph`` hop notes at
+  send/receive completion, and select it where the existing two are
+  selected.  No algorithm body changes.
 """
 
 from __future__ import annotations
@@ -34,8 +54,8 @@ from repro.empi.requests import (
     NOTE_CP_EXIT,
     NOTE_CP_HOP,
     RESCHEDULE,
+    EngineCompletion,
     ProgressEngine,
-    Request,
 )
 from repro.errors import ProgramError
 from repro.mem.values import pack_doubles, unpack_doubles
@@ -63,7 +83,124 @@ def _decode(word: int) -> tuple[int, int, int]:
     return (word >> 16) & 0xFF, (word >> 8) & 0xFF, word & 0xFF
 
 
-class Empi:
+class _TieFlavour:
+    """Software point-to-point over the TIE streams; combines on the core.
+
+    ``frag`` picks the transport once: blocking ``send``/``recv`` ops
+    (the core parks until the TIE is done) or the rescheduling
+    TX-descriptor / status-poll fragments that non-blocking requests are
+    built from.  Same wire protocol either way, so the bits agree.
+    """
+
+    def __init__(self, empi: "Empi", frag: bool) -> None:
+        self._empi = empi
+        if frag:
+            self._send = empi._frag_send_doubles
+            self._recv = empi._frag_recv_doubles
+        else:
+            self._send = empi.ctx.send_doubles
+            self._recv = empi.ctx.recv_doubles
+
+    def send(self, dst_rank: int, values: list[float]) -> "Program":
+        yield from self._send(dst_rank, values)
+        yield from self._empi._cp_hop("snd", dst_rank)
+
+    def recv(self, src_rank: int, n_values: int) -> "Program":
+        values = yield from self._recv(src_rank, n_values)
+        yield from self._empi._cp_hop("rcv", src_rank)
+        return values
+
+    def expect_combine(self, src_rank: int, acc: list[float],
+                       op: ReduceOp) -> tuple:
+        """Nothing to pre-post: :meth:`recv_combine` does all the work."""
+        return ()
+
+    def recv_combine(self, src_rank: int, acc: list[float],
+                     op: ReduceOp) -> "Program":
+        """Receive ``len(acc)`` doubles and fold them in, accumulator first."""
+        other = yield from self.recv(src_rank, len(acc))
+        acc = combine_values(acc, other, op)
+        yield ("compute", combine_cost(self._empi.ctx.cost, len(acc), op))
+        return acc
+
+
+class _DmaFlavour:
+    """Point-to-point on the DMA engine; combines at the engine.
+
+    Sends are queued multicast descriptors (single-member for one
+    peer).  Receive-and-combine is an accumulate-on-receive descriptor,
+    posted by :meth:`expect_combine` *before* the matching send so the
+    engine folds the peer's flits in as they arrive, and collected by
+    :meth:`recv_combine`.  Plain receives come off the multicast stream.
+    ``frag`` is the pause between descriptor/status polls: blocking
+    callers spin (ticking the timeout guard, named ``label``), request
+    fragments reschedule so overlapped compute runs while the engines
+    stream and combine.
+    """
+
+    def __init__(self, empi: "Empi", frag: bool, label: str) -> None:
+        self._empi = empi
+        self._frag = frag
+        self._label = label
+        # Status-polled take for fragments, core-parking receive
+        # otherwise.  Fragments need no per-source turn here: the
+        # collective turn already runs one collective body at a time.
+        self._take = "tmrecv" if frag else "mrecv"
+
+    def _poll(self, op: tuple, what: str, hop: tuple = ()) -> "Program":
+        """Re-issue ``op`` until the engine accepts or completes it, then
+        emit the ``hop`` note ops (from :meth:`Empi._cp_hop`) it completes."""
+        guard = None
+        if not self._frag:
+            guard = self._empi.engine.guard(f"{self._label} {what}")
+        while True:
+            result = yield op
+            if result is not None and result is not False:
+                yield from hop
+                return result
+            if self._frag:
+                yield RESCHEDULE
+            elif guard is not None:
+                guard.tick()
+
+    def mcast(self, group: int, values: list[float],
+              peer: object) -> "Program":
+        """Queue ``values`` for the node bitmask ``group``."""
+        return self._poll(
+            ("qmcast", group, pack_doubles(values)), "multicast post",
+            self._empi._cp_hop("snd", peer),
+        )
+
+    def send(self, dst_rank: int, values: list[float]) -> "Program":
+        return self.mcast(
+            1 << self._empi.ctx.node_of(dst_rank), values, dst_rank
+        )
+
+    def recv(self, src_rank: int, n_values: int) -> "Program":
+        words = yield from self._poll(
+            (self._take, self._empi.ctx.node_of(src_rank), 2 * n_values),
+            "multicast receive", self._empi._cp_hop("rcv", src_rank),
+        )
+        return unpack_doubles(words)
+
+    def expect_combine(self, src_rank: int, acc: list[float],
+                       op: ReduceOp) -> "Program":
+        return self._poll(
+            ("qreduce", self._empi.ctx.node_of(src_rank), acc, op.value),
+            "qreduce post",
+        )
+
+    def recv_combine(self, src_rank: int, acc: list[float],
+                     op: ReduceOp) -> "Program":
+        return self._poll(
+            ("qrpoll",), "engine combine", self._empi._cp_hop("rcv", src_rank)
+        )
+
+
+_Flavour = _TieFlavour | _DmaFlavour
+
+
+class Empi(EngineCompletion):
     """Per-rank eMPI endpoint; bound to a program context as ``ctx.empi``."""
 
     def __init__(
@@ -82,9 +219,9 @@ class Empi:
         self.barriers = 0
         #: The cooperative progress engine driving non-blocking requests.
         #: Timeouts (off by default) arm both the engine's waits and the
-        #: hw-collective descriptor spin loops below, so a recovery that
-        #: fails raises a typed error naming rank/op/algorithm instead
-        #: of spinning silently.
+        #: blocking descriptor spin loops (_DmaFlavour._poll), so a
+        #: recovery that fails raises a typed error naming
+        #: rank/op/algorithm instead of spinning silently.
         self.engine = ProgressEngine()
         self.engine.configure_timeout(
             ctx.rank,
@@ -129,27 +266,12 @@ class Empi:
         return result
 
     def _cp_hop(self, kind: str, peer: object) -> tuple:
-        """A hop note op: ``kind`` is 'snd'/'rcv', ``peer`` a rank or '*'."""
-        return ("note", f"{NOTE_CP_HOP} {self._cp_key} {kind} {peer}")
-
-    def _check_engine_idle(
-        self, what: str,
-        algorithm: "CollectiveAlgorithm | None" = None,
-    ) -> None:
-        # Blocking data-path ops would race the engine for the TIE TX
-        # port and the receive-stream fronts; refuse loudly instead of
-        # corrupting a stream.  (Barriers ride the request-token segment
-        # and stay safe alongside outstanding requests.)  The message
-        # names the collective algorithm in use so mixed-algorithm apps
-        # can tell which call site raced (hw vs tree vs ring).
-        if not self.engine.idle:
-            labels = ", ".join(self.engine.active_labels)
-            op = what if algorithm is None else f"{what}[{algorithm.value}]"
-            raise ProgramError(
-                f"rank {self.ctx.rank}: blocking {op} with "
-                f"{self.engine.n_active} non-blocking request(s) "
-                f"outstanding ({labels}); wait/waitall them first"
-            )
+        """The ops (``yield from`` them) marking one completed hop of the
+        current span: a single note when attribution is armed, nothing
+        otherwise.  ``kind`` is 'snd'/'rcv', ``peer`` a rank or '*'."""
+        if self._cp_key is None:
+            return ()
+        return (("note", f"{NOTE_CP_HOP} {self._cp_key} {kind} {peer}"),)
 
     # -- point-to-point ---------------------------------------------------------
 
@@ -167,17 +289,10 @@ class Empi:
     def send_doubles(self, dst_rank: int, values: list[float]) -> "Program":
         self._check_engine_idle("send")
         yield from self.ctx.send_doubles(dst_rank, values)
-        # Inside a blocking collective (and only there — user point-to-
-        # point cannot run mid-collective) a completed send is a hop of
-        # the current op's dependency graph.
-        if self._cp_key is not None:
-            yield self._cp_hop("snd", dst_rank)
 
     def recv_doubles(self, src_rank: int, n_values: int) -> "Program":
         self._check_engine_idle("recv")
         values = yield from self.ctx.recv_doubles(src_rank, n_values)
-        if self._cp_key is not None:
-            yield self._cp_hop("rcv", src_rank)
         return values
 
     # -- token plumbing -------------------------------------------------------------
@@ -257,11 +372,11 @@ class Empi:
             round_index += 1
 
     # -- vector collectives ----------------------------------------------------------------
-
-    def _combine_cost(self, n_values: int, op: ReduceOp) -> int:
-        return combine_cost(self.ctx.cost, n_values, op)
-
-    # -- hardware-collective helpers (the DMA/multicast engine) -----------------
+    #
+    # Public entry points resolve the algorithm, bracket the op for the
+    # critical-path extractor and — for the i* flavour — post the body
+    # as a request; _bcast/_reduce/_allreduce pick the point-to-point
+    # flavour once and hand it to the one body of the algorithm.
 
     def _require_hw(self, what: str) -> None:
         if self.ctx.dma_queue_depth < 1:
@@ -271,14 +386,11 @@ class Empi:
                 f"dma_tx_queue_depth >= 1 on the SystemConfig"
             )
 
-    def _hw_group_mask(self, root: int) -> int:
-        """Destination bitmask of every worker node except the root's."""
-        ctx = self.ctx
-        mask = 0
-        for rank in range(ctx.n_workers):
-            if rank != root:
-                mask |= 1 << ctx.node_of(rank)
-        return mask
+    def _rooted_at(self, root: int) -> list[int]:
+        """All ranks rotated so ``root`` leads: list position = the
+        binomial tree's relative rank."""
+        n = self.ctx.n_workers
+        return [(root + i) % n for i in range(n)]
 
     def bcast_doubles(
         self,
@@ -297,18 +409,18 @@ class Empi:
         single injection whatever P is.
         """
         algorithm = CollectiveAlgorithm.parse(algorithm)
-        result = yield from self._cp_span(
+        return self._cp_span(
             f"bcast[{algorithm.value}]",
-            self._bcast_impl(root, values, n_values, algorithm),
+            self._bcast(root, values, n_values, algorithm, frag=False),
         )
-        return result
 
-    def _bcast_impl(
+    def _bcast(
         self,
         root: int,
         values: list[float] | None,
         n_values: int,
         algorithm: CollectiveAlgorithm,
+        frag: bool,
     ) -> "Program":
         ctx = self.ctx
         n = ctx.n_workers
@@ -317,73 +429,25 @@ class Empi:
                 raise ProgramError("broadcast root must supply the payload")
         if n == 1:
             return list(values)  # type: ignore[arg-type]
-        self._check_engine_idle("bcast", algorithm)
+        if not frag:
+            self._check_engine_idle("bcast", algorithm)
         algorithm = algorithm.rooted()
         if algorithm is CollectiveAlgorithm.HW:
-            self._require_hw("bcast")
-            result = yield from self._bcast_hw(root, values, n_values)
-            return result
-        if algorithm is CollectiveAlgorithm.LINEAR:
-            if ctx.rank == root:
-                for rank in range(n):
-                    if rank != root:
-                        yield from self.send_doubles(rank, values)
-                return list(values)
-            received = yield from self.recv_doubles(root, n_values)
-            return received
-        # Binomial tree over relative ranks (root -> relative 0).
-        relative = (ctx.rank - root) % n
-        if relative == 0:
-            data = list(values)  # type: ignore[arg-type]
-            mask = 1
-            while mask < n:
-                mask <<= 1
+            self._require_hw("ibcast" if frag else "bcast")
+            body = self._mcast_bcast(
+                root, values, n_values, _DmaFlavour(self, frag, "bcast[hw]")
+            )
+        elif algorithm is CollectiveAlgorithm.LINEAR:
+            body = self._linear_bcast_over(
+                range(n), root, values, n_values, _TieFlavour(self, frag)
+            )
         else:
-            mask = 1
-            while not relative & mask:
-                mask <<= 1
-            # mask is the lowest set bit: the parent cleared it.
-            parent = ((relative - mask) + root) % n
-            data = yield from self.recv_doubles(parent, n_values)
-        # Forward down the subtree, largest half first; every mask below
-        # the receive bit is clear in ``relative``, so relative + mask is
-        # always a descendant.
-        mask >>= 1
-        while mask:
-            child = relative + mask
-            if child < n:
-                yield from self.send_doubles((child + root) % n, data)
-            mask >>= 1
-        return data
-
-    def _bcast_hw(
-        self, root: int, values: list[float] | None, n_values: int
-    ) -> "Program":
-        """Hardware broadcast: one multicast descriptor, fabric replication.
-
-        The root posts the packed payload with the all-other-workers
-        bitmask (retrying while the queue is full) and is done — the DMA
-        engine streams and the switches replicate.  Every other rank
-        blocks on its *multicast* receive stream from the root; delivered
-        bits are the root's payload verbatim, exactly as in the software
-        broadcasts.
-        """
-        ctx = self.ctx
-        if ctx.rank == root:
-            words = pack_doubles(values)  # type: ignore[arg-type]
-            group = self._hw_group_mask(root)
-            guard = self.engine.guard("bcast[hw] multicast post")
-            while not (yield ("qmcast", group, words)):
-                # queue full: each retry is a 2-cycle descriptor write
-                if guard is not None:
-                    guard.tick()
-            if self._cp_key is not None:
-                yield self._cp_hop("snd", "*")
-            return list(values)  # type: ignore[arg-type]
-        words = yield ("mrecv", ctx.node_of(root), 2 * n_values)
-        if self._cp_key is not None:
-            yield self._cp_hop("rcv", root)
-        return unpack_doubles(words)
+            body = self._tree_bcast_over(
+                self._rooted_at(root), values, n_values,
+                _TieFlavour(self, frag),
+            )
+        result = yield from body
+        return result
 
     def reduce_doubles(
         self,
@@ -406,116 +470,40 @@ class Empi:
         serializing through recv copies and processor FP ops.  ``ring``
         is an allreduce schedule; a rooted reduce under it runs the tree.
         """
-        op = ReduceOp.parse(op)
         requested = CollectiveAlgorithm.parse(algorithm)
-        result = yield from self._cp_span(
+        return self._cp_span(
             f"reduce[{requested.value}]",
-            self._reduce_impl(root, values, op, requested),
+            self._reduce(root, values, ReduceOp.parse(op), requested,
+                         frag=False),
         )
-        return result
 
-    def _reduce_impl(
+    def _reduce(
         self,
         root: int,
         values: list[float],
         op: ReduceOp,
         requested: CollectiveAlgorithm,
+        frag: bool,
     ) -> "Program":
         ctx = self.ctx
         n = ctx.n_workers
-        n_values = len(values)
         if n == 1:
             return list(values)
-        self._check_engine_idle("reduce", requested)
+        if not frag:
+            self._check_engine_idle("reduce", requested)
+        p2p: _Flavour = _TieFlavour(self, frag)
         if requested is CollectiveAlgorithm.HW:
-            self._require_hw("reduce")
+            self._require_hw("ireduce" if frag else "reduce")
             if ctx.dma_reduce_assist:
-                result = yield from self._reduce_hw_assist(root, values, op)
-                return result
-        algorithm = requested.rooted().combine_order()
-        if algorithm is CollectiveAlgorithm.LINEAR:
-            if ctx.rank != root:
-                yield from self.send_doubles(root, values)
-                return None
-            acc: list[float] | None = None
-            for rank in range(n):
-                if rank == root:
-                    contrib = list(values)
-                else:
-                    contrib = yield from self.recv_doubles(rank, n_values)
-                if acc is None:
-                    acc = contrib
-                else:
-                    acc = combine_values(acc, contrib, op)
-                    yield ("compute", self._combine_cost(n_values, op))
-            return acc
-        # Binomial tree: at mask m every subtree root absorbs peer rr|m.
-        relative = (ctx.rank - root) % n
-        acc = list(values)
-        mask = 1
-        while mask < n:
-            if relative & mask:
-                parent = ((relative - mask) + root) % n
-                yield from self.send_doubles(parent, acc)
-                return None
-            peer = relative | mask
-            if peer != relative and peer < n:
-                other = yield from self.recv_doubles((peer + root) % n, n_values)
-                acc = combine_values(acc, other, op)
-                yield ("compute", self._combine_cost(n_values, op))
-            mask <<= 1
-        return acc
-
-    def _reduce_hw_assist(
-        self, root: int, values: list[float], op: ReduceOp
-    ) -> "Program":
-        """Binomial-tree reduce with engine-side combining.
-
-        Same tree, same combine order as the software ``tree`` reduce —
-        hence bit-identical results — but each parent's combine is an
-        accumulate-on-receive descriptor the engine retires as the
-        child's multicast stream arrives, and each child's upward send
-        is a queued single-member multicast descriptor, so neither leg
-        serializes through processor ops.
-        """
-        ctx = self.ctx
-        n = ctx.n_workers
-        relative = (ctx.rank - root) % n
-        acc = list(values)
-        mask = 1
-        while mask < n:
-            if relative & mask:
-                parent = ((relative - mask) + root) % n
-                words = pack_doubles(acc)
-                guard = self.engine.guard("reduce[hw] upward send post")
-                while not (yield ("qmcast", 1 << ctx.node_of(parent), words)):
-                    # queue full / regrouping: 2-cycle retry
-                    if guard is not None:
-                        guard.tick()
-                if self._cp_key is not None:
-                    yield self._cp_hop("snd", parent)
-                return None
-            peer = relative | mask
-            if peer != relative and peer < n:
-                peer_rank = (peer + root) % n
-                peer_node = ctx.node_of(peer_rank)
-                guard = self.engine.guard("reduce[hw] qreduce post")
-                while not (yield ("qreduce", peer_node, acc, op.value)):
-                    # previous descriptor still combining
-                    if guard is not None:
-                        guard.tick()
-                guard = self.engine.guard("reduce[hw] engine combine")
-                while True:
-                    combined = yield ("qrpoll",)
-                    if combined is not None:
-                        break
-                    if guard is not None:
-                        guard.tick()
-                acc = combined
-                if self._cp_key is not None:
-                    yield self._cp_hop("rcv", peer_rank)
-            mask <<= 1
-        return acc
+                p2p = _DmaFlavour(self, frag, "reduce[hw]")
+        if requested.rooted().combine_order() is CollectiveAlgorithm.LINEAR:
+            body = self._linear_reduce_over(range(n), root, values, op, p2p)
+        else:
+            body = self._tree_reduce_over(
+                self._rooted_at(root), values, op, p2p
+            )
+        result = yield from body
+        return result
 
     def allreduce_doubles(
         self,
@@ -530,228 +518,94 @@ class Empi:
         the broadcast leg is one multicast descriptor.  Under ``ring``
         the whole operation is a reduce-scatter + allgather around the
         rank ring — the long-vector schedule, with its own combine order
-        fixed by :func:`~repro.empi.collectives.reference_allreduce`.
-        Under ``hier`` it is the chiplet-aware composition: ring within
-        each chiplet's rank group, binomial tree across the group
-        leaders, broadcast back down (see :meth:`_allreduce_hier`).
+        fixed by :func:`~repro.empi.collectives.reference_allreduce`;
+        with a DMA engine fitted (and the reduction assist on) the
+        neighbour sends are single-member multicast descriptors and the
+        combines engine-side ``qreduce`` descriptors, otherwise the TIE
+        send/recv path carries the same schedule.  Under ``hier`` it is
+        the chiplet-aware composition: ring within each chiplet's rank
+        group, binomial tree across the group leaders, broadcast back
+        down (see :meth:`_allreduce_hier`).
         """
         algorithm = CollectiveAlgorithm.parse(algorithm)
-        result = yield from self._cp_span(
+        return self._cp_span(
             f"allreduce[{algorithm.value}]",
-            self._allreduce_impl(values, op, algorithm),
+            self._allreduce(values, ReduceOp.parse(op), algorithm,
+                            frag=False),
         )
-        return result
 
-    def _allreduce_impl(
+    def _allreduce(
         self,
         values: list[float],
-        op: ReduceOp | str,
+        op: ReduceOp,
         algorithm: CollectiveAlgorithm,
+        frag: bool,
     ) -> "Program":
-        if algorithm is CollectiveAlgorithm.RING:
-            result = yield from self._allreduce_ring(values, ReduceOp.parse(op))
-            return result
-        if algorithm is CollectiveAlgorithm.HIER:
-            result = yield from self._allreduce_hier(
-                values, ReduceOp.parse(op), frag=False
-            )
-            return result
-        if self.ctx.n_workers > 1:
-            self._check_engine_idle("allreduce", algorithm)
-        n_values = len(values)
-        reduced = yield from self.reduce_doubles(0, values, op, algorithm)
-        result = yield from self.bcast_doubles(0, reduced, n_values, algorithm)
-        return result
-
-    def _allreduce_ring(self, values: list[float], op: ReduceOp) -> "Program":
-        """Ring allreduce: reduce-scatter, then allgather.
-
-        The vector is split by :func:`~repro.empi.collectives.ring_segments`
-        into one segment per rank; for P-1 steps each rank streams one
-        segment to its right neighbour and combines the arriving chain
-        into the matching local segment (accumulator first), leaving rank
-        r with the fully combined segment (r+1) mod P, which P-1 further
-        steps circulate to everyone.  Each rank moves 2(P-1)/P of the
-        vector instead of the tree's log2(P) whole-vector hops — the
-        long-vector win.  With a DMA engine fitted (and the reduction
-        assist on) the neighbour sends are single-member multicast
-        descriptors and the combines are engine-side ``qreduce``
-        descriptors; otherwise the TIE send/recv path carries the same
-        schedule.  Both produce the reference ring bits exactly.
-        """
         ctx = self.ctx
         n = ctx.n_workers
-        if n == 1:
-            return list(values)
-        self._check_engine_idle("allreduce", CollectiveAlgorithm.RING)
-        use_hw = ctx.dma_queue_depth >= 1 and ctx.dma_reduce_assist
-        segments = ring_segments(len(values), n)
-        acc = list(values)
-        rank = ctx.rank
-        nxt, prv = (rank + 1) % n, (rank - 1) % n
-        nxt_node, prv_node = ctx.node_of(nxt), ctx.node_of(prv)
-        for step in range(n - 1):  # reduce-scatter
-            s0, s1 = segments[(rank - step) % n]
-            r0, r1 = segments[(rank - step - 1) % n]
-            n_recv = r1 - r0
-            if use_hw:
-                if n_recv:
-                    guard = self.engine.guard("allreduce[ring] qreduce post")
-                    while not (yield ("qreduce", prv_node, acc[r0:r1],
-                                      op.value)):
-                        if guard is not None:
-                            guard.tick()
-                if s1 > s0:
-                    words = pack_doubles(acc[s0:s1])
-                    guard = self.engine.guard("allreduce[ring] segment send")
-                    while not (yield ("qmcast", 1 << nxt_node, words)):
-                        if guard is not None:
-                            guard.tick()
-                    if self._cp_key is not None:
-                        yield self._cp_hop("snd", nxt)
-                if n_recv:
-                    guard = self.engine.guard("allreduce[ring] combine")
-                    while True:
-                        combined = yield ("qrpoll",)
-                        if combined is not None:
-                            break
-                        if guard is not None:
-                            guard.tick()
-                    acc[r0:r1] = combined
-                    if self._cp_key is not None:
-                        yield self._cp_hop("rcv", prv)
+        if n > 1 and not frag:
+            self._check_engine_idle("allreduce", algorithm)
+        if algorithm is CollectiveAlgorithm.RING:
+            p2p: _Flavour
+            if ctx.dma_queue_depth >= 1 and ctx.dma_reduce_assist:
+                p2p = _DmaFlavour(self, frag, "allreduce[ring]")
             else:
-                if s1 > s0:
-                    yield from self.send_doubles(nxt, acc[s0:s1])
-                if n_recv:
-                    other = yield from self.recv_doubles(prv, n_recv)
-                    acc[r0:r1] = combine_values(acc[r0:r1], other, op)
-                    yield ("compute", self._combine_cost(n_recv, op))
-        for step in range(n - 1):  # allgather
-            s0, s1 = segments[(rank + 1 - step) % n]
-            r0, r1 = segments[(rank - step) % n]
-            n_recv = r1 - r0
-            if use_hw:
-                if s1 > s0:
-                    words = pack_doubles(acc[s0:s1])
-                    guard = self.engine.guard("allreduce[ring] gather send")
-                    while not (yield ("qmcast", 1 << nxt_node, words)):
-                        if guard is not None:
-                            guard.tick()
-                    if self._cp_key is not None:
-                        yield self._cp_hop("snd", nxt)
-                if n_recv:
-                    words = yield ("mrecv", prv_node, 2 * n_recv)
-                    acc[r0:r1] = unpack_doubles(words)
-                    if self._cp_key is not None:
-                        yield self._cp_hop("rcv", prv)
-            else:
-                if s1 > s0:
-                    yield from self.send_doubles(nxt, acc[s0:s1])
-                if n_recv:
-                    acc[r0:r1] = yield from self.recv_doubles(prv, n_recv)
-        return acc
-
-    # -- hierarchical (chiplet-aware) allreduce ---------------------------------
-    #
-    # One code path serves both the blocking and the non-blocking op: the
-    # ``frag`` flag picks the point-to-point flavour (blocking TIE
-    # send/recv vs rescheduling fragments), and everything else — group
-    # shapes, schedules, combine orders — is identical, so the delivered
-    # bits cannot differ between the two.
-
-    def _hier_groups(self) -> list[list[int]]:
-        """The chiplet rank groups, or one all-ranks group when flat."""
-        groups = getattr(self.ctx, "rank_groups", None)
-        if not groups:
-            return [list(range(self.ctx.n_workers))]
-        return groups
-
-    def _hier_send(self, dst_rank: int, values: list[float],
-                   frag: bool) -> "Program":
-        if frag:
-            yield from self._frag_send_doubles(dst_rank, values)
-            if self._cp_key is not None:
-                yield self._cp_hop("snd", dst_rank)
+                p2p = _TieFlavour(self, frag)
+            body = self._ring_allreduce_over(range(n), values, op, p2p)
+        elif algorithm is CollectiveAlgorithm.HIER:
+            body = self._allreduce_hier(values, op, _TieFlavour(self, frag))
         else:
-            yield from self.send_doubles(dst_rank, values)
+            reduced = yield from self._reduce(0, values, op, algorithm, frag)
+            body = self._bcast(0, reduced, len(values), algorithm, frag)
+        result = yield from body
+        return result
 
-    def _hier_recv(self, src_rank: int, n_values: int,
-                   frag: bool) -> "Program":
-        if frag:
-            values = yield from self._frag_recv_doubles(src_rank, n_values)
-            if self._cp_key is not None:
-                yield self._cp_hop("rcv", src_rank)
-            return values
-        values = yield from self.recv_doubles(src_rank, n_values)
-        return values
+    # -- the algorithms: one body each, over an ordered rank list --------------
+    #
+    # ``p2p`` is the point-to-point flavour (_TieFlavour / _DmaFlavour).
+    # Combine orders are the ones reference_reduce / reference_allreduce
+    # replicate for the same rank list.
 
-    def _ring_allreduce_over(self, ranks: list[int], values: list[float],
-                             op: ReduceOp, frag: bool) -> "Program":
-        """Ring allreduce over an ordered rank list (one chiplet group).
+    def _linear_bcast_over(
+        self, ranks: typing.Sequence[int], root: int,
+        values: list[float] | None, n_values: int, p2p: _Flavour,
+    ) -> "Program":
+        """``root`` streams the payload to every other rank, list order."""
+        if self.ctx.rank != root:
+            received = yield from p2p.recv(root, n_values)
+            return received
+        for rank in ranks:
+            if rank != root:
+                yield from p2p.send(rank, values)
+        return list(values)  # type: ignore[arg-type]
 
-        Exactly the :meth:`_allreduce_ring` schedule with ring positions
-        taken from ``ranks`` instead of raw rank numbers, so the bits
-        match ``reference_allreduce(group contributions, op, ring)``.
-        """
-        k = len(ranks)
-        acc = list(values)
-        if k == 1:
-            return acc
-        idx = ranks.index(self.ctx.rank)
-        nxt, prv = ranks[(idx + 1) % k], ranks[(idx - 1) % k]
-        segments = ring_segments(len(values), k)
-        for step in range(k - 1):  # reduce-scatter
-            s0, s1 = segments[(idx - step) % k]
-            r0, r1 = segments[(idx - step - 1) % k]
-            if s1 > s0:
-                yield from self._hier_send(nxt, acc[s0:s1], frag)
-            n_recv = r1 - r0
-            if n_recv:
-                other = yield from self._hier_recv(prv, n_recv, frag)
-                acc[r0:r1] = combine_values(acc[r0:r1], other, op)
-                yield ("compute", self._combine_cost(n_recv, op))
-        for step in range(k - 1):  # allgather
-            s0, s1 = segments[(idx + 1 - step) % k]
-            r0, r1 = segments[(idx - step) % k]
-            if s1 > s0:
-                yield from self._hier_send(nxt, acc[s0:s1], frag)
-            n_recv = r1 - r0
-            if n_recv:
-                acc[r0:r1] = yield from self._hier_recv(prv, n_recv, frag)
-        return acc
-
-    def _tree_reduce_over(self, ranks: list[int], values: list[float],
-                          op: ReduceOp, frag: bool) -> "Program":
-        """Binomial-tree reduce over ``ranks`` with root ``ranks[0]``.
-
-        Same recursion as the rooted tree reduce over relative list
-        positions, so the result at the root matches
-        ``reference_reduce(contributions in ranks order, 0, op, tree)``.
-        Returns the accumulator at the root, None elsewhere.
-        """
-        k = len(ranks)
-        acc = list(values)
-        if k == 1:
-            return acc
-        rel = ranks.index(self.ctx.rank)
+    def _linear_reduce_over(
+        self, ranks: typing.Sequence[int], root: int, values: list[float],
+        op: ReduceOp, p2p: _Flavour,
+    ) -> "Program":
+        """``root`` combines every contribution in list order (its own
+        in place); returns the accumulator at the root, None elsewhere."""
+        if self.ctx.rank != root:
+            yield from p2p.send(root, values)
+            return None
         n_values = len(values)
-        mask = 1
-        while mask < k:
-            if rel & mask:
-                yield from self._hier_send(ranks[rel - mask], acc, frag)
-                return None
-            peer = rel | mask
-            if peer != rel and peer < k:
-                other = yield from self._hier_recv(ranks[peer], n_values, frag)
-                acc = combine_values(acc, other, op)
-                yield ("compute", self._combine_cost(n_values, op))
-            mask <<= 1
+        acc: list[float] | None = None
+        for rank in ranks:
+            if rank == root:
+                contrib = list(values)
+            else:
+                contrib = yield from p2p.recv(rank, n_values)
+            if acc is None:
+                acc = contrib
+            else:
+                acc = combine_values(acc, contrib, op)
+                yield ("compute", combine_cost(self.ctx.cost, n_values, op))
         return acc
 
-    def _tree_bcast_over(self, ranks: list[int],
-                         values: list[float] | None,
-                         n_values: int, frag: bool) -> "Program":
+    def _tree_bcast_over(
+        self, ranks: typing.Sequence[int], values: list[float] | None,
+        n_values: int, p2p: _Flavour,
+    ) -> "Program":
         """Binomial-tree broadcast over ``ranks`` from root ``ranks[0]``.
 
         Only the root's ``values`` are read; the payload moves bit-for-
@@ -770,17 +624,114 @@ class Empi:
             mask = 1
             while not rel & mask:
                 mask <<= 1
-            data = yield from self._hier_recv(ranks[rel - mask], n_values, frag)
+            # mask is the lowest set bit: the parent cleared it.
+            data = yield from p2p.recv(ranks[rel - mask], n_values)
+        # Forward down the subtree, largest half first; every mask below
+        # the receive bit is clear in ``rel``, so rel + mask is always a
+        # descendant.
         mask >>= 1
         while mask:
             child = rel + mask
             if child < k:
-                yield from self._hier_send(ranks[child], data, frag)
+                yield from p2p.send(ranks[child], data)
             mask >>= 1
         return data
 
+    def _tree_reduce_over(
+        self, ranks: typing.Sequence[int], values: list[float], op: ReduceOp,
+        p2p: _Flavour,
+    ) -> "Program":
+        """Binomial-tree reduce over ``ranks`` with root ``ranks[0]``.
+
+        At mask m every subtree root at list position ``rel`` absorbs
+        the finished accumulator of position ``rel | m``, so the result
+        at the root matches ``reference_reduce(contributions in ranks
+        order, 0, op, tree)``.  Returns the accumulator at the root,
+        None elsewhere.
+        """
+        k = len(ranks)
+        acc = list(values)
+        if k == 1:
+            return acc
+        rel = ranks.index(self.ctx.rank)
+        mask = 1
+        while mask < k:
+            if rel & mask:
+                yield from p2p.send(ranks[rel - mask], acc)
+                return None
+            peer = rel | mask
+            if peer < k:
+                yield from p2p.expect_combine(ranks[peer], acc, op)
+                acc = yield from p2p.recv_combine(ranks[peer], acc, op)
+            mask <<= 1
+        return acc
+
+    def _ring_allreduce_over(
+        self, ranks: typing.Sequence[int], values: list[float], op: ReduceOp,
+        p2p: _Flavour,
+    ) -> "Program":
+        """Ring allreduce over ``ranks``: reduce-scatter, then allgather.
+
+        The vector is split by :func:`~repro.empi.collectives.ring_segments`
+        into one segment per ring position; for k-1 steps each rank
+        streams one segment to its right neighbour and combines the
+        arriving chain into the matching local segment (accumulator
+        first), leaving position i with the fully combined segment
+        (i+1) mod k, which k-1 further steps circulate to everyone.
+        Each rank moves 2(k-1)/k of the vector instead of the tree's
+        log2(k) whole-vector hops — the long-vector win.  The bits match
+        ``reference_allreduce(contributions in ranks order, op, ring)``.
+        """
+        k = len(ranks)
+        acc = list(values)
+        if k == 1:
+            return acc
+        idx = ranks.index(self.ctx.rank)
+        nxt, prv = ranks[(idx + 1) % k], ranks[(idx - 1) % k]
+        segments = ring_segments(len(values), k)
+        for step in range(k - 1):  # reduce-scatter
+            s0, s1 = segments[(idx - step) % k]
+            r0, r1 = segments[(idx - step - 1) % k]
+            if r1 > r0:
+                yield from p2p.expect_combine(prv, acc[r0:r1], op)
+            if s1 > s0:
+                yield from p2p.send(nxt, acc[s0:s1])
+            if r1 > r0:
+                acc[r0:r1] = yield from p2p.recv_combine(prv, acc[r0:r1], op)
+        for step in range(k - 1):  # allgather
+            s0, s1 = segments[(idx + 1 - step) % k]
+            r0, r1 = segments[(idx - step) % k]
+            if s1 > s0:
+                yield from p2p.send(nxt, acc[s0:s1])
+            if r1 > r0:
+                acc[r0:r1] = yield from p2p.recv(prv, r1 - r0)
+        return acc
+
+    def _mcast_bcast(
+        self, root: int, values: list[float] | None, n_values: int,
+        p2p: _DmaFlavour,
+    ) -> "Program":
+        """Hardware broadcast: one multicast descriptor, fabric replication.
+
+        The root posts the packed payload with the all-other-workers
+        bitmask and is done — the DMA engine streams and the switches
+        replicate.  Every other rank takes it off its *multicast*
+        receive stream from the root; delivered bits are the root's
+        payload verbatim, exactly as in the software broadcasts.
+        """
+        ctx = self.ctx
+        if ctx.rank != root:
+            received = yield from p2p.recv(root, n_values)
+            return received
+        group = 0
+        for rank in range(ctx.n_workers):
+            if rank != root:
+                group |= 1 << ctx.node_of(rank)
+        yield from p2p.mcast(group, values, "*")
+        return list(values)  # type: ignore[arg-type]
+
     def _allreduce_hier(self, values: list[float], op: ReduceOp,
-                        frag: bool) -> "Program":
+                        p2p: _TieFlavour) -> "Program":
         """Hierarchical allreduce: intra-chiplet ring, inter-chiplet tree.
 
         Three phases, each over rank lists from ``ctx.rank_groups``:
@@ -795,35 +746,33 @@ class Empi:
            cross the inter-chiplet links;
         3. binomial-tree broadcast from each leader down its group.
 
-        On a flat topology (``rank_groups`` None) there is one group:
-        phase 1 is the plain ring and phases 2-3 vanish, so ``hier``
-        delivers the ``ring`` bits.  The combine order is exactly
-        :func:`~repro.empi.collectives.reference_allreduce` with
+        On a flat topology (``rank_groups`` None) there is one all-ranks
+        group: phase 1 is the plain ring and phases 2-3 vanish, so
+        ``hier`` delivers the ``ring`` bits.  The combine order is
+        exactly :func:`~repro.empi.collectives.reference_allreduce` with
         ``groups``.
         """
         ctx = self.ctx
-        if ctx.n_workers == 1:
-            return list(values)
-        if not frag:
-            self._check_engine_idle("allreduce", CollectiveAlgorithm.HIER)
-        groups = self._hier_groups()
+        groups = getattr(ctx, "rank_groups", None) or [
+            list(range(ctx.n_workers))
+        ]
         members = next(g for g in groups if ctx.rank in g)
-        acc = yield from self._ring_allreduce_over(members, values, op, frag)
+        acc = yield from self._ring_allreduce_over(members, values, op, p2p)
         leaders = [g[0] for g in groups]
         if len(leaders) > 1:
             if ctx.rank == members[0]:
                 reduced = yield from self._tree_reduce_over(
-                    leaders, acc, op, frag
+                    leaders, acc, op, p2p
                 )
                 acc = yield from self._tree_bcast_over(
-                    leaders, reduced, len(values), frag
+                    leaders, reduced, len(values), p2p
                 )
             if len(members) > 1:
                 acc = yield from self._tree_bcast_over(
                     members,
                     acc if ctx.rank == members[0] else None,
                     len(values),
-                    frag,
+                    p2p,
                 )
         return acc
 
@@ -873,25 +822,25 @@ class Empi:
     # -- non-blocking operations (request/progress engine) ---------------------------------
     #
     # Each non-blocking op posts a *communication fragment* on the
-    # engine: the same wire protocol and the same combine orders as the
-    # blocking ops above (results are bit-identical either way), but
-    # built from TX descriptors and status polls so the core keeps
-    # running while the TIE streams.  Progress happens inside wait/test
-    # and inside overlap() — the cooperative analogue of MPI progress.
+    # engine: the same algorithm bodies as the blocking ops above (so
+    # results are bit-identical either way) run over the fragment
+    # flavour of the point-to-point layer — TX descriptors and status
+    # polls, so the core keeps running while the TIE streams.  Progress
+    # happens inside wait/test and inside overlap() (see
+    # :class:`~repro.empi.requests.EngineCompletion`) — the cooperative
+    # analogue of MPI progress.
 
     def isend(self, dst_rank: int, values: list[float]) -> "Program":
         """MPI_Isend: post a send of doubles; complete via ``wait``."""
-        request = yield from self.engine.post(
+        return self.engine.post(
             self._frag_send_doubles(dst_rank, values), f"isend->{dst_rank}"
         )
-        return request
 
     def irecv(self, src_rank: int, n_values: int) -> "Program":
         """MPI_Irecv: post a receive of doubles; ``wait`` returns them."""
-        request = yield from self.engine.post(
+        return self.engine.post(
             self._frag_recv_doubles(src_rank, n_values), f"irecv<-{src_rank}"
         )
-        return request
 
     def ibcast_doubles(
         self,
@@ -902,14 +851,10 @@ class Empi:
     ) -> "Program":
         """MPI_Ibcast: same combine-free data movement as ``bcast_doubles``."""
         algorithm = CollectiveAlgorithm.parse(algorithm)
-        request = yield from self.engine.post(
-            self._frag_collective(
-                self._frag_bcast_body(root, values, n_values, algorithm),
-                f"ibcast[{algorithm.value}]",
-            ),
+        return self._post_collective(
             f"ibcast[{algorithm.value}]",
+            self._bcast(root, values, n_values, algorithm, frag=True),
         )
-        return request
 
     def ireduce_doubles(
         self,
@@ -919,16 +864,12 @@ class Empi:
         algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR,
     ) -> "Program":
         """MPI_Ireduce: same combine order as ``reduce_doubles``."""
-        op = ReduceOp.parse(op)
         algorithm = CollectiveAlgorithm.parse(algorithm)
-        request = yield from self.engine.post(
-            self._frag_collective(
-                self._frag_reduce_body(root, values, op, algorithm),
-                f"ireduce[{algorithm.value}]",
-            ),
+        return self._post_collective(
             f"ireduce[{algorithm.value}]",
+            self._reduce(root, values, ReduceOp.parse(op), algorithm,
+                         frag=True),
         )
-        return request
 
     def iallreduce_doubles(
         self,
@@ -936,52 +877,30 @@ class Empi:
         op: ReduceOp | str = ReduceOp.SUM,
         algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR,
     ) -> "Program":
-        """MPI_Iallreduce: reduce at rank 0 then broadcast, like the
-        blocking ``allreduce_doubles`` (bit-identical result)."""
-        op = ReduceOp.parse(op)
+        """MPI_Iallreduce: the blocking ``allreduce_doubles`` schedule
+        (bit-identical result), progressed by the engine."""
         algorithm = CollectiveAlgorithm.parse(algorithm)
-        request = yield from self.engine.post(
-            self._frag_collective(
-                self._frag_allreduce_body(values, op, algorithm),
-                f"iallreduce[{algorithm.value}]",
-            ),
+        return self._post_collective(
             f"iallreduce[{algorithm.value}]",
+            self._allreduce(values, ReduceOp.parse(op), algorithm, frag=True),
         )
-        return request
 
-    def wait(self, request: Request) -> "Program":
-        """MPI_Wait: progress until ``request`` completes; its result."""
-        result = yield from self.engine.wait(request)
-        return result
+    def _post_collective(self, label: str, body: "Program") -> "Program":
+        """Post a collective body, serialized through the collective turn.
 
-    def waitall(self, requests: list[Request]) -> "Program":
-        """MPI_Waitall: results in request order."""
-        results = yield from self.engine.waitall(requests)
-        return results
-
-    def waitany(self, requests: list[Request]) -> "Program":
-        """MPI_Waitany: (index, result) of the first completed request."""
-        index, result = yield from self.engine.waitany(requests)
-        return index, result
-
-    def waitsome(self, requests: list[Request]) -> "Program":
-        """MPI_Waitsome: [(index, result), ...] of the completed ones."""
-        completed = yield from self.engine.waitsome(requests)
-        return completed
-
-    def test(self, request: Request) -> "Program":
-        """MPI_Test: one progress round; True when complete."""
-        done = yield from self.engine.test(request)
-        return done
-
-    def progress(self) -> "Program":
-        """One explicit progress round over all outstanding requests."""
-        yield from self.engine.progress()
-
-    def overlap(self, frag: "Program", poll_interval: int = 2) -> "Program":
-        """Run a compute fragment while progressing outstanding requests."""
-        result = yield from self.engine.overlap(frag, poll_interval)
-        return result
+        All ranks must post their non-blocking collectives in the same
+        order (the MPI-3 rule); the turn makes a later collective queue
+        behind an unfinished earlier one instead of interleaving its
+        messages into the same streams.  The turn also makes the
+        critical-path span unambiguous: at most one collective body
+        executes at a time, so ``_cp_key`` names exactly this op while
+        interleaved point-to-point fragments (which never emit hops)
+        progress underneath it.
+        """
+        return self.engine.post(
+            self.engine.in_turn("collective", self._cp_span(label, body)),
+            label,
+        )
 
     # -- communication fragments -----------------------------------------------------------
 
@@ -1026,7 +945,7 @@ class Empi:
         return words
 
     def _frag_send_doubles(self, dst_rank: int, values: list[float]) -> "Program":
-        yield from self._frag_send_words(
+        return self._frag_send_words(
             self.ctx.node_of(dst_rank), pack_doubles(values)
         )
 
@@ -1035,353 +954,3 @@ class Empi:
             self.ctx.node_of(src_rank), 2 * n_values
         )
         return unpack_doubles(words)
-
-    def _frag_collective(self, body: "Program", label: str) -> "Program":
-        """Serialize non-blocking collectives through the collective turn.
-
-        All ranks must post their non-blocking collectives in the same
-        order (the MPI-3 rule); the turn makes a later collective queue
-        behind an unfinished earlier one instead of interleaving its
-        messages into the same streams.  The turn also makes the
-        critical-path span unambiguous: at most one collective body
-        executes at a time, so ``_cp_key`` names exactly this op while
-        interleaved point-to-point fragments (which never emit hops)
-        progress underneath it.
-        """
-        turn = self.engine.turn("collective")
-        token = object()
-        turn.enter(token)
-        while not turn.holds(token):
-            yield RESCHEDULE
-        result = yield from self._cp_span(label, body)
-        turn.leave(token)
-        return result
-
-    def _frag_bcast_body(
-        self,
-        root: int,
-        values: list[float] | None,
-        n_values: int,
-        algorithm: CollectiveAlgorithm,
-    ) -> "Program":
-        # Mirrors bcast_doubles exactly (same sends, same order) with
-        # fragment point-to-point, so the delivered bits cannot differ.
-        ctx = self.ctx
-        n = ctx.n_workers
-        if ctx.rank == root:
-            if values is None or len(values) != n_values:
-                raise ProgramError("broadcast root must supply the payload")
-        if n == 1:
-            return list(values)  # type: ignore[arg-type]
-        algorithm = algorithm.rooted()
-        if algorithm is CollectiveAlgorithm.HW:
-            self._require_hw("ibcast")
-            result = yield from self._frag_bcast_hw(root, values, n_values)
-            return result
-        if algorithm is CollectiveAlgorithm.LINEAR:
-            if ctx.rank == root:
-                for rank in range(n):
-                    if rank != root:
-                        yield from self._frag_send_doubles(rank, values)
-                        if self._cp_key is not None:
-                            yield self._cp_hop("snd", rank)
-                return list(values)
-            received = yield from self._frag_recv_doubles(root, n_values)
-            if self._cp_key is not None:
-                yield self._cp_hop("rcv", root)
-            return received
-        relative = (ctx.rank - root) % n
-        if relative == 0:
-            data = list(values)  # type: ignore[arg-type]
-            mask = 1
-            while mask < n:
-                mask <<= 1
-        else:
-            mask = 1
-            while not relative & mask:
-                mask <<= 1
-            parent = ((relative - mask) + root) % n
-            data = yield from self._frag_recv_doubles(parent, n_values)
-            if self._cp_key is not None:
-                yield self._cp_hop("rcv", parent)
-        mask >>= 1
-        while mask:
-            child = relative + mask
-            if child < n:
-                yield from self._frag_send_doubles((child + root) % n, data)
-                if self._cp_key is not None:
-                    yield self._cp_hop("snd", (child + root) % n)
-            mask >>= 1
-        return data
-
-    def _frag_bcast_hw(
-        self, root: int, values: list[float] | None, n_values: int
-    ) -> "Program":
-        # The non-blocking twin of _bcast_hw: the root's descriptor post
-        # reschedules while the queue is full (the engine drains it in
-        # hardware), receivers hold the per-source multicast-stream turn
-        # so concurrently posted hw collectives complete in posting order.
-        ctx = self.ctx
-        if ctx.rank == root:
-            words = pack_doubles(values)  # type: ignore[arg-type]
-            group = self._hw_group_mask(root)
-            while not (yield ("qmcast", group, words)):
-                yield RESCHEDULE
-            if self._cp_key is not None:
-                yield self._cp_hop("snd", "*")
-            return list(values)  # type: ignore[arg-type]
-        src_node = ctx.node_of(root)
-        turn = self.engine.turn(("mrx", src_node))
-        token = object()
-        turn.enter(token)
-        while not turn.holds(token):
-            yield RESCHEDULE
-        while True:
-            words = yield ("tmrecv", src_node, 2 * n_values)
-            if words is not None:
-                break
-            yield RESCHEDULE
-        turn.leave(token)
-        if self._cp_key is not None:
-            yield self._cp_hop("rcv", root)
-        return unpack_doubles(words)
-
-    def _frag_reduce_body(
-        self,
-        root: int,
-        values: list[float],
-        op: ReduceOp,
-        algorithm: CollectiveAlgorithm,
-    ) -> "Program":
-        # Mirrors reduce_doubles exactly — identical combine orders, so
-        # reference_reduce validates the non-blocking path too.
-        ctx = self.ctx
-        n = ctx.n_workers
-        n_values = len(values)
-        if n == 1:
-            return list(values)
-        algorithm = algorithm.rooted()
-        if algorithm is CollectiveAlgorithm.HW:
-            self._require_hw("ireduce")
-            if ctx.dma_reduce_assist:
-                result = yield from self._frag_reduce_hw_assist(
-                    root, values, op
-                )
-                return result
-        if algorithm is CollectiveAlgorithm.LINEAR:
-            if ctx.rank != root:
-                yield from self._frag_send_doubles(root, values)
-                if self._cp_key is not None:
-                    yield self._cp_hop("snd", root)
-                return None
-            acc: list[float] | None = None
-            for rank in range(n):
-                if rank == root:
-                    contrib = list(values)
-                else:
-                    contrib = yield from self._frag_recv_doubles(rank, n_values)
-                    if self._cp_key is not None:
-                        yield self._cp_hop("rcv", rank)
-                if acc is None:
-                    acc = contrib
-                else:
-                    acc = combine_values(acc, contrib, op)
-                    yield ("compute", self._combine_cost(n_values, op))
-            return acc
-        relative = (ctx.rank - root) % n
-        acc = list(values)
-        mask = 1
-        while mask < n:
-            if relative & mask:
-                parent = ((relative - mask) + root) % n
-                yield from self._frag_send_doubles(parent, acc)
-                if self._cp_key is not None:
-                    yield self._cp_hop("snd", parent)
-                return None
-            peer = relative | mask
-            if peer != relative and peer < n:
-                peer_rank = (peer + root) % n
-                other = yield from self._frag_recv_doubles(peer_rank, n_values)
-                acc = combine_values(acc, other, op)
-                yield ("compute", self._combine_cost(n_values, op))
-                if self._cp_key is not None:
-                    yield self._cp_hop("rcv", peer_rank)
-            mask <<= 1
-        return acc
-
-    def _frag_reduce_hw_assist(
-        self, root: int, values: list[float], op: ReduceOp
-    ) -> "Program":
-        # The non-blocking twin of _reduce_hw_assist: same descriptors,
-        # same combine order, rescheduling between status polls so
-        # overlapped compute runs while the engines stream and combine.
-        ctx = self.ctx
-        n = ctx.n_workers
-        relative = (ctx.rank - root) % n
-        acc = list(values)
-        mask = 1
-        while mask < n:
-            if relative & mask:
-                parent = ((relative - mask) + root) % n
-                words = pack_doubles(acc)
-                while not (yield ("qmcast", 1 << ctx.node_of(parent), words)):
-                    yield RESCHEDULE
-                if self._cp_key is not None:
-                    yield self._cp_hop("snd", parent)
-                return None
-            peer = relative | mask
-            if peer != relative and peer < n:
-                peer_rank = (peer + root) % n
-                peer_node = ctx.node_of(peer_rank)
-                while not (yield ("qreduce", peer_node, acc, op.value)):
-                    yield RESCHEDULE
-                while True:
-                    combined = yield ("qrpoll",)
-                    if combined is not None:
-                        break
-                    yield RESCHEDULE
-                acc = combined
-                if self._cp_key is not None:
-                    yield self._cp_hop("rcv", peer_rank)
-            mask <<= 1
-        return acc
-
-    def _frag_allreduce_body(
-        self, values: list[float], op: ReduceOp, algorithm: CollectiveAlgorithm
-    ) -> "Program":
-        if algorithm is CollectiveAlgorithm.RING:
-            result = yield from self._frag_allreduce_ring(values, op)
-            return result
-        if algorithm is CollectiveAlgorithm.HIER:
-            result = yield from self._allreduce_hier(values, op, frag=True)
-            return result
-        n_values = len(values)
-        reduced = yield from self._frag_reduce_body(0, values, op, algorithm)
-        result = yield from self._frag_bcast_body(0, reduced, n_values, algorithm)
-        return result
-
-    def _frag_allreduce_ring(
-        self, values: list[float], op: ReduceOp
-    ) -> "Program":
-        # Mirrors _allreduce_ring step for step (same segments, same
-        # combine order, so delivered bits are equal) with fragment
-        # point-to-point on the software path and rescheduling polls on
-        # the engine path.
-        ctx = self.ctx
-        n = ctx.n_workers
-        if n == 1:
-            return list(values)
-        use_hw = ctx.dma_queue_depth >= 1 and ctx.dma_reduce_assist
-        segments = ring_segments(len(values), n)
-        acc = list(values)
-        rank = ctx.rank
-        nxt, prv = (rank + 1) % n, (rank - 1) % n
-        nxt_node, prv_node = ctx.node_of(nxt), ctx.node_of(prv)
-        for step in range(n - 1):  # reduce-scatter
-            s0, s1 = segments[(rank - step) % n]
-            r0, r1 = segments[(rank - step - 1) % n]
-            n_recv = r1 - r0
-            if use_hw:
-                if n_recv:
-                    while not (yield ("qreduce", prv_node, acc[r0:r1],
-                                      op.value)):
-                        yield RESCHEDULE
-                if s1 > s0:
-                    words = pack_doubles(acc[s0:s1])
-                    while not (yield ("qmcast", 1 << nxt_node, words)):
-                        yield RESCHEDULE
-                    if self._cp_key is not None:
-                        yield self._cp_hop("snd", nxt)
-                if n_recv:
-                    while True:
-                        combined = yield ("qrpoll",)
-                        if combined is not None:
-                            break
-                        yield RESCHEDULE
-                    acc[r0:r1] = combined
-                    if self._cp_key is not None:
-                        yield self._cp_hop("rcv", prv)
-            else:
-                if s1 > s0:
-                    yield from self._frag_send_doubles(nxt, acc[s0:s1])
-                    if self._cp_key is not None:
-                        yield self._cp_hop("snd", nxt)
-                if n_recv:
-                    other = yield from self._frag_recv_doubles(prv, n_recv)
-                    acc[r0:r1] = combine_values(acc[r0:r1], other, op)
-                    yield ("compute", self._combine_cost(n_recv, op))
-                    if self._cp_key is not None:
-                        yield self._cp_hop("rcv", prv)
-        for step in range(n - 1):  # allgather
-            s0, s1 = segments[(rank + 1 - step) % n]
-            r0, r1 = segments[(rank - step) % n]
-            n_recv = r1 - r0
-            if use_hw:
-                if s1 > s0:
-                    words = pack_doubles(acc[s0:s1])
-                    while not (yield ("qmcast", 1 << nxt_node, words)):
-                        yield RESCHEDULE
-                    if self._cp_key is not None:
-                        yield self._cp_hop("snd", nxt)
-                if n_recv:
-                    while True:
-                        words = yield ("tmrecv", prv_node, 2 * n_recv)
-                        if words is not None:
-                            break
-                        yield RESCHEDULE
-                    acc[r0:r1] = unpack_doubles(words)
-                    if self._cp_key is not None:
-                        yield self._cp_hop("rcv", prv)
-            else:
-                if s1 > s0:
-                    yield from self._frag_send_doubles(nxt, acc[s0:s1])
-                    if self._cp_key is not None:
-                        yield self._cp_hop("snd", nxt)
-                if n_recv:
-                    acc[r0:r1] = yield from self._frag_recv_doubles(prv, n_recv)
-                    if self._cp_key is not None:
-                        yield self._cp_hop("rcv", prv)
-        return acc
-
-    # -- legacy scalar collectives ---------------------------------------------------------
-
-    def broadcast_doubles(self, root: int, values: list[float] | None,
-                          n_values: int) -> "Program":
-        """Root streams ``values`` to every other rank; returns the payload."""
-        ctx = self.ctx
-        if ctx.rank == root:
-            if values is None or len(values) != n_values:
-                raise ProgramError("broadcast root must supply the payload")
-            for rank in range(ctx.n_workers):
-                if rank != root:
-                    yield from self.send_doubles(rank, values)
-            return list(values)
-        received = yield from self.recv_doubles(root, n_values)
-        return received
-
-    def gather_double(self, root: int, value: float) -> "Program":
-        """Each rank contributes one double; root returns the full list."""
-        ctx = self.ctx
-        if ctx.rank == root:
-            gathered: list[float | None] = [None] * ctx.n_workers
-            gathered[root] = value
-            for rank in range(ctx.n_workers):
-                if rank != root:
-                    values = yield from self.recv_doubles(rank, 1)
-                    gathered[rank] = values[0]
-            return gathered
-        yield from self.send_doubles(root, [value])
-        return None
-
-    def allreduce_sum(self, value: float) -> "Program":
-        """Sum one double across all workers (gather + broadcast on rank 0)."""
-        ctx = self.ctx
-        gathered = yield from self.gather_double(0, value)
-        if ctx.rank == 0:
-            total = 0.0
-            for item in gathered:
-                total += item
-            result = yield from self.broadcast_doubles(0, [total], 1)
-        else:
-            result = yield from self.broadcast_doubles(0, None, 1)
-        return result[0]

@@ -6,6 +6,22 @@ is a complete Req/Data round trip plus MPMMU service time, serialized
 against every other core's traffic — the synchronization cost the paper's
 hybrid approach eliminates (Section III attributes >= 56% of the 5x win to
 exactly this).
+
+Every protocol here is written once and takes its ``pause`` — the op
+yielded between two polls of a shared word.  The default spins
+(``("compute", poll_backoff)``, a blocking call); non-blocking requests
+pass :data:`~repro.empi.requests.RESCHEDULE`, handing the core back to
+the progress engine between MPMMU round trips.  That is the only
+difference between a blocking op and its ``i*`` twin on this backend,
+so delivered bits are equal by construction.
+
+* To add an **algorithm** to :class:`SharedMemoryCollectives`: write one
+  body of publish-slot / ``barrier_state.wait(pause)`` / read-slot
+  rounds taking ``pause``, and dispatch to it from ``_reduce`` /
+  ``_allreduce``; the blocking and ``i*`` entry points already pass the
+  two pauses.  Keep the combine order of the eMPI body of the same name
+  (one reference in :mod:`repro.empi.collectives` validates both).
+* A new **flavour** here is just another pause op.
 """
 
 from __future__ import annotations
@@ -20,8 +36,8 @@ from repro.empi.collectives import (
     combine_values,
     ring_segments,
 )
-from repro.empi.requests import RESCHEDULE, ProgressEngine, Request
-from repro.errors import ProgramError
+from repro.empi.requests import RESCHEDULE, EngineCompletion, ProgressEngine
+from repro.errors import ConfigError, ProgramError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pe.program import Program, ProgramContext
@@ -87,11 +103,21 @@ class SharedMemoryBarrier:
         #: hierarchical flavour, whose footprint depends on group count).
         self.footprint = self.FOOTPRINT
 
-    def wait(self) -> "Program":
-        """Enter the barrier; returns when every worker has arrived."""
+    def wait(self, pause: object = None) -> "Program":
+        """Enter the barrier; returns when every worker has arrived.
+
+        ``pause`` is yielded between release polls: by default the
+        spinning backoff; a request fragment passes ``RESCHEDULE`` for
+        the split-phase barrier, handing the core back to the progress
+        engine (and through it to user compute) instead of burning
+        backoff cycles.  Every poll is still a full MPMMU round trip —
+        the cost the shared-memory model cannot shed.
+        """
         self.waits += 1
         if self.n_workers == 1:
             return
+        if pause is None:
+            pause = ("compute", self.poll_backoff)
         my_sense = 1 - self._local_sense
         self._local_sense = my_sense
         yield from self.lock.acquire()
@@ -111,36 +137,7 @@ class SharedMemoryBarrier:
             flag = yield ("uload", self.sense_addr)
             if flag == my_sense:
                 return
-            yield ("compute", self.poll_backoff)
-
-    def wait_frag(self) -> "Program":
-        """Split-phase barrier: same protocol, but instead of burning
-        backoff cycles between release polls the fragment reschedules,
-        handing the core back to the progress engine (and through it to
-        user compute).  Every poll is still a full MPMMU round trip —
-        the cost the shared-memory model cannot shed."""
-        self.waits += 1
-        if self.n_workers == 1:
-            return
-        my_sense = 1 - self._local_sense
-        self._local_sense = my_sense
-        yield from self.lock.acquire()
-        count = yield ("uload", self.counter_addr)
-        count += 1
-        if count == self.n_workers:
-            yield ("ustore", self.counter_addr, 0)
-            yield ("ustore", self.sense_addr, my_sense)
-            yield ("fence",)
-            yield from self.lock.release()
-            return
-        yield ("ustore", self.counter_addr, count)
-        yield ("fence",)
-        yield from self.lock.release()
-        while True:
-            flag = yield ("uload", self.sense_addr)
-            if flag == my_sense:
-                return
-            yield RESCHEDULE
+            yield pause
 
 
 class HierarchicalBarrier:
@@ -197,10 +194,14 @@ class HierarchicalBarrier:
         self._local_sense = 0
         self.waits = 0
 
-    def _wait(self, frag: bool) -> "Program":
+    def wait(self, pause: object = None) -> "Program":
+        """Enter the barrier; ``pause`` as in
+        :meth:`SharedMemoryBarrier.wait`."""
         self.waits += 1
         if self.n_workers == 1:
             return
+        if pause is None:
+            pause = ("compute", self.poll_backoff)
         my_sense = 1 - self._local_sense
         self._local_sense = my_sense
         # Arrive at the group counter (on-chiplet contention only).
@@ -215,15 +216,9 @@ class HierarchicalBarrier:
                 count = yield ("uload", self.counter_addr)
                 if count == len(self._group):
                     break
-                if frag:
-                    yield RESCHEDULE
-                else:
-                    yield ("compute", self.poll_backoff)
+                yield pause
             if len(self.groups) > 1:
-                if frag:
-                    yield from self._top.wait_frag()
-                else:
-                    yield from self._top.wait()
+                yield from self._top.wait(pause)
             yield ("ustore", self.counter_addr, 0)
             yield ("ustore", self.sense_addr, my_sense)
             yield ("fence",)
@@ -232,22 +227,10 @@ class HierarchicalBarrier:
             flag = yield ("uload", self.sense_addr)
             if flag == my_sense:
                 return
-            if frag:
-                yield RESCHEDULE
-            else:
-                yield ("compute", self.poll_backoff)
-
-    def wait(self) -> "Program":
-        """Enter the barrier; returns when every worker has arrived."""
-        yield from self._wait(frag=False)
-
-    def wait_frag(self) -> "Program":
-        """Split-phase flavour: reschedules between polls (cf.
-        :meth:`SharedMemoryBarrier.wait_frag`)."""
-        yield from self._wait(frag=True)
+            yield pause
 
 
-class SharedMemoryCollectives:
+class SharedMemoryCollectives(EngineCompletion):
     """Collectives over the MPMMU: the pure-SM baseline's answer to eMPI.
 
     Layout (all in the shared segment, uncacheably accessed):
@@ -277,6 +260,19 @@ class SharedMemoryCollectives:
         poll_backoff: int = 24,
         p2p_values: int = 0,
     ) -> None:
+        self.algorithm = CollectiveAlgorithm.parse(algorithm)
+        if self.algorithm is CollectiveAlgorithm.HW:
+            raise ConfigError(
+                "the 'hw' collective algorithm rides the TIE/DMA hardware; "
+                "it is only available on the 'empi' model"
+            )
+        if self.algorithm is CollectiveAlgorithm.HIER:
+            raise ConfigError(
+                "the 'hier' collective algorithm schedules around the NoC "
+                "topology; on the pure-SM model every word serializes "
+                "through the MPMMU whatever the schedule, so it is only "
+                "available on the 'empi' model"
+            )
         if max_values < 1:
             raise ProgramError("collective arena needs at least one value slot")
         base = ctx.shared_base if base_addr is None else base_addr
@@ -285,14 +281,6 @@ class SharedMemoryCollectives:
                 f"collective arena {base:#x} must live in the shared segment"
             )
         self.ctx = ctx
-        self.algorithm = CollectiveAlgorithm.parse(algorithm)
-        if self.algorithm is CollectiveAlgorithm.HIER:
-            raise ProgramError(
-                "the 'hier' collective algorithm schedules around the NoC "
-                "topology; on the pure-SM model every word serializes "
-                "through the MPMMU whatever the schedule, so it is only "
-                "available on the 'empi' model"
-            )
         self.n_workers = n_workers if n_workers is not None else ctx.n_workers
         self.max_values = max_values
         # Topology awareness: on a chiplet system (ctx.rank_groups set by
@@ -375,29 +363,11 @@ class SharedMemoryCollectives:
             values.append(value)
         return values
 
-    def _combine_cost(self, n_values: int, op: ReduceOp) -> int:
-        return combine_cost(self.ctx.cost, n_values, op)
-
-    def _check_engine_idle(
-        self, what: str,
-        algorithm: "CollectiveAlgorithm | None" = None,
-    ) -> None:
-        # Same rule (and same message shape) as Empi: blocking ops would
-        # race outstanding request fragments for the mailboxes, the slot
-        # arena and — unlike eMPI, whose barrier rides a separate token
-        # segment — the barrier counter itself, silently corrupting
-        # shared state.  Refuse, naming the algorithm in use so
-        # mixed-algorithm apps can tell which call site raced.
-        if not self.engine.idle:
-            labels = ", ".join(self.engine.active_labels)
-            op = what if algorithm is None else f"{what}[{algorithm.value}]"
-            raise ProgramError(
-                f"rank {self.ctx.rank}: blocking {op} with "
-                f"{self.engine.n_active} non-blocking request(s) "
-                f"outstanding ({labels}); wait/waitall them first"
-            )
-
     # -- the collective interface (mirrors EmpiCollectives) -----------------
+    #
+    # Each collective is one body taking the barrier ``pause``: the
+    # blocking entry point checks the engine is idle and spins (pause
+    # None), the i* entry point posts the same body with RESCHEDULE.
 
     def barrier(self) -> "Program":
         self._check_engine_idle("barrier")
@@ -425,43 +395,54 @@ class SharedMemoryCollectives:
         algorithm does not change the traffic pattern.
         """
         self._check_engine_idle("bcast")
+        result = yield from self._bcast(root, values, n_values, None)
+        return result
+
+    def _bcast(self, root: int, values: list[float] | None,
+               n_values: int, pause: object) -> "Program":
         ctx = self.ctx
+        barrier = self.barrier_state.wait
         if ctx.rank == root:
             if values is None or len(values) != n_values:
                 raise ProgramError("broadcast root must supply the payload")
             if self.n_workers == 1:
                 return list(values)
             yield from self._write_slot(root, values)
-            yield from self.barrier()
+            yield from barrier(pause)
             result = list(values)
         else:
-            yield from self.barrier()
+            yield from barrier(pause)
             result = yield from self._read_slot(root, n_values)
         # Root may not reuse the arena until every rank has read it.
-        yield from self.barrier()
+        yield from barrier(pause)
         return result
 
     def reduce(self, root: int, values: list[float],
                op: ReduceOp | str = ReduceOp.SUM) -> "Program":
         self._check_engine_idle("reduce", self.algorithm)
-        op = ReduceOp.parse(op)
-        n = self.n_workers
-        if n == 1:
+        result = yield from self._reduce(
+            root, values, ReduceOp.parse(op), None
+        )
+        return result
+
+    def _reduce(self, root: int, values: list[float], op: ReduceOp,
+                pause: object) -> "Program":
+        if self.n_workers == 1:
             return list(values)
         if self.algorithm is CollectiveAlgorithm.LINEAR:
-            result = yield from self._reduce_linear(root, values, op)
+            result = yield from self._reduce_linear(root, values, op, pause)
         else:
-            result = yield from self._reduce_tree(root, values, op)
-        yield from self.barrier()
+            result = yield from self._reduce_tree(root, values, op, pause)
+        yield from self.barrier_state.wait(pause)
         return result
 
     def _reduce_linear(self, root: int, values: list[float],
-                       op: ReduceOp) -> "Program":
+                       op: ReduceOp, pause: object) -> "Program":
         """Everyone publishes; the root combines in ascending rank order."""
         ctx = self.ctx
         n_values = len(values)
         yield from self._write_slot(ctx.rank, values)
-        yield from self.barrier()
+        yield from self.barrier_state.wait(pause)
         if ctx.rank != root:
             return None
         acc: list[float] | None = None
@@ -474,11 +455,11 @@ class SharedMemoryCollectives:
                 acc = contrib
             else:
                 acc = combine_values(acc, contrib, op)
-                yield ("compute", self._combine_cost(n_values, op))
+                yield ("compute", combine_cost(ctx.cost, n_values, op))
         return acc
 
     def _reduce_tree(self, root: int, values: list[float],
-                     op: ReduceOp) -> "Program":
+                     op: ReduceOp, pause: object) -> "Program":
         """Binomial rounds: parents absorb their peer's slot each round.
 
         Slots are indexed by *relative* rank so the tree arithmetic
@@ -489,13 +470,14 @@ class SharedMemoryCollectives:
         ctx = self.ctx
         n = self.n_workers
         n_values = len(values)
+        barrier = self.barrier_state.wait
         relative = (ctx.rank - root) % n
         yield from self._write_slot(relative, values)
         acc = list(values)
         done = False
         mask = 1
         while mask < n:
-            yield from self.barrier()
+            yield from barrier(pause)
             if not done:
                 if relative & mask:
                     # Our accumulator is final; the parent reads our slot.
@@ -505,10 +487,10 @@ class SharedMemoryCollectives:
                     if peer != relative and peer < n:
                         other = yield from self._read_slot(peer, n_values)
                         acc = combine_values(acc, other, op)
-                        yield ("compute", self._combine_cost(n_values, op))
+                        yield ("compute", combine_cost(ctx.cost, n_values, op))
                         yield from self._write_slot(relative, acc)
             mask <<= 1
-        yield from self.barrier()
+        yield from barrier(pause)
         return acc if ctx.rank == root else None
 
     def allreduce(self, values: list[float],
@@ -517,20 +499,21 @@ class SharedMemoryCollectives:
             # Named for the op the caller issued (parity with Empi's
             # allreduce guard), not the inner reduce/bcast legs.
             self._check_engine_idle("allreduce", self.algorithm)
+        result = yield from self._allreduce(values, ReduceOp.parse(op), None)
+        return result
+
+    def _allreduce(self, values: list[float], op: ReduceOp,
+                   pause: object) -> "Program":
         if self.algorithm is CollectiveAlgorithm.RING and self.n_workers > 1:
-            result = yield from self._allreduce_ring(
-                values, ReduceOp.parse(op), self.barrier_state.wait
-            )
+            result = yield from self._allreduce_ring(values, op, pause)
             return result
-        reduced = yield from self.reduce(0, values, op)
-        if self.ctx.rank == 0:
-            result = yield from self.bcast(0, reduced, len(values))
-        else:
-            result = yield from self.bcast(0, None, len(values))
+        # Reduce at rank 0 (None elsewhere), then broadcast it.
+        reduced = yield from self._reduce(0, values, op, pause)
+        result = yield from self._bcast(0, reduced, len(values), pause)
         return result
 
     def _allreduce_ring(self, values: list[float], op: ReduceOp,
-                        barrier: "typing.Callable") -> "Program":
+                        pause: object) -> "Program":
         """Ring allreduce over the slot arena: the pure-SM mirror.
 
         Same :func:`~repro.empi.collectives.ring_segments` partition and
@@ -538,13 +521,11 @@ class SharedMemoryCollectives:
         ring, so delivered bits are identical; but every segment hop is
         publish-own-slot / barrier / read-left-neighbour's-slot /
         barrier — 2(P-1) barrier pairs of MPMMU round trips, the
-        serialization the hybrid ring does not pay.  ``barrier`` is the
-        barrier flavour (spinning for the blocking path, rescheduling
-        ``wait_frag`` for fragments), which is the only difference
-        between the two.
+        serialization the hybrid ring does not pay.
         """
         ctx = self.ctx
         n = self.n_workers
+        barrier = self.barrier_state.wait
         segments = ring_segments(len(values), n)
         acc = list(values)
         rank = ctx.rank
@@ -559,17 +540,17 @@ class SharedMemoryCollectives:
                     r0, r1 = segments[(rank - step) % n]
                 if s1 > s0:
                     yield from self._write_slot(rank, acc[s0:s1])
-                yield from barrier()
+                yield from barrier(pause)
                 n_recv = r1 - r0
                 if n_recv:
                     other = yield from self._read_slot(prv, n_recv)
                     if phase == "reduce_scatter":
                         acc[r0:r1] = combine_values(acc[r0:r1], other, op)
-                        yield ("compute", self._combine_cost(n_recv, op))
+                        yield ("compute", combine_cost(ctx.cost, n_recv, op))
                     else:
                         acc[r0:r1] = other
                 # A slot may only be republished once its reader is done.
-                yield from barrier()
+                yield from barrier(pause)
         return acc
 
     def scatter(self, root: int, chunks: list[list[float]] | None,
@@ -617,215 +598,65 @@ class SharedMemoryCollectives:
     # -- non-blocking operations (request/progress engine) ------------------
     #
     # The pure-SM answer to the eMPI request layer: the same Request /
-    # wait / overlap surface, but every fragment step is an uncached
-    # MPMMU round trip.  The core itself must move every word, so there
-    # is no hardware to overlap with — exactly the asymmetry the hybrid
-    # architecture exists to exploit, now measurable per request.
+    # wait / overlap surface (EngineCompletion), but every fragment step
+    # is an uncached MPMMU round trip.  The core itself must move every
+    # word, so there is no hardware to overlap with — exactly the
+    # asymmetry the hybrid architecture exists to exploit, now
+    # measurable per request.
 
     def isend(self, dst_rank: int, values: list[float]) -> "Program":
-        request = yield from self.engine.post(
-            self._frag_isend(dst_rank, values), f"isend->{dst_rank}"
+        # One mailbox per (src, dst) pair; sends to the same peer take
+        # turns so back-to-back isends deliver in posting order.
+        return self.engine.post(
+            self.engine.in_turn(
+                ("chan_tx", dst_rank),
+                self._channel(self.ctx.rank, dst_rank).send(
+                    values, RESCHEDULE
+                ),
+            ),
+            f"isend->{dst_rank}",
         )
-        return request
 
     def irecv(self, src_rank: int, n_values: int) -> "Program":
-        request = yield from self.engine.post(
-            self._frag_irecv(src_rank, n_values), f"irecv<-{src_rank}"
+        return self.engine.post(
+            self.engine.in_turn(
+                ("chan_rx", src_rank),
+                self._channel(src_rank, self.ctx.rank).recv(
+                    n_values, RESCHEDULE
+                ),
+            ),
+            f"irecv<-{src_rank}",
         )
-        return request
 
     def ibcast(self, root: int, values: list[float] | None,
                n_values: int) -> "Program":
-        request = yield from self.engine.post(
-            self._frag_collective(self._frag_bcast_body(root, values, n_values)),
-            f"ibcast[{self.algorithm.value}]",
+        return self._post_collective(
+            "ibcast", self._bcast(root, values, n_values, RESCHEDULE)
         )
-        return request
 
     def ireduce(self, root: int, values: list[float],
                 op: ReduceOp | str = ReduceOp.SUM) -> "Program":
-        request = yield from self.engine.post(
-            self._frag_collective(
-                self._frag_reduce_body(root, values, ReduceOp.parse(op))
-            ),
-            f"ireduce[{self.algorithm.value}]",
+        return self._post_collective(
+            "ireduce",
+            self._reduce(root, values, ReduceOp.parse(op), RESCHEDULE),
         )
-        return request
 
     def iallreduce(self, values: list[float],
                    op: ReduceOp | str = ReduceOp.SUM) -> "Program":
-        request = yield from self.engine.post(
-            self._frag_collective(
-                self._frag_allreduce_body(values, ReduceOp.parse(op))
-            ),
-            f"iallreduce[{self.algorithm.value}]",
+        return self._post_collective(
+            "iallreduce",
+            self._allreduce(values, ReduceOp.parse(op), RESCHEDULE),
         )
-        return request
 
-    def wait(self, request: Request) -> "Program":
-        result = yield from self.engine.wait(request)
-        return result
-
-    def waitall(self, requests: list[Request]) -> "Program":
-        results = yield from self.engine.waitall(requests)
-        return results
-
-    def waitany(self, requests: list[Request]) -> "Program":
-        index, result = yield from self.engine.waitany(requests)
-        return index, result
-
-    def waitsome(self, requests: list[Request]) -> "Program":
-        completed = yield from self.engine.waitsome(requests)
-        return completed
-
-    def test(self, request: Request) -> "Program":
-        done = yield from self.engine.test(request)
-        return done
-
-    def progress(self) -> "Program":
-        yield from self.engine.progress()
-
-    def overlap(self, frag: "Program", poll_interval: int = 2) -> "Program":
-        result = yield from self.engine.overlap(frag, poll_interval)
-        return result
-
-    # -- shared-memory communication fragments ------------------------------
-
-    def _frag_isend(self, dst_rank: int, values: list[float]) -> "Program":
-        # One mailbox per (src, dst) pair; sends to the same peer take
-        # turns so back-to-back isends deliver in posting order.
-        turn = self.engine.turn(("chan_tx", dst_rank))
-        token = object()
-        turn.enter(token)
-        while not turn.holds(token):
-            yield RESCHEDULE
-        yield from self._channel(self.ctx.rank, dst_rank).send_frag(values)
-        turn.leave(token)
-
-    def _frag_irecv(self, src_rank: int, n_values: int) -> "Program":
-        turn = self.engine.turn(("chan_rx", src_rank))
-        token = object()
-        turn.enter(token)
-        while not turn.holds(token):
-            yield RESCHEDULE
-        values = yield from self._channel(src_rank, self.ctx.rank).recv_frag(
-            n_values
-        )
-        turn.leave(token)
-        return values
-
-    def _frag_collective(self, body: "Program") -> "Program":
+    def _post_collective(self, what: str, body: "Program") -> "Program":
         # The slot arena and barrier are single shared resources: only
         # one non-blocking collective runs at a time, and every rank
         # must post its collectives in the same order (same rule as the
         # eMPI engine).
-        turn = self.engine.turn("collective")
-        token = object()
-        turn.enter(token)
-        while not turn.holds(token):
-            yield RESCHEDULE
-        result = yield from body
-        turn.leave(token)
-        return result
-
-    def _ibarrier(self) -> "Program":
-        yield from self.barrier_state.wait_frag()
-
-    def _frag_bcast_body(self, root: int, values: list[float] | None,
-                         n_values: int) -> "Program":
-        # Mirrors bcast() phase for phase; only the barrier polls differ
-        # (reschedule instead of backoff), so delivered bits are equal.
-        ctx = self.ctx
-        if ctx.rank == root:
-            if values is None or len(values) != n_values:
-                raise ProgramError("broadcast root must supply the payload")
-            if self.n_workers == 1:
-                return list(values)
-            yield from self._write_slot(root, values)
-            yield from self._ibarrier()
-            result = list(values)
-        else:
-            yield from self._ibarrier()
-            result = yield from self._read_slot(root, n_values)
-        yield from self._ibarrier()
-        return result
-
-    def _frag_reduce_body(self, root: int, values: list[float],
-                          op: ReduceOp) -> "Program":
-        n = self.n_workers
-        if n == 1:
-            return list(values)
-        if self.algorithm is CollectiveAlgorithm.LINEAR:
-            result = yield from self._frag_reduce_linear(root, values, op)
-        else:
-            result = yield from self._frag_reduce_tree(root, values, op)
-        yield from self._ibarrier()
-        return result
-
-    def _frag_reduce_linear(self, root: int, values: list[float],
-                            op: ReduceOp) -> "Program":
-        # Same combine order as _reduce_linear: ascending rank at root.
-        ctx = self.ctx
-        n_values = len(values)
-        yield from self._write_slot(ctx.rank, values)
-        yield from self._ibarrier()
-        if ctx.rank != root:
-            return None
-        acc: list[float] | None = None
-        for rank in range(self.n_workers):
-            if rank == ctx.rank:
-                contrib = list(values)
-            else:
-                contrib = yield from self._read_slot(rank, n_values)
-            if acc is None:
-                acc = contrib
-            else:
-                acc = combine_values(acc, contrib, op)
-                yield ("compute", self._combine_cost(n_values, op))
-        return acc
-
-    def _frag_reduce_tree(self, root: int, values: list[float],
-                          op: ReduceOp) -> "Program":
-        # Same binomial rounds as _reduce_tree, relative-rank slots.
-        ctx = self.ctx
-        n = self.n_workers
-        n_values = len(values)
-        relative = (ctx.rank - root) % n
-        yield from self._write_slot(relative, values)
-        acc = list(values)
-        done = False
-        mask = 1
-        while mask < n:
-            yield from self._ibarrier()
-            if not done:
-                if relative & mask:
-                    done = True
-                else:
-                    peer = relative | mask
-                    if peer != relative and peer < n:
-                        other = yield from self._read_slot(peer, n_values)
-                        acc = combine_values(acc, other, op)
-                        yield ("compute", self._combine_cost(n_values, op))
-                        yield from self._write_slot(relative, acc)
-            mask <<= 1
-        yield from self._ibarrier()
-        return acc if ctx.rank == root else None
-
-    def _frag_allreduce_body(self, values: list[float],
-                             op: ReduceOp) -> "Program":
-        if self.algorithm is CollectiveAlgorithm.RING and self.n_workers > 1:
-            # Same ring schedule, split-phase barriers: polls reschedule
-            # so overlapped compute runs between MPMMU round trips.
-            result = yield from self._allreduce_ring(
-                values, op, self.barrier_state.wait_frag
-            )
-            return result
-        reduced = yield from self._frag_reduce_body(0, values, op)
-        if self.ctx.rank == 0:
-            result = yield from self._frag_bcast_body(0, reduced, len(values))
-        else:
-            result = yield from self._frag_bcast_body(0, None, len(values))
-        return result
+        return self.engine.post(
+            self.engine.in_turn("collective", body),
+            f"{what}[{self.algorithm.value}]",
+        )
 
 
 class SharedMemoryChannel:
@@ -868,20 +699,25 @@ class SharedMemoryChannel:
         """Shared bytes one channel occupies (for layout planning)."""
         return 16 + _lines(capacity_values * 8)
 
-    def _await_flag(self, wanted: int) -> "Program":
+    def _await_flag(self, wanted: int, pause: object) -> "Program":
+        if pause is None:
+            pause = ("compute", self.poll_backoff)
         while True:
             flag = yield ("uload", self.flag_addr)
             if flag == wanted:
                 return
-            yield ("compute", self.poll_backoff)
+            yield pause
 
-    def send(self, values: list[float]) -> "Program":
+    def send(self, values: list[float], pause: object = None) -> "Program":
+        """Deposit ``values``; ``pause`` is yielded between flag polls
+        (default: spin; ``RESCHEDULE`` makes this the SM stand-in for an
+        isend fragment)."""
         if len(values) > self.capacity_values:
             raise ProgramError(
                 f"message of {len(values)} exceeds channel capacity "
                 f"({self.capacity_values} values)"
             )
-        yield from self._await_flag(self.EMPTY)
+        yield from self._await_flag(self.EMPTY, pause)
         for offset, value in enumerate(values):
             yield from self.ctx.uncached_store_double(
                 self.data_addr + 8 * offset, value
@@ -890,46 +726,8 @@ class SharedMemoryChannel:
         yield ("ustore", self.flag_addr, self.FULL)
         yield ("fence",)
 
-    def recv(self, n_values: int) -> "Program":
-        yield from self._await_flag(self.FULL)
-        values = []
-        for offset in range(n_values):
-            value = yield from self.ctx.uncached_load_double(
-                self.data_addr + 8 * offset
-            )
-            values.append(value)
-        yield ("ustore", self.flag_addr, self.EMPTY)
-        yield ("fence",)
-        return values
-
-    # -- split-phase variants (progress-engine fragments) -------------------
-
-    def _await_flag_frag(self, wanted: int) -> "Program":
-        while True:
-            flag = yield ("uload", self.flag_addr)
-            if flag == wanted:
-                return
-            yield RESCHEDULE
-
-    def send_frag(self, values: list[float]) -> "Program":
-        """Same mailbox protocol as :meth:`send`, rescheduling between
-        flag polls instead of spinning — the SM stand-in for an isend."""
-        if len(values) > self.capacity_values:
-            raise ProgramError(
-                f"message of {len(values)} exceeds channel capacity "
-                f"({self.capacity_values} values)"
-            )
-        yield from self._await_flag_frag(self.EMPTY)
-        for offset, value in enumerate(values):
-            yield from self.ctx.uncached_store_double(
-                self.data_addr + 8 * offset, value
-            )
-        yield ("fence",)
-        yield ("ustore", self.flag_addr, self.FULL)
-        yield ("fence",)
-
-    def recv_frag(self, n_values: int) -> "Program":
-        yield from self._await_flag_frag(self.FULL)
+    def recv(self, n_values: int, pause: object = None) -> "Program":
+        yield from self._await_flag(self.FULL, pause)
         values = []
         for offset in range(n_values):
             value = yield from self.ctx.uncached_load_double(

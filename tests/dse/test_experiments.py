@@ -8,11 +8,6 @@ from repro.apps.jacobi.driver import JacobiParams
 from repro.dse.experiments import (
     ALL_EXPERIMENTS,
     execution_time_experiment,
-    experiment_collectives,
-    experiment_matmul,
-    experiment_noc,
-    experiment_simspeed,
-    experiment_stream,
     full_scale_requested,
     speedup_area_experiment,
 )
@@ -82,19 +77,19 @@ def test_speedup_area_experiment_miniature(tmp_path):
 
 
 def test_noc_experiment_quick():
-    report = experiment_noc(full=False)
+    report = ALL_EXPERIMENTS["noc"](full=False)
     assert "all delivered" in report.text
     assert all(row[-1] == "yes" for row in report.rows)
 
 
 def test_simspeed_reports_throughput():
-    report = experiment_simspeed(full=False)
+    report = ALL_EXPERIMENTS["simspeed"](full=False)
     assert "cycles/sec" in report.text
     assert report.rows[0][2] > 0
 
 
 def test_collectives_experiment_quick():
-    report = experiment_collectives(full=False)
+    report = ALL_EXPERIMENTS["collectives"](full=False)
     assert "sm/empi" in report.text
     # Every collective appears, and every SM point costs more than eMPI
     # (the paper's headline claim, per collective).
@@ -105,7 +100,7 @@ def test_collectives_experiment_quick():
 
 def test_collectives_experiment_hits_the_result_cache(tmp_path, monkeypatch):
     """Second run with the same cache dir must not simulate anything."""
-    first = experiment_collectives(full=False, cache_dir=tmp_path)
+    first = ALL_EXPERIMENTS["collectives"](full=False, cache_dir=tmp_path)
     assert (tmp_path / "collectives.json").exists()
 
     import repro.dse.experiments as experiments
@@ -114,18 +109,18 @@ def test_collectives_experiment_hits_the_result_cache(tmp_path, monkeypatch):
         raise AssertionError("cache miss: collective point re-simulated")
 
     monkeypatch.setattr(experiments, "run_collective_bench", boom)
-    second = experiment_collectives(full=False, cache_dir=tmp_path)
+    second = ALL_EXPERIMENTS["collectives"](full=False, cache_dir=tmp_path)
     assert second.rows == first.rows
 
 
 def test_matmul_experiment_quick():
-    report = experiment_matmul(full=False)
+    report = ALL_EXPERIMENTS["matmul"](full=False)
     assert "reduce sm/empi" in report.text
     assert {row[1] for row in report.rows} == {"linear", "tree"}
 
 
 def test_stream_experiment_quick():
-    report = experiment_stream(full=False)
+    report = ALL_EXPERIMENTS["stream"](full=False)
     assert "cyc/blk" in report.text
     assert len(report.series["empi"]) == len(report.series["pure_sm"]) == 2
 

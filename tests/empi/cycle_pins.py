@@ -3,14 +3,12 @@
 Every (collective, backend, algorithm, point-to-point path) combination
 is run blocking and non-blocking (``i<op>`` + ``wait``) across mesh
 sizes, roots and vector lengths, and its end-to-end cycle count compared
-with the committed table ``collective_cycles.json``.  The delivered
-vectors are checked against the combine-order references on the way, so
-a pinned number is always the cost of a *correct* collective.
-
-The table is what a refactor of the collective bodies is judged
-against: every timed op must still be emitted in the same order.
-After an *intentional* timing change regenerate it with
-``PYTHONPATH=src python -m tests.empi.cycle_pins`` and review the diff.
+with the committed table ``collective_cycles.json``; delivered vectors
+are checked against the combine-order references on the way.  A
+refactor of the collective bodies must emit every timed op in the same
+order, i.e. pass this table unchanged.  After an *intentional* timing
+change regenerate it with ``PYTHONPATH=src python -m
+tests.empi.cycle_pins`` and review the diff.
 """
 
 from __future__ import annotations
@@ -58,9 +56,7 @@ COMBOS = {
     # Real rank groups: the leader tree and the group broadcasts run.
     "empi-hier-chiplet": Combo("empi", "hier", _CHIPLET, sizes=(8,)),
     "empi-hw": Combo("empi", "hw", _DMA),
-    "empi-hw-noassist": Combo(
-        "empi", "hw", {**_DMA, "dma_reduce_assist": False}
-    ),
+    "empi-hw-noassist": Combo("empi", "hw", {**_DMA, "dma_reduce_assist": False}),
     "sm-linear": Combo("pure_sm", "linear"),
     "sm-tree": Combo("pure_sm", "tree"),
     "sm-ring": Combo("pure_sm", "ring"),
@@ -106,17 +102,16 @@ def run_point(collective: str, combo: Combo, n_workers: int, root: int,
     system.load_programs([factory(r) for r in range(n_workers)])
     cycles = system.run(max_cycles=5_000_000)
     if collective == "bcast":
-        expected = {r: contribs[root] for r in range(n_workers)}
+        expected = dict.fromkeys(range(n_workers), contribs[root])
     elif collective == "reduce":
         expected = dict.fromkeys(range(n_workers))
         expected[root] = reference_reduce(
             contribs, root, "sum", combo.algorithm
         )
     else:
-        total = reference_allreduce(
+        expected = dict.fromkeys(range(n_workers), reference_allreduce(
             contribs, "sum", combo.algorithm, groups=system.rank_groups
-        )
-        expected = {r: total for r in range(n_workers)}
+        ))
     assert out == expected, f"{collective} delivered the wrong vectors"
     return cycles
 
@@ -148,12 +143,8 @@ def assert_pinned(collective: str, combo_name: str) -> None:
 
 
 if __name__ == "__main__":
-    TABLE_PATH.write_text(json.dumps(
-        {
-            key: cycles
-            for collective in COLLECTIVES
-            for combo_name in COMBOS
-            for key, cycles in measure(collective, combo_name).items()
-        },
-        indent=0, sort_keys=True,
-    ) + "\n")
+    table: dict[str, int] = {}
+    for collective in COLLECTIVES:
+        for combo_name in COMBOS:
+            table.update(measure(collective, combo_name))
+    TABLE_PATH.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n")

@@ -43,16 +43,17 @@ def config_for(n_workers: int) -> SystemConfig:
 
 
 def run_collective(collective: str, model: str, algorithm: str,
-                   n_workers: int, root: int = 0) -> dict[int, object]:
+                   n_workers: int, root: int = 0,
+                   n_values: int = N_VALUES) -> dict[int, object]:
     results: dict[int, object] = {}
 
     def make_program(rank: int):
         def program(ctx):
-            comm = make_comm(ctx, model, algorithm, max_values=N_VALUES)
-            mine = contribution(ctx.rank)
+            comm = make_comm(ctx, model, algorithm, max_values=n_values)
+            mine = contribution(ctx.rank, n_values)
             if collective == "bcast":
                 payload = mine if ctx.rank == root else None
-                result = yield from comm.bcast(root, payload, N_VALUES)
+                result = yield from comm.bcast(root, payload, n_values)
             elif collective == "reduce":
                 result = yield from comm.reduce(root, mine)
             elif collective == "allreduce":
@@ -60,8 +61,10 @@ def run_collective(collective: str, model: str, algorithm: str,
             elif collective == "scatter":
                 chunks = None
                 if ctx.rank == root:
-                    chunks = [contribution(r) for r in range(ctx.n_workers)]
-                result = yield from comm.scatter(root, chunks, N_VALUES)
+                    chunks = [
+                        contribution(r, n_values) for r in range(ctx.n_workers)
+                    ]
+                result = yield from comm.scatter(root, chunks, n_values)
             elif collective == "gather":
                 result = yield from comm.gather(root, mine)
             else:  # pragma: no cover - test configuration error
@@ -142,6 +145,24 @@ def test_nonzero_root(collective, model):
     else:
         for rank in range(n_workers):
             assert results[rank] == contribs[rank]
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("collective", ["bcast", "gather", "allreduce"])
+def test_single_value_vectors(collective, model):
+    """n_values = 1: a scalar collective is the vector one of length 1
+    (there is no separate scalar code path)."""
+    n_workers = 4
+    results = run_collective(collective, model, "linear", n_workers, n_values=1)
+    contribs = [contribution(r, 1) for r in range(n_workers)]
+    if collective == "bcast":
+        assert all(results[r] == contribs[0] for r in range(n_workers))
+    elif collective == "gather":
+        assert results[0] == contribs
+        assert all(results[r] is None for r in range(1, n_workers))
+    else:
+        expected = reference_allreduce(contribs, ReduceOp.SUM, "linear")
+        assert all(results[r] == expected for r in range(n_workers))
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -27,6 +27,7 @@ from repro.empi.collectives import (
     make_comm,
     reference_allreduce,
 )
+from repro.empi.smsync import SharedMemoryCollectives
 from repro.errors import ConfigError, ProgramError
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
@@ -168,8 +169,13 @@ def test_hw_refused_on_shared_memory_model():
     config = SystemConfig(n_workers=2, dma_tx_queue_depth=4)
     system = MedeaSystem(config)
     ctx = system.context_for(0)
-    with pytest.raises(ConfigError, match="empi"):
-        make_comm(ctx, "pure_sm", "hw")
+    # One typed rejection, raised by the backend itself: the factory
+    # and direct construction agree, for both empi-only algorithms.
+    for algorithm in ("hw", "hier"):
+        with pytest.raises(ConfigError, match="only available on the 'empi'"):
+            make_comm(ctx, "pure_sm", algorithm)
+        with pytest.raises(ConfigError, match="only available on the 'empi'"):
+            SharedMemoryCollectives(ctx, algorithm=algorithm)
 
 
 def test_guard_names_rank_op_and_outstanding_requests():

@@ -102,42 +102,6 @@ def test_central_token_counts():
         assert node.tie.stats["requests_sent"] == 1
 
 
-def test_broadcast_doubles():
-    results = {}
-
-    def program(ctx):
-        values = yield from ctx.empi.broadcast_doubles(
-            0, [3.5, 4.5] if ctx.rank == 0 else None, 2
-        )
-        results[ctx.rank] = values
-
-    run_programs(config_for(3), *[program] * 3)
-    assert results == {0: [3.5, 4.5], 1: [3.5, 4.5], 2: [3.5, 4.5]}
-
-
-def test_gather_double():
-    results = {}
-
-    def program(ctx):
-        gathered = yield from ctx.empi.gather_double(0, float(ctx.rank) + 0.5)
-        results[ctx.rank] = gathered
-
-    run_programs(config_for(3), *[program] * 3)
-    assert results[0] == [0.5, 1.5, 2.5]
-    assert results[1] is None
-
-
-def test_allreduce_sum():
-    results = {}
-
-    def program(ctx):
-        total = yield from ctx.empi.allreduce_sum(float(ctx.rank + 1))
-        results[ctx.rank] = total
-
-    run_programs(config_for(4), *[program] * 4)
-    assert all(total == 10.0 for total in results.values())
-
-
 def test_barrier_algorithm_enum_parse():
     assert BarrierAlgorithm("central") is BarrierAlgorithm.CENTRAL
     with pytest.raises(ValueError):

@@ -18,6 +18,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.empi.collectives import ReduceOp, combine_cost, make_comm
+from repro.system.config import SystemConfig
+from repro.system.medea import MedeaSystem
 from repro.telemetry.attribution import (
     LEDGER_CLASSES,
     AttributionError,
@@ -30,6 +33,7 @@ from repro.telemetry.attribution import (
     extract_ops,
     render_report,
 )
+from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.workloads import run_trace_workload
 
 BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
@@ -115,6 +119,59 @@ def test_allreduce_critical_paths_telescope_and_name_a_hop(workload):
         for edge in path["edges"]:
             assert edge["to_cycle"] - edge["from_cycle"] == edge["cycles"]
             assert edge["cycles"] >= 0 and edge["slack"] >= 0
+
+
+def _tree_reduce_hops(blocking):
+    """Per-rank hop rows and exit cycle of one 5w tree reduce at root 2."""
+    n_workers, n_values, root = 5, 4, 2
+
+    def factory(rank):
+        def program(ctx):
+            comm = make_comm(ctx, "empi", "tree", max_values=n_values)
+            mine = [rank + 0.25 * i for i in range(n_values)]
+            yield from comm.barrier()
+            if blocking:
+                yield from comm.reduce(root, mine)
+            else:
+                request = yield from comm.ireduce(root, mine)
+                yield from comm.wait(request)
+            yield from comm.barrier()
+        return program
+
+    system = MedeaSystem(SystemConfig(
+        n_workers=n_workers, cache_size_kb=2,
+        telemetry=TelemetryConfig(attribution=True),
+    ))
+    system.load_programs([factory(r) for r in range(n_workers)])
+    system.run(max_cycles=1_000_000)
+    (ranks,) = extract_ops(system.notes).values()
+    cost = combine_cost(system.context_for(0).cost, n_values, ReduceOp.SUM)
+    return ranks, cost
+
+
+def test_tree_reduce_hops_agree_between_blocking_and_nonblocking():
+    """One body serves both paths, so both emit the same hop sequence,
+    and a ``rcv`` hop is stamped at receive completion — before the
+    combine it feeds — not after it."""
+    blocking, cost = _tree_reduce_hops(blocking=True)
+    nonblocking, __ = _tree_reduce_hops(blocking=False)
+    for ranks in (blocking, nonblocking):
+        assert sum(len(entry["hops"]) for entry in ranks.values()) == 8
+        for entry in ranks.values():
+            # Every receive's combine (``cost`` cycles) fits before the
+            # rank's next event: the hop cannot sit after the combine.
+            cycles = [cycle for cycle, __, __ in entry["hops"]]
+            following = cycles[1:] + [entry["end"]]
+            for (cycle, kind, __), nxt in zip(entry["hops"], following):
+                if kind == "rcv":
+                    assert cycle + cost <= nxt
+    assert {
+        rank: [(kind, peer) for __, kind, peer in entry["hops"]]
+        for rank, entry in blocking.items()
+    } == {
+        rank: [(kind, peer) for __, kind, peer in entry["hops"]]
+        for rank, entry in nonblocking.items()
+    }
 
 
 def test_extractor_on_a_synthetic_op():
