@@ -211,7 +211,7 @@ def test_telemetry_layer_is_timing_neutral():
 
 def test_attribution_is_timing_neutral():
     """Arming cycle attribution must not move a single cycle: the
-    ``cp+``/``cph``/``cp-`` notes it adds are zero-cycle ops, so the
+    ``cp+``/``cph``/``cp-`` events it adds are zero-cycle ops, so the
     instrumented workload reproduces the untelemetered golden bit for
     bit — while actually recording critical-path spans."""
     from repro.telemetry.attribution import critical_paths
@@ -231,7 +231,8 @@ def test_attribution_is_timing_neutral():
     assert result.validated
     assert result.total_cycles == reference["total_cycles"]
     assert result.op_cycles == reference["op_cycles"]
-    paths = critical_paths(captured["system"].notes)
+    system = captured["system"]
+    paths = critical_paths(system.events, system.rank_to_node)
     assert len(paths) == 4  # one per repeat
     for path in paths:
         assert sum(edge["cycles"] for edge in path["edges"]) == path["latency"]

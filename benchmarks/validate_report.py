@@ -1,4 +1,4 @@
-"""Validate a ``medea analyze`` report JSON (the CI analyze-smoke gate).
+"""Validate a ``medea analyze`` report JSON (the CI observability-smoke gate).
 
 Checks the contract the attribution report promises:
 

@@ -1,4 +1,4 @@
-"""Validate a Chrome trace-event JSON file (the CI trace-smoke gate).
+"""Validate a Chrome trace-event JSON file (the CI observability-smoke gate).
 
 Checks the contract Perfetto and ``chrome://tracing`` rely on:
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from repro import SystemConfig
 from repro.dse.report import format_table
 from repro.empi.smsync import SharedMemoryBarrier
+from repro.kernel.trace import MARK
 from repro.system.medea import MedeaSystem
 
 ROUNDS = 8
@@ -43,7 +44,7 @@ def pingpong_cycles(n_doubles: int) -> float:
     system = MedeaSystem(SystemConfig(n_workers=2, cache_size_kb=8))
     system.load_programs([ping, pong])
     system.run()
-    marks = [cycle for cycle, rank, label in system.notes if label == "rt"]
+    marks = [e.cycle for e in system.events.of_kind(MARK) if e.key == "rt"]
     spans = [b - a for a, b in zip(marks, marks[1:])]
     return sum(spans) / len(spans)
 
@@ -71,7 +72,7 @@ def barrier_cycles(kind: str, n_workers: int = 4) -> float:
     system = MedeaSystem(config)
     system.load_programs([program] * n_workers)
     system.run()
-    marks = [cycle for cycle, rank, label in system.notes if label == "b"]
+    marks = [e.cycle for e in system.events.of_kind(MARK) if e.key == "b"]
     spans = [b - a for a, b in zip(marks, marks[1:])]
     return sum(spans) / len(spans)
 

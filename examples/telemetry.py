@@ -44,8 +44,9 @@ def record_and_export():
     print(f"  ran {result.total_cycles} cycles, validated={result.validated}")
     print(f"  sampler: {summary['samples']} snapshots every "
           f"{summary['sample_interval']} cycles")
-    print(f"  tracer: {summary['trace_events']} events buffered "
-          f"({summary['trace_dropped']} dropped by the ring)")
+    print(f"  event log: {len(system.events.program)} program events, "
+          f"{summary['trace_events']} hardware/fault events in the ring "
+          f"({summary['trace_dropped']} dropped)")
 
     count = write_chrome_trace(system, OUT)
     tracks = {(e["pid"], e["tid"]) for e in chrome_trace_events(system)

@@ -21,7 +21,7 @@ all four variants converge **bit-identically** and validate against
 accumulation order and the allreduce combine order exactly.
 
 Overlap is measured, not asserted: the request layer brackets every
-in-flight window and overlap region with zero-cycle notes, and
+in-flight window and overlap region with zero-cycle events, and
 :func:`~repro.empi.requests.overlap_stats` reduces them to per-rank
 overlap efficiency (the fraction of in-flight communication cycles
 hidden behind compute), reported in :class:`CgResult`.
@@ -367,7 +367,7 @@ def run_cg(config: SystemConfig, params: CgParams,
 
     ``observer``, when given, is called with the built
     :class:`MedeaSystem` before the run starts — the hook trace/telemetry
-    tooling uses to reach the notes, tracer and registry afterwards.
+    tooling uses to reach the event log and the metric registry afterwards.
     """
     params = CgParams(
         params.n, params.iterations, params.model, params.algorithm,
@@ -389,7 +389,7 @@ def run_cg(config: SystemConfig, params: CgParams,
     if observer is not None:
         observer(system)
     total_cycles = system.run(max_cycles=max_cycles)
-    marks = {label: cycle for cycle, rank, label in system.notes if rank == 0}
+    marks = system.events.marks(system.rank_to_node[0])
     x = [value for rank in range(config.n_workers) for value in results[rank]]
     if params.validate:
         expected_x, expected_rr = reference_cg(
@@ -406,6 +406,6 @@ def run_cg(config: SystemConfig, params: CgParams,
         expected_x=expected_x,
         rr_history=rr_out[0],
         expected_rr_history=expected_rr,
-        overlap_per_rank=overlap_stats(system.notes, config.n_workers),
+        overlap_per_rank=overlap_stats(system.events, system.rank_to_node),
         stats=system.collect_stats(),
     )

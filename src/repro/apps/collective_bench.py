@@ -167,7 +167,7 @@ def run_collective_bench(
         for rank in range(n_workers)
     ])
     total_cycles = system.run(max_cycles=max_cycles)
-    marks = {label: cycle for cycle, rank, label in system.notes if rank == 0}
+    marks = system.events.marks(system.rank_to_node[0])
     op_cycles = marks["ops_done"] - marks["ops_start"]
 
     validated = True

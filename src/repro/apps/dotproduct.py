@@ -195,7 +195,7 @@ def run_dotproduct(config: SystemConfig, params: DotProductParams,
         for rank in range(config.n_workers)
     ])
     total_cycles = system.run(max_cycles=max_cycles)
-    marks = {label: cycle for cycle, rank, label in system.notes if rank == 0}
+    marks = system.events.marks(system.rank_to_node[0])
     values = set(results.values())
     if len(values) != 1:
         raise AssertionError(f"ranks disagree on the total: {results}")

@@ -134,7 +134,7 @@ def run_jacobi(
     system.load_programs(factories)
     total = system.run(max_cycles=max_cycles)
 
-    marks = {label: cycle for cycle, rank, label in system.notes if rank == 0}
+    marks = system.events.marks(system.rank_to_node[0])
     if "start" not in marks:
         raise SimulationError("rank 0 never reached the start barrier")
     boundaries = [marks["start"]]

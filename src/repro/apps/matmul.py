@@ -222,7 +222,7 @@ def run_matmul(config: SystemConfig, params: MatmulParams,
         for rank in range(config.n_workers)
     ])
     total_cycles = system.run(max_cycles=max_cycles)
-    marks = {label: cycle for cycle, rank, label in system.notes if rank == 0}
+    marks = system.events.marks(system.rank_to_node[0])
     expected = (
         reference_matmul(params.n, config.n_workers, params.tile,
                          params.algorithm)

@@ -199,14 +199,9 @@ def run_stream(config: SystemConfig, params: StreamParams,
         for rank in range(n_workers)
     ])
     total_cycles = system.run(max_cycles=max_cycles)
-    start = next(
-        cycle for cycle, rank, label in system.notes
-        if rank == 0 and label == "pipeline_start"
-    )
-    done = next(
-        cycle for cycle, rank, label in system.notes
-        if rank == n_workers - 1 and label == "pipeline_done"
-    )
+    marks = system.events.marks
+    start = marks(system.rank_to_node[0])["pipeline_start"]
+    done = marks(system.rank_to_node[n_workers - 1])["pipeline_done"]
     if len(set(results.values())) != 1:
         raise AssertionError(f"ranks disagree on the totals: {results}")
     total, checksum = results[0]

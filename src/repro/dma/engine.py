@@ -62,7 +62,9 @@ from collections.abc import Iterator
 
 from repro.empi.collectives import ReduceOp, combine_scalar
 from repro.errors import ProtocolError
+from repro.kernel.simulator import Simulator
 from repro.kernel.stats import CounterSet
+from repro.kernel.trace import DMA_ACTIVATE, DMA_POST, DMA_RETIRE, EventLog
 from repro.mem.values import words_to_float
 from repro.noc.flit import MULTICAST_DST, Flit
 from repro.noc.packet import PacketType, SubType
@@ -91,13 +93,11 @@ class TxDescriptor:
 
     __slots__ = ("dst", "mask", "words", "uid")
 
-    def __init__(
-        self, dst: int, mask: int, words: list[int], uid: int = 0
-    ) -> None:
+    def __init__(self, dst: int, mask: int, words: list[int]) -> None:
         self.dst = dst      # destination node, or MULTICAST_DST
         self.mask = mask    # destination bitmask (multicast only)
         self.words = words
-        self.uid = uid      # telemetry lifecycle id (0 when off)
+        self.uid = 0        # event-log lifecycle id (0 when off)
 
     @property
     def is_multicast(self) -> bool:
@@ -144,7 +144,7 @@ class _ActiveMulticast:
         self.entries = entries
         self.members = members
         self.index = 0
-        self.uid = 0  # telemetry lifecycle id (0 when off)
+        self.uid = 0  # event-log lifecycle id (0 when off)
 
     @property
     def done(self) -> bool:
@@ -160,6 +160,8 @@ class DmaTxEngine:
         n_nodes: int,
         depth: int,
         multicast: bool = True,
+        events: EventLog | None = None,
+        clock: Simulator | None = None,
     ) -> None:
         if depth < 1:
             raise ProtocolError(f"DMA TX queue depth must be >= 1, got {depth}")
@@ -195,10 +197,12 @@ class DmaTxEngine:
         self._n_flits_sent = 0
         self._n_credit_stalls = 0
         self._n_reduced = 0
-        #: Optional :class:`~repro.telemetry.hub.TelemetryHub` — when set
-        #: descriptor lifecycles become trace spans; None keeps the hot
-        #: path at a single attribute check (same pattern as faults).
-        self.telemetry = None
+        #: Where descriptor lifecycles (post/activate/retire) are logged,
+        #: stamped with ``clock.cycle`` — the posting methods take no
+        #: cycle argument.  None keeps the hot path at a single attribute
+        #: check (same pattern as faults).
+        self.events = events
+        self.clock = clock
         self._desc_uid = 0
         self._rx_uid = 0
 
@@ -233,8 +237,8 @@ class DmaTxEngine:
             self.stats.inc("queue_full_rejects")
             return False
         desc = TxDescriptor(dst_node, 0, list(words))
-        if self.telemetry is not None:
-            self._post_span(desc, f"unicast->{dst_node} {len(words)}w")
+        if self.events is not None:
+            desc.uid = self._open_span(f"unicast->{dst_node} {len(words)}w")
         self.queue.append(desc)
         self.stats.inc("unicast_descriptors")
         return True
@@ -266,20 +270,20 @@ class DmaTxEngine:
         else:
             self.group_mask = mask
         desc = TxDescriptor(MULTICAST_DST, mask, list(words))
-        if self.telemetry is not None:
-            self._post_span(desc, f"mcast {mask:#x} {len(words)}w")
+        if self.events is not None:
+            desc.uid = self._open_span(f"mcast {mask:#x} {len(words)}w")
         self.queue.append(desc)
         self.stats.inc("multicast_descriptors")
         return True
 
-    def _post_span(self, desc: TxDescriptor, name: str) -> None:
-        """Open a telemetry lifecycle span for a queued descriptor."""
+    def _emit(self, kind: str, uid: int, name: str | None = None) -> None:
+        self.events.emit(self.clock.cycle, self.node_id, kind, uid, name)
+
+    def _open_span(self, name: str) -> int:
+        """Log a descriptor's post; returns its lifecycle uid."""
         self._desc_uid += 1
-        desc.uid = self._desc_uid
-        self.telemetry.emit(
-            f"dma{self.node_id}", "dma_post",
-            uid=desc.uid, node=self.node_id, desc=name,
-        )
+        self._emit(DMA_POST, self._desc_uid, name)
+        return self._desc_uid
 
     def _reregister_group(self, mask: int) -> bool:
         """Switch the group register to ``mask`` if quiescent; else False.
@@ -348,13 +352,9 @@ class DmaTxEngine:
             return False
         self._rx = _RxReduce(src_node, list(values), op)
         self._rx_done = False
-        if self.telemetry is not None:
-            self._desc_uid += 1
-            self._rx_uid = self._desc_uid
-            self.telemetry.emit(
-                f"dma{self.node_id}", "dma_post",
-                uid=self._rx_uid, node=self.node_id,
-                desc=f"qreduce<-{src_node} {len(values)}v",
+        if self.events is not None:
+            self._rx_uid = self._open_span(
+                f"qreduce<-{src_node} {len(values)}v"
             )
         self.stats.inc("reduce_descriptors")
         return True
@@ -403,11 +403,8 @@ class DmaTxEngine:
         result = self._rx.acc
         self._rx = None
         self._rx_done = False
-        if self.telemetry is not None and self._rx_uid:
-            self.telemetry.emit(
-                f"dma{self.node_id}", "dma_retire",
-                uid=self._rx_uid, node=self.node_id,
-            )
+        if self._rx_uid:
+            self._emit(DMA_RETIRE, self._rx_uid)
             self._rx_uid = 0
         return result
 
@@ -428,13 +425,10 @@ class DmaTxEngine:
             if self.tie.tx is None:
                 self.queue.popleft()
                 self.tie.begin_send(head.dst, head.words)
-                if self.telemetry is not None and head.uid:
+                if head.uid:
                     # Unicast rides the TIE stream from here on: the
                     # descriptor's engine lifecycle ends at activation.
-                    self.telemetry.emit(
-                        f"dma{self.node_id}", "dma_retire",
-                        uid=head.uid, node=self.node_id,
-                    )
+                    self._emit(DMA_RETIRE, head.uid)
             return
         if self._sync_pending:
             # A re-registered group streams only after every new member
@@ -445,12 +439,9 @@ class DmaTxEngine:
             self._sync_pending = frozenset()
         self.queue.popleft()
         self._active = self._activate_multicast(head)
-        if self.telemetry is not None and head.uid:
+        if head.uid:
             self._active.uid = head.uid
-            self.telemetry.emit(
-                f"dma{self.node_id}", "dma_activate",
-                uid=head.uid, node=self.node_id,
-            )
+            self._emit(DMA_ACTIVATE, head.uid)
 
     def _prune_retx(self) -> None:
         """Retire everything the slowest member has credited past."""
@@ -577,11 +568,8 @@ class DmaTxEngine:
         self._n_flits_sent += 1
         if active.done:
             self._active = None
-            if self.telemetry is not None and active.uid:
-                self.telemetry.emit(
-                    f"dma{self.node_id}", "dma_retire",
-                    uid=active.uid, node=self.node_id,
-                )
+            if active.uid:
+                self._emit(DMA_RETIRE, active.uid)
 
     def flush_stats(self) -> None:
         """Fold the batched per-flit counters into the CounterSet."""

@@ -26,12 +26,9 @@ from __future__ import annotations
 import enum
 import typing
 
-from repro.empi.requests import (
-    NOTE_PHASE_ENTER,
-    NOTE_PHASE_EXIT,
-    EngineCompletion,
-)
+from repro.empi.requests import EngineCompletion
 from repro.errors import ConfigError
+from repro.kernel.trace import PHASE_ENTER, PHASE_EXIT
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pe.program import Program, ProgramContext
@@ -340,9 +337,9 @@ class EmpiCollectives(EngineCompletion):
         zero-cycle) and let the trace exporter render each collective as
         a span on the rank's timeline.
         """
-        yield ("note", f"{NOTE_PHASE_ENTER} {label}")
+        yield ("note", PHASE_ENTER, label, None)
         result = yield from frag
-        yield ("note", f"{NOTE_PHASE_EXIT} {label}")
+        yield ("note", PHASE_EXIT, label, None)
         return result
 
     def barrier(self) -> "Program":

@@ -33,12 +33,13 @@ Matching semantics (both backends):
   outstanding (the engine owns the TIE TX port and the receive-stream
   fronts); barriers ride the request-token segment and stay safe.
 
-Overlap instrumentation rides the zero-cycle ``note`` channel: the
-engine brackets every request's in-flight window with ``ireq+``/``ireq-``
-notes and every :meth:`overlap` region with ``ov+``/``ov-`` notes, and
-:func:`overlap_stats` reduces a run's notes to per-rank *overlap
-efficiency* — the fraction of in-flight communication cycles during
-which the core was simultaneously computing.
+Overlap instrumentation rides the zero-cycle ``note`` op: the engine
+brackets every request's in-flight window with ``REQUEST_POST`` /
+``REQUEST_DONE`` events and every :meth:`overlap` region with
+``OVERLAP_ENTER``/``OVERLAP_EXIT`` events
+(:mod:`repro.kernel.trace`), and :class:`OverlapFold` reduces the event
+log to per-rank *overlap efficiency* — the fraction of in-flight
+communication cycles during which the core was simultaneously computing.
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import EmpiTimeoutError, ProgramError
+from repro.kernel.trace import (
+    OVERLAP_ENTER,
+    OVERLAP_EXIT,
+    REQUEST_DONE,
+    REQUEST_POST,
+    EventLog,
+)
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pe.program import Program, ProgramContext
@@ -66,32 +74,6 @@ class _Reschedule:
 #: Yield this from a communication fragment to hand the slice back to the
 #: progress engine (zero machine cycles; the fragment resumes next round).
 RESCHEDULE = _Reschedule()
-
-#: Note labels bracketing request in-flight windows and overlap regions.
-#: A note may carry a payload after the marker (``"ireq+ isend->3"``):
-#: the marker alone drives the overlap accounting, the payload names the
-#: span in trace exports.
-NOTE_REQUEST_POST = "ireq+"
-NOTE_REQUEST_DONE = "ireq-"
-NOTE_OVERLAP_ENTER = "ov+"
-NOTE_OVERLAP_EXIT = "ov-"
-#: Collective phase brackets (emitted by the collective facades).
-NOTE_PHASE_ENTER = "coll+"
-NOTE_PHASE_EXIT = "coll-"
-#: Critical-path instrumentation (attribution only, off by default):
-#: ``cp+ <op#k>`` / ``cp- <op#k>`` bracket one rank's participation in
-#: collective occurrence ``op#k``; ``cph <op#k> snd|rcv <peer>`` marks a
-#: completed hop inside it.  All zero-cycle notes, so arming them is
-#: timing-neutral by construction.
-NOTE_CP_ENTER = "cp+"
-NOTE_CP_EXIT = "cp-"
-NOTE_CP_HOP = "cph"
-
-
-def note_key(label: str) -> str:
-    """The marker part of a note label (everything before the payload)."""
-    index = label.find(" ")
-    return label if index < 0 else label[:index]
 
 
 class Request:
@@ -286,7 +268,7 @@ class ProgressEngine:
         """
         request = Request(frag, label)
         self._active.append(request)
-        yield ("note", f"{NOTE_REQUEST_POST} {label}")
+        yield ("note", REQUEST_POST, label, None)
         yield from self._slice(request)
         return request
 
@@ -301,7 +283,7 @@ class ProgressEngine:
                 request.result = stop.value
                 request.complete = True
                 self._active.remove(request)
-                yield ("note", f"{NOTE_REQUEST_DONE} {request.label}")
+                yield ("note", REQUEST_DONE, request.label, None)
                 return
             if item is RESCHEDULE:
                 return
@@ -395,13 +377,13 @@ class ProgressEngine:
         RESCHEDULE).  After every ``poll_interval`` forwarded ops the
         engine takes one progress round, so posted communication
         advances underneath the computation; the region is bracketed
-        with ``ov+``/``ov-`` notes for :func:`overlap_stats`.  Returns
+        with overlap enter/exit events for :class:`OverlapFold`.  Returns
         the fragment's return value; outstanding requests are *not*
         waited for — complete them with ``wait``/``waitall``.
         """
         if poll_interval < 1:
             raise ProgramError("poll_interval must be >= 1")
-        yield ("note", NOTE_OVERLAP_ENTER)
+        yield ("note", OVERLAP_ENTER, None, None)
         ops_since_poll = 0
         send_value: object = None
         while True:
@@ -415,7 +397,7 @@ class ProgressEngine:
             if ops_since_poll >= poll_interval and self._active:
                 ops_since_poll = 0
                 yield from self.progress()
-        yield ("note", NOTE_OVERLAP_EXIT)
+        yield ("note", OVERLAP_EXIT, None, None)
         return result
 
 
@@ -481,13 +463,13 @@ class EngineCompletion:
 
 
 # ---------------------------------------------------------------------------
-# Overlap accounting (consumes the notes a run recorded)
+# Overlap accounting (a fold over the event log)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class OverlapStats:
-    """Per-rank overlap accounting distilled from a run's notes."""
+    """Per-rank overlap accounting distilled from a run's events."""
 
     #: Cycles with at least one posted request in flight.
     inflight_cycles: int = 0
@@ -504,44 +486,85 @@ class OverlapStats:
         return self.coexist_cycles / self.inflight_cycles
 
 
-#: Signed depth change per instrumentation label.
-_EVENT_DELTAS = {
-    NOTE_REQUEST_POST: (1, 0),
-    NOTE_REQUEST_DONE: (-1, 0),
-    NOTE_OVERLAP_ENTER: (0, 1),
-    NOTE_OVERLAP_EXIT: (0, -1),
+#: Signed (in-flight depth, overlap depth) change per event kind.
+_DEPTH_DELTAS = {
+    REQUEST_POST: (1, 0),
+    REQUEST_DONE: (-1, 0),
+    OVERLAP_ENTER: (0, 1),
+    OVERLAP_EXIT: (0, -1),
 }
 
 
-def overlap_stats(
-    notes: list[tuple[int, int, str]], n_workers: int
-) -> dict[int, OverlapStats]:
-    """Reduce a run's notes to per-rank :class:`OverlapStats`.
+class OverlapFold:
+    """Per-rank :class:`OverlapStats`, folded incrementally from the log.
 
-    ``notes`` is the ``(cycle, rank, label)`` list a
-    :class:`~repro.system.medea.MedeaSystem` records; labels other than
-    the four instrumentation markers are ignored.  Notes are emitted in
-    cycle order per rank, so a single forward sweep per rank suffices.
+    Each call to :meth:`advance` consumes the program events emitted
+    since the last one (events arrive in cycle order per rank, so one
+    forward sweep suffices); kinds other than the four depth-changing
+    ones are skipped.  Run to the end of a finished run it is the batch
+    reduction (:func:`overlap_stats`); polled by the metric sampler
+    through :meth:`values` it makes overlap efficiency a per-interval
+    curve whose end-to-end sum reproduces
+    :func:`mean_overlap_efficiency` exactly.
     """
-    stats = {rank: OverlapStats() for rank in range(n_workers)}
-    depth: dict[int, tuple[int, int, int]] = {
-        rank: (0, 0, 0) for rank in range(n_workers)
-    }  # (inflight depth, overlap depth, last event cycle)
-    for cycle, rank, label in notes:
-        deltas = _EVENT_DELTAS.get(note_key(label))
-        if deltas is None or rank not in stats:
-            continue
-        inflight, in_overlap, last_cycle = depth[rank]
-        elapsed = cycle - last_cycle
-        entry = stats[rank]
-        if inflight > 0:
-            entry.inflight_cycles += elapsed
-        if in_overlap > 0:
-            entry.overlap_region_cycles += elapsed
-        if inflight > 0 and in_overlap > 0:
-            entry.coexist_cycles += elapsed
-        depth[rank] = (inflight + deltas[0], in_overlap + deltas[1], cycle)
-    return stats
+
+    def __init__(self, events: EventLog, rank_to_node: dict[int, int]):
+        self._program = events.program
+        self._index = 0
+        self._rank_of = {node: rank for rank, node in rank_to_node.items()}
+        self.per_rank = {rank: OverlapStats() for rank in rank_to_node}
+        #: rank -> (in-flight depth, overlap depth, last event cycle).
+        self._depth = {rank: (0, 0, 0) for rank in rank_to_node}
+
+    def advance(self) -> dict[int, OverlapStats]:
+        """Fold any new events; returns the running per-rank stats."""
+        program = self._program
+        depth = self._depth
+        for index in range(self._index, len(program)):
+            cycle, tile, kind, __, __ = program[index]
+            deltas = _DEPTH_DELTAS.get(kind)
+            if deltas is None or tile not in self._rank_of:
+                continue
+            rank = self._rank_of[tile]
+            inflight, in_overlap, last_cycle = depth[rank]
+            elapsed = cycle - last_cycle
+            entry = self.per_rank[rank]
+            if inflight > 0:
+                entry.inflight_cycles += elapsed
+            if in_overlap > 0:
+                entry.overlap_region_cycles += elapsed
+            if inflight > 0 and in_overlap > 0:
+                entry.coexist_cycles += elapsed
+            depth[rank] = (inflight + deltas[0], in_overlap + deltas[1], cycle)
+        self._index = len(program)
+        return self.per_rank
+
+    def values(self) -> dict[str, int]:
+        """The running totals as flat counters (a metric-registry
+        provider): the machine-wide sums plus ``rank<r>.inflight_cycles``
+        / ``rank<r>.coexist_cycles`` for every rank that has any."""
+        counts = {
+            "inflight_cycles": 0,
+            "overlap_region_cycles": 0,
+            "coexist_cycles": 0,
+        }
+        for rank, entry in self.advance().items():
+            counts["inflight_cycles"] += entry.inflight_cycles
+            counts["overlap_region_cycles"] += entry.overlap_region_cycles
+            counts["coexist_cycles"] += entry.coexist_cycles
+            if entry.inflight_cycles:
+                counts[f"rank{rank}.inflight_cycles"] = entry.inflight_cycles
+            if entry.coexist_cycles:
+                counts[f"rank{rank}.coexist_cycles"] = entry.coexist_cycles
+        return counts
+
+
+def overlap_stats(
+    events: EventLog, rank_to_node: dict[int, int]
+) -> dict[int, OverlapStats]:
+    """A finished run's per-rank :class:`OverlapStats`: the fold, run
+    to the end of the log."""
+    return OverlapFold(events, rank_to_node).advance()
 
 
 def mean_overlap_efficiency(per_rank: dict[int, "OverlapStats"]) -> float:

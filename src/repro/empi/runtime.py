@@ -50,14 +50,12 @@ from repro.empi.collectives import (
     ring_segments,
 )
 from repro.empi.requests import (
-    NOTE_CP_ENTER,
-    NOTE_CP_EXIT,
-    NOTE_CP_HOP,
     RESCHEDULE,
     EngineCompletion,
     ProgressEngine,
 )
 from repro.errors import ProgramError
+from repro.kernel.trace import CP_ENTER, CP_EXIT, CP_HOP
 from repro.mem.values import pack_doubles, unpack_doubles
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -230,17 +228,17 @@ class Empi(EngineCompletion):
             fault_context=getattr(ctx, "fault_context", None),
         )
         #: Critical-path attribution (TelemetryConfig.attribution): when
-        #: armed, every collective is bracketed with zero-cycle cp+/cp-
-        #: notes and its completed sends/receives emit cph hop notes, so
-        #: the extractor can thread causal edges through the op.  Off by
-        #: default: _cp_key stays None and no note is ever built.
+        #: armed, every collective is bracketed with zero-cycle CP_ENTER /
+        #: CP_EXIT events and its completed sends/receives emit CP_HOP
+        #: events, so the extractor can thread causal edges through the
+        #: op.  Off by default: _cp_key stays None and no note is built.
         self._cp = bool(getattr(ctx, "attribution", False))
         self._cp_depth = 0
         self._cp_counts: dict[str, int] = {}
         self._cp_key: str | None = None
 
     def _cp_span(self, label: str, body: "Program") -> "Program":
-        """Bracket one collective occurrence with cp+/cp- notes.
+        """Bracket one collective occurrence with CP_ENTER/CP_EXIT events.
 
         The occurrence key is ``label#k`` (k = how many times this rank
         ran the label), which aligns across ranks by the SPMD same-order
@@ -256,13 +254,13 @@ class Empi(EngineCompletion):
         key = f"{label}#{count}"
         self._cp_depth += 1
         self._cp_key = key
-        yield ("note", f"{NOTE_CP_ENTER} {key}")
+        yield ("note", CP_ENTER, key, None)
         try:
             result = yield from body
         finally:
             self._cp_depth -= 1
             self._cp_key = None
-        yield ("note", f"{NOTE_CP_EXIT} {key}")
+        yield ("note", CP_EXIT, key, None)
         return result
 
     def _cp_hop(self, kind: str, peer: object) -> tuple:
@@ -271,7 +269,7 @@ class Empi(EngineCompletion):
         otherwise.  ``kind`` is 'snd'/'rcv', ``peer`` a rank or '*'."""
         if self._cp_key is None:
             return ()
-        return (("note", f"{NOTE_CP_HOP} {self._cp_key} {kind} {peer}"),)
+        return (("note", CP_HOP, self._cp_key, (kind, peer)),)
 
     # -- point-to-point ---------------------------------------------------------
 

@@ -14,8 +14,8 @@ The fault layer has two halves:
   ``random.Random``, the current per-node output-port masks (kills and
   stalls remove bits symmetrically so the deflection invariant holds), the
   end-to-end checksum stamped at injection and checked at ejection, and
-  the counters/event trace that make every fault observable and every run
-  bit-reproducible from the same plan.
+  the counters and FAULT events that make every fault observable and
+  every run bit-reproducible from the same plan.
 
 Fault model scope: transient drop/corrupt targets *stream data* flits
 (MESSAGE/MULTICAST with a DATA or RETX subtype) — the traffic covered by
@@ -39,12 +39,9 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.kernel.stats import CounterSet
+from repro.kernel.trace import FAULT, EventLog
 from repro.noc.coords import DIRECTION_NAMES
 from repro.noc.packet import PacketType, SubType
-
-#: Keep the full event trace up to this many entries (plenty for tests and
-#: the determinism harness); beyond it only the counters keep growing.
-TRACE_LIMIT = 65536
 
 
 def link_name(node: int, direction: int) -> str:
@@ -181,18 +178,21 @@ class FaultInjector:
     All mutation happens through the fabric's per-step calls
     (:meth:`advance`, :meth:`on_link`, :meth:`check_eject`) and the
     reliability layer's counters, in deterministic order, so two runs of
-    the same plan replay bit-identically (see ``trace``).
+    the same plan replay bit-identically (compare their FAULT events).
     """
 
-    def __init__(self, plan: FaultPlan, topology) -> None:
+    def __init__(
+        self, plan: FaultPlan, topology, events: EventLog | None = None
+    ) -> None:
         plan.validate()
         self.plan = plan
         self.topology = topology
         self.rng = random.Random(plan.seed)
         self.counts = CounterSet("faults")
-        #: Delivery/fault event trace: (cycle, kind, *details) tuples with
-        #: no run-local ids, so two runs of one plan compare equal.
-        self.trace: list[tuple] = []
+        #: Where FAULT events go (the system's log; a private one when
+        #: the injector is built standalone).  They carry no run-local
+        #: ids, so two runs of one plan compare equal.
+        self.events = events if events is not None else EventLog()
         self._masks = list(topology.port_mask_table)
         self._killed = [0] * topology.n_nodes
         self._stalled: dict[int, _StallState] = {}
@@ -245,14 +245,12 @@ class FaultInjector:
                 f"{topology.kind} topology"
             )
 
-    # -- event tracing ------------------------------------------------------
+    # -- event logging ------------------------------------------------------
 
-    def note(self, cycle: int, kind: str, *details) -> None:
+    def note(self, cycle: int, kind: str, node: int, *details) -> None:
+        """Count fault ``kind`` and log it as a FAULT event at ``node``."""
         self.counts.inc(kind)
-        if len(self.trace) < TRACE_LIMIT:
-            self.trace.append((cycle, kind) + details)
-        else:
-            self.counts.inc("trace_overflow")
+        self.events.emit(cycle, node, FAULT, kind, details)
 
     # -- scheduled events ---------------------------------------------------
 
@@ -403,8 +401,8 @@ class FaultInjector:
             f"{key}={counters[key]}" for key in sorted(counters)
         ) or "no fault events"
         recent = "; ".join(
-            f"cycle {entry[0]}: {entry[1]} {entry[2:]}"
-            for entry in self.trace[-3:]
+            f"cycle {event.cycle}: {event.key} {(event.tile, *event.payload)}"
+            for event in self.events.of_kind(FAULT)[-3:]
         )
         gave_up = (
             f"; recovery gave up on: {', '.join(self.gave_up)}"

@@ -1,4 +1,4 @@
-"""Simulation substrate: clock, components, FIFOs, statistics, tracing.
+"""Simulation substrate: clock, components, FIFOs, statistics, the event log.
 
 This package is the stand-in for the authors' SystemC kernel.  It provides
 a globally-clocked, cycle-level simulation loop with two optimizations that
@@ -18,13 +18,14 @@ from repro.kernel.component import Component
 from repro.kernel.fifo import Fifo
 from repro.kernel.simulator import Simulator
 from repro.kernel.stats import CounterSet, LatencyStat
-from repro.kernel.trace import Tracer
+from repro.kernel.trace import Event, EventLog
 
 __all__ = [
     "Component",
     "CounterSet",
+    "Event",
+    "EventLog",
     "Fifo",
     "LatencyStat",
     "Simulator",
-    "Tracer",
 ]

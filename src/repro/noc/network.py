@@ -25,7 +25,7 @@ from repro.errors import ProtocolError, SimulationError
 from repro.kernel.component import Component
 from repro.kernel.fifo import Fifo
 from repro.kernel.stats import LatencyStat
-from repro.kernel.trace import Tracer
+from repro.kernel.trace import EJECT, EventLog
 from repro.noc.flit import Flit
 from repro.noc.packet import FlitCodec, PacketType
 from repro.noc.switch import RoutingOutcome, route_node
@@ -132,7 +132,7 @@ class NocFabric(Component):
         topology: Topology,
         eject_capacity: int = 1,
         strict_encoding: bool = False,
-        tracer: Tracer | None = None,
+        events: EventLog | None = None,
         faults=None,
     ) -> None:
         super().__init__("noc")
@@ -163,7 +163,9 @@ class NocFabric(Component):
                 4, (topology.width * topology.height - 1).bit_length()
             ),
         )
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
+        #: Where per-flit EJECT events go; None (the default) records
+        #: none and keeps ``_eject`` at one is-it-None test.
+        self.events = events
         n = topology.n_nodes
         n_ports = topology.max_ports
         self._n_ports = n_ports
@@ -440,11 +442,9 @@ class NocFabric(Component):
         self._flit_count -= 1
         if self._spatial is not None:
             self._spatial.node_ejects[port.node] += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                cycle, "noc", "eject",
-                node=port.node, uid=flit.uid, ptype=flit.ptype.name,
-                latency=latency,
+        if self.events is not None:
+            self.events.emit(
+                cycle, port.node, EJECT, flit.uid, (flit.ptype.name, latency)
             )
         port.eject.deliver(flit)
 

@@ -39,6 +39,7 @@ from repro.cache.l1 import L1Cache, WritePolicy
 from repro.cache.writebuffer import WriteBuffer
 from repro.errors import ProgramError, ProtocolError
 from repro.kernel.component import Component
+from repro.kernel.trace import MARK, EventLog
 from repro.mem.memory_map import MemoryMap
 from repro.mem.scratchpad import Scratchpad
 from repro.noc.flit import Flit
@@ -98,7 +99,7 @@ class ProcessorNode(Component):
         cost: FpCostModel,
         lock_retry_backoff: int = 16,
         recv_overhead: int = 2,
-        notes: list[tuple[int, int, str]] | None = None,
+        events: EventLog | None = None,
         dma: "DmaTxEngine | None" = None,
         reliability: "ReliabilityAgent | None" = None,
     ) -> None:
@@ -117,7 +118,9 @@ class ProcessorNode(Component):
         self.cost = cost
         self.lock_retry_backoff = lock_retry_backoff
         self.recv_overhead = recv_overhead
-        self.notes = notes if notes is not None else []
+        #: Where ``note`` ops land (the system's log; a private one when
+        #: the node is built standalone).
+        self.events = events if events is not None else EventLog()
         #: Optional DMA/collective TX engine (None = seed behaviour).
         self.dma = dma
         #: Reliability agent (fault plan active only): NACK/probe timers.
@@ -531,7 +534,10 @@ class ProcessorNode(Component):
                 )
                 return
             if code == "note":
-                self.notes.append((cycle, self.rank, op[1]))
+                if len(op) == 2:  # ctx.note(label): a user mark
+                    self.events.emit(cycle, self.node_id, MARK, op[1])
+                else:
+                    self.events.emit(cycle, self.node_id, op[1], op[2], op[3])
                 continue
             raise ProgramError(f"{self.name}: unknown operation {op!r}")
 

@@ -41,7 +41,9 @@ op tuple               effect                                      result
 ("tmrecv", n, k)       multicast words from n if ready, else None  [w]|None
 ("lock", a)            MPMMU lock word a (spins on NACK)           None
 ("unlock", a)          MPMMU unlock word a                         None
-("note", label)        record (cycle, rank, label); zero cycles    None
+("note", label)        log a user mark at this cycle; zero cycles  None
+("note", kind, key,    log a typed runtime event (the kinds of     None
+ payload)              repro.kernel.trace); zero cycles
 =====================  ==========================================  =========
 
 The helpers below compose these into doubles, row transfers, range

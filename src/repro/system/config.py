@@ -102,6 +102,8 @@ class SystemConfig:
 
     # -- runtime ----------------------------------------------------------------------
     empi_barrier: BarrierAlgorithm | str = "central"
+    #: Record hardware events (NoC ejects, DMA descriptor lifecycles) in
+    #: the system's event log; telemetry implies it.
     trace: bool = False
     max_cycles: int = 2_000_000_000
 

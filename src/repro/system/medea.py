@@ -9,12 +9,13 @@ from repro.bridge.pif2noc import AddressLut, Pif2NocBridge
 from repro.dma.engine import DmaTxEngine
 from repro.cache.l1 import L1Cache, WritePolicy
 from repro.cache.writebuffer import WriteBuffer
+from repro.empi.requests import OverlapFold
 from repro.empi.runtime import Empi
 from repro.errors import ConfigError, MemoryAccessError
 from repro.faults import FaultInjector
 from repro.kernel.simulator import Simulator
 from repro.kernel.watchdog import ProgressWatchdog
-from repro.kernel.trace import Tracer
+from repro.kernel.trace import EventLog
 from repro.mem.ddr import DdrModel
 from repro.mem.memory_map import MemoryMap
 from repro.mem.scratchpad import Scratchpad
@@ -34,7 +35,6 @@ from repro.pe.tie import (
 from repro.system.config import SystemConfig
 from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.registry import (
-    OverlapNoteCounters,
     TelemetrySampler,
     sampled_overlap_efficiency,
 )
@@ -63,23 +63,26 @@ class MedeaSystem:
         )
         self.sim = Simulator()
         telemetry_cfg = config.telemetry
-        if telemetry_cfg is not None and telemetry_cfg.events:
-            # Telemetry events ride the system tracer, ring-buffered so
-            # long runs keep the *tail* (the interesting part of a hang).
-            self.tracer = Tracer(enabled=True, limit=telemetry_cfg.event_limit)
-        else:
-            self.tracer = Tracer(enabled=config.trace)
+        #: The run's one event log (see :mod:`repro.kernel.trace`).
+        self.events = EventLog()
+        #: The one gate for per-flit/per-descriptor events: the fabric
+        #: and the DMA engines are handed the log only when asked to
+        #: trace, None otherwise.
+        self._hardware_events = (
+            self.events
+            if config.trace or telemetry_cfg is not None else None
+        )
         #: Fault-injection runtime (None when config.faults is None — the
         #: fault-free build carries no hook anywhere on the hot path).
         self.injector = (
-            FaultInjector(config.faults, self.topology)
+            FaultInjector(config.faults, self.topology, self.events)
             if config.faults is not None else None
         )
         self.fabric = NocFabric(
             self.topology,
             eject_capacity=config.eject_width,
             strict_encoding=config.strict_encoding,
-            tracer=self.tracer,
+            events=self._hardware_events,
             faults=self.injector,
         )
         self.sim.register(self.fabric)
@@ -131,7 +134,6 @@ class MedeaSystem:
                     for members in groups
                 ) if ranks
             ]
-        self.notes: list[tuple[int, int, str]] = []
         self.nodes: list[ProcessorNode] = []
         for rank in range(config.n_workers):
             self.nodes.append(self._build_worker(rank))
@@ -216,6 +218,8 @@ class MedeaSystem:
                 n_nodes=self.topology.n_nodes,
                 depth=config.dma_tx_queue_depth,
                 multicast=config.noc_multicast,
+                events=self._hardware_events,
+                clock=self.sim,
             )
         reliability = None
         if self.injector is not None:
@@ -245,7 +249,7 @@ class MedeaSystem:
             cost=config.fp,
             lock_retry_backoff=config.lock_retry_backoff,
             recv_overhead=config.recv_overhead,
-            notes=self.notes,
+            events=self.events,
             dma=dma,
             reliability=reliability,
         )
@@ -261,11 +265,10 @@ class MedeaSystem:
         values), and the sampler component registers after every worker
         so its snapshots see each cycle's final state.
         """
-        hub = TelemetryHub(telemetry_cfg, self.sim, self.tracer)
+        hub = TelemetryHub(telemetry_cfg)
         registry = hub.registry
-        if telemetry_cfg.spatial:
-            self.fabric.enable_spatial()
-            registry.add_source("noc", self.fabric.spatial_values)
+        self.fabric.enable_spatial()
+        registry.add_source("noc", self.fabric.spatial_values)
         registry.add_counters("noc", self.fabric.stats)
         registry.add_latency("noc.latency", self.fabric.latency)
         registry.add_counters(
@@ -281,12 +284,11 @@ class MedeaSystem:
             registry.add_counters(f"tile{node_id}.tie", node.tie.stats)
             if node.dma is not None:
                 registry.add_counters(f"tile{node_id}.dma", node.dma.stats)
-                node.dma.telemetry = hub
         if self.injector is not None:
             registry.add_counters("faults", self.injector.counts)
         registry.add_source(
             "empi.overlap",
-            OverlapNoteCounters(self.notes, self.config.n_workers).values,
+            OverlapFold(self.events, self.rank_to_node).values,
         )
         self.sampler = self.sim.register(TelemetrySampler(registry))
         self.sampler.wake()
@@ -520,7 +522,7 @@ class MedeaSystem:
             "sampled_overlap_efficiency": sampled_overlap_efficiency(
                 registry
             ),
-            "trace_events": len(self.tracer),
-            "trace_dropped": self.tracer.dropped,
+            "trace_events": len(self.events.ring),
+            "trace_dropped": self.events.dropped,
             "noc_spatial": self.fabric.spatial_dict(),
         }

@@ -1,8 +1,14 @@
-"""The observability layer: sampled metrics, trace export, heatmaps.
+"""The observability layer: sampled metrics, trace export, heatmaps,
+cycle attribution.
 
-Opt-in via ``SystemConfig.telemetry`` (a :class:`TelemetryConfig`); with
-it unset no telemetry code runs and every committed golden cycle count
-is bit-identical.  See ``examples/telemetry.py`` for the full tour.
+Every report here is a fold over state the machine already keeps: the
+system's one :class:`~repro.kernel.trace.EventLog` (overlap efficiency,
+the Chrome trace, critical paths), the per-component counters (the
+sampled registry, the cycle ledgers) and the fabric's spatial matrices
+(heatmaps).  Opt-in via ``SystemConfig.telemetry`` (a
+:class:`TelemetryConfig`); with it unset no telemetry code runs and
+every committed golden cycle count is bit-identical.  See
+``examples/telemetry.py`` for the full tour.
 
 (Trace workloads live in :mod:`repro.telemetry.workloads`, imported
 lazily — they pull in the application layer, which this package root
@@ -34,7 +40,6 @@ from repro.telemetry.heatmap import (
 from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.registry import (
     MetricRegistry,
-    OverlapNoteCounters,
     TelemetrySampler,
     sampled_overlap_efficiency,
 )
@@ -42,7 +47,6 @@ from repro.telemetry.registry import (
 __all__ = [
     "AttributionError",
     "MetricRegistry",
-    "OverlapNoteCounters",
     "TelemetryConfig",
     "TelemetryHub",
     "TelemetrySampler",

@@ -13,7 +13,7 @@ Three layers, each built from state the simulator already keeps:
 * **Critical-path extraction** — when
   :attr:`~repro.telemetry.config.TelemetryConfig.attribution` is armed,
   the eMPI runtime brackets each blocking/non-blocking collective with
-  zero-cycle ``cp+``/``cph``/``cp-`` notes.  :func:`extract_ops` groups
+  zero-cycle ``cp+``/``cph``/``cp-`` events.  :func:`extract_ops` groups
   them per op occurrence; :func:`critical_path` threads causal edges
   (same-rank program order plus FIFO-matched send→recv pairs) and walks
   the binding chain back from the op's last exit, yielding the longest
@@ -30,13 +30,8 @@ Three layers, each built from state the simulator already keeps:
 
 from __future__ import annotations
 
-from repro.empi.requests import (
-    NOTE_CP_ENTER,
-    NOTE_CP_EXIT,
-    NOTE_CP_HOP,
-    note_key,
-)
 from repro.errors import MedeaError
+from repro.kernel.trace import CP_ENTER, CP_EXIT, CP_HOP, EventLog
 
 #: Report schema identifier, bumped on breaking layout changes
 #: (checked by ``benchmarks/validate_report.py`` and the CI smoke job).
@@ -261,31 +256,32 @@ def windowed_link_utilization(registry) -> dict:
 # -- critical-path extraction ----------------------------------------------------
 
 
-def extract_ops(notes: list[tuple[int, int, str]]) -> dict[str, dict]:
-    """Group the ``cp+``/``cph``/``cp-`` notes per op occurrence.
+def extract_ops(
+    events: EventLog, rank_to_node: dict[int, int]
+) -> dict[str, dict]:
+    """Group the ``cp+``/``cph``/``cp-`` events per op occurrence.
 
     Returns ``{op_key: {rank: {"start", "end", "hops"}}}`` in first-seen
     order (dicts preserve it); ``hops`` rows are ``(cycle, kind, peer)``
-    with ``kind`` in ``snd``/``rcv`` and ``peer`` a rank string or
-    ``"*"`` for a hardware multicast post.
+    with ``kind`` in ``snd``/``rcv`` and ``peer`` a rank or ``"*"`` for
+    a hardware multicast post.
     """
+    rank_of = {node: rank for rank, node in rank_to_node.items()}
     ops: dict[str, dict[int, dict]] = {}
 
-    def rank_entry(op: str, rank: int) -> dict:
+    def rank_entry(op: str, tile: int) -> dict:
         entry = ops.setdefault(op, {})
         return entry.setdefault(
-            rank, {"start": None, "end": None, "hops": []}
+            rank_of[tile], {"start": None, "end": None, "hops": []}
         )
 
-    for cycle, rank, label in notes:
-        head = note_key(label)
-        if head == NOTE_CP_ENTER:
-            rank_entry(label.split(" ", 1)[1], rank)["start"] = cycle
-        elif head == NOTE_CP_EXIT:
-            rank_entry(label.split(" ", 1)[1], rank)["end"] = cycle
-        elif head == NOTE_CP_HOP:
-            __, op, kind, peer = label.split(" ", 3)
-            rank_entry(op, rank)["hops"].append((cycle, kind, peer))
+    for cycle, tile, kind, op, payload in events.program:
+        if kind == CP_ENTER:
+            rank_entry(op, tile)["start"] = cycle
+        elif kind == CP_EXIT:
+            rank_entry(op, tile)["end"] = cycle
+        elif kind == CP_HOP:
+            rank_entry(op, tile)["hops"].append((cycle, *payload))
     return ops
 
 
@@ -323,7 +319,7 @@ def critical_path(op: str, ranks: dict[int, dict]) -> dict | None:
                 continue
             receivers = (
                 [other for other in events if other != rank]
-                if peer == "*" else [int(peer)]
+                if peer == "*" else [peer]
             )
             for receiver in receivers:
                 send_queues.setdefault((rank, receiver), []).append(
@@ -334,7 +330,7 @@ def critical_path(op: str, ranks: dict[int, dict]) -> dict | None:
         for index, (kind, __, peer) in enumerate(rows):
             if kind != "rcv" or peer == "*":
                 continue
-            queue = send_queues.get((int(peer), rank))
+            queue = send_queues.get((peer, rank))
             if queue:
                 matches[(rank, index)] = queue.pop(0)
 
@@ -434,10 +430,12 @@ def critical_path(op: str, ranks: dict[int, dict]) -> dict | None:
     }
 
 
-def critical_paths(notes: list[tuple[int, int, str]]) -> list[dict]:
+def critical_paths(
+    events: EventLog, rank_to_node: dict[int, int]
+) -> list[dict]:
     """Critical path of every attributed op, in program order."""
     paths = []
-    for op, ranks in extract_ops(notes).items():
+    for op, ranks in extract_ops(events, rank_to_node).items():
         path = critical_path(op, ranks)
         if path is not None:
             paths.append(path)
@@ -496,7 +494,7 @@ def build_report(system, workload: str = "", stats: dict | None = None) -> dict:
         ),
         "dispatch": dispatch_histogram(system),
         "links": links,
-        "critical_paths": critical_paths(system.notes),
+        "critical_paths": critical_paths(system.events, system.rank_to_node),
         **({"faults": faults} if faults is not None else {}),
         **({"stats": stats} if stats is not None else {}),
     }

@@ -1,34 +1,38 @@
 """Chrome trace-event export: the run as a Perfetto-openable timeline.
 
 Renders everything a :class:`~repro.system.medea.MedeaSystem` records —
-eMPI request lifecycles and overlap regions (the zero-cycle notes),
-collective phases, DMA descriptor lifecycles and NoC ejections (tracer
-events), injected faults, and the sampled metric timeline — as standard
-trace-event JSON (the ``{"traceEvents": [...]}`` format), one process
-per tile, openable in ``ui.perfetto.dev`` or ``chrome://tracing``.
+its event log (eMPI request lifecycles, overlap regions, collective
+phases, user marks, DMA descriptor lifecycles, NoC ejections, injected
+faults) and the sampled metric timeline — as standard trace-event JSON
+(the ``{"traceEvents": [...]}`` format), one process per tile, openable
+in ``ui.perfetto.dev`` or ``chrome://tracing``.
 
 Conventions: 1 simulated cycle = 1 trace microsecond; workers map to
 ``pid = node id``; NoC/fault/metric tracks get reserved pids above any
-real node.  Span pairing happens here at export time: same-label
-requests complete in posting order (MPI ordered matching), so a
-per-``(rank, label)`` FIFO recovers every span from the flat note
-stream; collective phases and overlap regions nest properly, so a stack
-suffices.
+real node.  Span pairing happens here at export time, in one pass over
+the log: same-label requests complete in posting order (MPI ordered
+matching), so a per-``(tile, label)`` FIFO recovers every span;
+collective phases and overlap regions nest properly, so a per-tile
+stack suffices; DMA descriptors pair on their uid.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 
-from repro.empi.requests import (
-    NOTE_OVERLAP_ENTER,
-    NOTE_OVERLAP_EXIT,
-    NOTE_PHASE_ENTER,
-    NOTE_PHASE_EXIT,
-    NOTE_REQUEST_DONE,
-    NOTE_REQUEST_POST,
-    note_key,
+from repro.kernel.trace import (
+    DMA_ACTIVATE,
+    DMA_POST,
+    DMA_RETIRE,
+    EJECT,
+    FAULT,
+    MARK,
+    OVERLAP_ENTER,
+    OVERLAP_EXIT,
+    PHASE_ENTER,
+    PHASE_EXIT,
+    REQUEST_DONE,
+    REQUEST_POST,
 )
 
 #: Reserved pids for non-tile tracks (real node ids stay small).
@@ -52,147 +56,79 @@ _TID_NAMES = {
 }
 
 
-def _payload(label: str, key: str) -> str:
-    return label[len(key) + 1:] if len(label) > len(key) else ""
+#: Span-opening kinds: kind -> (track, pair on the event key?, default
+#: name).  Requests and descriptors pair on their key, oldest first
+#: (ordered matching); phase and overlap brackets nest, so each track
+#: keeps one stack whatever the key.
+_OPENS = {
+    REQUEST_POST: (TID_REQUESTS, True, "request"),
+    PHASE_ENTER: (TID_COLLECTIVES, False, "collective"),
+    OVERLAP_ENTER: (TID_OVERLAP, False, "overlap"),
+    DMA_POST: (TID_DMA, True, "descriptor"),
+}
+#: Span-closing kinds -> the kind that opened the span.
+_CLOSES = {
+    REQUEST_DONE: REQUEST_POST,
+    PHASE_EXIT: PHASE_ENTER,
+    OVERLAP_EXIT: OVERLAP_ENTER,
+    DMA_RETIRE: DMA_POST,
+}
 
 
-def _note_events(system, end_cycle: int) -> list[dict]:
-    """Spans and instants recovered from the zero-cycle note stream."""
-    rank_pid = dict(system.rank_to_node)
+def log_events(system, end_cycle: int) -> list[dict]:
+    """Spans and instants recovered from the system's event log."""
     events: list[dict] = []
-    #: (rank, label) -> posted-at cycles, FIFO (ordered matching).
-    open_requests: dict[tuple[int, str], deque] = {}
-    #: (rank, tid) -> stack of (name, start cycle) for nesting brackets.
-    stacks: dict[tuple[int, int], list[tuple[str, int]]] = {}
+    #: (tile, track, pairing key) -> open (name, start cycle) spans.
+    open_spans: dict[tuple, list[tuple[str, int]]] = {}
 
-    def open_span(rank: int, tid: int, name: str, cycle: int) -> None:
-        stacks.setdefault((rank, tid), []).append((name, cycle))
+    def instant(
+        pid: int, tid: int, cycle: int, name: str, scope: str = "t", **extra
+    ) -> None:
+        events.append({
+            "ph": "i", "pid": pid, "tid": tid, "ts": cycle, "name": name,
+            "s": scope, **extra,
+        })
 
-    def close_span(rank: int, tid: int, cycle: int) -> None:
-        stack = stacks.get((rank, tid))
-        if stack:
-            name, start = stack.pop()
-            events.append({
-                "ph": "X", "pid": rank_pid[rank], "tid": tid,
-                "ts": start, "dur": cycle - start, "name": name,
-            })
+    def span(tile: int, tid: int, start: int, end: int, name: str) -> None:
+        events.append({
+            "ph": "X", "pid": tile, "tid": tid, "ts": start,
+            "dur": end - start, "name": name,
+        })
 
-    for cycle, rank, label in system.notes:
-        if rank not in rank_pid:
-            continue
-        key = note_key(label)
-        if key == NOTE_REQUEST_POST:
-            open_requests.setdefault(
-                (rank, label), deque()
-            ).append(cycle)
-        elif key == NOTE_REQUEST_DONE:
-            posts = open_requests.get(
-                (rank, f"{NOTE_REQUEST_POST} {_payload(label, key)}")
+    for cycle, tile, kind, key, payload in system.events:
+        if kind in _OPENS:
+            tid, keyed, default = _OPENS[kind]
+            # A request or phase is named by its key, a descriptor by
+            # its payload; the overlap bracket carries neither.
+            name = (payload if kind == DMA_POST else key) or default
+            open_spans.setdefault(
+                (tile, tid, key if keyed else None), []
+            ).append((name, cycle))
+        elif kind in _CLOSES:
+            tid, keyed, __ = _OPENS[_CLOSES[kind]]
+            stack = open_spans.get((tile, tid, key if keyed else None))
+            if stack:
+                name, start = stack.pop(0 if keyed else -1)
+                span(tile, tid, start, cycle, name)
+        elif kind == DMA_ACTIVATE:
+            instant(tile, TID_DMA, cycle, "activate")
+        elif kind == EJECT:
+            instant(PID_NOC, tile, cycle, f"eject {payload[0]}")
+        elif kind == FAULT:
+            instant(
+                PID_FAULTS, 0, cycle, key, scope="p",
+                args={"details": [str(item) for item in (tile, *payload)]},
             )
-            if posts:
-                start = posts.popleft()
-                events.append({
-                    "ph": "X", "pid": rank_pid[rank],
-                    "tid": TID_REQUESTS, "ts": start,
-                    "dur": cycle - start,
-                    "name": _payload(label, key) or "request",
-                })
-        elif key == NOTE_PHASE_ENTER:
-            open_span(
-                rank, TID_COLLECTIVES,
-                _payload(label, key) or "collective", cycle,
-            )
-        elif key == NOTE_PHASE_EXIT:
-            close_span(rank, TID_COLLECTIVES, cycle)
-        elif key == NOTE_OVERLAP_ENTER:
-            open_span(rank, TID_OVERLAP, "overlap", cycle)
-        elif key == NOTE_OVERLAP_EXIT:
-            close_span(rank, TID_OVERLAP, cycle)
         else:
-            events.append({
-                "ph": "i", "pid": rank_pid[rank], "tid": TID_MARKS,
-                "ts": cycle, "name": label, "s": "t",
-            })
+            # A user mark prints its label; any other program event (the
+            # attribution brackets) prints its fields.
+            parts = (key,) if kind == MARK else (kind, key, *(payload or ()))
+            instant(tile, TID_MARKS, cycle, " ".join(map(str, parts)))
     # Anything still open at the end of the run renders to the last
     # cycle, so a hang is visible as a span running off the edge.
-    for (rank, label), posts in open_requests.items():
-        for start in posts:
-            events.append({
-                "ph": "X", "pid": rank_pid[rank], "tid": TID_REQUESTS,
-                "ts": start, "dur": end_cycle - start,
-                "name": (_payload(label, NOTE_REQUEST_POST) or "request")
-                + " (unfinished)",
-            })
-    for (rank, tid), stack in stacks.items():
+    for (tile, tid, __), stack in open_spans.items():
         for name, start in stack:
-            events.append({
-                "ph": "X", "pid": rank_pid[rank], "tid": tid,
-                "ts": start, "dur": end_cycle - start,
-                "name": f"{name} (unfinished)",
-            })
-    return events
-
-
-def _tracer_events(system, end_cycle: int) -> list[dict]:
-    """DMA descriptor spans and NoC ejection instants."""
-    events: list[dict] = []
-    #: (source, uid) -> (name, node, post cycle) for descriptor pairing.
-    open_dma: dict[tuple[str, int], tuple[str, int, int]] = {}
-    for event in system.tracer.events:
-        kind = event.kind
-        if kind == "dma_post":
-            fields = event.fields
-            open_dma[(event.source, fields.get("uid", 0))] = (
-                fields.get("desc", "descriptor"),
-                fields.get("node", 0),
-                event.cycle,
-            )
-        elif kind in ("dma_retire", "dma_done"):
-            fields = event.fields
-            entry = open_dma.pop(
-                (event.source, fields.get("uid", 0)), None
-            )
-            if entry is not None:
-                name, node, start = entry
-                events.append({
-                    "ph": "X", "pid": node,
-                    "tid": TID_DMA, "ts": start,
-                    "dur": event.cycle - start, "name": name,
-                })
-        elif kind == "dma_activate":
-            events.append({
-                "ph": "i", "pid": event.fields.get("node", 0),
-                "tid": TID_DMA, "ts": event.cycle,
-                "name": "activate", "s": "t",
-            })
-        elif kind == "eject":
-            events.append({
-                "ph": "i", "pid": PID_NOC,
-                "tid": event.fields.get("node", 0),
-                "ts": event.cycle,
-                "name": f"eject {event.fields.get('ptype', '?')}",
-                "s": "t",
-            })
-    for (source, uid), (name, node, start) in open_dma.items():
-        events.append({
-            "ph": "X", "pid": node, "tid": TID_DMA, "ts": start,
-            "dur": end_cycle - start, "name": f"{name} (unfinished)",
-        })
-    return events
-
-
-def _fault_events(system) -> list[dict]:
-    injector = getattr(system, "injector", None)
-    if injector is None:
-        return []
-    events = []
-    for entry in injector.trace:
-        cycle, kind = entry[0], entry[1]
-        events.append({
-            "ph": "i", "pid": PID_FAULTS, "tid": 0, "ts": cycle,
-            "name": kind, "s": "p",
-            "args": {"details": [str(item) for item in entry[2:]]},
-        })
+            span(tile, tid, start, end_cycle, f"{name} (unfinished)")
     return events
 
 
@@ -236,12 +172,7 @@ def chrome_trace_events(system) -> list[dict]:
     """Every track of a finished run, sorted by (pid, tid, ts)."""
     end_cycle = system.sim.cycle
     events = _metadata(system)
-    body = (
-        _note_events(system, end_cycle)
-        + _tracer_events(system, end_cycle)
-        + _fault_events(system)
-        + _metric_events(system)
-    )
+    body = log_events(system, end_cycle) + _metric_events(system)
     body.sort(key=lambda e: (e["pid"], e["tid"], e["ts"]))
     return events + body
 

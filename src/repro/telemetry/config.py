@@ -20,24 +20,16 @@ class TelemetryConfig:
     runs and every committed golden cycle count is bit-identical; the
     only hot-path cost anywhere is the existing is-it-None attribute
     check).  With it set, a timing-neutral sampler snapshots every
-    registered counter at ``sample_interval``-cycle cadence, span events
-    land in a ring-buffered tracer, and the NoC keeps per-link /
-    per-switch spatial matrices.
+    registered counter at ``sample_interval``-cycle cadence, hardware
+    events (NoC ejects, DMA descriptor lifecycles) are recorded in the
+    system's :class:`~repro.kernel.trace.EventLog`, and the NoC keeps
+    per-link / per-switch spatial matrices.
     """
 
     #: Cycles between metric snapshots (the timeline resolution).
     sample_interval: int = 4096
-    #: Record span/lifecycle events (DMA descriptors, NoC ejects) into
-    #: the system tracer for Chrome-trace export.
-    events: bool = True
-    #: Ring-buffer size for recorded events (the *last* N are kept);
-    #: None = unbounded.
-    event_limit: int | None = 262_144
-    #: Keep per-link transit and per-switch deflection/eject matrices in
-    #: the NoC fabric (the spatial heatmap view).
-    spatial: bool = True
     #: Arm cycle attribution: the eMPI runtime brackets every blocking
-    #: collective with zero-cycle ``cp+``/``cph``/``cp-`` notes so the
+    #: collective with zero-cycle ``cp+``/``cph``/``cp-`` events so the
     #: critical-path extractor (:mod:`repro.telemetry.attribution`) can
     #: thread causal edges through each op.  The per-tile cycle ledgers
     #: themselves ride the always-on state counters and need no flag.
@@ -47,8 +39,4 @@ class TelemetryConfig:
         if self.sample_interval < 1:
             raise ConfigError(
                 f"sample_interval must be >= 1, got {self.sample_interval}"
-            )
-        if self.event_limit is not None and self.event_limit < 1:
-            raise ConfigError(
-                f"event_limit must be >= 1 or None, got {self.event_limit}"
             )

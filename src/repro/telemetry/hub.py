@@ -1,43 +1,24 @@
-"""TelemetryHub: the one object components see when telemetry is on.
+"""TelemetryHub: the sampled-metrics half of a telemetry-enabled system.
 
-Systems build a hub when ``SystemConfig.telemetry`` is set and hand it
-to instrumented components as a single gated attribute (``dma.telemetry
-= hub``) — the same opt-in pattern as the fault injector, so the
-telemetry-off hot path pays only the existing is-it-None check.  The hub
-bundles the metric registry with the simulator clock (components like
-the DMA engine have no ``cycle`` argument in their API methods) and the
-system tracer for span events.
+Systems build a hub when ``SystemConfig.telemetry`` is set; it owns the
+metric registry the periodic sampler fills and closes the timeline at
+the end of the run.  (Events are not its business: every component
+writes those straight to the system's
+:class:`~repro.kernel.trace.EventLog`.)
 """
 
 from __future__ import annotations
 
-from repro.kernel.simulator import Simulator
-from repro.kernel.trace import Tracer
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.registry import MetricRegistry
 
 
 class TelemetryHub:
-    """Registry + clock + tracer behind one gated attribute."""
+    """The metric registry plus its end-of-run bookkeeping."""
 
-    def __init__(
-        self, config: TelemetryConfig, sim: Simulator, tracer: Tracer
-    ) -> None:
-        self.config = config
-        self.sim = sim
-        self.tracer = tracer
+    def __init__(self, config: TelemetryConfig) -> None:
         self.registry = MetricRegistry(config.sample_interval)
         self._finalized_at: int | None = None
-
-    @property
-    def cycle(self) -> int:
-        """The current simulated cycle (valid while stepping)."""
-        return self.sim.cycle
-
-    def emit(self, source: str, kind: str, **fields) -> None:
-        """Record a lifecycle event at the current cycle (if events on)."""
-        if self.config.events:
-            self.tracer.emit(self.sim.cycle, source, kind, **fields)
 
     def finalize(self, cycle: int) -> None:
         """Take the end-of-run sample (idempotent per cycle).

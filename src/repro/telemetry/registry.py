@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.empi.requests import _EVENT_DELTAS, note_key
 from repro.kernel.component import Component
 from repro.kernel.stats import CounterSet, LatencyStat
 
@@ -142,69 +141,13 @@ class MetricRegistry:
         }
 
 
-class OverlapNoteCounters:
-    """Cumulative overlap counters folded incrementally from the notes.
-
-    The request layer brackets in-flight windows and overlap regions
-    with zero-cycle notes; :func:`~repro.empi.requests.overlap_stats`
-    reduces a *finished* run's notes in one sweep.  This tracker does the
-    same fold incrementally at each sample, exposing the running totals
-    as plain counters (``rank0.inflight_cycles`` …, plus the aggregate
-    ``inflight_cycles``/``coexist_cycles``), so the sampled timeline
-    carries overlap efficiency per interval — and its end-to-end sum
-    reproduces :func:`~repro.empi.requests.mean_overlap_efficiency`
-    exactly, from counters alone.
-    """
-
-    def __init__(self, notes: list[tuple[int, int, str]], n_workers: int):
-        self.notes = notes
-        self._index = 0
-        #: rank -> (inflight depth, overlap depth, last event cycle).
-        self._depth = {rank: (0, 0, 0) for rank in range(n_workers)}
-        self._counts: dict[str, int] = {
-            "inflight_cycles": 0,
-            "overlap_region_cycles": 0,
-            "coexist_cycles": 0,
-        }
-
-    def values(self) -> dict[str, int]:
-        """Fold any new notes, then return the cumulative counters."""
-        notes = self.notes
-        depth = self._depth
-        counts = self._counts
-        index = self._index
-        while index < len(notes):
-            cycle, rank, label = notes[index]
-            index += 1
-            deltas = _EVENT_DELTAS.get(note_key(label))
-            if deltas is None or rank not in depth:
-                continue
-            inflight, in_overlap, last_cycle = depth[rank]
-            elapsed = cycle - last_cycle
-            if inflight > 0:
-                counts["inflight_cycles"] += elapsed
-                counts[f"rank{rank}.inflight_cycles"] = (
-                    counts.get(f"rank{rank}.inflight_cycles", 0) + elapsed
-                )
-            if in_overlap > 0:
-                counts["overlap_region_cycles"] += elapsed
-            if inflight > 0 and in_overlap > 0:
-                counts["coexist_cycles"] += elapsed
-                counts[f"rank{rank}.coexist_cycles"] = (
-                    counts.get(f"rank{rank}.coexist_cycles", 0) + elapsed
-                )
-            depth[rank] = (inflight + deltas[0], in_overlap + deltas[1], cycle)
-        self._index = index
-        return counts
-
-
 def sampled_overlap_efficiency(registry: MetricRegistry) -> float:
     """Overlap efficiency recomputed from the sampled timeline alone.
 
-    Sums the per-interval ``empi.overlap.*`` deltas across every sample
-    row — no access to the notes or to
-    :class:`~repro.empi.requests.OverlapStats` — so it proves the
-    sampled counters carry the paper's overlap-efficiency number.
+    Sums the per-interval ``empi.overlap.*`` deltas (the registered
+    :meth:`~repro.empi.requests.OverlapFold.values` source) across every
+    sample row — no access to the event log — so it proves the sampled
+    counters carry the paper's overlap-efficiency number.
     """
     coexist = sum(
         row.get("empi.overlap.coexist_cycles", 0)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.dma.engine import DmaTxEngine, mask_members
 from repro.errors import ProgramError, ProtocolError
+from repro.kernel.trace import DMA_ACTIVATE, DMA_POST, DMA_RETIRE
 from repro.noc.flit import MULTICAST_DST
 from repro.pe.tie import TieInterface
 from repro.system.config import SystemConfig
@@ -284,6 +285,37 @@ def test_qmcast_delivers_to_every_member(noc_multicast):
     )
     for rank in range(1, n_workers):
         assert received[rank] == [11, 22, 33]
+
+
+def test_trace_without_telemetry_logs_descriptor_lifecycles():
+    """``SystemConfig(trace=True)`` is the one gate for hardware events:
+    with telemetry off the engine still logs its descriptors, each post
+    paired with its retire; with trace off too it logs nothing."""
+    def root(ctx):
+        for payload in ([1, 2], [3, 4, 5]):
+            while not (yield ("qmcast", 1 << ctx.node_of(1), payload)):
+                pass
+
+    def leaf(ctx):
+        assert (yield ("mrecv", ctx.node_of(0), 5)) == [1, 2, 3, 4, 5]
+
+    system, __ = run_programs(
+        [root, leaf], 2, dma_tx_queue_depth=2, trace=True
+    )
+    assert system.telemetry is None
+    node = system.rank_to_node[0]
+    posts = system.events.of_kind(DMA_POST)
+    assert [(e.tile, e.key, e.payload) for e in posts] == [
+        (node, 1, f"mcast {1 << (node + 1):#x} 2w"),
+        (node, 2, f"mcast {1 << (node + 1):#x} 3w"),
+    ]
+    for kind in (DMA_ACTIVATE, DMA_RETIRE):
+        closes = system.events.of_kind(kind)
+        assert [(e.tile, e.key) for e in closes] == [(node, 1), (node, 2)]
+        assert all(c.cycle >= p.cycle for p, c in zip(posts, closes))
+
+    quiet, __ = run_programs([root, leaf], 2, dma_tx_queue_depth=2)
+    assert quiet.events.of_kind(DMA_POST, DMA_ACTIVATE, DMA_RETIRE) == []
 
 
 def test_multicast_and_fallback_deliver_identical_words():

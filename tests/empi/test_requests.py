@@ -17,10 +17,6 @@ import pytest
 
 from repro.empi.collectives import make_comm, reference_allreduce
 from repro.empi.requests import (
-    NOTE_OVERLAP_ENTER,
-    NOTE_OVERLAP_EXIT,
-    NOTE_REQUEST_DONE,
-    NOTE_REQUEST_POST,
     RESCHEDULE,
     ProgressEngine,
     TurnQueue,
@@ -28,6 +24,14 @@ from repro.empi.requests import (
     overlap_stats,
 )
 from repro.errors import ProgramError
+from repro.kernel.trace import (
+    MARK,
+    OVERLAP_ENTER,
+    OVERLAP_EXIT,
+    REQUEST_DONE,
+    REQUEST_POST,
+    EventLog,
+)
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
 from tests.empi.cycle_pins import COLLECTIVES, assert_pinned
@@ -74,11 +78,11 @@ def test_post_gives_an_eager_first_slice():
     ops, request = drive(engine.post(frag(), "f"))
     # The fragment ran to completion inside post: note, op, note.
     assert request.complete and request.result == "done"
-    # Notes carry the request label as payload, so trace exporters can
-    # pair post/done spans; the overlap accounting keys on the marker.
+    # The events carry the request label as key, so trace exporters
+    # can pair post/done spans; the overlap accounting folds the kind.
     assert ops == [
-        ("note", f"{NOTE_REQUEST_POST} f"), ("compute", 1),
-        ("note", f"{NOTE_REQUEST_DONE} f"),
+        ("note", REQUEST_POST, "f", None), ("compute", 1),
+        ("note", REQUEST_DONE, "f", None),
     ]
     assert engine.idle
 
@@ -151,19 +155,18 @@ def test_overlap_interleaves_progress_rounds():
     ops, __ = drive(engine.overlap(compute(), poll_interval=2))
     assert order == ["comm", "compute", "compute", "comm", "compute",
                      "compute"]
-    assert ops[0] == ("note", NOTE_OVERLAP_ENTER)
-    assert ops[-1] == ("note", NOTE_OVERLAP_EXIT)
+    assert ops[0] == ("note", OVERLAP_ENTER, None, None)
+    assert ops[-1] == ("note", OVERLAP_EXIT, None, None)
 
 
 def test_overlap_stats_accounting():
-    notes = [
-        (10, 0, NOTE_REQUEST_POST),
-        (20, 0, NOTE_OVERLAP_ENTER),
-        (50, 0, NOTE_OVERLAP_EXIT),
-        (60, 0, NOTE_REQUEST_DONE),
-        (15, 1, "solve_start"),  # foreign labels are ignored
-    ]
-    per_rank = overlap_stats(notes, 2)
+    log = EventLog()
+    log.emit(10, 1, REQUEST_POST, "halo")
+    log.emit(20, 1, OVERLAP_ENTER)
+    log.emit(50, 1, OVERLAP_EXIT)
+    log.emit(60, 1, REQUEST_DONE, "halo")
+    log.emit(15, 2, MARK, "solve_start")  # other kinds are ignored
+    per_rank = overlap_stats(log, {0: 1, 1: 2})
     assert per_rank[0].inflight_cycles == 50
     assert per_rank[0].overlap_region_cycles == 30
     assert per_rank[0].coexist_cycles == 30

@@ -64,7 +64,7 @@ def test_barrier_single_worker_is_trivial():
         yield ctx.note("done")
 
     system = run_programs(config_for(1), program)
-    assert any(label == "done" for __, __, label in system.notes)
+    assert "done" in system.events.marks(system.rank_to_node[0])
 
 
 def test_back_to_back_barriers_do_not_cross_epochs():
@@ -75,7 +75,10 @@ def test_back_to_back_barriers_do_not_cross_epochs():
         yield ctx.note(f"done:{ctx.rank}")
 
     system = run_programs(config_for(3), program, program, program)
-    done = [label for __, __, label in system.notes if label.startswith("done")]
+    done = [
+        label for node in system.rank_to_node.values()
+        for label in system.events.marks(node) if label.startswith("done")
+    ]
     assert len(done) == 3
 
 

@@ -81,7 +81,7 @@ def test_sm_barrier_single_worker():
         yield ctx.note("past")
 
     system = run_programs(SystemConfig(n_workers=1, cache_size_kb=2), program)
-    assert any(label == "past" for __, __, label in system.notes)
+    assert "past" in system.events.marks(system.rank_to_node[0])
 
 
 def test_sm_barrier_generates_mpmmu_traffic():

@@ -119,6 +119,7 @@ def test_fault_injector_trace_replays_identically():
     # dropped/corrupted, where, when) is itself bit-identical.
     from repro.empi.collectives import make_comm
     from repro.faults import FaultPlan
+    from repro.kernel.trace import FAULT
     from repro.system.medea import MedeaSystem
 
     def make_program(rank):
@@ -133,7 +134,7 @@ def test_fault_injector_trace_replays_identically():
         system = MedeaSystem(config)
         system.load_programs([make_program(r) for r in range(4)])
         cycles = system.run(max_cycles=2_000_000)
-        return cycles, list(system.injector.trace)
+        return cycles, system.events.of_kind(FAULT)
 
     first_cycles, first_trace = run_once()
     second_cycles, second_trace = run_once()

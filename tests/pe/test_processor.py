@@ -18,15 +18,11 @@ def solo(**overrides) -> SystemConfig:
 
 def timestamps(program_body):
     """Run a single-worker program and return its note timestamps."""
-    marks = {}
-
     def program(ctx):
         yield from program_body(ctx)
 
     system = run_programs(solo(), program)
-    for cycle, __, label in system.notes:
-        marks[label] = cycle
-    return marks
+    return system.events.marks(system.rank_to_node[0])
 
 
 def test_compute_occupies_exact_cycles():
@@ -212,7 +208,7 @@ def test_send_throughput_one_flit_per_cycle():
 
     config = SystemConfig(n_workers=2, cache_size_kb=2)
     system = run_programs(config, sender, receiver)
-    marks = {label: cycle for cycle, __, label in system.notes}
+    marks = system.events.marks(system.rank_to_node[0])
     duration = marks["t1"] - marks["t0"]
     assert 32 <= duration <= 48  # 1 flit/cycle + pipeline slack
 

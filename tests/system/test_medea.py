@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError, MemoryAccessError
+from repro.kernel.trace import EJECT
 from repro.mem.values import float_to_words
 from repro.system.config import SystemConfig
 from repro.system.medea import MPMMU_NODE, MedeaSystem
@@ -127,4 +128,7 @@ def test_trace_enabled_collects_ejections():
         yield ("uload", ctx.shared_base)
 
     system = run_programs(SystemConfig(n_workers=1, trace=True), program)
-    assert len(system.tracer.of_kind("eject")) > 0
+    assert len(system.events.of_kind(EJECT)) > 0
+    # Off by default: the fabric is never handed the log.
+    system = run_programs(SystemConfig(n_workers=1), program)
+    assert system.events.of_kind(EJECT) == []

@@ -7,7 +7,7 @@ elapsed cycles **bit-exactly**.  The rest covers the extractor on the
 isolated 8w allreduce workloads (tree / ring / hw must each name a
 bounding hop whose path telescopes to the measured latency), double-run
 determinism of the full report, and the schema validator the CI
-analyze-smoke job runs.
+observability-smoke job runs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.empi.collectives import ReduceOp, combine_cost, make_comm
+from repro.kernel.trace import CP_ENTER, CP_EXIT, CP_HOP, EventLog
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
 from repro.telemetry.attribution import (
@@ -102,7 +103,7 @@ def test_allreduce_critical_paths_telescope_and_name_a_hop(workload):
     the measured op latency exactly."""
     system, result = run_trace_workload(workload)
     assert result.validated
-    paths = critical_paths(system.notes)
+    paths = critical_paths(system.events, system.rank_to_node)
     assert len(paths) == 4  # one per benchmark repeat
     for path in paths:
         assert path["ranks"] == 8
@@ -144,7 +145,7 @@ def _tree_reduce_hops(blocking):
     ))
     system.load_programs([factory(r) for r in range(n_workers)])
     system.run(max_cycles=1_000_000)
-    (ranks,) = extract_ops(system.notes).values()
+    (ranks,) = extract_ops(system.events, system.rank_to_node).values()
     cost = combine_cost(system.context_for(0).cost, n_values, ReduceOp.SUM)
     return ranks, cost
 
@@ -174,19 +175,22 @@ def test_tree_reduce_hops_agree_between_blocking_and_nonblocking():
     }
 
 
+#: Two workers behind the MPMMU: rank r sits at node r + 1.
+RANK_TO_NODE = {0: 1, 1: 2}
+
+
 def test_extractor_on_a_synthetic_op():
-    """Hand-built notes: rank 1 starts late, receives from rank 0, ends
+    """Hand-built events: rank 1 starts late, receives from rank 0, ends
     last — the binding walk reaches rank 0's start (the global start, so
     no skew edge) through the snd->rcv transfer, telescoping to 60."""
-    notes = [
-        (100, 0, "cp+ op#1"),
-        (110, 1, "cp+ op#1"),
-        (120, 0, "cph op#1 snd 1"),
-        (150, 1, "cph op#1 rcv 0"),
-        (125, 0, "cp- op#1"),
-        (160, 1, "cp- op#1"),
-    ]
-    ops = extract_ops(notes)
+    log = EventLog()
+    log.emit(100, 1, CP_ENTER, "op#1")
+    log.emit(110, 2, CP_ENTER, "op#1")
+    log.emit(120, 1, CP_HOP, "op#1", ("snd", 1))
+    log.emit(150, 2, CP_HOP, "op#1", ("rcv", 0))
+    log.emit(125, 1, CP_EXIT, "op#1")
+    log.emit(160, 2, CP_EXIT, "op#1")
+    ops = extract_ops(log, RANK_TO_NODE)
     assert set(ops) == {"op#1"}
     path = critical_path("op#1", ops["op#1"])
     assert path["latency"] == 60
@@ -198,9 +202,11 @@ def test_extractor_on_a_synthetic_op():
 
 
 def test_extractor_ignores_incomplete_ops():
-    notes = [(10, 0, "cp+ op#1")]  # never exits
-    assert critical_paths(notes) == []
-    assert critical_path("op#1", extract_ops(notes)["op#1"]) is None
+    log = EventLog()
+    log.emit(10, 1, CP_ENTER, "op#1")  # never exits
+    assert critical_paths(log, RANK_TO_NODE) == []
+    ops = extract_ops(log, RANK_TO_NODE)
+    assert critical_path("op#1", ops["op#1"]) is None
 
 
 # -- double-run determinism ------------------------------------------------------

@@ -3,19 +3,26 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.empi.requests import (
-    NOTE_OVERLAP_ENTER,
-    NOTE_OVERLAP_EXIT,
-    NOTE_REQUEST_DONE,
-    NOTE_REQUEST_POST,
+    OverlapFold,
     mean_overlap_efficiency,
     overlap_stats,
 )
 from repro.kernel.stats import CounterSet, LatencyStat
+from repro.kernel.trace import (
+    MARK,
+    OVERLAP_ENTER,
+    OVERLAP_EXIT,
+    PHASE_ENTER,
+    REQUEST_DONE,
+    REQUEST_POST,
+    EventLog,
+)
 from repro.telemetry.registry import (
     MetricRegistry,
-    OverlapNoteCounters,
     TelemetrySampler,
     sampled_overlap_efficiency,
 )
@@ -108,52 +115,101 @@ def test_as_dict_round_trips_through_json_shapes():
     assert data["totals"] == {"t.k": 2}
 
 
-NOTES = [
-    (10, 0, f"{NOTE_REQUEST_POST} halo"),
-    (20, 0, NOTE_OVERLAP_ENTER),
-    (50, 0, NOTE_OVERLAP_EXIT),
-    (60, 0, f"{NOTE_REQUEST_DONE} halo"),
-    (15, 1, "solve_start"),  # foreign labels are ignored
-]
-
-
-def test_overlap_note_counters_match_the_batch_reduction():
-    """The incremental fold must agree with ``overlap_stats`` exactly."""
-    tracker = OverlapNoteCounters(list(NOTES), 2)
-    counts = tracker.values()
-    batch = overlap_stats(NOTES, 2)
-    assert counts["inflight_cycles"] == batch[0].inflight_cycles == 50
-    assert counts["overlap_region_cycles"] == 30
-    assert counts["coexist_cycles"] == batch[0].coexist_cycles == 30
-    assert counts["rank0.inflight_cycles"] == 50
-    assert "rank1.inflight_cycles" not in counts
+RANK_TO_NODE = {0: 1, 1: 2, 2: 3}
 
 
 def test_overlap_note_counters_fold_incrementally():
-    notes: list = []
-    tracker = OverlapNoteCounters(notes, 1)
-    assert tracker.values()["inflight_cycles"] == 0
-    notes.extend(NOTES[:2])  # post + overlap enter arrive
-    assert tracker.values()["inflight_cycles"] == 10
-    notes.extend(NOTES[2:4])  # exit + done arrive later
-    counts = tracker.values()
-    assert counts["inflight_cycles"] == 50
+    log = EventLog()
+    fold = OverlapFold(log, RANK_TO_NODE)
+    assert fold.values()["inflight_cycles"] == 0
+    log.emit(10, 1, REQUEST_POST, "halo")  # post + overlap enter arrive
+    log.emit(20, 1, OVERLAP_ENTER)
+    assert fold.values()["inflight_cycles"] == 10
+    log.emit(50, 1, OVERLAP_EXIT)  # exit + done arrive later
+    log.emit(60, 1, REQUEST_DONE, "halo")
+    counts = fold.values()
+    assert counts["inflight_cycles"] == counts["rank0.inflight_cycles"] == 50
+    assert counts["overlap_region_cycles"] == 30
     assert counts["coexist_cycles"] == 30
-    # Re-reading without new notes is a no-op.
-    assert tracker.values() == counts
+    assert "rank1.inflight_cycles" not in counts
+    # Re-reading without new events is a no-op.
+    assert fold.values() == counts
+
+
+#: One step of a random run: (rank, cycles since the previous event,
+#: what the rank tries to do).  An exit/done with nothing open is
+#: skipped when the log is built, so every sequence is well nested.
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(RANK_TO_NODE)),
+        st.integers(0, 40),
+        st.sampled_from([
+            REQUEST_POST, REQUEST_DONE, OVERLAP_ENTER, OVERLAP_EXIT,
+            MARK, PHASE_ENTER,
+        ]),
+    ),
+    max_size=60,
+)
+
+
+@given(steps=_STEPS, sample_at=st.sets(st.integers(0, 60)))
+def test_incremental_overlap_totals_equal_the_batch_fold(steps, sample_at):
+    """Sampling the fold at arbitrary points of a run never changes what
+    it adds up to: the per-rank totals equal the batch reduction of the
+    finished log, and the sampled delta series sums to the same
+    efficiency."""
+    log = EventLog()
+    fold = OverlapFold(log, RANK_TO_NODE)
+    registry = MetricRegistry()
+    registry.add_source("empi.overlap", fold.values)
+    open_depth = {(rank, kind): 0 for rank in RANK_TO_NODE
+                  for kind in (REQUEST_POST, OVERLAP_ENTER)}
+    closes = {REQUEST_DONE: REQUEST_POST, OVERLAP_EXIT: OVERLAP_ENTER}
+    cycle = 0
+    for index, (rank, gap, kind) in enumerate(steps):
+        cycle += gap
+        if kind in closes:
+            if not open_depth[rank, closes[kind]]:
+                continue
+            open_depth[rank, closes[kind]] -= 1
+        elif (rank, kind) in open_depth:
+            open_depth[rank, kind] += 1
+        log.emit(cycle, RANK_TO_NODE[rank], kind, "k")
+        if index in sample_at:
+            registry.sample(cycle)
+    registry.sample(cycle + 1)
+    batch = overlap_stats(log, RANK_TO_NODE)
+    assert fold.advance() == batch
+    totals = fold.values()
+    for name in ("inflight_cycles", "overlap_region_cycles", "coexist_cycles"):
+        assert totals[name] == sum(
+            getattr(entry, name) for entry in batch.values()
+        )
+        assert registry.total(f"empi.overlap.{name}") == totals[name]
+    assert sampled_overlap_efficiency(registry) == mean_overlap_efficiency(
+        batch
+    )
 
 
 def test_sampled_overlap_efficiency_sums_the_delta_series():
     registry = MetricRegistry()
-    tracker = OverlapNoteCounters(list(NOTES), 2)
-    registry.add_source("empi.overlap", tracker.values)
-    registry.sample(100)
-    # One rank active out of two: the aggregate cycle ratio equals the
-    # batch reduction's mean (idle ranks contribute to neither).
-    assert sampled_overlap_efficiency(registry) == pytest.approx(30 / 50)
-    assert mean_overlap_efficiency(overlap_stats(NOTES, 2)) == pytest.approx(
-        30 / 50
+    log = EventLog()
+    registry.add_source(
+        "empi.overlap", OverlapFold(log, RANK_TO_NODE).values
     )
+    log.emit(10, 1, REQUEST_POST, "halo")
+    log.emit(20, 1, OVERLAP_ENTER)
+    registry.sample(30)
+    log.emit(50, 1, OVERLAP_EXIT)
+    log.emit(60, 1, REQUEST_DONE, "halo")
+    log.emit(70, 2, MARK, "solve_start")  # other kinds are ignored
+    registry.sample(100)
+    # One rank active out of three: the aggregate is a cycle ratio, so
+    # idle ranks contribute to neither side of it.
+    assert registry.timeline("empi.overlap.inflight_cycles") == [
+        (30, 10), (100, 40)
+    ]
+    assert sampled_overlap_efficiency(registry) == pytest.approx(30 / 50)
 
 
 def test_sampled_overlap_efficiency_empty_registry_is_zero():

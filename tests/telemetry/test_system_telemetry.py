@@ -45,8 +45,6 @@ def test_telemetry_config_validation():
         SystemConfig(
             n_workers=2, telemetry=TelemetryConfig(sample_interval=0)
         ).validate()
-    with pytest.raises(ConfigError):
-        TelemetryConfig(event_limit=0).validate()
     TelemetryConfig().validate()  # defaults are fine
 
 
@@ -137,7 +135,7 @@ def test_sampled_overlap_matches_the_apps_own_number(tiny_run):
 def test_reference_overlap_efficiency_from_samples_alone():
     """The PR-3 acceptance point, reproduced from the sampled timeline:
     ~0.96 overlap efficiency on the 8w tree CG run, computed from
-    ``empi.overlap.*`` counter deltas with no access to the notes."""
+    ``empi.overlap.*`` counter deltas with no access to the event log."""
     system, result = run_trace_workload("cg-reference")
     sampled = sampled_overlap_efficiency(system.telemetry.registry)
     assert sampled == pytest.approx(result.overlap_efficiency, abs=1e-12)

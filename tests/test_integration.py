@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.jacobi.driver import JacobiParams, run_jacobi
+from repro.kernel.trace import EJECT
 from repro.noc.packet import PacketType
 from repro.system.config import SystemConfig
 from tests.conftest import run_programs
@@ -18,12 +19,12 @@ def test_write_protocol_sequence_matches_fig4a():
 
     system = run_programs(SystemConfig(n_workers=1, trace=True), program)
     ejections = [
-        event for event in system.tracer.of_kind("eject")
-        if event.fields["ptype"] == PacketType.SINGLE_WRITE.name
+        event for event in system.events.of_kind(EJECT)
+        if event.payload[0] == PacketType.SINGLE_WRITE.name
     ]
     # Four single-write flits cross the network: the request and the data
     # word toward the MPMMU, the grant and the final ack back.
-    nodes = [event.fields["node"] for event in ejections]
+    nodes = [event.tile for event in ejections]
     assert len(ejections) == 4
     assert nodes == [0, 1, 0, 1]  # MPMMU, core, MPMMU, core
 
@@ -35,11 +36,11 @@ def test_read_protocol_sequence_matches_fig4b():
 
     system = run_programs(SystemConfig(n_workers=1, trace=True), program)
     ejections = [
-        event for event in system.tracer.of_kind("eject")
-        if event.fields["ptype"] == PacketType.SINGLE_READ.name
+        event for event in system.events.of_kind(EJECT)
+        if event.payload[0] == PacketType.SINGLE_READ.name
     ]
     assert len(ejections) == 2
-    assert [e.fields["node"] for e in ejections] == [0, 1]
+    assert [e.tile for e in ejections] == [0, 1]
 
 
 def test_cache_miss_issues_block_read_of_four_words():
@@ -48,9 +49,9 @@ def test_cache_miss_issues_block_read_of_four_words():
 
     system = run_programs(SystemConfig(n_workers=1, trace=True), program)
     data_flits = [
-        event for event in system.tracer.of_kind("eject")
-        if event.fields["ptype"] == PacketType.BLOCK_READ.name
-        and event.fields["node"] != 0
+        event for event in system.events.of_kind(EJECT)
+        if event.payload[0] == PacketType.BLOCK_READ.name
+        and event.tile != 0
     ]
     assert len(data_flits) == 4  # one cache line = four words
 
@@ -111,8 +112,6 @@ def test_arbiter_priority_changes_message_latency():
     earlier than with memory high-priority.
     """
     def run_with_priority(priority: str) -> int:
-        arrival = {}
-
         def pusher(ctx):
             for line in range(4):
                 yield ctx.store(ctx.shared_base + 64 + 16 * line, line)
@@ -132,9 +131,7 @@ def test_arbiter_priority_changes_message_latency():
             arbiter_mode="dual_fifo", arbiter_high_priority=priority,
         )
         system = run_programs(config, pusher, puller)
-        for cycle, __, label in system.notes:
-            arrival[label] = cycle
-        return arrival["got_message"]
+        return system.events.marks(system.rank_to_node[1])["got_message"]
 
     assert run_with_priority("message") < run_with_priority("memory")
 
