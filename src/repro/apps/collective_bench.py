@@ -69,9 +69,11 @@ class CollectiveBenchResult:
 
 
 def _expected(params: CollectiveBenchParams, n_workers: int, repeat: int,
-              rank: int, groups: list[list[int]] | None = None):
-    """What ``rank`` must hold after one repetition of the collective.
+              groups: list[list[int]] | None = None) -> list:
+    """What each rank must hold after one repetition, indexed by rank.
 
+    The references are evaluated once per repetition, not once per rank:
+    every rank of a bcast or an allreduce holds the same vector.
     ``groups`` are the system's chiplet rank groups (None on flat
     topologies) — the ``hier`` allreduce's combine order depends on them.
     """
@@ -79,23 +81,19 @@ def _expected(params: CollectiveBenchParams, n_workers: int, repeat: int,
         [bench_value(r, repeat, i) for i in range(params.n_values)]
         for r in range(n_workers)
     ]
+    others = [None] * (n_workers - 1)
     collective = params.collective
     if collective == "bcast":
-        return contribs[0]
+        return [contribs[0]] * n_workers
     if collective == "reduce":
-        return (
-            reference_reduce(contribs, 0, "sum", params.algorithm)
-            if rank == 0 else None
-        )
+        return [reference_reduce(contribs, 0, "sum", params.algorithm)] + others
     if collective == "allreduce":
-        return reference_allreduce(
-            contribs, "sum", params.algorithm, groups=groups
-        )
+        return [
+            reference_allreduce(contribs, "sum", params.algorithm, groups=groups)
+        ] * n_workers
     if collective == "scatter":
-        return contribs[rank]
-    if rank == 0:  # gather
         return contribs
-    return None
+    return [contribs] + others  # gather
 
 
 def _make_program(params: CollectiveBenchParams, rank: int, n_workers: int,
@@ -173,10 +171,10 @@ def run_collective_bench(
     validated = True
     if params.validate:
         groups = system.rank_groups
-        for rank in range(n_workers):
-            for repeat in range(params.repeats):
-                expected = _expected(params, n_workers, repeat, rank, groups)
-                if results[rank][repeat] != expected:
+        for repeat in range(params.repeats):
+            expected = _expected(params, n_workers, repeat, groups)
+            for rank in range(n_workers):
+                if results[rank][repeat] != expected[rank]:
                     validated = False
     return CollectiveBenchResult(
         params=params,

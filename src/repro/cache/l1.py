@@ -102,8 +102,16 @@ class L1Cache:
                 return line
         return None
 
-    def lookup(self, addr: int, is_write: bool = False) -> CacheLine | None:
-        """Tag match with hit/miss accounting and LRU touch."""
+    def lookup(
+        self, addr: int, is_write: bool = False, count_miss: bool = True
+    ) -> CacheLine | None:
+        """Tag match with hit/miss accounting and LRU touch.
+
+        ``count_miss=False`` is for a core probing ahead of the clock: a
+        hit is complete (nothing else can touch the line first), a miss
+        is left unrecorded for the lookup made on the cycle the access
+        issues, which counts it once.
+        """
         line_index = addr // self.line_bytes
         set_index = line_index % self.n_sets
         tag = line_index // self.n_sets
@@ -115,8 +123,9 @@ class L1Cache:
                 key = "write_hits" if is_write else "read_hits"
                 counters[key] = counters.get(key, 0) + 1
                 return line
-        key = "write_misses" if is_write else "read_misses"
-        counters[key] = counters.get(key, 0) + 1
+        if count_miss:
+            key = "write_misses" if is_write else "read_misses"
+            counters[key] = counters.get(key, 0) + 1
         return None
 
     # -- data access (line must be present) ----------------------------------------

@@ -234,6 +234,7 @@ def reference_reduce(
     tree, so its reference here is the tree order.
     """
     algorithm = CollectiveAlgorithm.parse(algorithm).rooted().combine_order()
+    op = ReduceOp.parse(op)
     n = len(contributions)
     if algorithm is CollectiveAlgorithm.LINEAR:
         acc = list(contributions[0])
@@ -275,6 +276,7 @@ def reference_allreduce(
     single group, ``hier`` is exactly ``ring``.
     """
     algorithm = CollectiveAlgorithm.parse(algorithm)
+    op = ReduceOp.parse(op)
     if algorithm is CollectiveAlgorithm.HIER:
         if not groups:
             groups = [list(range(len(contributions)))]

@@ -7,7 +7,7 @@ registers the NoC fabric first, then the processing nodes, so ejected flits
 become visible to a node in the same cycle they leave the network, and
 injected flits enter the network on the following cycle).
 
-Three exact optimizations keep Python wall-clock time proportional to the
+Four exact optimizations keep Python wall-clock time proportional to the
 number of *events* rather than the number of *cycles* or *components*:
 
 * components de-activate themselves when blocked and are re-activated
@@ -18,7 +18,16 @@ number of *events* rather than the number of *cycles* or *components*:
 * a cycle only visits the *active* components: the kernel maintains an
   explicit active set (a swap-remove array updated by ``wake``/``sleep``)
   and steps it through a per-cycle min-heap of registration orders, so a
-  cycle costs O(active log active) rather than O(registered).
+  cycle costs O(active log active) rather than O(registered);
+* a component may *run ahead* of the clock over work nothing outside it
+  can see or disturb (a core's L1 hits, FP ops and scratchpad accesses:
+  private state under software coherence), applying the effects at once
+  and sleeping until the first cycle it touches anything shared.  It may
+  run ahead only to :attr:`Simulator.horizon`, the first cycle at which
+  something outside a component may look at it — the run's deadline, the
+  current cycle when ``until`` is polled every cycle, the cycle after
+  the next :meth:`Simulator.observe_at` sample — so every observer sees
+  exactly the state the cycle-by-cycle schedule would have shown it.
 
 Active-set invariants (relied on for cycle-exactness):
 
@@ -37,10 +46,14 @@ Active-set invariants (relied on for cycle-exactness):
 from __future__ import annotations
 
 import heapq
+import sys
 from collections.abc import Callable
 
 from repro.errors import DeadlockError, SimulationError
 from repro.kernel.component import Component
+
+#: A cycle no run reaches: "no deadline", "no observer".
+_NEVER = sys.maxsize
 
 
 class Simulator:
@@ -58,6 +71,16 @@ class Simulator:
         #: outside the step loop.  Mid-cycle wakes compare against it.
         self._stepping_order = -1
         self._agenda: list[int] = []
+        #: First cycle at which anything outside a component may look at
+        #: it; a component may apply private effects early only for
+        #: cycles before it.  0 outside :meth:`run`: stepping a component
+        #: by hand never runs ahead.
+        self.horizon = 0
+        #: The two bounds ``horizon`` is the minimum of: where this
+        #: ``run`` stops looking away, and the cycle after the next
+        #: declared observation.
+        self._run_horizon = 0
+        self._observed_horizon = _NEVER
 
     # -- registration -------------------------------------------------------
 
@@ -111,6 +134,17 @@ class Simulator:
         self._wakeup_seq += 1
         heapq.heappush(self._wakeups, (cycle, self._wakeup_seq, component))
 
+    def observe_at(self, cycle: int) -> None:
+        """Declare that component state will next be read at ``cycle``.
+
+        For a reader that is itself a component registered after the
+        ones it reads (the telemetry sampler): it sees ``cycle``'s final
+        state, so nothing may run ahead past ``cycle``.  One reader at a
+        time: each call replaces the previous declaration.
+        """
+        self._observed_horizon = cycle + 1
+        self.horizon = min(self._run_horizon, self._observed_horizon)
+
     # -- main loop -----------------------------------------------------------
 
     def run(
@@ -130,13 +164,19 @@ class Simulator:
         stop conditions that can only become true when every component is
         asleep (e.g. "all programs drained"): ``until`` is then consulted
         only on cycles where the active set is empty, instead of every
-        cycle.
+        cycle.  Without it ``until`` may read any component on any cycle,
+        so :attr:`horizon` follows the clock and nothing runs ahead: that
+        schedule is the cycle-by-cycle reference the run-ahead one is
+        tested against.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         start = self.cycle
         deadline = None if max_cycles is None else start + max_cycles
+        every_cycle = until is not None and not until_idle
+        self._run_horizon = _NEVER if deadline is None else deadline
+        self.horizon = min(self._run_horizon, self._observed_horizon)
         wakeups = self._wakeups
         components = self._components
         active = self._active
@@ -146,7 +186,7 @@ class Simulator:
         try:
             while True:
                 if active:
-                    if until is not None and not until_idle and until():
+                    if every_cycle and until():
                         break
                 else:
                     if until is not None and until():
@@ -165,13 +205,16 @@ class Simulator:
                             break
                         raise DeadlockError(self._deadlock_report())
                     target = wakeups[0][0]
-                    if deadline is not None and target > deadline:
+                    if deadline is not None and target >= deadline:
+                        # Cycle ``deadline`` itself is never stepped.
                         self.cycle = deadline
                         continue
                     if target > self.cycle:
                         self.cycle = target
                 # Release due wakeups.
                 now = self.cycle
+                if every_cycle:
+                    self._run_horizon = self.horizon = now
                 while wakeups and wakeups[0][0] <= now:
                     __, __, comp = heappop(wakeups)
                     comp.wake()
@@ -199,6 +242,7 @@ class Simulator:
             del agenda[:]
             self._stepping_order = -1
             self._running = False
+            self._run_horizon = self.horizon = 0
         return self.cycle - start
 
     # -- diagnostics ----------------------------------------------------------

@@ -173,6 +173,8 @@ class NocFabric(Component):
         self.regs: list[list[Flit | None]] = [
             [None] * n_ports for _ in range(n)
         ]
+        #: What a register row is reset to once its switch has routed.
+        self._idle_row: list[None] = [None] * n_ports
         # Non-uniform links (latency > 1 or serialization > 1, the
         # inter-chiplet case) deliver through a timestamped heap instead
         # of the commit phase: (due_cycle, seq, node, in_port, flit).
@@ -289,6 +291,9 @@ class NocFabric(Component):
         wire_free = self._wire_free
         n_ports = self._n_ports
         port_range = range(n_ports)
+        idle_row = self._idle_row
+        n_nodes = topo.n_nodes
+        productive_table = topo.productive_table
         eject_capacity = self.eject_capacity
         scratch = self._scratch
         faults = self.faults
@@ -327,45 +332,72 @@ class NocFabric(Component):
                 # A stalled injection is simply re-stamped next cycle.
                 inject.injected_at = cycle
 
-            # The register row is handed to the router as-is (it skips
-            # idle links); clear it only after routing has read it.
-            outcome = route_node(
-                node, row, inject, topo, eject_capacity, out=scratch,
-                port_mask=faults.out_mask(node) if masks_active else -1,
-                productive=(
-                    faults.productive_override if masks_active else None
-                ),
-            )
-            for index in port_range:
-                row[index] = None
-            for flit in outcome.ejected:
-                flits_ejected += 1
-                flit_hops += flit.hops
-                self._eject(port, flit, cycle)
-            if outcome.flit_copies:
-                # Multicast replication grew the in-network population.
-                self._flit_count += outcome.flit_copies
-                self.stats.inc("mcast_copies", outcome.flit_copies)
-            if inject is not None:
-                if outcome.injected:
-                    inject.injected_at = cycle
-                    port.inject.pending = None
-                    port.inject.injected += 1
-                    flits_injected += 1
-                else:
-                    port.inject.stalled_cycles += 1
-                    injection_stalls += 1
-                    work.add(node)  # the slot retries next cycle
-            deflections += outcome.deflections
-            if spatial is not None and outcome.deflections:
-                spatial.switch_deflections[node] += outcome.deflections
-            eject_overflows += outcome.eject_overflow
-            outputs = outcome.outputs
+            # Lone-flit bypass: a switch whose only occupant is one
+            # unicast transit flit has nothing to arbitrate — the flit
+            # ejects here or leaves on its first productive port, which
+            # is what route_node computes when nobody contends.  The
+            # scan gives up at the first multicast flit, so all-multicast
+            # traffic pays one test for it.
+            lone = None
+            if inject is None and faults is None:
+                for flit in row:
+                    if flit is not None:
+                        if lone is not None or flit.dst < 0:
+                            lone = None
+                            break
+                        lone = flit
+            if lone is not None:
+                row[:] = idle_row
+                if lone.dst == node:
+                    flits_ejected += 1
+                    flit_hops += lone.hops
+                    self._eject(port, lone, cycle)
+                    continue
+                outputs = scratch.outputs
+                outputs[productive_table[node * n_nodes + lone.dst][0]] = lone
+            else:
+                # The register row is handed to the router as-is (it
+                # skips idle links); clear it only after routing has
+                # read it.
+                outcome = route_node(
+                    node, row, inject, topo, eject_capacity, out=scratch,
+                    port_mask=faults.out_mask(node) if masks_active else -1,
+                    productive=(
+                        faults.productive_override if masks_active else None
+                    ),
+                )
+                row[:] = idle_row
+                for flit in outcome.ejected:
+                    flits_ejected += 1
+                    flit_hops += flit.hops
+                    self._eject(port, flit, cycle)
+                if outcome.flit_copies:
+                    # Multicast replication grew the in-network population.
+                    self._flit_count += outcome.flit_copies
+                    self.stats.inc("mcast_copies", outcome.flit_copies)
+                if inject is not None:
+                    if outcome.injected:
+                        inject.injected_at = cycle
+                        port.inject.pending = None
+                        port.inject.injected += 1
+                        flits_injected += 1
+                    else:
+                        port.inject.stalled_cycles += 1
+                        injection_stalls += 1
+                        work.add(node)  # the slot retries next cycle
+                deflections += outcome.deflections
+                if spatial is not None and outcome.deflections:
+                    spatial.switch_deflections[node] += outcome.deflections
+                eject_overflows += outcome.eject_overflow
+                outputs = outcome.outputs
+            # Forward stage, shared by both paths: every placed flit
+            # crosses its link (and is taken off the scratch outputs).
             neighbor_row = neighbor_table[node]
             reverse_row = reverse_table[node]
             for direction in port_range:
                 flit = outputs[direction]
                 if flit is not None:
+                    outputs[direction] = None
                     if faults is not None and not faults.on_link(
                         node, direction, flit, cycle
                     ):

@@ -23,6 +23,17 @@ Intra-cycle phase order (one ``step`` = one clock):
 
 The node sleeps whenever nothing above can make progress and is woken by
 flit arrival, a scheduled compute/backoff expiry, or job completion.
+
+Phase 5 does not visit the core once per *core-local* op.  The L1 and the
+scratchpad are private to the tile under software flush/invalidate
+coherence (no snoops), so a run of ``compute`` ops, L1 hits and
+scratchpad accesses can be neither seen nor disturbed from outside: the
+interpreter applies the whole run in one visit on a virtual cycle of its
+own and parks the first op that leaves the core (a miss, a write-through
+store, any TIE/DMA/bridge/lock/flush/fence op, a ``note``, the program's
+end) for its exact issue cycle — bounded by the kernel's
+:attr:`~repro.kernel.simulator.Simulator.horizon`, so anything that reads
+a tile from outside sees the cycle-by-cycle state.
 """
 
 from __future__ import annotations
@@ -69,6 +80,10 @@ class CoreState(enum.Enum):
 #: f-strings on the per-cycle path.
 _CYCLES_KEY = {state: f"cycles_{state.value}" for state in CoreState}
 _OPS_TAG_KEY = {tag: f"ops_{tag}" for tag in ("uload", "lock", "unlock")}
+
+#: What the interpreter executes when the program generator is exhausted;
+#: matched by identity, so no program can yield it.
+_PROGRAM_END = ("end",)
 
 
 class _Job:
@@ -126,7 +141,6 @@ class ProcessorNode(Component):
         #: Reliability agent (fault plan active only): NACK/probe timers.
         self.reliability = reliability
 
-        self._program: Generator | None = None
         self.state = CoreState.DONE
         self._state_since = 0
         self._ready_at = 0
@@ -143,6 +157,14 @@ class ProcessorNode(Component):
         # attribute chains or property calls.
         self._rx_items = ports.eject.queue._items
         self._credit_items = tie.pending_credits._items
+        # The same for the interpreter's core-local arms, which run once
+        # per op rather than once per step.
+        self._check_access = memory_map.check_access
+        self._cache_lookup = cache.lookup
+        self._line_bytes = cache.line_bytes
+        self._write_back = cache.policy is WritePolicy.WRITE_BACK
+        #: ``send`` of the loaded program generator (None: none loaded).
+        self._program_send: typing.Callable | None = None
         # Hot op counters, batched as plain ints and flushed into the
         # CounterSet whenever the node sleeps (see flush_op_stats).
         self._n_compute = 0
@@ -162,12 +184,12 @@ class ProcessorNode(Component):
 
     def load_program(self, program: Generator) -> None:
         """Install a fresh program generator and make the core runnable."""
-        if self._program is not None and self.state is not CoreState.DONE:
+        if self._program_send is not None and self.state is not CoreState.DONE:
             raise ProgramError(f"{self.name}: program already running")
         if not hasattr(program, "send"):
             # Accept any iterable of ops (ops that need no results).
             program = (op for op in program)
-        self._program = program
+        self._program_send = program.send
         self.state = CoreState.RUNNING
         self._send_value = None
         self._pending_op = None
@@ -341,41 +363,75 @@ class ProcessorNode(Component):
     # -- the operation interpreter ----------------------------------------------------
 
     def _execute(self, cycle: int) -> None:
+        # ``now`` is the core's own clock: it runs ahead of ``cycle`` over
+        # core-local ops (module docstring), up to the kernel's horizon.
+        # The first op that is not core-local is parked for its exact
+        # issue cycle, and the tile waits for it as for a long compute.
+        now = cycle
+        # A reliability agent arms its timers on whichever cycles the
+        # tile is stepped, so such a tile keeps the per-cycle schedule.
+        horizon = cycle if self.reliability is not None else self.sim.horizon
         while True:
             op = self._pending_op
             if op is None:
-                op = self._next_op(cycle)
-                if op is None:
-                    return
+                try:
+                    op = self._program_send(self._send_value)
+                except StopIteration:
+                    op = _PROGRAM_END
+                self._send_value = None
             else:
                 self._pending_op = None
             self._last_op = op
             code = op[0]
+            cost = 0
             if code == "compute":
-                cycles = op[1]
-                if cycles <= 0:
+                cost = op[1]
+                if cost <= 0:
                     continue
-                self._ready_at = cycle + cycles
                 self._n_compute += 1
-                self._n_compute_cycles += cycles
-                return
-            if code == "load":
-                if self._op_load(cycle, op[1]):
-                    return
-                continue
-            if code == "store":
-                if self._op_store(cycle, op):
-                    return
-                continue
-            if code == "lmem_read":
+                self._n_compute_cycles += cost
+            elif code == "load":
+                addr = op[1]
+                self._check_access(self.rank, addr)
+                # A miss found ahead of the clock is counted when it issues.
+                line = self._cache_lookup(addr, False, now == cycle)
+                if line is not None:
+                    self._send_value = line.words[(addr % self._line_bytes) >> 2]
+                    self._n_load_hit += 1
+                    cost = 1
+            elif code == "store":
+                if self._write_back:
+                    addr = op[1]
+                    self._check_access(self.rank, addr)
+                    line = self._cache_lookup(addr, True, now == cycle)
+                    if line is not None:
+                        line.words[(addr % self._line_bytes) >> 2] = op[2]
+                        line.dirty = True
+                        self._n_store_hit += 1
+                        cost = 1
+            elif code == "lmem_read":
                 self._send_value = self.scratchpad.read_word(op[1])
-                self._ready_at = cycle + Scratchpad.ACCESS_CYCLES
                 self._n_lmem += 1
-                return
-            if code == "lmem_write":
+                cost = Scratchpad.ACCESS_CYCLES
+            elif code == "lmem_write":
                 self.scratchpad.write_word(op[1], op[2])
-                self._ready_at = cycle + Scratchpad.ACCESS_CYCLES
                 self._n_lmem += 1
+                cost = Scratchpad.ACCESS_CYCLES
+            if cost:
+                now += cost
+                if now < horizon:
+                    continue
+                break
+            if now > cycle:
+                self._pending_op = op
+                break
+            # From here on: ops that leave the core, on their issue cycle.
+            if code == "load":  # a miss: the hits were taken above
+                self._n_load_miss += 1
+                self._start_refill(op[1], cycle, op)
+                return
+            if code == "store":
+                self._op_store(cycle, op)
                 return
             if code == "send":
                 if self._tx_port_contended():
@@ -507,9 +563,8 @@ class ProcessorNode(Component):
                     self._change_state(CoreState.WAIT_WB, cycle)
                 return
             if code == "flush":
-                if self._op_flush(cycle, op):
-                    return
-                continue
+                self._op_flush(cycle, op)
+                return
             if code == "inval":
                 self.cache.invalidate_line(op[1])
                 self._ready_at = cycle + 1
@@ -539,7 +594,11 @@ class ProcessorNode(Component):
                 else:
                     self.events.emit(cycle, self.node_id, op[1], op[2], op[3])
                 continue
+            if op is _PROGRAM_END:
+                self._change_state(CoreState.DONE, cycle)
+                return
             raise ProgramError(f"{self.name}: unknown operation {op!r}")
+        self._ready_at = now
 
     def _tx_port_contended(self) -> bool:
         """True when a queued DMA descriptor currently owns the TIE TX.
@@ -557,59 +616,30 @@ class ProcessorNode(Component):
             )
         return self.dma
 
-    def _next_op(self, cycle: int) -> tuple | None:
-        assert self._program is not None
-        try:
-            op = self._program.send(self._send_value)
-        except StopIteration:
-            self._change_state(CoreState.DONE, cycle)
-            return None
-        self._send_value = None
-        return op
-
     # -- memory operations ---------------------------------------------------------------
 
     def _check(self, addr: int) -> int:
         self.map.check_access(self.rank, addr)
         return addr
 
-    def _op_load(self, cycle: int, addr: int) -> bool:
-        """Returns True when the core must stop executing this cycle."""
-        self.map.check_access(self.rank, addr)
-        line = self.cache.lookup(addr)
-        if line is not None:
-            self._send_value = line.words[(addr % self.cache.line_bytes) >> 2]
-            self._ready_at = cycle + 1
-            self._n_load_hit += 1
-            return True
-        self._n_load_miss += 1
-        self._start_refill(addr, cycle, ("load", addr))
-        return True
-
-    def _op_store(self, cycle: int, op: tuple) -> bool:
+    def _op_store(self, cycle: int, op: tuple) -> None:
+        """A store that leaves the core (``_execute`` takes write-back hits)."""
         __, addr, value = op
+        if self._write_back:
+            # A miss: write-allocate.
+            self._n_store_miss += 1
+            self._start_refill(addr, cycle, ("store_fill", addr, value))
+            return
         self.map.check_access(self.rank, addr)
-        if self.cache.policy is WritePolicy.WRITE_THROUGH:
-            line = self.cache.lookup(addr, is_write=True)
-            if not self._post_write(addr, [value], PacketType.SINGLE_WRITE, op):
-                self._change_state(CoreState.WAIT_WB, cycle)
-                return True
-            if line is not None:
-                # Keep the cached copy coherent with memory; stays clean.
-                self.cache.write_word(addr, value, mark_dirty=False)
-            self._ready_at = cycle + 1
-            self._n_store_wt += 1
-            return True
-        # Write-back: write-allocate on miss.
         line = self.cache.lookup(addr, is_write=True)
+        if not self._post_write(addr, [value], PacketType.SINGLE_WRITE, op):
+            self._change_state(CoreState.WAIT_WB, cycle)
+            return
         if line is not None:
-            self.cache.write_word(addr, value, mark_dirty=True)
-            self._ready_at = cycle + 1
-            self._n_store_hit += 1
-            return True
-        self._n_store_miss += 1
-        self._start_refill(addr, cycle, ("store_fill", addr, value))
-        return True
+            # Keep the cached copy coherent with memory; stays clean.
+            self.cache.write_word(addr, value, mark_dirty=False)
+        self._ready_at = cycle + 1
+        self._n_store_wt += 1
 
     def _start_refill(self, addr: int, cycle: int, continuation: tuple) -> None:
         line_addr = self.cache.line_addr(addr)
@@ -648,13 +678,13 @@ class ProcessorNode(Component):
         )
         return True
 
-    def _op_flush(self, cycle: int, op: tuple) -> bool:
+    def _op_flush(self, cycle: int, op: tuple) -> None:
         addr = op[1]
         result = self.cache.writeback_line(addr)
         if result is None:
             self._ready_at = cycle + 1
             self.stats.inc("ops_flush_clean")
-            return True
+            return
         line_addr, words = result
         if not self._post_write(line_addr, words, PacketType.BLOCK_WRITE, op):
             # Roll the dirty bit back: the flush never happened this cycle.
@@ -662,10 +692,9 @@ class ProcessorNode(Component):
             assert line is not None
             line.dirty = True
             self._change_state(CoreState.WAIT_WB, cycle)
-            return True
+            return
         self._ready_at = cycle + 1
         self.stats.inc("ops_flush_dirty")
-        return True
 
     def _op_recv(self, cycle: int, src_node: int, n_words: int,
                  from_mcast: bool = False) -> None:

@@ -48,6 +48,21 @@ op tuple               effect                                      result
 
 The helpers below compose these into doubles, row transfers, range
 flush/invalidate, etc., so application code reads like the C it stands for.
+
+**Only ops carry a cycle.**  Each op executes on its exact simulated
+cycle, and anything it can observe or change outside the core (memory,
+messages, locks, the event log) does so on that cycle.  The Python
+between two yields has no cycle of its own: it runs whenever the core
+reaches it, which may be *earlier* in host time than its simulated
+cycle, because a core runs ahead of the clock over ops nothing outside
+it can see (``compute``, L1 hits, scratchpad accesses) and only then
+waits for the cycle of the next op that leaves the core.  So two
+programs must not communicate through shared Python state (a list both
+append to, a flag one sets and the other reads): the order of such side
+effects across tiles is host order, not simulated order.  To order
+things on simulated time, yield an op — ``ctx.note(label)`` stamps the
+cycle it executes on.  For the same reason an exception raised between
+yields, or by an op's own checks, surfaces when the core reaches it.
 """
 
 from __future__ import annotations

@@ -165,13 +165,22 @@ class TelemetrySampler(Component):
 
     Registered last so its snapshots see each cycle's final state; its
     step only reads (and flushes batched counters), so cycle counts stay
-    bit-identical with the sampler present.
+    bit-identical with the sampler present.  Each sample cycle is
+    declared to the kernel beforehand (``Simulator.observe_at``), so no
+    component has run ahead of the clock when its counters are read.
     """
 
     def __init__(self, registry: MetricRegistry) -> None:
         super().__init__("telemetry")
         self.registry = registry
 
+    def attach(self, sim) -> None:
+        super().attach(sim)
+        # The first sample may be taken on any cycle from now on.
+        sim.observe_at(sim.cycle)
+
     def step(self, cycle: int) -> None:
         self.registry.sample(cycle)
-        self.sleep(until=cycle + self.registry.sample_interval)
+        due = cycle + self.registry.sample_interval
+        self.sim.observe_at(due)
+        self.sleep(until=due)

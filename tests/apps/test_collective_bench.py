@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps import collective_bench
 from repro.apps.collective_bench import (
     COLLECTIVES,
     CollectiveBenchParams,
+    bench_value,
     run_collective_bench,
 )
 from repro.errors import ConfigError
@@ -64,3 +66,53 @@ def test_params_validation():
         CollectiveBenchParams(n_values=0)
     with pytest.raises(ConfigError):
         CollectiveBenchParams(repeats=0)
+
+
+def test_validation_evaluates_the_reference_once_per_repeat(monkeypatch):
+    calls = []
+    reference = collective_bench.reference_allreduce
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return reference(*args, **kwargs)
+
+    monkeypatch.setattr(collective_bench, "reference_allreduce", counting)
+    result = run_collective_bench(
+        config_for(4), CollectiveBenchParams(collective="allreduce", repeats=3)
+    )
+    assert result.validated
+    assert len(calls) == 3
+
+
+def test_validation_fails_when_one_rank_of_one_repeat_is_wrong(monkeypatch):
+    expected = collective_bench._expected
+
+    def one_wrong(params, n_workers, repeat, groups=None):
+        vectors = expected(params, n_workers, repeat, groups)
+        if repeat == 1:
+            vectors[2] = [0.0] * params.n_values
+        return vectors
+
+    monkeypatch.setattr(collective_bench, "_expected", one_wrong)
+    result = run_collective_bench(
+        config_for(3), CollectiveBenchParams(collective="bcast", repeats=2)
+    )
+    assert not result.validated
+
+
+def test_expected_vectors_are_indexed_by_rank():
+    def vector(rank):
+        return [bench_value(rank, 0, 0), bench_value(rank, 0, 1)]
+
+    def expected(collective):
+        params = CollectiveBenchParams(collective=collective, n_values=2)
+        return collective_bench._expected(params, 3, 0)
+
+    everyone = [vector(0), vector(1), vector(2)]
+    assert expected("bcast") == [vector(0)] * 3
+    assert expected("scatter") == everyone
+    assert expected("gather") == [everyone, None, None]
+    at_root, *others = expected("reduce")
+    assert others == [None, None]
+    assert at_root == collective_bench.reference_reduce(everyone, 0, "sum")
+    assert expected("allreduce") == [at_root] * 3

@@ -237,3 +237,70 @@ def test_empty_simulator_run_is_a_noop():
     sim = Simulator()
     assert sim.run(max_cycles=100) == 0
     assert sim.cycle == 0
+
+
+# -- horizon: how far a component may run ahead of the clock -----------------
+
+
+class HorizonProbe(Component):
+    """Records ``(cycle, sim.horizon)`` on every step."""
+
+    def __init__(self) -> None:
+        super().__init__("probe")
+        self.seen: list[tuple[int, int]] = []
+        self.active = True
+
+    def step(self, cycle: int) -> None:
+        self.seen.append((cycle, self.sim.horizon))
+
+
+def test_horizon_is_the_deadline_and_zero_outside_run():
+    sim = Simulator()
+    probe = sim.register(HorizonProbe())
+    assert sim.horizon == 0
+    sim.run(max_cycles=3)
+    assert probe.seen == [(0, 3), (1, 3), (2, 3)]
+    assert sim.horizon == 0
+    sim.run(max_cycles=2)  # a deadline is relative to the run's start
+    assert probe.seen[3:] == [(3, 5), (4, 5)]
+
+
+def test_horizon_follows_the_clock_when_until_is_polled_every_cycle():
+    sim = Simulator()
+    probe = sim.register(HorizonProbe())
+    sim.run(until=lambda: sim.cycle == 3)
+    assert probe.seen == [(0, 0), (1, 1), (2, 2)]
+
+
+def test_horizon_is_the_deadline_when_until_is_polled_only_when_idle():
+    sim = Simulator()
+    probe = sim.register(HorizonProbe())
+    with pytest.raises(SimulationError):
+        sim.run(max_cycles=2, until=lambda: False, until_idle=True)
+    assert probe.seen == [(0, 2), (1, 2)]
+
+
+def test_horizon_stops_after_the_declared_observation():
+    sim = Simulator()
+    probe = sim.register(HorizonProbe())
+    sim.observe_at(1)  # cycle 1's final state will be read
+    sim.run(max_cycles=1)
+    assert probe.seen == [(0, 1)]  # the nearer bound wins
+    sim.run(max_cycles=4)
+    # An observation nobody renewed keeps holding the horizon back.
+    assert probe.seen[1:] == [(1, 2), (2, 2), (3, 2), (4, 2)]
+    sim.observe_at(9)
+    sim.run(max_cycles=2)
+    assert probe.seen[5:] == [(5, 7), (6, 7)]
+
+
+def test_the_deadline_cycle_is_never_stepped():
+    """A wakeup landing exactly on the deadline waits for the next run."""
+    sim = Simulator()
+    comp = Sleeper("s", gap=5, repeats=3)
+    sim.register(comp)
+    assert sim.run(max_cycles=5) == 5
+    assert comp.seen == [0]
+    assert sim.cycle == 5
+    sim.run(max_cycles=6)
+    assert comp.seen == [0, 5, 10]

@@ -7,16 +7,30 @@ method.  The optimized ``route_node`` (bitmasks, skipped sorts, scratch
 reuse) must produce identical outcomes flit-for-flit over randomized
 configurations on both torus and mesh topologies — including the mutation
 of per-flit deflection counters.
+
+The fabric skips ``route_node`` altogether for a switch holding a single
+unicast transit flit (the lone-flit bypass in ``NocFabric.step``); the
+last tests check that shortcut against ``route_node`` for every (switch,
+input link, destination) of a mesh, a torus and a chiplet package — hub
+and gateway switches with their slow links included.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
+from repro.kernel.simulator import Simulator
 from repro.noc.flit import Flit
+from repro.noc.network import NocFabric
 from repro.noc.packet import PacketType
 from repro.noc.switch import RoutingOutcome, route_node
-from repro.noc.topology import FoldedTorusTopology, MeshTopology
+from repro.noc.topology import (
+    ChipletTopology,
+    FoldedTorusTopology,
+    MeshTopology,
+)
 
 
 def _reference_route_node(node, inputs, inject, topology, eject_capacity=1):
@@ -184,3 +198,132 @@ def test_scratch_reuse_is_equivalent_to_fresh_outcomes():
         )
         assert reused.deflections == fresh.deflections
         assert reused.eject_overflow == fresh.eject_overflow
+
+
+# -- the fabric's lone-flit bypass against route_node -------------------------
+
+
+def _step_fabric(topology, node, latched, cycle, inject=None, spatial=False):
+    """One fabric step with ``latched`` (``{in_port: flit}``) in ``node``'s
+    input registers, ``inject`` in its injection slot, nothing elsewhere."""
+    fabric = NocFabric(topology)
+    if spatial:
+        fabric.enable_spatial()
+    Simulator().register(fabric)
+    for in_port, flit in latched.items():
+        fabric.regs[node][in_port] = flit
+    fabric._work.add(node)
+    fabric._flit_count = len(latched)
+    if inject is not None:
+        assert fabric.ports[node].inject.try_inject(inject)
+    fabric.step(cycle)
+    return fabric
+
+
+def _step_lone_flit(topology, node, in_port, flit, cycle, spatial=False):
+    return _step_fabric(topology, node, {in_port: flit}, cycle, spatial=spatial)
+
+
+@pytest.mark.parametrize("topology", [
+    MeshTopology(4, 3),
+    FoldedTorusTopology(3, 3),
+    ChipletTopology(3, 2, 2, link_latency=4, link_serialization=2),
+], ids=lambda topology: topology.kind)
+def test_lone_flit_bypass_matches_route_node_everywhere(topology):
+    cycle = 9
+    for node in range(topology.n_nodes):
+        for in_port in topology.ports_of(node):
+            for dst in range(topology.n_nodes):
+                flit = Flit(dst=dst, src=(dst + 1) % topology.n_nodes,
+                            ptype=PacketType.MESSAGE, injected_at=3, hops=2)
+                twin = _clone(flit)
+                expected = route_node(node, [twin], None, topology)
+                fabric = _step_lone_flit(topology, node, in_port, flit, cycle)
+                case = f"node {node} in_port {in_port} dst {dst}"
+                stats = fabric.stats
+                assert fabric.regs[node][in_port] is None, case
+                assert flit.deflections == twin.deflections == 0, case
+                assert stats["deflections"] == expected.deflections == 0, case
+                queue = fabric.ports[node].eject.queue
+                if expected.ejected:
+                    assert dst == node, case
+                    assert queue.pop() is flit and queue.empty, case
+                    assert flit.hops == 2, case
+                    assert stats["flits_ejected"] == 1, case
+                    assert stats["flit_hops"] == 2, case
+                    assert fabric.latency.count == 1, case
+                    assert fabric.latency.total == cycle - 3 + 1, case
+                    assert fabric.flits_in_network == 0, case
+                    assert not fabric.active, case
+                    continue
+                (direction,) = [
+                    port for port, out in enumerate(expected.outputs)
+                    if out is not None
+                ]
+                neighbor = topology.neighbor_table[node][direction]
+                arrives_on = topology.reverse_port_table[node][direction]
+                latency = topology.link_latency_table[node][direction]
+                ser = topology.link_ser_table[node][direction]
+                assert queue.empty and stats["flits_ejected"] == 0, case
+                assert flit.hops == 3, case
+                assert fabric.flits_in_network == 1, case
+                if latency == 1 and ser == 1:
+                    assert fabric.regs[neighbor][arrives_on] is flit, case
+                    assert not fabric._delayed, case
+                    assert fabric._work == {neighbor}, case
+                else:
+                    ((due, __, to_node, to_port, moved),) = fabric._delayed
+                    assert (due, to_node, to_port) == (
+                        cycle + latency, neighbor, arrives_on
+                    ), case
+                    assert moved is flit, case
+                    wire = node * topology.max_ports + direction
+                    assert fabric._wire_free[wire] == cycle + ser, case
+
+
+def test_lone_flit_bypass_keeps_the_spatial_view():
+    topology = MeshTopology(3, 3)
+    flit = Flit(dst=8, src=0, ptype=PacketType.MESSAGE, injected_at=0)
+    fabric = _step_lone_flit(topology, 4, topology.ports_of(4)[0], flit, 2,
+                             spatial=True)
+    (neighbor,) = fabric._work
+    transits = fabric._spatial.link_transits[neighbor]
+    assert sum(transits) == 1
+    home = Flit(dst=4, src=0, ptype=PacketType.MESSAGE, injected_at=0)
+    fabric = _step_lone_flit(topology, 4, topology.ports_of(4)[0], home, 2,
+                             spatial=True)
+    assert fabric._spatial.node_ejects[4] == 1
+
+
+def test_multicast_or_contended_switches_still_take_the_router(monkeypatch):
+    """The bypass is for one unicast transit flit and nothing else."""
+    import repro.noc.network as network
+
+    routed = []
+
+    def spy(node, inputs, inject, *args, **kwargs):
+        routed.append(node)
+        return route_node(node, inputs, inject, *args, **kwargs)
+
+    monkeypatch.setattr(network, "route_node", spy)
+    topology = MeshTopology(3, 3)
+    ports = topology.ports_of(4)
+
+    lone = Flit(dst=8, src=0, ptype=PacketType.MESSAGE, injected_at=0)
+    _step_lone_flit(topology, 4, ports[0], lone, 1)
+    assert routed == []
+
+    mcast = Flit(dst=-1, src=0, ptype=PacketType.MULTICAST, dst_mask=1 << 8,
+                 injected_at=0)
+    _step_lone_flit(topology, 4, ports[0], mcast, 1)
+    assert routed == [4]
+
+    def unicast():
+        return Flit(dst=8, src=0, ptype=PacketType.MESSAGE, injected_at=0)
+
+    _step_fabric(topology, 4, {ports[0]: unicast(), ports[1]: unicast()}, 1)
+    assert routed == [4, 4]
+
+    _step_fabric(topology, 4, {ports[0]: unicast()}, 1,
+                 inject=Flit(dst=0, src=4, ptype=PacketType.MESSAGE))
+    assert routed == [4, 4, 4]

@@ -214,22 +214,26 @@ def test_send_throughput_one_flit_per_cycle():
 
 
 def test_recv_before_send_blocks_then_completes():
-    order = []
-
+    # Ordered on simulated time: only ops carry a cycle (see the
+    # pe/program.py contract), so the marks are notes, not host-side
+    # appends between yields.
     def early_receiver(ctx):
-        order.append("recv_start")
+        yield ctx.note("recv_start")
         words = yield ctx.recv_words(0, 4)
-        order.append("recv_done")
+        yield ctx.note("recv_done")
         assert words == [9, 9, 9, 9]
 
     def late_sender(ctx):
         yield ("compute", 300)
-        order.append("send")
+        yield ctx.note("send")
         yield ctx.send_words(1, [9, 9, 9, 9])
 
     config = SystemConfig(n_workers=2, cache_size_kb=2)
-    run_programs(config, late_sender, early_receiver)
-    assert order == ["recv_start", "send", "recv_done"]
+    system = run_programs(config, late_sender, early_receiver)
+    sender = system.events.marks(system.rank_to_node[0])
+    receiver = system.events.marks(system.rank_to_node[1])
+    assert sender["send"] == 300
+    assert receiver["recv_start"] < sender["send"] < receiver["recv_done"]
 
 
 def test_request_tokens_bypass_data_path():
