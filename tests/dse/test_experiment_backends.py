@@ -14,9 +14,16 @@ so only its shape is compared.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.dse.experiments import ALL_EXPERIMENTS
+
+#: Quick-scale report texts (``python -m repro <name> --jobs 1``, the
+#: saved ``<name>.txt``); regenerate one only when its report is meant to
+#: change.
+REPORT_PINS = Path(__file__).parent / "report_pins"
 
 #: Experiments whose rows contain inherent wall-clock measurements.
 WALL_CLOCK_EXPERIMENTS = {"simspeed"}
@@ -69,3 +76,11 @@ def test_second_run_is_deterministic_and_cache_served(name, inline_reports,
                                   cache_dir=inline_cache_dir)
     assert rerun.rows == inline_reports[name].rows
     assert rerun.text == inline_reports[name].text
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.stem for path in REPORT_PINS.glob("*.txt"))
+)
+def test_quick_report_matches_its_pin(name, inline_reports):
+    pinned = (REPORT_PINS / f"{name}.txt").read_text()
+    assert inline_reports[name].text == pinned
