@@ -9,7 +9,7 @@ ASCII plot under ``benchmarks/out/fig6.txt``.
 from __future__ import annotations
 
 from repro.apps.jacobi.driver import JacobiParams, run_jacobi
-from repro.dse.experiments import ALL_EXPERIMENTS
+from repro.dse.experiments import REGISTRY
 from repro.system.config import SystemConfig
 
 from conftest import save_and_echo
@@ -17,7 +17,7 @@ from conftest import save_and_echo
 
 def test_fig6_regeneration(benchmark, results_dir):
     report = benchmark.pedantic(
-        lambda: ALL_EXPERIMENTS["fig6"](cache_dir=results_dir),
+        lambda: REGISTRY["fig6"](cache_dir=results_dir),
         rounds=1, iterations=1,
     )
     save_and_echo(report, results_dir)

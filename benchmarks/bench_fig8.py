@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from repro.dse.experiments import ALL_EXPERIMENTS
+from repro.dse.experiments import REGISTRY
 
 from conftest import save_and_echo
 
 
 def test_fig8_regeneration(benchmark, results_dir):
     report = benchmark.pedantic(
-        lambda: ALL_EXPERIMENTS["fig8"](cache_dir=results_dir),
+        lambda: REGISTRY["fig8"](cache_dir=results_dir),
         rounds=1, iterations=1,
     )
     save_and_echo(report, results_dir)

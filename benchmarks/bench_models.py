@@ -11,14 +11,14 @@ Paper claims reproduced here:
 
 from __future__ import annotations
 
-from repro.dse.experiments import ALL_EXPERIMENTS
+from repro.dse.experiments import REGISTRY
 
 from conftest import save_and_echo
 
 
 def test_model_comparison(benchmark, results_dir):
     report = benchmark.pedantic(
-        lambda: ALL_EXPERIMENTS["compare"](cache_dir=results_dir),
+        lambda: REGISTRY["compare"](cache_dir=results_dir),
         rounds=1, iterations=1,
     )
     save_and_echo(report, results_dir)

@@ -8,13 +8,13 @@ harness, plus raw fabric throughput as a microbenchmark.
 from __future__ import annotations
 
 from repro.apps.synthetic import run_synthetic_traffic
-from repro.dse.experiments import ALL_EXPERIMENTS
+from repro.dse.experiments import REGISTRY
 
 from conftest import save_and_echo
 
 
 def test_noc_characterization(benchmark, results_dir):
-    report = benchmark.pedantic(lambda: ALL_EXPERIMENTS["noc"](), rounds=1,
+    report = benchmark.pedantic(lambda: REGISTRY["noc"](), rounds=1,
                                 iterations=1)
     save_and_echo(report, results_dir)
     # Livelock freedom: every run delivered everything.

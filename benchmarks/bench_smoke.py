@@ -1,15 +1,10 @@
-"""Perf-regression smoke: fast enough for every CI run (<60 s total).
+"""Cycle-exactness smoke: fast enough for every CI run (<60 s total).
 
-Two guards for future PRs, cheap enough to never be skipped:
-
-* **cycle-exactness** — the golden cycle counts committed in
-  ``BENCH_simspeed.json`` must keep reproducing bit-for-bit; a kernel or
-  NoC "optimization" that drifts the architecture's timing fails here
-  rather than silently shifting every figure;
-* **gross throughput** — each workload must finish within a generous
-  wall-time ceiling (~10x slower than the committed numbers on a slow
-  host), so an accidental O(n) regression in a per-cycle loop is caught
-  without making CI flaky on absolute cycles/sec.
+The golden cycle counts written next to each workload below must keep
+reproducing bit-for-bit; a kernel or NoC "optimization" that drifts the
+architecture's timing fails here rather than silently shifting every
+figure.  Simulator *speed* is not measured here: ``benchmarks/perf`` is
+the one stopwatch (phases, repetitions, host calibration).
 
 The workload set covers both traffic shapes: the Jacobi kernels guard
 the memory system (cache/bridge/MPMMU path) and the collective workload
@@ -22,10 +17,7 @@ Needs no pytest plugins: plain ``pytest benchmarks/bench_smoke.py``.
 
 from __future__ import annotations
 
-import json
-import time
 from functools import partial
-from pathlib import Path
 
 import pytest
 
@@ -38,12 +30,11 @@ from repro.faults import FaultPlan
 from repro.system.config import SystemConfig
 from repro.telemetry.config import TelemetryConfig
 
-BENCH_FILE = Path(__file__).parent.parent / "BENCH_simspeed.json"
-
-#: (runner, wall-time ceiling in seconds) per committed workload.  Each
-#: runner returns a result with ``validated``, ``total_cycles`` and —
-#: where meaningful — ``iteration_cycles``/``op_cycles``, which are
-#: checked against the golden file when committed there.
+#: (runner, golden) per workload.  Each runner returns a result with
+#: ``validated`` and the attributes the golden names — ``total_cycles``
+#: plus ``iteration_cycles`` (Jacobi) or ``op_cycles`` (collectives) —
+#: all compared exactly.  Regenerate a golden only for an intentional
+#: architecture change.
 SMOKE_WORKLOADS = {
     "reference_8w16kb_n30": (
         partial(
@@ -51,7 +42,7 @@ SMOKE_WORKLOADS = {
             SystemConfig(n_workers=8, cache_size_kb=16),
             JacobiParams(n=30, iterations=3, warmup=1),
         ),
-        20.0,
+        {"total_cycles": 72094, "iteration_cycles": [17352, 11034, 11031]},
     ),
     "small_2w4kb_n16": (
         partial(
@@ -59,7 +50,7 @@ SMOKE_WORKLOADS = {
             SystemConfig(n_workers=2, cache_size_kb=4),
             JacobiParams(n=16, iterations=3, warmup=1),
         ),
-        10.0,
+        {"total_cycles": 38493, "iteration_cycles": [11560, 9423, 9423]},
     ),
     "saturated_mpmmu_8w16kb_wt_n16": (
         partial(
@@ -67,7 +58,7 @@ SMOKE_WORKLOADS = {
             SystemConfig(n_workers=8, cache_size_kb=16, cache_policy="wt"),
             JacobiParams(n=16, iterations=2, warmup=0),
         ),
-        20.0,
+        {"total_cycles": 51534, "iteration_cycles": [13894, 13788]},
     ),
     "collective_allreduce_8w_tree": (
         partial(
@@ -78,7 +69,7 @@ SMOKE_WORKLOADS = {
                 n_values=16, repeats=4,
             ),
         ),
-        10.0,
+        {"total_cycles": 5380, "op_cycles": 5344},
     ),
     # The hardware collective engine: DMA TX queue + NoC multicast.  This
     # golden pins the offloaded path's timing (descriptor posting, fabric
@@ -94,7 +85,7 @@ SMOKE_WORKLOADS = {
                 n_values=16, repeats=4,
             ),
         ),
-        10.0,
+        {"total_cycles": 255, "op_cycles": 219},
     ),
     # Long-vector allreduce over the ring schedule on the engine path
     # (neighbour multicast descriptors + qreduce accumulate-on-receive):
@@ -110,7 +101,7 @@ SMOKE_WORKLOADS = {
                 n_values=256, repeats=2,
             ),
         ),
-        10.0,
+        {"total_cycles": 3376, "op_cycles": 3340},
     ),
     # The fault layer under fire: the tree-allreduce workload with 2%
     # seeded flit loss.  Pins the recovery protocol's timing (CRC drops,
@@ -128,7 +119,7 @@ SMOKE_WORKLOADS = {
                 n_values=16, repeats=4,
             ),
         ),
-        10.0,
+        {"total_cycles": 8396, "op_cycles": 8360},
     ),
     # The hierarchical package: 4 compute chiplets of 2x2 around the IO
     # hub, serialized inter-chiplet links, and the hierarchical allreduce
@@ -148,12 +139,11 @@ SMOKE_WORKLOADS = {
                 n_values=16, repeats=2,
             ),
         ),
-        10.0,
+        {"total_cycles": 3202, "op_cycles": 3125},
     ),
     # The full observability stack armed: metric sampler, event tracer and
-    # NoC spatial counters all recording.  Guards the *recording* cost
-    # with the usual wall ceiling, and — because telemetry is bookkeeping
-    # only — its cycle golden is identical to the untelemetered
+    # NoC spatial counters all recording.  Telemetry is bookkeeping only,
+    # so its cycle golden is identical to the untelemetered
     # collective_allreduce_8w_tree entry above.
     "telemetry_allreduce_8w_tree": (
         partial(
@@ -165,7 +155,7 @@ SMOKE_WORKLOADS = {
                 n_values=16, repeats=4,
             ),
         ),
-        10.0,
+        {"total_cycles": 5380, "op_cycles": 5344},
     ),
 }
 
@@ -181,7 +171,7 @@ def test_fault_layer_off_is_zero_overhead():
             n_values=16, repeats=4,
         ),
     )
-    reference = golden()["collective_allreduce_8w_tree"]
+    reference = SMOKE_WORKLOADS["collective_allreduce_8w_tree"][1]
     assert result.validated
     assert result.total_cycles == reference["total_cycles"]
     assert result.op_cycles == reference["op_cycles"]
@@ -200,7 +190,7 @@ def test_telemetry_layer_is_timing_neutral():
             n_values=16, repeats=4,
         ),
     )
-    reference = golden()["collective_allreduce_8w_tree"]
+    reference = SMOKE_WORKLOADS["collective_allreduce_8w_tree"][1]
     assert result.validated
     assert result.total_cycles == reference["total_cycles"]
     assert result.op_cycles == reference["op_cycles"]
@@ -227,7 +217,7 @@ def test_attribution_is_timing_neutral():
         ),
         observer=lambda system: captured.setdefault("system", system),
     )
-    reference = golden()["collective_allreduce_8w_tree"]
+    reference = SMOKE_WORKLOADS["collective_allreduce_8w_tree"][1]
     assert result.validated
     assert result.total_cycles == reference["total_cycles"]
     assert result.op_cycles == reference["op_cycles"]
@@ -238,36 +228,15 @@ def test_attribution_is_timing_neutral():
         assert sum(edge["cycles"] for edge in path["edges"]) == path["latency"]
 
 
-def golden() -> dict:
-    return json.loads(BENCH_FILE.read_text())["workloads"]
-
-
 @pytest.mark.parametrize("name", sorted(SMOKE_WORKLOADS))
 def test_smoke_workload(name):
-    runner, ceiling = SMOKE_WORKLOADS[name]
-    reference = golden()[name]
-    started = time.perf_counter()
+    runner, golden = SMOKE_WORKLOADS[name]
     result = runner()
-    wall = time.perf_counter() - started
-
     assert result.validated, f"{name}: numerical validation failed"
-    assert result.total_cycles == reference["total_cycles"], (
-        f"{name}: total cycles drifted from the committed golden value "
-        f"({result.total_cycles} != {reference['total_cycles']}); either a "
-        f"timing bug or an intentional architecture change — if the latter, "
-        f"regenerate BENCH_simspeed.json"
-    )
-    if "iteration_cycles" in reference:
-        assert result.iteration_cycles == reference["iteration_cycles"], (
-            f"{name}: per-iteration cycles drifted: {result.iteration_cycles}"
+    for attribute, expected in golden.items():
+        assert getattr(result, attribute) == expected, (
+            f"{name}: {attribute} drifted from the golden value "
+            f"({getattr(result, attribute)} != {expected}); either a timing "
+            f"bug or an intentional architecture change — if the latter, "
+            f"update the golden beside the workload"
         )
-    if "op_cycles" in reference:
-        assert result.op_cycles == reference["op_cycles"], (
-            f"{name}: collective op cycles drifted: {result.op_cycles}"
-        )
-    assert wall < ceiling, (
-        f"{name}: took {wall:.1f}s (ceiling {ceiling}s) — a gross "
-        f"throughput regression in the simulation hot path"
-    )
-    print(f"\n{name}: {result.total_cycles / wall:,.0f} cycles/sec "
-          f"({wall:.2f}s)")

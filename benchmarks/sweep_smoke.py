@@ -28,12 +28,6 @@ from repro.dse.space import jacobi_sweep_space
 KILL_AFTER = 2  # points completed before the rehearsed crash
 
 
-def deterministic(payloads: list[dict]) -> list[dict]:
-    """Strip the one inherently run-dependent field (measured wall time)."""
-    return [{k: v for k, v in p.items() if k != "wall_seconds"}
-            for p in payloads]
-
-
 def tiny_space():
     return jacobi_sweep_space(
         "sweep_smoke",
@@ -75,8 +69,7 @@ def main() -> int:
         report["warm"] = {"computed": warm.n_computed,
                           "cached": warm.n_cached}
         assert warm.n_cached == n_points, "warm rerun must be all cache hits"
-        assert deterministic(warm.payloads()) == deterministic(
-            pooled.payloads()), "cache changed payloads"
+        assert warm.payloads() == pooled.payloads(), "cache changed payloads"
 
     with tempfile.TemporaryDirectory() as crash_dir:
         # -- 3. kill a sweep mid-run, then resume -------------------------
@@ -96,8 +89,7 @@ def main() -> int:
             f"expected {KILL_AFTER}"
         )
         assert resumed.n_computed == n_points - KILL_AFTER
-        assert deterministic(resumed.payloads()) == deterministic(
-            pooled.payloads()), (
+        assert resumed.payloads() == pooled.payloads(), (
             "resumed sweep diverged from the uninterrupted run"
         )
 

@@ -7,8 +7,8 @@ Everything a new study needs is three small pieces:
 2. a ``build_space(full)`` hook returning a declarative
    :class:`~repro.dse.space.SweepSpace` — named axes over the
    architecture config and/or the app's params dataclass;
-3. a ``summarize(run)`` hook that fetches payloads *by coordinates* and
-   renders the report.
+3. a ``summarize(run)`` hook that reads the space's shape back from the
+   results (``axis``/``grouped``/``get``) and renders the report.
 
 Registering the pair yields a CLI-shaped experiment that inherits the
 whole service for free: process-pool execution, resumable schema-hashed
@@ -59,18 +59,15 @@ def build_space(full: bool) -> SweepSpace:
     )
 
 
-# -- 3. the summary: fetch by coordinates, render in *report* order ---------
+# -- 3. the summary: one row per mesh size, the two models side by side -----
 
 
 def summarize(run: ExperimentRun) -> ExperimentReport:
-    results = run.result()
     rows = []
-    for workers in (axis for axis in run.spaces[0].axes
-                    if axis.name == "workers"):
-        for w in workers.values:
-            empi = results.get(workers=w, model="empi")["cycles_per_op"]
-            sm = results.get(workers=w, model="pure_sm")["cycles_per_op"]
-            rows.append([w, f"{empi:.0f}", f"{sm:.0f}", f"{sm / empi:.2f}x"])
+    for (w,), by_model in run.result().grouped("workers", across="model"):
+        empi = by_model["empi"]["cycles_per_op"]
+        sm = by_model["pure_sm"]["cycles_per_op"]
+        rows.append([w, f"{empi:.0f}", f"{sm:.0f}", f"{sm / empi:.2f}x"])
     text = (
         "barrier_cost: 4-double broadcast, message path vs MPMMU path\n"
         + format_table(["workers", "empi", "pure_sm", "sm/empi"], rows)

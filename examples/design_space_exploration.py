@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from repro.apps.jacobi.driver import JacobiParams
 from repro.dse.area import AreaModel
+from repro.dse.executor import run_space
 from repro.dse.pareto import FrontPoint, kill_rule_prune, pareto_front
 from repro.dse.report import ascii_plot, format_table
-from repro.dse.runner import run_sweep
+from repro.dse.runner import SweepResult
 from repro.dse.space import jacobi_sweep_space
-from repro.system.config import SystemConfig
 
 
 def main() -> None:
@@ -31,15 +31,15 @@ def main() -> None:
     )
     print(f"running {space.n_points} architecture points "
           f"(Jacobi 20x20, write-back)...")
-    results = run_sweep(space, progress=True)
-    assert all(result.validated for result in results)
+    # run_space raises ValidationError if any point's grid is wrong.
+    results = run_space(space, progress=True)
 
     area_model = AreaModel()
-    candidates = []
-    for result in results:
-        config = SystemConfig(n_workers=result.n_workers,
-                              cache_size_kb=result.cache_kb)
-        candidates.append((result, area_model.chip_area(config)))
+    candidates = [
+        (SweepResult.from_json(outcome.payload),
+         area_model.chip_area(outcome.item.config))
+        for outcome in results.outcomes
+    ]
     baseline, __ = min(candidates, key=lambda item: item[1])
     points = [
         FrontPoint(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.apps.jacobi.partition import Strip
 from repro.empi.smsync import SharedMemoryBarrier, SharedMemoryLock
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ValidationError
 from repro.mem.values import float_to_words, words_to_float
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
@@ -198,7 +198,9 @@ def run_dotproduct(config: SystemConfig, params: DotProductParams,
     marks = system.events.marks(system.rank_to_node[0])
     values = set(results.values())
     if len(values) != 1:
-        raise AssertionError(f"ranks disagree on the total: {results}")
+        raise ValidationError(
+            f"dotproduct: ranks disagree on the total: {results}"
+        )
     return DotProductResult(
         params=params,
         config_label=config.label(),

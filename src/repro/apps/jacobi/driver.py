@@ -101,7 +101,6 @@ def run_jacobi(
     config: SystemConfig,
     params: JacobiParams,
     max_cycles: int | None = None,
-    keep_system: bool = False,
     observer=None,
 ) -> JacobiResult:
     """Run one Jacobi experiment on one architecture point.
@@ -157,7 +156,7 @@ def run_jacobi(
         validated = bool(np.array_equal(simulated, expected))
         max_abs_error = float(np.max(np.abs(simulated - expected)))
 
-    result = JacobiResult(
+    return JacobiResult(
         params=params,
         config_label=config.label(),
         total_cycles=total,
@@ -167,9 +166,6 @@ def run_jacobi(
         max_abs_error=max_abs_error,
         stats=system.collect_stats(),
     )
-    if keep_system:
-        result.stats["system"] = system  # for interactive inspection
-    return result
 
 
 def extract_grid(

@@ -33,7 +33,7 @@ from repro.empi.collectives import (
     reference_allreduce,
 )
 from repro.empi.smsync import SharedMemoryChannel
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ValidationError
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
 
@@ -203,7 +203,9 @@ def run_stream(config: SystemConfig, params: StreamParams,
     start = marks(system.rank_to_node[0])["pipeline_start"]
     done = marks(system.rank_to_node[n_workers - 1])["pipeline_done"]
     if len(set(results.values())) != 1:
-        raise AssertionError(f"ranks disagree on the totals: {results}")
+        raise ValidationError(
+            f"stream: ranks disagree on the totals: {results}"
+        )
     total, checksum = results[0]
     expected_total, expected_checksum = (
         reference_stream(params, n_workers)

@@ -24,7 +24,7 @@ import argparse
 import sys
 
 from repro.dse.executor import EXECUTOR_BACKENDS
-from repro.dse.experiments import ALL_EXPERIMENTS, DEFAULT_RESULTS_DIR
+from repro.dse.experiments import DEFAULT_RESULTS_DIR, REGISTRY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(ALL_EXPERIMENTS) + ["all", "list"],
+        choices=sorted(REGISTRY) + ["all", "list"],
         help="which paper artifact to regenerate ('list' shows them all)",
     )
     parser.add_argument(
@@ -73,10 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def list_experiments() -> str:
     """The ``medea list`` table, straight from the registry."""
-    width = max(len(name) for name in ALL_EXPERIMENTS)
+    width = max(len(name) for name in REGISTRY)
     lines = [
         f"  {name:<{width}}  [{experiment.default_scale}]  {experiment.help}"
-        for name, experiment in sorted(ALL_EXPERIMENTS.items())
+        for name, experiment in sorted(REGISTRY.items())
     ]
     return "available experiments:\n" + "\n".join(lines) + "\n"
 
@@ -88,7 +88,7 @@ def run_experiment(
     # full=None defers to the MEDEA_FULL environment variable.  Every
     # registered experiment runs through the sweep service with the same
     # backend/resume/retry policy.
-    report = ALL_EXPERIMENTS[name](
+    report = REGISTRY[name](
         full=full, jobs=jobs, cache_dir=out, backend=backend,
         resume=resume, retries=retries,
     )
@@ -261,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "list":
         print(list_experiments(), end="")
         return 0
-    names = sorted(ALL_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    names = sorted(REGISTRY) if args.experiment == "all" else [args.experiment]
     full = True if args.full else None  # None -> honour MEDEA_FULL
     if args.profile:
         run_profiled(names, full, args.jobs, args.out,

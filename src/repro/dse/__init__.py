@@ -9,12 +9,16 @@ performance).  This package is that harness:
 * :mod:`repro.dse.space` — declarative sweep spaces: named axes over the
   architecture config and any app's params dataclass, compiled to a
   keyed worklist;
-* :mod:`repro.dse.executor` — the sweep service: pluggable
-  inline/process/threaded backends, bounded retries, progress callbacks,
-  and resumable schema-hashed caching;
-* :mod:`repro.dse.runner` — the journaled result store + the classic
-  Jacobi ``run_sweep`` entry point;
-* :mod:`repro.dse.registry` — the experiment registry the CLI introspects;
+* :mod:`repro.dse.executor` — the sweep service: :func:`run_space` over
+  inline/process backends, bounded retries, progress callbacks, resumable
+  schema-hashed caching, the numerical-validation check, and
+  :class:`SpaceResults` (``axis``/``grouped``/``get``) for summaries;
+* :mod:`repro.dse.runner` — the journaled result store + the Jacobi
+  point driver and its :class:`SweepResult` row;
+* :mod:`repro.dse.registry` — the experiment registry: the one way to run
+  an experiment (CLI, benchmarks and tests all call its entries);
+* :mod:`repro.dse.experiments` — the registered experiments, each shape
+  written once in its ``build_space`` hook;
 * :mod:`repro.dse.area` — the TSMC-65nm-calibrated area model;
 * :mod:`repro.dse.pareto` — Pareto front + kill-rule pruning;
 * :mod:`repro.dse.report` — figure regeneration: series tables and ASCII
@@ -25,7 +29,7 @@ from repro.dse.area import AreaModel
 from repro.dse.executor import PointOutcome, SpaceResults, run_space
 from repro.dse.pareto import kill_rule_prune, pareto_front
 from repro.dse.registry import Experiment, ExperimentReport, register_experiment
-from repro.dse.runner import SweepResult, run_sweep
+from repro.dse.runner import SweepResult
 from repro.dse.space import Axis, SweepSpace, Variant, jacobi_sweep_space
 
 __all__ = [
@@ -43,5 +47,4 @@ __all__ = [
     "pareto_front",
     "register_experiment",
     "run_space",
-    "run_sweep",
 ]

@@ -11,14 +11,16 @@ points; :func:`run_space` drives that worklist through a swappable
   deterministic baseline: ``--backend inline --jobs 1`` reproduces the
   pool bit for bit);
 * ``process`` — a :mod:`multiprocessing` pool drained with
-  ``imap_unordered`` (the default for CPU-bound simulation sweeps);
-* ``threaded`` — a thread pool for I/O-light aggregation work where
-  process startup would dominate.
+  ``imap_unordered`` (the default: simulation is CPU-bound Python, so
+  only processes run points in parallel).
 
 Every point's wall time and failure (message, not a crashed sweep) is
 captured; failed points are retried up to a bounded number of rounds
 before the sweep raises :class:`~repro.errors.SweepError` naming every
-unrecovered key.  Completed points persist *incrementally* through the
+unrecovered key.  A point whose payload reports ``validated: False``
+raises :class:`~repro.errors.ValidationError` naming the space, the
+coordinates and the app — the one numerical-validation check every
+experiment shares.  Completed points persist *incrementally* through the
 journaled :class:`~repro.dse.runner.ResultCache` — a sweep killed at
 point k resumes at point k+1, not at zero — and cache keys carry the
 space's schema hash, so a changed axis definition or dataclass migration
@@ -38,7 +40,7 @@ from pathlib import Path
 
 from repro.dse.runner import ResultCache
 from repro.dse.space import SweepSpace, WorkItem
-from repro.errors import ConfigError, SweepError
+from repro.errors import ConfigError, SweepError, ValidationError
 
 #: Progress callback signature: (points done, points pending in total).
 ProgressFn = Callable[[int, int], None]
@@ -94,27 +96,6 @@ class InlineExecutor:
         pass
 
 
-class ThreadedExecutor:
-    """A thread pool: for I/O-light aggregation, not CPU-bound simulation."""
-
-    name = "threaded"
-
-    def __init__(self, jobs: int) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.jobs = jobs
-        self._pool = ThreadPoolExecutor(max_workers=jobs)
-
-    def imap_unordered(self, fn: Callable, items: Iterable) -> Iterator:
-        from concurrent.futures import as_completed
-
-        futures = [self._pool.submit(fn, item) for item in items]
-        return (future.result() for future in as_completed(futures))
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
 class ProcessExecutor:
     """A :mod:`multiprocessing` pool drained with ``imap_unordered``."""
 
@@ -134,13 +115,12 @@ class ProcessExecutor:
 
 EXECUTOR_BACKENDS: dict[str, Callable[[int], object]] = {
     "inline": InlineExecutor,
-    "threaded": ThreadedExecutor,
     "process": ProcessExecutor,
 }
 
 
 def get_executor(backend: str, jobs: int):
-    """Instantiate a backend by name (``inline``/``process``/``threaded``)."""
+    """Instantiate a backend by name (``inline``/``process``)."""
     try:
         factory = EXECUTOR_BACKENDS[backend]
     except KeyError:
@@ -176,10 +156,6 @@ class PointOutcome:
     from_cache: bool
 
     @property
-    def key(self) -> str:
-        return self.item.key
-
-    @property
     def coords(self) -> dict:
         return self.item.coords_dict
 
@@ -187,10 +163,11 @@ class PointOutcome:
 class SpaceResults:
     """The outcome of one space's sweep, addressable by axis coordinates.
 
-    ``outcomes`` is in point order (the space's axis declaration order);
-    :meth:`get` looks a payload up by its exact coordinate labels, which
-    is how experiment summaries iterate in their own report order
-    independently of execution order.
+    ``outcomes`` is in point order (the space's axis declaration order).
+    Summaries read the space's shape back from here instead of restating
+    it: :meth:`axis` lists an axis's labels, :meth:`grouped` folds the
+    points into report rows, :meth:`get` looks one payload up by its
+    exact coordinate labels.
     """
 
     def __init__(self, space: SweepSpace, outcomes: list[PointOutcome]) -> None:
@@ -215,6 +192,35 @@ class SpaceResults:
 
     def payloads(self) -> list[dict]:
         return [outcome.payload for outcome in self.outcomes]
+
+    def axis(self, name: str) -> tuple:
+        """The labels of axis ``name``, in declaration order."""
+        for axis in self.space.axes:
+            if axis.name == name:
+                return tuple(axis.label_of(value) for value in axis.values)
+        raise KeyError(f"space {self.space.name!r} has no axis {name!r}")
+
+    def grouped(self, *row_axes: str, across: str) -> list[tuple[tuple, dict]]:
+        """Fold the points into rows: ``(row labels, {across label: payload})``.
+
+        One entry per distinct combination of ``row_axes`` labels, in
+        point order of first appearance, each mapping the labels of the
+        ``across`` axis to payloads in declaration order; pruned points
+        are simply absent.  Together the named axes must be all of the
+        space's axes, or two points would land in one cell.
+        """
+        names = [axis.name for axis in self.space.axes]
+        if sorted((*row_axes, across)) != sorted(names):
+            raise KeyError(
+                f"space {self.space.name!r}: grouped() must name each of "
+                f"the axes {names} once, got {(*row_axes, across)!r}"
+            )
+        rows: dict[tuple, dict] = {}
+        for outcome in self.outcomes:
+            coords = outcome.coords
+            row = tuple(coords[name] for name in row_axes)
+            rows.setdefault(row, {})[coords[across]] = outcome.payload
+        return list(rows.items())
 
     @property
     def n_cached(self) -> int:
@@ -259,17 +265,13 @@ def run_space(
     pool run exactly.
     """
     items = space.points()
-    cache = (
-        ResultCache(cache_dir, space.name)
-        if cache_dir is not None and space.cacheable
-        else None
-    )
+    cache = ResultCache(cache_dir, space.name) if cache_dir is not None else None
 
     outcomes: dict[str, PointOutcome] = {}
     pending: list[WorkItem] = []
     for item in items:
         if item.key in outcomes:
-            continue  # zipped/pruned spaces cannot repeat keys; belt-and-braces
+            continue  # pruned spaces cannot repeat keys; belt-and-braces
         payload = cache.get_raw(item.key) if cache is not None and resume else None
         if payload is not None:
             outcomes[item.key] = PointOutcome(
@@ -327,4 +329,10 @@ def run_space(
             cache.save()
 
     ordered = [outcomes[item.key] for item in items]
+    for outcome in ordered:
+        if not outcome.payload.get("validated", True):
+            raise ValidationError(
+                f"space {space.name!r}: numerical validation failed at "
+                f"{outcome.coords} (app {space.app_id!r})"
+            )
     return SpaceResults(space, ordered)

@@ -1,26 +1,31 @@
 """Experiment definitions: one registered entry point per paper artifact.
 
-Every experiment is an :class:`~repro.dse.registry.Experiment` built from
-two hooks: ``build_space(full)`` declares its design space as one or more
+Every experiment is an :class:`~repro.dse.registry.Experiment` in
+:data:`~repro.dse.registry.REGISTRY`, built from two hooks:
+``build_space(full)`` declares its design space as one or more
 :class:`~repro.dse.space.SweepSpace` objects, and ``summarize(run)``
 renders the executed results into an
 :class:`~repro.dse.registry.ExperimentReport` with the same series the
 paper plots.  The sweep service (:mod:`repro.dse.executor`) supplies the
-pool wiring, resumable schema-hashed caching, retries and progress for
-all of them — no experiment hand-rolls its own cache or pool any more.
-The CLI (``python -m repro``) and the benchmark suite both call the
-registered objects, which keep the classic
-``f(full=..., jobs=..., cache_dir=...)`` calling convention.
+pool wiring, resumable schema-hashed caching, retries, progress and the
+numerical-validation check for all of them.
+
+An experiment's shape — axis values, variant labels, prune rule, base
+parameters, and what ``full`` changes — is written once, in its
+``_build_*`` hook.  A ``_summarize_*`` hook restates none of it: it reads
+labels from ``results.axis(...)``, rows from ``results.grouped(...)`` and
+parameters from ``results.space.base_params``, so a changed axis cannot
+leave a report iterating the old one.
 
 Scale control: ``full=False`` (default) runs a reduced grid that finishes
 in minutes on a laptop; ``full=True`` reproduces the paper's exact axes
-(the 168-point sweep per problem size).  The benchmarks honour the
-``MEDEA_FULL=1`` environment variable.
+(the 168-point sweep per problem size); ``MEDEA_FULL=1`` selects it from
+the environment.
 """
 
 from __future__ import annotations
 
-import time
+from functools import partial
 from pathlib import Path
 
 from repro.apps.cg import CgParams, run_cg
@@ -34,7 +39,6 @@ from repro.apps.matmul import MatmulParams, run_matmul
 from repro.apps.stream import StreamParams, run_stream
 from repro.apps.synthetic import SyntheticParams, run_synthetic_point
 from repro.dse.area import AreaModel
-from repro.dse.executor import SpaceResults, run_space
 from repro.dse.pareto import FrontPoint, kill_rule_prune, pareto_front
 from repro.dse.registry import (
     REGISTRY,
@@ -57,27 +61,11 @@ from repro.telemetry.heatmap import render_noc_report
 #: reuse everything.
 DEFAULT_RESULTS_DIR = Path("results")
 
-#: The registry, under its historical name: the CLI introspects this.
-ALL_EXPERIMENTS = REGISTRY
-
 
 def _scale_note(full: bool, detail: str) -> str:
     if full:
         return "scale: FULL (paper axes)\n"
     return f"scale: reduced for quick runs ({detail}); MEDEA_FULL=1 for paper axes\n"
-
-
-def _check_validated(results: list[SweepResult]) -> None:
-    bad = [r.label for r in results if not r.validated]
-    if bad:
-        raise AssertionError(
-            f"numerical validation failed for: {', '.join(bad)}"
-        )
-
-
-def _assert_validated(label: str, ok: bool) -> None:
-    if not ok:
-        raise AssertionError(f"numerical validation failed for: {label}")
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +90,9 @@ def cg_app(config: SystemConfig, params: CgParams) -> dict:
         "total_cycles": result.total_cycles,
         "solve_cycles": result.solve_cycles,
         "overlap_efficiency": result.overlap_efficiency,
-        "validated": result.validated,
-        "converged": result.converged,
+        # A CG point is good when it matches the reference bit for bit
+        # *and* the residual norm went down.
+        "validated": result.validated and result.converged,
     }
 
 
@@ -145,53 +134,58 @@ def synthetic_app(config: SystemConfig, params: SyntheticParams) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _execution_time_space(
-    name: str,
-    size: int,
-    policies: tuple[str, ...],
-    cache_sizes: tuple[int, ...],
-    workers: tuple[int, ...],
-    iterations: int,
-) -> SweepSpace:
+#: The two execution-time sweeps behind Figs. 6-9: (grid size, cache
+#: sizes) at the paper's scale and at the quick scale.
+_JACOBI_SWEEPS = {
+    "fig6": ((60, (2, 4, 8, 16, 32, 64)), (30, (2, 8, 32))),
+    "fig8": ((30, (2, 4, 8, 16, 32)), (16, (2, 4, 8))),
+}
+
+
+def _execution_time_space(sweep: str, policies: tuple[str, ...],
+                          full: bool) -> SweepSpace:
+    """One of the two Jacobi sweeps, at the scale ``full`` selects.
+
+    The space is named after the sweep and its grid size, not after the
+    figure that asks for it, so Fig. 7 finds Fig. 6's points (and Fig. 9
+    Fig. 8's) in a shared cache directory.
+    """
+    size, caches = _JACOBI_SWEEPS[sweep][0 if full else 1]
     return jacobi_sweep_space(
-        name=name,
-        workers=workers,
-        cache_sizes_kb=cache_sizes,
+        name=f"{sweep}_n{size}",
+        workers=tuple(range(2, 16)) if full else (2, 4, 8, 15),
+        cache_sizes_kb=caches,
         policies=policies,
-        params=JacobiParams(n=size, iterations=iterations, warmup=1),
+        params=JacobiParams(n=size, iterations=3, warmup=1),
     )
 
 
-def _summarize_execution_time(
-    experiment: str, paper_size: int, size: int, workers: tuple[int, ...],
-    full: bool, results: SpaceResults,
-) -> ExperimentReport:
-    sweep = [SweepResult.from_json(payload) for payload in results.payloads()]
-    _check_validated(sweep)
-
+def _summarize_execution_time(experiment: str, paper_fig: int,
+                              run: ExperimentRun) -> ExperimentReport:
+    results = run.result()
+    size = results.space.base_params.n
+    # Point order is cores, then cache size, then policy: one table row
+    # per core count, one column (and one plotted series) per cache/policy.
     series: dict[str, list[tuple[float, float]]] = {}
-    for result in sweep:
+    cells: dict[int, list[str]] = {}
+    for payload in results.payloads():
+        result = SweepResult.from_json(payload)
         label = f"{result.cache_kb}kB${result.policy.upper()}"
         series.setdefault(label, []).append(
             (result.n_workers, result.cycles_per_iteration)
         )
-    for values in series.values():
-        values.sort()
-
+        cells.setdefault(result.n_workers, []).append(
+            f"{result.cycles_per_iteration:.0f}"
+        )
     header = ["cores"] + list(series)
-    by_workers: dict[int, dict[str, float]] = {}
-    for label, values in series.items():
-        for cores, cycles in values:
-            by_workers.setdefault(int(cores), {})[label] = cycles
-    rows = [
-        [cores] + [f"{by_workers[cores].get(label, float('nan')):.0f}"
-                   for label in series]
-        for cores in sorted(by_workers)
-    ]
+    rows = [[cores, *row] for cores, row in cells.items()]
     text = (
         f"{experiment}: Jacobi {size}x{size}, cycles per iteration after "
         f"warm-up\n"
-        + _scale_note(full, f"{size}x{size}, {len(workers)} core counts")
+        + _scale_note(
+            run.full,
+            f"{size}x{size}, {len(results.axis('workers'))} core counts",
+        )
         + format_table(header, rows)
         + "\n"
         + ascii_plot(
@@ -199,76 +193,26 @@ def _summarize_execution_time(
             x_label="worker cores",
             y_label="cycles/iteration",
             title=f"{experiment}: execution time vs cores "
-                  f"(compare paper Fig. {'6' if paper_size == 60 else '8'})",
+                  f"(compare paper Fig. {paper_fig})",
         )
     )
     return ExperimentReport(
-        experiment=experiment, full_scale=full, text=text,
+        experiment=experiment, full_scale=run.full, text=text,
         series=series, rows=rows,
     )
 
 
-def execution_time_experiment(
-    experiment: str,
-    paper_size: int,
-    policies: tuple[str, ...],
-    paper_caches: tuple[int, ...],
-    full: bool,
-    jobs: int | None,
-    cache_dir: str | Path | None,
-    quick_size: int,
-    quick_caches: tuple[int, ...],
-    quick_workers: tuple[int, ...] = (2, 4, 8, 15),
-) -> ExperimentReport:
-    """Shared harness for Figs. 6 and 8 (and WB/WT ablations)."""
-    started = time.perf_counter()
-    if full:
-        size, caches, workers = paper_size, paper_caches, tuple(range(2, 16))
-    else:
-        size, caches, workers = quick_size, quick_caches, quick_workers
-    space = _execution_time_space(
-        f"{experiment}_n{size}", size, policies, caches, workers, 3
-    )
-    results = run_space(space, jobs=jobs, cache_dir=cache_dir, progress=True)
-    report = _summarize_execution_time(
-        experiment, paper_size, size, workers, full, results
-    )
-    report.wall_seconds = time.perf_counter() - started
-    return report
-
-
-def _register_execution_time(
-    name: str, paper_size: int, policies: tuple[str, ...],
-    paper_caches: tuple[int, ...], quick_size: int,
-    quick_caches: tuple[int, ...], help_line: str,
-) -> None:
-    def scale(full: bool) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        if full:
-            return paper_size, paper_caches, tuple(range(2, 16))
-        return quick_size, quick_caches, (2, 4, 8, 15)
-
-    def build_space(full: bool) -> SweepSpace:
-        size, caches, workers = scale(full)
-        return _execution_time_space(
-            f"{name}_n{size}", size, policies, caches, workers, 3
-        )
-
-    def summarize(run: ExperimentRun) -> ExperimentReport:
-        size, __, workers = scale(run.full)
-        return _summarize_execution_time(
-            name, paper_size, size, workers, run.full, run.result()
-        )
-
-    register_experiment(name, help_line, build_space, summarize)
-
-
-_register_execution_time(
-    "fig6", 60, ("wb", "wt"), (2, 4, 8, 16, 32, 64), 30, (2, 8, 32),
+register_experiment(
+    "fig6",
     "Fig. 6: 60x60 Jacobi execution time vs cores/cache/policy",
+    partial(_execution_time_space, "fig6", ("wb", "wt")),
+    partial(_summarize_execution_time, "fig6", 6),
 )
-_register_execution_time(
-    "fig8", 30, ("wb",), (2, 4, 8, 16, 32), 16, (2, 4, 8),
+register_experiment(
+    "fig8",
     "Fig. 8: 30x30 Jacobi execution time, write-back caches",
+    partial(_execution_time_space, "fig8", ("wb",)),
+    partial(_summarize_execution_time, "fig8", 8),
 )
 
 
@@ -277,22 +221,26 @@ _register_execution_time(
 # ---------------------------------------------------------------------------
 
 
-def _summarize_speedup_area(
-    experiment: str, paper_size: int, size: int, full: bool,
-    results: SpaceResults,
-) -> ExperimentReport:
-    sweep = [SweepResult.from_json(payload) for payload in results.payloads()]
-    _check_validated(sweep)
+def _speedup_area_space(sweep: str, full: bool) -> SweepSpace:
+    """The execution-time sweep ``sweep`` again — a cache hit if that
+    figure ran first — plus WT points at full scale: the optimum may pick
+    either policy.
+    """
+    return _execution_time_space(
+        sweep, ("wb", "wt") if full else ("wb",), full
+    )
 
+
+def _summarize_speedup_area(experiment: str, paper_fig: int,
+                            run: ExperimentRun) -> ExperimentReport:
+    results = run.result()
+    size = results.space.base_params.n
     area_model = AreaModel()
-    candidates = []
-    for result in sweep:
-        config = SystemConfig(
-            n_workers=result.n_workers,
-            cache_size_kb=result.cache_kb,
-            cache_policy=result.policy,
-        )
-        candidates.append((result, area_model.chip_area(config)))
+    candidates = [
+        (SweepResult.from_json(outcome.payload),
+         area_model.chip_area(outcome.item.config))
+        for outcome in results.outcomes
+    ]
     # Speedup baseline: the smallest-area architecture of the sweep.
     baseline_result, baseline_area = min(candidates, key=lambda item: item[1])
     base_cycles = baseline_result.cycles_per_iteration
@@ -319,7 +267,7 @@ def _summarize_speedup_area(
     }
     text = (
         f"{experiment}: optimal speedup vs chip area, Jacobi {size}x{size}\n"
-        + _scale_note(full, f"{size}x{size}")
+        + _scale_note(run.full, f"{size}x{size}")
         + f"speedup baseline: {baseline_result.label} at "
           f"{baseline_area:.2f} mm^2 "
           f"({baseline_result.cycles_per_iteration:.0f} cycles/iter)\n"
@@ -330,77 +278,26 @@ def _summarize_speedup_area(
             x_label="chip area (mm^2)",
             y_label="speedup",
             title=f"{experiment}: speedup vs area "
-                  f"(compare paper Fig. {'7' if paper_size == 60 else '9'})",
+                  f"(compare paper Fig. {paper_fig})",
         )
     )
     return ExperimentReport(
-        experiment=experiment, full_scale=full, text=text,
+        experiment=experiment, full_scale=run.full, text=text,
         series=series, rows=rows,
     )
 
 
-def speedup_area_experiment(
-    experiment: str,
-    time_experiment: str,
-    paper_size: int,
-    paper_caches: tuple[int, ...],
-    full: bool,
-    jobs: int | None,
-    cache_dir: str | Path | None,
-    quick_size: int,
-    quick_caches: tuple[int, ...],
-) -> ExperimentReport:
-    started = time.perf_counter()
-    if full:
-        size, caches, workers = paper_size, paper_caches, tuple(range(2, 16))
-    else:
-        size, caches, workers = quick_size, quick_caches, (2, 4, 8, 15)
-    # Reuse the execution-time sweep (cache hit if that figure ran first)
-    # plus WT points: the optimum may pick either policy.
-    space = _execution_time_space(
-        f"{time_experiment}_n{size}", size,
-        ("wb", "wt") if full else ("wb",), caches, workers, 3,
-    )
-    results = run_space(space, jobs=jobs, cache_dir=cache_dir, progress=True)
-    report = _summarize_speedup_area(experiment, paper_size, size, full,
-                                     results)
-    report.wall_seconds = time.perf_counter() - started
-    return report
-
-
-def _register_speedup_area(
-    experiment: str, time_experiment: str, paper_size: int,
-    paper_caches: tuple[int, ...], quick_size: int,
-    quick_caches: tuple[int, ...], help_line: str,
-) -> None:
-    def build_space(full: bool) -> SweepSpace:
-        if full:
-            size, caches, workers = (
-                paper_size, paper_caches, tuple(range(2, 16))
-            )
-        else:
-            size, caches, workers = quick_size, quick_caches, (2, 4, 8, 15)
-        return _execution_time_space(
-            f"{time_experiment}_n{size}", size,
-            ("wb", "wt") if full else ("wb",), caches, workers, 3,
-        )
-
-    def summarize(run: ExperimentRun) -> ExperimentReport:
-        size = paper_size if run.full else quick_size
-        return _summarize_speedup_area(
-            experiment, paper_size, size, run.full, run.result()
-        )
-
-    register_experiment(experiment, help_line, build_space, summarize)
-
-
-_register_speedup_area(
-    "fig7", "fig6", 60, (2, 4, 8, 16, 32, 64), 30, (2, 8, 32),
+register_experiment(
+    "fig7",
     "Fig. 7: kill-rule speedup vs area for the 60x60 sweep",
+    partial(_speedup_area_space, "fig6"),
+    partial(_summarize_speedup_area, "fig7", 7),
 )
-_register_speedup_area(
-    "fig9", "fig8", 30, (2, 4, 8, 16, 32), 16, (2, 4, 8),
+register_experiment(
+    "fig9",
     "Fig. 9: kill-rule speedup vs area for the 30x30 sweep",
+    partial(_speedup_area_space, "fig8"),
+    partial(_summarize_speedup_area, "fig9", 9),
 )
 
 
@@ -409,17 +306,15 @@ _register_speedup_area(
 # ---------------------------------------------------------------------------
 
 
-def _compare_workers(full: bool) -> tuple[int, ...]:
-    return tuple(range(2, 16, 2)) + (15,) if full else (6, 10)
-
-
 def _build_compare(full: bool) -> SweepSpace:
     return SweepSpace(
         name="compare_n60",
         app=jacobi_app,
         app_id="jacobi",
         axes=(
-            Axis("workers", _compare_workers(full), field="n_workers"),
+            Axis("workers",
+                 tuple(range(2, 16, 2)) + (15,) if full else (6, 10),
+                 field="n_workers"),
             Axis("model", ("hybrid_full", "hybrid_sync", "pure_sm"),
                  target="params"),
         ),
@@ -437,20 +332,15 @@ def _summarize_compare(run: ExperimentRun) -> ExperimentReport:
     when the miss rate is relevant.
     """
     results = run.result()
-    workers = _compare_workers(run.full)
+    space = results.space
     rows = []
     series: dict[str, list[tuple[float, float]]] = {
         "sm_over_full": [], "sm_over_sync": [], "sync_over_full": [],
     }
-    for n_workers in workers:
-        cycles = {}
-        for model in ("hybrid_full", "hybrid_sync", "pure_sm"):
-            payload = results.get(workers=n_workers, model=model)
-            _check_validated([SweepResult.from_json(payload)])
-            cycles[model] = payload["cycles_per_iteration"]
-        full_c = cycles["hybrid_full"]
-        sync_c = cycles["hybrid_sync"]
-        sm_c = cycles["pure_sm"]
+    for (n_workers,), by_model in results.grouped("workers", across="model"):
+        full_c = by_model["hybrid_full"]["cycles_per_iteration"]
+        sync_c = by_model["hybrid_sync"]["cycles_per_iteration"]
+        sm_c = by_model["pure_sm"]["cycles_per_iteration"]
         rows.append([
             n_workers, f"{full_c:.0f}", f"{sync_c:.0f}", f"{sm_c:.0f}",
             f"{sm_c / full_c:.2f}x", f"{sm_c / sync_c:.2f}x",
@@ -460,9 +350,13 @@ def _summarize_compare(run: ExperimentRun) -> ExperimentReport:
         series["sm_over_sync"].append((n_workers, sm_c / sync_c))
         series["sync_over_full"].append((n_workers, sync_c / full_c))
 
+    n = space.base_params.n
     text = (
-        "compare: programming models on Jacobi 60x60, 16 kB WB caches\n"
-        + _scale_note(run.full, "2 core counts")
+        f"compare: programming models on Jacobi {n}x{n}, "
+        f"{space.base_config.cache_size_kb} kB "
+        f"{space.base_config.policy.value.upper()} caches\n"
+        + _scale_note(run.full,
+                      f"{len(results.axis('workers'))} core counts")
         + format_table(
             ["cores", "hybrid_full", "hybrid_sync", "pure_sm",
              "sm/full", "sm/sync", "sync/full"],
@@ -489,24 +383,20 @@ register_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _collectives_workers(full: bool) -> tuple[int, ...]:
-    return (2, 4, 8, 15) if full else (4, 8)
-
-
 def _build_collectives(full: bool) -> SweepSpace:
-    n_values = 16 if full else 8
-    repeats = 8 if full else 4
     return SweepSpace(
         name="collectives",
         app=collective_bench_app,
         app_id="collective_bench",
         axes=(
-            Axis("workers", _collectives_workers(full), field="n_workers"),
+            Axis("workers", (2, 4, 8, 15) if full else (4, 8),
+                 field="n_workers"),
             Axis("collective", tuple(COLLECTIVES), target="params"),
             Axis("algorithm", ("linear", "tree"), target="params"),
             Axis("model", ("empi", "pure_sm"), target="params"),
         ),
-        base_params=CollectiveBenchParams(n_values=n_values, repeats=repeats),
+        base_params=CollectiveBenchParams(n_values=16 if full else 8,
+                                          repeats=8 if full else 4),
         # Scatter/gather are root-centric by definition: linear only.
         prune=lambda coords: (
             coords["collective"] in ("scatter", "gather")
@@ -523,42 +413,28 @@ def _summarize_collectives(run: ExperimentRun) -> ExperimentReport:
     the eMPI message path and the shared-memory MPMMU path.
     """
     results = run.result()
-    workers = _collectives_workers(run.full)
-    n_values = 16 if run.full else 8
-    repeats = 8 if run.full else 4
+    params = results.space.base_params
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
-    for n_workers in workers:
-        for collective in COLLECTIVES:
-            algorithms = (
-                ("linear", "tree")
-                if collective in ("bcast", "reduce", "allreduce")
-                else ("linear",)
-            )
-            for algorithm in algorithms:
-                cycles = {}
-                for model in ("empi", "pure_sm"):
-                    payload = results.get(
-                        workers=n_workers, collective=collective,
-                        algorithm=algorithm, model=model,
-                    )
-                    _assert_validated(
-                        f"{collective}/{algorithm}/{model}/{n_workers}w",
-                        payload["validated"],
-                    )
-                    cycles[model] = payload["cycles_per_op"]
-                    series.setdefault(
-                        f"{collective}_{algorithm}_{model}", []
-                    ).append((n_workers, cycles[model]))
-                rows.append([
-                    collective, algorithm, n_workers,
-                    f"{cycles['empi']:.0f}", f"{cycles['pure_sm']:.0f}",
-                    f"{cycles['pure_sm'] / cycles['empi']:.2f}x",
-                ])
+    for (n_workers, collective, algorithm), by_model in results.grouped(
+        "workers", "collective", "algorithm", across="model"
+    ):
+        cycles = {model: payload["cycles_per_op"]
+                  for model, payload in by_model.items()}
+        for model, value in cycles.items():
+            series.setdefault(
+                f"{collective}_{algorithm}_{model}", []
+            ).append((n_workers, value))
+        rows.append([
+            collective, algorithm, n_workers,
+            f"{cycles['empi']:.0f}", f"{cycles['pure_sm']:.0f}",
+            f"{cycles['pure_sm'] / cycles['empi']:.2f}x",
+        ])
     text = (
-        f"collectives: cycles per op, {n_values} doubles, mean of "
-        f"{repeats} reps\n"
-        + _scale_note(run.full, f"{len(workers)} mesh sizes")
+        f"collectives: cycles per op, {params.n_values} doubles, mean of "
+        f"{params.repeats} reps\n"
+        + _scale_note(run.full,
+                      f"{len(results.axis('workers'))} mesh sizes")
         + format_table(
             ["collective", "algorithm", "workers", "empi", "pure_sm",
              "sm/empi"],
@@ -580,20 +456,15 @@ register_experiment(
 )
 
 
-def _matmul_scale(full: bool) -> tuple[tuple[int, ...], int, int]:
-    workers = (2, 4, 8, 15) if full else (2, 4)
-    n, tile = (12, 4) if full else (6, 2)
-    return workers, n, tile
-
-
 def _build_matmul(full: bool) -> SweepSpace:
-    workers, n, tile = _matmul_scale(full)
+    n, tile = (12, 4) if full else (6, 2)
     return SweepSpace(
         name="matmul",
         app=matmul_app,
         app_id="matmul",
         axes=(
-            Axis("workers", workers, field="n_workers"),
+            Axis("workers", (2, 4, 8, 15) if full else (2, 4),
+                 field="n_workers"),
             Axis("algorithm", ("linear", "tree"), target="params"),
             Axis("model", ("empi", "pure_sm"), target="params"),
         ),
@@ -604,37 +475,33 @@ def _build_matmul(full: bool) -> SweepSpace:
 def _summarize_matmul(run: ExperimentRun) -> ExperimentReport:
     """Tiled matmul: total and reduce-phase cycles per model/algorithm."""
     results = run.result()
-    workers, n, tile = _matmul_scale(run.full)
+    params = results.space.base_params
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
-    for n_workers in workers:
-        for algorithm in ("linear", "tree"):
-            totals = {}
-            reduces = {}
-            for model in ("empi", "pure_sm"):
-                payload = results.get(
-                    workers=n_workers, algorithm=algorithm, model=model
-                )
-                _assert_validated(
-                    f"matmul/{algorithm}/{model}/{n_workers}w",
-                    payload["validated"],
-                )
-                totals[model] = payload["total_cycles"]
-                reduces[model] = payload["reduce_cycles"]
-                series.setdefault(f"{model}_{algorithm}", []).append(
-                    (n_workers, payload["total_cycles"])
-                )
-            rows.append([
-                n_workers, algorithm,
-                totals["empi"], totals["pure_sm"],
-                f"{totals['pure_sm'] / totals['empi']:.2f}x",
-                reduces["empi"], reduces["pure_sm"],
-                f"{reduces['pure_sm'] / reduces['empi']:.2f}x",
-            ])
+    for (n_workers, algorithm), by_model in results.grouped(
+        "workers", "algorithm", across="model"
+    ):
+        totals = {m: payload["total_cycles"] for m, payload in by_model.items()}
+        reduces = {m: payload["reduce_cycles"] for m, payload in by_model.items()}
+        for model, total in totals.items():
+            series.setdefault(f"{model}_{algorithm}", []).append(
+                (n_workers, total)
+            )
+        rows.append([
+            n_workers, algorithm,
+            totals["empi"], totals["pure_sm"],
+            f"{totals['pure_sm'] / totals['empi']:.2f}x",
+            reduces["empi"], reduces["pure_sm"],
+            f"{reduces['pure_sm'] / reduces['empi']:.2f}x",
+        ])
     text = (
-        f"matmul: {n}x{n} tiled (tile={tile}), row broadcast + "
-        f"partial-sum reduce\n"
-        + _scale_note(run.full, f"{n}x{n}, {len(workers)} mesh sizes")
+        f"matmul: {params.n}x{params.n} tiled (tile={params.tile}), row "
+        f"broadcast + partial-sum reduce\n"
+        + _scale_note(
+            run.full,
+            f"{params.n}x{params.n}, "
+            f"{len(results.axis('workers'))} mesh sizes",
+        )
         + format_table(
             ["workers", "algorithm", "empi_total", "sm_total", "sm/empi",
              "empi_reduce", "sm_reduce", "reduce sm/empi"],
@@ -659,20 +526,15 @@ register_experiment(
 )
 
 
-def _stream_scale(full: bool) -> tuple[tuple[int, ...], int, int]:
-    workers = (2, 4, 8) if full else (2, 4)
-    n_blocks, block_values = (16, 16) if full else (4, 8)
-    return workers, n_blocks, block_values
-
-
 def _build_stream(full: bool) -> SweepSpace:
-    workers, n_blocks, block_values = _stream_scale(full)
+    n_blocks, block_values = (16, 16) if full else (4, 8)
     return SweepSpace(
         name="stream",
         app=stream_app,
         app_id="stream",
         axes=(
-            Axis("workers", workers, field="n_workers"),
+            Axis("workers", (2, 4, 8) if full else (2, 4),
+                 field="n_workers"),
             Axis("model", ("empi", "pure_sm"), target="params"),
         ),
         base_params=StreamParams(n_blocks=n_blocks,
@@ -683,29 +545,24 @@ def _build_stream(full: bool) -> SweepSpace:
 def _summarize_stream(run: ExperimentRun) -> ExperimentReport:
     """Stream pipeline: cycles per block, TIE streams vs SM mailboxes."""
     results = run.result()
-    workers, n_blocks, block_values = _stream_scale(run.full)
+    params = results.space.base_params
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
-    for n_workers in workers:
-        cycles = {}
-        for model in ("empi", "pure_sm"):
-            payload = results.get(workers=n_workers, model=model)
-            _assert_validated(
-                f"stream/{model}/{n_workers}w", payload["validated"]
-            )
-            cycles[model] = payload["cycles_per_block"]
-            series.setdefault(model, []).append(
-                (n_workers, payload["cycles_per_block"])
-            )
+    for (n_workers,), by_model in results.grouped("workers", across="model"):
+        cycles = {model: payload["cycles_per_block"]
+                  for model, payload in by_model.items()}
+        for model, value in cycles.items():
+            series.setdefault(model, []).append((n_workers, value))
         rows.append([
             n_workers,
             f"{cycles['empi']:.0f}", f"{cycles['pure_sm']:.0f}",
             f"{cycles['pure_sm'] / cycles['empi']:.2f}x",
         ])
     text = (
-        f"stream: {n_blocks} blocks of {block_values} doubles through a "
-        f"worker pipeline\n"
-        + _scale_note(run.full, f"{len(workers)} pipeline depths")
+        f"stream: {params.n_blocks} blocks of {params.block_values} doubles "
+        f"through a worker pipeline\n"
+        + _scale_note(run.full,
+                      f"{len(results.axis('workers'))} pipeline depths")
         + format_table(
             ["workers", "empi cyc/blk", "sm cyc/blk", "sm/empi"], rows
         )
@@ -725,22 +582,17 @@ register_experiment(
 )
 
 
-def _cg_scale(full: bool) -> tuple[tuple[int, ...], int, int]:
-    # The 8-worker reference mesh is the acceptance point; keep it in
-    # every scale.
-    workers = (2, 4, 8, 15) if full else (4, 8)
-    n, iterations = (128, 16) if full else (64, 10)
-    return workers, n, iterations
-
-
 def _build_cg(full: bool) -> SweepSpace:
-    workers, n, iterations = _cg_scale(full)
+    n, iterations = (128, 16) if full else (64, 10)
     return SweepSpace(
         name="cg",
         app=cg_app,
         app_id="cg",
         axes=(
-            Axis("workers", workers, field="n_workers"),
+            # The 8-worker reference mesh is the acceptance point; keep it
+            # in every scale.
+            Axis("workers", (2, 4, 8, 15) if full else (4, 8),
+                 field="n_workers"),
             Axis("model", ("empi", "pure_sm"), target="params"),
             Axis("overlap", (False, True), target="params"),
         ),
@@ -761,37 +613,33 @@ def _summarize_cg(run: ExperimentRun) -> ExperimentReport:
     with the core, which is exactly what the efficiency column shows.
     """
     results = run.result()
-    workers, n, iterations = _cg_scale(run.full)
+    params = results.space.base_params
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
-    for n_workers in workers:
-        for model in ("empi", "pure_sm"):
-            cycles: dict[bool, int] = {}
-            efficiency: dict[bool, float] = {}
-            for overlap in (False, True):
-                payload = results.get(
-                    workers=n_workers, model=model, overlap=overlap
-                )
-                _assert_validated(
-                    f"cg/{model}/overlap={overlap}/{n_workers}w",
-                    payload["validated"] and payload["converged"],
-                )
-                cycles[overlap] = payload["total_cycles"]
-                efficiency[overlap] = payload["overlap_efficiency"]
-                series.setdefault(
-                    f"{model}_{'overlap' if overlap else 'blocking'}", []
-                ).append((n_workers, cycles[overlap]))
-            rows.append([
-                n_workers, model,
-                cycles[False], cycles[True],
-                cycles[False] - cycles[True],
-                f"{cycles[False] / cycles[True]:.4f}x",
-                f"{efficiency[True]:.2f}",
-            ])
+    for (n_workers, model), by_overlap in results.grouped(
+        "workers", "model", across="overlap"
+    ):
+        blocking, overlapped = by_overlap[False], by_overlap[True]
+        series.setdefault(f"{model}_blocking", []).append(
+            (n_workers, blocking["total_cycles"])
+        )
+        series.setdefault(f"{model}_overlap", []).append(
+            (n_workers, overlapped["total_cycles"])
+        )
+        rows.append([
+            n_workers, model,
+            blocking["total_cycles"], overlapped["total_cycles"],
+            blocking["total_cycles"] - overlapped["total_cycles"],
+            f"{blocking['total_cycles'] / overlapped['total_cycles']:.4f}x",
+            f"{overlapped['overlap_efficiency']:.2f}",
+        ])
     text = (
-        f"cg: conjugate gradient, {n}-row tridiagonal SPD system, "
-        f"{iterations} iterations\n"
-        + _scale_note(run.full, f"n={n}, {len(workers)} mesh sizes")
+        f"cg: conjugate gradient, {params.n}-row tridiagonal SPD system, "
+        f"{params.iterations} iterations\n"
+        + _scale_note(
+            run.full,
+            f"n={params.n}, {len(results.axis('workers'))} mesh sizes",
+        )
         + format_table(
             ["workers", "model", "blocking", "overlap", "saved",
              "speedup", "ovl eff"],
@@ -820,17 +668,9 @@ register_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _hw_scale(full: bool):
+def _build_hw_collectives(full: bool) -> list[SweepSpace]:
     workers = (2, 4, 8, 15) if full else (4, 8)
     depths = (1, 2, 4, 8) if full else (1, 4)
-    lengths = (16, 64, 256, 1024) if full else (16, 64, 256)
-    repeats = 8 if full else 4
-    long_repeats = 4 if full else 2
-    return workers, depths, lengths, repeats, long_repeats
-
-
-def _build_hw_collectives(full: bool) -> list[SweepSpace]:
-    workers, depths, lengths, repeats, long_repeats = _hw_scale(full)
     variants = (
         Variant("linear", params={"algorithm": "linear"}),
         Variant("tree", params={"algorithm": "tree"}),
@@ -855,7 +695,7 @@ def _build_hw_collectives(full: bool) -> list[SweepSpace]:
             Axis("variant", variants),
         ),
         base_params=CollectiveBenchParams(model="empi", n_values=16,
-                                          repeats=repeats),
+                                          repeats=8 if full else 4),
     )
     long_variants = (
         Variant("tree", params={"algorithm": "tree"}),
@@ -878,11 +718,13 @@ def _build_hw_collectives(full: bool) -> list[SweepSpace]:
         axes=(
             Axis("workers", workers, field="n_workers"),
             Axis("variant", long_variants),
-            Axis("length", lengths, target="params", field="n_values"),
+            Axis("length",
+                 (16, 64, 256, 1024) if full else (16, 64, 256),
+                 target="params", field="n_values"),
         ),
         base_params=CollectiveBenchParams(collective="allreduce",
                                           model="empi",
-                                          repeats=long_repeats),
+                                          repeats=4 if full else 2),
     )
     return [main, long]
 
@@ -902,104 +744,89 @@ def _summarize_hw_collectives(run: ExperimentRun) -> ExperimentReport:
     comparison point.  Every point validates bit for bit against the
     combine-order references.
     """
-    workers, depths, lengths, repeats, long_repeats = _hw_scale(run.full)
-    main, long_results = run.result(0), run.result(1)
-    n_values = 16
-
-    def point(results: SpaceResults, label: str, **coords) -> float:
-        payload = results.get(**coords)
-        _assert_validated(label, payload["validated"])
-        return payload["cycles_per_op"]
+    main, long = run.result(0), run.result(1)
+    variants = main.axis("variant")
+    hw_depths = [label for label in variants if label.startswith("hw(q")]
 
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
-    crossover: dict[str, int | None] = {}
-    for w in workers:
-        for collective in ("bcast", "allreduce"):
-            cycles: dict[str, float] = {}
-            for variant in (
-                ["linear", "tree"]
-                + [f"hw(q{d})" for d in depths]
-                + ["hw-uc"]
-            ):
-                cycles[variant] = point(
-                    main,
-                    f"hw_collectives/{collective}/{variant}/{w}w",
-                    workers=w, collective=collective, variant=variant,
-                )
-            best_hw = min(cycles[f"hw(q{d})"] for d in depths)
-            if best_hw < cycles["tree"] and collective not in crossover:
-                crossover[collective] = w
-            rows.append(
-                [collective, w]
-                + [f"{cycles[k]:.0f}" for k in cycles]
-                + [f"{cycles['tree'] / best_hw:.2f}x"]
-            )
-            series.setdefault(f"{collective}_tree", []).append(
-                (w, cycles["tree"])
-            )
-            series.setdefault(f"{collective}_hw", []).append((w, best_hw))
+    crossover: dict[str, int] = {}
+    for (w, collective), by_variant in main.grouped(
+        "workers", "collective", across="variant"
+    ):
+        cycles = {variant: payload["cycles_per_op"]
+                  for variant, payload in by_variant.items()}
+        best_hw = min(cycles[label] for label in hw_depths)
+        if best_hw < cycles["tree"]:
+            crossover.setdefault(collective, w)
+        rows.append(
+            [collective, w]
+            + [f"{cycles[k]:.0f}" for k in variants]
+            + [f"{cycles['tree'] / best_hw:.2f}x"]
+        )
+        series.setdefault(f"{collective}_tree", []).append(
+            (w, cycles["tree"])
+        )
+        series.setdefault(f"{collective}_hw", []).append((w, best_hw))
     # -- long-vector crossover: allreduce over vector length x mesh --------
     long_rows = []
     long_series: dict[str, list[tuple[float, float]]] = {}
-    long_algos = ("tree", "ring", "hw-na", "hw", "ring-hw")
+    long_algos = long.axis("variant")
     ring_crossover: dict[int, int | None] = {}
-    for w in workers:
-        for length in lengths:
-            cycles = {
-                name: point(
-                    long_results,
-                    f"hw_collectives/allreduce/{name}/{w}w/{length}v",
-                    workers=w, variant=name, length=length,
-                )
-                for name in long_algos
-            }
-            if cycles["ring"] < cycles["tree"] and w not in ring_crossover:
-                ring_crossover[w] = length
-            long_rows.append(
-                ["allreduce", w, length]
-                + [f"{cycles[k]:.0f}" for k in long_algos]
-                + [
-                    f"{cycles['tree'] / cycles['ring']:.2f}x",
-                    f"{cycles['hw-na'] / cycles['hw']:.2f}x",
-                ]
-            )
-            long_series.setdefault(f"ring_{w}w", []).append(
-                (length, cycles["ring"])
-            )
-            long_series.setdefault(f"tree_{w}w", []).append(
-                (length, cycles["tree"])
-            )
+    for (w, length), by_variant in long.grouped(
+        "workers", "length", across="variant"
+    ):
+        cycles = {variant: payload["cycles_per_op"]
+                  for variant, payload in by_variant.items()}
         ring_crossover.setdefault(w, None)
-    labels = (
-        ["linear", "tree"] + [f"hw(q{d})" for d in depths] + ["hw-uc"]
-    )
+        if cycles["ring"] < cycles["tree"] and ring_crossover[w] is None:
+            ring_crossover[w] = length
+        long_rows.append(
+            ["allreduce", w, length]
+            + [f"{cycles[k]:.0f}" for k in long_algos]
+            + [
+                f"{cycles['tree'] / cycles['ring']:.2f}x",
+                f"{cycles['hw-na'] / cycles['hw']:.2f}x",
+            ]
+        )
+        long_series.setdefault(f"ring_{w}w", []).append(
+            (length, cycles["ring"])
+        )
+        long_series.setdefault(f"tree_{w}w", []).append(
+            (length, cycles["tree"])
+        )
     crossings = ", ".join(
-        f"{coll}: {'never' if crossover.get(coll) is None else f'from {crossover[coll]}w'}"
-        for coll in ("bcast", "allreduce")
+        f"{coll}: {f'from {crossover[coll]}w' if coll in crossover else 'never'}"
+        for coll in main.axis("collective")
     )
     ring_crossings = ", ".join(
         f"{w}w: {'never' if length is None else f'from {length} doubles'}"
         for w, length in sorted(ring_crossover.items())
     )
+    # Every engine point of the long table runs at the deepest queue.
+    engine_depth = long.outcomes[-1].item.config.dma_tx_queue_depth
     text = (
-        f"hw_collectives: cycles per op, {n_values} doubles, mean of "
-        f"{repeats} reps (empi model)\n"
-        + _scale_note(run.full,
-                      f"{len(workers)} mesh sizes, {len(depths)} depths")
+        f"hw_collectives: cycles per op, "
+        f"{main.space.base_params.n_values} doubles, mean of "
+        f"{main.space.base_params.repeats} reps (empi model)\n"
+        + _scale_note(
+            run.full,
+            f"{len(main.axis('workers'))} mesh sizes, "
+            f"{len(hw_depths)} depths",
+        )
         + format_table(
-            ["collective", "workers"] + labels + ["tree/hw"], rows
+            ["collective", "workers", *variants, "tree/hw"], rows
         )
         + f"\nhw beats the software tree ({crossings}); 'hw-uc' is the "
           "unicast-fallback equivalence point (engine on, fabric "
           "replication off).  All points deliver bit-identical vectors; "
           "hw combines in the tree order.\n\n"
         + f"long-vector crossover: allreduce cycles/op over vector length "
-          f"(mean of {long_repeats} reps; engine points at queue depth "
-          f"{depths[-1]})\n"
+          f"(mean of {long.space.base_params.repeats} reps; engine points "
+          f"at queue depth {engine_depth})\n"
         + format_table(
-            ["collective", "workers", "doubles"] + list(long_algos)
-            + ["tree/ring", "hw-na/hw"],
+            ["collective", "workers", "doubles", *long_algos,
+             "tree/ring", "hw-na/hw"],
             long_rows,
         )
         + f"\nring beats tree ({ring_crossings}); 'hw-na' is the PR-4 "
@@ -1074,20 +901,7 @@ def _chiplet_packages(full: bool) -> tuple[tuple[str, dict], ...]:
     )
 
 
-def _chiplet_scale(full: bool):
-    packages = _chiplet_packages(full)
-    lengths = (4, 8, 16, 64) if full else (4, 16)
-    repeats = 4 if full else 2
-    return packages, lengths, repeats
-
-
-#: The collective schedules the chiplet sweep compares: the two flat
-#: software schedules against the topology-aware hierarchical one.
-CHIPLET_ALGORITHMS = ("tree", "ring", "hier")
-
-
 def _build_chiplet_sweep(full: bool) -> SweepSpace:
-    packages, lengths, repeats = _chiplet_scale(full)
     return SweepSpace(
         name="chiplet_sweep",
         app=collective_bench_app,
@@ -1095,14 +909,17 @@ def _build_chiplet_sweep(full: bool) -> SweepSpace:
         axes=(
             Axis("package", tuple(
                 Variant(label, config=overrides)
-                for label, overrides in packages
+                for label, overrides in _chiplet_packages(full)
             )),
-            Axis("algorithm", CHIPLET_ALGORITHMS, target="params"),
-            Axis("length", lengths, target="params", field="n_values"),
+            # The two flat software schedules against the topology-aware
+            # hierarchical one.
+            Axis("algorithm", ("tree", "ring", "hier"), target="params"),
+            Axis("length", (4, 8, 16, 64) if full else (4, 16),
+                 target="params", field="n_values"),
         ),
         base_params=CollectiveBenchParams(collective="allreduce",
                                           model="empi",
-                                          repeats=repeats),
+                                          repeats=4 if full else 2),
     )
 
 
@@ -1121,55 +938,52 @@ def _summarize_chiplet_sweep(run: ExperimentRun) -> ExperimentReport:
     into per-rank segments that amortize the off-die hops).  Every
     point validates bit for bit against its combine-order reference.
     """
-    packages, lengths, repeats = _chiplet_scale(run.full)
-    results = run.result(0)
+    results = run.result()
+    algorithms = results.axis("algorithm")
+    package_workers = {
+        outcome.coords["package"]: outcome.item.config.n_workers
+        for outcome in results.outcomes
+    }
 
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
     hier_wins: list[str] = []
-    for label, overrides in packages:
-        workers = overrides["n_workers"]
-        for length in lengths:
-            cycles: dict[str, float] = {}
-            for algorithm in CHIPLET_ALGORITHMS:
-                payload = results.get(
-                    package=label, algorithm=algorithm, length=length
-                )
-                _assert_validated(
-                    f"chiplet_sweep/{label}/{algorithm}/{length}v",
-                    payload["validated"],
-                )
-                cycles[algorithm] = payload["cycles_per_op"]
-            flat = min(cycles["tree"], cycles["ring"])
-            winner = (
-                "hier" if cycles["hier"] < flat
-                else min(("tree", "ring"), key=cycles.get)
-            )
-            if winner == "hier":
-                hier_wins.append(f"{label}/{length}v")
-            rows.append(
-                [label, workers, length]
-                + [f"{cycles[a]:.0f}" for a in CHIPLET_ALGORITHMS]
-                + [f"{flat / cycles['hier']:.2f}x", winner]
-            )
-            series.setdefault(f"hier_{label}", []).append(
-                (length, cycles["hier"])
-            )
-            series.setdefault(f"ring_{label}", []).append(
-                (length, cycles["ring"])
-            )
+    for (label, length), by_algorithm in results.grouped(
+        "package", "length", across="algorithm"
+    ):
+        cycles = {algorithm: payload["cycles_per_op"]
+                  for algorithm, payload in by_algorithm.items()}
+        flat = {a: c for a, c in cycles.items() if a != "hier"}
+        best_flat = min(flat, key=flat.get)
+        winner = "hier" if cycles["hier"] < flat[best_flat] else best_flat
+        if winner == "hier":
+            hier_wins.append(f"{label}/{length}v")
+        rows.append(
+            [label, package_workers[label], length]
+            + [f"{cycles[a]:.0f}" for a in algorithms]
+            + [f"{flat[best_flat] / cycles['hier']:.2f}x", winner]
+        )
+        series.setdefault(f"hier_{label}", []).append(
+            (length, cycles["hier"])
+        )
+        series.setdefault(f"ring_{label}", []).append(
+            (length, cycles["ring"])
+        )
     wins_text = (
         ", ".join(hier_wins) if hier_wins
         else "none at this scale (off-die hops too cheap)"
     )
     text = (
         f"chiplet_sweep: allreduce cycles/op across chiplet packages "
-        f"(mean of {repeats} reps, empi model)\n"
-        + _scale_note(run.full,
-                      f"{len(packages)} packages, {len(lengths)} lengths")
+        f"(mean of {results.space.base_params.repeats} reps, empi model)\n"
+        + _scale_note(
+            run.full,
+            f"{len(results.axis('package'))} packages, "
+            f"{len(results.axis('length'))} lengths",
+        )
         + format_table(
-            ["package", "workers", "doubles"] + list(CHIPLET_ALGORITHMS)
-            + ["flat/hier", "winner"],
+            ["package", "workers", "doubles", *algorithms,
+             "flat/hier", "winner"],
             rows,
         )
         + f"\nhierarchical wins: {wins_text}.\n"
@@ -1199,53 +1013,52 @@ register_experiment(
 
 
 # ---------------------------------------------------------------------------
-# NoC characterization + simulator speed
+# NoC characterization
 # ---------------------------------------------------------------------------
 
 
-def _noc_scale(full: bool) -> tuple[tuple[float, ...], int]:
-    rates = (0.02, 0.05, 0.1, 0.2, 0.3, 0.45) if full else (0.05, 0.2, 0.45)
-    cycles = 4000 if full else 1500
-    return rates, cycles
-
-
 def _build_noc(full: bool) -> SweepSpace:
-    rates, cycles = _noc_scale(full)
     return SweepSpace(
         name="noc",
         app=synthetic_app,
         app_id="synthetic",
         axes=(
             Axis("pattern", ("uniform", "hotspot"), target="params"),
-            Axis("rate", rates, target="params"),
+            Axis("rate",
+                 (0.02, 0.05, 0.1, 0.2, 0.3, 0.45) if full
+                 else (0.05, 0.2, 0.45),
+                 target="params"),
         ),
-        base_params=SyntheticParams(cycles=cycles, spatial=True),
+        base_params=SyntheticParams(cycles=4000 if full else 1500,
+                                    spatial=True),
     )
 
 
 def _summarize_noc(run: ExperimentRun) -> ExperimentReport:
     """Deflection-routing latency/throughput and outlier behaviour."""
     results = run.result()
-    rates, __ = _noc_scale(run.full)
+    rates = results.axis("rate")
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
-    for pattern in ("uniform", "hotspot"):
-        for rate in rates:
-            stats = results.get(pattern=pattern, rate=rate)
-            rows.append([
-                pattern, f"{stats['offered_rate']:.2f}",
-                f"{stats['mean_latency']:.1f}", stats["max_latency"],
-                stats["p99_latency_bound"],
-                f"{stats['deflections_per_flit']:.2f}",
-                f"{stats['throughput']:.3f}",
-                "yes" if stats["all_delivered"] else "NO",
-            ])
-            series.setdefault(pattern, []).append(
-                (stats["offered_rate"], stats["mean_latency"])
-            )
+    for outcome in results.outcomes:
+        pattern, stats = outcome.coords["pattern"], outcome.payload
+        rows.append([
+            pattern, f"{stats['offered_rate']:.2f}",
+            f"{stats['mean_latency']:.1f}", stats["max_latency"],
+            stats["p99_latency_bound"],
+            f"{stats['deflections_per_flit']:.2f}",
+            f"{stats['throughput']:.3f}",
+            "yes" if stats["all_delivered"] else "NO",
+        ])
+        series.setdefault(pattern, []).append(
+            (stats["offered_rate"], stats["mean_latency"])
+        )
     text = (
         "noc: deflection routing under synthetic traffic (4x4 folded torus)\n"
-        + _scale_note(run.full, "3 rates, 1500 cycles")
+        + _scale_note(
+            run.full,
+            f"{len(rates)} rates, {results.space.base_params.cycles} cycles",
+        )
         + format_table(
             ["pattern", "rate", "mean_lat", "max_lat", "p99<=",
              "defl/flit", "thruput", "all delivered"],
@@ -1260,7 +1073,7 @@ def _summarize_noc(run: ExperimentRun) -> ExperimentReport:
     # Spatial heatmaps at the heaviest load: *where* the deflections and
     # stalls concentrate, per pattern (the ROADMAP item-2 attribution).
     heaviest = rates[-1]
-    for pattern in ("uniform", "hotspot"):
+    for pattern in results.axis("pattern"):
         spatial = results.get(pattern=pattern, rate=heaviest).get("spatial")
         if spatial is not None:
             text += (
@@ -1280,114 +1093,46 @@ register_experiment(
 )
 
 
-def _build_simspeed(full: bool) -> SweepSpace:
-    return SweepSpace(
-        name="simspeed",
-        app=jacobi_app,
-        app_id="jacobi",
-        axes=(),
-        base_config=SystemConfig(n_workers=8, cache_size_kb=16),
-        base_params=JacobiParams(n=30 if not full else 60, iterations=3,
-                                 warmup=1),
-        cacheable=False,  # a wall-clock measurement: caching would lie
-    )
-
-
-def _summarize_simspeed(run: ExperimentRun) -> ExperimentReport:
-    """Simulator-throughput counterpart of the paper's 15x HDL-ISS claim."""
-    space = run.spaces[0]
-    payload = run.result().payloads()[0]
-    wall = payload["wall_seconds"]
-    cps = payload["total_cycles"] / wall
-    sweep_points = 168 * 3  # three problem sizes, as in the paper
-    est_hours = sweep_points * wall / 3600
-    rows = [[
-        space.base_config.label(), space.base_params.n,
-        payload["total_cycles"], f"{wall:.2f}", f"{cps:,.0f}",
-        f"{est_hours:.2f}",
-    ]]
-    text = (
-        "simspeed: kernel throughput (stand-in for the paper's 15x-vs-"
-        "HDL-ISS claim)\n"
-        + _scale_note(run.full, "30x30 reference run")
-        + format_table(
-            ["config", "grid", "cycles", "wall_s", "cycles/sec",
-             "est. hours for 168x3 sweep (serial)"],
-            rows,
-        )
-        + "\npaper context: 168 configs x 3 sizes in ~1 day on 5 dual-Xeon "
-          "servers; the estimate above is single-process — divide by the "
-          "worker-pool size used in run_sweep.\n"
-    )
-    return ExperimentReport(
-        experiment="simspeed", full_scale=run.full, text=text, rows=rows,
-    )
-
-
-register_experiment(
-    "simspeed",
-    "Simulator throughput: cycles/sec on the reference Jacobi run",
-    _build_simspeed, _summarize_simspeed,
-)
-
-
 # ---------------------------------------------------------------------------
 # Fault tolerance: reliable delivery under seeded faults
 # ---------------------------------------------------------------------------
 
 
-def _fault_scale(full: bool):
-    drop_rates = (0.005, 0.01, 0.02, 0.05) if full else (0.01, 0.05)
-    repeats = 4 if full else 2
-    return drop_rates, repeats
-
-
-def _fault_variants(full: bool) -> tuple[Variant, ...]:
-    drop_rates, __ = _fault_scale(full)
-    seed = 3
-    corrupt_rate = 0.01
-    variants = [
-        Variant("off", config={"faults": None}),
-        Variant("rate 0", config={"faults": FaultPlan(seed=seed)}),
-    ]
-    variants += [
-        Variant(f"drop {rate:g}",
-                config={"faults": FaultPlan(seed=seed, drop_rate=rate)})
-        for rate in drop_rates
-    ]
-    variants.append(
-        Variant(f"corrupt {corrupt_rate:g}",
-                config={"faults": FaultPlan(seed=seed,
-                                            corrupt_rate=corrupt_rate)})
-    )
-    variants.append(
-        Variant("dead link",
-                config={"faults": FaultPlan(seed=seed,
-                                            dead_links=((1, 1, 200),))})
-    )
-    return tuple(variants)
+#: Every fault plan of the sweep draws from this seed.
+_FAULT_SEED = 3
 
 
 def _build_fault_sweep(full: bool) -> SweepSpace:
-    __, repeats = _fault_scale(full)
+    def plan(label: str, **faults) -> Variant:
+        return Variant(
+            label, config={"faults": FaultPlan(seed=_FAULT_SEED, **faults)}
+        )
+
     algorithms = (
         Variant("tree", params={"algorithm": "tree"}),
         Variant("ring", params={"algorithm": "ring"}),
         Variant("hw", config={"dma_tx_queue_depth": 4},
                 params={"algorithm": "hw"}),
     )
+    faults = (
+        Variant("off", config={"faults": None}),
+        plan("rate 0"),
+        *(
+            plan(f"drop {rate:g}", drop_rate=rate)
+            for rate in ((0.005, 0.01, 0.02, 0.05) if full else (0.01, 0.05))
+        ),
+        plan("corrupt 0.01", corrupt_rate=0.01),
+        plan("dead link", dead_links=((1, 1, 200),)),
+    )
     return SweepSpace(
         name="fault_sweep",
         app=collective_bench_app,
         app_id="collective_bench",
-        axes=(
-            Axis("algorithm", algorithms),
-            Axis("faults", _fault_variants(full)),
-        ),
+        axes=(Axis("algorithm", algorithms), Axis("faults", faults)),
         base_config=SystemConfig(n_workers=8, topology_kind="mesh"),
         base_params=CollectiveBenchParams(collective="allreduce",
                                           model="empi", n_values=16,
-                                          repeats=repeats),
+                                          repeats=4 if full else 2),
     )
 
 
@@ -1408,23 +1153,15 @@ def _summarize_fault_sweep(run: ExperimentRun) -> ExperimentReport:
     degraded cycles, without a single lost value).
     """
     results = run.result()
-    drop_rates, repeats = _fault_scale(run.full)
-    seed = 3
-    n_values = 16
-    variant_names = [variant.label for variant in _fault_variants(run.full)]
+    params = results.space.base_params
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
-    for algorithm in ("tree", "ring", "hw"):
-        baseline: int | None = None
-        for name in variant_names:
-            payload = results.get(algorithm=algorithm, faults=name)
-            _assert_validated(
-                f"fault_sweep/allreduce/{algorithm}/{name}",
-                payload["validated"],
-            )
+    for (algorithm,), by_faults in results.grouped(
+        "algorithm", across="faults"
+    ):
+        baseline = by_faults["off"]["total_cycles"]
+        for name, payload in by_faults.items():
             cycles = payload["total_cycles"]
-            if baseline is None:
-                baseline = cycles
             rows.append([
                 "allreduce", algorithm, name, cycles,
                 f"{cycles / baseline:.2f}x",
@@ -1433,10 +1170,14 @@ def _summarize_fault_sweep(run: ExperimentRun) -> ExperimentReport:
                 series.setdefault(algorithm, []).append(
                     (float(name.split()[1]), cycles / baseline)
                 )
+    n_drop_rates = sum(
+        1 for name in results.axis("faults") if name.startswith("drop")
+    )
     text = (
         f"fault_sweep: allreduce under seeded link faults, 8-worker mesh, "
-        f"{n_values} doubles, {repeats} reps (empi model)\n"
-        + _scale_note(run.full, f"{len(drop_rates)} drop rates, seed {seed}")
+        f"{params.n_values} doubles, {params.repeats} reps (empi model)\n"
+        + _scale_note(run.full,
+                      f"{n_drop_rates} drop rates, seed {_FAULT_SEED}")
         + format_table(
             ["collective", "algorithm", "faults", "cycles", "vs off"], rows
         )
@@ -1465,10 +1206,8 @@ register_experiment(
 
 
 __all__ = [
-    "ALL_EXPERIMENTS",
     "DEFAULT_RESULTS_DIR",
+    "REGISTRY",
     "ExperimentReport",
-    "execution_time_experiment",
     "full_scale_requested",
-    "speedup_area_experiment",
 ]

@@ -1,19 +1,18 @@
 """The experiment registry: declarative entry points the CLI introspects.
 
-An :class:`Experiment` replaces the old informal ``(full, jobs,
-cache_dir)`` callable convention: it names the artifact, carries the help
-line the CLI listing shows, and plugs into the sweep service through two
-hooks — ``build_space(full)`` returns the experiment's
+An :class:`Experiment` names one artifact, carries the help line the CLI
+listing shows, and plugs into the sweep service through two hooks —
+``build_space(full)`` returns the experiment's
 :class:`~repro.dse.space.SweepSpace` (or a list of them), and
 ``summarize(run)`` turns the executed results into an
 :class:`ExperimentReport`.  Calling the object runs the whole pipeline:
 
-    report = ALL_EXPERIMENTS["fig6"](full=True, jobs=8, cache_dir="results")
+    report = REGISTRY["fig6"](full=True, jobs=8, cache_dir="results")
 
-Every registered experiment therefore shares pool wiring, resumable
-caching, retry policy and backend selection for free; experiments whose
-hand-rolled loops used to ``del jobs, cache_dir`` now parallelize and
-cache like the figure sweeps do.
+:data:`REGISTRY` is the only way to run an experiment — the CLI, the
+benchmark suite and the tests all call its entries — so every one of them
+shares pool wiring, resumable caching, retry policy, backend selection
+and the numerical-validation check.
 """
 
 from __future__ import annotations

@@ -1,24 +1,22 @@
-"""The journaled sweep result store and the classic Jacobi sweep runner.
-
-Two layers live here:
+"""The journaled sweep result store and the Jacobi point driver.
 
 * :class:`ResultCache` — one versioned JSON store per sweep name, with an
   append-only JSONL *journal* beside it.  The executor service persists
   every completed point to the journal as it finishes (crash-safe: a torn
   final line is ignored on load), and :meth:`ResultCache.save` compacts
-  journal + store into the JSON file.  A sweep killed at point k resumes
-  at point k+1 — the fix for the old whole-sweep-or-nothing write.
-* :func:`run_sweep` — the historical entry point, now a thin wrapper over
-  :func:`repro.dse.executor.run_space` for Jacobi-shaped spaces (see
-  :func:`repro.dse.space.jacobi_sweep_space`), returning typed
-  :class:`SweepResult` rows in point order.
+  journal + store into the JSON file through a temp file + rename, so a
+  kill at any moment leaves a loadable store.  A sweep killed at point k
+  resumes at point k+1.
+* :func:`jacobi_app` / :class:`SweepResult` — the app driver of the
+  Jacobi-shaped spaces (:func:`repro.dse.space.jacobi_sweep_space`) and
+  the typed row the figure summaries read its payloads back into.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro import __version__ as _repro_version
@@ -39,11 +37,9 @@ class SweepResult:
     iteration_cycles: list[int]
     total_cycles: int
     validated: bool
-    wall_seconds: float
     noc_flits: int = 0
     noc_deflections: int = 0
     mpmmu_busy_cycles: int = 0
-    extra: dict = field(default_factory=dict)
 
     @classmethod
     def from_json(cls, data: dict) -> "SweepResult":
@@ -52,9 +48,7 @@ class SweepResult:
 
 def jacobi_app(config, params) -> dict:
     """Evaluate one Jacobi point: the app driver every backend runs."""
-    started = time.perf_counter()
     outcome = run_jacobi(config, params)
-    wall = time.perf_counter() - started
     noc = outcome.stats.get("noc", {})
     mpmmu = outcome.stats.get("mpmmu", {})
     return asdict(SweepResult(
@@ -69,7 +63,6 @@ def jacobi_app(config, params) -> dict:
         iteration_cycles=outcome.iteration_cycles,
         total_cycles=outcome.total_cycles,
         validated=outcome.validated,
-        wall_seconds=wall,
         noc_flits=noc.get("flits_ejected", 0),
         noc_deflections=noc.get("deflections", 0),
         mpmmu_busy_cycles=mpmmu.get("busy_cycles", 0),
@@ -79,27 +72,24 @@ def jacobi_app(config, params) -> dict:
 #: Bump whenever a change can alter simulated cycle counts (kernel/NoC/
 #: timing-model changes) or the cache-key/JSON layout: cached sweep points
 #: are only trusted when they were produced by the same cache version, so
-#: a hot-path overhaul can never silently serve stale figures.  Version 3
-#: introduced schema-hash-prefixed keys and the resume journal.
-CACHE_VERSION = f"3:{_repro_version}"
+#: a hot-path overhaul can never silently serve stale figures.  Version 4:
+#: enums keyed by value, no ``zip`` schema entry, no wall time in the
+#: Jacobi payload.
+CACHE_VERSION = f"4:{_repro_version}"
 
 
 class ResultCache:
     """One JSON store + JSONL journal per sweep name, keyed by point.
 
     The compact file embeds :data:`CACHE_VERSION`; on load, any mismatch
-    (including the version-less seed layout) discards the cached points
-    wholesale and the sweep recomputes them.  The journal holds points
+    (including the version-less seed layout and a file that does not
+    decode) discards its points wholesale.  The journal holds points
     persisted *during* a sweep — :meth:`append` writes one line per
     completed point, so an interrupted run keeps everything it finished.
     Journal lines are version-stamped too, and a torn final line (the
     crash case) is skipped silently.  :meth:`save` compacts journal +
-    store into the JSON file and removes the journal.
-
-    Two layers of access: ``get``/``put`` speak :class:`SweepResult` (the
-    Jacobi-shaped sweeps), ``get_raw``/``put_raw`` speak plain JSON dicts
-    so any experiment — collectives, CG, future apps — can reuse the same
-    versioned store without forcing its results into the sweep schema.
+    store into the JSON file and removes the journal.  Payloads are plain
+    JSON dicts, whatever the app.
     """
 
     def __init__(self, directory: str | Path, name: str) -> None:
@@ -109,7 +99,10 @@ class ResultCache:
         self.discarded_stale = False
         self.journal_points = 0
         if self.path.exists():
-            raw = json.loads(self.path.read_text())
+            try:
+                raw = json.loads(self.path.read_text())
+            except json.JSONDecodeError:
+                raw = None
             points = (
                 raw.get("points")
                 if isinstance(raw, dict)
@@ -155,42 +148,15 @@ class ResultCache:
         with self.journal_path.open("a") as journal:
             journal.write(json.dumps(entry) + "\n")
 
-    def get(self, key: str) -> SweepResult | None:
-        raw = self.get_raw(key)
-        return SweepResult.from_json(raw) if raw is not None else None
-
-    def put(self, key: str, result: SweepResult) -> None:
-        self.put_raw(key, asdict(result))
-
     def save(self) -> None:
         """Compact store + journal into the versioned JSON file."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"__cache_version__": CACHE_VERSION, "points": self._data}
-        self.path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+        # Never a half-written store: the journal is only removed once the
+        # complete file is in place under its final name.
+        scratch = self.path.with_suffix(".json.tmp")
+        scratch.write_text(json.dumps(payload, indent=1, sort_keys=True))
+        os.replace(scratch, self.path)
         if self.journal_path.exists():
             self.journal_path.unlink()
         self.journal_points = 0
-
-
-def run_sweep(
-    space,
-    jobs: int | None = None,
-    cache_dir: str | Path | None = None,
-    progress: bool = False,
-    backend: str | None = None,
-) -> list[SweepResult]:
-    """Evaluate every point of a Jacobi ``SweepSpace``; results in point order.
-
-    ``jobs=None`` auto-sizes the pool (capped at the point count);
-    ``jobs=1`` runs inline, which is what the unit tests use.  With a
-    ``cache_dir``, previously computed points are reused and new points
-    persist incrementally (a killed sweep resumes where it died).
-    """
-    from repro.dse.executor import run_space
-
-    results = run_space(
-        space, backend=backend, jobs=jobs, cache_dir=cache_dir,
-        progress=progress,
-    )
-    return [SweepResult.from_json(outcome.payload)
-            for outcome in results.outcomes]

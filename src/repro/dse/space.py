@@ -6,16 +6,15 @@ A :class:`SweepSpace` describes one experiment's design space: a base
 traffic), and a tuple of named :class:`Axis` objects whose values are
 either scalars (one field each) or :class:`Variant` bundles (several
 coordinated overrides under one label, e.g. ``hw(q4)`` = queue depth 4
-*and* the ``hw`` algorithm).  Axes combine as a cross product by default;
-``zip_groups`` names axes that advance together instead (paired axes of
-equal length).  An optional ``prune`` predicate drops coordinate
-combinations that make no sense (e.g. tree-algorithm scatter).
+*and* the ``hw`` algorithm).  Axes combine as a cross product; an optional
+``prune`` predicate drops coordinate combinations that make no sense
+(e.g. tree-algorithm scatter).
 
 ``points()`` compiles the space to a list of :class:`WorkItem`\\ s, each
 carrying a stable cache key ``schema_hash | config fields | app | params
 fields``.  The schema hash covers the *shape* of the space — the app, the
-axis names/targets/fields, the zip structure, and the field schemas of
-the config and params dataclasses — so a changed axis definition or a
+axis names/targets/fields, and the field schemas of the config and
+params dataclasses — so a changed axis definition or a
 migrated dataclass can never serve stale cached rows, while value-level
 changes are already covered by the per-field key body.  Two spaces with
 the same shape share keys (and therefore cached points) even when their
@@ -40,15 +39,16 @@ def _dataclass_cache_key(instance) -> str:
     """Stable ``k=v|...`` serialization of a dataclass, enum-tolerant.
 
     Every field participates, so any knob that can affect a simulated
-    result changes the key; enum members stringify the same whether the
-    caller passed the member or its string alias.
+    result changes the key; an enum member is keyed by its ``.value``, so
+    ``cache_policy=WritePolicy.WRITE_BACK`` and ``cache_policy="wb"`` name
+    the same cached point.
     """
     data = dataclasses.asdict(instance)
     parts = []
     for name in sorted(data):
         value = data[name]
         if isinstance(value, enum.Enum):
-            value = str(value)
+            value = value.value
         parts.append(f"{name}={value}")
     return "|".join(parts)
 
@@ -56,11 +56,6 @@ def _dataclass_cache_key(instance) -> str:
 def config_cache_key(config: SystemConfig) -> str:
     """Cache-key fragment for one architecture point."""
     return _dataclass_cache_key(config)
-
-
-def params_cache_key(params) -> str:
-    """Cache-key fragment for any app's params dataclass."""
-    return _dataclass_cache_key(params)
 
 
 def dataclass_schema(instance_or_cls) -> list[str]:
@@ -142,7 +137,7 @@ class WorkItem:
 
     Picklable by construction (the app driver is a module-level callable,
     pickled by reference), so the same item runs identically on the
-    inline, threaded and process backends.
+    inline and process backends.
     """
 
     key: str
@@ -163,8 +158,6 @@ class SweepSpace:
     ``app`` is a module-level callable ``(config, params) -> dict`` whose
     JSON-serializable payload is what gets cached; ``app_id`` names it in
     cache keys (defaults to the callable's ``__name__``).
-    ``cacheable=False`` opts a space out of the result cache entirely
-    (wall-clock measurements must rerun).
     """
 
     name: str
@@ -172,10 +165,8 @@ class SweepSpace:
     axes: tuple[Axis, ...] = ()
     base_config: SystemConfig = field(default_factory=SystemConfig)
     base_params: object = None
-    zip_groups: tuple[tuple[str, ...], ...] = ()
     prune: Callable[[dict], bool] | None = None
     app_id: str | None = None
-    cacheable: bool = True
 
     def __post_init__(self) -> None:
         if self.app_id is None:
@@ -183,17 +174,6 @@ class SweepSpace:
         names = [axis.name for axis in self.axes]
         if len(set(names)) != len(names):
             raise ConfigError(f"space {self.name!r} has duplicate axis names")
-        grouped = [name for group in self.zip_groups for name in group]
-        if len(set(grouped)) != len(grouped):
-            raise ConfigError(
-                f"space {self.name!r}: an axis appears in two zip groups"
-            )
-        for name in grouped:
-            if name not in names:
-                raise ConfigError(
-                    f"space {self.name!r}: zip group names unknown axis "
-                    f"{name!r}"
-                )
 
     # -- schema hashing ----------------------------------------------------
 
@@ -201,15 +181,14 @@ class SweepSpace:
         """12-hex-digit hash of the space's *shape* (axes + dataclass schemas).
 
         Covers the app id, every axis definition (name, target, field,
-        value kind — not the value lists), the zip structure, and the
-        field schemas of the config and params dataclasses.  Any change
-        to one of those invalidates every cached row keyed under it;
-        value-level changes are covered by the key body instead.
+        value kind — not the value lists), and the field schemas of the
+        config and params dataclasses.  Any change to one of those
+        invalidates every cached row keyed under it; value-level changes
+        are covered by the key body instead.
         """
         shape = {
             "app": self.app_id,
             "axes": [axis.schema() for axis in self.axes],
-            "zip": sorted(tuple(g) for g in self.zip_groups),
             "config_schema": dataclass_schema(self.base_config),
             "params_schema": (
                 dataclass_schema(self.base_params)
@@ -222,30 +201,6 @@ class SweepSpace:
         return digest.hexdigest()[:12]
 
     # -- worklist compilation ----------------------------------------------
-
-    def _axis_groups(self) -> list[list[Axis]]:
-        """Axes bundled by zip group, in declaration order of first member."""
-        by_name = {axis.name: axis for axis in self.axes}
-        grouped: dict[str, tuple[str, ...]] = {}
-        for group in self.zip_groups:
-            lengths = {len(by_name[name].values) for name in group}
-            if len(lengths) > 1:
-                raise ConfigError(
-                    f"space {self.name!r}: zipped axes {group} have "
-                    f"unequal lengths"
-                )
-            for name in group:
-                grouped[name] = tuple(group)
-        groups: list[list[Axis]] = []
-        seen: set[tuple[str, ...]] = set()
-        for axis in self.axes:
-            group = grouped.get(axis.name)
-            if group is None:
-                groups.append([axis])
-            elif group not in seen:
-                seen.add(group)
-                groups.append([by_name[name] for name in group])
-        return groups
 
     def _apply(self, axis: Axis, value, config: SystemConfig, params):
         if isinstance(value, Variant):
@@ -263,34 +218,31 @@ class SweepSpace:
         schema = self.schema_hash()
         items: list[WorkItem] = []
 
-        def expand(group_index: int, config: SystemConfig, params,
+        def expand(axis_index: int, config: SystemConfig, params,
                    coords: tuple) -> None:
-            if group_index == len(groups):
+            if axis_index == len(self.axes):
                 if self.prune is not None and self.prune(dict(coords)):
                     return
                 key = (
                     f"s={schema}|{config_cache_key(config)}"
                     f"|app={self.app_id}|"
-                    + (params_cache_key(params) if params is not None else "")
+                    + (_dataclass_cache_key(params) if params is not None else "")
                 )
                 items.append(WorkItem(
                     key=key, coords=coords, config=config, params=params,
                     app=self.app,
                 ))
                 return
-            group = groups[group_index]
-            for position in range(len(group[0].values)):
-                next_config, next_params = config, params
-                next_coords = coords
-                for axis in group:
-                    value = axis.values[position]
-                    next_config, next_params = self._apply(
-                        axis, value, next_config, next_params
-                    )
-                    next_coords += ((axis.name, axis.label_of(value)),)
-                expand(group_index + 1, next_config, next_params, next_coords)
+            axis = self.axes[axis_index]
+            for value in axis.values:
+                next_config, next_params = self._apply(
+                    axis, value, config, params
+                )
+                expand(
+                    axis_index + 1, next_config, next_params,
+                    coords + ((axis.name, axis.label_of(value)),),
+                )
 
-        groups = self._axis_groups()
         expand(0, self.base_config, self.base_params, ())
         return items
 
@@ -311,7 +263,6 @@ def jacobi_sweep_space(
 
     Cores x cache size x write policy over the Jacobi workload — the
     168-point design space of Section III when called with the full axes.
-    (This is the sweep that used to be hard-coded as ``SweepSpec``.)
     """
     from repro.apps.jacobi.driver import JacobiParams
     from repro.dse.runner import jacobi_app

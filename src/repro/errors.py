@@ -81,6 +81,17 @@ class ProgramError(MedeaError):
     """A PE program yielded an unknown or malformed operation."""
 
 
+class ValidationError(MedeaError):
+    """A run completed but its numbers are wrong.
+
+    Raised by :func:`repro.dse.executor.run_space` for a sweep point whose
+    payload reports ``validated: False`` — the message names the space,
+    the point's coordinates and the app — and by app drivers whose ranks
+    disagree on a value every rank must hold identically.  A report is
+    never rendered from such a run.
+    """
+
+
 class SweepError(MedeaError):
     """Sweep points still failed after every bounded retry round.
 

@@ -12,6 +12,7 @@ import pytest
 from repro.apps.jacobi.driver import JacobiParams
 from repro.dse.executor import (
     EXECUTOR_BACKENDS,
+    SpaceResults,
     auto_jobs,
     get_executor,
     resolve_backend,
@@ -67,7 +68,7 @@ def test_unknown_backend_rejected():
 
 
 def test_resolve_backend_explicit_wins():
-    assert resolve_backend("threaded", 1) == "threaded"
+    assert resolve_backend("process", 1) == "process"
     assert resolve_backend(None, 1) == "inline"
     assert resolve_backend(None, 4) == "process"
 
@@ -98,6 +99,48 @@ def test_results_addressable_by_coords():
                                             "value": 40}
     with pytest.raises(KeyError, match="toy"):
         results.get(workers=3, n=10)
+
+
+# -- reading the space's shape back: axis() and grouped() --------------------
+
+
+def test_axis_lists_labels_in_declaration_order():
+    results = run_space(toy_space(workers=(4, 2), n_values=(10, 6, 8)),
+                        jobs=1)
+    assert results.axis("workers") == (4, 2)
+    assert results.axis("n") == (10, 6, 8)
+    with pytest.raises(KeyError, match="ghost"):
+        results.axis("ghost")
+
+
+def test_grouped_folds_points_into_rows_in_point_order():
+    results = run_space(toy_space(workers=(4, 2), n_values=(10, 6)), jobs=1)
+    by_workers = results.grouped("workers", across="n")
+    assert [row for row, __ in by_workers] == [(4,), (2,)]
+    assert [list(cells) for __, cells in by_workers] == [[10, 6], [10, 6]]
+    assert by_workers[1][1][6] == {"workers": 2, "n": 6, "value": 12}
+    # Rows need not be the leading axes: first appearance in point order.
+    by_n = results.grouped("n", across="workers")
+    assert [row for row, __ in by_n] == [(10,), (6,)]
+    assert by_n[0][1] == {4: results.get(workers=4, n=10),
+                          2: results.get(workers=2, n=10)}
+
+
+def test_grouped_leaves_pruned_points_absent():
+    space = toy_space(workers=(2, 4), n_values=(6, 8))
+    space.prune = lambda coords: coords == {"workers": 4, "n": 8}
+    rows = run_space(space, jobs=1).grouped("workers", across="n")
+    assert [(row, list(cells)) for row, cells in rows] == [
+        ((2,), [6, 8]), ((4,), [6]),
+    ]
+
+
+def test_grouped_must_name_every_axis_once():
+    results = SpaceResults(toy_space(), [])
+    with pytest.raises(KeyError, match="ghost"):
+        results.grouped("workers", across="ghost")
+    with pytest.raises(KeyError, match="each of the axes"):
+        results.grouped(across="n")  # "workers" would collapse into one cell
 
 
 def test_progress_callback_sees_every_completion():
@@ -165,15 +208,6 @@ def test_fresh_recomputes_but_still_persists(tmp_path):
     assert fresh.n_computed == 4
     again = run_space(toy_space(), jobs=1, cache_dir=tmp_path)
     assert again.n_cached == 4
-
-
-def test_uncacheable_space_always_recomputes(tmp_path):
-    space = toy_space()
-    space.cacheable = False
-    run_space(space, jobs=1, cache_dir=tmp_path)
-    second = run_space(space, jobs=1, cache_dir=tmp_path)
-    assert second.n_computed == 4
-    assert not (tmp_path / "toy.json").exists()
 
 
 def test_resume_after_partial_journal(tmp_path):

@@ -1,15 +1,12 @@
-"""Every migrated experiment, through both backends, bit for bit.
+"""Every registered experiment, through both backends, bit for bit.
 
-The acceptance sweep of the executor migration: all registered
-experiments run once through the inline backend (``--backend inline
---jobs 1``, the deterministic baseline) and once through the process
-pool, each pass sharing one warm cache directory the way the CLI's
+All registered experiments run once through the inline backend
+(``--backend inline --jobs 1``, the deterministic baseline) and once
+through the process pool, each pass sharing one warm cache directory the way the CLI's
 figure pipeline does (fig7/fig9 reuse fig6/fig8 sweep points).  Reports
 must agree row for row and series for series — simulated cycle counts
-cannot depend on the execution backend or on scheduling order.
-
-``simspeed`` is the one exception: it *measures* wall-clock throughput,
-so only its shape is compared.
+cannot depend on the execution backend or on scheduling order — and the
+inline reports must equal the pinned texts byte for byte.
 """
 
 from __future__ import annotations
@@ -18,15 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.dse.experiments import ALL_EXPERIMENTS
+from repro.dse.experiments import REGISTRY
 
 #: Quick-scale report texts (``python -m repro <name> --jobs 1``, the
 #: saved ``<name>.txt``); regenerate one only when its report is meant to
 #: change.
 REPORT_PINS = Path(__file__).parent / "report_pins"
-
-#: Experiments whose rows contain inherent wall-clock measurements.
-WALL_CLOCK_EXPERIMENTS = {"simspeed"}
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +33,7 @@ def inline_reports(inline_cache_dir):
     return {
         name: experiment(full=False, jobs=1, backend="inline",
                          cache_dir=inline_cache_dir)
-        for name, experiment in ALL_EXPERIMENTS.items()
+        for name, experiment in REGISTRY.items()
     }
 
 
@@ -49,38 +43,34 @@ def process_reports(tmp_path_factory):
     return {
         name: experiment(full=False, jobs=2, backend="process",
                          cache_dir=cache_dir)
-        for name, experiment in ALL_EXPERIMENTS.items()
+        for name, experiment in REGISTRY.items()
     }
 
 
-@pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_inline_and_process_backends_agree(name, inline_reports,
                                            process_reports):
     inline, pooled = inline_reports[name], process_reports[name]
-    if name in WALL_CLOCK_EXPERIMENTS:
-        assert len(inline.rows) == len(pooled.rows)
-        return
     assert inline.rows == pooled.rows
     assert inline.series == pooled.series
-    # Strip the wall-time footer noise: the report text itself has none.
     assert inline.text == pooled.text
 
 
-@pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_second_run_is_deterministic_and_cache_served(name, inline_reports,
                                                       inline_cache_dir):
     """Double-run determinism: a rerun over the warm cache is identical."""
-    if name in WALL_CLOCK_EXPERIMENTS:
-        pytest.skip("wall-clock measurement: rerun values differ by design")
-    rerun = ALL_EXPERIMENTS[name](full=False, jobs=1, backend="inline",
-                                  cache_dir=inline_cache_dir)
+    rerun = REGISTRY[name](full=False, jobs=1, backend="inline",
+                           cache_dir=inline_cache_dir)
     assert rerun.rows == inline_reports[name].rows
     assert rerun.text == inline_reports[name].text
 
 
-@pytest.mark.parametrize(
-    "name", sorted(path.stem for path in REPORT_PINS.glob("*.txt"))
-)
+def test_every_experiment_has_a_pinned_report():
+    assert {path.stem for path in REPORT_PINS.glob("*.txt")} == set(REGISTRY)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_quick_report_matches_its_pin(name, inline_reports):
     pinned = (REPORT_PINS / f"{name}.txt").read_text()
     assert inline_reports[name].text == pinned

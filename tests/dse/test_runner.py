@@ -1,16 +1,19 @@
-"""The journaled result store and the classic Jacobi sweep entry point."""
+"""The journaled result store and the Jacobi point driver."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
+
+import pytest
 
 from repro.apps.jacobi.driver import JacobiParams
+from repro.dse.executor import run_space
 from repro.dse.runner import (
     CACHE_VERSION,
     ResultCache,
     SweepResult,
     jacobi_app,
-    run_sweep,
 )
 from repro.dse.space import SweepSpace, jacobi_sweep_space
 
@@ -24,6 +27,12 @@ def tiny_space(name: str = "tiny", **kwargs) -> SweepSpace:
     return jacobi_sweep_space(name, **defaults)
 
 
+def run_rows(space: SweepSpace, **kwargs) -> list[SweepResult]:
+    """The space's points, in order, as typed Jacobi rows."""
+    results = run_space(space, **kwargs)
+    return [SweepResult.from_json(payload) for payload in results.payloads()]
+
+
 def test_jacobi_app_validates():
     point = tiny_space().points()[0]
     result = SweepResult.from_json(jacobi_app(point.config, point.params))
@@ -32,33 +41,42 @@ def test_jacobi_app_validates():
     assert result.n_workers == 1
 
 
-def test_run_sweep_inline_order_matches_points():
-    results = run_sweep(tiny_space(), jobs=1)
+def test_jacobi_payload_is_deterministic():
+    # No wall time inside the cached payload: two evaluations of a point
+    # are equal, so a cache never changes what a rerun would have stored.
+    point = tiny_space().points()[0]
+    assert jacobi_app(point.config, point.params) == jacobi_app(
+        point.config, point.params
+    )
+
+
+def test_jacobi_rows_inline_order_matches_points():
+    results = run_rows(tiny_space(), jobs=1)
     assert [r.n_workers for r in results] == [1, 2]
 
 
-def test_run_sweep_parallel_pool():
-    results = run_sweep(tiny_space(), jobs=2)
+def test_jacobi_rows_through_the_process_pool():
+    results = run_rows(tiny_space(), jobs=2)
     assert len(results) == 2
     assert all(r.validated for r in results)
 
 
 def test_cache_reuse(tmp_path):
     space = tiny_space("cached")
-    first = run_sweep(space, jobs=1, cache_dir=tmp_path)
+    first = run_rows(space, jobs=1, cache_dir=tmp_path)
     assert (tmp_path / "cached.json").exists()
-    second = run_sweep(space, jobs=1, cache_dir=tmp_path)
+    second = run_rows(space, jobs=1, cache_dir=tmp_path)
     assert [r.cycles_per_iteration for r in first] == [
         r.cycles_per_iteration for r in second
     ]
 
 
 def test_cache_does_not_leak_across_different_points(tmp_path):
-    run_sweep(tiny_space("shared_name"), jobs=1, cache_dir=tmp_path)
+    run_space(tiny_space("shared_name"), jobs=1, cache_dir=tmp_path)
     space_b = tiny_space(
         "shared_name", workers=(1,), cache_sizes_kb=(8,),
     )
-    results = run_sweep(space_b, jobs=1, cache_dir=tmp_path)
+    results = run_rows(space_b, jobs=1, cache_dir=tmp_path)
     assert results[0].cache_kb == 8
 
 
@@ -68,14 +86,11 @@ def test_result_round_trips_through_json(tmp_path):
         label="2P_4k$_WB", n_workers=2, cache_kb=4, policy="wb",
         model="hybrid_full", n=6, cycles_per_iteration=100.0,
         iteration_cycles=[120, 100], total_cycles=400, validated=True,
-        wall_seconds=0.5,
     )
-    cache.put("key", result)
+    cache.put_raw("key", asdict(result))
     cache.save()
-    reloaded = ResultCache(tmp_path, "roundtrip").get("key")
-    assert reloaded is not None
-    assert reloaded.label == result.label
-    assert reloaded.iteration_cycles == [120, 100]
+    reloaded = ResultCache(tmp_path, "roundtrip").get_raw("key")
+    assert SweepResult.from_json(reloaded) == result
 
 
 def test_raw_layer_round_trips(tmp_path):
@@ -94,7 +109,7 @@ def test_cache_discards_versionless_seed_layout(tmp_path):
     # as stale: hot-path changes that alter cycle counts would otherwise
     # be served from the old cache.
     space = tiny_space("versioned")
-    first = run_sweep(space, jobs=1, cache_dir=tmp_path)
+    first = run_rows(space, jobs=1, cache_dir=tmp_path)
     path = tmp_path / "versioned.json"
     payload = json.loads(path.read_text())
     assert payload["__cache_version__"] == CACHE_VERSION
@@ -103,32 +118,32 @@ def test_cache_discards_versionless_seed_layout(tmp_path):
     path.write_text(json.dumps(payload["points"]))
     cache = ResultCache(tmp_path, "versioned")
     assert cache.discarded_stale
-    assert cache.get(space.points()[0].key) is None
+    assert cache.get_raw(space.points()[0].key) is None
 
     # A sweep over the discarded cache recomputes and re-versions the file.
-    second = run_sweep(space, jobs=1, cache_dir=tmp_path)
+    second = run_rows(space, jobs=1, cache_dir=tmp_path)
     assert [r.total_cycles for r in first] == [r.total_cycles for r in second]
     assert "__cache_version__" in json.loads(path.read_text())
 
 
 def test_cache_discards_mismatched_version(tmp_path):
     space = tiny_space("stale")
-    run_sweep(space, jobs=1, cache_dir=tmp_path)
+    run_space(space, jobs=1, cache_dir=tmp_path)
     path = tmp_path / "stale.json"
     payload = json.loads(path.read_text())
     payload["__cache_version__"] = "0:ancient"
     path.write_text(json.dumps(payload))
     cache = ResultCache(tmp_path, "stale")
     assert cache.discarded_stale
-    assert cache.get(space.points()[0].key) is None
+    assert cache.get_raw(space.points()[0].key) is None
 
 
 def test_cache_matching_version_is_reused(tmp_path):
     space = tiny_space("fresh")
-    run_sweep(space, jobs=1, cache_dir=tmp_path)
+    run_space(space, jobs=1, cache_dir=tmp_path)
     cache = ResultCache(tmp_path, "fresh")
     assert not cache.discarded_stale
-    assert cache.get(space.points()[0].key) is not None
+    assert cache.get_raw(space.points()[0].key) is not None
 
 
 # -- the journal: incremental per-point persistence --------------------------
@@ -176,3 +191,41 @@ def test_stale_journal_lines_are_skipped(tmp_path):
     reloaded = ResultCache(tmp_path, "stale_journal")
     assert reloaded.get_raw("a") is None
     assert reloaded.journal_points == 0
+
+
+def test_half_written_compact_file_falls_back_to_the_journal(tmp_path):
+    # A compact file cut short by a kill, the journal beside it still
+    # holding every point: loading must treat the file like a stale one
+    # and replay the journal, not die decoding.
+    cache = ResultCache(tmp_path, "torn_store")
+    cache.append("a", {"x": 1})
+    cache.append("b", {"x": 2})
+    store = {"__cache_version__": CACHE_VERSION,
+             "points": {"a": {"x": 1}, "b": {"x": 2}}}
+    text = json.dumps(store, indent=1, sort_keys=True)
+    cache.path.write_text(text[: len(text) // 2])
+    reloaded = ResultCache(tmp_path, "torn_store")
+    assert reloaded.discarded_stale
+    assert reloaded.get_raw("a") == {"x": 1}
+    assert reloaded.get_raw("b") == {"x": 2}
+    assert reloaded.journal_points == 2
+
+
+def test_save_replaces_the_store_atomically(tmp_path, monkeypatch):
+    # The new store is complete under a scratch name before it takes the
+    # real one; a kill before the rename leaves the previous file intact.
+    cache = ResultCache(tmp_path, "atomic")
+    cache.append("a", {"x": 1})
+    cache.save()
+    cache.append("b", {"x": 2})
+
+    def killed(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("repro.dse.runner.os.replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        cache.save()
+    reloaded = ResultCache(tmp_path, "atomic")
+    assert not reloaded.discarded_stale
+    assert reloaded.get_raw("a") == {"x": 1}
+    assert reloaded.get_raw("b") == {"x": 2}  # from the surviving journal

@@ -1,4 +1,4 @@
-"""Declarative sweep spaces: axes, variants, zip groups, schema hashing."""
+"""Declarative sweep spaces: axes, variants, pruning, schema hashing."""
 
 from __future__ import annotations
 
@@ -9,13 +9,17 @@ import pytest
 from repro.apps.collective_bench import CollectiveBenchParams
 from repro.apps.jacobi.driver import JacobiParams
 from repro.apps.synthetic import SyntheticParams
+from repro.bridge.arbiter import ArbiterMode
+from repro.cache.l1 import WritePolicy
 from repro.dse.space import (
     Axis,
     SweepSpace,
     Variant,
+    config_cache_key,
     jacobi_sweep_space,
     seed_axis,
 )
+from repro.empi.runtime import BarrierAlgorithm
 from repro.errors import ConfigError
 from repro.system.config import SystemConfig
 
@@ -80,6 +84,22 @@ def test_key_sensitive_to_model():
     full = tiny_space(params=JacobiParams(n=8, model="hybrid_full"))
     pure = tiny_space(params=JacobiParams(n=8, model="pure_sm"))
     assert full.points()[0].key != pure.points()[0].key
+
+
+@pytest.mark.parametrize("field, alias, member", [
+    ("cache_policy", "wb", WritePolicy.WRITE_BACK),
+    ("cache_policy", "wt", WritePolicy.WRITE_THROUGH),
+    ("arbiter_mode", "single_fifo", ArbiterMode.SINGLE_FIFO),
+    ("empi_barrier", "dissemination", BarrierAlgorithm.DISSEMINATION),
+])
+def test_key_is_the_same_for_an_enum_member_and_its_string(field, alias,
+                                                           member):
+    # One architecture point, one key: a caller passing the enum must hit
+    # the points a caller passing the string cached (fig7 reusing fig6).
+    by_alias = config_cache_key(SystemConfig(**{field: alias}))
+    by_member = config_cache_key(SystemConfig(**{field: member}))
+    assert by_alias == by_member
+    assert f"{field}={alias}" in by_alias.split("|")
 
 
 def test_base_config_propagates():
@@ -147,44 +167,6 @@ def test_prune_drops_combinations():
     coords = [p.coords_dict for p in space.points()]
     assert {"collective": "scatter", "algorithm": "tree"} not in coords
     assert len(coords) == 3
-
-
-def test_zip_groups_advance_together():
-    space = SweepSpace(
-        name="z", app=print, app_id="x",
-        axes=(
-            Axis("workers", (2, 4), field="n_workers"),
-            Axis("cache_kb", (4, 8), field="cache_size_kb"),
-        ),
-        zip_groups=(("workers", "cache_kb"),),
-    )
-    coords = [p.coords_dict for p in space.points()]
-    assert coords == [
-        {"workers": 2, "cache_kb": 4},
-        {"workers": 4, "cache_kb": 8},
-    ]
-
-
-def test_zip_groups_unequal_lengths_rejected():
-    space = SweepSpace(
-        name="z", app=print, app_id="x",
-        axes=(
-            Axis("workers", (2, 4, 8), field="n_workers"),
-            Axis("cache_kb", (4, 8), field="cache_size_kb"),
-        ),
-        zip_groups=(("workers", "cache_kb"),),
-    )
-    with pytest.raises(ConfigError):
-        space.points()
-
-
-def test_zip_group_unknown_axis_rejected():
-    with pytest.raises(ConfigError):
-        SweepSpace(
-            name="z", app=print, app_id="x",
-            axes=(Axis("workers", (2,), field="n_workers"),),
-            zip_groups=(("workers", "ghost"),),
-        )
 
 
 def test_seed_axis_from_count_and_tuple():

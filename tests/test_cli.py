@@ -47,9 +47,9 @@ def test_list_prints_registry_help_lines(capsys):
     assert exit_code == 0
     out = capsys.readouterr().out
     assert "available experiments" in out
-    from repro.dse.experiments import ALL_EXPERIMENTS
+    from repro.dse.experiments import REGISTRY
 
-    for name, experiment in ALL_EXPERIMENTS.items():
+    for name, experiment in REGISTRY.items():
         assert name in out
         assert experiment.help in out
 
@@ -62,32 +62,33 @@ def test_main_runs_noc_quick(tmp_path, capsys):
     assert (tmp_path / "noc.txt").exists()
 
 
-def test_main_runs_simspeed(tmp_path, capsys):
-    exit_code = main(["simspeed", "--out", str(tmp_path)])
+def test_main_runs_stream(tmp_path, capsys):
+    exit_code = main(["stream", "--out", str(tmp_path), "--jobs", "1"])
     assert exit_code == 0
-    assert "cycles/sec" in capsys.readouterr().out
+    assert "cyc/blk" in capsys.readouterr().out
+    assert (tmp_path / "stream.txt").exists()
 
 
 def test_parser_accepts_profile_flag():
-    args = build_parser().parse_args(["simspeed", "--profile"])
+    args = build_parser().parse_args(["stream", "--profile"])
     assert args.profile
 
 
 def test_main_profile_prints_hot_spots(tmp_path, capsys):
-    exit_code = main(["simspeed", "--out", str(tmp_path), "--profile"])
+    exit_code = main(["stream", "--out", str(tmp_path), "--profile"])
     assert exit_code == 0
     out = capsys.readouterr().out
     # Per-point profiles are merged into one table; the banner counts them.
     assert "points merged, top 20 by cumulative time" in out
     assert "cumtime" in out  # the pstats table actually rendered
-    assert "cycles/sec" in out  # the experiment itself still ran
+    assert "cyc/blk" in out  # the experiment itself still ran
 
 
 def test_main_profile_merges_every_sweep_point(tmp_path, capsys):
-    from repro.dse.experiments import _build_simspeed
+    from repro.dse.experiments import REGISTRY
 
-    n_points = len(_build_simspeed(False).points())
-    main(["simspeed", "--out", str(tmp_path), "--profile"])
+    n_points = REGISTRY["stream"].build_space(False).n_points
+    main(["stream", "--out", str(tmp_path), "--profile"])
     out = capsys.readouterr().out
     assert f"profile ({n_points} points merged" in out
 
