@@ -37,10 +37,14 @@ Software must ensure all members consumed their prior multicast data
 before re-registering (a barrier suffices) — an unconsumed stream
 refuses the sync loudly.
 
-Flow control mirrors the unicast credit scheme: every group member
-returns one token per CREDIT_WINDOW contiguously completed multicast
-slots and the engine gates emission on the *slowest* member
-(ack aggregation), bounding the reorder span group-wide.
+Flow control is the TIE's one stream protocol (:mod:`repro.pe.tie`): the
+group's shared sequence space is a :class:`~repro.pe.tie.SendWindow` with
+more than one member — every member credits completed slots back on its
+own, and a flit the fabric replicates is gated on all of them, i.e. on
+the *slowest* (ack aggregation), bounding the reorder span group-wide.
+In reliable mode a NACKed word is retransmitted *unicast* to the member
+that asked: the rest of the group already has it, and replaying the tree
+would duplicate it group-wide.
 
 **Reduction assist** (the RX half): an *accumulate-on-receive*
 descriptor, posted with the ``qreduce`` operation, hands the engine a
@@ -67,13 +71,13 @@ from repro.kernel.stats import CounterSet
 from repro.kernel.trace import DMA_ACTIVATE, DMA_POST, DMA_RETIRE, EventLog
 from repro.mem.values import words_to_float
 from repro.noc.flit import MULTICAST_DST, Flit
-from repro.noc.packet import PacketType, SubType
+from repro.noc.packet import SubType
 from repro.pe.tie import (
-    CREDIT_LIMIT,
     CREDIT_WINDOW,
+    MCAST,
     MCAST_SYNC_WORD,
-    SEQ_WINDOW,
     SLOT_MASK,
+    OutgoingMessage,
 )
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -129,28 +133,6 @@ class _RxReduce:
         return self.index >= len(self.acc)
 
 
-class _ActiveMulticast:
-    """Emission state for the multicast descriptor currently streaming.
-
-    ``entries`` is a flat list of ``(slot, member, flit)`` tuples: in
-    multicast mode ``member`` is None (the fabric replicates; credit
-    gating is against the whole group), in fallback mode one entry per
-    (member, word) with the member's own credit gate.
-    """
-
-    __slots__ = ("entries", "members", "index", "uid")
-
-    def __init__(self, entries: list, members: tuple[int, ...]) -> None:
-        self.entries = entries
-        self.members = members
-        self.index = 0
-        self.uid = 0  # event-log lifecycle id (0 when off)
-
-    @property
-    def done(self) -> bool:
-        return self.index >= len(self.entries)
-
-
 class DmaTxEngine:
     """Descriptor queue + multicast streamer for one tile."""
 
@@ -172,8 +154,9 @@ class DmaTxEngine:
         self.multicast = multicast
         self.queue: deque[TxDescriptor] = deque()
         self.group_mask = 0          # the multicast group register
-        self._mcast_slot = 0         # next multicast stream slot
-        self._active: _ActiveMulticast | None = None
+        #: The group's shared sequence space, credits and replay buffer.
+        self.window = tie.window_for(MULTICAST_DST)
+        self._active: OutgoingMessage | None = None
         #: New members whose SYNC_ACK must arrive before the first
         #: descriptor of a re-registered group may stream.
         self._sync_pending: frozenset[int] = frozenset()
@@ -181,15 +164,9 @@ class DmaTxEngine:
         #: at most one active, its result held until qrpoll collects it.
         self._rx: _RxReduce | None = None
         self._rx_done = False
-        #: Reliable-delivery mode only: multicast retransmit buffer
-        #: (slot -> word, filled at emission, pruned below the slowest
-        #: member's credit floor) and the NACK-requested retransmissions
-        #: awaiting a TX slot.  A multicast retransmit goes *unicast* to
-        #: the NACKing member — the rest of the group already has the
-        #: word, replaying the tree would duplicate it group-wide.
-        self._retx: dict[int, int] = {}
+        #: Reliable-delivery mode only: NACK-requested retransmissions
+        #: awaiting a TX slot, (member, slot, word).
         self.pending_retx: deque[tuple[int, int, int]] = deque()
-        self._retx_queued: set[tuple[int, int]] = set()
         self._retx_current = False
         self.stats = CounterSet(f"dma[{tie.node_id}]")
         # Per-flit hot counters, batched like the TIE's and folded into
@@ -259,16 +236,16 @@ class DmaTxEngine:
         if len(self.queue) >= self.depth:
             self.stats.inc("queue_full_rejects")
             return False
-        if self.group_mask and mask != self.group_mask:
-            # Rewrite the group register.  The shared sequence space only
+        if mask != self.group_mask:
+            # (Re)write the group register.  The shared sequence space only
             # stays coherent if nothing is mid-stream: refuse (retry like
             # a full queue) until the queue is drained and every current
             # member's credits are quiescent, then sync the new members.
-            if not self._reregister_group(mask):
+            if self.group_mask and not self._reregister_group(mask):
                 self.stats.inc("group_reregister_stalls")
                 return False
-        else:
             self.group_mask = mask
+            self.window.members = tuple(mask_members(mask))
         desc = TxDescriptor(MULTICAST_DST, mask, list(words))
         if self.events is not None:
             desc.uid = self._open_span(f"mcast {mask:#x} {len(words)}w")
@@ -299,9 +276,9 @@ class DmaTxEngine:
             return False
         if any(desc.is_multicast for desc in self.queue):
             return False
-        slot = self._mcast_slot
-        credited = self.tie.mcast_credited
-        for member in mask_members(self.group_mask):
+        slot = self.window.next_slot
+        credited = self.window.credited
+        for member in self.window.members:
             if credited.get(member, 0) + CREDIT_WINDOW <= slot:
                 return False
         new_members = []
@@ -318,7 +295,6 @@ class DmaTxEngine:
                 (member, MCAST_SYNC_WORD | (slot & self.tie.sync_slot_mask))
             )
         self._sync_pending = frozenset(new_members)
-        self.group_mask = mask
         self.stats.inc("group_reregisters")
         return True
 
@@ -370,7 +346,7 @@ class DmaTxEngine:
         rx = self._rx
         if rx is None or self._rx_done:
             return
-        stream = self.tie.mcast_streams.get(rx.src_node)
+        stream = self.tie.rx[MCAST].get(rx.src_node)
         if stream is None or not stream.available(2):
             return
         low, high = stream.take(2)
@@ -388,7 +364,7 @@ class DmaTxEngine:
         rx = self._rx
         if rx is None or self._rx_done:
             return False
-        stream = self.tie.mcast_streams.get(rx.src_node)
+        stream = self.tie.rx[MCAST].get(rx.src_node)
         return stream is not None and stream.available(2)
 
     def rx_result_poll(self) -> list[float] | None:
@@ -412,10 +388,13 @@ class DmaTxEngine:
 
     def pump(self) -> None:
         """Activate the head descriptor when the previous one finished."""
-        if self.tie.mcast_nacks:
-            self._drain_nacks()
-        if len(self._retx) > 2 * CREDIT_LIMIT:
-            self._prune_retx()
+        nacks = self.tie.mcast_nacks
+        while nacks:
+            member, slot16 = nacks.popleft()
+            self.stats.inc("mcast_nacks_seen")
+            verdict = self.window.nack(member, slot16, self.pending_retx)
+            if verdict != "serve":
+                self.stats.inc("mcast_nacks_" + verdict)
         if self._active is not None or not self.queue:
             return
         head = self.queue[0]
@@ -443,75 +422,26 @@ class DmaTxEngine:
             self._active.uid = head.uid
             self._emit(DMA_ACTIVATE, head.uid)
 
-    def _prune_retx(self) -> None:
-        """Retire everything the slowest member has credited past."""
-        members = tuple(mask_members(self.group_mask))
-        if not (self._retx and members):
-            return
-        credited = self.tie.mcast_credited
-        floor = min(credited.get(m, 0) for m in members)
-        for slot in [s for s in self._retx if s < floor]:
-            del self._retx[slot]
-
-    def _drain_nacks(self) -> None:
-        """Turn received multicast NACKs into queued retransmissions."""
-        credited = self.tie.mcast_credited
-        self._prune_retx()
-        nacks = self.tie.mcast_nacks
-        while nacks:
-            member, slot16 = nacks.popleft()
-            self.stats.inc("mcast_nacks_seen")
-            floor = credited.get(member, 0)
-            delta = (slot16 - floor) & SLOT_MASK
-            if delta >= 0x8000:
-                self.stats.inc("mcast_nacks_retired")
-                continue
-            slot = floor + delta
-            if slot >= self._mcast_slot or slot not in self._retx:
-                # Unsent or already-pruned slot (e.g. a garbled NACK).
-                self.stats.inc("mcast_nacks_ignored")
-                continue
-            if (member, slot) not in self._retx_queued:
-                self._retx_queued.add((member, slot))
-                self.pending_retx.append((member, slot, self._retx[slot]))
-
-    def _activate_multicast(self, desc: TxDescriptor) -> _ActiveMulticast:
-        base = self._mcast_slot
-        total = len(desc.words)
-        self._mcast_slot = base + total
+    def _activate_multicast(self, desc: TxDescriptor) -> OutgoingMessage:
+        tie = self.tie
+        base = self.window.reserve(len(desc.words))
         members = tuple(mask_members(desc.mask))
-        entries = []
         if self.multicast:
-            for offset, word in enumerate(desc.words):
-                slot = base + offset
-                entries.append((slot, None, self._flit(
-                    MULTICAST_DST, desc.mask, slot, offset, total, word,
-                )))
+            entries = tie.data_flits(
+                MCAST, MULTICAST_DST, desc.words, base, members, desc.mask
+            )
         else:
             # Unicast fallback: same slots per member, member-major order
-            # (mirroring the software linear broadcast's send order).
-            for member in members:
-                for offset, word in enumerate(desc.words):
-                    slot = base + offset
-                    entries.append((slot, member, self._flit(
-                        member, 1 << member, slot, offset, total, word,
-                    )))
+            # (mirroring the software linear broadcast's send order), each
+            # copy gated on its own member.
+            entries = [
+                entry for member in members
+                for entry in tie.data_flits(
+                    MCAST, member, desc.words, base, (member,)
+                )
+            ]
         self.stats.inc("messages_started")
-        return _ActiveMulticast(entries, members)
-
-    def _flit(self, dst: int, mask: int, slot: int, offset: int, total: int,
-              word: int) -> Flit:
-        seq_mod = SLOT_MASK + 1 if self.tie.reliable else SEQ_WINDOW
-        return Flit(
-            dst=dst,
-            src=self.node_id,
-            ptype=PacketType.MULTICAST,
-            subtype=int(SubType.MSG_DATA),
-            seq=slot % seq_mod,
-            burst=min(4, total - (offset // 4) * 4),
-            data=word,
-            dst_mask=mask,
-        )
+        return OutgoingMessage(self.window, entries)
 
     def tx_current(self) -> Flit | None:
         """The credit-gated flit to offer the arbiter this cycle."""
@@ -521,52 +451,33 @@ class DmaTxEngine:
             # (it was emitted once), so no new gate applies.
             member, slot, word = self.pending_retx[0]
             self._retx_current = True
-            return Flit(
-                dst=member,
-                src=self.node_id,
-                ptype=PacketType.MULTICAST,
-                subtype=int(SubType.MSG_RETX),
-                seq=slot & SLOT_MASK,
-                burst=1,
-                data=word,
-                dst_mask=1 << member,
+            return self.tie.make_flit(
+                MCAST, member, SubType.MSG_RETX, slot & SLOT_MASK, word
             )
         self._retx_current = False
-        active = self._active
-        if active is None or active.done:
+        if self._active is None:
             return None
-        slot, member, flit = active.entries[active.index]
-        credited = self.tie.mcast_credited
-        if member is None:
-            # Gate on the slowest group member (ack aggregation), each
-            # against its topology-aware credit budget — a member across
-            # a slow inter-chiplet link gets the wider window the system
-            # builder planned for its round trip.
-            for m in active.members:
-                if slot >= credited.get(m, 0) + self.tie.initial_credit(m):
-                    self._n_credit_stalls += 1
-                    return None
-        elif slot >= credited.get(member, 0) + self.tie.initial_credit(member):
+        flit = self._active.current()
+        if flit is None:
             self._n_credit_stalls += 1
-            return None
         return flit
 
     def tx_advance(self) -> None:
         """Mark the current flit accepted by the arbiter."""
         if self._retx_current:
             member, slot, _word = self.pending_retx.popleft()
-            self._retx_queued.discard((member, slot))
+            self.window.queued.discard((member, slot))
             self._retx_current = False
             self.stats.inc("retx_sent")
             return
         active = self._active
-        assert active is not None and not active.done
-        if self.tie.reliable:
-            slot, _member, flit = active.entries[active.index]
-            self._retx[slot] = flit.data
-        active.index += 1
+        if active is None:
+            raise ProtocolError(
+                f"dma[{self.node_id}]: flit accepted with no descriptor "
+                f"streaming"
+            )
         self._n_flits_sent += 1
-        if active.done:
+        if active.advance():
             self._active = None
             if active.uid:
                 self._emit(DMA_RETIRE, active.uid)

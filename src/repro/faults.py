@@ -202,11 +202,13 @@ class FaultInjector:
             None if plan.fault_links is None else set(plan.fault_links)
         )
         self._window = plan.fault_window
+        #: Credit tokens still to swallow, by (node, src, stream channel).
         self._credit_eat = {
-            (node, src): count for node, src, count in plan.drop_credits
-        }
-        self._mcast_credit_eat = {
-            (node, src): count for node, src, count in plan.drop_mcast_credits
+            (node, src, channel): count
+            for channel, drops in enumerate(
+                (plan.drop_credits, plan.drop_mcast_credits)
+            )
+            for node, src, count in drops
         }
         events: list[tuple[int, int, int, int]] = []
         for node, direction, cycle in plan.dead_links:
@@ -373,20 +375,15 @@ class FaultInjector:
 
     # -- credit eating (the DMA-engine / TIE credit-path hook) ---------------
 
-    def eat_credit(self, node: int, src: int) -> bool:
-        remaining = self._credit_eat.get((node, src), 0)
+    def eat_credit(self, node: int, src: int, channel: int = 0) -> bool:
+        """True if the plan swallows this credit token of ``src``'s to
+        ``node`` (``channel`` 0 = unicast stream, 1 = multicast)."""
+        key = (node, src, channel)
+        remaining = self._credit_eat.get(key, 0)
         if remaining <= 0:
             return False
-        self._credit_eat[(node, src)] = remaining - 1
-        self.counts.inc("credits_eaten")
-        return True
-
-    def eat_mcast_credit(self, node: int, src: int) -> bool:
-        remaining = self._mcast_credit_eat.get((node, src), 0)
-        if remaining <= 0:
-            return False
-        self._mcast_credit_eat[(node, src)] = remaining - 1
-        self.counts.inc("mcast_credits_eaten")
+        self._credit_eat[key] = remaining - 1
+        self.counts.inc("mcast_credits_eaten" if channel else "credits_eaten")
         return True
 
     # -- reporting -----------------------------------------------------------

@@ -57,7 +57,7 @@ from repro.noc.flit import Flit
 from repro.noc.network import NodePorts
 from repro.noc.packet import PacketType
 from repro.pe.costmodel import FpCostModel
-from repro.pe.tie import TieInterface
+from repro.pe.tie import MCAST, UNICAST, ReceiveStream, TieInterface
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dma.engine import DmaTxEngine
@@ -80,6 +80,11 @@ class CoreState(enum.Enum):
 #: f-strings on the per-cycle path.
 _CYCLES_KEY = {state: f"cycles_{state.value}" for state in CoreState}
 _OPS_TAG_KEY = {tag: f"ops_{tag}" for tag in ("uload", "lock", "unlock")}
+#: The receive ops, blocking and polling: (stream channel, counter key).
+_RECV_OPS = {
+    "recv": (UNICAST, "ops_recv"), "mrecv": (MCAST, "ops_mrecv"),
+    "trecv": (UNICAST, "ops_trecv"), "tmrecv": (MCAST, "ops_tmrecv"),
+}
 
 #: What the interpreter executes when the program generator is exhausted;
 #: matched by identity, so no program can yield it.
@@ -148,8 +153,8 @@ class ProcessorNode(Component):
         self._pending_op: tuple | None = None
         self._jobs: deque[_Job] = deque()
         self._active_job: _Job | None = None
-        #: Pending blocking receive: (src_node, n_words, from_mcast_stream).
-        self._wait_msg: tuple[int, int, bool] | None = None
+        #: Pending blocking receive: (the stream awaited, n_words).
+        self._wait_msg: tuple[ReceiveStream, int] | None = None
         self._pending_req_flit: Flit | None = None
         self._last_op: tuple | None = None
         # Hot-path bindings: the deques backing the RX queue and the TIE
@@ -330,12 +335,9 @@ class ProcessorNode(Component):
     def _try_unblock(self, cycle: int) -> None:
         state = self.state
         if state is CoreState.WAIT_MSG and self.tie.rx_event:
-            assert self._wait_msg is not None
-            src_node, n_words, from_mcast = self._wait_msg
-            if from_mcast:
-                stream = self.tie.mcast_stream_from(src_node)
-            else:
-                stream = self.tie.stream_from(src_node)
+            if self._wait_msg is None:
+                raise ProtocolError(f"{self.name}: WAIT_MSG with no receive")
+            stream, n_words = self._wait_msg
             if stream.available(n_words):
                 self._wait_msg = None
                 self._send_value = stream.take(n_words)
@@ -446,8 +448,10 @@ class ProcessorNode(Component):
                 self._change_state(CoreState.WAIT_TX, cycle)
                 self.stats.inc("ops_send")
                 return
-            if code == "recv":
-                self._op_recv(cycle, op[1], op[2])
+            if code == "recv" or code == "mrecv":
+                # Blocking receive from node op[1]'s unicast stream
+                # (mrecv: from its multicast stream).
+                self._op_recv(cycle, op)
                 return
             if code == "sendreq":
                 self._pending_req_flit = self.tie.make_request_flit(op[1], op[2])
@@ -481,11 +485,12 @@ class ProcessorNode(Component):
                 self._ready_at = cycle + 1
                 self.stats.inc("ops_txdone")
                 return
-            if code == "trecv":
-                # Non-blocking receive: complete at the same cost as a
-                # blocking recv when the words are ready, else report
-                # None after a one-cycle status poll.
-                stream = self.tie.stream_from(op[1])
+            if code == "trecv" or code == "tmrecv":
+                # Non-blocking receive (tmrecv: from the multicast stream):
+                # complete at the same cost as a blocking recv when the
+                # words are ready, else report None after a one-cycle poll.
+                channel, counter = _RECV_OPS[code]
+                stream = self.tie.stream_from(op[1], channel)
                 n_words = op[2]
                 if stream.available(n_words):
                     self._send_value = stream.take(n_words)
@@ -493,7 +498,7 @@ class ProcessorNode(Component):
                 else:
                     self._send_value = None
                     self._ready_at = cycle + 1
-                self.stats.inc("ops_trecv")
+                self.stats.inc(counter)
                 return
             if code == "qsend":
                 # Post a unicast descriptor on the DMA TX queue; result
@@ -532,22 +537,6 @@ class ProcessorNode(Component):
                 self._send_value = self._dma().rx_result_poll()
                 self._ready_at = cycle + 1
                 self.stats.inc("ops_qrpoll")
-                return
-            if code == "mrecv":
-                # Blocking receive from the multicast stream of node op[1].
-                self._op_recv(cycle, op[1], op[2], from_mcast=True)
-                return
-            if code == "tmrecv":
-                # Non-blocking multicast-stream take (trecv's twin).
-                stream = self.tie.mcast_stream_from(op[1])
-                n_words = op[2]
-                if stream.available(n_words):
-                    self._send_value = stream.take(n_words)
-                    self._ready_at = cycle + self.recv_overhead + n_words
-                else:
-                    self._send_value = None
-                    self._ready_at = cycle + 1
-                self.stats.inc("ops_tmrecv")
                 return
             if code == "uload":
                 self._enqueue_blocking(
@@ -696,21 +685,16 @@ class ProcessorNode(Component):
         self._ready_at = cycle + 1
         self.stats.inc("ops_flush_dirty")
 
-    def _op_recv(self, cycle: int, src_node: int, n_words: int,
-                 from_mcast: bool = False) -> None:
-        if from_mcast:
-            stream = self.tie.mcast_stream_from(src_node)
-            counter = "ops_mrecv"
-        else:
-            stream = self.tie.stream_from(src_node)
-            counter = "ops_recv"
+    def _op_recv(self, cycle: int, op: tuple) -> None:
+        code, src_node, n_words = op
+        channel, counter = _RECV_OPS[code]
+        stream = self.tie.stream_from(src_node, channel)
         if stream.available(n_words):
             self._send_value = stream.take(n_words)
             self._ready_at = cycle + self.recv_overhead + n_words
-            self.stats.inc(counter)
-            return
-        self._wait_msg = (src_node, n_words, from_mcast)
-        self._change_state(CoreState.WAIT_MSG, cycle)
+        else:
+            self._wait_msg = (stream, n_words)
+            self._change_state(CoreState.WAIT_MSG, cycle)
         self.stats.inc(counter)
 
     def _enqueue_blocking(self, txn: MemTransaction, tag: str, cycle: int) -> None:

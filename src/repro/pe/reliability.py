@@ -21,10 +21,13 @@ timer:
   longer, because "the sender has not sent yet" looks identical to "the
   tail was dropped" and spurious NACKs are pure overhead.
 
-The TX side is watched symmetrically: a sender credit-stalled for the
-same horizon probes the gating peer for its current credit value (credit
-tokens carry absolute slots, so the re-issued value is idempotent — this
-repairs a *lost credit* the way NACKs repair lost data).
+The TX side is watched symmetrically: whichever message is streaming out
+of a send window (the TIE's, or the DMA engine's for the group) and is
+credit-stalled for the same horizon probes each member the gate is
+waiting for (credit tokens carry absolute slots, so the re-issued value
+is idempotent — this repairs a *lost credit* the way NACKs repair lost
+data).  Both watches run once per channel; nothing else tells the
+channels apart.
 
 After ``max_retries`` expirations without progress the agent records the
 failure on the injector's ``gave_up`` list and stops; it never raises.
@@ -37,12 +40,12 @@ from __future__ import annotations
 import typing
 
 from repro.pe.tie import (
+    CHANNEL_BIT,
     CREDIT_LIMIT,
     CREDIT_PROBE_WORD,
-    MCAST_CREDIT_PROBE_WORD,
-    MCAST_NACK_WORD,
     NACK_WORD,
     SLOT_MASK,
+    OutgoingMessage,
     ReceiveStream,
     TieInterface,
 )
@@ -54,6 +57,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Demand-only starvation waits this many times longer than a gap before
 #: NACKing (see module docstring).
 DEMAND_FACTOR = 4
+
+#: Per channel: timer-key tags and what a TX timer's token is called.
+_RX_TAG = ("rx", "mrx")
+_TX_TAG = ("tx", "mtx")
+_PROBE = ("credit probe", "mcast credit probe")
 
 
 class _Timer:
@@ -100,13 +108,13 @@ class ReliabilityAgent:
         """Arm/advance all starvation timers; called early in node.step."""
         tie = self.tie
         live: set[tuple] = set()
-        for src, stream in tie.streams.items():
-            self._check_stream(cycle, ("rx", src), src, stream,
-                               NACK_WORD, live)
-        for src, stream in tie.mcast_streams.items():
-            self._check_stream(cycle, ("mrx", src), src, stream,
-                               MCAST_NACK_WORD, live)
-        self._check_tx(cycle, live)
+        for channel, streams in enumerate(tie.rx):
+            for src, stream in streams.items():
+                self._check_stream(cycle, channel, src, stream, live)
+        streaming = (tie.tx, self.dma._active if self.dma is not None else None)
+        for channel, message in enumerate(streaming):
+            if message is not None:
+                self._check_tx(cycle, channel, message, live)
         timers = self._timers
         if len(live) != len(timers):
             for key in [k for k in timers if k not in live]:
@@ -114,52 +122,41 @@ class ReliabilityAgent:
         self.wants_poll = bool(timers)
 
     def _check_stream(
-        self, cycle: int, key: tuple, src: int, stream: ReceiveStream,
-        marker: int, live: set,
+        self, cycle: int, channel: int, src: int, stream: ReceiveStream,
+        live: set,
     ) -> None:
         gap = bool(stream.slots)
         if not gap and stream.wanted <= stream.lowest_missing:
             return
+        key = (_RX_TAG[channel], src)
         live.add(key)
         self._expire(
             cycle, key, front=stream.lowest_missing, dst=src,
-            token=marker | (stream.lowest_missing & SLOT_MASK),
+            token=NACK_WORD | (channel * CHANNEL_BIT)
+            | (stream.lowest_missing & SLOT_MASK),
             horizon=self.nack_timeout if gap else
             self.nack_timeout * DEMAND_FACTOR,
             what="nack",
         )
 
-    def _check_tx(self, cycle: int, live: set) -> None:
-        tie = self.tie
-        tx = tie.tx
-        if tx is not None and not tx.done:
-            dst = tx.dst_node
-            floor = tie._peer_credited.get(dst, 0)
-            window = min(CREDIT_LIMIT, tie.retx_slots)
-            if tx.current_slot() >= floor + window:
-                key = ("tx", dst)
+    def _check_tx(
+        self, cycle: int, channel: int, message: OutgoingMessage, live: set,
+    ) -> None:
+        slot, gate, _flit = message.entries[message.index]
+        credited = message.window.credited
+        budget = CREDIT_LIMIT if channel else min(
+            CREDIT_LIMIT, self.tie.retx_slots
+        )
+        for member in gate:
+            floor = credited.get(member, 0)
+            if slot >= floor + budget:
+                key = (_TX_TAG[channel], member)
                 live.add(key)
                 self._expire(
-                    cycle, key, front=floor, dst=dst,
-                    token=CREDIT_PROBE_WORD,
-                    horizon=self.nack_timeout, what="credit probe",
+                    cycle, key, front=floor, dst=member,
+                    token=CREDIT_PROBE_WORD | (channel * CHANNEL_BIT),
+                    horizon=self.nack_timeout, what=_PROBE[channel],
                 )
-        dma = self.dma
-        active = dma._active if dma is not None else None
-        if active is not None and not active.done:
-            slot, member, _flit = active.entries[active.index]
-            credited = tie.mcast_credited
-            gating = active.members if member is None else (member,)
-            for m in gating:
-                floor = credited.get(m, 0)
-                if slot >= floor + CREDIT_LIMIT:
-                    key = ("mtx", m)
-                    live.add(key)
-                    self._expire(
-                        cycle, key, front=floor, dst=m,
-                        token=MCAST_CREDIT_PROBE_WORD,
-                        horizon=self.nack_timeout, what="mcast credit probe",
-                    )
 
     def _expire(
         self, cycle: int, key: tuple, front: int, dst: int, token: int,

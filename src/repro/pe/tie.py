@@ -1,22 +1,38 @@
-"""TIE message-passing interface.
+"""TIE message-passing interface and its one stream protocol.
 
 Paper Section II-B: each Xtensa gains TIE ports that behave as FIFO
 queues directly attached to the register file.  On send, hardware stamps
 every flit with a sequence number (a counter) and resolves the destination
 through a small LUT.  On receive, the sequence number is used as an offset
 into the processor's local data memory so no sorting buffer is needed for
-out-of-order flits, and a double buffer gives single-cycle reads.
+out-of-order flits, and a double buffer gives single-cycle reads; *request*
+flits (the SUB-TYPE the paper reserves to distinguish requests from generic
+data) land in a separate control queue and carry the flow control.
 
-The model here is architecturally equivalent:
+Every word stream between two tiles runs one protocol, written once:
 
-* **TX** — one pending message at a time, emitted at one flit per cycle
-  through the arbiter; per-destination slot counters generate the 4-bit
-  wrapping sequence numbers.
-* **RX** — a :class:`ReceiveStream` per source implements the seq-offset
-  scatter with a two-window (double-buffer) tolerance for out-of-order
-  arrival; *request* flits (the SUB-TYPE the paper reserves to distinguish
-  requests from generic data) land in a separate control queue, keeping
-  synchronization tokens out of the data path.
+* the **receiver half** is a :class:`ReceiveStream` per ``(channel,
+  source)``: the seq-offset scatter with its two-window reorder tolerance,
+  returning a credit token per CREDIT_WINDOW contiguously completed slots;
+* the **sender half** is a :class:`SendWindow`: the slot counter, the
+  floor each member has credited back, the one credit gate, and — when a
+  fault plan makes delivery *reliable* — the retransmit buffer and the
+  NACK classifier.  An :class:`OutgoingMessage` is a message streaming
+  out of a window, one flit per cycle.
+
+There are two **channels**.  UNICAST: a window per destination, member
+tuple ``(dst,)``, fed by ``send``/``isend`` and the DMA engine's unicast
+descriptors.  MCAST: one window for the tile's multicast group, driven by
+the DMA engine (:mod:`repro.dma.engine`); its gate waits for the slowest
+member — the ack aggregation a hardware collective engine performs — and
+its receive streams are kept apart because a group shares one sequence
+space, which no per-destination numbering can agree with.  A token names
+its channel in bit 16 of its marker word and counters keep a ``""`` /
+``"mcast_"`` prefix; nothing else distinguishes the two.
+
+To add a token kind: a marker constant below, one branch in
+:meth:`TieInterface._accept_token`, and — if something must *decide* when
+the token is owed — a timer in :mod:`repro.pe.reliability`.
 """
 
 from __future__ import annotations
@@ -26,7 +42,7 @@ from collections import deque
 from repro.errors import ProtocolError
 from repro.kernel.fifo import Fifo
 from repro.kernel.stats import CounterSet
-from repro.noc.flit import Flit
+from repro.noc.flit import MULTICAST_DST, Flit
 from repro.noc.packet import PacketType, SubType
 
 #: Sequence numbers are 4 bits on the wire.
@@ -36,7 +52,7 @@ MAX_SPAN = 2 * SEQ_WINDOW
 
 #: Credit-based flow control over the request segment.  A sender may have
 #: at most CREDIT_LIMIT unacknowledged stream slots in flight per
-#: destination; the receiving TIE returns one credit token per
+#: member; the receiving TIE returns one credit token per
 #: CREDIT_WINDOW contiguously completed slots.  This bounds the reorder
 #: span seen by the receiver strictly below SEQ_WINDOW, so two flits
 #: carrying the same 4-bit sequence number can never coexist in the
@@ -44,13 +60,17 @@ MAX_SPAN = 2 * SEQ_WINDOW
 #: (This is the flow-control role the paper assigns to request packets.)
 CREDIT_WINDOW = 8
 CREDIT_LIMIT = 16
+
+#: The two stream channels; a channel indexes ``TieInterface.rx``, the
+#: packet type of its data flits and the counter prefix, and is bit 16
+#: (CHANNEL_BIT) of every credit / NACK / probe marker.
+UNICAST, MCAST = 0, 1
+CHANNEL_BIT = 0x0001_0000
+_PTYPE = (PacketType.MESSAGE, PacketType.MULTICAST)
+_PREFIX = ("", "mcast_")
+
 #: Marker word carried by credit tokens; disjoint from eMPI token encoding.
 CREDIT_WORD = 0x7F00_0000
-#: Credit marker for the *multicast* stream (see below); every group
-#: member returns one per CREDIT_WINDOW contiguous multicast slots, and
-#: the DMA engine gates emission on the slowest member — the ack
-#: aggregation a hardware collective engine performs.
-MCAST_CREDIT_WORD = 0x7F01_0000
 #: Multicast group (re-)registration handshake, riding the same reverse
 #: request path as the credits.  A SYNC token carries the *phase* of the
 #: sender's multicast stream slot (slot mod SEQ_WINDOW — the receiver's
@@ -62,8 +82,6 @@ MCAST_CREDIT_WORD = 0x7F01_0000
 #: new member acked.
 MCAST_SYNC_WORD = 0x7F02_0000
 MCAST_SYNC_ACK_WORD = 0x7F03_0000
-#: SYNC carries the slot phase (mod SEQ_WINDOW) in its low bits.
-MCAST_SYNC_SLOT_MASK = SEQ_WINDOW - 1
 
 #: Reliable-delivery control tokens (fault layer only; same 0x7Fxx_0000
 #: marker family, still disjoint from eMPI token encoding).  In reliable
@@ -74,9 +92,7 @@ MCAST_SYNC_SLOT_MASK = SEQ_WINDOW - 1
 #: NACKs name the receiver's lowest missing slot; probes ask the peer to
 #: re-send its current credit value after a suspicious stall.
 NACK_WORD = 0x7F04_0000
-MCAST_NACK_WORD = 0x7F05_0000
 CREDIT_PROBE_WORD = 0x7F06_0000
-MCAST_CREDIT_PROBE_WORD = 0x7F07_0000
 #: High-half marker match for the whole token family.
 MARKER_MASK = 0xFFFF_0000
 #: Low-half payload of reliable-mode tokens (absolute slot mod 2^16).
@@ -209,28 +225,130 @@ class ReceiveStream:
         self.credited_upto = base
 
 
-class _PendingSend:
-    """TX state for the message currently streaming out."""
+class SendWindow:
+    """Sender half of one stream: slot counter, credit floors, replay buffer.
 
-    __slots__ = ("dst_node", "words", "index", "flits", "base_slot")
+    ``members`` are the nodes the stream goes to — ``(dst,)`` for a
+    unicast stream, the registered group for the tile's multicast stream.
+    Every member credits slots back on its own: ``credited[member]`` is
+    the absolute floor it has confirmed (a fault-free token advances it
+    by CREDIT_WINDOW; a reliable token folds its absolute value in,
+    forward-only, so stale and duplicated tokens are no-ops).  A flit may
+    leave while its slot lies below ``floor + budget`` of every member it
+    is going to.  In reliable mode (``retx_slots`` not None) every emitted
+    word stays in ``retx`` until the *slowest* member's floor passes it;
+    that buffer is what NACKs are served from.
+    """
 
-    def __init__(self, dst_node: int, words: list[int], flits: list[Flit],
-                 base_slot: int):
-        self.dst_node = dst_node
-        self.words = words
+    __slots__ = ("members", "credit_plan", "retx_slots", "next_slot",
+                 "credited", "retx", "queued")
+
+    def __init__(self, members: tuple[int, ...], credit_plan: dict[int, int],
+                 retx_slots: int | None = None) -> None:
+        self.members = members
+        self.credit_plan = credit_plan
+        self.retx_slots = retx_slots
+        #: The slot the hardware sequence counter stamps next.
+        self.next_slot = 0
+        self.credited: dict[int, int] = {}
+        #: slot -> word: emitted, not yet credited by every member.
+        self.retx: dict[int, int] = {}
+        #: (member, slot) retransmissions queued and not yet sent.
+        self.queued: set[tuple[int, int]] = set()
+
+    def reserve(self, n_slots: int) -> int:
+        """Claim the next ``n_slots`` stream slots; returns the first."""
+        base = self.next_slot
+        self.next_slot = base + n_slots
+        return base
+
+    def budget(self, member: int) -> int:
+        """Slots ``member`` may be sent beyond its credited floor: its
+        credit-plan window, capped in reliable mode by the retransmit
+        SRAM — every emitted-but-unretired slot must stay replayable."""
+        window = self.credit_plan.get(member, CREDIT_LIMIT)
+        if self.retx_slots is None:
+            return window
+        return min(window, self.retx_slots)
+
+    def blocked_by(self, slot: int, members: tuple[int, ...]) -> list[int]:
+        """The credit gate: those of ``members`` whose window does not
+        admit ``slot`` yet (empty = the flit may go)."""
+        credited = self.credited
+        return [m for m in members
+                if slot >= credited.get(m, 0) + self.budget(m)]
+
+    def credit(self, member: int, value: int) -> None:
+        """Fold one credit token from ``member`` into its floor."""
+        prev = self.credited.get(member, 0)
+        if self.retx_slots is None:
+            self.credited[member] = prev + CREDIT_WINDOW
+            return
+        delta = (value - prev) & SLOT_MASK
+        if not delta or delta >= 0x8000:
+            return  # signed mod-2^16: a reordered or replayed stale token
+        self.credited[member] = prev + delta
+        floor = min((self.credited.get(m, 0) for m in self.members), default=0)
+        for slot in [s for s in self.retx if s < floor]:
+            del self.retx[slot]
+
+    def nack(self, member: int, slot16: int,
+             queue: deque[tuple[int, int, int]]) -> str:
+        """Classify a NACK for ``member``'s lowest missing slot.
+
+        ``"serve"``: replayable; ``(member, slot, word)`` joins ``queue``
+        unless that retransmission is already waiting there.  ``"retired"``:
+        behind the member's floor — a stale NACK that crossed the credit
+        repairing it in flight.  ``"ignored"``: unsent or unknown slot
+        (e.g. the token itself was corrupted); harmless, the receiver
+        keeps NACKing with backoff until a well-formed one lands.
+        """
+        floor = self.credited.get(member, 0)
+        delta = (slot16 - floor) & SLOT_MASK
+        if delta >= 0x8000:
+            return "retired"
+        slot = floor + delta
+        if slot >= self.next_slot or slot not in self.retx:
+            return "ignored"
+        if (member, slot) not in self.queued:
+            self.queued.add((member, slot))
+            queue.append((member, slot, self.retx[slot]))
+        return "serve"
+
+
+class OutgoingMessage:
+    """A message streaming out of a :class:`SendWindow`, a flit per cycle.
+
+    ``entries`` is a flat list of ``(slot, gate, flit)``: ``gate`` names
+    the members whose credit must admit ``slot`` before that flit goes —
+    ``(dst,)`` on a unicast stream, the whole group for a flit the fabric
+    replicates, ``(member,)`` per copy when a multicast descriptor is
+    expanded into unicast-routed flits.
+    """
+
+    __slots__ = ("window", "entries", "index", "uid")
+
+    def __init__(self, window: SendWindow, entries: list) -> None:
+        self.window = window
+        self.entries = entries
         self.index = 0
-        self.flits = flits
-        self.base_slot = base_slot
+        self.uid = 0  # event-log lifecycle id of a DMA descriptor (0 = off)
 
-    @property
-    def done(self) -> bool:
-        return self.index >= len(self.flits)
+    def current(self) -> Flit | None:
+        """The next flit, or None while its slot is credit-gated."""
+        slot, gate, flit = self.entries[self.index]
+        return None if self.window.blocked_by(slot, gate) else flit
 
-    def current(self) -> Flit:
-        return self.flits[self.index]
-
-    def current_slot(self) -> int:
-        return self.base_slot + self.index
+    def advance(self) -> bool:
+        """Mark the current flit emitted; True when the message finished."""
+        window = self.window
+        if window.retx_slots is not None:
+            # Recorded at emission time, so the buffer only ever holds
+            # emitted-but-unretired slots (bounded by the gate).
+            slot, _gate, flit = self.entries[self.index]
+            window.retx[slot] = flit.data
+        self.index += 1
+        return self.index >= len(self.entries)
 
 
 class TieInterface:
@@ -243,61 +361,46 @@ class TieInterface:
         credit_plan: dict[int, int] | None = None,
     ) -> None:
         self.node_id = node_id
-        #: Topology-aware per-peer initial credit limits (slots in flight
-        #: before the first credit token).  The system builder fills this
-        #: from the topology's path latencies so high-RTT peers (across
+        #: Topology-aware per-peer credit windows (slots in flight before
+        #: the first credit token).  The system builder fills this from
+        #: the topology's path latencies so high-RTT peers (across
         #: inter-chiplet links) get windows covering their round trip;
         #: peers absent from the plan use the hardware default
-        #: CREDIT_LIMIT.  The 4-bit wire protocol caps any entry at
-        #: CREDIT_LIMIT — only the wide (reliable) sequence format can
-        #: track a larger span — so the builder clamps accordingly.
+        #: CREDIT_LIMIT, which also caps every entry on the 4-bit wire
+        #: format — only wide (reliable) sequence numbers track more.
         self.credit_plan: dict[int, int] = credit_plan or {}
-        self.streams: dict[int, ReceiveStream] = {}
-        #: Separate per-source streams for multicast traffic: a multicast
-        #: group shares one sequence space at the sender, which cannot be
-        #: the unicast per-destination space (different receivers would
-        #: disagree on slot numbering), so arrivals are scattered into
-        #: their own double-buffered stream.
-        self.mcast_streams: dict[int, ReceiveStream] = {}
+        #: Receive streams, ``rx[channel][source node]``.
+        self.rx: tuple[dict[int, ReceiveStream], ...] = ({}, {})
+        #: Send windows by destination (see :meth:`window_for`).
+        self.windows: dict[int, SendWindow] = {}
         self.requests: Fifo[tuple[int, int]] = Fifo(
             request_queue_depth, name=f"tie[{node_id}].req"
         )
-        self._send_slots: dict[int, int] = {}
-        #: Per-destination highest stream slot the peer has credited.
-        self._credit_limit: dict[int, int] = {}
-        #: Multicast slots credited back, per group member (sender side);
-        #: read by the DMA engine, which gates on the minimum.
-        self.mcast_credited: dict[int, int] = {}
         #: Members that acknowledged a group-sync token (sender side);
         #: the DMA engine holds re-registered descriptors on this set.
         self.mcast_sync_acks: set[int] = set()
-        #: Credit tokens owed to peers: (destination node, marker word).
+        #: Tokens owed to peers (credits, sync, NACKs, probes):
+        #: (destination node, token word).
         self.pending_credits: Fifo[tuple[int, int]] = Fifo(
             None, name=f"tie[{node_id}].cr"
         )
-        self.tx: _PendingSend | None = None
+        self.tx: OutgoingMessage | None = None
         #: Reliable-delivery mode (fault layer active): 16-bit wire
         #: sequence numbers, absolute credit tokens, and a bounded
-        #: retransmit buffer serving NACKs.  Default off — the fault-free
-        #: protocol below is bit-identical to the pre-fault-layer model.
+        #: retransmit buffer serving NACKs.  Streams and windows read
+        #: this and ``retx_slots`` when they are first used.
         self.reliable = False
+        #: Depth of the modelled retransmit SRAM: emitted-but-unretired
+        #: slots per member.
+        self.retx_slots = CREDIT_LIMIT
         #: :class:`repro.faults.FaultInjector` when reliable (credit-drop
         #: hooks + fault accounting); None otherwise.
         self.faults = None
-        #: Backpressure bound on emitted-but-unretired slots per peer
-        #: (the modelled retransmit SRAM depth; <= CREDIT_LIMIT).
-        self.retx_slots = CREDIT_LIMIT
-        #: Per-destination absolute credit floor confirmed by the peer
-        #: (reliable mode replacement for the incremental _credit_limit).
-        self._peer_credited: dict[int, int] = {}
-        #: Per-destination retransmit buffer: slot -> word, filled as
-        #: flits are emitted and pruned as the peer's credits retire them.
-        self._retx: dict[int, dict[int, int]] = {}
-        #: NACK-requested retransmissions awaiting a TX slot:
+        #: NACK-requested unicast retransmissions awaiting a TX slot:
         #: (dst, slot, word), drained by the node at one flit per cycle.
         self.pending_retx: deque[tuple[int, int, int]] = deque()
-        self._retx_queued: set[tuple[int, int]] = set()
-        #: Multicast NACKs for the DMA engine: (member, slot mod 2^16).
+        #: Multicast NACKs for the DMA engine, which owns the group's
+        #: retransmit queue: (member, slot mod 2^16).
         self.mcast_nacks: deque[tuple[int, int]] = deque()
         self.stats = CounterSet(f"tie[{node_id}]")
         #: Set when a flit arrives; the node uses it to re-check waiters.
@@ -306,240 +409,151 @@ class TieInterface:
         # CounterSet by flush_stats() whenever the owning node sleeps —
         # the same pattern as the core/MPMMU counters.
         self._n_data_flits_sent = 0
-        self._n_data_flits_received = 0
+        self._n_flits_received = [0, 0]  # per channel
         self._n_credit_stall_cycles = 0
-        self._n_mcast_flits_received = 0
 
-    def initial_credit(self, peer: int) -> int:
-        """Initial in-flight slot budget toward ``peer`` (credit plan)."""
-        return self.credit_plan.get(peer, CREDIT_LIMIT)
+    def stream_from(self, src_node: int,
+                    channel: int = UNICAST) -> ReceiveStream:
+        stream = self.rx[channel].get(src_node)
+        if stream is None:
+            stream = self.rx[channel][src_node] = ReceiveStream()
+            stream.wide = self.reliable
+        return stream
+
+    def window_for(self, dst: int) -> SendWindow:
+        """The send window toward ``dst``: a peer node, or MULTICAST_DST
+        for the group the DMA engine registers the members of."""
+        window = self.windows.get(dst)
+        if window is None:
+            depth = MAX_SPAN if dst == MULTICAST_DST else self.retx_slots
+            window = self.windows[dst] = SendWindow(
+                () if dst == MULTICAST_DST else (dst,), self.credit_plan,
+                depth if self.reliable else None,
+            )
+        return window
+
+    @property
+    def sync_slot_mask(self) -> int:
+        """Low bits of a multicast SYNC token: the slot phase (mod
+        SEQ_WINDOW), or the whole wide slot when reliable."""
+        return SLOT_MASK if self.reliable else SEQ_WINDOW - 1
 
     # -- RX ------------------------------------------------------------------
 
     def accept(self, flit: Flit) -> None:
-        """Sort an incoming MESSAGE flit into data stream or request queue."""
-        if flit.ptype != PacketType.MESSAGE:
-            if flit.ptype == PacketType.MULTICAST:
-                self._accept_multicast(flit)
-                return
+        """Sort an incoming flit into its data stream or the token decoder."""
+        channel = flit.ptype - PacketType.MESSAGE  # MULTICAST follows it
+        if channel not in (UNICAST, MCAST):
             raise ProtocolError(f"TIE got non-message flit {flit!r}")
         self.rx_event = True
         if flit.subtype == SubType.MSG_REQUEST:
-            # Token family dispatch on the marker half-word.  In the
-            # fault-free protocol every token is exactly its marker (low
-            # bits zero); reliable mode carries an absolute slot in the
-            # low bits, which the masked match makes transparent here.
-            marker = flit.data & MARKER_MASK
-            if marker == CREDIT_WORD:
-                # The peer completed a window of our stream to it.
-                if self.faults is not None and self.faults.eat_credit(
-                    self.node_id, flit.src
-                ):
-                    return
-                if self.reliable:
-                    self._apply_credit(flit.src, flit.data & SLOT_MASK)
-                else:
-                    limit = self._credit_limit.get(
-                        flit.src, self.initial_credit(flit.src)
-                    )
-                    self._credit_limit[flit.src] = limit + CREDIT_WINDOW
-                self.stats.inc("credits_received")
-                return
-            if marker == MCAST_CREDIT_WORD:
-                # A multicast group member completed a window.
-                if self.faults is not None and self.faults.eat_mcast_credit(
-                    self.node_id, flit.src
-                ):
-                    return
-                if self.reliable:
-                    self._apply_mcast_credit(flit.src, flit.data & SLOT_MASK)
-                else:
-                    credited = self.mcast_credited.get(flit.src, 0)
-                    self.mcast_credited[flit.src] = credited + CREDIT_WINDOW
-                self.stats.inc("mcast_credits_received")
-                return
-            if marker == MCAST_SYNC_WORD:
-                # The peer re-registered its multicast group with this
-                # node as a new member: align our stream to the phase of
-                # its shared sequence space and ack on the reverse path.
-                phase = flit.data & self.sync_slot_mask
-                self.mcast_stream_from(flit.src).realign(phase)
-                self.pending_credits.push((flit.src, MCAST_SYNC_ACK_WORD))
-                self.stats.inc("mcast_syncs_received")
-                return
-            if flit.data == MCAST_SYNC_ACK_WORD:
-                self.mcast_sync_acks.add(flit.src)
-                self.stats.inc("mcast_sync_acks_received")
-                return
-            if self.reliable:
-                if marker == NACK_WORD:
-                    self._handle_nack(flit.src, flit.data & SLOT_MASK)
-                    return
-                if marker == MCAST_NACK_WORD:
-                    self.mcast_nacks.append((flit.src, flit.data & SLOT_MASK))
-                    self.stats.inc("mcast_nacks_received")
-                    return
-                if marker == CREDIT_PROBE_WORD:
-                    # Idempotent resync: re-issue our current credit value
-                    # for the probing sender's stream (a lost credit token
-                    # deadlocks its window otherwise).
-                    stream = self.streams.get(flit.src)
-                    upto = stream.credited_upto if stream is not None else 0
-                    self.pending_credits.push(
-                        (flit.src, CREDIT_WORD | (upto & SLOT_MASK))
-                    )
-                    self.stats.inc("credit_probes_received")
-                    return
-                if marker == MCAST_CREDIT_PROBE_WORD:
-                    stream = self.mcast_streams.get(flit.src)
-                    upto = stream.credited_upto if stream is not None else 0
-                    self.pending_credits.push(
-                        (flit.src, MCAST_CREDIT_WORD | (upto & SLOT_MASK))
-                    )
-                    self.stats.inc("mcast_credit_probes_received")
-                    return
-            self.requests.push((flit.src, flit.data))
-            self.stats.inc("requests_received")
+            self._accept_token(flit.src, flit.data)
             return
-        stream = self.streams.get(flit.src)
-        if stream is None:
-            stream = ReceiveStream()
-            stream.wide = self.reliable
-            self.streams[flit.src] = stream
+        stream = self.stream_from(flit.src, channel)
         if not stream.insert(flit.seq, flit.data):
             self.stats.inc("duplicate_flits_dropped")
             return
-        self._n_data_flits_received += 1
+        self._n_flits_received[channel] += 1
         # Flow control: one credit per CREDIT_WINDOW contiguous slots.
         while stream.lowest_missing >= stream.credited_upto + CREDIT_WINDOW:
             stream.credited_upto += CREDIT_WINDOW
-            word = CREDIT_WORD
-            if self.reliable:
-                word |= stream.credited_upto & SLOT_MASK
-            self.pending_credits.push((flit.src, word))
-            self.stats.inc("credits_sent")
+            self._owe_credit(flit.src, channel, stream.credited_upto)
+            self.stats.inc(_PREFIX[channel] + "credits_sent")
 
-    def _accept_multicast(self, flit: Flit) -> None:
-        """Scatter a multicast data flit into its per-source stream.
+    def _owe_credit(self, dst: int, channel: int, upto: int) -> None:
+        word = CREDIT_WORD | (channel * CHANNEL_BIT)
+        if self.reliable:
+            word |= upto & SLOT_MASK
+        self.pending_credits.push((dst, word))
 
-        Same seq-offset scatter and double buffer as the unicast path,
-        over the dedicated multicast sequence space; the same windowed
-        credit protocol flows back so the sending DMA engine can bound
-        the reorder span group-wide.
+    def _accept_token(self, src: int, word: int) -> None:
+        """Decode one request-segment token.
+
+        Dispatch is on the marker half-word, whose bit 16 names the
+        channel.  In the fault-free protocol every token is exactly its
+        marker (low bits zero); reliable mode carries an absolute slot in
+        the low bits, which the masked match makes transparent here.
+        Anything outside the family is a program-level request.
         """
-        self.rx_event = True
-        stream = self.mcast_streams.get(flit.src)
-        if stream is None:
-            stream = ReceiveStream()
-            stream.wide = self.reliable
-            self.mcast_streams[flit.src] = stream
-        if not stream.insert(flit.seq, flit.data):
-            self.stats.inc("duplicate_flits_dropped")
-            return
-        self._n_mcast_flits_received += 1
-        while stream.lowest_missing >= stream.credited_upto + CREDIT_WINDOW:
-            stream.credited_upto += CREDIT_WINDOW
-            word = MCAST_CREDIT_WORD
-            if self.reliable:
-                word |= stream.credited_upto & SLOT_MASK
-            self.pending_credits.push((flit.src, word))
-            self.stats.inc("mcast_credits_sent")
+        marker = word & MARKER_MASK
+        channel = (marker // CHANNEL_BIT) & 1
+        kind = marker & ~CHANNEL_BIT
+        prefix = _PREFIX[channel]
+        if kind == CREDIT_WORD:
+            # The peer completed a window of our stream to it.
+            if self.faults is not None and self.faults.eat_credit(
+                self.node_id, src, channel
+            ):
+                return
+            window = self.window_for(MULTICAST_DST if channel else src)
+            window.credit(src, word & SLOT_MASK)
+            self.stats.inc(prefix + "credits_received")
+        elif marker == MCAST_SYNC_WORD:
+            # The peer re-registered its multicast group with this node
+            # as a new member: align our stream to the phase of its
+            # shared sequence space and ack on the reverse path.
+            self.stream_from(src, MCAST).realign(word & self.sync_slot_mask)
+            self.pending_credits.push((src, MCAST_SYNC_ACK_WORD))
+            self.stats.inc("mcast_syncs_received")
+        elif word == MCAST_SYNC_ACK_WORD:
+            self.mcast_sync_acks.add(src)
+            self.stats.inc("mcast_sync_acks_received")
+        elif self.reliable and kind == NACK_WORD:
+            self.stats.inc(prefix + "nacks_received")
+            if channel:
+                self.mcast_nacks.append((src, word & SLOT_MASK))
+                return
+            verdict = self.window_for(src).nack(
+                src, word & SLOT_MASK, self.pending_retx
+            )
+            if verdict != "serve":
+                self.stats.inc("nacks_" + verdict)
+        elif self.reliable and kind == CREDIT_PROBE_WORD:
+            # Idempotent resync: re-issue our current credit value for
+            # the probing sender's stream (a lost credit token deadlocks
+            # its window otherwise).
+            stream = self.rx[channel].get(src)
+            self._owe_credit(
+                src, channel, stream.credited_upto if stream is not None else 0
+            )
+            self.stats.inc(prefix + "credit_probes_received")
+        else:
+            self.requests.push((src, word))
+            self.stats.inc("requests_received")
 
-    def stream_from(self, src_node: int) -> ReceiveStream:
-        stream = self.streams.get(src_node)
-        if stream is None:
-            stream = ReceiveStream()
-            stream.wide = self.reliable
-            self.streams[src_node] = stream
-        return stream
+    # -- TX ------------------------------------------------------------------
 
-    def mcast_stream_from(self, src_node: int) -> ReceiveStream:
-        stream = self.mcast_streams.get(src_node)
-        if stream is None:
-            stream = ReceiveStream()
-            stream.wide = self.reliable
-            self.mcast_streams[src_node] = stream
-        return stream
-
-    @property
-    def sync_slot_mask(self) -> int:
-        """Slot bits carried by multicast SYNC tokens (wide when reliable)."""
-        return SLOT_MASK if self.reliable else MCAST_SYNC_SLOT_MASK
-
-    # -- reliable-delivery bookkeeping (fault layer only) --------------------
-
-    def _apply_credit(self, src: int, value: int) -> None:
-        """Fold an absolute 16-bit credit value into the per-peer floor.
-
-        Forward-only (signed mod-2^16 delta): a reordered or retransmitted
-        stale token is a no-op, so credits are idempotent under faults.
-        """
-        prev = self._peer_credited.get(src, 0)
-        delta = (value - prev) & SLOT_MASK
-        if not delta or delta >= 0x8000:
-            return
-        floor = prev + delta
-        self._peer_credited[src] = floor
-        retx = self._retx.get(src)
-        if retx:
-            for slot in [s for s in retx if s < floor]:
-                del retx[slot]
-
-    def _apply_mcast_credit(self, src: int, value: int) -> None:
-        prev = self.mcast_credited.get(src, 0)
-        delta = (value - prev) & SLOT_MASK
-        if not delta or delta >= 0x8000:
-            return
-        self.mcast_credited[src] = prev + delta
-
-    def _handle_nack(self, src: int, slot16: int) -> None:
-        """Queue a retransmission for the peer's lowest missing slot."""
-        self.stats.inc("nacks_received")
-        floor = self._peer_credited.get(src, 0)
-        delta = (slot16 - floor) & SLOT_MASK
-        if delta >= 0x8000:
-            # Behind the credited floor: the slot already retired from
-            # the retransmit buffer (a stale NACK that crossed the credit
-            # repairing it in flight) — nothing to do.
-            self.stats.inc("nacks_retired")
-            return
-        slot = floor + delta
-        retx = self._retx.get(src)
-        if (
-            slot >= self._send_slots.get(src, 0)
-            or retx is None
-            or slot not in retx
-        ):
-            # Unsent or unknown slot — e.g. the NACK token itself was
-            # corrupted.  Harmless: the receiver keeps NACKing with
-            # backoff until a well-formed one lands.
-            self.stats.inc("nacks_ignored")
-            return
-        if (src, slot) not in self._retx_queued:
-            self._retx_queued.add((src, slot))
-            self.pending_retx.append((src, slot, retx[slot]))
-
-    def retx_flit(self) -> Flit | None:
-        """Next owed retransmission (drained by the node, 1/cycle)."""
-        if not self.pending_retx:
-            return None
-        dst, slot, word = self.pending_retx[0]
+    def make_flit(self, channel: int, dst: int, subtype: SubType, seq: int,
+                  word: int, burst: int = 1, mask: int = 0) -> Flit:
+        """The one place a message-path flit is built, on either channel."""
+        if channel and dst != MULTICAST_DST:
+            mask = 1 << dst  # an ordinary-routed copy of a group's flit
         return Flit(
             dst=dst,
             src=self.node_id,
-            ptype=PacketType.MESSAGE,
-            subtype=int(SubType.MSG_RETX),
-            seq=slot & SLOT_MASK,
-            burst=1,
+            ptype=_PTYPE[channel],
+            subtype=int(subtype),
+            seq=seq,
+            burst=burst,
             data=word,
+            dst_mask=mask,
         )
 
-    def retx_sent(self) -> None:
-        dst, slot, _word = self.pending_retx.popleft()
-        self._retx_queued.discard((dst, slot))
-        self.stats.inc("retx_sent")
-
-    # -- TX ----------------------------------------------------------------------
+    def data_flits(self, channel: int, dst: int, words: list[int], base: int,
+                   gate: tuple[int, ...], mask: int = 0) -> list:
+        """:class:`OutgoingMessage` entries carrying ``words`` in stream
+        slots ``base``..., each flit gated on the members in ``gate``."""
+        seq_mod = SLOT_MASK + 1 if self.reliable else SEQ_WINDOW
+        total = len(words)
+        # Logic packets group up to 4 flits; BURST tells the receiver
+        # how many flits this flit's packet contains (2-bit field).
+        return [
+            (base + offset, gate, self.make_flit(
+                channel, dst, SubType.MSG_DATA, (base + offset) % seq_mod,
+                word, min(4, total - (offset // 4) * 4), mask,
+            ))
+            for offset, word in enumerate(words)
+        ]
 
     @property
     def tx_busy(self) -> bool:
@@ -551,98 +565,61 @@ class TieInterface:
             raise ProtocolError("TIE send started while a send is in flight")
         if not words:
             raise ProtocolError("empty message")
-        base_slot = self._send_slots.get(dst_node, 0)
-        flits = []
-        total = len(words)
-        seq_mod = SLOT_MASK + 1 if self.reliable else SEQ_WINDOW
-        for offset, word in enumerate(words):
-            slot = base_slot + offset
-            # Logic packets group up to 4 flits; BURST tells the receiver
-            # how many flits this flit's packet contains (2-bit field).
-            burst = min(4, total - (offset // 4) * 4)
-            flits.append(
-                Flit(
-                    dst=dst_node,
-                    src=self.node_id,
-                    ptype=PacketType.MESSAGE,
-                    subtype=int(SubType.MSG_DATA),
-                    seq=slot % seq_mod,
-                    burst=burst,
-                    data=word,
-                )
-            )
-        self._send_slots[dst_node] = base_slot + total
-        self.tx = _PendingSend(dst_node, words, flits, base_slot)
+        window = self.window_for(dst_node)
+        self.tx = OutgoingMessage(window, self.data_flits(
+            UNICAST, dst_node, words, window.reserve(len(words)), (dst_node,),
+        ))
         self.stats.inc("messages_sent")
+
+    def tx_current(self) -> Flit | None:
+        """The credit-gated data flit to offer the arbiter this cycle."""
+        if self.tx is None:
+            return None
+        flit = self.tx.current()
+        if flit is None:
+            self._n_credit_stall_cycles += 1
+        return flit
+
+    def tx_advance(self) -> bool:
+        """Mark the current flit accepted; True when the message finished."""
+        if self.tx is None:
+            raise ProtocolError(
+                f"tie[{self.node_id}]: flit accepted with no send in flight"
+            )
+        self._n_data_flits_sent += 1
+        if self.tx.advance():
+            self.tx = None
+            return True
+        return False
 
     def make_request_flit(self, dst_node: int, word: int) -> Flit:
         """Build a single-flit control token for the request segment."""
         self.stats.inc("requests_sent")
-        return Flit(
-            dst=dst_node,
-            src=self.node_id,
-            ptype=PacketType.MESSAGE,
-            subtype=int(SubType.MSG_REQUEST),
-            seq=0,
-            burst=1,
-            data=word,
-        )
-
-    def tx_current(self) -> Flit | None:
-        if self.tx is None or self.tx.done:
-            return None
-        # Credit gate: never exceed the peer-confirmed window.
-        if self.reliable:
-            floor = self._peer_credited.get(self.tx.dst_node, 0)
-            # Same window as the fault-free gate (floor + initial credit
-            # == the incremental limit in a lossless run), narrowed by
-            # the retransmit SRAM depth: every emitted-but-unretired slot
-            # must stay replayable.
-            limit = floor + min(
-                self.initial_credit(self.tx.dst_node), self.retx_slots
-            )
-        else:
-            limit = self._credit_limit.get(
-                self.tx.dst_node, self.initial_credit(self.tx.dst_node)
-            )
-        if self.tx.current_slot() >= limit:
-            self._n_credit_stall_cycles += 1
-            return None
-        return self.tx.current()
+        return self.make_flit(UNICAST, dst_node, SubType.MSG_REQUEST, 0, word)
 
     def credit_flit(self) -> Flit | None:
-        """Next owed credit token, if any (drained by the node, 1/cycle)."""
+        """Next owed token, if any (drained by the node, 1/cycle)."""
         if self.pending_credits.empty:
             return None
         dst, word = self.pending_credits.peek()
-        return Flit(
-            dst=dst,
-            src=self.node_id,
-            ptype=PacketType.MESSAGE,
-            subtype=int(SubType.MSG_REQUEST),
-            seq=0,
-            burst=1,
-            data=word,
-        )
+        return self.make_flit(UNICAST, dst, SubType.MSG_REQUEST, 0, word)
 
     def credit_sent(self) -> None:
         self.pending_credits.pop()
 
-    def tx_advance(self) -> bool:
-        """Mark the current flit accepted; True when the message finished."""
-        assert self.tx is not None
-        tx = self.tx
-        if self.reliable:
-            # Record the word at emission time, so the buffer only ever
-            # holds emitted-but-unretired slots (bounded by the TX gate).
-            slot = tx.base_slot + tx.index
-            self._retx.setdefault(tx.dst_node, {})[slot] = tx.words[tx.index]
-        tx.index += 1
-        self._n_data_flits_sent += 1
-        if self.tx.done:
-            self.tx = None
-            return True
-        return False
+    def retx_flit(self) -> Flit | None:
+        """Next owed retransmission (drained by the node, 1/cycle)."""
+        if not self.pending_retx:
+            return None
+        dst, slot, word = self.pending_retx[0]
+        return self.make_flit(
+            UNICAST, dst, SubType.MSG_RETX, slot & SLOT_MASK, word
+        )
+
+    def retx_sent(self) -> None:
+        dst, slot, _word = self.pending_retx.popleft()
+        self.windows[dst].queued.discard((dst, slot))
+        self.stats.inc("retx_sent")
 
     def flush_stats(self) -> None:
         """Fold the batched per-flit counters into the CounterSet.
@@ -651,15 +628,14 @@ class TieInterface:
         transition to sleep and before any external stats read), so
         observers always see exact values.
         """
-        if self._n_data_flits_sent:
-            self.stats.inc("data_flits_sent", self._n_data_flits_sent)
-            self._n_data_flits_sent = 0
-        if self._n_data_flits_received:
-            self.stats.inc("data_flits_received", self._n_data_flits_received)
-            self._n_data_flits_received = 0
-        if self._n_credit_stall_cycles:
-            self.stats.inc("credit_stall_cycles", self._n_credit_stall_cycles)
-            self._n_credit_stall_cycles = 0
-        if self._n_mcast_flits_received:
-            self.stats.inc("mcast_flits_received", self._n_mcast_flits_received)
-            self._n_mcast_flits_received = 0
+        received = self._n_flits_received
+        for key, count in (
+            ("data_flits_sent", self._n_data_flits_sent),
+            ("data_flits_received", received[UNICAST]),
+            ("credit_stall_cycles", self._n_credit_stall_cycles),
+            ("mcast_flits_received", received[MCAST]),
+        ):
+            if count:
+                self.stats.inc(key, count)
+        self._n_data_flits_sent = self._n_credit_stall_cycles = 0
+        received[UNICAST] = received[MCAST] = 0

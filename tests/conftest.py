@@ -6,6 +6,8 @@ from collections.abc import Callable, Generator
 
 import pytest
 
+from repro.noc.flit import MULTICAST_DST
+from repro.pe.tie import CREDIT_WINDOW, MCAST, UNICAST
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
 
@@ -30,6 +32,33 @@ def run_programs(
     system.load_programs(list(programs))
     system.run(max_cycles=max_cycles)
     return system
+
+
+def assert_streams_conserved(system) -> None:
+    """Credits issued = credits consumed, on every stream of a finished run.
+
+    For every send window of every tile: each member's floor equals what
+    that member's receive stream has credited, less than one credit
+    window is left unacknowledged, and the retransmit buffer holds
+    nothing the slowest member has credited past.
+    """
+    ties = {node.node_id: node.tie for node in system.nodes}
+    for node_id, tie in ties.items():
+        for dst, window in tie.windows.items():
+            channel = MCAST if dst == MULTICAST_DST else UNICAST
+            where = f"tie[{node_id}] window->{dst}"
+            floors = []
+            for member in window.members:
+                stream = ties[member].rx[channel].get(node_id)
+                upto = stream.credited_upto if stream is not None else 0
+                floor = window.credited.get(member, 0)
+                assert floor == upto, f"{where}: member {member}"
+                assert window.next_slot - floor < CREDIT_WINDOW, where
+                floors.append(floor)
+            assert not window.queued, where
+            assert all(
+                slot >= min(floors, default=0) for slot in window.retx
+            ), where
 
 
 @pytest.fixture

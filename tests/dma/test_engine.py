@@ -83,9 +83,9 @@ def test_multicast_group_reregistration_waits_for_quiescence():
             engine.tx_advance()
         engine.pump()
     assert not engine.post_multicast(1 << 2, [3])  # 12 slots, 0 credited
-    engine.tie.mcast_credited[2] = 8
+    engine.window.credited[2] = 8
     assert not engine.post_multicast(1 << 2, [3])  # member 3 still behind
-    engine.tie.mcast_credited[3] = 8
+    engine.window.credited[3] = 8
     # Quiescent now (the <CREDIT_WINDOW tail is software-ordered): the
     # register rewrites, and the shared sequence space continues.
     assert engine.post_multicast(1 << 2, [3])
@@ -108,7 +108,7 @@ def test_multicast_group_growth_syncs_new_members():
         if engine.tx_current() is not None:
             engine.tx_advance()
         engine.pump()
-    engine.tie.mcast_credited[2] = 8  # member 2 quiescent
+    engine.window.credited[2] = 8  # member 2 quiescent
     grown = (1 << 2) | (1 << 5)
     assert engine.post_multicast(grown, [9])
     # The new member got a SYNC token (current slot = 5) on the reverse
@@ -116,7 +116,7 @@ def test_multicast_group_growth_syncs_new_members():
     assert list(engine.tie.pending_credits._items) == [
         (5, MCAST_SYNC_WORD | 5)
     ]
-    assert engine.tie.mcast_credited[5] == 5
+    assert engine.window.credited[5] == 5
     # The descriptor holds until the new member acks the sync.
     engine.pump()
     assert engine.tx_current() is None
@@ -185,9 +185,9 @@ def test_credit_gating_stalls_on_the_slowest_member():
         assert engine.tx_current() is not None
         engine.tx_advance()
     assert engine.tx_current() is None  # slot 16 needs credits
-    engine.tie.mcast_credited[2] = 8
+    engine.window.credited[2] = 8
     assert engine.tx_current() is None  # member 5 still at zero
-    engine.tie.mcast_credited[5] = 8
+    engine.window.credited[5] = 8
     assert engine.tx_current() is not None
 
 

@@ -21,6 +21,7 @@ from repro.pe.tie import (
     CREDIT_WORD,
     NACK_WORD,
     SLOT_MASK,
+    UNICAST,
     TieInterface,
 )
 
@@ -62,7 +63,7 @@ def test_nack_for_already_retired_slot_is_dropped():
     tie.begin_send(PEER, list(range(100, 108)))
     drain_tx(tie, 8)
     tie.accept(token(CREDIT_WORD | 8))      # peer credits all 8 slots
-    assert not tie._retx[PEER]              # buffer fully retired
+    assert not tie.windows[PEER].retx       # buffer fully retired
     tie.accept(token(NACK_WORD | 3))        # stale NACK for slot 3
     assert not tie.pending_retx
     assert tie.stats.as_dict()["nacks_retired"] == 1
@@ -111,12 +112,12 @@ def test_retx_buffer_full_backpressures_the_sender():
     tie.begin_send(PEER, list(range(10)))
     assert len(drain_tx(tie, 10)) == 4      # slots 0-3, then the gate
     assert tie.tx_current() is None
-    assert len(tie._retx[PEER]) == 4
+    assert len(tie.windows[PEER].retx) == 4
     tie.flush_stats()
     assert tie.stats.as_dict()["credit_stall_cycles"] >= 1
     tie.accept(token(CREDIT_WORD | 2))      # peer retires slots 0-1
     assert len(drain_tx(tie, 10)) == 2      # window slides by exactly 2
-    assert set(tie._retx[PEER]) == {2, 3, 4, 5}
+    assert set(tie.windows[PEER].retx) == {2, 3, 4, 5}
 
 
 def test_duplicate_retransmission_is_dropped_at_the_stream():
@@ -132,7 +133,7 @@ def test_duplicate_retransmission_is_dropped_at_the_stream():
     tie.accept(data(0))
     tie.accept(data(0))
     assert tie.stats.as_dict()["duplicate_flits_dropped"] == 1
-    stream = tie.streams[PEER]
+    stream = tie.rx[UNICAST][PEER]
     assert stream.take(1) == [1000]
 
 
@@ -142,10 +143,10 @@ def test_stale_credit_is_idempotent():
     drain_tx(tie, 16)
     tie.accept(token(CREDIT_WORD | 8))
     tie.accept(token(CREDIT_WORD | 4))      # reordered stale token: no-op
-    assert tie._peer_credited[PEER] == 8
+    assert tie.windows[PEER].credited[PEER] == 8
     tie.accept(token(CREDIT_WORD | 16))
-    assert tie._peer_credited[PEER] == 16
-    assert not tie._retx[PEER]
+    assert tie.windows[PEER].credited[PEER] == 16
+    assert not tie.windows[PEER].retx
 
 
 def test_credit_probe_reissues_current_value():

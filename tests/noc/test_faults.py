@@ -210,8 +210,8 @@ def test_credit_eating_is_bounded():
     assert injector.eat_credit(3, 1)
     assert not injector.eat_credit(3, 1)   # budget exhausted
     assert not injector.eat_credit(5, 1)   # other node untouched
-    assert injector.eat_mcast_credit(3, 1)
-    assert not injector.eat_mcast_credit(3, 1)
+    assert injector.eat_credit(3, 1, channel=1)
+    assert not injector.eat_credit(3, 1, channel=1)
     counters = injector.counts.as_dict()
     assert counters["credits_eaten"] == 2
     assert counters["mcast_credits_eaten"] == 1

@@ -7,9 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
-from repro.noc.flit import Flit
+from repro.noc.flit import MULTICAST_DST, Flit
 from repro.noc.packet import PacketType, SubType
-from repro.pe.tie import MAX_SPAN, SEQ_WINDOW, ReceiveStream, TieInterface
+from repro.pe.tie import (
+    MAX_SPAN,
+    MCAST,
+    SEQ_WINDOW,
+    ReceiveStream,
+    TieInterface,
+)
 
 
 def data_flit(src: int, seq: int, word: int) -> Flit:
@@ -347,7 +353,7 @@ def test_mcast_sync_token_realigns_and_acks():
                 data=MCAST_SYNC_WORD | 12)
     tie.accept(sync)
     assert tie.requests.empty  # handshake stays out of the program queue
-    assert tie.mcast_streams[3].lowest_missing == 12
+    assert tie.rx[MCAST][3].lowest_missing == 12
     # The ack rides the reverse path like a credit.
     assert list(tie.pending_credits._items) == [(3, MCAST_SYNC_ACK_WORD)]
     # Sender side: the ack lands in the acks set, not the credit counts.
@@ -355,4 +361,4 @@ def test_mcast_sync_token_realigns_and_acks():
                subtype=int(SubType.MSG_REQUEST), data=MCAST_SYNC_ACK_WORD)
     tie.accept(ack)
     assert tie.mcast_sync_acks == {5}
-    assert 5 not in tie.mcast_credited
+    assert 5 not in tie.window_for(MULTICAST_DST).credited

@@ -11,6 +11,10 @@ The acceptance battery of the fault-injection subsystem:
 * a deliberately stuck collective raises a *typed* error naming rank,
   op and blocked components — never a silent spin to ``max_cycles``;
 * the watchdog and the fault layer are timing-neutral when idle.
+
+Every run that finishes is also audited for stream conservation
+(``tests.conftest.assert_streams_conserved``): on every tile, credits
+issued equal credits consumed and no retired word is still buffered.
 """
 
 from __future__ import annotations
@@ -26,8 +30,24 @@ from repro.errors import DeadlockError, EmpiTimeoutError, WatchdogError
 from repro.faults import FaultPlan
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
+from tests.conftest import assert_streams_conserved
 
 ALGORITHMS = ("tree", "ring", "hw")
+
+
+def audited_bench(config: SystemConfig, algorithm: str, n_values: int = 16,
+                  max_cycles: int | None = None):
+    """Two allreduces; a run that finishes must leave every stream conserved."""
+    params = CollectiveBenchParams(
+        collective="allreduce", model="empi", algorithm=algorithm,
+        n_values=n_values, repeats=2,
+    )
+    systems = []
+    result = run_collective_bench(
+        config, params, max_cycles=max_cycles, observer=systems.append
+    )
+    assert_streams_conserved(systems[0])
+    return result
 
 
 def bench(algorithm: str, faults: FaultPlan | None, n_values: int = 16,
@@ -37,11 +57,7 @@ def bench(algorithm: str, faults: FaultPlan | None, n_values: int = 16,
         dma_tx_queue_depth=4 if algorithm == "hw" else 0,
         **overrides,
     )
-    params = CollectiveBenchParams(
-        collective="allreduce", model="empi", algorithm=algorithm,
-        n_values=n_values, repeats=2,
-    )
-    return run_collective_bench(config, params)
+    return audited_bench(config, algorithm, n_values)
 
 
 # -- transient faults: bit-identical recovery -------------------------------
@@ -228,11 +244,7 @@ def chiplet_bench(algorithm: str, faults: FaultPlan | None, **overrides):
         dma_tx_queue_depth=4 if algorithm == "hw" else 0,
         **overrides,
     )
-    params = CollectiveBenchParams(
-        collective="allreduce", model="empi", algorithm=algorithm,
-        n_values=16, repeats=2,
-    )
-    return run_collective_bench(config, params, max_cycles=500_000)
+    return audited_bench(config, algorithm, max_cycles=500_000)
 
 
 def test_killed_intra_chiplet_link_reroutes_within_the_chiplet():
@@ -272,10 +284,6 @@ def test_lossy_interchiplet_links_recover_bit_identically(algorithm):
         chiplet_grid=(2, 2), chiplet_link_latency=4, chiplet_link_width=2,
         faults=FaultPlan(seed=3, drop_rate=0.02),
     )
-    params = CollectiveBenchParams(
-        collective="allreduce", model="empi", algorithm=algorithm,
-        n_values=16, repeats=2,
-    )
-    result = run_collective_bench(config, params, max_cycles=500_000)
+    result = audited_bench(config, algorithm, max_cycles=500_000)
     assert result.validated
     assert result.stats["faults"]["dropped"] > 0
