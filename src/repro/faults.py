@@ -42,6 +42,7 @@ from repro.kernel.stats import CounterSet
 from repro.kernel.trace import FAULT, EventLog
 from repro.noc.coords import DIRECTION_NAMES
 from repro.noc.packet import PacketType, SubType
+from repro.pe.tie import CREDIT_LIMIT, CREDIT_WINDOW
 
 
 def link_name(node: int, direction: int) -> str:
@@ -96,7 +97,8 @@ class FaultPlan:
     #: watchdog then turns the quiet system into a structured report).
     max_retries: int = 8
     #: Retransmit-buffer slots per stream; senders stall rather than
-    #: overrun it.  16 (= the credit limit) makes it never the bottleneck.
+    #: overrun it.  16 (= the credit limit) makes it never the bottleneck;
+    #: below 8 (= one credit window) no credit would ever come back.
     retx_slots: int = 16
 
     def __post_init__(self) -> None:
@@ -127,9 +129,13 @@ class FaultPlan:
             raise ConfigError("nack_backoff must be >= 1")
         if self.max_retries < 1:
             raise ConfigError("max_retries must be >= 1")
-        if not (1 <= self.retx_slots <= 16):
+        if not (CREDIT_WINDOW <= self.retx_slots <= CREDIT_LIMIT):
             raise ConfigError(
-                "retx_slots must be in [1, 16] (the stream credit limit)"
+                f"retx_slots must be in [{CREDIT_WINDOW}, {CREDIT_LIMIT}], got "
+                f"{self.retx_slots}: a receiver credits {CREDIT_WINDOW} slots at "
+                f"a time, so a sender allowed fewer unretired slots never "
+                f"completes the window that would free them, and "
+                f"{CREDIT_LIMIT} is the stream credit limit"
             )
         for node, start, n_cycles in self.stalls:
             if n_cycles < 1 or start < 0:

@@ -41,6 +41,8 @@ def data_flit(src=0, dst=4, seq=0, data=0x1234) -> Flit:
     dict(nack_backoff=0),
     dict(max_retries=0),
     dict(retx_slots=0),
+    dict(retx_slots=1),
+    dict(retx_slots=7),   # < CREDIT_WINDOW: the sender could never finish
     dict(retx_slots=17),
     dict(stalls=[(3, 100, 0)]),
     dict(fault_window=(200, 100)),
@@ -48,6 +50,11 @@ def data_flit(src=0, dst=4, seq=0, data=0x1234) -> Flit:
 def test_plan_validation_rejects_bad_knobs(kwargs):
     with pytest.raises(ConfigError):
         FaultPlan(**kwargs).validate()
+
+
+@pytest.mark.parametrize("retx_slots", [8, 12, 16])
+def test_plan_validation_accepts_a_whole_credit_window_or_more(retx_slots):
+    FaultPlan(retx_slots=retx_slots).validate()
 
 
 def test_plan_rejects_nonexistent_link():
