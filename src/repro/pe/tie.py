@@ -425,10 +425,9 @@ class TieInterface:
         for the group the DMA engine registers the members of."""
         window = self.windows.get(dst)
         if window is None:
-            depth = MAX_SPAN if dst == MULTICAST_DST else self.retx_slots
             window = self.windows[dst] = SendWindow(
                 () if dst == MULTICAST_DST else (dst,), self.credit_plan,
-                depth if self.reliable else None,
+                self.retx_slots if self.reliable else None,
             )
         return window
 

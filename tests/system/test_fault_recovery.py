@@ -28,6 +28,7 @@ from repro.apps.collective_bench import (
 from repro.empi.collectives import make_comm
 from repro.errors import DeadlockError, EmpiTimeoutError, WatchdogError
 from repro.faults import FaultPlan
+from repro.pe.tie import OutgoingMessage
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
 from tests.conftest import assert_streams_conserved
@@ -96,6 +97,31 @@ def test_recovery_overhead_grows_with_fault_rate():
         for rate in (0.0, 0.01, 0.05)
     ]
     assert cycles[0] < cycles[1] < cycles[2]
+
+
+@pytest.mark.parametrize("algorithm", ("tree", "hw"))
+def test_retx_slots_bounds_both_channels(algorithm, monkeypatch):
+    # The retransmit SRAM depth is one budget for both channels: neither
+    # the TIE's unicast windows (tree) nor the DMA engine's group window
+    # (hw) may hold more than retx_slots slots in flight or buffered.
+    peak = {"in_flight": 0, "buffered": 0}
+    advance = OutgoingMessage.advance
+
+    def recording_advance(message):
+        slot, _gate, _flit = message.entries[message.index]
+        finished = advance(message)     # both peaks follow an emission
+        window = message.window
+        floor = min(window.credited.get(m, 0) for m in window.members)
+        peak["in_flight"] = max(peak["in_flight"], slot + 1 - floor)
+        peak["buffered"] = max(peak["buffered"], len(window.retx))
+        return finished
+
+    monkeypatch.setattr(OutgoingMessage, "advance", recording_advance)
+    narrow = bench(algorithm, FaultPlan(seed=3, drop_rate=0.02, retx_slots=8),
+                   n_values=64)
+    assert narrow.validated
+    assert narrow.stats["faults"]["dropped"] > 0
+    assert peak == {"in_flight": 8, "buffered": 8}  # reached, never passed
 
 
 # -- permanent link death ---------------------------------------------------
