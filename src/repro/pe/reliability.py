@@ -41,7 +41,6 @@ import typing
 
 from repro.pe.tie import (
     CHANNEL_BIT,
-    CREDIT_LIMIT,
     CREDIT_PROBE_WORD,
     NACK_WORD,
     SLOT_MASK,
@@ -143,20 +142,15 @@ class ReliabilityAgent:
         self, cycle: int, channel: int, message: OutgoingMessage, live: set,
     ) -> None:
         slot, gate, _flit = message.entries[message.index]
-        credited = message.window.credited
-        budget = CREDIT_LIMIT if channel else min(
-            CREDIT_LIMIT, self.tie.retx_slots
-        )
-        for member in gate:
-            floor = credited.get(member, 0)
-            if slot >= floor + budget:
-                key = (_TX_TAG[channel], member)
-                live.add(key)
-                self._expire(
-                    cycle, key, front=floor, dst=member,
-                    token=CREDIT_PROBE_WORD | (channel * CHANNEL_BIT),
-                    horizon=self.nack_timeout, what=_PROBE[channel],
-                )
+        window = message.window
+        for member in window.blocked_by(slot, gate):
+            key = (_TX_TAG[channel], member)
+            live.add(key)
+            self._expire(
+                cycle, key, front=window.credited.get(member, 0), dst=member,
+                token=CREDIT_PROBE_WORD | (channel * CHANNEL_BIT),
+                horizon=self.nack_timeout, what=_PROBE[channel],
+            )
 
     def _expire(
         self, cycle: int, key: tuple, front: int, dst: int, token: int,

@@ -28,6 +28,7 @@ from repro.apps.collective_bench import (
 from repro.empi.collectives import make_comm
 from repro.errors import DeadlockError, EmpiTimeoutError, WatchdogError
 from repro.faults import FaultPlan
+from repro.pe.reliability import ReliabilityAgent
 from repro.pe.tie import OutgoingMessage
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
@@ -313,3 +314,39 @@ def test_lossy_interchiplet_links_recover_bit_identically(algorithm):
     result = audited_bench(config, algorithm, max_cycles=500_000)
     assert result.validated
     assert result.stats["faults"]["dropped"] > 0
+
+
+@pytest.mark.parametrize("algorithm", ("tree", "hw"))
+def test_no_probe_timer_is_armed_while_the_gate_is_open(algorithm, monkeypatch):
+    # Across an inter-chiplet link the credit plan widens a peer's window
+    # (24 slots here).  The agent must call a sender credit-stalled only
+    # when the window's own gate does — on either channel — or it arms
+    # probe timers, and sends probes, for streams that are flowing.
+    armed = []
+    tick = ReliabilityAgent.tick
+
+    def checking_tick(agent, cycle):
+        tick(agent, cycle)
+        streaming = {
+            "tx": agent.tie.tx,
+            "mtx": agent.dma._active if agent.dma is not None else None,
+        }
+        for tag, member in agent._timers:
+            if tag in streaming:
+                message = streaming[tag]
+                slot, gate, _flit = message.entries[message.index]
+                assert member in message.window.blocked_by(slot, gate)
+                armed.append((tag, member))
+
+    monkeypatch.setattr(ReliabilityAgent, "tick", checking_tick)
+    config = SystemConfig(
+        n_workers=16, topology_kind="chiplet", chiplets=4,
+        chiplet_grid=(2, 2), chiplet_link_latency=4, chiplet_link_width=1,
+        faults=FaultPlan(seed=3),
+        dma_tx_queue_depth=4 if algorithm == "hw" else 0,
+    )
+    result = audited_bench(config, algorithm, n_values=64,
+                           max_cycles=500_000)
+    assert result.validated
+    assert armed                      # real stalls are still watched
+    assert result.stats["faults"].get("probes_issued", 0) == 0
