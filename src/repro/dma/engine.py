@@ -7,9 +7,10 @@ The engine sits between the core and the TIE/arbiter message path:
   running — the queue retires the one-slot serialization the blocking
   ``send``/``isend`` path imposes;
 * every cycle the owning node pumps the engine: the head descriptor is
-  activated (unicast descriptors are handed to the TIE's existing
-  streaming machinery; multicast descriptors become an engine-owned flit
-  stream) and the current flit is offered to the arbiter's message class.
+  activated (a unicast descriptor becomes the TIE's outgoing message, a
+  multicast descriptor the engine's own — both the same record streaming
+  out of a send window) and the current flit is offered to the arbiter's
+  message class.
 
 Multicast descriptors carry a destination bitmask.  In **multicast mode**
 the engine emits one MULTICAST flit per payload word with ``dst = -1``
