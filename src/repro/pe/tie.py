@@ -477,7 +477,6 @@ class TieInterface:
         marker = word & MARKER_MASK
         channel = (marker // CHANNEL_BIT) & 1
         kind = marker & ~CHANNEL_BIT
-        prefix = _PREFIX[channel]
         if kind == CREDIT_WORD:
             # The peer completed a window of our stream to it.
             if self.faults is not None and self.faults.eat_credit(
@@ -486,7 +485,7 @@ class TieInterface:
                 return
             window = self.window_for(MULTICAST_DST if channel else src)
             window.credit(src, word & SLOT_MASK)
-            self.stats.inc(prefix + "credits_received")
+            self.stats.inc(_PREFIX[channel] + "credits_received")
         elif marker == MCAST_SYNC_WORD:
             # The peer re-registered its multicast group with this node
             # as a new member: align our stream to the phase of its
@@ -498,7 +497,7 @@ class TieInterface:
             self.mcast_sync_acks.add(src)
             self.stats.inc("mcast_sync_acks_received")
         elif self.reliable and kind == NACK_WORD:
-            self.stats.inc(prefix + "nacks_received")
+            self.stats.inc(_PREFIX[channel] + "nacks_received")
             if channel:
                 self.mcast_nacks.append((src, word & SLOT_MASK))
                 return
@@ -515,7 +514,7 @@ class TieInterface:
             self._owe_credit(
                 src, channel, stream.credited_upto if stream is not None else 0
             )
-            self.stats.inc(prefix + "credit_probes_received")
+            self.stats.inc(_PREFIX[channel] + "credit_probes_received")
         else:
             self.requests.push((src, word))
             self.stats.inc("requests_received")
