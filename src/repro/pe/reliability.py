@@ -42,8 +42,10 @@ import typing
 from repro.pe.tie import (
     CHANNEL_BIT,
     CREDIT_PROBE_WORD,
+    MCAST,
     NACK_WORD,
     SLOT_MASK,
+    UNICAST,
     OutgoingMessage,
     ReceiveStream,
     TieInterface,
@@ -110,10 +112,10 @@ class ReliabilityAgent:
         for channel, streams in enumerate(tie.rx):
             for src, stream in streams.items():
                 self._check_stream(cycle, channel, src, stream, live)
-        streaming = (tie.tx, self.dma._active if self.dma is not None else None)
-        for channel, message in enumerate(streaming):
-            if message is not None:
-                self._check_tx(cycle, channel, message, live)
+        if tie.tx is not None:
+            self._check_tx(cycle, UNICAST, tie.tx, live)
+        if self.dma is not None and self.dma._active is not None:
+            self._check_tx(cycle, MCAST, self.dma._active, live)
         timers = self._timers
         if len(live) != len(timers):
             for key in [k for k in timers if k not in live]:

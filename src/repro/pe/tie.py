@@ -111,14 +111,13 @@ class ReceiveStream:
     error rather than something to hide.
     """
 
-    __slots__ = ("slots", "lowest_missing", "consumed", "max_span",
-                 "credited_upto", "wide", "wanted")
+    __slots__ = ("slots", "lowest_missing", "consumed", "credited_upto",
+                 "wide", "wanted")
 
     def __init__(self) -> None:
         self.slots: dict[int, int] = {}
         self.lowest_missing = 0
         self.consumed = 0
-        self.max_span = 0
         #: Slots for which credit tokens have already been issued.
         self.credited_upto = 0
         #: Reliable mode: flits carry 16-bit sequence numbers, so arrivals
@@ -169,9 +168,6 @@ class ReceiveStream:
                     f"oldest missing slot {self.lowest_missing}"
                 )
         self.slots[slot] = word
-        span = slot - self.lowest_missing
-        if span > self.max_span:
-            self.max_span = span
         while self.lowest_missing in self.slots:
             self.lowest_missing += 1
         return True
@@ -235,9 +231,8 @@ class SendWindow:
     by CREDIT_WINDOW; a reliable token folds its absolute value in,
     forward-only, so stale and duplicated tokens are no-ops).  A flit may
     leave while its slot lies below ``floor + budget`` of every member it
-    is going to.  In reliable mode (``retx_slots`` not None) every emitted
-    word stays in ``retx`` until the *slowest* member's floor passes it;
-    that buffer is what NACKs are served from.
+    is going to.  Reliable mode (``retx_slots`` not None) keeps every emitted
+    word in ``retx``, to serve NACKs, until the *slowest* floor passes it.
     """
 
     __slots__ = ("members", "credit_plan", "retx_slots", "next_slot",
@@ -271,12 +266,15 @@ class SendWindow:
             return window
         return min(window, self.retx_slots)
 
-    def blocked_by(self, slot: int, members: tuple[int, ...]) -> list[int]:
+    def blocked_by(self, slot: int, members: tuple[int, ...]) -> tuple:
         """The credit gate: those of ``members`` whose window does not
         admit ``slot`` yet (empty = the flit may go)."""
         credited = self.credited
-        return [m for m in members
-                if slot >= credited.get(m, 0) + self.budget(m)]
+        blocked = ()
+        for member in members:
+            if slot >= credited.get(member, 0) + self.budget(member):
+                blocked += (member,)
+        return blocked
 
     def credit(self, member: int, value: int) -> None:
         """Fold one credit token from ``member`` into its floor."""
@@ -448,7 +446,8 @@ class TieInterface:
         if flit.subtype == SubType.MSG_REQUEST:
             self._accept_token(flit.src, flit.data)
             return
-        stream = self.stream_from(flit.src, channel)
+        stream = (self.rx[channel].get(flit.src)
+                  or self.stream_from(flit.src, channel))
         if not stream.insert(flit.seq, flit.data):
             self.stats.inc("duplicate_flits_dropped")
             return
@@ -627,13 +626,15 @@ class TieInterface:
         observers always see exact values.
         """
         received = self._n_flits_received
-        for key, count in (
-            ("data_flits_sent", self._n_data_flits_sent),
-            ("data_flits_received", received[UNICAST]),
-            ("credit_stall_cycles", self._n_credit_stall_cycles),
-            ("mcast_flits_received", received[MCAST]),
-        ):
-            if count:
-                self.stats.inc(key, count)
-        self._n_data_flits_sent = self._n_credit_stall_cycles = 0
-        received[UNICAST] = received[MCAST] = 0
+        if self._n_data_flits_sent:
+            self.stats.inc("data_flits_sent", self._n_data_flits_sent)
+            self._n_data_flits_sent = 0
+        if received[UNICAST]:
+            self.stats.inc("data_flits_received", received[UNICAST])
+            received[UNICAST] = 0
+        if self._n_credit_stall_cycles:
+            self.stats.inc("credit_stall_cycles", self._n_credit_stall_cycles)
+            self._n_credit_stall_cycles = 0
+        if received[MCAST]:
+            self.stats.inc("mcast_flits_received", received[MCAST])
+            received[MCAST] = 0
