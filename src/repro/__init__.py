@@ -29,11 +29,6 @@ from repro.errors import (
 )
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
-from repro.system.presets import (
-    mesh_sweep_configs,
-    paper_sweep_configs,
-    reference_config,
-)
 
 __version__ = "1.1.0"
 
@@ -46,7 +41,4 @@ __all__ = [
     "SimulationError",
     "SystemConfig",
     "__version__",
-    "mesh_sweep_configs",
-    "paper_sweep_configs",
-    "reference_config",
 ]

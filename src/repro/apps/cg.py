@@ -366,7 +366,7 @@ def run_cg(config: SystemConfig, params: CgParams,
     """Run one CG experiment on one architecture point.
 
     ``observer``, when given, is called with the built
-    :class:`MedeaSystem` before the run starts — the hook trace/telemetry
+    :class:`MedeaSystem` before the programs load — the hook trace/telemetry
     tooling uses to reach the event log and the metric registry afterwards.
     """
     params = CgParams(
@@ -382,12 +382,12 @@ def run_cg(config: SystemConfig, params: CgParams,
     results: dict[int, list[float]] = {}
     rr_out: dict[int, list[float]] = {}
     system = MedeaSystem(config)
+    if observer is not None:
+        observer(system)
     system.load_programs([
         _make_program(params, chunks, rank, results, rr_out)
         for rank in range(config.n_workers)
     ])
-    if observer is not None:
-        observer(system)
     total_cycles = system.run(max_cycles=max_cycles)
     marks = system.events.marks(system.rank_to_node[0])
     x = [value for rank in range(config.n_workers) for value in results[rank]]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.apps.jacobi.partition import Strip
 from repro.empi.smsync import SharedMemoryBarrier, SharedMemoryLock
-from repro.errors import ConfigError, ValidationError
+from repro.errors import ConfigError, ValidationError, parse_enum
 from repro.mem.values import float_to_words, words_to_float
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
@@ -41,14 +41,7 @@ class ReductionModel(enum.Enum):
 
     @classmethod
     def parse(cls, value: "ReductionModel | str") -> "ReductionModel":
-        if isinstance(value, ReductionModel):
-            return value
-        try:
-            return cls(value.lower())
-        except ValueError:
-            raise ConfigError(
-                f"unknown reduction model {value!r}; use 'empi' or 'pure_sm'"
-            ) from None
+        return parse_enum(cls, value, "reduction model")
 
 
 def element_values(index: int) -> tuple[float, float]:

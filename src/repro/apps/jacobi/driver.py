@@ -70,10 +70,6 @@ class JacobiResult:
     max_abs_error: float
     stats: dict = field(repr=False, default_factory=dict)
 
-    @property
-    def measured_iterations(self) -> list[int]:
-        return self.iteration_cycles[self.params.warmup :]
-
 
 def required_memory_ok(config: SystemConfig, params: JacobiParams) -> None:
     """Fail early when the configured segments cannot hold the problem."""

@@ -23,7 +23,7 @@ from collections.abc import Callable, Generator
 from repro.apps.jacobi.partition import Strip, next_owner, prev_owner
 from repro.apps.jacobi.reference import initial_grid, stencil
 from repro.empi.smsync import SharedMemoryBarrier
-from repro.errors import ConfigError
+from repro.errors import parse_enum
 from repro.pe.program import ProgramContext
 
 #: Bytes reserved at the bottom of the shared segment for SM-sync state.
@@ -37,15 +37,7 @@ class JacobiModel(enum.Enum):
 
     @classmethod
     def parse(cls, value: "JacobiModel | str") -> "JacobiModel":
-        if isinstance(value, JacobiModel):
-            return value
-        try:
-            return cls(value.lower())
-        except ValueError:
-            raise ConfigError(
-                f"unknown Jacobi model {value!r}; use "
-                f"'hybrid_full', 'hybrid_sync' or 'pure_sm'"
-            ) from None
+        return parse_enum(cls, value, "Jacobi model")
 
 
 def row_stride(n: int) -> int:

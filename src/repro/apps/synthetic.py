@@ -177,14 +177,6 @@ def run_synthetic_traffic(
     )
 
 
-def latency_throughput_sweep(
-    rates: tuple[float, ...] = (0.02, 0.05, 0.1, 0.2, 0.3, 0.45),
-    **kwargs: object,
-) -> list[TrafficStats]:
-    """The classic NoC load/latency curve, one run per offered rate."""
-    return [run_synthetic_traffic(rate=rate, **kwargs) for rate in rates]
-
-
 @dataclass
 class SyntheticParams:
     """One synthetic-traffic point, sweep-service style.

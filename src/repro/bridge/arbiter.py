@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.errors import ConfigError
+from repro.errors import ProtocolError, parse_enum
 from repro.kernel.fifo import Fifo
 from repro.kernel.stats import CounterSet
 from repro.noc.flit import Flit
@@ -32,15 +32,7 @@ class ArbiterMode(enum.Enum):
 
     @classmethod
     def parse(cls, value: "ArbiterMode | str") -> "ArbiterMode":
-        if isinstance(value, ArbiterMode):
-            return value
-        try:
-            return cls(value.lower())
-        except ValueError:
-            raise ConfigError(
-                f"unknown arbiter mode {value!r}; "
-                f"use 'mux', 'single_fifo' or 'dual_fifo'"
-            ) from None
+        return parse_enum(cls, value, "arbiter mode")
 
 
 class TrafficClass(enum.Enum):
@@ -60,9 +52,7 @@ class NocAccessArbiter:
         name: str = "arbiter",
     ) -> None:
         self.mode = ArbiterMode.parse(mode)
-        if isinstance(high_priority, str):
-            high_priority = TrafficClass(high_priority.lower())
-        self.high_priority = high_priority
+        self.high_priority = parse_enum(TrafficClass, high_priority, "traffic class")
         self.port = inject_port
         self.name = name
         self.stats = CounterSet(name)
@@ -141,8 +131,10 @@ class NocAccessArbiter:
             return
         flit = self._select()
         if flit is not None:
-            accepted = self.port.try_inject(flit)
-            assert accepted, "injection port reported free but rejected flit"
+            if not self.port.try_inject(flit):
+                raise ProtocolError(
+                    f"{self.name}: injection port reported free but rejected flit"
+                )
             self.stats.inc("flits_granted")
 
     def _select(self) -> Flit | None:

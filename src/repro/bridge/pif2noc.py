@@ -109,9 +109,6 @@ class Pif2NocBridge:
 
     # -- TX side (node offers our flits to the arbiter) -----------------------------
 
-    def poll_output(self) -> Flit | None:
-        return self._outgoing[0] if self._outgoing else None
-
     def output_sent(self) -> None:
         if not self._outgoing:
             raise ProtocolError(f"{self.name}: output_sent with nothing pending")
@@ -119,7 +116,8 @@ class Pif2NocBridge:
         if self._outgoing:
             return
         txn = self._txn
-        assert txn is not None
+        if txn is None:
+            raise ProtocolError(f"{self.name}: flit sent with no transaction live")
         if self._state is _BridgeState.SEND_REQ:
             if txn.expected_read_words:
                 self.reorder.begin(txn.expected_read_words)
@@ -191,7 +189,8 @@ class Pif2NocBridge:
 
     def _complete(self, cycle: int) -> MemTransaction:
         txn = self._txn
-        assert txn is not None
+        if txn is None:
+            raise ProtocolError(f"{self.name}: completion with no transaction live")
         txn.completed_at = cycle
         self.latency.record(txn.latency)
         self._txn = None

@@ -14,6 +14,5 @@ consults the cache and turns misses into NoC transactions.
 """
 
 from repro.cache.l1 import CacheLine, L1Cache, WritePolicy
-from repro.cache.writebuffer import WriteBuffer
 
-__all__ = ["CacheLine", "L1Cache", "WriteBuffer", "WritePolicy"]
+__all__ = ["CacheLine", "L1Cache", "WritePolicy"]

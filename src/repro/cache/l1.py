@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.errors import ConfigError, MemoryAccessError
+from repro.errors import ConfigError, MemoryAccessError, parse_enum
 from repro.kernel.stats import CounterSet
 
 
@@ -16,14 +16,7 @@ class WritePolicy(enum.Enum):
 
     @classmethod
     def parse(cls, value: "WritePolicy | str") -> "WritePolicy":
-        if isinstance(value, WritePolicy):
-            return value
-        try:
-            return cls(value.lower())
-        except ValueError:
-            raise ConfigError(
-                f"unknown write policy {value!r}; use 'wb' or 'wt'"
-            ) from None
+        return parse_enum(cls, value, "write policy")
 
 
 class CacheLine:
@@ -231,17 +224,6 @@ class L1Cache:
         return True
 
     # -- maintenance --------------------------------------------------------------------------
-
-    def dirty_lines(self) -> list[tuple[int, list[int]]]:
-        """All dirty (line_addr, words) pairs — used by drain/flush-all."""
-        result = []
-        for set_index, ways in enumerate(self._sets):
-            for line in ways:
-                if line.valid and line.dirty:
-                    result.append(
-                        (self._line_base(line.tag, set_index), list(line.words))
-                    )
-        return result
 
     @property
     def hits(self) -> int:

@@ -16,6 +16,14 @@ Reports are printed and saved under ``--out`` (default ``./results``);
 sweep points are cached there too — incrementally, so an interrupted
 sweep resumes where it died — and derived figures (7, 9) reuse the
 execution-time sweeps of figures 6 and 8 from the shared warm cache.
+
+To profile an experiment, run it in one process and recompute every
+point (a pool hides the work from cProfile, a cached point does none)::
+
+    python -m cProfile -s cumulative -m repro fig6 --jobs 1 --backend inline --fresh
+
+``benchmarks/perf/run.py --trace`` is the per-layer profile of the
+benchmark workloads.
 """
 
 from __future__ import annotations
@@ -63,11 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=str(DEFAULT_RESULTS_DIR),
         help="directory for reports and the sweep cache (default: results)",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run under cProfile and print the top-20 cumulative entries, "
-             "so perf work starts from data rather than guesses",
-    )
     return parser
 
 
@@ -103,50 +106,6 @@ def run_experiments(names: list[str], full: bool | None, jobs: int | None,
         print(f"=== {name} ===")
         print(run_experiment(name, full, jobs, out, backend=backend,
                              resume=resume, retries=retries))
-
-
-def run_profiled(names: list[str], full: bool | None, jobs: int | None,
-                 out: str, backend: str | None = None,
-                 resume: bool = True, retries: int = 0) -> None:
-    """Run the experiments under cProfile and print the hot spots.
-
-    Each sweep point is profiled on its own and the per-point ``pstats``
-    merged into one cumulative table, so the attribution reflects the
-    simulated workloads rather than one undifferentiated blob.  Sweeps
-    are forced to ``--backend inline --jobs 1`` (cProfile only sees this
-    process; a pool would leave the profile full of IPC waits) and
-    ``--fresh`` (a cached point never runs, so it would profile
-    nothing).
-    """
-    import io
-    import pstats
-
-    from repro.dse import executor as executor_module
-
-    if jobs is not None and jobs != 1:
-        print(f"--profile forces --jobs 1 (was {jobs}): child processes "
-              f"are invisible to cProfile", file=sys.stderr)
-    if resume:
-        print("--profile forces --fresh: cached points never run, so "
-              "resuming would profile nothing", file=sys.stderr)
-    sink: list = []
-    executor_module.PROFILE_SINK = sink
-    try:
-        run_experiments(names, full, 1, out, backend="inline",
-                        resume=False, retries=retries)
-    finally:
-        executor_module.PROFILE_SINK = None
-        if sink:
-            stream = io.StringIO()
-            stats = pstats.Stats(sink[0], stream=stream)
-            for profile in sink[1:]:
-                stats.add(profile)
-            stats.sort_stats("cumulative").print_stats(20)
-            print(f"=== profile ({len(sink)} points merged, top 20 by "
-                  f"cumulative time) ===")
-            print(stream.getvalue())
-        else:
-            print("=== profile: no sweep points ran ===")
 
 
 def run_trace(argv: list[str]) -> int:
@@ -263,13 +222,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     names = sorted(REGISTRY) if args.experiment == "all" else [args.experiment]
     full = True if args.full else None  # None -> honour MEDEA_FULL
-    if args.profile:
-        run_profiled(names, full, args.jobs, args.out,
-                     resume=args.resume, retries=args.retry)
-    else:
-        run_experiments(names, full, args.jobs, args.out,
-                        backend=args.backend, resume=args.resume,
-                        retries=args.retry)
+    run_experiments(names, full, args.jobs, args.out,
+                    backend=args.backend, resume=args.resume,
+                    retries=args.retry)
     return 0
 
 

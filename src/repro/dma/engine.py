@@ -3,19 +3,20 @@
 The engine sits between the core and the TIE/arbiter message path:
 
 * the core *posts* :class:`TxDescriptor` records into a bounded queue
-  (``qsend``/``qmcast`` operations, a couple of cycles each) and keeps
-  running — the queue retires the one-slot serialization the blocking
+  (the ``qmcast`` operation, a couple of cycles each) and keeps running
+  — the queue retires the one-slot serialization the blocking
   ``send``/``isend`` path imposes;
 * every cycle the owning node pumps the engine: the head descriptor is
-  activated (a unicast descriptor becomes the TIE's outgoing message, a
-  multicast descriptor the engine's own — both the same record streaming
-  out of a send window) and the current flit is offered to the arbiter's
-  message class.
+  activated (it becomes the engine's outgoing message, streaming out of
+  the group's send window) and the current flit is offered to the
+  arbiter's message class.
 
-Multicast descriptors carry a destination bitmask.  In **multicast mode**
-the engine emits one MULTICAST flit per payload word with ``dst = -1``
-and the mask attached; the fabric replicates it along the deterministic
-tree, so a P-way broadcast costs one injection per word.  In **unicast
+There is one descriptor kind, a group send: every descriptor carries a
+destination bitmask, and a send to a single tile is a mask with one bit
+set (a group of one).  In **multicast mode** the engine emits one
+MULTICAST flit per payload word with ``dst = -1`` and the mask attached;
+the fabric replicates it along the deterministic tree, so a P-way
+broadcast costs one injection per word.  In **unicast
 fallback mode** (``noc_multicast=False``, for networks whose flit format
 cannot carry the mask, and as the equivalence baseline) the same
 descriptor expands into one ordinary-routed MULTICAST flit per (member,
@@ -94,23 +95,17 @@ def mask_members(mask: int) -> Iterator[int]:
 
 
 class TxDescriptor:
-    """One queued transmit descriptor (unicast or multicast)."""
+    """One queued transmit descriptor: a send to the group ``mask``."""
 
-    __slots__ = ("dst", "mask", "words", "uid")
+    __slots__ = ("mask", "words", "uid")
 
-    def __init__(self, dst: int, mask: int, words: list[int]) -> None:
-        self.dst = dst      # destination node, or MULTICAST_DST
-        self.mask = mask    # destination bitmask (multicast only)
+    def __init__(self, mask: int, words: list[int]) -> None:
+        self.mask = mask    # destination bitmask
         self.words = words
         self.uid = 0        # event-log lifecycle id (0 when off)
 
-    @property
-    def is_multicast(self) -> bool:
-        return self.dst == MULTICAST_DST
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        target = f"mask={self.mask:#x}" if self.is_multicast else str(self.dst)
-        return f"<TxDescriptor ->{target} {len(self.words)}w>"
+        return f"<TxDescriptor ->mask={self.mask:#x} {len(self.words)}w>"
 
 
 class _RxReduce:
@@ -187,10 +182,6 @@ class DmaTxEngine:
     # -- core-facing (descriptor posting) ------------------------------------
 
     @property
-    def free_slots(self) -> int:
-        return self.depth - len(self.queue)
-
-    @property
     def busy(self) -> bool:
         """True while any descriptor is queued or streaming, or while a
         retransmission is owed (queued, or still undrained in the TIE's
@@ -202,24 +193,6 @@ class DmaTxEngine:
             or bool(self.pending_retx)
             or bool(self.tie.mcast_nacks)
         )
-
-    def post_unicast(self, dst_node: int, words: list[int]) -> bool:
-        """Queue a unicast descriptor; False when the queue is full."""
-        if not (0 <= dst_node < self.n_nodes) or dst_node == self.node_id:
-            raise ProtocolError(
-                f"dma[{self.node_id}]: bad unicast destination {dst_node}"
-            )
-        if not words:
-            raise ProtocolError("empty DMA descriptor")
-        if len(self.queue) >= self.depth:
-            self.stats.inc("queue_full_rejects")
-            return False
-        desc = TxDescriptor(dst_node, 0, list(words))
-        if self.events is not None:
-            desc.uid = self._open_span(f"unicast->{dst_node} {len(words)}w")
-        self.queue.append(desc)
-        self.stats.inc("unicast_descriptors")
-        return True
 
     def post_multicast(self, mask: int, words: list[int]) -> bool:
         """Queue a multicast descriptor; False when the queue is full."""
@@ -247,7 +220,7 @@ class DmaTxEngine:
                 return False
             self.group_mask = mask
             self.window.members = tuple(mask_members(mask))
-        desc = TxDescriptor(MULTICAST_DST, mask, list(words))
+        desc = TxDescriptor(mask, list(words))
         if self.events is not None:
             desc.uid = self._open_span(f"mcast {mask:#x} {len(words)}w")
         self.queue.append(desc)
@@ -266,16 +239,14 @@ class DmaTxEngine:
     def _reregister_group(self, mask: int) -> bool:
         """Switch the group register to ``mask`` if quiescent; else False.
 
-        Quiescent = no multicast descriptor queued or streaming, and every
+        Quiescent = no descriptor queued or streaming, and every
         current member has credited all completed credit windows (the
         at-most-one-partial-window tail is the software's to order with a
         barrier; see the module docstring).  On success the *new* members
         are sent SYNC tokens over the reverse ack path and the engine
         holds streaming until all of them answered.
         """
-        if self._active is not None:
-            return False
-        if any(desc.is_multicast for desc in self.queue):
+        if self._active is not None or self.queue:
             return False
         slot = self.window.next_slot
         credited = self.window.credited
@@ -398,18 +369,6 @@ class DmaTxEngine:
                 self.stats.inc("mcast_nacks_" + verdict)
         if self._active is not None or not self.queue:
             return
-        head = self.queue[0]
-        if not head.is_multicast:
-            # Unicast rides the TIE's existing per-destination streams
-            # (same slots, same credits as a core-issued send).
-            if self.tie.tx is None:
-                self.queue.popleft()
-                self.tie.begin_send(head.dst, head.words)
-                if head.uid:
-                    # Unicast rides the TIE stream from here on: the
-                    # descriptor's engine lifecycle ends at activation.
-                    self._emit(DMA_RETIRE, head.uid)
-            return
         if self._sync_pending:
             # A re-registered group streams only after every new member
             # acknowledged its SYNC (their streams now stand at our slot).
@@ -417,13 +376,13 @@ class DmaTxEngine:
                 self._n_credit_stalls += 1
                 return
             self._sync_pending = frozenset()
-        self.queue.popleft()
-        self._active = self._activate_multicast(head)
+        head = self.queue.popleft()
+        self._active = self._activate(head)
         if head.uid:
             self._active.uid = head.uid
             self._emit(DMA_ACTIVATE, head.uid)
 
-    def _activate_multicast(self, desc: TxDescriptor) -> OutgoingMessage:
+    def _activate(self, desc: TxDescriptor) -> OutgoingMessage:
         tie = self.tie
         base = self.window.reserve(len(desc.words))
         members = tuple(mask_members(desc.mask))

@@ -45,13 +45,6 @@ from repro.errors import ConfigError, SweepError, ValidationError
 #: Progress callback signature: (points done, points pending in total).
 ProgressFn = Callable[[int, int], None]
 
-#: Per-point profiling hook (``--profile``): when a list, every point
-#: evaluated *in this process* appends its own ``cProfile.Profile`` here
-#: for the CLI to merge — attribution per workload regime instead of one
-#: whole-run blob.  Only meaningful with the inline backend (worker
-#: processes have their own module globals).
-PROFILE_SINK: list | None = None
-
 
 def _run_work(item: WorkItem) -> tuple[WorkItem, dict | None, float, str | None]:
     """Evaluate one point; the body every backend's workers run.
@@ -62,22 +55,12 @@ def _run_work(item: WorkItem) -> tuple[WorkItem, dict | None, float, str | None]
     dies instead of recording a bogus failure.
     """
     started = time.perf_counter()
-    profile = None
-    if PROFILE_SINK is not None:
-        import cProfile
-
-        profile = cProfile.Profile()
-        profile.enable()
     try:
         payload = item.app(item.config, item.params)
         error = None
     except Exception as exc:  # noqa: BLE001 - reported, retried, re-raised
         payload = None
         error = f"{type(exc).__name__}: {exc}"
-    finally:
-        if profile is not None:
-            profile.disable()
-            PROFILE_SINK.append(profile)
     return item, payload, time.perf_counter() - started, error
 
 
@@ -229,10 +212,6 @@ class SpaceResults:
     @property
     def n_computed(self) -> int:
         return sum(1 for outcome in self.outcomes if not outcome.from_cache)
-
-    @property
-    def n_retried(self) -> int:
-        return sum(1 for outcome in self.outcomes if outcome.attempts > 1)
 
 
 def stderr_progress(done: int, total: int) -> None:

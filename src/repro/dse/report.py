@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import io
 from collections.abc import Sequence
-from pathlib import Path
 
 Series = dict[str, list[tuple[float, float]]]
 
@@ -33,14 +32,6 @@ def format_table(
     for row in cells:
         out.write("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n")
     return out.getvalue()
-
-
-def write_csv(path: str | Path, header: Sequence[str],
-              rows: Sequence[Sequence[object]]) -> None:
-    lines = [",".join(str(h) for h in header)]
-    lines += [",".join(str(c) for c in row) for row in rows]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def ascii_plot(

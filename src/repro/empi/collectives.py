@@ -27,7 +27,7 @@ import enum
 import typing
 
 from repro.empi.requests import EngineCompletion
-from repro.errors import ConfigError
+from repro.errors import ConfigError, parse_enum
 from repro.kernel.trace import PHASE_ENTER, PHASE_EXIT
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -85,15 +85,7 @@ class CollectiveAlgorithm(enum.Enum):
 
     @classmethod
     def parse(cls, value: "CollectiveAlgorithm | str") -> "CollectiveAlgorithm":
-        if isinstance(value, CollectiveAlgorithm):
-            return value
-        try:
-            return cls(value.lower())
-        except ValueError:
-            raise ConfigError(
-                f"unknown collective algorithm {value!r}; "
-                f"use 'linear', 'tree', 'hw', 'ring' or 'hier'"
-            ) from None
+        return parse_enum(cls, value, "collective algorithm")
 
     def combine_order(self) -> "CollectiveAlgorithm":
         """The combine order a reduction under this algorithm follows.
@@ -129,14 +121,7 @@ class ReduceOp(enum.Enum):
 
     @classmethod
     def parse(cls, value: "ReduceOp | str") -> "ReduceOp":
-        if isinstance(value, ReduceOp):
-            return value
-        try:
-            return cls(value.lower())
-        except ValueError:
-            raise ConfigError(
-                f"unknown reduce op {value!r}; use 'sum' or 'max'"
-            ) from None
+        return parse_enum(cls, value, "reduce op")
 
 
 class CommModel(enum.Enum):
@@ -147,14 +132,7 @@ class CommModel(enum.Enum):
 
     @classmethod
     def parse(cls, value: "CommModel | str") -> "CommModel":
-        if isinstance(value, CommModel):
-            return value
-        try:
-            return cls(value.lower())
-        except ValueError:
-            raise ConfigError(
-                f"unknown comm model {value!r}; use 'empi' or 'pure_sm'"
-            ) from None
+        return parse_enum(cls, value, "comm model")
 
 
 def combine_cost(cost, n_values: int, op: ReduceOp) -> int:

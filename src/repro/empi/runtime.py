@@ -54,7 +54,7 @@ from repro.empi.requests import (
     EngineCompletion,
     ProgressEngine,
 )
-from repro.errors import ProgramError
+from repro.errors import ProgramError, parse_enum
 from repro.kernel.trace import CP_ENTER, CP_EXIT, CP_HOP
 from repro.mem.values import pack_doubles, unpack_doubles
 
@@ -206,10 +206,10 @@ class Empi(EngineCompletion):
         ctx: "ProgramContext",
         barrier_algorithm: BarrierAlgorithm | str = BarrierAlgorithm.CENTRAL,
     ) -> None:
-        if isinstance(barrier_algorithm, str):
-            barrier_algorithm = BarrierAlgorithm(barrier_algorithm.lower())
         self.ctx = ctx
-        self.barrier_algorithm = barrier_algorithm
+        self.barrier_algorithm = parse_enum(
+            BarrierAlgorithm, barrier_algorithm, "barrier algorithm"
+        )
         self._epoch = 0
         self._dissem_epoch = 0
         #: Early tokens: (src_node, opcode, epoch, aux).
@@ -223,16 +223,16 @@ class Empi(EngineCompletion):
         self.engine = ProgressEngine()
         self.engine.configure_timeout(
             ctx.rank,
-            getattr(ctx, "empi_timeout_cycles", 0),
-            getattr(ctx, "empi_timeout_retries", 3),
-            fault_context=getattr(ctx, "fault_context", None),
+            ctx.empi_timeout_cycles,
+            ctx.empi_timeout_retries,
+            fault_context=ctx.fault_context,
         )
         #: Critical-path attribution (TelemetryConfig.attribution): when
         #: armed, every collective is bracketed with zero-cycle CP_ENTER /
         #: CP_EXIT events and its completed sends/receives emit CP_HOP
         #: events, so the extractor can thread causal edges through the
         #: op.  Off by default: _cp_key stays None and no note is built.
-        self._cp = bool(getattr(ctx, "attribution", False))
+        self._cp = ctx.attribution
         self._cp_depth = 0
         self._cp_counts: dict[str, int] = {}
         self._cp_key: str | None = None
@@ -751,9 +751,7 @@ class Empi(EngineCompletion):
         ``groups``.
         """
         ctx = self.ctx
-        groups = getattr(ctx, "rank_groups", None) or [
-            list(range(ctx.n_workers))
-        ]
+        groups = ctx.rank_groups or [list(range(ctx.n_workers))]
         members = next(g for g in groups if ctx.rank in g)
         acc = yield from self._ring_allreduce_over(members, values, op, p2p)
         leaders = [g[0] for g in groups]

@@ -283,13 +283,15 @@ class SharedMemoryCollectives(EngineCompletion):
         self.ctx = ctx
         self.n_workers = n_workers if n_workers is not None else ctx.n_workers
         self.max_values = max_values
+        #: Cycles between polls, for the barrier and every mailbox alike.
+        self.poll_backoff = poll_backoff
         # Topology awareness: on a chiplet system (ctx.rank_groups set by
         # the builder) a full-communicator arena gets the hierarchical
         # barrier — per-chiplet arrival counters, leaders-only central
         # meet — instead of funnelling every arrival through one lock
         # word.  Flat topologies and sub-communicators keep the central
         # barrier, bit-and-cycle identical to before.
-        groups = getattr(ctx, "rank_groups", None)
+        groups = ctx.rank_groups
         if (
             groups
             and len(groups) > 1
@@ -337,7 +339,9 @@ class SharedMemoryCollectives(EngineCompletion):
             addr = self.channel_base + (
                 (src * self.n_workers + dst) * self.channel_stride
             )
-            channel = SharedMemoryChannel(self.ctx, addr, self.p2p_values)
+            channel = SharedMemoryChannel(
+                self.ctx, addr, self.p2p_values, poll_backoff=self.poll_backoff
+            )
             self._channels[(src, dst)] = channel
         return channel
 

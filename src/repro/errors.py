@@ -16,6 +16,18 @@ class ConfigError(MedeaError):
     """An invalid or inconsistent :class:`~repro.system.config.SystemConfig`."""
 
 
+def parse_enum(cls, value, what: str):
+    """``value`` as a member of ``cls``, or a ConfigError naming the choices."""
+    if isinstance(value, cls):
+        return value
+    try:
+        return cls(str(value).lower())
+    except ValueError:
+        *head, last = (repr(member.value) for member in cls)
+        message = f"unknown {what} {value!r}; use {', '.join(head)} or {last}"
+        raise ConfigError(message) from None
+
+
 class SimulationError(MedeaError):
     """The simulation kernel reached an illegal state."""
 

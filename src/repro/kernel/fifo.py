@@ -11,7 +11,7 @@ errors plus occupancy statistics used by the reports.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generic, Iterator, TypeVar
+from typing import Generic, Iterator, TypeVar
 
 from repro.errors import FifoEmptyError, FifoFullError
 
@@ -93,18 +93,6 @@ class Fifo(Generic[T]):
 
     def clear(self) -> None:
         self._items.clear()
-
-    # -- reporting ---------------------------------------------------------------
-
-    def stats_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "capacity": self.capacity,
-            "pushes": self.pushes,
-            "pops": self.pops,
-            "max_occupancy": self.max_occupancy,
-            "full_rejections": self.full_rejections,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         cap = "inf" if self.capacity is None else str(self.capacity)

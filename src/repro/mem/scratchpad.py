@@ -12,7 +12,7 @@ from repro.mem.store import WordStore
 
 
 class Scratchpad:
-    """Single-cycle local memory with simple region bookkeeping."""
+    """Single-cycle local memory."""
 
     #: Access latency in core cycles.
     ACCESS_CYCLES = 1
@@ -20,19 +20,6 @@ class Scratchpad:
     def __init__(self, size_bytes: int = 1 << 20, name: str = "localmem") -> None:
         self.store = WordStore(size_bytes, name=name)
         self.size_bytes = size_bytes
-        self._alloc_ptr = 0
-
-    def alloc(self, n_bytes: int) -> int:
-        """Reserve a word-aligned region; a linker stand-in for buffers."""
-        aligned = (n_bytes + 3) & ~3
-        base = self._alloc_ptr
-        if base + aligned > self.size_bytes:
-            raise MemoryError(
-                f"scratchpad exhausted: need {aligned} bytes at {base:#x} "
-                f"of {self.size_bytes:#x}"
-            )
-        self._alloc_ptr = base + aligned
-        return base
 
     def read_word(self, addr: int) -> int:
         return self.store.read_word(addr)

@@ -14,8 +14,6 @@ import struct
 
 _PACK_DOUBLE = struct.Struct("<d")
 _PACK_WORDS = struct.Struct("<II")
-_PACK_FLOAT = struct.Struct("<f")
-_PACK_WORD = struct.Struct("<I")
 
 
 def float_to_words(value: float) -> tuple[int, int]:
@@ -45,16 +43,6 @@ def unpack_doubles(words: list[int]) -> list[float]:
         words_to_float(words[2 * i], words[2 * i + 1])
         for i in range(len(words) // 2)
     ]
-
-
-def float32_to_word(value: float) -> int:
-    """Pack a float32 into one word (round-to-nearest, IEEE single)."""
-    return _PACK_WORD.unpack(_PACK_FLOAT.pack(value))[0]
-
-
-def word_to_float32(word: int) -> float:
-    """Unpack one word as a float32."""
-    return _PACK_FLOAT.unpack(_PACK_WORD.pack(word))[0]
 
 
 def int_to_word(value: int) -> int:

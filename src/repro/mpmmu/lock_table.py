@@ -45,9 +45,6 @@ class LockTable:
         del self._held[addr]
         self.stats.inc("releases")
 
-    def holder_of(self, addr: int) -> int | None:
-        return self._held.get(addr)
-
     @property
     def held_count(self) -> int:
         return len(self._held)

@@ -42,10 +42,6 @@ class Flit:
     hops: int = 0
     deflections: int = 0
 
-    def age_key(self) -> tuple[int, int]:
-        """Sort key implementing oldest-first priority with a stable tie-break."""
-        return (self.injected_at, self.uid)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         dst = f"mask={self.dst_mask:#x}" if self.dst < 0 else str(self.dst)
         return (

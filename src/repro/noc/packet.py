@@ -44,10 +44,6 @@ class PacketType(enum.IntEnum):
     MESSAGE = 6
     MULTICAST = 7
 
-    @property
-    def is_shared_memory(self) -> bool:
-        return self < PacketType.MESSAGE
-
 
 class SubType(enum.IntEnum):
     """2-bit SUB-TYPE field.

@@ -42,8 +42,7 @@ from operator import attrgetter
 from repro.noc.flit import Flit
 from repro.noc.topology import Topology
 
-#: Oldest-first priority with a stable tie-break, as a C-level sort key
-#: (equivalent to :meth:`Flit.age_key`, without the per-flit method call).
+#: Oldest-first priority with a stable tie-break, as a C-level sort key.
 _AGE_KEY = attrgetter("injected_at", "uid")
 
 

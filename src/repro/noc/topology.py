@@ -36,7 +36,6 @@ from repro.noc.coords import (
     OPPOSITE,
     SOUTH,
     WEST,
-    signed_wrap_delta,
 )
 
 #: Port slot used by a chiplet gateway tile for its uplink to the IO hub
@@ -401,10 +400,9 @@ class GridTopology(Topology):
 
     Port indices equal the direction constants of
     :mod:`repro.noc.coords`, so ``reverse_port`` is ``OPPOSITE`` and the
-    generic tables line up with the historical direction-indexed ones.
-    The closed-form preference/hop methods (:meth:`closed_form_productive`,
-    :meth:`closed_form_hops`) are retained as the executable reference the
-    property tests compare the BFS tables against.
+    generic tables line up with the historical direction-indexed ones
+    (``tests/noc/test_topology_properties.py`` keeps the closed-form
+    preference/hop reference the BFS tables are compared against).
     """
 
     def __init__(self, width: int, height: int) -> None:
@@ -438,14 +436,6 @@ class GridTopology(Topology):
     def _neighbor_of(self, node: int, direction: int) -> int:
         raise NotImplementedError
 
-    # -- closed-form references (property-test oracle) -----------------------
-
-    def closed_form_productive(self, src: int, dst: int) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def closed_form_hops(self, src: int, dst: int) -> int:
-        raise NotImplementedError
-
 
 class FoldedTorusTopology(GridTopology):
     """2-D folded torus: wraparound links, uniform 1-cycle hop latency."""
@@ -457,33 +447,6 @@ class FoldedTorusTopology(GridTopology):
         nx = (x + DELTA_X[direction]) % self.width
         ny = (y + DELTA_Y[direction]) % self.height
         return ny * self.width + nx
-
-    def _deltas(self, src: int, dst: int) -> tuple[int, int]:
-        sx, sy = self.coords_of(src)
-        dx_, dy_ = self.coords_of(dst)
-        return (
-            signed_wrap_delta(sx, dx_, self.width),
-            signed_wrap_delta(sy, dy_, self.height),
-        )
-
-    def closed_form_productive(self, src: int, dst: int) -> tuple[int, ...]:
-        dx, dy = self._deltas(src, dst)
-        prefs: list[tuple[int, int]] = []  # (-remaining, direction)
-        if dx > 0:
-            prefs.append((-dx, EAST))
-        elif dx < 0:
-            prefs.append((dx, WEST))
-        if dy > 0:
-            prefs.append((-dy, SOUTH))
-        elif dy < 0:
-            prefs.append((dy, NORTH))
-        # Longest remaining dimension first; direction index breaks ties.
-        prefs.sort()
-        return tuple(direction for _, direction in prefs)
-
-    def closed_form_hops(self, src: int, dst: int) -> int:
-        dx, dy = self._deltas(src, dst)
-        return abs(dx) + abs(dy)
 
 
 class MeshTopology(GridTopology):
@@ -498,28 +461,6 @@ class MeshTopology(GridTopology):
         if not (0 <= nx < self.width and 0 <= ny < self.height):
             return -1
         return ny * self.width + nx
-
-    def closed_form_productive(self, src: int, dst: int) -> tuple[int, ...]:
-        sx, sy = self.coords_of(src)
-        dx_, dy_ = self.coords_of(dst)
-        dx = dx_ - sx
-        dy = dy_ - sy
-        prefs: list[tuple[int, int]] = []
-        if dx > 0:
-            prefs.append((-dx, EAST))
-        elif dx < 0:
-            prefs.append((dx, WEST))
-        if dy > 0:
-            prefs.append((-dy, SOUTH))
-        elif dy < 0:
-            prefs.append((dy, NORTH))
-        prefs.sort()
-        return tuple(direction for _, direction in prefs)
-
-    def closed_form_hops(self, src: int, dst: int) -> int:
-        sx, sy = self.coords_of(src)
-        dx_, dy_ = self.coords_of(dst)
-        return abs(dx_ - sx) + abs(dy_ - sy)
 
 
 class ChipletTopology(Topology):

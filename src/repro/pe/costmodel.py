@@ -53,7 +53,3 @@ class FpCostModel:
     def fp_mul(self) -> int:
         """Effective multiply cost for the configured core."""
         return self.fp_mul_mulhigh if self.use_mul_high else self.fp_mul_basic
-
-    def jacobi_point_cycles(self) -> int:
-        """Pure-FP cost of one 4-point stencil update (3 adds + 1 multiply)."""
-        return 3 * self.fp_add + self.fp_mul

@@ -14,9 +14,10 @@ Intra-cycle phase order (one ``step`` = one clock):
 2. issue the next memory job to the bridge if it is idle;
 3. offer the bridge's pending flit to the arbiter (memory class);
 4. offer the message path's pending flit to the arbiter (message class):
-   credits first, then request tokens, then the DMA engine's multicast
+   credits first, then request tokens, then the DMA engine's group
    stream (when a :mod:`repro.dma` engine is fitted), then the TIE's
-   data stream;
+   data stream — the core's alone: the engine streams from its own
+   send window and never drives the TIE TX port;
 5. run the core — execute program operations until one blocks or costs
    time (at most one timed operation per cycle);
 6. arbiter grants at most one flit to the injection port.
@@ -47,7 +48,6 @@ from repro.bridge.arbiter import NocAccessArbiter
 from repro.bridge.pif import MemTransaction
 from repro.bridge.pif2noc import Pif2NocBridge
 from repro.cache.l1 import L1Cache, WritePolicy
-from repro.cache.writebuffer import WriteBuffer
 from repro.errors import ProgramError, ProtocolError
 from repro.kernel.component import Component
 from repro.kernel.trace import MARK, EventLog
@@ -110,7 +110,7 @@ class ProcessorNode(Component):
         rank: int,
         ports: NodePorts,
         cache: L1Cache,
-        write_buffer: WriteBuffer,
+        write_buffer_depth: int,
         bridge: Pif2NocBridge,
         arbiter: NocAccessArbiter,
         tie: TieInterface,
@@ -129,7 +129,11 @@ class ProcessorNode(Component):
         self.ports = ports
         ports.eject.owner = self
         self.cache = cache
-        self.write_buffer = write_buffer
+        #: The write buffer is the pipeline's own posted jobs: at most
+        #: this many queued or in flight, the next posted store stalls the
+        #: core (depth 1 is the unbuffered machine, for ablation).
+        self.write_buffer_depth = write_buffer_depth
+        self.write_buffer_stalls = 0
         self.bridge = bridge
         self.arbiter = arbiter
         self.tie = tie
@@ -153,6 +157,7 @@ class ProcessorNode(Component):
         self._pending_op: tuple | None = None
         self._jobs: deque[_Job] = deque()
         self._active_job: _Job | None = None
+        self._n_posted = 0  # posted writes in _jobs or active
         #: Pending blocking receive: (the stream awaited, n_words).
         self._wait_msg: tuple[ReceiveStream, int] | None = None
         self._pending_req_flit: Flit | None = None
@@ -310,8 +315,7 @@ class ProcessorNode(Component):
         dma = self.dma
         if dma is not None and dma.busy:
             # The engine drains autonomously: activate the head
-            # descriptor (unicast heads ride the TIE's streaming path
-            # below) and offer the current multicast flit, one per cycle.
+            # descriptor and offer its current flit, one per cycle.
             dma.pump()
             flit = dma.tx_current()
             if flit is not None:
@@ -436,14 +440,6 @@ class ProcessorNode(Component):
                 self._op_store(cycle, op)
                 return
             if code == "send":
-                if self._tx_port_contended():
-                    # A DMA descriptor is streaming through the TIE TX
-                    # port; retry the send next cycle instead of
-                    # colliding with the engine (hardware would
-                    # backpressure the core's TIE write the same way).
-                    self._pending_op = op
-                    self._ready_at = cycle + 1
-                    return
                 self.tie.begin_send(op[1], op[2])
                 self._change_state(CoreState.WAIT_TX, cycle)
                 self.stats.inc("ops_send")
@@ -471,10 +467,6 @@ class ProcessorNode(Component):
                 # running; the TIE streams the flits autonomously (the
                 # node stays awake while tie.tx is pending).  The program
                 # must confirm ("txdone",) before starting another send.
-                if self._tx_port_contended():
-                    self._pending_op = op
-                    self._ready_at = cycle + 1
-                    return
                 self.tie.begin_send(op[1], op[2])
                 self._ready_at = cycle + 2
                 self.stats.inc("ops_isend")
@@ -500,26 +492,14 @@ class ProcessorNode(Component):
                     self._ready_at = cycle + 1
                 self.stats.inc(counter)
                 return
-            if code == "qsend":
-                # Post a unicast descriptor on the DMA TX queue; result
-                # False means the queue was full (retry later).  The core
-                # keeps running either way — the queue retires the
-                # one-descriptor serialization of isend.
-                self._send_value = self._dma().post_unicast(op[1], op[2])
-                self._ready_at = cycle + 2
-                self.stats.inc("ops_qsend")
-                return
             if code == "qmcast":
-                # Post a multicast descriptor (destination bitmask).
+                # Post a descriptor (destination bitmask) on the DMA TX
+                # queue; result False means the queue was full (retry
+                # later).  The core keeps running either way — the queue
+                # retires the one-descriptor serialization of isend.
                 self._send_value = self._dma().post_multicast(op[1], op[2])
                 self._ready_at = cycle + 2
                 self.stats.inc("ops_qmcast")
-                return
-            if code == "qstat":
-                # One-cycle poll of the queue-status register.
-                self._send_value = self._dma().free_slots
-                self._ready_at = cycle + 1
-                self.stats.inc("ops_qstat")
                 return
             if code == "qreduce":
                 # Post an accumulate-on-receive descriptor: the engine
@@ -589,14 +569,6 @@ class ProcessorNode(Component):
             raise ProgramError(f"{self.name}: unknown operation {op!r}")
         self._ready_at = now
 
-    def _tx_port_contended(self) -> bool:
-        """True when a queued DMA descriptor currently owns the TIE TX.
-
-        Only possible with an engine fitted: without one, a busy TX at a
-        send/isend op is a program error and begin_send raises as before.
-        """
-        return self.dma is not None and self.tie.tx is not None
-
     def _dma(self) -> "DmaTxEngine":
         if self.dma is None:
             raise ProgramError(
@@ -654,13 +626,11 @@ class ProcessorNode(Component):
     ) -> bool:
         """Queue a posted write against write-buffer capacity."""
         self._check(addr)
-        posted = sum(1 for job in self._jobs if job.tag == "posted")
-        if self._active_job is not None and self._active_job.tag == "posted":
-            posted += 1
-        if posted >= self.write_buffer.depth:
-            self.write_buffer.stall_cycles += 1
+        if self._n_posted >= self.write_buffer_depth:
+            self.write_buffer_stalls += 1
             self._pending_op = op
             return False
+        self._n_posted += 1
         self._jobs.append(
             _Job(MemTransaction(kind, addr, write_words=words, blocking=False),
                  "posted")
@@ -677,9 +647,8 @@ class ProcessorNode(Component):
         line_addr, words = result
         if not self._post_write(line_addr, words, PacketType.BLOCK_WRITE, op):
             # Roll the dirty bit back: the flush never happened this cycle.
-            line = self.cache.probe(addr)
-            assert line is not None
-            line.dirty = True
+            # (writeback_line just returned this line's words: it is resident.)
+            self.cache.probe(addr).dirty = True
             self._change_state(CoreState.WAIT_WB, cycle)
             return
         self._ready_at = cycle + 1
@@ -707,10 +676,12 @@ class ProcessorNode(Component):
 
     def _job_completed(self, cycle: int) -> None:
         job = self._active_job
-        assert job is not None, "bridge completed with no active job"
+        if job is None:
+            raise ProtocolError(f"{self.name}: bridge completed with no active job")
         self._active_job = None
         tag = job.tag
         if tag == "posted":
+            self._n_posted -= 1
             if self.state is CoreState.WAIT_WB:
                 # Retry the stalled op next cycle; _pending_op still holds it.
                 self._resume(cycle, cost=1)
@@ -719,7 +690,8 @@ class ProcessorNode(Component):
             return
         if tag == "refill":
             self.cache.install(job.txn.addr, job.txn.read_words)
-            assert self._pending_op is not None
+            if self._pending_op is None:
+                raise ProtocolError(f"{self.name}: refill with no op waiting on it")
             code = self._pending_op[0]
             if code == "store_fill":
                 __, addr, value = self._pending_op

@@ -29,9 +29,9 @@ op tuple               effect                                      result
 ("isend", n, ws)       post a TIE TX descriptor; do not wait       None
 ("txdone",)            poll the TIE TX status register             bool
 ("trecv", n, k)        k words from node n if ready, else None     [w]|None
-("qsend", n, ws)       post unicast descriptor on the DMA queue    bool
-("qmcast", m, ws)      post multicast descriptor (bitmask m)       bool
-("qstat",)             poll the DMA queue's free-slot count        int
+("qmcast", m, ws)      post a descriptor on the DMA queue: a send  bool
+                       to the group bitmask m (one bit set = a
+                       unicast engine send); False = queue full
 ("qreduce", n, vs, o)  post accumulate-on-receive: combine the     bool
                        multicast stream from node n into the
                        doubles accumulator vs with ReduceOp o
@@ -125,7 +125,6 @@ class ProgramContext:
         #: Exponential-backoff retries before a timed-out eMPI wait
         #: raises :class:`~repro.errors.EmpiTimeoutError`.
         self.empi_timeout_retries = empi_timeout_retries
-        self._local_alloc = 0
         #: Rank groups per compute chiplet (None on flat topologies):
         #: ``rank_groups[c]`` lists the ranks living on chiplet ``c``, in
         #: node order.  The hierarchical collectives ring within each
@@ -137,6 +136,9 @@ class ProgramContext:
         #: for timeout diagnostics; set by the system builder when a
         #: fault plan is active.
         self.fault_context: "typing.Callable[[], str] | None" = None
+        #: Whether eMPI brackets collectives with critical-path events
+        #: (TelemetryConfig.attribution); set by the system builder.
+        self.attribution = False
 
     # -- address helpers -----------------------------------------------------
 
@@ -150,15 +152,6 @@ class ProgramContext:
 
     def node_of(self, rank: int) -> int:
         return self.rank_to_node[rank]
-
-    def local_alloc(self, n_bytes: int) -> int:
-        """Reserve local-memory space (a linker stand-in for buffers)."""
-        aligned = (n_bytes + 3) & ~3
-        base = self._local_alloc
-        if base + aligned > self.local_mem_bytes:
-            raise MemoryError("local memory exhausted")
-        self._local_alloc = base + aligned
-        return base
 
     # -- word-level op builders ------------------------------------------------
 
@@ -208,16 +201,6 @@ class ProgramContext:
         low, high = float_to_words(value)
         yield ("ustore", addr, low)
         yield ("ustore", addr + 4, high)
-
-    def lmem_read_double(self, addr: int) -> Program:
-        low = yield ("lmem_read", addr)
-        high = yield ("lmem_read", addr + 4)
-        return words_to_float(low, high)
-
-    def lmem_write_double(self, addr: int, value: float) -> Program:
-        low, high = float_to_words(value)
-        yield ("lmem_write", addr, low)
-        yield ("lmem_write", addr + 4, high)
 
     # -- cache-management helpers ------------------------------------------------------
 

@@ -21,9 +21,9 @@ Every word stream between two tiles runs one protocol, written once:
   out of a window, one flit per cycle.
 
 There are two **channels**.  UNICAST: a window per destination, member
-tuple ``(dst,)``, fed by ``send``/``isend`` and the DMA engine's unicast
-descriptors.  MCAST: one window for the tile's multicast group, driven by
-the DMA engine (:mod:`repro.dma.engine`); its gate waits for the slowest
+tuple ``(dst,)``, fed by the core's ``send``/``isend`` alone.  MCAST: one
+window for the tile's multicast group, driven by the DMA engine
+(:mod:`repro.dma.engine`, every descriptor); its gate waits for the slowest
 member — the ack aggregation a hardware collective engine performs — and
 its receive streams are kept apart because a group shares one sequence
 space, which no per-destination numbering can agree with.  A token names

@@ -15,11 +15,8 @@ policy, plus NoC/arbiter/MPMMU/DDR parameters for finer studies.
 
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
-from repro.system.presets import paper_sweep_configs, reference_config
 
 __all__ = [
     "MedeaSystem",
     "SystemConfig",
-    "paper_sweep_configs",
-    "reference_config",
 ]

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from repro.cache.l1 import WritePolicy
 from repro.bridge.arbiter import ArbiterMode, TrafficClass
 from repro.empi.runtime import BarrierAlgorithm
-from repro.errors import ConfigError
+from repro.errors import ConfigError, parse_enum
 from repro.faults import FaultPlan
 from repro.pe.costmodel import FpCostModel
 from repro.telemetry.config import TelemetryConfig
@@ -155,10 +155,8 @@ class SystemConfig:
             )
         WritePolicy.parse(self.cache_policy)
         ArbiterMode.parse(self.arbiter_mode)
-        if isinstance(self.arbiter_high_priority, str):
-            TrafficClass(self.arbiter_high_priority.lower())
-        if isinstance(self.empi_barrier, str):
-            BarrierAlgorithm(self.empi_barrier.lower())
+        parse_enum(TrafficClass, self.arbiter_high_priority, "traffic class")
+        parse_enum(BarrierAlgorithm, self.empi_barrier, "barrier algorithm")
         if self.topology_kind not in ("folded_torus", "mesh", "chiplet"):
             raise ConfigError(
                 f"unknown topology {self.topology_kind!r}; "

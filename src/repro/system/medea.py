@@ -8,7 +8,6 @@ from repro.bridge.arbiter import NocAccessArbiter
 from repro.bridge.pif2noc import AddressLut, Pif2NocBridge
 from repro.dma.engine import DmaTxEngine
 from repro.cache.l1 import L1Cache, WritePolicy
-from repro.cache.writebuffer import WriteBuffer
 from repro.empi.requests import OverlapFold
 from repro.empi.runtime import Empi
 from repro.errors import ConfigError, MemoryAccessError
@@ -234,7 +233,7 @@ class MedeaSystem:
                 policy=config.policy,
                 name=f"l1[{rank}]",
             ),
-            write_buffer=WriteBuffer(config.write_buffer_depth, name=f"wbuf[{rank}]"),
+            write_buffer_depth=config.write_buffer_depth,
             bridge=Pif2NocBridge(node_id, lut, name=f"pif2noc[{rank}]"),
             arbiter=NocAccessArbiter(
                 ports.inject,
@@ -343,7 +342,7 @@ class MedeaSystem:
         for comp in self.sim.components:
             lines.append(f"  {comp.name}: {comp.describe_state()}")
         for ctx in self.contexts:
-            empi = getattr(ctx, "empi", None)
+            empi = ctx.empi
             if empi is not None:
                 labels = empi.engine.active_labels
                 if labels:

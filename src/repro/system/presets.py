@@ -1,19 +1,8 @@
-"""Canonical configurations: the reference machine and the paper's sweep."""
+"""Canonical configurations beyond the ``SystemConfig()`` reference machine."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
-from repro.system.config import VALID_CACHE_SIZES_KB, SystemConfig
-
-
-def reference_config(**overrides: object) -> SystemConfig:
-    """The baseline machine of Section II: 4x4-capable folded torus,
-    dual-FIFO arbiter, Multiply-High core, 16 kB write-back caches."""
-    config = SystemConfig()
-    if overrides:
-        config = config.with_changes(**overrides)
-    return config
+from repro.system.config import SystemConfig
 
 
 def cg_reference_config(**overrides: object) -> SystemConfig:
@@ -24,47 +13,3 @@ def cg_reference_config(**overrides: object) -> SystemConfig:
     if overrides:
         config = config.with_changes(**overrides)
     return config
-
-
-def mesh_sweep_configs(
-    workers: tuple[int, ...] | None = None,
-    base: SystemConfig | None = None,
-) -> Iterator[SystemConfig]:
-    """Reference machines across mesh sizes (worker counts only).
-
-    The axis the collective and workload sweeps turn: everything stays at
-    the Section II reference point except the worker count (the NoC grid
-    grows with it automatically).
-    """
-    if workers is None:
-        workers = tuple(range(2, 16))
-    template = base if base is not None else SystemConfig()
-    for n_workers in workers:
-        yield template.with_changes(n_workers=n_workers)
-
-
-def paper_sweep_configs(
-    workers: tuple[int, ...] | None = None,
-    cache_sizes_kb: tuple[int, ...] | None = None,
-    policies: tuple[str, ...] = ("wb", "wt"),
-    base: SystemConfig | None = None,
-) -> Iterator[SystemConfig]:
-    """The 168-point design space of Section III.
-
-    Cores 3-16 (= 2-15 workers plus the MPMMU) x cache 2-64 kB x WB/WT
-    gives 14 * 6 * 2 = 168 architectures, exactly the number the paper
-    simulated overnight on five servers.
-    """
-    if workers is None:
-        workers = tuple(range(2, 16))
-    if cache_sizes_kb is None:
-        cache_sizes_kb = VALID_CACHE_SIZES_KB
-    template = base if base is not None else SystemConfig()
-    for n_workers in workers:
-        for cache_kb in cache_sizes_kb:
-            for policy in policies:
-                yield template.with_changes(
-                    n_workers=n_workers,
-                    cache_size_kb=cache_kb,
-                    cache_policy=policy,
-                )

@@ -6,7 +6,6 @@ import pytest
 
 from repro.apps.synthetic import (
     PATTERNS,
-    latency_throughput_sweep,
     run_synthetic_traffic,
 )
 from repro.errors import ConfigError
@@ -43,8 +42,10 @@ def test_hotspot_concentrates_traffic():
 
 
 def test_latency_grows_with_load():
-    sweep = latency_throughput_sweep(rates=(0.02, 0.4), cycles=1500, seed=7)
-    light, heavy = sweep
+    light, heavy = (
+        run_synthetic_traffic(rate=rate, cycles=1500, seed=7)
+        for rate in (0.02, 0.4)
+    )
     assert heavy.mean_latency > light.mean_latency
     assert heavy.deflections_per_flit > light.deflections_per_flit
 

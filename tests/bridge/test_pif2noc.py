@@ -25,12 +25,10 @@ def reply(ptype: PacketType, subtype: SubType, seq: int = 0, data: int = 0) -> F
 
 def drain_output(bridge: Pif2NocBridge) -> list[Flit]:
     sent = []
-    while True:
-        flit = bridge.poll_output()
-        if flit is None:
-            return sent
-        sent.append(flit)
+    while bridge._outgoing:  # what the node offers the arbiter, head first
+        sent.append(bridge._outgoing[0])
         bridge.output_sent()
+    return sent
 
 
 def test_lut_default_and_ranges():

@@ -159,15 +159,6 @@ def test_dii_on_dirty_line_counts_data_loss():
     assert cache.stats["dii_dirty_dropped"] == 1
 
 
-def test_dirty_lines_enumeration():
-    cache = make_cache()
-    cache.install(0x0, [1] * 4)
-    cache.install(0x40, [2] * 4)
-    cache.write_word(0x40, 5)
-    dirty = cache.dirty_lines()
-    assert dirty == [(0x40, [5, 2, 2, 2])]
-
-
 def test_policy_parse():
     assert WritePolicy.parse("wb") is WritePolicy.WRITE_BACK
     assert WritePolicy.parse("WT") is WritePolicy.WRITE_THROUGH
@@ -252,12 +243,13 @@ def test_cache_matches_flat_memory_model(ops):
                     memory[line_addr + 4 * index] = word
             cache.invalidate_line(addr)
     # Final check: flush everything and compare the whole memory image.
-    for line_addr, words in cache.dirty_lines():
-        for index, word in enumerate(words):
-            memory[line_addr + 4 * index] = word
+    for addr in shadow:
+        result = cache.writeback_line(addr)
+        if result is not None:
+            line_addr, words = result
+            for index, word in enumerate(words):
+                memory[line_addr + 4 * index] = word
     for addr, value in shadow.items():
+        assert memory.get(addr, 0) == value
         line = cache.probe(addr)
-        if line is not None:
-            assert line.words[(addr % 16) >> 2] == value
-        else:
-            assert memory.get(addr, 0) == value
+        assert line is None or line.words[(addr % 16) >> 2] == value

@@ -1,7 +1,7 @@
 """The per-tile DMA/TX-queue engine: descriptor queue + multicast stream.
 
 Unit layer drives the engine directly against a bare TieInterface;
-machine layer runs programs using the ``qsend``/``qmcast``/``mrecv``
+machine layer runs programs using the ``qmcast``/``mrecv``
 operations on a full :class:`MedeaSystem` — including the equivalence
 of multicast mode and the unicast-fallback mode.
 """
@@ -31,24 +31,23 @@ def test_mask_members_iterates_ascending():
 
 def test_queue_depth_bounds_posting():
     engine = make_engine(depth=2)
-    assert engine.free_slots == 2
-    assert engine.post_unicast(2, [1])
-    assert engine.post_unicast(3, [2])
-    assert engine.free_slots == 0
-    assert not engine.post_unicast(4, [3])  # full: rejected, not raised
+    assert engine.post_multicast(1 << 2, [1])
+    assert engine.post_multicast(1 << 2, [2])
+    assert len(engine.queue) == engine.depth
+    assert not engine.post_multicast(1 << 2, [3])  # full: rejected, not raised
     assert engine.stats.as_dict()["queue_full_rejects"] == 1
 
 
 def test_descriptor_validation():
     engine = make_engine()
     with pytest.raises(ProtocolError):
-        engine.post_unicast(1, [1])  # self
+        engine.post_multicast(1 << 1, [1])  # this tile (a one-bit mask)
     with pytest.raises(ProtocolError):
-        engine.post_unicast(9, [1])  # out of range
+        engine.post_multicast(1 << 9, [1])  # out of range (a one-bit mask)
     with pytest.raises(ProtocolError):
-        engine.post_unicast(2, [])  # empty
+        engine.post_multicast(1 << 2, [])  # empty
     with pytest.raises(ProtocolError):
-        engine.post_multicast(1 << 1, [1])  # includes this tile
+        engine.post_multicast((1 << 1) | (1 << 2), [1])  # includes this tile
     with pytest.raises(ProtocolError):
         engine.post_multicast(0, [1])
     with pytest.raises(ProtocolError):
@@ -126,17 +125,6 @@ def test_multicast_group_growth_syncs_new_members():
     assert flit is not None and flit.dst_mask == grown and flit.seq == 5
 
 
-def test_unicast_head_rides_the_tie_streams():
-    engine = make_engine()
-    assert engine.post_unicast(2, [10, 20])
-    engine.pump()
-    assert engine.tie.tx is not None  # handed to the TIE streamer
-    assert not engine.queue
-    assert engine.busy is False  # nothing queued or engine-streamed
-    # The TIE's normal advance path drains it.
-    assert engine.tie.tx_current() is not None
-
-
 def test_multicast_head_streams_mask_flits_with_shared_slots():
     engine = make_engine(depth=4)
     mask = (1 << 2) | (1 << 5)
@@ -204,56 +192,25 @@ def run_programs(factories, n_workers, **overrides):
     return system, cycles
 
 
-def test_qsend_posts_back_to_back_without_blocking(n_workers=4):
-    """The queue retires isend's one-slot serialization: rank 0 posts
-    one descriptor per peer in a handful of cycles and computes while
-    the engine drains them."""
-    progress = {}
-
-    def sender(ctx):
-        words = [[100 + dst] for dst in range(1, n_workers)]
-        posted_at = []
-        for dst in range(1, n_workers):
-            accepted = yield ("qsend", ctx.node_of(dst), words[dst - 1])
-            assert accepted
-            posted_at.append((yield ("qstat",)))
-        progress["free_after_each_post"] = posted_at
-        yield ("compute", 500)  # engine streams underneath
-
-    def receiver(rank):
-        def program(ctx):
-            got = yield ("recv", ctx.node_of(0), 1)
-            progress[rank] = got
-        return program
-
-    run_programs(
-        [sender] + [receiver(r) for r in range(1, n_workers)],
-        n_workers, dma_tx_queue_depth=4,
-    )
-    for rank in range(1, n_workers):
-        assert progress[rank] == [100 + rank]
-    # All three descriptors fit the depth-4 queue: posting never stalled.
-    assert len(progress["free_after_each_post"]) == n_workers - 1
-
-
-def test_qsend_full_queue_reports_false():
-    """Long messages keep the TIE busy, so a depth-1 queue fills and
-    qsend reports False until the engine drains; retried posts still
-    deliver everything in order."""
+def test_qmcast_full_queue_reports_false():
+    """Long messages keep the engine streaming, so a depth-1 queue fills
+    and qmcast (here a one-bit mask: a unicast engine send) reports False
+    until the engine drains; retried posts still deliver everything in
+    order."""
     observed = {}
     messages = [[base + i for i in range(20)] for base in (100, 200, 300)]
 
     def sender(ctx):
         rejections = 0
         for words in messages:
-            while not (yield ("qsend", ctx.node_of(1), words)):
+            while not (yield ("qmcast", 1 << ctx.node_of(1), words)):
                 rejections += 1
         observed["rejections"] = rejections
 
     def receiver(ctx):
         got = []
         for words in messages:
-            got.append((yield ("recv", ctx.node_of(0), len(words))))
+            got.append((yield ("mrecv", ctx.node_of(0), len(words))))
         observed["got"] = got
 
     run_programs([sender, receiver], 2, dma_tx_queue_depth=1)
@@ -350,24 +307,25 @@ def test_multicast_and_fallback_deliver_identical_words():
     assert cycles_mc < cycles_uc  # replication beats P-1 streams
 
 
-def test_qsend_coexists_with_blocking_and_nonblocking_sends():
-    """A draining DMA descriptor owns the TIE TX port; subsequent
-    send/isend ops must backpressure (retry) rather than collide."""
+def test_qmcast_coexists_with_blocking_and_nonblocking_sends():
+    """The engine streams from its own send window and the TIE data
+    stream is the core's alone: send/isend issued while a descriptor
+    drains neither wait for the engine nor collide with it."""
     observed = {}
 
     def sender(ctx):
         dst = ctx.node_of(1)
-        assert (yield ("qsend", dst, list(range(30))))  # long: TX stays busy
-        yield ("send", dst, [41, 42])                   # must wait, not raise
-        assert (yield ("qsend", dst, [51]))
-        yield ("isend", dst, [61, 62])                  # ditto
+        assert (yield ("qmcast", 1 << dst, list(range(30))))  # long: engine busy
+        yield ("send", dst, [41, 42])
+        assert (yield ("qmcast", 1 << dst, [51]))
+        yield ("isend", dst, [61, 62])
         while not (yield ("txdone",)):
             pass
 
     def receiver(ctx):
-        first = yield ("recv", ctx.node_of(0), 30)
+        first = yield ("mrecv", ctx.node_of(0), 30)
         observed["blocking"] = yield ("recv", ctx.node_of(0), 2)
-        observed["queued"] = yield ("recv", ctx.node_of(0), 1)
+        observed["queued"] = yield ("mrecv", ctx.node_of(0), 1)
         observed["isend"] = yield ("recv", ctx.node_of(0), 2)
         observed["first"] = first
 
@@ -451,7 +409,20 @@ def test_qmcast_on_15w_mesh_under_strict_encoding():
 
 def test_ops_without_engine_raise_program_error():
     def program(ctx):
-        yield ("qstat",)
+        yield ("qmcast", 1 << ctx.node_of(1), [1])
 
     with pytest.raises(ProgramError, match="dma_tx_queue_depth"):
         run_programs([program, lambda ctx: iter(())], 2)
+
+
+def test_the_unicast_descriptor_ops_are_gone():
+    """One descriptor kind: qsend/qstat are no longer operations, so a
+    program yielding one gets the interpreter's unknown-operation error
+    (a unicast engine send is qmcast with a one-bit mask)."""
+    def program(ctx):
+        yield ("qsend", ctx.node_of(1), [1])
+
+    with pytest.raises(ProgramError, match="unknown operation"):
+        run_programs(
+            [program, lambda ctx: iter(())], 2, dma_tx_queue_depth=2
+        )

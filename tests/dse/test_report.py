@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.dse.report import ascii_plot, format_table, write_csv
+from repro.dse.report import ascii_plot, format_table
 
 
 def test_format_table_aligns_columns():
@@ -17,13 +17,6 @@ def test_format_table_aligns_columns():
 def test_format_table_title():
     text = format_table(["x"], [[1]], title="My Table")
     assert text.startswith("My Table\n")
-
-
-def test_write_csv(tmp_path):
-    path = tmp_path / "sub" / "out.csv"
-    write_csv(path, ["a", "b"], [[1, 2], [3, 4]])
-    content = path.read_text()
-    assert content == "a,b\n1,2\n3,4\n"
 
 
 def test_ascii_plot_contains_series_marks():

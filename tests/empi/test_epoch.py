@@ -13,20 +13,19 @@ from __future__ import annotations
 import pytest
 
 from repro.empi.runtime import Empi, _decode, _encode, _Token
+from repro.mem.memory_map import MemoryMap
+from repro.pe.costmodel import FpCostModel
+from repro.pe.program import ProgramContext
 from repro.system.config import SystemConfig
 from tests.conftest import run_programs
 
 
-class _StubCtx:
-    """The minimal context surface Empi needs off the simulator."""
-
-    rank = 0
-    n_workers = 2
-    empi = None
-
-    @staticmethod
-    def node_of(rank: int) -> int:
-        return rank + 1
+def _StubCtx() -> ProgramContext:
+    """A context off the simulator: Empi reads its declared attributes."""
+    return ProgramContext(
+        rank=0, n_workers=2, node_id=1, memory_map=MemoryMap(2),
+        cost=FpCostModel(), rank_to_node={0: 1, 1: 2},
+    )
 
 
 def drive(gen, replies):

@@ -100,3 +100,32 @@ def test_sm_barrier_generates_mpmmu_traffic():
     for node in system.nodes:
         assert node.tie.stats.get("data_flits_sent", 0) == 0
         assert node.tie.stats.get("requests_sent", 0) == 0
+
+
+@pytest.mark.parametrize("path", ["mailbox", "barrier"])
+def test_poll_backoff_reaches_the_barrier_and_every_mailbox(path):
+    """One ``poll_backoff`` on the arena paces both of its spin loops:
+    a rank waiting 3 000 cycles for its peer polls fewer times at a
+    longer backoff, on the mailbox path as on the barrier path."""
+    from repro.empi.collectives import make_comm
+
+    def waiter_polls(backoff):
+        def late(ctx):
+            comm = make_comm(ctx, "pure_sm", p2p_values=4, poll_backoff=backoff)
+            yield ("compute", 3000)
+            if path == "mailbox":
+                yield from comm.send(1, [1.0, 2.0, 3.0, 4.0])
+            else:
+                yield from comm.barrier()
+
+        def waiter(ctx):
+            comm = make_comm(ctx, "pure_sm", p2p_values=4, poll_backoff=backoff)
+            if path == "mailbox":
+                assert (yield from comm.recv(0, 4)) == [1.0, 2.0, 3.0, 4.0]
+            else:
+                yield from comm.barrier()
+
+        system = run_programs(SystemConfig(n_workers=2), late, waiter)
+        return system.nodes[1].stats.get("ops_uload")
+
+    assert waiter_polls(24) > 2 * waiter_polls(200)

@@ -105,12 +105,3 @@ def test_clear_empties_but_keeps_stats():
 def test_invalid_capacity_rejected():
     with pytest.raises(ValueError):
         Fifo(0)
-
-
-def test_stats_dict_contents():
-    fifo: Fifo[int] = Fifo(2, name="testq")
-    fifo.push(1)
-    stats = fifo.stats_dict()
-    assert stats["name"] == "testq"
-    assert stats["capacity"] == 2
-    assert stats["pushes"] == 1

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.mem.scratchpad import Scratchpad
 
 
@@ -17,22 +15,6 @@ def test_block_operations():
     pad = Scratchpad(1024)
     pad.write_block(0, [1, 2, 3])
     assert pad.read_block(0, 3) == [1, 2, 3]
-
-
-def test_alloc_is_word_aligned_and_monotonic():
-    pad = Scratchpad(1024)
-    first = pad.alloc(6)   # rounds to 8
-    second = pad.alloc(4)
-    assert first == 0
-    assert second == 8
-    assert pad.alloc(1) == 12
-
-
-def test_alloc_exhaustion():
-    pad = Scratchpad(16)
-    pad.alloc(16)
-    with pytest.raises(MemoryError):
-        pad.alloc(4)
 
 
 def test_access_latency_constant():

@@ -10,10 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mem.values import (
-    float32_to_word,
     float_to_words,
     int_to_word,
-    word_to_float32,
     word_to_int,
     words_to_float,
 )
@@ -46,11 +44,6 @@ def test_nan_payload_preserved():
     result = words_to_float(low, high)
     assert math.isnan(result)
     assert struct.pack("<d", result) == struct.pack("<d", nan_bits)
-
-
-def test_float32_round_trip():
-    word = float32_to_word(0.5)
-    assert word_to_float32(word) == 0.5
 
 
 def test_int_round_trip_negative():

@@ -11,7 +11,7 @@ from repro.mpmmu.lock_table import LockTable
 def test_acquire_free_lock():
     table = LockTable()
     assert table.acquire(0x40, owner=1)
-    assert table.holder_of(0x40) == 1
+    assert table.held_count == 1
 
 
 def test_contended_lock_denied():
@@ -25,7 +25,7 @@ def test_release_frees_lock():
     table = LockTable()
     table.acquire(0x40, owner=1)
     table.release(0x40, owner=1)
-    assert table.holder_of(0x40) is None
+    assert table.held_count == 0
     assert table.acquire(0x40, owner=2)
 
 

@@ -16,7 +16,6 @@ def test_packet_types_fit_three_bits():
     # reserved eighth 3-bit code, claimed by the hardware collectives).
     assert len(PacketType) == 8
     assert int(PacketType.MULTICAST) == 7
-    assert not PacketType.MULTICAST.is_shared_memory
 
 
 def test_subtypes_fit_two_bits():

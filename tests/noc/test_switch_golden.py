@@ -33,6 +33,11 @@ from repro.noc.topology import (
 )
 
 
+def _age_key(flit):
+    """Oldest first, injection order breaking ties."""
+    return (flit.injected_at, flit.uid)
+
+
 def _reference_route_node(node, inputs, inject, topology, eject_capacity=1):
     """The seed implementation of route_node, kept verbatim-simple."""
     ports = topology.ports_of(node)
@@ -40,7 +45,7 @@ def _reference_route_node(node, inputs, inject, topology, eject_capacity=1):
     arrived = [flit for flit in inputs if flit.dst == node]
     transit = [flit for flit in inputs if flit.dst != node]
 
-    arrived.sort(key=Flit.age_key)
+    arrived.sort(key=_age_key)
     ejected = arrived[:eject_capacity]
     recirculating = arrived[eject_capacity:]
     eject_overflow = len(recirculating)
@@ -49,7 +54,7 @@ def _reference_route_node(node, inputs, inject, topology, eject_capacity=1):
     deflections = 0
     free = set(ports)
 
-    contenders = sorted(transit + recirculating, key=Flit.age_key)
+    contenders = sorted(transit + recirculating, key=_age_key)
     for flit in contenders:
         placed = False
         for direction in topology.productive_directions(node, flit.dst):

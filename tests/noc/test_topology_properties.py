@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.noc.coords import EAST, NORTH, SOUTH, WEST, signed_wrap_delta
 from repro.noc.topology import (
     GATEWAY_PORT,
     ChipletTopology,
@@ -131,22 +132,86 @@ def test_neighbors_are_one_hop_apart(topo):
 
 
 # -- BFS vs the historical closed-form grid tables ---------------------------
+#
+# The closed forms are this test's oracle and nothing else's, so they live
+# here (moved unchanged out of noc/topology.py, methods -> functions of a
+# topology), keyed by topology kind.
+
+
+def _torus_deltas(topo, src: int, dst: int) -> tuple[int, int]:
+    sx, sy = topo.coords_of(src)
+    dx_, dy_ = topo.coords_of(dst)
+    return (
+        signed_wrap_delta(sx, dx_, topo.width),
+        signed_wrap_delta(sy, dy_, topo.height),
+    )
+
+
+def _torus_productive(topo, src: int, dst: int) -> tuple[int, ...]:
+    dx, dy = _torus_deltas(topo, src, dst)
+    prefs: list[tuple[int, int]] = []  # (-remaining, direction)
+    if dx > 0:
+        prefs.append((-dx, EAST))
+    elif dx < 0:
+        prefs.append((dx, WEST))
+    if dy > 0:
+        prefs.append((-dy, SOUTH))
+    elif dy < 0:
+        prefs.append((dy, NORTH))
+    # Longest remaining dimension first; direction index breaks ties.
+    prefs.sort()
+    return tuple(direction for _, direction in prefs)
+
+
+def _torus_hops(topo, src: int, dst: int) -> int:
+    dx, dy = _torus_deltas(topo, src, dst)
+    return abs(dx) + abs(dy)
+
+
+def _mesh_productive(topo, src: int, dst: int) -> tuple[int, ...]:
+    sx, sy = topo.coords_of(src)
+    dx_, dy_ = topo.coords_of(dst)
+    dx = dx_ - sx
+    dy = dy_ - sy
+    prefs: list[tuple[int, int]] = []
+    if dx > 0:
+        prefs.append((-dx, EAST))
+    elif dx < 0:
+        prefs.append((dx, WEST))
+    if dy > 0:
+        prefs.append((-dy, SOUTH))
+    elif dy < 0:
+        prefs.append((dy, NORTH))
+    prefs.sort()
+    return tuple(direction for _, direction in prefs)
+
+
+def _mesh_hops(topo, src: int, dst: int) -> int:
+    sx, sy = topo.coords_of(src)
+    dx_, dy_ = topo.coords_of(dst)
+    return abs(dx_ - sx) + abs(dy_ - sy)
+
+
+CLOSED_FORM = {
+    "mesh": (MeshTopology, _mesh_hops, _mesh_productive),
+    "folded_torus": (FoldedTorusTopology, _torus_hops, _torus_productive),
+}
 
 
 @pytest.mark.parametrize("width,height", GRID_SHAPES)
 @pytest.mark.parametrize("kind", ["mesh", "folded_torus"])
 def test_bfs_tables_match_closed_form_on_grids(kind, width, height):
-    cls = MeshTopology if kind == "mesh" else FoldedTorusTopology
+    cls, closed_form_hops, closed_form_productive = CLOSED_FORM[kind]
     topo = cls(width, height)
     n = topo.n_nodes
     for src in range(n):
         for dst in range(n):
-            assert topo.hop_table[src * n + dst] == topo.closed_form_hops(
-                src, dst
+            assert topo.hop_table[src * n + dst] == closed_form_hops(
+                topo, src, dst
             ), f"{kind} {width}x{height}: hops({src},{dst})"
             assert topo.productive_table[
                 src * n + dst
-            ] == topo.closed_form_productive(src, dst), (
+            ] == closed_form_productive(topo, src, dst), (
                 f"{kind} {width}x{height}: preference order ({src},{dst})"
             )
 

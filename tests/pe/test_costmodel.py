@@ -20,16 +20,6 @@ def test_mul_high_option_selects_multiplier():
     assert FpCostModel(use_mul_high=False).fp_mul == 60
 
 
-def test_jacobi_point_cycles():
-    cost = FpCostModel()
-    assert cost.jacobi_point_cycles() == 3 * 19 + 26
-
-
-def test_jacobi_point_cycles_without_mulhigh():
-    cost = FpCostModel(use_mul_high=False)
-    assert cost.jacobi_point_cycles() == 3 * 19 + 60
-
-
 def test_invalid_costs_rejected():
     with pytest.raises(ConfigError):
         FpCostModel(fp_add=0)

@@ -107,9 +107,48 @@ def test_write_buffer_stall_when_full():
 
     system = run_programs(solo(write_buffer_depth=2), program)
     node = system.nodes[0]
-    assert node.write_buffer.stall_cycles > 0
+    assert node.write_buffer_stalls > 0
     for index in range(12):
         assert system.ddr.store.read_word(4 * index) == index
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+def test_posted_writes_never_exceed_the_write_buffer(depth):
+    """The write buffer is the pipeline's own running count of posted
+    jobs: a burst of write-through stores holds at most ``depth`` of
+    them, and the core stalls only with the buffer full.  Sampled every
+    cycle through the reference schedule, against a recount of the jobs."""
+    from repro.system.medea import MedeaSystem
+
+    def program(ctx):
+        for index in range(24):
+            yield ctx.store(ctx.private_base + 4 * index, index)
+        yield ("fence",)
+
+    system = MedeaSystem(solo(cache_policy="wt", write_buffer_depth=depth))
+    system.load_programs([program])
+    node = system.nodes[0]
+    samples = []
+
+    def sample_then_finished():
+        in_pipeline = list(node._jobs) + [node._active_job]
+        assert node._n_posted == sum(
+            1 for job in in_pipeline if job is not None and job.tag == "posted"
+        )
+        samples.append((node._n_posted, node.write_buffer_stalls))
+        return system.finished()
+
+    system.sim.run(until=sample_then_finished)
+    assert max(posted for posted, __ in samples) == depth
+    assert node.write_buffer_stalls > 0  # 24 stores outrun either depth
+    for (__, stalls_before), (posted, stalls) in zip(samples, samples[1:]):
+        if stalls > stalls_before:
+            assert posted == depth  # a stall leaves the buffer full
+    assert samples[-1][0] == 0
+    for index in range(24):
+        assert system.ddr.store.read_word(
+            system.map.private_base(0) + 4 * index
+        ) == index
 
 
 def test_flush_clean_line_is_cheap_noop():

@@ -114,12 +114,3 @@ def test_recv_doubles_unpacks_words():
     with pytest.raises(StopIteration) as stop:
         gen.send([low, high])
     assert stop.value.value == [3.5]
-
-
-def test_local_alloc_bounds():
-    ctx = make_ctx()
-    ctx.local_mem_bytes = 16
-    assert ctx.local_alloc(8) == 0
-    assert ctx.local_alloc(8) == 8
-    with pytest.raises(MemoryError):
-        ctx.local_alloc(4)

@@ -44,7 +44,7 @@ RUNS: dict[str, tuple[str, dict]] = {
         **_DMA, "noc_multicast": False,
         "faults": FaultPlan(seed=5, drop_rate=0.02),
     }),
-    # Fault-free unicast descriptors riding the TIE's windows.
+    # Fault-free one-bit-mask descriptors: the engine's unicast send.
     "ring_dma_8w": ("ring", _DMA),
     # Fault-free streams across slow inter-chiplet links.
     "hier_chiplet_16w": ("hier", {

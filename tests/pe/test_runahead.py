@@ -74,7 +74,7 @@ def snapshot(system: MedeaSystem) -> dict:
             dict(node.scratchpad.store._words) for node in system.nodes
         ],
         "write_buffer_stalls": [
-            node.write_buffer.stall_cycles for node in system.nodes
+            node.write_buffer_stalls for node in system.nodes
         ],
         # port_busy_cycles counts arbiter *visits* that found the port
         # busy: a tile asleep with nothing queued is not visited, so it

@@ -6,8 +6,8 @@ import pytest
 
 from repro.cache.l1 import WritePolicy
 from repro.errors import ConfigError
+from repro.dse.space import jacobi_sweep_space
 from repro.system.config import VALID_CACHE_SIZES_KB, SystemConfig
-from repro.system.presets import paper_sweep_configs, reference_config
 
 
 def test_defaults_validate():
@@ -58,32 +58,69 @@ def test_invalid_settings_rejected(field, value):
         SystemConfig(**{field: value}).validate()
 
 
+def _enum_fields():
+    from repro.apps.cg import CgParams
+    from repro.apps.collective_bench import CollectiveBenchParams
+    from repro.apps.dotproduct import DotProductParams, ReductionModel
+    from repro.apps.jacobi.driver import JacobiParams
+    from repro.apps.jacobi.models import JacobiModel
+    from repro.apps.matmul import MatmulParams
+    from repro.apps.stream import StreamParams
+    from repro.bridge.arbiter import ArbiterMode, TrafficClass
+    from repro.empi.collectives import CollectiveAlgorithm, CommModel
+    from repro.empi.runtime import BarrierAlgorithm
+
+    yield SystemConfig, "cache_policy", WritePolicy
+    yield SystemConfig, "arbiter_mode", ArbiterMode
+    yield SystemConfig, "arbiter_high_priority", TrafficClass
+    yield SystemConfig, "empi_barrier", BarrierAlgorithm
+    yield JacobiParams, "model", JacobiModel
+    yield DotProductParams, "model", ReductionModel
+    for params in (CgParams, CollectiveBenchParams, MatmulParams, StreamParams):
+        yield params, "model", CommModel
+        yield params, "algorithm", CollectiveAlgorithm
+
+
+@pytest.mark.parametrize(
+    "owner,field,enum_type",
+    [pytest.param(*case, id=f"{case[0].__name__}.{case[1]}")
+     for case in _enum_fields()],
+)
+def test_enum_fields_refuse_unknown_values_naming_the_choices(
+    owner, field, enum_type
+):
+    with pytest.raises(ConfigError) as refused:
+        built = owner(**{field: "bogus"})
+        if owner is SystemConfig:
+            built.validate()
+    assert "'bogus'" in str(refused.value)
+    for member in enum_type:
+        assert repr(member.value) in str(refused.value)
+    # Case-insensitive strings and members themselves both parse.
+    member = next(iter(enum_type))
+    for spelling in (member, member.value.upper()):
+        built = owner(**{field: spelling})
+        if owner is SystemConfig:
+            built.validate()
+
+
 def test_explicit_grid_accepted_when_large_enough():
     SystemConfig(n_workers=4, grid=(3, 2)).validate()
 
 
-def test_reference_config_overrides():
-    config = reference_config(n_workers=7)
-    assert config.n_workers == 7
-    config.validate()
+def paper_space_configs():
+    """The Section III design space, from the one shape that states it."""
+    return [point.config for point in jacobi_sweep_space("paper").points()]
 
 
 def test_paper_sweep_is_168_points():
-    configs = list(paper_sweep_configs())
+    configs = paper_space_configs()
     assert len(configs) == 168  # 14 worker counts x 6 caches x 2 policies
     labels = {config.label() for config in configs}
     assert len(labels) == 168
 
 
 def test_paper_sweep_axes():
-    configs = list(paper_sweep_configs())
+    configs = paper_space_configs()
     assert {c.n_workers for c in configs} == set(range(2, 16))
     assert {c.cache_size_kb for c in configs} == set(VALID_CACHE_SIZES_KB)
-
-
-def test_paper_sweep_respects_base():
-    base = SystemConfig(mpmmu_service_overhead=99)
-    configs = list(paper_sweep_configs(workers=(2,), cache_sizes_kb=(8,),
-                                       policies=("wb",), base=base))
-    assert len(configs) == 1
-    assert configs[0].mpmmu_service_overhead == 99

@@ -69,30 +69,6 @@ def test_main_runs_stream(tmp_path, capsys):
     assert (tmp_path / "stream.txt").exists()
 
 
-def test_parser_accepts_profile_flag():
-    args = build_parser().parse_args(["stream", "--profile"])
-    assert args.profile
-
-
-def test_main_profile_prints_hot_spots(tmp_path, capsys):
-    exit_code = main(["stream", "--out", str(tmp_path), "--profile"])
-    assert exit_code == 0
-    out = capsys.readouterr().out
-    # Per-point profiles are merged into one table; the banner counts them.
-    assert "points merged, top 20 by cumulative time" in out
-    assert "cumtime" in out  # the pstats table actually rendered
-    assert "cyc/blk" in out  # the experiment itself still ran
-
-
-def test_main_profile_merges_every_sweep_point(tmp_path, capsys):
-    from repro.dse.experiments import REGISTRY
-
-    n_points = REGISTRY["stream"].build_space(False).n_points
-    main(["stream", "--out", str(tmp_path), "--profile"])
-    out = capsys.readouterr().out
-    assert f"profile ({n_points} points merged" in out
-
-
 def test_trace_command_writes_a_valid_timeline(tmp_path, capsys):
     out_file = tmp_path / "trace.json"
     exit_code = main(["trace", "cg-tiny", "--out", str(out_file)])
