@@ -57,70 +57,59 @@ class NocAccessArbiter:
         self.name = name
         self.stats = CounterSet(name)
         self._last_granted: TrafficClass = TrafficClass.MEMORY
-        # _hp_q/_be_q (drain side) and _msg_q/_mem_q (offer side) are
-        # bound for the FIFO modes so the per-cycle paths never go through
-        # the dict; MUX keeps only the slot pair and leaves these None.
+        # _hp_q/_be_q (drain side) and _msg_q/_mem_q (offer side) are the
+        # FIFO modes' queues; MUX keeps only the slot pair and leaves
+        # these None.
         self._hp_q: Fifo[Flit] | None = None
         self._be_q: Fifo[Flit] | None = None
         self._msg_q: Fifo[Flit] | None = None
         self._mem_q: Fifo[Flit] | None = None
+        self._slots: dict[TrafficClass, Flit | None] = {}
         if self.mode is ArbiterMode.MUX:
-            self._queues: dict[TrafficClass, Fifo[Flit]] = {}
-            self._slots: dict[TrafficClass, Flit | None] = {
+            self._slots = {
                 TrafficClass.MESSAGE: None,
                 TrafficClass.MEMORY: None,
             }
         elif self.mode is ArbiterMode.SINGLE_FIFO:
             shared: Fifo[Flit] = Fifo(fifo_depth, name=f"{name}.q")
-            self._queues = {
-                TrafficClass.MESSAGE: shared,
-                TrafficClass.MEMORY: shared,
-            }
-            self._slots = {}
-            self._hp_q = shared
-            self._msg_q = shared
-            self._mem_q = shared
+            self._hp_q = self._msg_q = self._mem_q = shared
         else:
-            self._queues = {
-                TrafficClass.MESSAGE: Fifo(fifo_depth, name=f"{name}.hp"),
-                TrafficClass.MEMORY: Fifo(fifo_depth, name=f"{name}.be"),
-            }
-            self._slots = {}
-            self._hp_q = self._queues[self.high_priority]
-            self._be_q = self._queues[self._other(self.high_priority)]
-            self._msg_q = self._queues[TrafficClass.MESSAGE]
-            self._mem_q = self._queues[TrafficClass.MEMORY]
+            self._hp_q = Fifo(fifo_depth, name=f"{name}.hp")
+            self._be_q = Fifo(fifo_depth, name=f"{name}.be")
+            if self.high_priority is TrafficClass.MESSAGE:
+                self._msg_q, self._mem_q = self._hp_q, self._be_q
+            else:
+                self._msg_q, self._mem_q = self._be_q, self._hp_q
 
     # -- producer side ---------------------------------------------------------
 
-    def offer(self, traffic_class: TrafficClass, flit: Flit) -> bool:
-        """Hand a flit to the arbiter; False means retry next cycle."""
-        if self.mode is ArbiterMode.MUX:
-            if self._slots[traffic_class] is not None:
-                self.stats.inc("mux_busy_rejects")
-                return False
-            self._slots[traffic_class] = flit
-            return True
-        return self._offer_queued(self._queues[traffic_class], flit)
-
-    def _offer_queued(self, queue: Fifo[Flit], flit: Flit) -> bool:
-        if queue.full:
-            self.stats.inc("fifo_full_rejects")
+    def _offer_slot(self, traffic_class: TrafficClass, flit: Flit) -> bool:
+        """MUX: one unbuffered slot per interface."""
+        if self._slots[traffic_class] is not None:
+            self.stats.inc("mux_busy_rejects")
             return False
-        queue.push(flit)
+        self._slots[traffic_class] = flit
         return True
 
     def offer_message(self, flit: Flit) -> bool:
+        """Hand over a message-class flit; False means retry next cycle."""
         queue = self._msg_q
         if queue is None:
-            return self.offer(TrafficClass.MESSAGE, flit)
-        return self._offer_queued(queue, flit)
+            return self._offer_slot(TrafficClass.MESSAGE, flit)
+        if queue.try_push(flit):
+            return True
+        self.stats.inc("fifo_full_rejects")
+        return False
 
     def offer_memory(self, flit: Flit) -> bool:
+        """Hand over a memory-class flit; False means retry next cycle."""
         queue = self._mem_q
         if queue is None:
-            return self.offer(TrafficClass.MEMORY, flit)
-        return self._offer_queued(queue, flit)
+            return self._offer_slot(TrafficClass.MEMORY, flit)
+        if queue.try_push(flit):
+            return True
+        self.stats.inc("fifo_full_rejects")
+        return False
 
     # -- clocked drain -------------------------------------------------------------
 
@@ -129,7 +118,17 @@ class NocAccessArbiter:
         if self.port.pending is not None:
             self.stats.inc("port_busy_cycles")
             return
-        flit = self._select()
+        hp = self._hp_q
+        if hp is None:
+            flit = self._select_slot()
+        elif hp._items:
+            flit = hp.pop()
+        else:
+            be = self._be_q
+            if be is None or not be._items:
+                return
+            self.stats.inc("be_grants")
+            flit = be.pop()
         if flit is not None:
             if not self.port.try_inject(flit):
                 raise ProtocolError(
@@ -137,16 +136,8 @@ class NocAccessArbiter:
                 )
             self.stats.inc("flits_granted")
 
-    def _select(self) -> Flit | None:
-        hp = self._hp_q
-        if hp is not None:
-            if hp._items:
-                return hp.pop()
-            be = self._be_q
-            if be is not None and be._items:
-                self.stats.inc("be_grants")
-                return be.pop()
-            return None
+    def _select_slot(self) -> Flit | None:
+        """MUX: round-robin over the two slots."""
         first = self._other(self._last_granted)
         for traffic_class in (first, self._last_granted):
             flit = self._slots[traffic_class]

@@ -166,7 +166,7 @@ class DmaTxEngine:
         self._retx_current = False
         self.stats = CounterSet(f"dma[{tie.node_id}]")
         # Per-flit hot counters, batched like the TIE's and folded into
-        # the CounterSet by flush_stats() at node sleep.
+        # the CounterSet by flush_stats() when the node's are read.
         self._n_flits_sent = 0
         self._n_credit_stalls = 0
         self._n_reduced = 0

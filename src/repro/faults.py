@@ -236,6 +236,9 @@ class FaultInjector:
         #: preference can steer the oldest flit into a cul-de-sac next
         #: to the dead link and livelock the whole fabric.
         self.productive_override: list[tuple[int, ...]] | None = None
+        #: The router's multicast branch plans derived from *that* table;
+        #: a fresh dict whenever the table is rebuilt.
+        self.mcast_plans: dict[int, tuple] = {}
 
     def _check_link(self, node: int, direction: int) -> None:
         topology = self.topology
@@ -304,6 +307,7 @@ class FaultInjector:
         self.productive_override = self.topology.productive_override(
             self._killed
         )
+        self.mcast_plans = {}
 
     def _stall_on(self, cycle: int, node: int, n_cycles: int) -> None:
         state = _StallState(node, end=cycle + n_cycles)

@@ -60,11 +60,22 @@ class InjectionPort:
         fabric = self.fabric
         if fabric.faults is not None:
             fabric.faults.stamp(flit)
-        # Inline the common validate_flit fast path; the full check (with
-        # its error message / strict wire encoding) runs only when needed.
+        # Inline the passing arms of validate_flit, unicast and multicast
+        # (tests/noc/test_network.py and test_multicast.py hold both to
+        # its verdicts); the full check, with its error messages and the
+        # strict wire encoding, runs only when needed.
         n = fabric.topology.n_nodes
+        dst = flit.dst
         if fabric.strict_encoding or not (
-            0 <= flit.dst < n and 0 <= flit.src < n
+            0 <= flit.src < n and (
+                0 <= dst < n
+                or (
+                    dst < 0
+                    and flit.ptype is PacketType.MULTICAST
+                    and 0 < flit.dst_mask < fabric._mask_limit
+                    and not flit.dst_mask >> flit.src & 1
+                )
+            )
         ):
             fabric.validate_flit(flit)
         self.pending = flit
@@ -169,25 +180,32 @@ class NocFabric(Component):
         n = topology.n_nodes
         n_ports = topology.max_ports
         self._n_ports = n_ports
+        #: One past the largest multicast mask that names only real nodes.
+        self._mask_limit = 1 << n
         # regs[node][in_port] = flit latched on that input link.
         self.regs: list[list[Flit | None]] = [
             [None] * n_ports for _ in range(n)
         ]
         #: What a register row is reset to once its switch has routed.
         self._idle_row: list[None] = [None] * n_ports
-        # Non-uniform links (latency > 1 or serialization > 1, the
+        # Slow or narrow links (latency > 1 or serialization > 1, the
         # inter-chiplet case) deliver through a timestamped heap instead
         # of the commit phase: (due_cycle, seq, node, in_port, flit).
-        # On uniform-link topologies (every legacy grid) the heap stays
-        # empty and the hot path is untouched.
-        self._uniform_links = topology.uniform_links
+        # ``_direct_links[node][port]`` says which mechanism a link uses;
+        # on uniform-link topologies (every grid) the heap stays empty.
+        self._direct_links: list[list[bool]] = [
+            [latency == 1 and ser == 1 for latency, ser in zip(*tables)]
+            for tables in zip(
+                topology.link_latency_table, topology.link_ser_table
+            )
+        ]
         self._delayed: list[tuple[int, int, int, int, Flit]] = []
         self._delay_seq = 0
         # Wire occupancy for serializing links, indexed node*n_ports+port:
         # the cycle the wire frees up (a narrower off-die link holds each
         # flit for `serialization` cycles; followers queue behind).
         self._wire_free = (
-            None if self._uniform_links else [0] * (n * n_ports)
+            None if topology.uniform_links else [0] * (n * n_ports)
         )
         # Incremental worklist: nodes with a latched flit or pending
         # injection.  Maintained by try_inject and the commit phase so a
@@ -219,7 +237,7 @@ class NocFabric(Component):
             if flit.ptype is not PacketType.MULTICAST:
                 raise ProtocolError(f"negative dst on non-multicast {flit!r}")
             mask = flit.dst_mask
-            if not (0 < mask < (1 << n)):
+            if not (0 < mask < self._mask_limit):
                 raise ProtocolError(
                     f"multicast mask out of range for {n} nodes: {flit!r}"
                 )
@@ -285,7 +303,7 @@ class NocFabric(Component):
         ports = self.ports
         neighbor_table = topo.neighbor_table
         reverse_table = topo.reverse_port_table
-        uniform_links = self._uniform_links
+        direct_table = self._direct_links
         latency_table = topo.link_latency_table
         ser_table = topo.link_ser_table
         wire_free = self._wire_free
@@ -294,6 +312,7 @@ class NocFabric(Component):
         idle_row = self._idle_row
         n_nodes = topo.n_nodes
         productive_table = topo.productive_table
+        plans = topo.mcast_plans
         eject_capacity = self.eject_capacity
         scratch = self._scratch
         faults = self.faults
@@ -321,9 +340,9 @@ class NocFabric(Component):
                 port.inject.pending = None
                 port.inject.injected += 1
                 flits_injected += 1
-                flits_ejected += 1
-                flit_hops += inject.hops
-                self._eject(port, inject, cycle, zero_hop=True)
+                if self._eject(port, inject, cycle, zero_hop=True):
+                    flits_ejected += 1
+                    flit_hops += inject.hops
                 inject = None
             elif inject is not None and inject.dst < 0:
                 # Stamp mask-routed injections *before* routing: the
@@ -332,29 +351,59 @@ class NocFabric(Component):
                 # A stalled injection is simply re-stamped next cycle.
                 inject.injected_at = cycle
 
-            # Lone-flit bypass: a switch whose only occupant is one
-            # unicast transit flit has nothing to arbitrate — the flit
-            # ejects here or leaves on its first productive port, which
-            # is what route_node computes when nobody contends.  The
-            # scan gives up at the first multicast flit, so all-multicast
-            # traffic pays one test for it.
-            lone = None
-            if inject is None and faults is None:
+            # Uncontended-switch bypass (module docstring): scan the row
+            # for at most one arrival and at most one occupant that needs
+            # an output port; anything else breaks out to the router.
+            direction = -1  # >= 0: the mover's port; -2: nothing to forward
+            if not masks_active:
+                mover = inject
+                arrival = None
                 for flit in row:
                     if flit is not None:
-                        if lone is not None or flit.dst < 0:
-                            lone = None
+                        dst = flit.dst
+                        if dst == node or (
+                            dst < 0 and flit.dst_mask == 1 << node
+                        ):
+                            if arrival is not None:
+                                break
+                            arrival = flit
+                        elif mover is None:
+                            mover = flit
+                        else:
                             break
-                        lone = flit
-            if lone is not None:
+                else:
+                    if mover is None:
+                        direction = -2
+                    elif mover.dst >= 0:
+                        dirs = productive_table[node * n_nodes + mover.dst]
+                        if dirs:
+                            direction = dirs[0]
+                    elif not mover.dst_mask >> node & 1:
+                        # A one-branch plan the router has already built
+                        # (plan[0] is its port bit, 0 for other plans).
+                        plan = plans.get(mover.dst_mask * n_nodes + node)
+                        if plan is not None and plan[0]:
+                            direction = plan[1]
+            if direction != -1:
                 row[:] = idle_row
-                if lone.dst == node:
-                    flits_ejected += 1
-                    flit_hops += lone.hops
-                    self._eject(port, lone, cycle)
+                if arrival is not None:
+                    if arrival.dst < 0:
+                        # Last destination of a multicast flit: it leaves
+                        # the network itself, as a unicast arrival would.
+                        arrival.dst = node
+                        arrival.dst_mask = 0
+                    if self._eject(port, arrival, cycle):
+                        flits_ejected += 1
+                        flit_hops += arrival.hops
+                if direction < 0:
                     continue
+                if mover is inject:
+                    inject.injected_at = cycle
+                    port.inject.pending = None
+                    port.inject.injected += 1
+                    flits_injected += 1
                 outputs = scratch.outputs
-                outputs[productive_table[node * n_nodes + lone.dst][0]] = lone
+                outputs[direction] = mover
             else:
                 # The register row is handed to the router as-is (it
                 # skips idle links); clear it only after routing has
@@ -365,12 +414,13 @@ class NocFabric(Component):
                     productive=(
                         faults.productive_override if masks_active else None
                     ),
+                    plans=faults.mcast_plans if masks_active else None,
                 )
                 row[:] = idle_row
                 for flit in outcome.ejected:
-                    flits_ejected += 1
-                    flit_hops += flit.hops
-                    self._eject(port, flit, cycle)
+                    if self._eject(port, flit, cycle):
+                        flits_ejected += 1
+                        flit_hops += flit.hops
                 if outcome.flit_copies:
                     # Multicast replication grew the in-network population.
                     self._flit_count += outcome.flit_copies
@@ -394,6 +444,7 @@ class NocFabric(Component):
             # crosses its link (and is taken off the scratch outputs).
             neighbor_row = neighbor_table[node]
             reverse_row = reverse_table[node]
+            direct_row = direct_table[node]
             for direction in port_range:
                 flit = outputs[direction]
                 if flit is not None:
@@ -406,12 +457,13 @@ class NocFabric(Component):
                         self._flit_count -= 1
                         continue
                     neighbor = neighbor_row[direction]
-                    assert neighbor >= 0, "routed to a missing link"
+                    if neighbor < 0:
+                        raise SimulationError(
+                            f"cycle {cycle}: node {node} routed {flit!r} to "
+                            f"a missing link (port {direction})"
+                        )
                     flit.hops += 1
-                    if uniform_links or (
-                        latency_table[node][direction] == 1
-                        and ser_table[node][direction] == 1
-                    ):
+                    if direct_row[direction]:
                         moves.append((neighbor, reverse_row[direction], flit))
                     else:
                         # Slow or narrow wire: the flit is in flight for
@@ -461,14 +513,16 @@ class NocFabric(Component):
 
     def _eject(
         self, port: NodePorts, flit: Flit, cycle: int, zero_hop: bool = False
-    ) -> None:
+    ) -> bool:
+        """Take ``flit`` out of the network at ``port``; False when the
+        ejection port threw it away instead of delivering it."""
         if self.faults is not None and not self.faults.check_eject(
             flit, port.node, cycle
         ):
             # Checksum mismatch: the ejection port discards the flit, so
             # corruption degenerates to loss and the NACK path repairs it.
             self._flit_count -= 1
-            return
+            return False
         latency = 0 if zero_hop else cycle - flit.injected_at + 1
         self.latency.record(latency)
         self._flit_count -= 1
@@ -479,6 +533,7 @@ class NocFabric(Component):
                 cycle, port.node, EJECT, flit.uid, (flit.ptype.name, latency)
             )
         port.eject.deliver(flit)
+        return True
 
     # -- telemetry spatial view ----------------------------------------------
 

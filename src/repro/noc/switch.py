@@ -39,11 +39,16 @@ from __future__ import annotations
 
 from operator import attrgetter
 
+from repro.errors import SimulationError
 from repro.noc.flit import Flit
 from repro.noc.topology import Topology
 
 #: Oldest-first priority with a stable tie-break, as a C-level sort key.
 _AGE_KEY = attrgetter("injected_at", "uid")
+
+#: Branch plans a table holds before it is cleared and refilled on demand:
+#: a run of random masks cannot grow it without bound.
+PLAN_TABLE_LIMIT = 1 << 14
 
 
 class RoutingOutcome:
@@ -87,6 +92,7 @@ def route_node(
     out: RoutingOutcome | None = None,
     port_mask: int = -1,
     productive: list[tuple[int, ...]] | None = None,
+    plans: dict[int, tuple] | None = None,
 ) -> RoutingOutcome:
     """Route all flits present at ``node`` for this cycle.
 
@@ -106,7 +112,10 @@ def route_node(
     ``productive`` (default None = the topology's table) substitutes a
     mask-aware productive-direction table — the fault layer's rerouted
     tables after a permanent link kill, without which X-Y preference can
-    steer flits into a dead-end next to the dead link forever.
+    steer flits into a dead-end next to the dead link forever.  ``plans``
+    is the branch-plan table derived from that substitute (its owner's
+    ``mcast_plans``); without one a substituted table's plans are built
+    per call and forgotten.
 
     Up to ``eject_capacity`` flits destined for this node leave through the
     local port, oldest first; any excess arrival is deflected back into the
@@ -172,7 +181,11 @@ def route_node(
     free_mask = topology.port_mask_table[node] if port_mask < 0 else port_mask
     if productive is None:
         productive = topology.productive_table
-    base = node * topology.n_nodes
+        plans = topology.mcast_plans
+    elif plans is None:
+        plans = {}
+    n_nodes = topology.n_nodes
+    base = node * n_nodes
     deflections = 0
 
     if contenders is not None:
@@ -215,14 +228,59 @@ def route_node(
                         flit.deflections += 1
                         deflections += 1
                         break
-            assert placed, "deflection routing must always place a transit flit"
+            if not placed:
+                raise SimulationError(
+                    f"deflection routing must always place a transit flit: "
+                    f"no output port left at node {node} for {flit!r}"
+                )
     out.deflections = deflections
 
     if mcast is not None:
-        free_mask = _route_multicast(
-            node, mcast, free_mask, eject_capacity - len(ejected),
-            topology, out, spill=port_mask >= 0, productive=productive,
-        )
+        # Multicast flits have the lowest transit priority (unicast
+        # contenders were placed first), are processed oldest first among
+        # themselves, and each is guaranteed one output port by the
+        # deflection invariant; extra branch splits only consume ports
+        # that no younger multicast flit still needs (``reserve``).
+        if len(mcast) > 1:
+            mcast.sort(key=_AGE_KEY)
+        node_bit = 1 << node
+        eject_budget = eject_capacity - len(ejected)
+        reserve = len(mcast)
+        for flit in mcast:
+            reserve -= 1
+            mask = flit.dst_mask
+            if mask & node_bit:
+                if eject_budget > 0:
+                    eject_budget -= 1
+                    mask ^= node_bit
+                    if mask == 0:
+                        # Last destination: the flit itself leaves the network.
+                        flit.dst = node
+                        flit.dst_mask = 0
+                        ejected.append(flit)
+                        continue
+                    ejected.append(_copy_flit(flit, dst=node, dst_mask=node_bit))
+                    out.flit_copies += 1
+                    flit.dst_mask = mask
+                else:
+                    # Ejection port saturated: keep the local bit set so the
+                    # flit recirculates and retries — the hot-potato answer.
+                    out.eject_overflow += 1
+            plan = plans.get(mask * n_nodes + node) or _branch_plan(
+                node, mask, productive, topology, plans
+            )
+            if free_mask & plan[0]:
+                # One branch, port free (every one-member group): what
+                # _place_multicast does with it, mask untouched because
+                # branch | deferred is the whole mask.  Checked flit for
+                # flit by tests/noc/test_switch_golden.py.
+                outputs[plan[1]] = flit
+                free_mask ^= plan[0]
+            else:
+                free_mask = _place_multicast(
+                    node, flit, plan, free_mask, reserve, topology, out,
+                    must_place=True, spill=port_mask >= 0,
+                )
 
     if inject is not None and free_mask:
         if inject.dst < 0:
@@ -231,10 +289,18 @@ def route_node(
             # port is available, like the unicast injection rule (and
             # like it, without counting a deflection); with free_mask
             # zero the slot simply retries next cycle.
-            out.injected = _place_multicast(
-                node, inject, free_mask, 0, topology, out, must_place=False,
-                productive=productive,
-            )[1]
+            mask = inject.dst_mask
+            plan = plans.get(mask * n_nodes + node) or _branch_plan(
+                node, mask, productive, topology, plans
+            )
+            if free_mask & plan[0]:  # the one-branch placement, as above
+                outputs[plan[1]] = inject
+                out.injected = True
+            else:
+                out.injected = _place_multicast(
+                    node, inject, plan, free_mask, 0, topology, out,
+                    must_place=False,
+                ) >= 0
             return out
         injected = False
         for direction in productive[base + inject.dst]:
@@ -270,79 +336,29 @@ def _copy_flit(flit: Flit, dst: int, dst_mask: int) -> Flit:
     )
 
 
-def _route_multicast(
+def _branch_plan(
     node: int,
-    mcast: list[Flit],
-    free_mask: int,
-    eject_budget: int,
+    mask: int,
+    productive: list[tuple[int, ...]],
     topology: Topology,
-    out: RoutingOutcome,
-    spill: bool = False,
-    productive: list[tuple[int, ...]] | None = None,
-) -> int:
-    """Place every transit MULTICAST flit; returns the updated free mask.
+    plans: dict[int, tuple],
+) -> tuple:
+    """Partition ``mask`` by tree branch at ``node`` and remember the plan
+    in ``plans`` under ``mask * n_nodes + node``.
 
-    Multicast flits have the lowest transit priority (unicast contenders
-    were placed first), are processed oldest first among themselves, and
-    each is guaranteed one output port by the deflection invariant; extra
-    branch splits only consume ports that no younger multicast flit still
-    needs (``reserve``).
+    The only builder of branch plans (module docstring): each destination
+    joins the branch of its *preferred* productive direction.  Returns
+    ``(lone_bit, lone_direction, branches, deferred)`` — ``branches`` is
+    ``((direction, port bit, branch mask), ...)`` in port order,
+    ``deferred`` the bits that stay on whichever copy leaves first (the
+    local bit awaiting a free ejection port, and destinations a
+    fault-rerouted table cannot reach), and ``lone_bit``/``lone_direction``
+    name the port of a one-branch plan (``lone_bit`` is 0 otherwise).
     """
-    if len(mcast) > 1:
-        mcast.sort(key=_AGE_KEY)
-    for index, flit in enumerate(mcast):
-        reserve = len(mcast) - index - 1
-        if flit.dst_mask & (1 << node):
-            if eject_budget > 0:
-                eject_budget -= 1
-                remaining = flit.dst_mask & ~(1 << node)
-                if remaining == 0:
-                    # Last destination: the flit itself leaves the network.
-                    flit.dst = node
-                    flit.dst_mask = 0
-                    out.ejected.append(flit)
-                    continue
-                copy = _copy_flit(flit, dst=node, dst_mask=1 << node)
-                out.flit_copies += 1
-                out.ejected.append(copy)
-                flit.dst_mask = remaining
-            else:
-                # Ejection port saturated: keep the local bit set so the
-                # flit recirculates and retries — the hot-potato answer.
-                out.eject_overflow += 1
-        free_mask, placed = _place_multicast(
-            node, flit, free_mask, reserve, topology, out, must_place=True,
-            spill=spill, productive=productive,
-        )
-        assert placed, "multicast transit flit must always find a port"
-    return free_mask
-
-
-def _place_multicast(
-    node: int,
-    flit: Flit,
-    free_mask: int,
-    reserve: int,
-    topology: Topology,
-    out: RoutingOutcome,
-    must_place: bool,
-    spill: bool = False,
-    productive: list[tuple[int, ...]] | None = None,
-) -> tuple[int, bool]:
-    """Replicate one multicast flit toward its tree branches.
-
-    Partitions the flit's remaining mask by each destination's preferred
-    productive direction, places one copy per branch whose port is free
-    (keeping ``reserve`` ports for later flits), merges unplaceable
-    branches into the first placed copy, and deflects the whole flit when
-    no branch port is free.  Returns ``(free_mask, placed)``.
-    """
-    if productive is None:
-        productive = topology.productive_table
     base = node * topology.n_nodes
-    local_bit = (1 << node) & flit.dst_mask  # deferred local delivery
-    groups = [0] * len(out.outputs)
-    m = flit.dst_mask & ~local_bit
+    deferred = mask & (1 << node)  # deferred local delivery
+    groups = [0] * topology.max_ports
+    m = mask ^ deferred
     while m:
         bit = m & -m
         m ^= bit
@@ -353,22 +369,51 @@ def _place_multicast(
             # Unreachable under a fault-rerouted table (partitioned
             # network): keep the bit on the flit; it rides along until
             # the watchdog reports the partition.
-            local_bit |= bit
+            deferred |= bit
+    branches = tuple(
+        (direction, 1 << direction, branch)
+        for direction, branch in enumerate(groups) if branch
+    )
+    if len(branches) == 1:
+        plan = (branches[0][1], branches[0][0], branches, deferred)
+    else:
+        plan = (0, -1, branches, deferred)
+    if len(plans) >= PLAN_TABLE_LIMIT:
+        plans.clear()
+    plans[mask * topology.n_nodes + node] = plan
+    return plan
+
+
+def _place_multicast(
+    node: int,
+    flit: Flit,
+    plan: tuple,
+    free_mask: int,
+    reserve: int,
+    topology: Topology,
+    out: RoutingOutcome,
+    must_place: bool,
+    spill: bool = False,
+) -> int:
+    """Replicate one multicast flit toward the branches of its ``plan``.
+
+    Places one copy per branch whose port is free (keeping ``reserve``
+    ports for later flits), merges unplaceable branches into the first
+    placed copy, and deflects the whole flit when no branch port is free.
+    Returns the updated free mask, or -1 when a ``must_place=False``
+    injection found no port at all.
+    """
+    __, __, branches, deferred = plan
     outputs = out.outputs
     free_count = free_mask.bit_count()
     first_copy: Flit | None = None
-    deferred = local_bit
     # An extra branch copy may take a port only while the ports left
     # afterwards cover every younger multicast flit's guaranteed placement
     # plus the topology's split slack (grids keep one spare port for local
     # injection; a chiplet hub needs the exact bound — see
     # ``Topology.mcast_split_slack``).
     needed = reserve + topology.mcast_split_slack
-    for direction in range(len(groups)):
-        branch = groups[direction]
-        if not branch:
-            continue
-        bit = 1 << direction
+    for direction, bit, branch in branches:
         if free_mask & bit and (first_copy is None or free_count > needed):
             if first_copy is None:
                 flit.dst_mask = branch
@@ -385,29 +430,32 @@ def _place_multicast(
     if first_copy is not None:
         if deferred:
             first_copy.dst_mask |= deferred
-        return free_mask, True
+        return free_mask
     # No branch port was free: send the whole flit out any free port
-    # (deterministic scan order), mask intact.  For transit flits this
-    # is a deflection and is counted as one; an injection taking a
-    # non-productive first hop is not (matching the unicast rule).
+    # (deterministic scan order), mask intact (``deferred`` has gathered
+    # every branch by now).  For transit flits this is a deflection and
+    # is counted as one; an injection taking a non-productive first hop
+    # is not (matching the unicast rule).
     for direction in topology.ports_table[node]:
         bit = 1 << direction
         if free_mask & bit:
-            flit.dst_mask = deferred
             outputs[direction] = flit
             if must_place:
                 flit.deflections += 1
                 out.deflections += 1
-            return free_mask ^ bit, True
-    if must_place and spill:
+            return free_mask ^ bit
+    if not must_place:
+        return -1
+    if spill:
         # Same fault-mask activation transient as the unicast spill path:
         # drain across a masked-but-present wire rather than drop.
         for direction in topology.ports_table[node]:
             if outputs[direction] is None:
-                flit.dst_mask = deferred
                 outputs[direction] = flit
                 flit.deflections += 1
                 out.deflections += 1
-                return free_mask, True
-    assert not must_place, "deflection invariant violated for multicast flit"
-    return free_mask, False
+                return free_mask
+    raise SimulationError(
+        f"deflection routing must always place a multicast transit flit: "
+        f"no output port left at node {node} for {flit!r}"
+    )

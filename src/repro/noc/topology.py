@@ -149,6 +149,10 @@ class Topology:
         self.productive_table: list[tuple[int, ...]] = (
             self._build_productive(killed=None)
         )
+        #: Multicast branch plans derived from ``productive_table`` (never
+        #: rebuilt, so never stale), filled on demand by the router — see
+        #: :mod:`repro.noc.switch`.
+        self.mcast_plans: dict[int, tuple] = {}
         # Lazy per-source latency-weighted distance tables (path_latency).
         self._latency_dist: dict[int, list[int]] = {}
 

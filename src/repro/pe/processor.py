@@ -176,7 +176,7 @@ class ProcessorNode(Component):
         #: ``send`` of the loaded program generator (None: none loaded).
         self._program_send: typing.Callable | None = None
         # Hot op counters, batched as plain ints and flushed into the
-        # CounterSet whenever the node sleeps (see flush_op_stats).
+        # CounterSet when it is read (see flush_op_stats).
         self._n_compute = 0
         self._n_compute_cycles = 0
         self._n_load_hit = 0
@@ -255,14 +255,15 @@ class ProcessorNode(Component):
         outgoing = bridge._outgoing
         if outgoing and arbiter.offer_memory(outgoing[0]):
             bridge.output_sent()
+        dma_busy = dma is not None and dma.busy
         if (
-            self._credit_items
+            dma_busy
+            or self._credit_items
             or self._pending_req_flit is not None
             or tie.tx is not None
             or tie.pending_retx
-            or (dma is not None and dma.busy)
         ):
-            self._phase_tie_tx(cycle)
+            self._phase_tie_tx(cycle, dma_busy)
         # Core phase (inlined _phase_core).
         if self.state is not CoreState.RUNNING:
             self._try_unblock(cycle)
@@ -278,10 +279,8 @@ class ProcessorNode(Component):
     # 1 -------------------------------------------------------------------------------
 
     def _phase_rx(self, cycle: int) -> None:
-        queue = self.ports.eject.queue
-        if queue.empty:
-            return
-        flit = queue.pop()
+        # step() only comes here with a flit waiting.
+        flit = self.ports.eject.queue.pop()
         if flit.ptype >= PacketType.MESSAGE:  # MESSAGE or MULTICAST
             self.tie.accept(flit)
         else:
@@ -291,46 +290,50 @@ class ProcessorNode(Component):
 
     # 4 -------------------------------------------------------------------------------
 
-    def _phase_tie_tx(self, cycle: int) -> None:
-        # Flow-control credits first: they unblock a stalled peer and are
-        # generated by the TIE hardware, not the program.
-        credit = self.tie.credit_flit()
-        if credit is not None:
-            if self.arbiter.offer_message(credit):
-                self.tie.credit_sent()
+    def _phase_tie_tx(self, cycle: int, dma_busy: bool) -> None:
+        tie = self.tie
+        offer = self.arbiter.offer_message
+        if self._credit_items:
+            # Flow-control credits first: they unblock a stalled peer and
+            # are generated by the TIE hardware, not the program.
+            if offer(tie.credit_flit()):
+                tie.credit_sent()
             return
-        if self.tie.pending_retx:
+        if tie.pending_retx:
             # NACK-requested retransmissions next: the peer's stream is
             # stalled on these words (reliable-delivery mode only).
-            retx = self.tie.retx_flit()
-            if retx is not None and self.arbiter.offer_message(retx):
-                self.tie.retx_sent()
+            if offer(tie.retx_flit()):
+                tie.retx_sent()
             return
         if self._pending_req_flit is not None:
-            if self.arbiter.offer_message(self._pending_req_flit):
+            if offer(self._pending_req_flit):
                 self._pending_req_flit = None
                 if self.state is CoreState.WAIT_TX:
                     self._resume(cycle, cost=1)
             return
-        dma = self.dma
-        if dma is not None and dma.busy:
-            # The engine drains autonomously: activate the head
-            # descriptor and offer its current flit, one per cycle.
-            dma.pump()
+        if dma_busy:
+            # The engine drains autonomously: classify waiting NACKs,
+            # activate the head descriptor when none is streaming, and
+            # offer the current flit, one per cycle.
+            dma = self.dma
+            if dma._active is None or tie.mcast_nacks:
+                dma.pump()
             flit = dma.tx_current()
             if flit is not None:
-                if self.arbiter.offer_message(flit):
+                if offer(flit):
                     dma.tx_advance()
                 return
-        flit = self.tie.tx_current()
+        if tie.tx is None:
+            return
+        flit = tie.tx_current()
         if flit is None:
-            # tx_current() is None with a live tx exactly when the credit
-            # gate refused it; a blocked core is credit-stalled this cycle.
-            if self.tie.tx is not None and self.state is CoreState.WAIT_TX:
+            # None with a live tx: the credit gate refused it; a blocked
+            # core is credit-stalled this cycle.
+            if self.state is CoreState.WAIT_TX:
                 self._n_credit_wait += 1
             return
-        if self.arbiter.offer_message(flit):
-            finished = self.tie.tx_advance()
+        if offer(flit):
+            finished = tie.tx_advance()
             if finished and self.state is CoreState.WAIT_TX:
                 self._resume(cycle, cost=1)
 
@@ -751,19 +754,15 @@ class ProcessorNode(Component):
             if head.not_before <= cycle + 1:
                 return
             if self._nothing_but_backoff():
-                self.flush_op_stats()
                 self.sleep(until=head.not_before)
-                return
             return
         if self.state is CoreState.RUNNING:
             if self._ready_at > cycle + 1:
-                self.flush_op_stats()
                 self.sleep(until=self._ready_at)
             return
         if self.state is CoreState.WAIT_FENCE and self._pipeline_empty():
             return
         # Blocked on an external event (reply flit, message, token) or done.
-        self.flush_op_stats()
         if self.reliability is not None and self.reliability.wants_poll:
             # A starvation timer is armed: wake to check it even if no
             # flit ever arrives (the very loss being timed out on).
@@ -777,8 +776,12 @@ class ProcessorNode(Component):
     def flush_op_stats(self) -> None:
         """Fold the batched hot-path op counters into the CounterSet.
 
-        Called on every transition to sleep and before any external stats
-        read (``MedeaSystem.collect_stats``), so observers see exact values.
+        ``stats``, ``tie.stats`` and ``dma.stats`` are exact *when read
+        through* something that calls this first —
+        ``MedeaSystem.collect_stats``, the telemetry registry's ``flush=``
+        hook, :meth:`cycle_ledger`, ``telemetry.attribution`` — not at
+        every sleep: a tile that sleeps every other step would pay a
+        flush each time for a read that comes once per run or sample.
         """
         self.tie.flush_stats()
         if self.dma is not None:

@@ -270,9 +270,15 @@ class SendWindow:
         """The credit gate: those of ``members`` whose window does not
         admit ``slot`` yet (empty = the flit may go)."""
         credited = self.credited
+        plan = self.credit_plan
+        cap = self.retx_slots
         blocked = ()
         for member in members:
-            if slot >= credited.get(member, 0) + self.budget(member):
+            # budget(member), written out: this runs once per flit.
+            window = plan.get(member, CREDIT_LIMIT)
+            if cap is not None and cap < window:
+                window = cap
+            if slot >= credited.get(member, 0) + window:
                 blocked += (member,)
         return blocked
 
@@ -404,8 +410,8 @@ class TieInterface:
         #: Set when a flit arrives; the node uses it to re-check waiters.
         self.rx_event = False
         # Per-flit hot counters, batched as plain ints and folded into the
-        # CounterSet by flush_stats() whenever the owning node sleeps —
-        # the same pattern as the core/MPMMU counters.
+        # CounterSet by flush_stats() when the owning node's counters are
+        # read — the same pattern as the core/MPMMU counters.
         self._n_data_flits_sent = 0
         self._n_flits_received = [0, 0]  # per channel
         self._n_credit_stall_cycles = 0
@@ -525,16 +531,10 @@ class TieInterface:
         """The one place a message-path flit is built, on either channel."""
         if channel and dst != MULTICAST_DST:
             mask = 1 << dst  # an ordinary-routed copy of a group's flit
-        return Flit(
-            dst=dst,
-            src=self.node_id,
-            ptype=_PTYPE[channel],
-            subtype=int(subtype),
-            seq=seq,
-            burst=burst,
-            data=word,
-            dst_mask=mask,
-        )
+        # Positional (dst, src, ptype, subtype, seq, burst, data, dst_mask):
+        # keyword binding was a quarter of this function's cost.
+        return Flit(dst, self.node_id, _PTYPE[channel], int(subtype), seq,
+                    burst, word, mask)
 
     def data_flits(self, channel: int, dst: int, words: list[int], base: int,
                    gate: tuple[int, ...], mask: int = 0) -> list:
@@ -621,9 +621,9 @@ class TieInterface:
     def flush_stats(self) -> None:
         """Fold the batched per-flit counters into the CounterSet.
 
-        The owning node calls this from its own stats flush (every
-        transition to sleep and before any external stats read), so
-        observers always see exact values.
+        The owning node calls this from its own stats flush
+        (:meth:`~repro.pe.processor.ProcessorNode.flush_op_stats`, which
+        every reader of the counters goes through).
         """
         received = self._n_flits_received
         if self._n_data_flits_sent:

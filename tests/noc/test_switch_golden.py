@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan
 from repro.kernel.simulator import Simulator
 from repro.noc.flit import Flit
 from repro.noc.network import NocFabric
@@ -30,6 +31,7 @@ from repro.noc.topology import (
     ChipletTopology,
     FoldedTorusTopology,
     MeshTopology,
+    Topology,
 )
 
 
@@ -104,7 +106,8 @@ def _random_flit(rng, n_nodes, uid):
 def _clone(flit):
     return Flit(
         dst=flit.dst, src=flit.src, ptype=flit.ptype, subtype=flit.subtype,
-        seq=flit.seq, burst=flit.burst, data=flit.data, uid=flit.uid,
+        seq=flit.seq, burst=flit.burst, data=flit.data,
+        dst_mask=flit.dst_mask, uid=flit.uid,
         injected_at=flit.injected_at, hops=flit.hops,
         deflections=flit.deflections,
     )
@@ -203,6 +206,394 @@ def test_scratch_reuse_is_equivalent_to_fresh_outcomes():
         )
         assert reused.deflections == fresh.deflections
         assert reused.eject_overflow == fresh.eject_overflow
+
+
+# -- the multicast router against the bodies it replaced ----------------------
+#
+# ``_reference_copy_flit`` / ``_reference_route_multicast`` /
+# ``_reference_place_multicast`` are the router's multicast functions as
+# they stood before branch plans became a table (the mask is re-partitioned
+# for every flit, into a fresh list), moved here unchanged but for their
+# names.  ``_reference_route_mixed`` puts the verbatim-simple unicast form
+# around them, with the fault layer's port mask and rerouted table.
+
+def _reference_copy_flit(flit: Flit, dst: int, dst_mask: int) -> Flit:
+    """A replica of ``flit`` (fresh uid, same age/protocol fields)."""
+    return Flit(
+        dst=dst,
+        src=flit.src,
+        ptype=flit.ptype,
+        subtype=flit.subtype,
+        seq=flit.seq,
+        burst=flit.burst,
+        data=flit.data,
+        dst_mask=dst_mask,
+        crc=flit.crc,
+        injected_at=flit.injected_at,
+        hops=flit.hops,
+        deflections=flit.deflections,
+    )
+
+
+def _reference_route_multicast(
+    node: int,
+    mcast: list[Flit],
+    free_mask: int,
+    eject_budget: int,
+    topology: Topology,
+    out: RoutingOutcome,
+    spill: bool = False,
+    productive: list[tuple[int, ...]] | None = None,
+) -> int:
+    """Place every transit MULTICAST flit; returns the updated free mask.
+
+    Multicast flits have the lowest transit priority (unicast contenders
+    were placed first), are processed oldest first among themselves, and
+    each is guaranteed one output port by the deflection invariant; extra
+    branch splits only consume ports that no younger multicast flit still
+    needs (``reserve``).
+    """
+    if len(mcast) > 1:
+        mcast.sort(key=_age_key)
+    for index, flit in enumerate(mcast):
+        reserve = len(mcast) - index - 1
+        if flit.dst_mask & (1 << node):
+            if eject_budget > 0:
+                eject_budget -= 1
+                remaining = flit.dst_mask & ~(1 << node)
+                if remaining == 0:
+                    # Last destination: the flit itself leaves the network.
+                    flit.dst = node
+                    flit.dst_mask = 0
+                    out.ejected.append(flit)
+                    continue
+                copy = _reference_copy_flit(flit, dst=node, dst_mask=1 << node)
+                out.flit_copies += 1
+                out.ejected.append(copy)
+                flit.dst_mask = remaining
+            else:
+                # Ejection port saturated: keep the local bit set so the
+                # flit recirculates and retries — the hot-potato answer.
+                out.eject_overflow += 1
+        free_mask, placed = _reference_place_multicast(
+            node, flit, free_mask, reserve, topology, out, must_place=True,
+            spill=spill, productive=productive,
+        )
+        assert placed, "multicast transit flit must always find a port"
+    return free_mask
+
+
+def _reference_place_multicast(
+    node: int,
+    flit: Flit,
+    free_mask: int,
+    reserve: int,
+    topology: Topology,
+    out: RoutingOutcome,
+    must_place: bool,
+    spill: bool = False,
+    productive: list[tuple[int, ...]] | None = None,
+) -> tuple[int, bool]:
+    """Replicate one multicast flit toward its tree branches.
+
+    Partitions the flit's remaining mask by each destination's preferred
+    productive direction, places one copy per branch whose port is free
+    (keeping ``reserve`` ports for later flits), merges unplaceable
+    branches into the first placed copy, and deflects the whole flit when
+    no branch port is free.  Returns ``(free_mask, placed)``.
+    """
+    if productive is None:
+        productive = topology.productive_table
+    base = node * topology.n_nodes
+    local_bit = (1 << node) & flit.dst_mask  # deferred local delivery
+    groups = [0] * len(out.outputs)
+    m = flit.dst_mask & ~local_bit
+    while m:
+        bit = m & -m
+        m ^= bit
+        dirs = productive[base + (bit.bit_length() - 1)]
+        if dirs:
+            groups[dirs[0]] |= bit
+        else:
+            # Unreachable under a fault-rerouted table (partitioned
+            # network): keep the bit on the flit; it rides along until
+            # the watchdog reports the partition.
+            local_bit |= bit
+    outputs = out.outputs
+    free_count = free_mask.bit_count()
+    first_copy: Flit | None = None
+    deferred = local_bit
+    # An extra branch copy may take a port only while the ports left
+    # afterwards cover every younger multicast flit's guaranteed placement
+    # plus the topology's split slack (grids keep one spare port for local
+    # injection; a chiplet hub needs the exact bound — see
+    # ``Topology.mcast_split_slack``).
+    needed = reserve + topology.mcast_split_slack
+    for direction in range(len(groups)):
+        branch = groups[direction]
+        if not branch:
+            continue
+        bit = 1 << direction
+        if free_mask & bit and (first_copy is None or free_count > needed):
+            if first_copy is None:
+                flit.dst_mask = branch
+                outputs[direction] = flit
+                first_copy = flit
+            else:
+                copy = _reference_copy_flit(flit, dst=flit.dst, dst_mask=branch)
+                out.flit_copies += 1
+                outputs[direction] = copy
+            free_mask ^= bit
+            free_count -= 1
+        else:
+            deferred |= branch
+    if first_copy is not None:
+        if deferred:
+            first_copy.dst_mask |= deferred
+        return free_mask, True
+    # No branch port was free: send the whole flit out any free port
+    # (deterministic scan order), mask intact.  For transit flits this
+    # is a deflection and is counted as one; an injection taking a
+    # non-productive first hop is not (matching the unicast rule).
+    for direction in topology.ports_table[node]:
+        bit = 1 << direction
+        if free_mask & bit:
+            flit.dst_mask = deferred
+            outputs[direction] = flit
+            if must_place:
+                flit.deflections += 1
+                out.deflections += 1
+            return free_mask ^ bit, True
+    if must_place and spill:
+        # Same fault-mask activation transient as the unicast spill path:
+        # drain across a masked-but-present wire rather than drop.
+        for direction in topology.ports_table[node]:
+            if outputs[direction] is None:
+                flit.dst_mask = deferred
+                outputs[direction] = flit
+                flit.deflections += 1
+                out.deflections += 1
+                return free_mask, True
+    assert not must_place, "deflection invariant violated for multicast flit"
+    return free_mask, False
+
+
+def _reference_route_mixed(node, inputs, inject, topology, eject_capacity,
+                           port_mask=-1, productive=None):
+    if productive is None:
+        productive = topology.productive_table
+    base = node * topology.n_nodes
+    ports = topology.ports_of(node)
+    out = RoutingOutcome(n_ports=topology.max_ports)
+    unicast = [flit for flit in inputs if flit.dst >= 0]
+    mcast = [flit for flit in inputs if flit.dst < 0]
+
+    arrived = sorted((f for f in unicast if f.dst == node), key=_age_key)
+    out.ejected.extend(arrived[:eject_capacity])
+    recirculating = arrived[eject_capacity:]
+    out.eject_overflow = len(recirculating)
+
+    free = set(ports) if port_mask < 0 else {
+        port for port in ports if port_mask >> port & 1
+    }
+    transit = [flit for flit in unicast if flit.dst != node]
+    for flit in sorted(transit + recirculating, key=_age_key):
+        productive_free = [d for d in productive[base + flit.dst] if d in free]
+        if productive_free:
+            direction = productive_free[0]
+        else:
+            # Deflect; under a fault mask, spill onto a masked idle wire.
+            spare = [d for d in ports if d in free] or [
+                d for d in ports if port_mask >= 0 and out.outputs[d] is None
+            ]
+            direction = spare[0]
+            flit.deflections += 1
+            out.deflections += 1
+        out.outputs[direction] = flit
+        free.discard(direction)
+
+    free_mask = sum(1 << direction for direction in free)
+    if mcast:
+        free_mask = _reference_route_multicast(
+            node, mcast, free_mask, eject_capacity - len(out.ejected),
+            topology, out, spill=port_mask >= 0, productive=productive,
+        )
+    if inject is not None and free_mask:
+        if inject.dst < 0:
+            out.injected = _reference_place_multicast(
+                node, inject, free_mask, 0, topology, out, must_place=False,
+                productive=productive,
+            )[1]
+            return out
+        free = [d for d in range(topology.max_ports) if free_mask >> d & 1]
+        productive_free = [d for d in productive[base + inject.dst] if d in free]
+        out.outputs[(productive_free or free)[0]] = inject
+        out.injected = True
+    return out
+
+
+def _draw_mask(rng, n_nodes, node, exclude):
+    """1 ... n-1 destination bits, with or without ``node``'s own."""
+    others = [n for n in range(n_nodes) if n not in (node, exclude)]
+    members = rng.sample(others, rng.randrange(1, len(others) + 1))
+    if rng.random() < 0.3:
+        members = members[:-1] + [node]  # the local bit, possibly alone
+    return sum(1 << member for member in members)
+
+
+def _draw_flit(rng, topology, node, serial, multicast, mask_bits=None):
+    """A transit flit at ``node``; ``data`` = ``serial`` identifies it and
+    its copies across the two routers (uids are drawn per copy)."""
+    n_nodes = topology.n_nodes
+    src = rng.randrange(n_nodes)
+    common = dict(src=src, data=serial, uid=serial,
+                  injected_at=rng.randrange(0, 6),
+                  deflections=rng.randrange(0, 3))
+    if not multicast:
+        return Flit(dst=rng.randrange(n_nodes), ptype=PacketType.MESSAGE,
+                    **common)
+    if mask_bits == 1:
+        mask = 1 << rng.choice([n for n in range(n_nodes) if n != src])
+    else:
+        mask = _draw_mask(rng, n_nodes, node, src)
+    return Flit(dst=-1, ptype=PacketType.MULTICAST, dst_mask=mask, **common)
+
+
+def _fields(flit):
+    if flit is None:
+        return None
+    return (flit.data, flit.dst, flit.dst_mask, flit.src, flit.injected_at,
+            flit.hops, flit.deflections)
+
+
+def _assert_same_mixed_outcome(case, got, expected, flits, ref_flits):
+    assert [_fields(f) for f in got.outputs] == [
+        _fields(f) for f in expected.outputs
+    ], f"{case}: outputs differ"
+    assert [_fields(f) for f in got.ejected] == [
+        _fields(f) for f in expected.ejected
+    ], f"{case}: ejected differ"
+    for name in ("injected", "deflections", "eject_overflow", "flit_copies"):
+        assert getattr(got, name) == getattr(expected, name), f"{case}: {name}"
+    # Input flits are mutated in place (mask narrowing, deflection counts).
+    assert [_fields(f) for f in flits] == [
+        _fields(f) for f in ref_flits
+    ], f"{case}: an input flit diverged"
+
+
+def _run_mixed_equivalence(topology, rng, rounds, tables=None):
+    """Drawn rows through ``route_node`` and the reference.
+
+    ``tables`` (a callable) yields ``(port_mask, productive, plans)`` per
+    case: the fault layer's view.  Default: a random live-port subset in a
+    quarter of the cases, the pristine table otherwise.
+    """
+    scratch = RoutingOutcome(n_ports=topology.max_ports)
+    serial = 0
+    for case in range(rounds):
+        node = rng.randrange(topology.n_nodes)
+        ports = topology.ports_of(node)
+        flits = []
+        for _ in range(rng.randrange(0, len(ports) + 1)):
+            serial += 1
+            flits.append(_draw_flit(rng, topology, node, serial,
+                                    multicast=rng.random() < 0.6,
+                                    mask_bits=rng.choice((1, None))))
+        inject = None
+        kind = rng.choice(("none", "unicast", "one-bit", "many-bit"))
+        if kind != "none":
+            serial += 1
+            inject = _draw_flit(rng, topology, node, serial,
+                                multicast=kind != "unicast",
+                                mask_bits=1 if kind == "one-bit" else None)
+            inject.src = node
+            inject.dst_mask &= ~(1 << node)
+            if inject.dst == node or (inject.dst < 0 and not inject.dst_mask):
+                inject = None  # the fabric never routes these
+        if tables is not None:
+            port_mask, productive, plans = tables(node)
+        else:
+            port_mask, productive, plans = -1, None, None
+            if rng.random() < 0.25:
+                port_mask = sum(1 << p for p in ports if rng.random() < 0.7)
+        eject_capacity = rng.choice((1, 2))
+
+        ref_flits = [_clone(flit) for flit in flits]
+        ref_inject = _clone(inject) if inject is not None else None
+        expected = _reference_route_mixed(
+            node, ref_flits, ref_inject, topology, eject_capacity,
+            port_mask, productive,
+        )
+        got = route_node(
+            node, flits, inject, topology, eject_capacity, out=scratch,
+            port_mask=port_mask, productive=productive,
+            **({} if plans is None else {"plans": plans}),
+        )
+        _assert_same_mixed_outcome(
+            f"{topology.kind} case {case} node {node} mask {port_mask}",
+            got, expected,
+            flits + ([inject] if inject else []),
+            ref_flits + ([ref_inject] if ref_inject else []),
+        )
+
+
+_MIXED_TOPOLOGIES = [
+    MeshTopology(4, 3),
+    FoldedTorusTopology(3, 3),
+    # Hub and gateways; the one family with mcast_split_slack 0.
+    ChipletTopology(3, 2, 2, link_latency=4, link_serialization=2),
+]
+
+
+@pytest.mark.parametrize("topology", _MIXED_TOPOLOGIES,
+                         ids=lambda topology: topology.kind)
+def test_multicast_router_matches_reference_on_mixed_rows(topology):
+    assert topology.mcast_split_slack == (topology.kind != "chiplet")
+    _run_mixed_equivalence(topology, random.Random(0x5EED), rounds=3000)
+
+
+@pytest.mark.parametrize("topology", _MIXED_TOPOLOGIES,
+                         ids=lambda topology: topology.kind)
+def test_branch_plans_do_not_leak_across_rerouted_tables(topology):
+    """Two link kills in a row: the plans looked up after each one must
+    come from *that* kill's table, and the pristine table's plans must
+    survive untouched beside them."""
+    rng = random.Random(0xDEAD)
+    middle = topology.n_nodes // 2
+    injector = FaultInjector(
+        FaultPlan(dead_links=(
+            (middle, topology.ports_of(middle)[0], 0),
+            (1, topology.ports_of(1)[0], 10),
+        )),
+        topology,
+    )
+
+    def rerouted(at):
+        return (injector.out_mask(at), injector.productive_override,
+                injector.mcast_plans)
+
+    _run_mixed_equivalence(topology, rng, rounds=600)
+    injector.advance(0)
+    _run_mixed_equivalence(topology, rng, rounds=1500, tables=rerouted)
+    stale = injector.mcast_plans
+    assert stale, "the rerouted table's plans were never filled"
+    injector.advance(10)
+    assert injector.mcast_plans is not stale and not injector.mcast_plans
+    _run_mixed_equivalence(topology, rng, rounds=1500, tables=rerouted)
+    _run_mixed_equivalence(topology, rng, rounds=600)
+
+
+def test_branch_plan_table_is_bounded():
+    from repro.noc import switch
+
+    topology = MeshTopology(4, 4)
+    rng = random.Random(1)
+    for serial in range(3 * switch.PLAN_TABLE_LIMIT // 2):
+        mask = rng.randrange(1, 1 << topology.n_nodes) & ~1
+        flit = Flit(dst=-1, src=0, ptype=PacketType.MULTICAST,
+                    dst_mask=mask or 2, injected_at=0)
+        route_node(5, [flit], None, topology)
+        assert len(topology.mcast_plans) <= switch.PLAN_TABLE_LIMIT
 
 
 # -- the fabric's lone-flit bypass against route_node -------------------------
