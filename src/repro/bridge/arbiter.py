@@ -57,6 +57,9 @@ class NocAccessArbiter:
         self.name = name
         self.stats = CounterSet(name)
         self._last_granted: TrafficClass = TrafficClass.MEMORY
+        #: Flits accepted from either interface and not yet granted; a
+        #: plain count so the owning node's step can test it for free.
+        self.n_pending = 0
         # _hp_q/_be_q (drain side) and _msg_q/_mem_q (offer side) are the
         # FIFO modes' queues; MUX keeps only the slot pair and leaves
         # these None.
@@ -89,6 +92,7 @@ class NocAccessArbiter:
             self.stats.inc("mux_busy_rejects")
             return False
         self._slots[traffic_class] = flit
+        self.n_pending += 1
         return True
 
     def offer_message(self, flit: Flit) -> bool:
@@ -97,6 +101,7 @@ class NocAccessArbiter:
         if queue is None:
             return self._offer_slot(TrafficClass.MESSAGE, flit)
         if queue.try_push(flit):
+            self.n_pending += 1
             return True
         self.stats.inc("fifo_full_rejects")
         return False
@@ -107,6 +112,7 @@ class NocAccessArbiter:
         if queue is None:
             return self._offer_slot(TrafficClass.MEMORY, flit)
         if queue.try_push(flit):
+            self.n_pending += 1
             return True
         self.stats.inc("fifo_full_rejects")
         return False
@@ -130,6 +136,7 @@ class NocAccessArbiter:
             self.stats.inc("be_grants")
             flit = be.pop()
         if flit is not None:
+            self.n_pending -= 1
             if not self.port.try_inject(flit):
                 raise ProtocolError(
                     f"{self.name}: injection port reported free but rejected flit"
@@ -157,11 +164,7 @@ class NocAccessArbiter:
 
     @property
     def has_pending(self) -> bool:
-        hp = self._hp_q
-        if hp is not None:
-            be = self._be_q
-            return bool(hp._items) or (be is not None and bool(be._items))
-        return any(flit is not None for flit in self._slots.values())
+        return self.n_pending > 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<NocAccessArbiter {self.name} {self.mode.value}>"

@@ -69,10 +69,11 @@ class L1Cache:
         self.assoc = assoc
         self.n_sets = n_sets
         self.policy = policy
-        self._sets = [
-            [CacheLine(self.words_per_line) for _ in range(assoc)]
-            for _ in range(n_sets)
-        ]
+        # A set no refill has reached yet is the shared empty tuple (every
+        # tag scan iterates the set, so lookups need not know); install()
+        # allocates its ``assoc`` lines.  Building them all up front was
+        # most of a 64-tile system's construction time.
+        self._sets: list[tuple | list[CacheLine]] = [()] * n_sets
         self._tick = 0
         self.stats = CounterSet(name)
 
@@ -146,8 +147,11 @@ class L1Cache:
         The victim is *not* modified; call :meth:`install` afterwards.
         """
         set_index, __ = self._locate(addr)
+        ways = self._sets[set_index]
+        if not ways:  # nothing was ever installed here: no write-back
+            return False, 0, []
         victim = None
-        for line in self._sets[set_index]:
+        for line in ways:
             if not line.valid:
                 return False, 0, []
             if victim is None or line.lru < victim.lru:
@@ -166,6 +170,10 @@ class L1Cache:
                 f"got {len(words)}"
             )
         set_index, tag = self._locate(addr)
+        if not self._sets[set_index]:
+            self._sets[set_index] = [
+                CacheLine(self.words_per_line) for _ in range(self.assoc)
+            ]
         victim = None
         for line in self._sets[set_index]:
             if not line.valid:

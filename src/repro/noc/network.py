@@ -81,7 +81,8 @@ class InjectionPort:
         self.pending = flit
         fabric._work.add(self.node)
         fabric._flit_count += 1
-        fabric.wake()
+        if not fabric.active:
+            fabric.wake()
         return True
 
 
@@ -99,12 +100,8 @@ class EjectionPort:
     def __init__(self, node: int) -> None:
         self.node = node
         self.queue: Fifo[Flit] = Fifo(capacity=None, name=f"eject[{node}]")
+        #: Woken by the fabric when a flit lands in ``queue``.
         self.owner: Component | None = None
-
-    def deliver(self, flit: Flit) -> None:
-        self.queue.push(flit)
-        if self.owner is not None:
-            self.owner.wake()
 
 
 class NodePorts:
@@ -408,14 +405,16 @@ class NocFabric(Component):
                 # The register row is handed to the router as-is (it
                 # skips idle links); clear it only after routing has
                 # read it.
-                outcome = route_node(
-                    node, row, inject, topo, eject_capacity, out=scratch,
-                    port_mask=faults.out_mask(node) if masks_active else -1,
-                    productive=(
-                        faults.productive_override if masks_active else None
-                    ),
-                    plans=faults.mcast_plans if masks_active else None,
-                )
+                if masks_active:
+                    outcome = route_node(
+                        node, row, inject, topo, eject_capacity, scratch,
+                        faults.out_mask(node), faults.productive_override,
+                        faults.mcast_plans,
+                    )
+                else:
+                    outcome = route_node(
+                        node, row, inject, topo, eject_capacity, scratch
+                    )
                 row[:] = idle_row
                 for flit in outcome.ejected:
                     if self._eject(port, flit, cycle):
@@ -532,7 +531,11 @@ class NocFabric(Component):
             self.events.emit(
                 cycle, port.node, EJECT, flit.uid, (flit.ptype.name, latency)
             )
-        port.eject.deliver(flit)
+        eject = port.eject
+        eject.queue.push(flit)
+        owner = eject.owner
+        if owner is not None and not owner.active:
+            owner.wake()
         return True
 
     # -- telemetry spatial view ----------------------------------------------

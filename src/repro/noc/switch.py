@@ -276,6 +276,16 @@ def route_node(
                 # flit by tests/noc/test_switch_golden.py.
                 outputs[plan[1]] = flit
                 free_mask ^= plan[0]
+            elif free_mask and len(plan[2]) < 2:
+                # Nothing to split, and the one port taken (or only the
+                # local bit left while the ejection port is saturated):
+                # the whole flit deflects to the lowest free port, which
+                # is where _place_multicast's scan ends up.  Same test.
+                bit = free_mask & -free_mask
+                outputs[bit.bit_length() - 1] = flit
+                free_mask ^= bit
+                flit.deflections += 1
+                out.deflections += 1
             else:
                 free_mask = _place_multicast(
                     node, flit, plan, free_mask, reserve, topology, out,

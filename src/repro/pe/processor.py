@@ -272,9 +272,12 @@ class ProcessorNode(Component):
             self._execute(cycle)
         # Arbiter grant: skipped when it has no flit and no busy port to
         # account for (tick would be side-effect free).
-        if arbiter.port.pending is not None or arbiter.has_pending:
+        if arbiter.port.pending is not None or arbiter.n_pending:
             arbiter.tick()
-        self._phase_sleep(cycle)
+        # A running core that will be ready within a cycle stays awake,
+        # whatever else is pending; only otherwise is sleep worth weighing.
+        if self.state is not CoreState.RUNNING or self._ready_at > cycle + 1:
+            self._phase_sleep(cycle)
 
     # 1 -------------------------------------------------------------------------------
 
@@ -730,15 +733,11 @@ class ProcessorNode(Component):
     # -- sleep decision --------------------------------------------------------------------------
 
     def _phase_sleep(self, cycle: int) -> None:
-        # Fast path: a running core that will be ready within a cycle
-        # always stays awake, whatever else is pending.
-        if self.state is CoreState.RUNNING and self._ready_at <= cycle + 1:
-            return
         if self._rx_items:
             return
         if self.bridge._outgoing:
             return
-        if self.arbiter.has_pending:
+        if self.arbiter.n_pending:
             return
         if (
             self.tie.tx is not None

@@ -94,6 +94,30 @@ def test_victim_for_prefers_invalid_way():
     assert not needs_wb  # an invalid way exists
 
 
+def test_lines_are_allocated_per_set_on_first_install():
+    """An untouched set costs nothing: a 16 kB cache that served k distinct
+    sets holds exactly k * assoc lines, however it was probed meanwhile."""
+    cache = make_cache(size=16 * 1024, assoc=2)
+
+    def lines():
+        return sum(len(ways) for ways in cache._sets)
+
+    assert lines() == 0
+    assert cache.lookup(0x40) is None and cache.probe(0x40) is None
+    assert cache.victim_for(0x40) == (False, 0, [])  # nothing to write back
+    assert cache.writeback_line(0x40) is None
+    assert not cache.invalidate_line(0x40)
+    assert lines() == 0
+    for k, set_index in enumerate((0, 5, 17, cache.n_sets - 1), start=1):
+        addr = set_index * 16
+        cache.install(addr, [k] * 4)
+        cache.install(addr + cache.n_sets * 16, [k] * 4)  # same set, way 2
+        cache.install(addr + 2 * cache.n_sets * 16, [k] * 4)  # an eviction
+        assert lines() == k * cache.assoc
+        assert cache.lookup(addr + 2 * cache.n_sets * 16).words == [k] * 4
+    assert cache.stats["evictions_clean"] == 4
+
+
 def test_dirty_eviction_returns_writeback_data():
     cache = make_cache(size=64, assoc=2)
     set_stride = cache.n_sets * 16

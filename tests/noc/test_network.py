@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PacketFormatError, ProtocolError
+from repro.errors import PacketFormatError, ProtocolError, SimulationError
 from repro.kernel.component import Component
 from repro.kernel.simulator import Simulator
 from repro.noc.flit import Flit
 from repro.noc.network import NocFabric
 from repro.noc.packet import PacketType
-from repro.noc.topology import FoldedTorusTopology
+from repro.noc.coords import NORTH
+from repro.noc.topology import FoldedTorusTopology, MeshTopology
 
 
 class Collector(Component):
@@ -229,3 +230,21 @@ def test_mean_latency_reasonable_under_light_load():
     sim.run(max_cycles=200)
     # Light load: latency should be close to hop distance + injection.
     assert fabric.latency.mean <= 6.0
+
+
+def test_deflection_invariant_breach_in_the_fabric_names_cycle_node_and_flit():
+    # A routing table pointing a mesh corner off the edge: no topology
+    # builds one, so write it by hand.
+    topology = MeshTopology(3, 3)
+    assert topology.neighbor_table[0][NORTH] < 0
+    topology.productive_table[0 * 9 + 8] = (NORTH,)
+    sim = Simulator()
+    fabric = NocFabric(topology)
+    sim.register(fabric)
+    flit = Flit(dst=8, src=0, ptype=PacketType.MESSAGE)
+    assert fabric.ports_of(0).inject.try_inject(flit)
+    with pytest.raises(
+        SimulationError,
+        match=rf"cycle 0: node 0 routed .*#{flit.uid}\b.* to a missing link",
+    ):
+        sim.run(max_cycles=5)

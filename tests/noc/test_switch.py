@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.errors import SimulationError
 from repro.noc.coords import EAST
 from repro.noc.flit import Flit
 from repro.noc.packet import PacketType
 from repro.noc.switch import route_node
-from repro.noc.topology import FoldedTorusTopology
+from repro.noc.topology import FoldedTorusTopology, MeshTopology
 
 TOPO = FoldedTorusTopology(4, 4)
 
@@ -148,3 +151,33 @@ def test_hops_not_modified_by_switch():
     flit = make_flit(TOPO.node_at(1, 0))
     route_node(node, [flit], None, TOPO)
     assert flit.hops == 0
+
+
+# -- the deflection invariant is a typed error, with or without ``python -O`` --
+
+
+def test_deflection_invariant_breach_names_node_and_unicast_flit():
+    # A mesh corner has two output ports: a third transit flit (a row no
+    # fabric can produce) has nowhere to go.
+    mesh = MeshTopology(3, 3)
+    flits = [make_flit(dst=8, injected_at=age) for age in range(3)]
+    with pytest.raises(
+        SimulationError,
+        match=rf"must always place a transit flit: .* node 0 .*#{flits[2].uid}\b",
+    ):
+        route_node(0, flits, None, mesh)
+
+
+def test_deflection_invariant_breach_names_node_and_multicast_flit():
+    mesh = MeshTopology(3, 3)
+    flits = [
+        Flit(dst=-1, src=1, ptype=PacketType.MULTICAST, dst_mask=1 << 8,
+             injected_at=age)
+        for age in range(3)
+    ]
+    with pytest.raises(
+        SimulationError,
+        match=rf"must always place a multicast transit flit: .* node 0 "
+              rf".*#{flits[2].uid}\b",
+    ):
+        route_node(0, flits, None, mesh)

@@ -599,14 +599,19 @@ def test_branch_plan_table_is_bounded():
 # -- the fabric's lone-flit bypass against route_node -------------------------
 
 
-def _step_fabric(topology, node, latched, cycle, inject=None, spatial=False):
+def _step_fabric(topology, node, latched, cycle, inject=None, spatial=False,
+                 faults=None):
     """One fabric step with ``latched`` (``{in_port: flit}``) in ``node``'s
-    input registers, ``inject`` in its injection slot, nothing elsewhere."""
-    fabric = NocFabric(topology)
+    input registers, ``inject`` in its injection slot, nothing elsewhere.
+    ``faults`` is a plan for the fabric's :class:`FaultInjector`."""
+    injector = None if faults is None else FaultInjector(faults, topology)
+    fabric = NocFabric(topology, faults=injector)
     if spatial:
         fabric.enable_spatial()
     Simulator().register(fabric)
     for in_port, flit in latched.items():
+        if injector is not None:
+            injector.stamp(flit)  # as its injection port would have
         fabric.regs[node][in_port] = flit
     fabric._work.add(node)
     fabric._flit_count = len(latched)
@@ -620,61 +625,153 @@ def _step_lone_flit(topology, node, in_port, flit, cycle, spatial=False):
     return _step_fabric(topology, node, {in_port: flit}, cycle, spatial=spatial)
 
 
+def _assert_step_equals_router(case, topology, node, latched, inject,
+                               faults=None, cycle=9):
+    """One fabric step over ``node`` must leave exactly what ``route_node``
+    says: the same flits ejected (in order), the same flit on the far end
+    of every output port's link, the same counters."""
+    flits = list(latched.values()) + ([inject] if inject is not None else [])
+    original = {flit.uid: flit for flit in flits}
+    hops_before = {flit.uid: flit.hops for flit in flits}
+    twin_inject = _clone(inject) if inject is not None else None
+    if twin_inject is not None and twin_inject.dst < 0:
+        twin_inject.injected_at = cycle  # the fabric stamps these first
+    expected = route_node(
+        node, [_clone(flit) for flit in latched.values()], twin_inject,
+        topology,
+    )
+    assert not expected.flit_copies, f"{case}: not a bypass candidate"
+    fabric = _step_fabric(topology, node, latched, cycle, inject, faults=faults)
+    stats = fabric.stats
+
+    assert fabric.regs[node] == [None] * topology.max_ports, case
+    queue = fabric.ports[node].eject.queue
+    for twin in expected.ejected:
+        flit = queue.pop()
+        assert flit is original[twin.uid], case
+        assert (flit.dst, flit.dst_mask) == (twin.dst, twin.dst_mask), case
+        assert flit.hops == hops_before[flit.uid], case
+    assert queue.empty, case
+    ejected_hops = sum(hops_before[twin.uid] for twin in expected.ejected)
+    assert stats["flits_ejected"] == len(expected.ejected), case
+    assert stats["flit_hops"] == ejected_hops, case
+    assert fabric.latency.count == len(expected.ejected), case
+    assert fabric.latency.total == sum(
+        cycle - twin.injected_at + 1 for twin in expected.ejected
+    ), case
+
+    slot = fabric.ports[node].inject
+    assert stats["flits_injected"] == slot.injected == expected.injected, case
+    assert stats["injection_stalls"] == 0 and slot.pending is None, case
+    if inject is not None:
+        assert inject.injected_at == cycle, case
+    assert stats["deflections"] == expected.deflections == 0, case
+    assert stats["eject_overflows"] == expected.eject_overflow == 0, case
+
+    forwarded = 0
+    due_nodes = set()
+    for direction, twin in enumerate(expected.outputs):
+        if twin is None:
+            continue
+        forwarded += 1
+        flit = original[twin.uid]
+        assert (flit.dst, flit.dst_mask) == (twin.dst, twin.dst_mask), case
+        assert flit.deflections == twin.deflections == 0, case
+        assert flit.hops == hops_before[flit.uid] + 1, case
+        neighbor = topology.neighbor_table[node][direction]
+        arrives_on = topology.reverse_port_table[node][direction]
+        latency = topology.link_latency_table[node][direction]
+        ser = topology.link_ser_table[node][direction]
+        if latency == 1 and ser == 1:
+            assert fabric.regs[neighbor][arrives_on] is flit, case
+            due_nodes.add(neighbor)
+        else:
+            ((due, __, to_node, to_port, moved),) = fabric._delayed
+            assert (due, to_node, to_port) == (
+                cycle + latency, neighbor, arrives_on
+            ), case
+            assert moved is flit, case
+            wire = node * topology.max_ports + direction
+            assert fabric._wire_free[wire] == cycle + ser, case
+    assert forwarded <= 1, f"{case}: not a bypass candidate"
+    assert fabric._work == due_nodes, case
+    assert len(fabric._delayed) == forwarded - len(due_nodes), case
+    assert fabric.flits_in_network == forwarded, case
+    if not due_nodes:
+        assert not fabric.active, case  # asleep until the next arrival
+
+
+#: A fault plan whose port masks never activate (nothing killed or
+#: stalled): its fabric must take the bypass like a fault-free one.
+_MASKS_INACTIVE = FaultPlan(seed=1, drop_credits=((0, 1, 1),))
+
+
+@pytest.mark.parametrize("faults", [None, _MASKS_INACTIVE],
+                         ids=["fault-free", "inactive-masks"])
 @pytest.mark.parametrize("topology", [
     MeshTopology(4, 3),
     FoldedTorusTopology(3, 3),
     ChipletTopology(3, 2, 2, link_latency=4, link_serialization=2),
 ], ids=lambda topology: topology.kind)
-def test_lone_flit_bypass_matches_route_node_everywhere(topology):
-    cycle = 9
-    for node in range(topology.n_nodes):
-        for in_port in topology.ports_of(node):
-            for dst in range(topology.n_nodes):
-                flit = Flit(dst=dst, src=(dst + 1) % topology.n_nodes,
-                            ptype=PacketType.MESSAGE, injected_at=3, hops=2)
-                twin = _clone(flit)
-                expected = route_node(node, [twin], None, topology)
-                fabric = _step_lone_flit(topology, node, in_port, flit, cycle)
+def test_lone_flit_bypass_matches_route_node_everywhere(
+    topology, faults, monkeypatch
+):
+    """Every uncontended switch the fabric does not hand to the router —
+    a lone transit flit (unicast, or multicast with one branch), a lone
+    injection of either kind, each also beside one flit ejecting here —
+    for every (switch, input link, destination)."""
+    import repro.noc.network as network
+
+    routed = []
+
+    def spy(node, *args, **kwargs):
+        routed.append(node)
+        return route_node(node, *args, **kwargs)
+
+    monkeypatch.setattr(network, "route_node", spy)
+    n_nodes = topology.n_nodes
+
+    def unicast(dst, hops=2):
+        return Flit(dst=dst, src=(dst + 1) % n_nodes,
+                    ptype=PacketType.MESSAGE, injected_at=3, hops=hops)
+
+    def one_bit(dst, hops=2):
+        return Flit(dst=-1, src=(dst + 1) % n_nodes, dst_mask=1 << dst,
+                    ptype=PacketType.MULTICAST, injected_at=3, hops=hops)
+
+    for node in range(n_nodes):
+        ports = topology.ports_of(node)
+        for in_port in ports:
+            for dst in range(n_nodes):
                 case = f"node {node} in_port {in_port} dst {dst}"
-                stats = fabric.stats
-                assert fabric.regs[node][in_port] is None, case
-                assert flit.deflections == twin.deflections == 0, case
-                assert stats["deflections"] == expected.deflections == 0, case
-                queue = fabric.ports[node].eject.queue
-                if expected.ejected:
-                    assert dst == node, case
-                    assert queue.pop() is flit and queue.empty, case
-                    assert flit.hops == 2, case
-                    assert stats["flits_ejected"] == 1, case
-                    assert stats["flit_hops"] == 2, case
-                    assert fabric.latency.count == 1, case
-                    assert fabric.latency.total == cycle - 3 + 1, case
-                    assert fabric.flits_in_network == 0, case
-                    assert not fabric.active, case
+                for make in (unicast, one_bit):
+                    _assert_step_equals_router(
+                        f"{case} lone {make.__name__}", topology, node,
+                        {in_port: make(dst)}, None, faults,
+                    )
+                if dst == node:
                     continue
-                (direction,) = [
-                    port for port, out in enumerate(expected.outputs)
-                    if out is not None
-                ]
-                neighbor = topology.neighbor_table[node][direction]
-                arrives_on = topology.reverse_port_table[node][direction]
-                latency = topology.link_latency_table[node][direction]
-                ser = topology.link_ser_table[node][direction]
-                assert queue.empty and stats["flits_ejected"] == 0, case
-                assert flit.hops == 3, case
-                assert fabric.flits_in_network == 1, case
-                if latency == 1 and ser == 1:
-                    assert fabric.regs[neighbor][arrives_on] is flit, case
-                    assert not fabric._delayed, case
-                    assert fabric._work == {neighbor}, case
-                else:
-                    ((due, __, to_node, to_port, moved),) = fabric._delayed
-                    assert (due, to_node, to_port) == (
-                        cycle + latency, neighbor, arrives_on
-                    ), case
-                    assert moved is flit, case
-                    wire = node * topology.max_ports + direction
-                    assert fabric._wire_free[wire] == cycle + ser, case
+                for make in (unicast, one_bit):
+                    kind = make.__name__
+                    if in_port == ports[0]:
+                        _assert_step_equals_router(
+                            f"{case} lone {kind} injection", topology, node,
+                            {}, make(dst, hops=0), faults,
+                        )
+                    _assert_step_equals_router(
+                        f"{case} {kind} injection beside an arrival",
+                        topology, node, {in_port: one_bit(node)},
+                        make(dst, hops=0), faults,
+                    )
+                    if len(ports) > 1:
+                        other = ports[(ports.index(in_port) + 1) % len(ports)]
+                        _assert_step_equals_router(
+                            f"{case} {kind} transit beside an arrival",
+                            topology, node,
+                            {in_port: unicast(node), other: make(dst)},
+                            None, faults,
+                        )
+    assert routed == []
 
 
 def test_lone_flit_bypass_keeps_the_spatial_view():
@@ -692,7 +789,9 @@ def test_lone_flit_bypass_keeps_the_spatial_view():
 
 
 def test_multicast_or_contended_switches_still_take_the_router(monkeypatch):
-    """The bypass is for one unicast transit flit and nothing else."""
+    """The bypass is for a switch with nothing to arbitrate: at most one
+    flit that needs a port, at most one arrival, one branch, no live
+    fault mask.  Everything else is the router's."""
     import repro.noc.network as network
 
     routed = []
@@ -705,21 +804,45 @@ def test_multicast_or_contended_switches_still_take_the_router(monkeypatch):
     topology = MeshTopology(3, 3)
     ports = topology.ports_of(4)
 
-    lone = Flit(dst=8, src=0, ptype=PacketType.MESSAGE, injected_at=0)
-    _step_lone_flit(topology, 4, ports[0], lone, 1)
+    def unicast(dst=8):
+        return Flit(dst=dst, src=0, ptype=PacketType.MESSAGE, injected_at=0)
+
+    def mcast(mask):
+        return Flit(dst=-1, src=0, ptype=PacketType.MULTICAST, dst_mask=mask,
+                    injected_at=0)
+
+    _step_lone_flit(topology, 4, ports[0], unicast(), 1)
     assert routed == []
 
-    mcast = Flit(dst=-1, src=0, ptype=PacketType.MULTICAST, dst_mask=1 << 8,
-                 injected_at=0)
-    _step_lone_flit(topology, 4, ports[0], mcast, 1)
+    # A plan nobody has built yet is the router's to build ...
+    _step_lone_flit(topology, 4, ports[0], mcast(1 << 8), 1)
+    assert routed == [4]
+    # ... and one branch is forwarded without it from then on.
+    _step_lone_flit(topology, 4, ports[0], mcast(1 << 8), 1)
     assert routed == [4]
 
-    def unicast():
-        return Flit(dst=8, src=0, ptype=PacketType.MESSAGE, injected_at=0)
+    # Many branches: replication is arbitration.
+    fan_out = 1 << 0 | 1 << 2 | 1 << 6 | 1 << 8
+    for _ in range(2):
+        fabric = _step_lone_flit(topology, 4, ports[0], mcast(fan_out), 1)
+    assert routed == [4, 4, 4]
+    assert fabric.stats["mcast_copies"] > 0
+    # A copy owed to this node beside further destinations, likewise.
+    for _ in range(2):
+        _step_lone_flit(topology, 4, ports[0], mcast(1 << 4 | 1 << 8), 1)
+    assert routed == [4] * 5
 
+    # Two flits that need a port, or two arrivals.
     _step_fabric(topology, 4, {ports[0]: unicast(), ports[1]: unicast()}, 1)
-    assert routed == [4, 4]
-
     _step_fabric(topology, 4, {ports[0]: unicast()}, 1,
                  inject=Flit(dst=0, src=4, ptype=PacketType.MESSAGE))
-    assert routed == [4, 4, 4]
+    _step_fabric(topology, 4, {ports[0]: unicast(4), ports[1]: unicast(4)}, 1)
+    assert routed == [4] * 8
+
+    # An active fault mask (a killed link) takes even a lone flit through
+    # the router, which alone knows the surviving ports.
+    killed = FaultPlan(dead_links=((4, ports[1], 0),))
+    _step_fabric(topology, 4, {ports[0]: unicast()}, 1, faults=killed)
+    _step_fabric(topology, 4, {}, 1, faults=killed,
+                 inject=Flit(dst=0, src=4, ptype=PacketType.MESSAGE))
+    assert routed == [4] * 10

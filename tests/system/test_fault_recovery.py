@@ -65,6 +65,34 @@ def bench(algorithm: str, faults: FaultPlan | None, n_values: int = 16,
 # -- transient faults: bit-identical recovery -------------------------------
 
 
+@pytest.mark.parametrize("algorithm", ("tree", "hw"))
+def test_fabric_counts_only_the_flits_it_delivered(algorithm):
+    """Flit conservation under drops *and* corruption: a flit the ejection
+    port discards on a checksum mismatch left the network but was never
+    ejected, so injected + copies = ejected + dropped + discarded + in
+    flight, and every ejected flit has a recorded latency."""
+    config = SystemConfig(
+        n_workers=8, faults=FaultPlan(seed=3, drop_rate=0.01, corrupt_rate=0.02),
+        dma_tx_queue_depth=4 if algorithm == "hw" else 0,
+    )
+    params = CollectiveBenchParams(
+        collective="allreduce", model="empi", algorithm=algorithm,
+        n_values=16, repeats=8,
+    )
+    systems = []
+    result = run_collective_bench(config, params, observer=systems.append)
+    noc, faults = result.stats["noc"], result.stats["faults"]
+    assert result.validated
+    assert faults["dropped"] > 0 and faults["crc_dropped"] > 0
+    if algorithm == "hw":
+        assert noc["mcast_copies"] > 0
+    assert noc["flits_ejected"] == noc["latency"]["count"]
+    assert noc["flits_injected"] + noc.get("mcast_copies", 0) == (
+        noc["flits_ejected"] + faults["dropped"] + faults["crc_dropped"]
+        + systems[0].fabric.flits_in_network
+    )
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_allreduce_recovers_bit_identically_from_drops(algorithm):
     clean = bench(algorithm, None)
