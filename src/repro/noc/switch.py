@@ -306,6 +306,9 @@ def route_node(
             if free_mask & plan[0]:  # the one-branch placement, as above
                 outputs[plan[1]] = inject
                 out.injected = True
+            elif len(plan[2]) < 2:  # nothing to split: lowest free port
+                outputs[(free_mask & -free_mask).bit_length() - 1] = inject
+                out.injected = True
             else:
                 out.injected = _place_multicast(
                     node, inject, plan, free_mask, 0, topology, out,

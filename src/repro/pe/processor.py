@@ -236,7 +236,12 @@ class ProcessorNode(Component):
         tie = self.tie
         dma = self.dma
         if self._rx_items:
-            self._phase_rx(cycle)
+            # Phase 1: one flit off the ejection port, demuxed on its type.
+            flit = self.ports.eject.queue.pop()
+            if flit.ptype >= PacketType.MESSAGE:  # MESSAGE or MULTICAST
+                tie.accept(flit)
+            elif bridge.on_reply(flit, cycle) is not None:
+                self._job_completed(cycle)
         if self.reliability is not None:
             # After RX (freshly arrived words clear starvation before any
             # timer can expire on them), before TX (tokens armed this
@@ -278,18 +283,6 @@ class ProcessorNode(Component):
         # whatever else is pending; only otherwise is sleep worth weighing.
         if self.state is not CoreState.RUNNING or self._ready_at > cycle + 1:
             self._phase_sleep(cycle)
-
-    # 1 -------------------------------------------------------------------------------
-
-    def _phase_rx(self, cycle: int) -> None:
-        # step() only comes here with a flit waiting.
-        flit = self.ports.eject.queue.pop()
-        if flit.ptype >= PacketType.MESSAGE:  # MESSAGE or MULTICAST
-            self.tie.accept(flit)
-        else:
-            completed = self.bridge.on_reply(flit, cycle)
-            if completed is not None:
-                self._job_completed(cycle)
 
     # 4 -------------------------------------------------------------------------------
 
