@@ -56,26 +56,24 @@ class NocAccessArbiter:
         self.port = inject_port
         self.name = name
         self.stats = CounterSet(name)
-        self._last_granted: TrafficClass = TrafficClass.MEMORY
         #: Flits accepted from either interface and not yet granted; a
         #: plain count so the owning node's step can test it for free.
         self.n_pending = 0
-        # _hp_q/_be_q (drain side) and _msg_q/_mem_q (offer side) are the
-        # FIFO modes' queues; MUX keeps only the slot pair and leaves
-        # these None.
+        # _msg_q/_mem_q are where the two interfaces offer; _hp_q/_be_q
+        # are the same queues seen from the drain side in the FIFO modes
+        # (None in MUX, which drains the pair round-robin instead).
         self._hp_q: Fifo[Flit] | None = None
         self._be_q: Fifo[Flit] | None = None
-        self._msg_q: Fifo[Flit] | None = None
-        self._mem_q: Fifo[Flit] | None = None
-        self._slots: dict[TrafficClass, Flit | None] = {}
+        self._reject_key = "fifo_full_rejects"
         if self.mode is ArbiterMode.MUX:
-            self._slots = {
-                TrafficClass.MESSAGE: None,
-                TrafficClass.MEMORY: None,
-            }
+            # No buffering: each interface presents one flit at a time.
+            self._msg_q: Fifo[Flit] = Fifo(1, name=f"{name}.msg")
+            self._mem_q: Fifo[Flit] = Fifo(1, name=f"{name}.mem")
+            self._reject_key = "mux_busy_rejects"
         elif self.mode is ArbiterMode.SINGLE_FIFO:
-            shared: Fifo[Flit] = Fifo(fifo_depth, name=f"{name}.q")
-            self._hp_q = self._msg_q = self._mem_q = shared
+            self._hp_q = self._msg_q = self._mem_q = Fifo(
+                fifo_depth, name=f"{name}.q"
+            )
         else:
             self._hp_q = Fifo(fifo_depth, name=f"{name}.hp")
             self._be_q = Fifo(fifo_depth, name=f"{name}.be")
@@ -83,39 +81,29 @@ class NocAccessArbiter:
                 self._msg_q, self._mem_q = self._hp_q, self._be_q
             else:
                 self._msg_q, self._mem_q = self._be_q, self._hp_q
+        self._last_granted = self._mem_q  # MUX: the message side goes first
 
     # -- producer side ---------------------------------------------------------
-
-    def _offer_slot(self, traffic_class: TrafficClass, flit: Flit) -> bool:
-        """MUX: one unbuffered slot per interface."""
-        if self._slots[traffic_class] is not None:
-            self.stats.inc("mux_busy_rejects")
-            return False
-        self._slots[traffic_class] = flit
-        self.n_pending += 1
-        return True
 
     def offer_message(self, flit: Flit) -> bool:
         """Hand over a message-class flit; False means retry next cycle."""
         queue = self._msg_q
-        if queue is None:
-            return self._offer_slot(TrafficClass.MESSAGE, flit)
-        if queue.try_push(flit):
-            self.n_pending += 1
-            return True
-        self.stats.inc("fifo_full_rejects")
-        return False
+        if len(queue._items) >= queue.capacity:
+            self.stats.inc(self._reject_key)
+            return False
+        queue.push(flit)
+        self.n_pending += 1
+        return True
 
     def offer_memory(self, flit: Flit) -> bool:
         """Hand over a memory-class flit; False means retry next cycle."""
         queue = self._mem_q
-        if queue is None:
-            return self._offer_slot(TrafficClass.MEMORY, flit)
-        if queue.try_push(flit):
-            self.n_pending += 1
-            return True
-        self.stats.inc("fifo_full_rejects")
-        return False
+        if len(queue._items) >= queue.capacity:
+            self.stats.inc(self._reject_key)
+            return False
+        queue.push(flit)
+        self.n_pending += 1
+        return True
 
     # -- clocked drain -------------------------------------------------------------
 
@@ -126,7 +114,14 @@ class NocAccessArbiter:
             return
         hp = self._hp_q
         if hp is None:
-            flit = self._select_slot()
+            # MUX: the interface that was not granted last goes first.
+            last = self._last_granted
+            flit = None
+            for queue in (self._mem_q if last is self._msg_q else self._msg_q, last):
+                if queue._items:
+                    self._last_granted = queue
+                    flit = queue.pop()
+                    break
         elif hp._items:
             flit = hp.pop()
         else:
@@ -142,23 +137,6 @@ class NocAccessArbiter:
                     f"{self.name}: injection port reported free but rejected flit"
                 )
             self.stats.inc("flits_granted")
-
-    def _select_slot(self) -> Flit | None:
-        """MUX: round-robin over the two slots."""
-        first = self._other(self._last_granted)
-        for traffic_class in (first, self._last_granted):
-            flit = self._slots[traffic_class]
-            if flit is not None:
-                self._slots[traffic_class] = None
-                self._last_granted = traffic_class
-                return flit
-        return None
-
-    @staticmethod
-    def _other(traffic_class: TrafficClass) -> TrafficClass:
-        if traffic_class is TrafficClass.MESSAGE:
-            return TrafficClass.MEMORY
-        return TrafficClass.MESSAGE
 
     # -- introspection -----------------------------------------------------------------
 

@@ -444,15 +444,11 @@ class DmaTxEngine:
 
     def flush_stats(self) -> None:
         """Fold the batched per-flit counters into the CounterSet."""
-        if self._n_flits_sent:
-            self.stats.inc("flits_sent", self._n_flits_sent)
-            self._n_flits_sent = 0
-        if self._n_credit_stalls:
-            self.stats.inc("credit_stall_cycles", self._n_credit_stalls)
-            self._n_credit_stalls = 0
-        if self._n_reduced:
-            self.stats.inc("values_reduced", self._n_reduced)
-            self._n_reduced = 0
+        self.stats.absorb(self, (
+            ("_n_flits_sent", "flits_sent"),
+            ("_n_credit_stalls", "credit_stall_cycles"),
+            ("_n_reduced", "values_reduced"),
+        ))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

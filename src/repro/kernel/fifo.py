@@ -72,22 +72,11 @@ class Fifo(Generic[T]):
             self.max_occupancy = occupancy
 
     def try_push(self, item: T) -> bool:
-        """Push if space is available; return whether the push happened.
-
-        :meth:`push` with the refusal reported instead of raised; written
-        out rather than layered on it because the arbiter queues call it
-        once per injected flit.
-        """
-        items = self._items
-        capacity = self.capacity
-        if capacity is not None and len(items) >= capacity:
+        """Push if space is available; return whether the push happened."""
+        if self.full:
             self.full_rejections += 1
             return False
-        items.append(item)
-        self.pushes += 1
-        occupancy = len(items)
-        if occupancy > self.max_occupancy:
-            self.max_occupancy = occupancy
+        self.push(item)
         return True
 
     def pop(self) -> T:

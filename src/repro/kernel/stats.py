@@ -12,8 +12,10 @@ class CounterSet:
     Counting must stay cheap (it happens on hot per-cycle paths), so this is
     a thin wrapper over a dict with convenience accessors and merge support
     for aggregating across components or sweep runs.  Hot call sites may
-    batch increments in plain local ints and flush them straight into
-    ``_counters`` once per step or sleep.
+    batch increments in plain ints of their own (:meth:`absorb`): such a
+    set is exact *when read through* what flushes the owner first —
+    ``MedeaSystem.collect_stats``, the telemetry registry's ``flush=``
+    hook, ``flush_op_stats`` — not at every cycle or sleep.
     """
 
     __slots__ = ("name", "_counters")
@@ -25,6 +27,15 @@ class CounterSet:
     def inc(self, key: str, amount: int = 1) -> None:
         counters = self._counters
         counters[key] = counters.get(key, 0) + amount
+
+    def absorb(self, owner: object, batched: tuple[tuple[str, str], ...]) -> None:
+        """Fold ``owner``'s batched plain-int counters — ``(attribute,
+        key)`` pairs — into this set and zero them."""
+        for attribute, key in batched:
+            amount = getattr(owner, attribute)
+            if amount:
+                self.inc(key, amount)
+                setattr(owner, attribute, 0)
 
     def set_max(self, key: str, value: int) -> None:
         if value > self._counters.get(key, 0):

@@ -15,6 +15,18 @@ Timing contract (one hop = one cycle):
   owning node (stepped after the fabric in the same cycle — registration
   order) may consume it immediately, modelling the direct TIE connection
   into the processor register file.
+
+**Uncontended-switch bypass.**  A switch is not handed to
+:func:`~repro.noc.switch.route_node` when there is nothing to arbitrate: no
+fault mask is active, at most one flit arrives for this node (a unicast
+flit addressed to it, or a multicast flit with only its bit left), and at
+most one occupant needs an output port — a transit flit or the pending
+injection, unicast or with a one-branch plan the router has already built
+and no copy owed here.  The arrival ejects, the mover takes its first
+productive port — what the router computes when nobody contends — and both
+fall into the same eject and forward code as routed flits (fault hooks
+included).  ``tests/noc/test_switch_golden.py`` compares the two for every
+(switch, input link, destination).
 """
 
 from __future__ import annotations
@@ -60,23 +72,17 @@ class InjectionPort:
         fabric = self.fabric
         if fabric.faults is not None:
             fabric.faults.stamp(flit)
-        # Inline the passing arms of validate_flit, unicast and multicast
-        # (tests/noc/test_network.py and test_multicast.py hold both to
-        # its verdicts); the full check, with its error messages and the
-        # strict wire encoding, runs only when needed.
+        # The passing arms of validate_flit, unicast and multicast, inline
+        # (tests/noc/test_network.py and test_multicast.py hold both to its
+        # verdicts); the full check, with its error messages and the strict
+        # wire encoding, runs only when needed.
         n = fabric.topology.n_nodes
-        dst = flit.dst
-        if fabric.strict_encoding or not (
-            0 <= flit.src < n and (
-                0 <= dst < n
-                or (
-                    dst < 0
-                    and flit.ptype is PacketType.MULTICAST
-                    and 0 < flit.dst_mask < fabric._mask_limit
-                    and not flit.dst_mask >> flit.src & 1
-                )
-            )
-        ):
+        mask = flit.dst_mask
+        if fabric.strict_encoding or not (0 <= flit.src < n and (
+            0 <= flit.dst < n
+            or (flit.dst < 0 and flit.ptype is PacketType.MULTICAST
+                and 0 < mask < 1 << n and not mask >> flit.src & 1)
+        )):
             fabric.validate_flit(flit)
         self.pending = flit
         fabric._work.add(self.node)
@@ -177,8 +183,6 @@ class NocFabric(Component):
         n = topology.n_nodes
         n_ports = topology.max_ports
         self._n_ports = n_ports
-        #: One past the largest multicast mask that names only real nodes.
-        self._mask_limit = 1 << n
         # regs[node][in_port] = flit latched on that input link.
         self.regs: list[list[Flit | None]] = [
             [None] * n_ports for _ in range(n)
@@ -191,19 +195,15 @@ class NocFabric(Component):
         # ``_direct_links[node][port]`` says which mechanism a link uses;
         # on uniform-link topologies (every grid) the heap stays empty.
         self._direct_links: list[list[bool]] = [
-            [latency == 1 and ser == 1 for latency, ser in zip(*tables)]
-            for tables in zip(
-                topology.link_latency_table, topology.link_ser_table
-            )
+            [link is not None and link[2:] == (1, 1) for link in row]
+            for row in topology.link_table
         ]
         self._delayed: list[tuple[int, int, int, int, Flit]] = []
         self._delay_seq = 0
         # Wire occupancy for serializing links, indexed node*n_ports+port:
         # the cycle the wire frees up (a narrower off-die link holds each
         # flit for `serialization` cycles; followers queue behind).
-        self._wire_free = (
-            None if topology.uniform_links else [0] * (n * n_ports)
-        )
+        self._wire_free = [0] * (n * n_ports)
         # Incremental worklist: nodes with a latched flit or pending
         # injection.  Maintained by try_inject and the commit phase so a
         # step never scans the whole fabric.
@@ -234,7 +234,7 @@ class NocFabric(Component):
             if flit.ptype is not PacketType.MULTICAST:
                 raise ProtocolError(f"negative dst on non-multicast {flit!r}")
             mask = flit.dst_mask
-            if not (0 < mask < self._mask_limit):
+            if not (0 < mask < (1 << n)):
                 raise ProtocolError(
                     f"multicast mask out of range for {n} nodes: {flit!r}"
                 )
@@ -348,26 +348,24 @@ class NocFabric(Component):
                 # A stalled injection is simply re-stamped next cycle.
                 inject.injected_at = cycle
 
-            # Uncontended-switch bypass (module docstring): scan the row
-            # for at most one arrival and at most one occupant that needs
-            # an output port; anything else breaks out to the router.
+            # Uncontended-switch bypass (module docstring); any second
+            # arrival or mover breaks out of the scan to the router.
             direction = -1  # >= 0: the mover's port; -2: nothing to forward
             if not masks_active:
                 mover = inject
                 arrival = None
                 for flit in row:
-                    if flit is not None:
-                        dst = flit.dst
-                        if dst == node or (
-                            dst < 0 and flit.dst_mask == 1 << node
-                        ):
-                            if arrival is not None:
-                                break
-                            arrival = flit
-                        elif mover is None:
-                            mover = flit
-                        else:
+                    if flit is None:
+                        continue
+                    dst = flit.dst
+                    if dst == node or (dst < 0 and flit.dst_mask == 1 << node):
+                        if arrival is not None:
                             break
+                        arrival = flit
+                    elif mover is not None:
+                        break
+                    else:
+                        mover = flit
                 else:
                     if mover is None:
                         direction = -2

@@ -29,10 +29,19 @@ re-splits at a later switch, so a multicast flit occupies at least one and
 at most ``#branches`` output ports and the deflection invariant (every
 transit flit is placed every cycle) is preserved.  Destinations whose bit
 matches the local node eject a copy through the normal local port, bounded
-by the same ``eject_capacity``.  Unicast traffic is routed exactly as
-before — multicast flits take the lowest transit priority — which the
-golden-equivalence harness in ``tests/noc/test_switch_golden.py`` checks
-flit-for-flit.
+by the same ``eject_capacity``.  Multicast flits take the lowest transit
+priority, so unicast traffic is routed as if they were not there.
+
+The partition is a pure function of (productive table, node, mask), so it
+is a *branch plan* looked up in a table and built on a miss by
+:func:`_branch_plan`, its only builder.  The table belongs to whoever owns
+the productive table it was derived from: ``Topology.mcast_plans`` for the
+pristine one (never rebuilt, never stale), ``FaultInjector.mcast_plans``
+for a rerouted ``productive_override``, replaced by an empty one whenever
+``_recompute_productive`` rebuilds that.  It is cleared at
+``PLAN_TABLE_LIMIT`` entries.  Both routers, and every inline shortcut for
+plans with nothing to split, are held flit for flit to their plainest
+forms in ``tests/noc/test_switch_golden.py``.
 """
 
 from __future__ import annotations
@@ -130,16 +139,13 @@ def route_node(
     """
     if out is None:
         out = RoutingOutcome(n_ports=topology.max_ports)
-        ejected = out.ejected
-        outputs = out.outputs
     else:
-        ejected = out.ejected
-        ejected.clear()
-        outputs = out.outputs
-        for index in range(len(outputs)):
-            outputs[index] = None
+        out.ejected.clear()
+        out.outputs[:] = [None] * len(out.outputs)
         out.injected = False
         out.flit_copies = 0
+    ejected = out.ejected
+    outputs = out.outputs
 
     arrived: list[Flit] | None = None
     contenders: list[Flit] | None = None
@@ -192,47 +198,21 @@ def route_node(
         # Oldest flit gets first pick of ports: the practical livelock guard.
         if len(contenders) > 1:
             contenders.sort(key=_AGE_KEY)
-        ports = topology.ports_table[node]
         for flit in contenders:
-            placed = False
             for direction in productive[base + flit.dst]:
                 bit = 1 << direction
                 if free_mask & bit:
-                    outputs[direction] = flit
-                    free_mask ^= bit
-                    placed = True
                     break
-            if not placed:
-                # Deflect: any free port, deterministic scan order.
-                for direction in ports:
-                    bit = 1 << direction
-                    if free_mask & bit:
-                        outputs[direction] = flit
-                        free_mask ^= bit
-                        placed = True
-                        flit.deflections += 1
-                        deflections += 1
-                        break
-            if not placed and port_mask >= 0:
-                # Fault masks shrink output capacity one cycle before the
-                # senders' masks throttle arrivals, so a link-kill or
-                # stall activation cycle can present more transit flits
-                # than live outputs.  Drain the excess across a masked but
-                # physically present wire (the dying link delivers its
-                # in-flight traffic; a stalled neighbour latches and
-                # holds it).
-                for direction in ports:
-                    if outputs[direction] is None:
-                        outputs[direction] = flit
-                        placed = True
-                        flit.deflections += 1
-                        deflections += 1
-                        break
-            if not placed:
-                raise SimulationError(
-                    f"deflection routing must always place a transit flit: "
-                    f"no output port left at node {node} for {flit!r}"
+            else:
+                # Deflect: the lowest free port (deterministic).
+                bit = free_mask & -free_mask
+                direction = bit.bit_length() - 1 if bit else _spill_port(
+                    node, flit, outputs, topology, port_mask >= 0
                 )
+                flit.deflections += 1
+                deflections += 1
+            outputs[direction] = flit
+            free_mask ^= bit  # a spill takes no free port: bit is 0
     out.deflections = deflections
 
     if mcast is not None:
@@ -289,7 +269,7 @@ def route_node(
             else:
                 free_mask = _place_multicast(
                     node, flit, plan, free_mask, reserve, topology, out,
-                    must_place=True, spill=port_mask >= 0,
+                    transit=True, spill=port_mask >= 0,
                 )
 
     if inject is not None and free_mask:
@@ -305,27 +285,22 @@ def route_node(
             )
             if free_mask & plan[0]:  # the one-branch placement, as above
                 outputs[plan[1]] = inject
-                out.injected = True
             elif len(plan[2]) < 2:  # nothing to split: lowest free port
                 outputs[(free_mask & -free_mask).bit_length() - 1] = inject
-                out.injected = True
             else:
-                out.injected = _place_multicast(
+                _place_multicast(
                     node, inject, plan, free_mask, 0, topology, out,
-                    must_place=False,
-                ) >= 0
+                    transit=False,
+                )
+            out.injected = True
             return out
-        injected = False
         for direction in productive[base + inject.dst]:
-            bit = 1 << direction
-            if free_mask & bit:
-                outputs[direction] = inject
-                injected = True
+            if free_mask >> direction & 1:
                 break
-        if not injected:
+        else:
             # Lowest free direction index, matching min() over the old set.
             direction = (free_mask & -free_mask).bit_length() - 1
-            outputs[direction] = inject
+        outputs[direction] = inject
         out.injected = True
 
     return out
@@ -334,18 +309,9 @@ def route_node(
 def _copy_flit(flit: Flit, dst: int, dst_mask: int) -> Flit:
     """A replica of ``flit`` (fresh uid, same age/protocol fields)."""
     return Flit(
-        dst=dst,
-        src=flit.src,
-        ptype=flit.ptype,
-        subtype=flit.subtype,
-        seq=flit.seq,
-        burst=flit.burst,
-        data=flit.data,
-        dst_mask=dst_mask,
-        crc=flit.crc,
-        injected_at=flit.injected_at,
-        hops=flit.hops,
-        deflections=flit.deflections,
+        dst, flit.src, flit.ptype, flit.subtype, flit.seq, flit.burst,
+        flit.data, dst_mask, flit.crc, injected_at=flit.injected_at,
+        hops=flit.hops, deflections=flit.deflections,
     )
 
 
@@ -387,10 +353,8 @@ def _branch_plan(
         (direction, 1 << direction, branch)
         for direction, branch in enumerate(groups) if branch
     )
-    if len(branches) == 1:
-        plan = (branches[0][1], branches[0][0], branches, deferred)
-    else:
-        plan = (0, -1, branches, deferred)
+    lone_direction, lone_bit = branches[0][:2] if len(branches) == 1 else (-1, 0)
+    plan = (lone_bit, lone_direction, branches, deferred)
     if len(plans) >= PLAN_TABLE_LIMIT:
         plans.clear()
     plans[mask * topology.n_nodes + node] = plan
@@ -405,7 +369,7 @@ def _place_multicast(
     reserve: int,
     topology: Topology,
     out: RoutingOutcome,
-    must_place: bool,
+    transit: bool,
     spill: bool = False,
 ) -> int:
     """Replicate one multicast flit toward the branches of its ``plan``.
@@ -413,8 +377,8 @@ def _place_multicast(
     Places one copy per branch whose port is free (keeping ``reserve``
     ports for later flits), merges unplaceable branches into the first
     placed copy, and deflects the whole flit when no branch port is free.
-    Returns the updated free mask, or -1 when a ``must_place=False``
-    injection found no port at all.
+    Returns the updated free mask.  ``transit=False`` is the pending
+    injection, which is only offered while a port is free.
     """
     __, __, branches, deferred = plan
     outputs = out.outputs
@@ -444,31 +408,42 @@ def _place_multicast(
         if deferred:
             first_copy.dst_mask |= deferred
         return free_mask
-    # No branch port was free: send the whole flit out any free port
-    # (deterministic scan order), mask intact (``deferred`` has gathered
+    # No branch port was free: send the whole flit out the lowest free
+    # port (deterministic), mask intact (``deferred`` has gathered
     # every branch by now).  For transit flits this is a deflection and
     # is counted as one; an injection taking a non-productive first hop
     # is not (matching the unicast rule).
-    for direction in topology.ports_table[node]:
-        bit = 1 << direction
-        if free_mask & bit:
-            outputs[direction] = flit
-            if must_place:
-                flit.deflections += 1
-                out.deflections += 1
-            return free_mask ^ bit
-    if not must_place:
-        return -1
+    if free_mask:
+        bit = free_mask & -free_mask
+        outputs[bit.bit_length() - 1] = flit
+        if transit:
+            flit.deflections += 1
+            out.deflections += 1
+        return free_mask ^ bit
+    outputs[_spill_port(node, flit, outputs, topology, spill)] = flit
+    flit.deflections += 1
+    out.deflections += 1
+    return free_mask
+
+
+def _spill_port(
+    node: int, flit: Flit, outputs: list, topology: Topology, spill: bool
+) -> int:
+    """The port a transit flit leaves through when no usable one is free.
+
+    Fault masks shrink output capacity one cycle before the senders'
+    masks throttle arrivals, so a link-kill or stall activation cycle can
+    present more transit flits than live outputs.  With ``spill`` (a fault
+    mask is in force) the excess drains across a masked but physically
+    present wire: the dying link delivers its in-flight traffic; a stalled
+    neighbour latches and holds it.  Anything else breaks the deflection
+    invariant — the caller presented more flits than the node has links.
+    """
     if spill:
-        # Same fault-mask activation transient as the unicast spill path:
-        # drain across a masked-but-present wire rather than drop.
         for direction in topology.ports_table[node]:
             if outputs[direction] is None:
-                outputs[direction] = flit
-                flit.deflections += 1
-                out.deflections += 1
-                return free_mask
+                return direction
     raise SimulationError(
-        f"deflection routing must always place a multicast transit flit: "
-        f"no output port left at node {node} for {flit!r}"
+        f"deflection routing must always place a transit flit: no output "
+        f"port left at node {node} for {flit!r}"
     )

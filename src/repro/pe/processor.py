@@ -23,7 +23,9 @@ Intra-cycle phase order (one ``step`` = one clock):
 6. arbiter grants at most one flit to the injection port.
 
 The node sleeps whenever nothing above can make progress and is woken by
-flit arrival, a scheduled compute/backoff expiry, or job completion.
+flit arrival, a scheduled compute/backoff expiry, or job completion.  Its
+batched counters are folded in when they are read (``flush_op_stats``:
+``collect_stats``, the telemetry registry, the ledgers), not at each sleep.
 
 Phase 5 does not visit the core once per *core-local* op.  The L1 and the
 scratchpad are private to the tile under software flush/invalidate
@@ -85,6 +87,16 @@ _RECV_OPS = {
     "recv": (UNICAST, "ops_recv"), "mrecv": (MCAST, "ops_mrecv"),
     "trecv": (UNICAST, "ops_trecv"), "tmrecv": (MCAST, "ops_tmrecv"),
 }
+
+#: The hot op counters ``_execute`` and the TX phase batch as plain ints:
+#: (attribute, counter key), in the order ``flush_op_stats`` folds them.
+_BATCHED_COUNTERS = (
+    ("_n_compute", "ops_compute"), ("_n_compute_cycles", "compute_cycles"),
+    ("_n_load_hit", "ops_load_hit"), ("_n_load_miss", "ops_load_miss"),
+    ("_n_store_wt", "ops_store_wt"), ("_n_store_hit", "ops_store_hit"),
+    ("_n_store_miss", "ops_store_miss"), ("_n_lmem", "ops_lmem"),
+    ("_n_credit_wait", "credit_wait_cycles"),
+)
 
 #: What the interpreter executes when the program generator is exhausted;
 #: matched by identity, so no program can yield it.
@@ -176,19 +188,13 @@ class ProcessorNode(Component):
         #: ``send`` of the loaded program generator (None: none loaded).
         self._program_send: typing.Callable | None = None
         # Hot op counters, batched as plain ints and flushed into the
-        # CounterSet when it is read (see flush_op_stats).
-        self._n_compute = 0
-        self._n_compute_cycles = 0
-        self._n_load_hit = 0
-        self._n_load_miss = 0
-        self._n_store_wt = 0
-        self._n_store_hit = 0
-        self._n_store_miss = 0
-        self._n_lmem = 0
-        # WAIT_TX cycles where the TIE data stream was credit-gated (the
-        # peer's window exhausted), splitting cycles_wait_tx into
-        # credit_stall vs plain streaming for the cycle ledger.
-        self._n_credit_wait = 0
+        # CounterSet when it is read (see flush_op_stats).  The last one,
+        # _n_credit_wait, is the WAIT_TX cycles where the TIE data stream
+        # was credit-gated (the peer's window exhausted), splitting
+        # cycles_wait_tx into credit_stall vs plain streaming for the
+        # cycle ledger.
+        for attribute, __ in _BATCHED_COUNTERS:
+            setattr(self, attribute, 0)
 
     # -- program control -------------------------------------------------------
 
@@ -726,11 +732,7 @@ class ProcessorNode(Component):
     # -- sleep decision --------------------------------------------------------------------------
 
     def _phase_sleep(self, cycle: int) -> None:
-        if self._rx_items:
-            return
-        if self.bridge._outgoing:
-            return
-        if self.arbiter.n_pending:
+        if self._rx_items or self.bridge._outgoing or self.arbiter.n_pending:
             return
         if (
             self.tie.tx is not None
@@ -745,8 +747,8 @@ class ProcessorNode(Component):
             head = self._jobs[0]
             if head.not_before <= cycle + 1:
                 return
-            if self._nothing_but_backoff():
-                self.sleep(until=head.not_before)
+            if self.state is CoreState.WAIT_LOCK and self.bridge.idle:
+                self.sleep(until=head.not_before)  # nothing but backoff
             return
         if self.state is CoreState.RUNNING:
             if self._ready_at > cycle + 1:
@@ -762,9 +764,6 @@ class ProcessorNode(Component):
             return
         self.sleep()
 
-    def _nothing_but_backoff(self) -> bool:
-        return self.state is CoreState.WAIT_LOCK and self.bridge.idle
-
     def flush_op_stats(self) -> None:
         """Fold the batched hot-path op counters into the CounterSet.
 
@@ -778,33 +777,7 @@ class ProcessorNode(Component):
         self.tie.flush_stats()
         if self.dma is not None:
             self.dma.flush_stats()
-        inc = self.stats.inc
-        if self._n_compute:
-            inc("ops_compute", self._n_compute)
-            inc("compute_cycles", self._n_compute_cycles)
-            self._n_compute = 0
-            self._n_compute_cycles = 0
-        if self._n_load_hit:
-            inc("ops_load_hit", self._n_load_hit)
-            self._n_load_hit = 0
-        if self._n_load_miss:
-            inc("ops_load_miss", self._n_load_miss)
-            self._n_load_miss = 0
-        if self._n_store_wt:
-            inc("ops_store_wt", self._n_store_wt)
-            self._n_store_wt = 0
-        if self._n_store_hit:
-            inc("ops_store_hit", self._n_store_hit)
-            self._n_store_hit = 0
-        if self._n_store_miss:
-            inc("ops_store_miss", self._n_store_miss)
-            self._n_store_miss = 0
-        if self._n_lmem:
-            inc("ops_lmem", self._n_lmem)
-            self._n_lmem = 0
-        if self._n_credit_wait:
-            inc("credit_wait_cycles", self._n_credit_wait)
-            self._n_credit_wait = 0
+        self.stats.absorb(self, _BATCHED_COUNTERS)
 
     # -- diagnostics --------------------------------------------------------------------------------
 

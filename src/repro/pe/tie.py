@@ -413,8 +413,9 @@ class TieInterface:
         # CounterSet by flush_stats() when the owning node's counters are
         # read — the same pattern as the core/MPMMU counters.
         self._n_data_flits_sent = 0
-        self._n_flits_received = [0, 0]  # per channel
+        self._n_flits_received = 0
         self._n_credit_stall_cycles = 0
+        self._n_mcast_flits_received = 0
 
     def stream_from(self, src_node: int,
                     channel: int = UNICAST) -> ReceiveStream:
@@ -457,7 +458,10 @@ class TieInterface:
         if not stream.insert(flit.seq, flit.data):
             self.stats.inc("duplicate_flits_dropped")
             return
-        self._n_flits_received[channel] += 1
+        if channel:
+            self._n_mcast_flits_received += 1
+        else:
+            self._n_flits_received += 1
         # Flow control: one credit per CREDIT_WINDOW contiguous slots.
         while stream.lowest_missing >= stream.credited_upto + CREDIT_WINDOW:
             stream.credited_upto += CREDIT_WINDOW
@@ -625,16 +629,9 @@ class TieInterface:
         (:meth:`~repro.pe.processor.ProcessorNode.flush_op_stats`, which
         every reader of the counters goes through).
         """
-        received = self._n_flits_received
-        if self._n_data_flits_sent:
-            self.stats.inc("data_flits_sent", self._n_data_flits_sent)
-            self._n_data_flits_sent = 0
-        if received[UNICAST]:
-            self.stats.inc("data_flits_received", received[UNICAST])
-            received[UNICAST] = 0
-        if self._n_credit_stall_cycles:
-            self.stats.inc("credit_stall_cycles", self._n_credit_stall_cycles)
-            self._n_credit_stall_cycles = 0
-        if received[MCAST]:
-            self.stats.inc("mcast_flits_received", received[MCAST])
-            received[MCAST] = 0
+        self.stats.absorb(self, (
+            ("_n_data_flits_sent", "data_flits_sent"),
+            ("_n_flits_received", "data_flits_received"),
+            ("_n_credit_stall_cycles", "credit_stall_cycles"),
+            ("_n_mcast_flits_received", "mcast_flits_received"),
+        ))

@@ -177,7 +177,7 @@ def test_deflection_invariant_breach_names_node_and_multicast_flit():
     ]
     with pytest.raises(
         SimulationError,
-        match=rf"must always place a multicast transit flit: .* node 0 "
-              rf".*#{flits[2].uid}\b",
+        match=rf"must always place a transit flit: .* node 0 "
+              rf".*#{flits[2].uid} MULTICAST",
     ):
         route_node(0, flits, None, mesh)
