@@ -257,28 +257,24 @@ class SendWindow:
         self.next_slot = base + n_slots
         return base
 
-    def budget(self, member: int) -> int:
-        """Slots ``member`` may be sent beyond its credited floor: its
-        credit-plan window, capped in reliable mode by the retransmit
-        SRAM — every emitted-but-unretired slot must stay replayable."""
-        window = self.credit_plan.get(member, CREDIT_LIMIT)
-        if self.retx_slots is None:
-            return window
-        return min(window, self.retx_slots)
-
     def blocked_by(self, slot: int, members: tuple[int, ...]) -> tuple:
         """The credit gate: those of ``members`` whose window does not
-        admit ``slot`` yet (empty = the flit may go)."""
+        admit ``slot`` yet (empty = the flit may go).
+
+        A member's *budget* — the slots it may be sent beyond its credited
+        floor — is its credit-plan window, capped in reliable mode by the
+        retransmit SRAM: every emitted-but-unretired slot must stay
+        replayable.
+        """
         credited = self.credited
         plan = self.credit_plan
         cap = self.retx_slots
         blocked = ()
         for member in members:
-            # budget(member), written out: this runs once per flit.
-            window = plan.get(member, CREDIT_LIMIT)
-            if cap is not None and cap < window:
-                window = cap
-            if slot >= credited.get(member, 0) + window:
+            budget = plan.get(member, CREDIT_LIMIT)
+            if cap is not None and cap < budget:
+                budget = cap
+            if slot >= credited.get(member, 0) + budget:
                 blocked += (member,)
         return blocked
 

@@ -1,4 +1,4 @@
-"""Golden-equivalence property test for the optimized deflection router.
+"""Golden-equivalence property tests for the optimized deflection router.
 
 ``_reference_route_node`` below is a deliberately straightforward
 transcription of the original (pre-optimization) switch: free ports as a
@@ -8,11 +8,18 @@ reuse) must produce identical outcomes flit-for-flit over randomized
 configurations on both torus and mesh topologies — including the mutation
 of per-flit deflection counters.
 
-The fabric skips ``route_node`` altogether for a switch holding a single
-unicast transit flit (the lone-flit bypass in ``NocFabric.step``); the
-last tests check that shortcut against ``route_node`` for every (switch,
-input link, destination) of a mesh, a torus and a chiplet package — hub
-and gateway switches with their slow links included.
+The multicast half has the same kind of oracle: ``_reference_route_multicast``
+and ``_reference_place_multicast`` are the router's multicast functions as
+they stood before branch plans became a table, and drawn rows of mixed
+unicast and multicast flits — under fault port masks and rerouted tables
+too — must come out of ``route_node`` exactly as they come out of those.
+
+The fabric skips ``route_node`` altogether for a switch with nothing to
+arbitrate (the uncontended-switch bypass in ``NocFabric.step``); the last
+tests check that shortcut against ``route_node`` for every (switch, input
+link, destination) of a mesh, a torus and a chiplet package — hub and
+gateway switches with their slow links included — and that everything
+else still reaches the router.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from repro.noc.flit import MULTICAST_DST
 from repro.noc.packet import SubType
 from repro.pe.tie import (
     CHANNEL_BIT,
+    CREDIT_LIMIT,
     CREDIT_PROBE_WORD,
     MCAST,
     NACK_WORD,
@@ -37,6 +38,13 @@ from repro.pe.tie import (
 )
 
 SENDER = 0
+
+
+def budget(window, member):
+    """What the credit gate must enforce for ``member``, stated apart from
+    it: the plan's window, capped by the retransmit buffer when reliable."""
+    slots = window.credit_plan.get(member, CREDIT_LIMIT)
+    return slots if window.retx_slots is None else min(slots, window.retx_slots)
 
 
 class Harness:
@@ -158,7 +166,7 @@ class Harness:
         window = self.window
         for member in self.members:
             in_flight = self.sent_upto[member] - window.credited.get(member, 0)
-            assert in_flight <= window.budget(member)
+            assert in_flight <= budget(window, member)
         if window.retx_slots is None:
             assert not window.retx
         elif not self.fallback:
