@@ -24,6 +24,7 @@ else still reaches the router.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -713,20 +714,17 @@ def _assert_step_equals_router(case, topology, node, latched, inject,
 _MASKS_INACTIVE = FaultPlan(seed=1, drop_credits=((0, 1, 1),))
 
 
-@pytest.mark.parametrize("faults", [None, _MASKS_INACTIVE],
-                         ids=["fault-free", "inactive-masks"])
 @pytest.mark.parametrize("topology", [
     MeshTopology(4, 3),
     FoldedTorusTopology(3, 3),
     ChipletTopology(3, 2, 2, link_latency=4, link_serialization=2),
 ], ids=lambda topology: topology.kind)
-def test_lone_flit_bypass_matches_route_node_everywhere(
-    topology, faults, monkeypatch
-):
+def test_lone_flit_bypass_matches_route_node_everywhere(topology, monkeypatch):
     """Every uncontended switch the fabric does not hand to the router —
     a lone transit flit (unicast, or multicast with one branch), a lone
     injection of either kind, each also beside one flit ejecting here —
-    for every (switch, input link, destination)."""
+    for every (switch, input link, destination), fault-free and under a
+    fault plan whose masks stay inactive."""
     import repro.noc.network as network
 
     routed = []
@@ -746,11 +744,13 @@ def test_lone_flit_bypass_matches_route_node_everywhere(
         return Flit(dst=-1, src=(dst + 1) % n_nodes, dst_mask=1 << dst,
                     ptype=PacketType.MULTICAST, injected_at=3, hops=hops)
 
-    for node in range(n_nodes):
+    for node, faults in itertools.product(
+        range(n_nodes), (None, _MASKS_INACTIVE)
+    ):
         ports = topology.ports_of(node)
         for in_port in ports:
             for dst in range(n_nodes):
-                case = f"node {node} in_port {in_port} dst {dst}"
+                case = f"node {node} in_port {in_port} dst {dst} {faults}"
                 for make in (unicast, one_bit):
                     _assert_step_equals_router(
                         f"{case} lone {make.__name__}", topology, node,
