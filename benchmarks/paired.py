@@ -1,10 +1,12 @@
-"""Alternating parent/change pairs of one benchmark workload, and the verdict.
+"""Alternating parent/change pairs of benchmark workloads, and the verdict.
 
-    python3 benchmarks/paired.py PARENT CHANGE --workload W [--pairs 10] [--seconds S]
+    python3 benchmarks/paired.py PARENT CHANGE --workload W [W ...] [--pairs 10] [--seconds S]
 
 Each checkout runs its own ``benchmarks/perf/run.py --workload W --trace 0``
 (``S`` defaults to BENCHMARK.json's run length), one process at a time, the
-order flipping every pair (P C / C P / ...).  Per end-to-end metric: each
+order flipping every pair (P C / C P / ...).  ``--workload all`` is every
+workload of BENCHMARK.json; several workloads get one block each and a
+closing table, one row per workload.  Per end-to-end metric: each
 pair's ratio, both medians with quartiles, the pairs the change won, and
 ``gain`` (``worse``) when it wins (loses) at least nine tenths of the pairs,
 ties counting for neither, with the medians further apart than the parent's
@@ -41,48 +43,92 @@ def verdict(parent: list, change: list, higher: bool) -> tuple[int, str]:
     return wins, "unresolved"
 
 
-def report(samples: dict[str, tuple[list, list]]) -> bool:
-    """Print every metric's pairs and verdict; False if an exact one differs."""
-    exact_ok = True
+def report(samples: dict[str, tuple[list, list]]) -> dict[str, tuple]:
+    """Print every metric's pairs and verdict.  Returns, per metric, its
+    row of the closing table: ``(parent median, change median, wins,
+    pairs, verdict)``, the verdict of an exact metric ``equal|DIFFERS``."""
+    rows = {}
     for metric in SPEC["end_to_end"]:
         parent, change = samples[metric["name"]]
         print(f"{metric['name']} [{metric['unit']}, {metric['better']} is better]")
         if metric["bound"] == 0:
             values = sorted(set(parent + change))
-            exact_ok &= len(values) == 1
-            print(f"  exact: {'DIFFERS' if values[1:] else 'equal'} {values}")
-            continue
-        print("  change/parent by pair:",
-              *(f"{c / p:.3f}" for p, c in zip(parent, change)))
-        for side, values in (("parent", parent), ("change", change)):
-            q1, __, q3 = quantiles(values, n=4, method="inclusive")
-            print(f"  {side} median {median(values):.6g} [q1 {q1:.6g}, q3 {q3:.6g}]")
-        wins, word = verdict(parent, change, metric["better"] == "higher")
-        print(f"  medians {median(change) / median(parent):.3f}x (base parent), "
-              f"change ahead in {wins}/{len(parent)} pairs -> {word}")
-    return exact_ok
+            word = "DIFFERS" if values[1:] else "equal"
+            print(f"  exact: {word} {values}")
+            wins = 0
+        else:
+            print("  change/parent by pair:",
+                  *(f"{c / p:.3f}" for p, c in zip(parent, change)))
+            for side, values in (("parent", parent), ("change", change)):
+                q1, __, q3 = quantiles(values, n=4, method="inclusive")
+                print(f"  {side} median {median(values):.6g} "
+                      f"[q1 {q1:.6g}, q3 {q3:.6g}]")
+            wins, word = verdict(parent, change, metric["better"] == "higher")
+            print(f"  medians {median(change) / median(parent):.3f}x (base "
+                  f"parent), change ahead in {wins}/{len(parent)} pairs -> {word}")
+        rows[metric["name"]] = (
+            median(parent), median(change), wins, len(parent), word
+        )
+    return rows
+
+
+def closing_table(rows: dict[str, dict[str, tuple]]) -> None:
+    """One table per metric, one row per workload (``rows[workload]`` is
+    that workload's :func:`report`)."""
+    for metric in SPEC["end_to_end"]:
+        print(f"{metric['name']} [{metric['unit']}, {metric['better']} is better]")
+        print(f"  {'workload':<26}{'parent':>12}{'change':>12}{'ratio':>9}"
+              f"{'wins':>7}  verdict")
+        for workload, by_metric in rows.items():
+            parent, change, wins, pairs, word = by_metric[metric["name"]]
+            print(f"  {workload:<26}{parent:>12.6g}{change:>12.6g}"
+                  f"{change / parent:>8.3f}x{f'{wins}/{pairs}':>7}  {word}")
+
+
+def measure(args, workload: str, run) -> dict[str, tuple[list, list]] | None:
+    """Both sides' values of every metric over the alternating pairs, or
+    None (and the reason printed) if a run failed its gate."""
+    samples = {metric["name"]: ([], []) for metric in SPEC["end_to_end"]}
+    for pair in range(args.pairs):
+        for side in (0, 1) if pair % 2 == 0 else (1, 0):
+            checkout = args.change if side else args.parent
+            line = run(checkout, workload, args.seconds)
+            result = json.loads(line) if line.startswith("{") else {}
+            if not result.get("correct"):
+                print(f"pair {pair + 1}: {checkout} failed its gate: {line}")
+                return None
+            for name, series in samples.items():
+                series[side].append(result["metrics"][name]["value"])
+    return samples
 
 
 def main(argv: list[str], run=run_once) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="checkout of the parent commit")
     parser.add_argument("change", help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+",
+                        help="workload names from BENCHMARK.json, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     args = parser.parse_args(argv)
-    samples = {metric["name"]: ([], []) for metric in SPEC["end_to_end"]}
-    for pair in range(args.pairs):
-        for side in (0, 1) if pair % 2 == 0 else (1, 0):
-            checkout = args.change if side else args.parent
-            line = run(checkout, args.workload, args.seconds)
-            result = json.loads(line) if line.startswith("{") else {}
-            if not result.get("correct"):
-                print(f"pair {pair + 1}: {checkout} failed its gate: {line}")
-                return 1
-            for name, series in samples.items():
-                series[side].append(result["metrics"][name]["value"])
-    return 0 if report(samples) else 1
+    workloads = args.workload
+    if workloads == ["all"]:
+        workloads = [workload["name"] for workload in SPEC["workloads"]]
+    rows = {}
+    failed = False
+    for workload in workloads:
+        if len(workloads) > 1:
+            print(f"== {workload}")
+        samples = measure(args, workload, run)
+        if samples is None:
+            failed = True
+            continue
+        rows[workload] = report(samples)
+        failed |= any(row[-1] == "DIFFERS" for row in rows[workload].values())
+    if len(rows) > 1:
+        print("== all workloads")
+        closing_table(rows)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -11,11 +11,19 @@ Evaluation order contract (kept in sync with the programs):
 
 from __future__ import annotations
 
-import numpy as np
+import typing
+
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 def initial_grid(n: int) -> np.ndarray:
     """Deterministic Dirichlet problem: hot top edge, graded side walls."""
+    # Imported where it is named (here and in ``run_jacobi``'s validation):
+    # ``repro.apps`` is imported by every sweep worker, the CLI and the
+    # collective workloads, which never touch a grid — 16 MiB and 0.2 s.
+    import numpy as np
+
     if n < 3:
         raise ValueError(f"grid must be at least 3x3, got {n}")
     grid = np.zeros((n, n), dtype=np.float64)

@@ -40,6 +40,11 @@ class TrafficClass(enum.Enum):
     MEMORY = "memory"
 
 
+# Members as module constants, for the reason given in repro.noc.packet.
+_MUX, _SINGLE_FIFO, __ = ArbiterMode
+_MESSAGE_CLASS, __ = TrafficClass
+
+
 class NocAccessArbiter:
     """Shares one injection port between the TIE and pif2NoC interfaces."""
 
@@ -65,19 +70,19 @@ class NocAccessArbiter:
         self._hp_q: Fifo[Flit] | None = None
         self._be_q: Fifo[Flit] | None = None
         self._reject_key = "fifo_full_rejects"
-        if self.mode is ArbiterMode.MUX:
+        if self.mode is _MUX:
             # No buffering: each interface presents one flit at a time.
             self._msg_q: Fifo[Flit] = Fifo(1, name=f"{name}.msg")
             self._mem_q: Fifo[Flit] = Fifo(1, name=f"{name}.mem")
             self._reject_key = "mux_busy_rejects"
-        elif self.mode is ArbiterMode.SINGLE_FIFO:
+        elif self.mode is _SINGLE_FIFO:
             self._hp_q = self._msg_q = self._mem_q = Fifo(
                 fifo_depth, name=f"{name}.q"
             )
         else:
             self._hp_q = Fifo(fifo_depth, name=f"{name}.hp")
             self._be_q = Fifo(fifo_depth, name=f"{name}.be")
-            if self.high_priority is TrafficClass.MESSAGE:
+            if self.high_priority is _MESSAGE_CLASS:
                 self._msg_q, self._mem_q = self._hp_q, self._be_q
             else:
                 self._msg_q, self._mem_q = self._be_q, self._hp_q

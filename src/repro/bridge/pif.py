@@ -10,10 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ProtocolError
-from repro.noc.packet import PacketType
+from repro.noc.packet import (
+    BLOCK_READ, BLOCK_WRITE, MESSAGE, SINGLE_READ, SINGLE_WRITE, PacketType,
+)
 
 #: Words in a block transaction — one 16-byte cache line.
 BLOCK_WORDS = 4
+#: Data words a transaction writes / reads, by kind (absent: none).
+_WRITE_WORDS = {SINGLE_WRITE: 1, BLOCK_WRITE: BLOCK_WORDS}
+_READ_WORDS = {SINGLE_READ: 1, BLOCK_READ: BLOCK_WORDS}
 
 
 @dataclass
@@ -32,7 +37,7 @@ class MemTransaction:
     completed_at: int = -1
 
     def __post_init__(self) -> None:
-        if self.kind == PacketType.MESSAGE:
+        if self.kind == MESSAGE:
             raise ProtocolError("MESSAGE flits do not travel through the bridge")
         expected = self.expected_write_words
         if len(self.write_words) != expected:
@@ -43,23 +48,15 @@ class MemTransaction:
 
     @property
     def expected_write_words(self) -> int:
-        if self.kind == PacketType.SINGLE_WRITE:
-            return 1
-        if self.kind == PacketType.BLOCK_WRITE:
-            return BLOCK_WORDS
-        return 0
+        return _WRITE_WORDS.get(self.kind, 0)
 
     @property
     def expected_read_words(self) -> int:
-        if self.kind == PacketType.SINGLE_READ:
-            return 1
-        if self.kind == PacketType.BLOCK_READ:
-            return BLOCK_WORDS
-        return 0
+        return _READ_WORDS.get(self.kind, 0)
 
     @property
     def is_write(self) -> bool:
-        return self.kind in (PacketType.SINGLE_WRITE, PacketType.BLOCK_WRITE)
+        return self.kind in _WRITE_WORDS
 
     @property
     def latency(self) -> int:

@@ -24,7 +24,7 @@ from repro.bridge.reorder import ReorderBuffer
 from repro.errors import ProtocolError
 from repro.kernel.stats import CounterSet, LatencyStat
 from repro.noc.flit import Flit
-from repro.noc.packet import PacketType, SubType
+from repro.noc.packet import ACK, ADDR, DATA, LOCK, NACK, UNLOCK, PacketType
 
 
 class AddressLut:
@@ -48,8 +48,9 @@ class AddressLut:
         return self.default_node
 
 
-#: Per-transaction counter keys, precomputed so start() builds no strings.
-_TXN_KEY = {kind: f"txn_{kind.name.lower()}" for kind in PacketType}
+#: Per-transaction counter keys, indexed by packet type, so start()
+#: builds no strings.
+_TXN_KEY = tuple(f"txn_{kind.name.lower()}" for kind in PacketType)
 
 
 class _BridgeState(enum.Enum):
@@ -59,6 +60,11 @@ class _BridgeState(enum.Enum):
     WAIT_GRANT = "wait_grant"    # write grant / lock / unlock ack expected
     SEND_DATA = "send_data"      # streaming write data flits
     WAIT_FINAL = "wait_final"    # final write ack expected
+
+
+# Members as module constants, for the reason given in repro.noc.packet.
+(_IDLE, _SEND_REQ, _WAIT_DATA, _WAIT_GRANT, _SEND_DATA,
+ _WAIT_FINAL) = _BridgeState
 
 
 class Pif2NocBridge:
@@ -77,34 +83,29 @@ class Pif2NocBridge:
         self.name = name
         self.stats = CounterSet(name)
         self.latency = LatencyStat(f"{name}.latency")
-        self._state = _BridgeState.IDLE
+        self._state = _IDLE
+        #: True while no transaction is live (``_state`` is IDLE): a plain
+        #: attribute, because the owning tile reads it every step.
+        self.idle = True
         self._txn: MemTransaction | None = None
+        #: The live transaction's MPMMU node, looked up once at start().
+        self._mpmmu = -1
         self._outgoing: list[Flit] = []
 
     # -- control ------------------------------------------------------------
-
-    @property
-    def idle(self) -> bool:
-        return self._state is _BridgeState.IDLE
 
     def start(self, txn: MemTransaction, cycle: int) -> None:
         if not self.idle:
             raise ProtocolError(f"{self.name}: start while busy")
         self._txn = txn
         txn.issued_at = cycle
-        mpmmu = self.lut.lookup(txn.addr)
+        mpmmu = self._mpmmu = self.lut.lookup(txn.addr)
+        # Positional (dst, src, ptype, subtype, seq, burst, data).
         self._outgoing = [
-            Flit(
-                dst=mpmmu,
-                src=self.node_id,
-                ptype=txn.kind,
-                subtype=int(SubType.ADDR),
-                seq=0,
-                burst=1,
-                data=txn.addr,
-            )
+            Flit(mpmmu, self.node_id, txn.kind, ADDR, 0, 1, txn.addr)
         ]
-        self._state = _BridgeState.SEND_REQ
+        self._state = _SEND_REQ
+        self.idle = False
         self.stats.inc(_TXN_KEY[txn.kind])
 
     # -- TX side (node offers our flits to the arbiter) -----------------------------
@@ -118,14 +119,16 @@ class Pif2NocBridge:
         txn = self._txn
         if txn is None:
             raise ProtocolError(f"{self.name}: flit sent with no transaction live")
-        if self._state is _BridgeState.SEND_REQ:
-            if txn.expected_read_words:
-                self.reorder.begin(txn.expected_read_words)
-                self._state = _BridgeState.WAIT_DATA
+        state = self._state
+        if state is _SEND_REQ:
+            expected = txn.expected_read_words
+            if expected:
+                self.reorder.begin(expected)
+                self._state = _WAIT_DATA
             else:
-                self._state = _BridgeState.WAIT_GRANT
-        elif self._state is _BridgeState.SEND_DATA:
-            self._state = _BridgeState.WAIT_FINAL
+                self._state = _WAIT_GRANT
+        elif state is _SEND_DATA:
+            self._state = _WAIT_FINAL
 
     # -- RX side -----------------------------------------------------------------------
 
@@ -134,53 +137,50 @@ class Pif2NocBridge:
         txn = self._txn
         if txn is None:
             raise ProtocolError(f"{self.name}: reply {flit!r} with no transaction")
-        if flit.ptype != txn.kind:
+        kind = txn.kind
+        if flit.ptype != kind:
             raise ProtocolError(
                 f"{self.name}: reply type {flit.ptype.name} does not match "
-                f"in-flight {txn.kind.name}"
+                f"in-flight {kind.name}"
             )
         state = self._state
-        if state is _BridgeState.WAIT_DATA:
-            if flit.subtype != int(SubType.DATA):
+        subtype = flit.subtype
+        if state is _WAIT_DATA:
+            if subtype != DATA:
                 raise ProtocolError(f"{self.name}: expected DATA, got {flit!r}")
             if self.reorder.insert(flit.seq, flit.data):
                 txn.read_words = self.reorder.take()
                 return self._complete(cycle)
             return None
-        if state is _BridgeState.WAIT_GRANT:
-            if txn.kind is PacketType.LOCK:
-                if flit.subtype == int(SubType.ACK):
+        if state is _WAIT_GRANT:
+            if kind is LOCK:
+                if subtype == ACK:
                     txn.granted = True
-                elif flit.subtype == int(SubType.NACK):
+                elif subtype == NACK:
                     txn.granted = False
                     self.stats.inc("lock_nacks")
                 else:
                     raise ProtocolError(f"{self.name}: bad lock reply {flit!r}")
                 return self._complete(cycle)
-            if txn.kind is PacketType.UNLOCK:
-                if flit.subtype != int(SubType.ACK):
+            if kind is UNLOCK:
+                if subtype != ACK:
                     raise ProtocolError(f"{self.name}: bad unlock reply {flit!r}")
                 return self._complete(cycle)
             # Write grant: start streaming data flits.
-            if flit.subtype != int(SubType.ACK):
+            if subtype != ACK:
                 raise ProtocolError(f"{self.name}: expected write grant, got {flit!r}")
-            mpmmu = self.lut.lookup(txn.addr)
+            mpmmu = self._mpmmu
+            node_id = self.node_id
+            words = txn.write_words
+            burst = len(words)
             self._outgoing = [
-                Flit(
-                    dst=mpmmu,
-                    src=self.node_id,
-                    ptype=txn.kind,
-                    subtype=int(SubType.DATA),
-                    seq=index,
-                    burst=len(txn.write_words),
-                    data=word,
-                )
-                for index, word in enumerate(txn.write_words)
+                Flit(mpmmu, node_id, kind, DATA, index, burst, word)
+                for index, word in enumerate(words)
             ]
-            self._state = _BridgeState.SEND_DATA
+            self._state = _SEND_DATA
             return None
-        if state is _BridgeState.WAIT_FINAL:
-            if flit.subtype != int(SubType.ACK):
+        if state is _WAIT_FINAL:
+            if subtype != ACK:
                 raise ProtocolError(f"{self.name}: expected final ACK, got {flit!r}")
             return self._complete(cycle)
         raise ProtocolError(
@@ -194,7 +194,8 @@ class Pif2NocBridge:
         txn.completed_at = cycle
         self.latency.record(txn.latency)
         self._txn = None
-        self._state = _BridgeState.IDLE
+        self._state = _IDLE
+        self.idle = True
         self._outgoing = []
         return txn
 

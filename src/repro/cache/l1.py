@@ -19,6 +19,10 @@ class WritePolicy(enum.Enum):
         return parse_enum(cls, value, "write policy")
 
 
+# Members as module constants, for the reason given in repro.noc.packet.
+WRITE_BACK, __ = WritePolicy
+
+
 class CacheLine:
     """One cache line: tag, state bits and the actual data words."""
 

@@ -73,7 +73,7 @@ from repro.kernel.stats import CounterSet
 from repro.kernel.trace import DMA_ACTIVATE, DMA_POST, DMA_RETIRE, EventLog
 from repro.mem.values import words_to_float
 from repro.noc.flit import MULTICAST_DST, Flit
-from repro.noc.packet import SubType
+from repro.noc.packet import MSG_RETX
 from repro.pe.tie import (
     CREDIT_WINDOW,
     MCAST,
@@ -412,7 +412,7 @@ class DmaTxEngine:
             member, slot, word = self.pending_retx[0]
             self._retx_current = True
             return self.tie.make_flit(
-                MCAST, member, SubType.MSG_RETX, slot & SLOT_MASK, word
+                MCAST, member, MSG_RETX, slot & SLOT_MASK, word
             )
         self._retx_current = False
         if self._active is None:

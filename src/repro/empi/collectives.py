@@ -97,8 +97,8 @@ class CollectiveAlgorithm(enum.Enum):
         *rooted* reduce under either runs the tree, which is what this
         resolves for.
         """
-        if self is CollectiveAlgorithm.HW:
-            return CollectiveAlgorithm.TREE
+        if self is HW:
+            return TREE
         return self
 
     def rooted(self) -> "CollectiveAlgorithm":
@@ -110,8 +110,8 @@ class CollectiveAlgorithm(enum.Enum):
         fragments, both backends) and the references resolve through
         this one place, so the demotion can never drift between them.
         """
-        if self in (CollectiveAlgorithm.RING, CollectiveAlgorithm.HIER):
-            return CollectiveAlgorithm.TREE
+        if self is RING or self is HIER:
+            return TREE
         return self
 
 
@@ -135,13 +135,19 @@ class CommModel(enum.Enum):
         return parse_enum(cls, value, "comm model")
 
 
+# Members as module constants, for the reason given in repro.noc.packet.
+LINEAR, TREE, HW, RING, HIER = CollectiveAlgorithm
+_SUM, __ = ReduceOp
+_EMPI, __ = CommModel
+
+
 def combine_cost(cost, n_values: int, op: ReduceOp) -> int:
     """Core cycles for one elementwise combine of ``n_values`` doubles.
 
     Shared by both backends so their timing can never drift apart —
     the hybrid-vs-SM comparison must charge identical FP work.
     """
-    unit = cost.fp_add if op is ReduceOp.SUM else cost.fp_cmp
+    unit = cost.fp_add if op is _SUM else cost.fp_cmp
     return n_values * unit + cost.loop_overhead
 
 
@@ -150,20 +156,21 @@ def combine_scalar(acc: float, other: float, op: ReduceOp) -> float:
     definition every combiner (software loops *and* the DMA engine's
     accumulate-on-receive datapath) shares, so a reduction's bit pattern
     is fixed by its combine order alone."""
-    if op is ReduceOp.SUM:
+    if op is _SUM:
         return acc + other
     return acc if acc >= other else other
 
 
 def combine_values(
-    acc: list[float], other: list[float], op: ReduceOp | str
+    acc: list[float], other: list[float], op: ReduceOp
 ) -> list[float]:
     """Elementwise ``acc op other`` — the one combine everybody shares.
 
     Both backends and both reference functions call exactly this, so a
-    reduction's bit pattern is fixed by its combine *order* alone.
+    reduction's bit pattern is fixed by its combine *order* alone.  ``op``
+    is a member: whoever takes an op from outside (the collective entry
+    points, the references, ``post_reduce``) parses it once, there.
     """
-    op = ReduceOp.parse(op)
     if len(acc) != len(other):
         raise ConfigError(
             f"reduce length mismatch: {len(acc)} vs {len(other)}"
@@ -214,7 +221,7 @@ def reference_reduce(
     algorithm = CollectiveAlgorithm.parse(algorithm).rooted().combine_order()
     op = ReduceOp.parse(op)
     n = len(contributions)
-    if algorithm is CollectiveAlgorithm.LINEAR:
+    if algorithm is LINEAR:
         acc = list(contributions[0])
         for rank in range(1, n):
             acc = combine_values(acc, contributions[rank], op)
@@ -255,19 +262,17 @@ def reference_allreduce(
     """
     algorithm = CollectiveAlgorithm.parse(algorithm)
     op = ReduceOp.parse(op)
-    if algorithm is CollectiveAlgorithm.HIER:
+    if algorithm is HIER:
         if not groups:
             groups = [list(range(len(contributions)))]
         group_sums = [
             reference_allreduce(
-                [contributions[rank] for rank in members],
-                op,
-                CollectiveAlgorithm.RING,
+                [contributions[rank] for rank in members], op, RING
             )
             for members in groups
         ]
-        return reference_reduce(group_sums, 0, op, CollectiveAlgorithm.TREE)
-    if algorithm is not CollectiveAlgorithm.RING:
+        return reference_reduce(group_sums, 0, op, TREE)
+    if algorithm is not RING:
         return reference_reduce(contributions, 0, op, algorithm)
     n = len(contributions)
     n_values = len(contributions[0])
@@ -436,7 +441,7 @@ def make_comm(
     non-blocking).
     """
     model = CommModel.parse(model)
-    if model is CommModel.EMPI:
+    if model is _EMPI:
         return EmpiCollectives(ctx, algorithm)
     from repro.empi.smsync import SharedMemoryCollectives
 

@@ -43,6 +43,7 @@ import enum
 import typing
 
 from repro.empi.collectives import (
+    HIER, HW, LINEAR, RING,
     CollectiveAlgorithm,
     ReduceOp,
     combine_cost,
@@ -71,6 +72,11 @@ class _Token(enum.IntEnum):
     ARRIVE = 1
     RELEASE = 2
     DISSEM = 3
+
+
+# Members as module constants, for the reason given in repro.noc.packet.
+_CENTRAL, __ = BarrierAlgorithm
+_ARRIVE, _RELEASE, _DISSEM = _Token
 
 
 def _encode(opcode: _Token, epoch: int, aux: int = 0) -> int:
@@ -324,7 +330,7 @@ class Empi(EngineCompletion):
     def barrier(self) -> "Program":
         """MPI_barrier over all workers, using the configured algorithm."""
         self.barriers += 1
-        if self.barrier_algorithm is BarrierAlgorithm.CENTRAL:
+        if self.barrier_algorithm is _CENTRAL:
             yield from self._barrier_central()
         else:
             yield from self._barrier_dissemination()
@@ -338,14 +344,12 @@ class Empi(EngineCompletion):
             return
         if ctx.rank == 0:
             for __ in range(n - 1):
-                yield from self._recv_token(_Token.ARRIVE, epoch)
+                yield from self._recv_token(_ARRIVE, epoch)
             for rank in range(1, n):
-                yield from self._send_token(rank, _Token.RELEASE, epoch)
+                yield from self._send_token(rank, _RELEASE, epoch)
         else:
-            yield from self._send_token(0, _Token.ARRIVE, epoch)
-            yield from self._recv_token(
-                _Token.RELEASE, epoch, src_node=ctx.node_of(0)
-            )
+            yield from self._send_token(0, _ARRIVE, epoch)
+            yield from self._recv_token(_RELEASE, epoch, src_node=ctx.node_of(0))
 
     def _barrier_dissemination(self) -> "Program":
         ctx = self.ctx
@@ -359,11 +363,9 @@ class Empi(EngineCompletion):
         while distance < n:
             to_rank = (ctx.rank + distance) % n
             from_rank = (ctx.rank - distance) % n
-            yield from self._send_token(
-                to_rank, _Token.DISSEM, epoch, aux=round_index
-            )
+            yield from self._send_token(to_rank, _DISSEM, epoch, aux=round_index)
             yield from self._recv_token(
-                _Token.DISSEM, epoch,
+                _DISSEM, epoch,
                 src_node=ctx.node_of(from_rank), aux=round_index,
             )
             distance <<= 1
@@ -430,12 +432,12 @@ class Empi(EngineCompletion):
         if not frag:
             self._check_engine_idle("bcast", algorithm)
         algorithm = algorithm.rooted()
-        if algorithm is CollectiveAlgorithm.HW:
+        if algorithm is HW:
             self._require_hw("ibcast" if frag else "bcast")
             body = self._mcast_bcast(
                 root, values, n_values, _DmaFlavour(self, frag, "bcast[hw]")
             )
-        elif algorithm is CollectiveAlgorithm.LINEAR:
+        elif algorithm is LINEAR:
             body = self._linear_bcast_over(
                 range(n), root, values, n_values, _TieFlavour(self, frag)
             )
@@ -490,11 +492,11 @@ class Empi(EngineCompletion):
         if not frag:
             self._check_engine_idle("reduce", requested)
         p2p: _Flavour = _TieFlavour(self, frag)
-        if requested is CollectiveAlgorithm.HW:
+        if requested is HW:
             self._require_hw("ireduce" if frag else "reduce")
             if ctx.dma_reduce_assist:
                 p2p = _DmaFlavour(self, frag, "reduce[hw]")
-        if requested.rooted().combine_order() is CollectiveAlgorithm.LINEAR:
+        if requested.rooted().combine_order() is LINEAR:
             body = self._linear_reduce_over(range(n), root, values, op, p2p)
         else:
             body = self._tree_reduce_over(
@@ -543,14 +545,14 @@ class Empi(EngineCompletion):
         n = ctx.n_workers
         if n > 1 and not frag:
             self._check_engine_idle("allreduce", algorithm)
-        if algorithm is CollectiveAlgorithm.RING:
+        if algorithm is RING:
             p2p: _Flavour
             if ctx.dma_queue_depth >= 1 and ctx.dma_reduce_assist:
                 p2p = _DmaFlavour(self, frag, "allreduce[ring]")
             else:
                 p2p = _TieFlavour(self, frag)
             body = self._ring_allreduce_over(range(n), values, op, p2p)
-        elif algorithm is CollectiveAlgorithm.HIER:
+        elif algorithm is HIER:
             body = self._allreduce_hier(values, op, _TieFlavour(self, frag))
         else:
             reduced = yield from self._reduce(0, values, op, algorithm, frag)
@@ -786,7 +788,7 @@ class Empi(EngineCompletion):
         ctx = self.ctx
         n = ctx.n_workers
         if n > 1:
-            self._check_engine_idle("scatter", CollectiveAlgorithm.LINEAR)
+            self._check_engine_idle("scatter", LINEAR)
         if ctx.rank == root:
             if chunks is None or len(chunks) != n:
                 raise ProgramError("scatter root must supply one chunk per rank")
@@ -804,7 +806,7 @@ class Empi(EngineCompletion):
         ctx = self.ctx
         n = ctx.n_workers
         if n > 1:
-            self._check_engine_idle("gather", CollectiveAlgorithm.LINEAR)
+            self._check_engine_idle("gather", LINEAR)
         if ctx.rank != root:
             yield from self.send_doubles(root, values)
             return None

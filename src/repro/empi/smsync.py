@@ -29,6 +29,7 @@ from __future__ import annotations
 import typing
 
 from repro.empi.collectives import (
+    HIER, HW, LINEAR, RING,
     CollectiveAlgorithm,
     CommModel,
     ReduceOp,
@@ -261,12 +262,12 @@ class SharedMemoryCollectives(EngineCompletion):
         p2p_values: int = 0,
     ) -> None:
         self.algorithm = CollectiveAlgorithm.parse(algorithm)
-        if self.algorithm is CollectiveAlgorithm.HW:
+        if self.algorithm is HW:
             raise ConfigError(
                 "the 'hw' collective algorithm rides the TIE/DMA hardware; "
                 "it is only available on the 'empi' model"
             )
-        if self.algorithm is CollectiveAlgorithm.HIER:
+        if self.algorithm is HIER:
             raise ConfigError(
                 "the 'hier' collective algorithm schedules around the NoC "
                 "topology; on the pure-SM model every word serializes "
@@ -433,7 +434,7 @@ class SharedMemoryCollectives(EngineCompletion):
                 pause: object) -> "Program":
         if self.n_workers == 1:
             return list(values)
-        if self.algorithm is CollectiveAlgorithm.LINEAR:
+        if self.algorithm is LINEAR:
             result = yield from self._reduce_linear(root, values, op, pause)
         else:
             result = yield from self._reduce_tree(root, values, op, pause)
@@ -508,7 +509,7 @@ class SharedMemoryCollectives(EngineCompletion):
 
     def _allreduce(self, values: list[float], op: ReduceOp,
                    pause: object) -> "Program":
-        if self.algorithm is CollectiveAlgorithm.RING and self.n_workers > 1:
+        if self.algorithm is RING and self.n_workers > 1:
             result = yield from self._allreduce_ring(values, op, pause)
             return result
         # Reduce at rank 0 (None elsewhere), then broadcast it.

@@ -41,7 +41,7 @@ from repro.errors import ConfigError
 from repro.kernel.stats import CounterSet
 from repro.kernel.trace import FAULT, EventLog
 from repro.noc.coords import DIRECTION_NAMES
-from repro.noc.packet import PacketType, SubType
+from repro.noc.packet import MESSAGE, MSG_DATA, MSG_RETX
 from repro.pe.tie import CREDIT_LIMIT, CREDIT_WINDOW
 
 
@@ -164,8 +164,8 @@ def _crc8(src: int, ptype: int, subtype: int, seq: int, burst: int,
 def _is_stream_data(flit) -> bool:
     """True for the flits covered by transient faults + retransmission."""
     return (
-        flit.ptype >= PacketType.MESSAGE
-        and flit.subtype in (SubType.MSG_DATA, SubType.MSG_RETX)
+        flit.ptype >= MESSAGE
+        and flit.subtype in (MSG_DATA, MSG_RETX)
     )
 
 

@@ -15,7 +15,9 @@ class CounterSet:
     batch increments in plain ints of their own (:meth:`absorb`): such a
     set is exact *when read through* what flushes the owner first —
     ``MedeaSystem.collect_stats``, the telemetry registry's ``flush=``
-    hook, ``flush_op_stats`` — not at every cycle or sleep.
+    hook, ``telemetry.attribution``, ``flush_op_stats`` — not at every
+    cycle or sleep.  The MPMMU's per-flit counters are exact through the
+    same readers (``MpmmuNode.flush_stats`` copies what its FIFOs count).
     """
 
     __slots__ = ("name", "_counters")

@@ -18,6 +18,12 @@ The local cache is modelled write-through: it accelerates reads (the
 latency of a read "strongly depends on the availability of the given word
 inside the cache", Section II-C) while the DDR word store stays
 authoritative, which keeps post-simulation validation reads simple.
+
+The three per-flit counters (``requests_received``,
+``data_flits_received``, ``reply_flits_sent``) are exact *when read
+through* ``MedeaSystem.collect_stats``, the telemetry registry or
+``telemetry.attribution`` (each calls :meth:`MpmmuNode.flush_stats`
+first), not at every sleep; a direct read of ``mpmmu.stats`` may lag.
 """
 
 from __future__ import annotations
@@ -31,7 +37,10 @@ from repro.kernel.fifo import Fifo
 from repro.mem.ddr import DdrModel
 from repro.noc.flit import Flit
 from repro.noc.network import NodePorts
-from repro.noc.packet import PacketType, SubType
+from repro.noc.packet import (
+    ACK, ADDR, BLOCK_READ, BLOCK_WRITE, DATA, LOCK, MESSAGE, NACK,
+    SINGLE_READ, SINGLE_WRITE, UNLOCK, PacketType,
+)
 from repro.mpmmu.lock_table import LockTable
 
 
@@ -41,8 +50,11 @@ class _MpmmuState(enum.Enum):
     WAIT_DATA = "wait_data"
 
 
-#: Per-transaction counter keys, precomputed off the service path.
-_SERVED_KEY = {kind: f"served_{kind.name.lower()}" for kind in PacketType}
+# Members as module constants, for the reason given in repro.noc.packet.
+_IDLE, _BUSY, _WAIT_DATA = _MpmmuState
+
+#: Per-transaction counter keys, indexed by packet type.
+_SERVED_KEY = tuple(f"served_{kind.name.lower()}" for kind in PacketType)
 
 
 class _WriteAssembly:
@@ -71,8 +83,15 @@ class _WriteAssembly:
         return self.filled == self.expected
 
     def words(self) -> list[int]:
-        assert self.filled == self.expected
-        return [w for w in self.slots if w is not None]
+        if self.filled != self.expected:
+            raise ProtocolError(
+                f"mpmmu: write assembled with {self.filled} of "
+                f"{self.expected} words (granted to node {self.src}, "
+                f"address {self.addr:#x})"
+            )
+        # insert() refuses duplicates and out-of-range seqs, so a full
+        # count means every slot holds a word.
+        return self.slots  # type: ignore[return-value]
 
 
 class MpmmuNode(Component):
@@ -100,114 +119,108 @@ class MpmmuNode(Component):
         self.req_fifo: Fifo[Flit] = Fifo(n_workers, name="mpmmu.req")
         self.data_fifo: Fifo[Flit] = Fifo(data_fifo_depth, name="mpmmu.data")
         self.out_fifo: Fifo[Flit] = Fifo(out_fifo_depth, name="mpmmu.out")
-        self._state = _MpmmuState.IDLE
+        self._state = _IDLE
         self._busy_until = 0
         self._after_busy: list[Flit] = []
-        self._after_state = _MpmmuState.IDLE
+        self._after_state = _IDLE
         self._assembly: _WriteAssembly | None = None
-        # Stable deque binding so an empty RX queue costs one truth test.
+        # Stable bindings of the deques behind the four queues: an
+        # emptiness or capacity test in step() is then a truth test or a
+        # len() of a deque, not a Python-level Fifo property call.
         self._rx_items = ports.eject.queue._items
-        # Per-flit counters batched as plain ints; folded into the
-        # CounterSet when the node sleeps (see flush_stats).
-        self._n_requests = 0
-        self._n_data_flits = 0
-        self._n_replies = 0
+        self._req_items = self.req_fifo._items
+        self._data_items = self.data_fifo._items
+        self._out_items = self.out_fifo._items
 
     # -- clocked behaviour ---------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        if self._rx_items:
-            self._phase_rx()
-        # Inlined _phase_fsm guards: only enter the FSM body when it can
-        # actually transition this cycle.
+        # Each phase is entered only when its guard holds; the phase
+        # bodies rely on that and do not test again.
+        rx = self._rx_items
+        if rx:
+            self._phase_rx(rx[0])
         state = self._state
-        if state is _MpmmuState.BUSY:
+        if state is _BUSY:
             if cycle >= self._busy_until:
                 self._phase_fsm(cycle)
-        elif state is _MpmmuState.WAIT_DATA:
-            if self.data_fifo._items:
+        elif state is _WAIT_DATA:
+            if self._data_items:
                 self._drain_write_data(cycle)
-        elif self.req_fifo._items:
+        elif self._req_items:
             self._begin_service(self.req_fifo.pop(), cycle)
-        self._phase_out()
-        self._phase_sleep(cycle)
-
-    def _phase_rx(self) -> None:
-        queue = self.ports.eject.queue
-        if queue.empty:
+        out = self._out_items
+        if out and self.ports.inject.pending is None:
+            self._phase_out(cycle)
+        if rx or out:
             return
-        flit = queue.peek()
-        if flit.ptype >= PacketType.MESSAGE:
-            # The reference MPMMU takes no part in eMPI traffic (neither
-            # MESSAGE nor MULTICAST flits).
-            raise ProtocolError(f"mpmmu received message flit {flit!r}")
-        if flit.subtype == int(SubType.ADDR):
-            if self.req_fifo.full:
-                # Request FIFO depth equals the worker count; overflow means
-                # a core broke the one-outstanding-transaction contract.
-                raise ProtocolError("mpmmu request FIFO overflow")
-            self.req_fifo.push(queue.pop())
-            self._n_requests += 1
-        elif flit.subtype == int(SubType.DATA):
-            if self.data_fifo.full:
-                return  # leave it in the ejection queue until space frees
-            self.data_fifo.push(queue.pop())
-            self._n_data_flits += 1
-        else:
-            raise ProtocolError(f"mpmmu got unexpected subtype in {flit!r}")
-
-    def _phase_fsm(self, cycle: int) -> None:
-        if self._state is _MpmmuState.BUSY:
-            if cycle < self._busy_until:
-                return
-            for flit in self._after_busy:
-                self.out_fifo.push(flit)
-            self._after_busy = []
-            self._state = self._after_state
-        if self._state is _MpmmuState.WAIT_DATA:
-            self._drain_write_data(cycle)
-            return
-        if self._state is _MpmmuState.IDLE and self.req_fifo:
-            self._begin_service(self.req_fifo.pop(), cycle)
-
-    def _phase_out(self) -> None:
-        if self.out_fifo._items and self.ports.inject.pending is None:
-            accepted = self.ports.inject.try_inject(self.out_fifo.pop())
-            assert accepted
-            self._n_replies += 1
-
-    def _phase_sleep(self, cycle: int) -> None:
-        if self._rx_items or self.out_fifo._items:
-            return
-        if self._state is _MpmmuState.BUSY:
+        state = self._state
+        if state is _BUSY:
             # Nothing can happen before _busy_until: the FSM is gated on
             # it, the RX and out queues are empty, and a flit delivery
             # re-wakes the node in its arrival cycle.  Queued requests
             # keep (exactly) until the wakeup, so sleep through the
             # service window even when req_fifo is non-empty.
-            self.flush_stats()
             self.sleep(until=self._busy_until)
-            return
-        if self.req_fifo._items:
-            return
-        if self._state is _MpmmuState.WAIT_DATA and self.data_fifo:
-            return
-        # IDLE, or WAIT_DATA with nothing buffered: wake on delivery.
-        self.flush_stats()
-        self.sleep()
+        elif not (
+            self._req_items or (state is _WAIT_DATA and self._data_items)
+        ):
+            # IDLE, or WAIT_DATA with nothing buffered: wake on delivery.
+            self.sleep()
+
+    def _phase_rx(self, flit: Flit) -> None:
+        """Move ``flit``, the head of the ejection queue, into its FIFO."""
+        if flit.ptype >= MESSAGE:
+            # The reference MPMMU takes no part in eMPI traffic (neither
+            # MESSAGE nor MULTICAST flits).
+            raise ProtocolError(f"mpmmu received message flit {flit!r}")
+        subtype = flit.subtype
+        if subtype == ADDR:
+            fifo = self.req_fifo
+            if len(self._req_items) >= fifo.capacity:
+                # Request FIFO depth equals the worker count; overflow means
+                # a core broke the one-outstanding-transaction contract.
+                raise ProtocolError("mpmmu request FIFO overflow")
+        elif subtype == DATA:
+            fifo = self.data_fifo
+            if len(self._data_items) >= fifo.capacity:
+                return  # leave it in the ejection queue until space frees
+        else:
+            raise ProtocolError(f"mpmmu got unexpected subtype in {flit!r}")
+        fifo.push(self.ports.eject.queue.pop())
+
+    def _phase_fsm(self, cycle: int) -> None:
+        """The service window has elapsed: release the replies and move on."""
+        push = self.out_fifo.push
+        for flit in self._after_busy:
+            push(flit)
+        self._after_busy = []
+        state = self._state = self._after_state
+        if state is _WAIT_DATA:
+            if self._data_items:
+                self._drain_write_data(cycle)
+        elif self._req_items:
+            self._begin_service(self.req_fifo.pop(), cycle)
+
+    def _phase_out(self, cycle: int) -> None:
+        flit = self.out_fifo.pop()
+        if not self.ports.inject.try_inject(flit):
+            raise ProtocolError(
+                f"mpmmu: cycle {cycle}: injection port reported free but "
+                f"rejected {flit!r}"
+            )
 
     def flush_stats(self) -> None:
-        """Fold the batched per-flit counters into the CounterSet."""
-        inc = self.stats.inc
-        if self._n_requests:
-            inc("requests_received", self._n_requests)
-            self._n_requests = 0
-        if self._n_data_flits:
-            inc("data_flits_received", self._n_data_flits)
-            self._n_data_flits = 0
-        if self._n_replies:
-            inc("reply_flits_sent", self._n_replies)
-            self._n_replies = 0
+        """Bring the per-flit counters up to date (module docstring).
+
+        The FIFOs already count what passes through them, so the hot path
+        keeps no tally of its own: a request received is a push on the
+        request FIFO, a reply sent a pop of the outgoing one.
+        """
+        set_max = self.stats.set_max  # the three only grow; 0 adds no key
+        set_max("requests_received", self.req_fifo.pushes)
+        set_max("data_flits_received", self.data_fifo.pushes)
+        set_max("reply_flits_sent", self.out_fifo.pops)
 
     # -- transaction service -------------------------------------------------------
 
@@ -216,52 +229,49 @@ class MpmmuNode(Component):
         addr = flit.data
         src = flit.src
         self.stats.inc(_SERVED_KEY[kind])
-        if kind in (PacketType.SINGLE_READ, PacketType.BLOCK_READ):
-            n_words = 1 if kind is PacketType.SINGLE_READ else 4
+        if kind is SINGLE_READ or kind is BLOCK_READ:
+            n_words = 1 if kind is SINGLE_READ else 4
             words, access = self._read_words(addr, n_words)
-            self._go_busy(
-                cycle,
-                self.service_overhead + access,
-                [
-                    Flit(
-                        dst=src, src=self.ports.node, ptype=kind,
-                        subtype=int(SubType.DATA), seq=index,
-                        burst=n_words, data=word,
-                    )
-                    for index, word in enumerate(words)
-                ],
-            )
-        elif kind in (PacketType.SINGLE_WRITE, PacketType.BLOCK_WRITE):
-            n_words = 1 if kind is PacketType.SINGLE_WRITE else 4
+            node = self.ports.node
+            # Flits are built positionally throughout: (dst, src, ptype,
+            # subtype, seq, burst, data); keywords doubled the cost.
+            replies = [
+                Flit(src, node, kind, DATA, index, n_words, word)
+                for index, word in enumerate(words)
+            ]
+            self._go_busy(cycle, self.service_overhead + access, replies)
+            return
+        # Every other kind is answered by one ACK (or NACK) flit.
+        subtype = ACK
+        then = _IDLE
+        if kind is SINGLE_WRITE or kind is BLOCK_WRITE:
+            n_words = 1 if kind is SINGLE_WRITE else 4
             self._assembly = _WriteAssembly(src, addr, kind, n_words)
-            self._go_busy(
-                cycle,
-                self.service_overhead,
-                [self._ack(src, kind)],
-                then=_MpmmuState.WAIT_DATA,
-            )
-        elif kind is PacketType.LOCK:
-            granted = self.locks.acquire(addr, src)
-            reply = self._ack(src, kind) if granted else self._nack(src, kind)
-            self._go_busy(cycle, self.service_overhead, [reply])
-        elif kind is PacketType.UNLOCK:
+            then = _WAIT_DATA
+        elif kind is LOCK:
+            if not self.locks.acquire(addr, src):
+                subtype = NACK
+        elif kind is UNLOCK:
             self.locks.release(addr, src)
-            self._go_busy(cycle, self.service_overhead, [self._ack(src, kind)])
         else:
             raise ProtocolError(f"mpmmu cannot serve {flit!r}")
+        reply = Flit(src, self.ports.node, kind, subtype, 0, 1, 0)
+        self._go_busy(cycle, self.service_overhead, [reply], then)
 
     def _drain_write_data(self, cycle: int) -> None:
-        if not self.data_fifo:
-            return
+        """Take one buffered data flit into the granted write."""
+        flit = self.data_fifo.pop()
         assembly = self._assembly
-        assert assembly is not None
-        if assembly.insert(self.data_fifo.pop()):
-            words = assembly.words()
-            cost = self._write_words(assembly.addr, words)
-            self._assembly = None
-            self._go_busy(
-                cycle, cost, [self._ack(assembly.src, assembly.kind)]
+        if assembly is None:
+            raise ProtocolError(
+                f"mpmmu: cycle {cycle}: data flit {flit!r} with no write "
+                f"granted"
             )
+        if assembly.insert(flit):
+            cost = self._write_words(assembly.addr, assembly.words())
+            self._assembly = None
+            final = Flit(assembly.src, self.ports.node, assembly.kind, ACK, 0, 1, 0)
+            self._go_busy(cycle, cost, [final])
             self.stats.inc("writes_committed")
 
     def _go_busy(
@@ -271,11 +281,13 @@ class MpmmuNode(Component):
         replies: list[Flit],
         then: _MpmmuState = _MpmmuState.IDLE,
     ) -> None:
-        self._state = _MpmmuState.BUSY
-        self._busy_until = cycle + max(1, cost)
+        if cost < 1:
+            cost = 1
+        self._state = _BUSY
+        self._busy_until = cycle + cost
         self._after_busy = replies
         self._after_state = then
-        self.stats.inc("busy_cycles", max(1, cost))
+        self.stats.inc("busy_cycles", cost)
 
     # -- memory access (timing + data) ------------------------------------------------
 
@@ -300,24 +312,13 @@ class MpmmuNode(Component):
                 line.words[base + offset] = word
         return self.cache_hit_cycles + self.ddr.write_block(addr, words)
 
-    def _ack(self, dst: int, kind: PacketType) -> Flit:
-        return Flit(dst=dst, src=self.ports.node, ptype=kind,
-                    subtype=int(SubType.ACK), seq=0, burst=1, data=0)
-
-    def _nack(self, dst: int, kind: PacketType) -> Flit:
-        return Flit(dst=dst, src=self.ports.node, ptype=kind,
-                    subtype=int(SubType.NACK), seq=0, burst=1, data=0)
-
     # -- introspection ---------------------------------------------------------------------
 
     @property
     def idle(self) -> bool:
-        return (
-            self._state is _MpmmuState.IDLE
-            and self.req_fifo.empty
-            and self.data_fifo.empty
-            and self.out_fifo.empty
-            and self.ports.eject.queue.empty
+        return self._state is _IDLE and not (
+            self._req_items or self._data_items or self._out_items
+            or self._rx_items
         )
 
     def describe_state(self) -> str:

@@ -39,7 +39,7 @@ from repro.kernel.fifo import Fifo
 from repro.kernel.stats import LatencyStat
 from repro.kernel.trace import EJECT, EventLog
 from repro.noc.flit import Flit
-from repro.noc.packet import FlitCodec, PacketType
+from repro.noc.packet import MULTICAST, FlitCodec
 from repro.noc.switch import RoutingOutcome, route_node
 from repro.noc.topology import Topology
 
@@ -80,7 +80,7 @@ class InjectionPort:
         mask = flit.dst_mask
         if fabric.strict_encoding or not (0 <= flit.src < n and (
             0 <= flit.dst < n
-            or (flit.dst < 0 and flit.ptype is PacketType.MULTICAST
+            or (flit.dst < 0 and flit.ptype is MULTICAST
                 and 0 < mask < 1 << n and not mask >> flit.src & 1)
         )):
             fabric.validate_flit(flit)
@@ -182,19 +182,16 @@ class NocFabric(Component):
         self.events = events
         n = topology.n_nodes
         n_ports = topology.max_ports
-        self._n_ports = n_ports
         # regs[node][in_port] = flit latched on that input link.
         self.regs: list[list[Flit | None]] = [
             [None] * n_ports for _ in range(n)
         ]
-        #: What a register row is reset to once its switch has routed.
-        self._idle_row: list[None] = [None] * n_ports
         # Slow or narrow links (latency > 1 or serialization > 1, the
         # inter-chiplet case) deliver through a timestamped heap instead
         # of the commit phase: (due_cycle, seq, node, in_port, flit).
-        # ``_direct_links[node][port]`` says which mechanism a link uses;
+        # ``direct_links[node][port]`` says which mechanism a link uses;
         # on uniform-link topologies (every grid) the heap stays empty.
-        self._direct_links: list[list[bool]] = [
+        direct_links = [
             [link is not None and link[2:] == (1, 1) for link in row]
             for row in topology.link_table
         ]
@@ -211,8 +208,6 @@ class NocFabric(Component):
         # Running count of flits in the network (regs + injection slots):
         # +1 on accepted injection, -1 on ejection.
         self._flit_count = 0
-        self._moves: list[tuple[int, int, Flit]] = []
-        self._scratch = RoutingOutcome(n_ports=n_ports)
         self.ports: list[NodePorts] = [
             NodePorts(node, InjectionPort(node, self), EjectionPort(node))
             for node in range(n)
@@ -220,6 +215,26 @@ class NocFabric(Component):
         self.latency = LatencyStat("noc_latency")
         #: Optional per-link/per-switch matrices (telemetry spatial view).
         self._spatial: SpatialCounters | None = None
+        # What step() reads on every call and nothing rebinds after the
+        # build — the fabric's own containers and the topology's tables,
+        # the same objects, so an edit made in place (a test's hand-written
+        # routing entry, the plan table clearing itself at its limit) is
+        # seen — bound once, to be unpacked in one go rather than looked
+        # up attribute by attribute every cycle.  ``faults``, ``_spatial``
+        # and the fault layer's rerouted tables *are* rebound after the
+        # build and are read where they are used.  Four live only here:
+        # the step's (neighbor, in_port, flit) move list, the direct-link
+        # flags, the all-None row a routed switch's registers are reset to
+        # and the router's reusable outcome.
+        moves: list[tuple[int, int, Flit]] = []
+        self._bound = (
+            self._work, self.regs, self._delayed, moves, self.ports,
+            topology.neighbor_table, topology.reverse_port_table,
+            direct_links, range(n_ports),
+            tuple((port,) for port in range(n_ports)), [None] * n_ports, n,
+            topology.productive_table, topology.mcast_plans, topology,
+            eject_capacity, RoutingOutcome(n_ports=n_ports),
+        )
 
     # -- node-facing API -----------------------------------------------------
 
@@ -231,7 +246,7 @@ class NocFabric(Component):
         n = self.topology.n_nodes
         if flit.dst < 0:
             # Mask-routed multicast: the bitmask replaces the X-Y address.
-            if flit.ptype is not PacketType.MULTICAST:
+            if flit.ptype is not MULTICAST:
                 raise ProtocolError(f"negative dst on non-multicast {flit!r}")
             mask = flit.dst_mask
             if not (0 < mask < (1 << n)):
@@ -264,10 +279,10 @@ class NocFabric(Component):
     # -- clocked behaviour ------------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        work = self._work
-        regs = self.regs
+        (work, regs, delayed, moves, ports, neighbor_table, reverse_table,
+         direct_table, port_range, one_port, idle_row, n_nodes,
+         productive_table, plans, topo, eject_capacity, scratch) = self._bound
         spatial = self._spatial
-        delayed = self._delayed
         if delayed and delayed[0][0] <= cycle:
             # Slow-link arrivals latch at the start of their due cycle —
             # the moment the commit phase of cycle-1 would have latched a
@@ -289,29 +304,14 @@ class NocFabric(Component):
             else:
                 self.sleep()
             return
+        # The worklist is emptied here and re-populated below by the
+        # commit phase / stalls.
         if len(work) == 1:
-            work_nodes = list(work)
+            work_nodes = (work.pop(),)
         else:
             work_nodes = sorted(work)
-        work.clear()  # re-populated below by the commit phase / stalls
-        moves = self._moves
+            work.clear()
         del moves[:]
-        topo = self.topology
-        ports = self.ports
-        neighbor_table = topo.neighbor_table
-        reverse_table = topo.reverse_port_table
-        direct_table = self._direct_links
-        latency_table = topo.link_latency_table
-        ser_table = topo.link_ser_table
-        wire_free = self._wire_free
-        n_ports = self._n_ports
-        port_range = range(n_ports)
-        idle_row = self._idle_row
-        n_nodes = topo.n_nodes
-        productive_table = topo.productive_table
-        plans = topo.mcast_plans
-        eject_capacity = self.eject_capacity
-        scratch = self._scratch
         faults = self.faults
         masks_active = False
         if faults is not None:
@@ -397,8 +397,11 @@ class NocFabric(Component):
                     port.inject.pending = None
                     port.inject.injected += 1
                     flits_injected += 1
+                # The one mover goes straight onto its port; the forward
+                # stage scans that port alone.
                 outputs = scratch.outputs
                 outputs[direction] = mover
+                placed = one_port[direction]
             else:
                 # The register row is handed to the router as-is (it
                 # skips idle links); clear it only after routing has
@@ -437,12 +440,13 @@ class NocFabric(Component):
                     spatial.switch_deflections[node] += outcome.deflections
                 eject_overflows += outcome.eject_overflow
                 outputs = outcome.outputs
+                placed = port_range
             # Forward stage, shared by both paths: every placed flit
             # crosses its link (and is taken off the scratch outputs).
             neighbor_row = neighbor_table[node]
             reverse_row = reverse_table[node]
             direct_row = direct_table[node]
-            for direction in port_range:
+            for direction in placed:
                 flit = outputs[direction]
                 if flit is not None:
                     outputs[direction] = None
@@ -466,14 +470,17 @@ class NocFabric(Component):
                         # Slow or narrow wire: the flit is in flight for
                         # `latency` cycles and occupies the serializing
                         # link for `ser`; followers queue behind.
-                        wire = node * n_ports + direction
+                        wire_free = self._wire_free
+                        wire = node * topo.max_ports + direction
                         start = wire_free[wire]
                         if start < cycle:
                             start = cycle
-                        wire_free[wire] = start + ser_table[node][direction]
+                        wire_free[wire] = (
+                            start + topo.link_ser_table[node][direction]
+                        )
                         self._delay_seq += 1
                         heappush(delayed, (
-                            start + latency_table[node][direction],
+                            start + topo.link_latency_table[node][direction],
                             self._delay_seq, neighbor,
                             reverse_row[direction], flit,
                         ))

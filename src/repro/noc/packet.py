@@ -68,6 +68,24 @@ class SubType(enum.IntEnum):
     MSG_RETX = 2
 
 
+# Per-step code names enum members through module constants, never as
+# ``PacketType.LOCK``: up to CPython 3.11 the enum metaclass defines
+# ``__getattr__``, which sends every attribute read of an enum *class*
+# through the slow ``slot_tp_getattr_hook`` (``x.state is CoreState.RUNNING``
+# 118 ns against 16.5 ns for ``x.state is _RUNNING``, ``timeit``, 3.11.7;
+# ``int(SubType.ADDR)`` adds 68 ns).  A lookup is not a call, so no profile
+# shows it; ``tests/test_hot_path_names.py`` keeps it out of function
+# bodies.  Right on every CPython, merely free from 3.12 on.  Every enum of
+# the per-step modules binds its members like this, beside its definition.
+(SINGLE_READ, SINGLE_WRITE, BLOCK_READ, BLOCK_WRITE,
+ LOCK, UNLOCK, MESSAGE, MULTICAST) = PacketType
+#: SUB-TYPE codes as the plain ints a flit's ``subtype`` field holds.
+ADDR, DATA, ACK, NACK = map(int, SubType)
+MSG_REQUEST, MSG_DATA, MSG_RETX = map(
+    int, (SubType.MSG_REQUEST, SubType.MSG_DATA, SubType.MSG_RETX)
+)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A contiguous bit slice inside the flat flit word."""

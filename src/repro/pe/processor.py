@@ -49,7 +49,7 @@ from collections.abc import Generator
 from repro.bridge.arbiter import NocAccessArbiter
 from repro.bridge.pif import MemTransaction
 from repro.bridge.pif2noc import Pif2NocBridge
-from repro.cache.l1 import L1Cache, WritePolicy
+from repro.cache.l1 import WRITE_BACK, L1Cache
 from repro.errors import ProgramError, ProtocolError
 from repro.kernel.component import Component
 from repro.kernel.trace import MARK, EventLog
@@ -57,7 +57,10 @@ from repro.mem.memory_map import MemoryMap
 from repro.mem.scratchpad import Scratchpad
 from repro.noc.flit import Flit
 from repro.noc.network import NodePorts
-from repro.noc.packet import PacketType
+from repro.noc.packet import (
+    BLOCK_READ, BLOCK_WRITE, LOCK, MESSAGE, SINGLE_READ, SINGLE_WRITE,
+    UNLOCK, PacketType,
+)
 from repro.pe.costmodel import FpCostModel
 from repro.pe.tie import MCAST, UNICAST, ReceiveStream, TieInterface
 
@@ -77,10 +80,20 @@ class CoreState(enum.Enum):
     WAIT_FENCE = "wait_fence"  # draining all outstanding memory traffic
     DONE = "done"
 
+    def __init__(self, value: str) -> None:
+        #: The state's cycle-counter key, pre-built so a state change
+        #: builds no f-string — and an attribute of the member rather than
+        #: a dict keyed by it: a plain Enum's ``__hash__`` is a Python
+        #: function.
+        self.cycles_key = f"cycles_{value}"
 
-#: Pre-built counter keys, so state changes and blocking ops never build
-#: f-strings on the per-cycle path.
-_CYCLES_KEY = {state: f"cycles_{state.value}" for state in CoreState}
+
+# Members as module constants, for the reason given in repro.noc.packet.
+(_RUNNING, _WAIT_MEM, _WAIT_WB, _WAIT_TX, _WAIT_MSG, _WAIT_REQ, _WAIT_LOCK,
+ _WAIT_FENCE, _DONE) = CoreState
+
+#: Pre-built counter keys, so blocking ops never build f-strings on the
+#: per-cycle path.
 _OPS_TAG_KEY = {tag: f"ops_{tag}" for tag in ("uload", "lock", "unlock")}
 #: The receive ops, blocking and polling: (stream channel, counter key).
 _RECV_OPS = {
@@ -162,7 +175,7 @@ class ProcessorNode(Component):
         #: Reliability agent (fault plan active only): NACK/probe timers.
         self.reliability = reliability
 
-        self.state = CoreState.DONE
+        self.state = _DONE
         self._state_since = 0
         self._ready_at = 0
         self._send_value: object = None
@@ -184,7 +197,7 @@ class ProcessorNode(Component):
         self._check_access = memory_map.check_access
         self._cache_lookup = cache.lookup
         self._line_bytes = cache.line_bytes
-        self._write_back = cache.policy is WritePolicy.WRITE_BACK
+        self._write_back = cache.policy is WRITE_BACK
         #: ``send`` of the loaded program generator (None: none loaded).
         self._program_send: typing.Callable | None = None
         # Hot op counters, batched as plain ints and flushed into the
@@ -200,13 +213,13 @@ class ProcessorNode(Component):
 
     def load_program(self, program: Generator) -> None:
         """Install a fresh program generator and make the core runnable."""
-        if self._program_send is not None and self.state is not CoreState.DONE:
+        if self._program_send is not None and self.state is not _DONE:
             raise ProgramError(f"{self.name}: program already running")
         if not hasattr(program, "send"):
             # Accept any iterable of ops (ops that need no results).
             program = (op for op in program)
         self._program_send = program.send
-        self.state = CoreState.RUNNING
+        self.state = _RUNNING
         self._send_value = None
         self._pending_op = None
         self._ready_at = 0
@@ -214,13 +227,13 @@ class ProcessorNode(Component):
 
     @property
     def done(self) -> bool:
-        return self.state is CoreState.DONE
+        return self.state is _DONE
 
     @property
     def drained(self) -> bool:
         """Program finished and every queued side effect has left the node."""
         return (
-            self.state is CoreState.DONE
+            self.state is _DONE
             and not self._jobs
             and self._active_job is None
             and self.bridge.idle
@@ -244,7 +257,7 @@ class ProcessorNode(Component):
         if self._rx_items:
             # Phase 1: one flit off the ejection port, demuxed on its type.
             flit = self.ports.eject.queue.pop()
-            if flit.ptype >= PacketType.MESSAGE:  # MESSAGE or MULTICAST
+            if flit.ptype >= MESSAGE:  # MESSAGE or MULTICAST
                 tie.accept(flit)
             elif bridge.on_reply(flit, cycle) is not None:
                 self._job_completed(cycle)
@@ -276,10 +289,10 @@ class ProcessorNode(Component):
         ):
             self._phase_tie_tx(cycle, dma_busy)
         # Core phase (inlined _phase_core).
-        if self.state is not CoreState.RUNNING:
+        if self.state is not _RUNNING:
             self._try_unblock(cycle)
         tie.rx_event = False
-        if self.state is CoreState.RUNNING and self._ready_at <= cycle:
+        if self.state is _RUNNING and self._ready_at <= cycle:
             self._execute(cycle)
         # Arbiter grant: skipped when it has no flit and no busy port to
         # account for (tick would be side-effect free).
@@ -287,7 +300,7 @@ class ProcessorNode(Component):
             arbiter.tick()
         # A running core that will be ready within a cycle stays awake,
         # whatever else is pending; only otherwise is sleep worth weighing.
-        if self.state is not CoreState.RUNNING or self._ready_at > cycle + 1:
+        if self.state is not _RUNNING or self._ready_at > cycle + 1:
             self._phase_sleep(cycle)
 
     # 4 -------------------------------------------------------------------------------
@@ -310,7 +323,7 @@ class ProcessorNode(Component):
         if self._pending_req_flit is not None:
             if offer(self._pending_req_flit):
                 self._pending_req_flit = None
-                if self.state is CoreState.WAIT_TX:
+                if self.state is _WAIT_TX:
                     self._resume(cycle, cost=1)
             return
         if dma_busy:
@@ -331,19 +344,19 @@ class ProcessorNode(Component):
         if flit is None:
             # None with a live tx: the credit gate refused it; a blocked
             # core is credit-stalled this cycle.
-            if self.state is CoreState.WAIT_TX:
+            if self.state is _WAIT_TX:
                 self._n_credit_wait += 1
             return
         if offer(flit):
             finished = tie.tx_advance()
-            if finished and self.state is CoreState.WAIT_TX:
+            if finished and self.state is _WAIT_TX:
                 self._resume(cycle, cost=1)
 
     # 5 -------------------------------------------------------------------------------
 
     def _try_unblock(self, cycle: int) -> None:
         state = self.state
-        if state is CoreState.WAIT_MSG and self.tie.rx_event:
+        if state is _WAIT_MSG and self.tie.rx_event:
             if self._wait_msg is None:
                 raise ProtocolError(f"{self.name}: WAIT_MSG with no receive")
             stream, n_words = self._wait_msg
@@ -351,23 +364,23 @@ class ProcessorNode(Component):
                 self._wait_msg = None
                 self._send_value = stream.take(n_words)
                 self._resume(cycle, cost=self.recv_overhead + n_words)
-        elif state is CoreState.WAIT_REQ and self.tie.requests:
+        elif state is _WAIT_REQ and self.tie.requests:
             self._send_value = self.tie.requests.pop()
             self._resume(cycle, cost=2)
-        elif state is CoreState.WAIT_FENCE and self._pipeline_empty():
+        elif state is _WAIT_FENCE and self._pipeline_empty():
             self._resume(cycle, cost=1)
 
     def _pipeline_empty(self) -> bool:
         return not self._jobs and self._active_job is None and self.bridge.idle
 
     def _resume(self, cycle: int, cost: int) -> None:
-        self._change_state(CoreState.RUNNING, cycle)
+        self._change_state(_RUNNING, cycle)
         self._ready_at = cycle + cost
 
     def _change_state(self, new_state: CoreState, cycle: int) -> None:
         old = self.state
         if old is not new_state:
-            self.stats.inc(_CYCLES_KEY[old], cycle - self._state_since)
+            self.stats.inc(old.cycles_key, cycle - self._state_since)
             self._state_since = cycle
             self.state = new_state
 
@@ -446,7 +459,7 @@ class ProcessorNode(Component):
                 return
             if code == "send":
                 self.tie.begin_send(op[1], op[2])
-                self._change_state(CoreState.WAIT_TX, cycle)
+                self._change_state(_WAIT_TX, cycle)
                 self.stats.inc("ops_send")
                 return
             if code == "recv" or code == "mrecv":
@@ -456,7 +469,7 @@ class ProcessorNode(Component):
                 return
             if code == "sendreq":
                 self._pending_req_flit = self.tie.make_request_flit(op[1], op[2])
-                self._change_state(CoreState.WAIT_TX, cycle)
+                self._change_state(_WAIT_TX, cycle)
                 self.stats.inc("ops_sendreq")
                 return
             if code == "recvreq":
@@ -464,7 +477,7 @@ class ProcessorNode(Component):
                     self._send_value = self.tie.requests.pop()
                     self._ready_at = cycle + 2
                 else:
-                    self._change_state(CoreState.WAIT_REQ, cycle)
+                    self._change_state(_WAIT_REQ, cycle)
                 self.stats.inc("ops_recvreq")
                 return
             if code == "isend":
@@ -525,16 +538,16 @@ class ProcessorNode(Component):
                 return
             if code == "uload":
                 self._enqueue_blocking(
-                    MemTransaction(PacketType.SINGLE_READ, self._check(op[1])),
+                    MemTransaction(SINGLE_READ, self._check(op[1])),
                     "uload", cycle,
                 )
                 return
             if code == "ustore":
-                if self._post_write(op[1], [op[2]], PacketType.SINGLE_WRITE, op):
+                if self._post_write(op[1], [op[2]], SINGLE_WRITE, op):
                     self._ready_at = cycle + 1
                     self.stats.inc("ops_ustore")
                 else:
-                    self._change_state(CoreState.WAIT_WB, cycle)
+                    self._change_state(_WAIT_WB, cycle)
                 return
             if code == "flush":
                 self._op_flush(cycle, op)
@@ -548,17 +561,17 @@ class ProcessorNode(Component):
                 if self._pipeline_empty():
                     self._ready_at = cycle + 1
                 else:
-                    self._change_state(CoreState.WAIT_FENCE, cycle)
+                    self._change_state(_WAIT_FENCE, cycle)
                 return
             if code == "lock":
                 self._enqueue_blocking(
-                    MemTransaction(PacketType.LOCK, self._check(op[1])),
+                    MemTransaction(LOCK, self._check(op[1])),
                     "lock", cycle,
                 )
                 return
             if code == "unlock":
                 self._enqueue_blocking(
-                    MemTransaction(PacketType.UNLOCK, self._check(op[1])),
+                    MemTransaction(UNLOCK, self._check(op[1])),
                     "unlock", cycle,
                 )
                 return
@@ -569,7 +582,7 @@ class ProcessorNode(Component):
                     self.events.emit(cycle, self.node_id, op[1], op[2], op[3])
                 continue
             if op is _PROGRAM_END:
-                self._change_state(CoreState.DONE, cycle)
+                self._change_state(_DONE, cycle)
                 return
             raise ProgramError(f"{self.name}: unknown operation {op!r}")
         self._ready_at = now
@@ -598,8 +611,8 @@ class ProcessorNode(Component):
             return
         self.map.check_access(self.rank, addr)
         line = self.cache.lookup(addr, is_write=True)
-        if not self._post_write(addr, [value], PacketType.SINGLE_WRITE, op):
-            self._change_state(CoreState.WAIT_WB, cycle)
+        if not self._post_write(addr, [value], SINGLE_WRITE, op):
+            self._change_state(_WAIT_WB, cycle)
             return
         if line is not None:
             # Keep the cached copy coherent with memory; stays clean.
@@ -614,17 +627,17 @@ class ProcessorNode(Component):
             self._jobs.append(
                 _Job(
                     MemTransaction(
-                        PacketType.BLOCK_WRITE, victim_addr,
+                        BLOCK_WRITE, victim_addr,
                         write_words=victim_words, blocking=False,
                     ),
                     "evict",
                 )
             )
         self._jobs.append(
-            _Job(MemTransaction(PacketType.BLOCK_READ, line_addr), "refill")
+            _Job(MemTransaction(BLOCK_READ, line_addr), "refill")
         )
         self._pending_op = continuation
-        self._change_state(CoreState.WAIT_MEM, cycle)
+        self._change_state(_WAIT_MEM, cycle)
 
     def _post_write(
         self, addr: int, words: list[int], kind: PacketType, op: tuple
@@ -650,11 +663,11 @@ class ProcessorNode(Component):
             self.stats.inc("ops_flush_clean")
             return
         line_addr, words = result
-        if not self._post_write(line_addr, words, PacketType.BLOCK_WRITE, op):
+        if not self._post_write(line_addr, words, BLOCK_WRITE, op):
             # Roll the dirty bit back: the flush never happened this cycle.
             # (writeback_line just returned this line's words: it is resident.)
             self.cache.probe(addr).dirty = True
-            self._change_state(CoreState.WAIT_WB, cycle)
+            self._change_state(_WAIT_WB, cycle)
             return
         self._ready_at = cycle + 1
         self.stats.inc("ops_flush_dirty")
@@ -668,13 +681,12 @@ class ProcessorNode(Component):
             self._ready_at = cycle + self.recv_overhead + n_words
         else:
             self._wait_msg = (stream, n_words)
-            self._change_state(CoreState.WAIT_MSG, cycle)
+            self._change_state(_WAIT_MSG, cycle)
         self.stats.inc(counter)
 
     def _enqueue_blocking(self, txn: MemTransaction, tag: str, cycle: int) -> None:
         self._jobs.append(_Job(txn, tag))
-        self._change_state(CoreState.WAIT_MEM if tag != "lock" else CoreState.WAIT_LOCK,
-                           cycle)
+        self._change_state(_WAIT_MEM if tag != "lock" else _WAIT_LOCK, cycle)
         self.stats.inc(_OPS_TAG_KEY[tag])
 
     # -- job completion ----------------------------------------------------------------------
@@ -687,7 +699,7 @@ class ProcessorNode(Component):
         tag = job.tag
         if tag == "posted":
             self._n_posted -= 1
-            if self.state is CoreState.WAIT_WB:
+            if self.state is _WAIT_WB:
                 # Retry the stalled op next cycle; _pending_op still holds it.
                 self._resume(cycle, cost=1)
             return
@@ -718,7 +730,7 @@ class ProcessorNode(Component):
                 self.stats.inc("lock_retries")
                 self._jobs.append(
                     _Job(
-                        MemTransaction(PacketType.LOCK, job.txn.addr),
+                        MemTransaction(LOCK, job.txn.addr),
                         "lock",
                         not_before=cycle + self.lock_retry_backoff,
                     )
@@ -747,14 +759,14 @@ class ProcessorNode(Component):
             head = self._jobs[0]
             if head.not_before <= cycle + 1:
                 return
-            if self.state is CoreState.WAIT_LOCK and self.bridge.idle:
+            if self.state is _WAIT_LOCK and self.bridge.idle:
                 self.sleep(until=head.not_before)  # nothing but backoff
             return
-        if self.state is CoreState.RUNNING:
+        if self.state is _RUNNING:
             if self._ready_at > cycle + 1:
                 self.sleep(until=self._ready_at)
             return
-        if self.state is CoreState.WAIT_FENCE and self._pipeline_empty():
+        if self.state is _WAIT_FENCE and self._pipeline_empty():
             return
         # Blocked on an external event (reply flit, message, token) or done.
         if self.reliability is not None and self.reliability.wants_poll:
@@ -795,25 +807,18 @@ class ProcessorNode(Component):
         batched counters but never changes timing.
         """
         self.flush_op_stats()
-        raw = {
-            state: self.stats.get(_CYCLES_KEY[state]) for state in CoreState
-        }
+        raw = {state: self.stats.get(state.cycles_key) for state in CoreState}
         raw[self.state] += end_cycle - self._state_since
-        credit = min(self.stats.get("credit_wait_cycles"),
-                     raw[CoreState.WAIT_TX])
+        credit = min(self.stats.get("credit_wait_cycles"), raw[_WAIT_TX])
         return {
-            "compute": raw[CoreState.RUNNING],
-            "mem_stall": (
-                raw[CoreState.WAIT_MEM]
-                + raw[CoreState.WAIT_WB]
-                + raw[CoreState.WAIT_FENCE]
-            ),
+            "compute": raw[_RUNNING],
+            "mem_stall": raw[_WAIT_MEM] + raw[_WAIT_WB] + raw[_WAIT_FENCE],
             "credit_stall": credit,
-            "tx_stream": raw[CoreState.WAIT_TX] - credit,
-            "wait_msg": raw[CoreState.WAIT_MSG],
-            "barrier_spin": raw[CoreState.WAIT_REQ],
-            "lock_spin": raw[CoreState.WAIT_LOCK],
-            "idle": raw[CoreState.DONE],
+            "tx_stream": raw[_WAIT_TX] - credit,
+            "wait_msg": raw[_WAIT_MSG],
+            "barrier_spin": raw[_WAIT_REQ],
+            "lock_spin": raw[_WAIT_LOCK],
+            "idle": raw[_DONE],
         }
 
     def describe_state(self) -> str:

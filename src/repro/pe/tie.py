@@ -43,7 +43,7 @@ from repro.errors import ProtocolError
 from repro.kernel.fifo import Fifo
 from repro.kernel.stats import CounterSet
 from repro.noc.flit import MULTICAST_DST, Flit
-from repro.noc.packet import PacketType, SubType
+from repro.noc.packet import MESSAGE, MSG_DATA, MSG_REQUEST, MSG_RETX, MULTICAST
 
 #: Sequence numbers are 4 bits on the wire.
 SEQ_WINDOW = 16
@@ -66,7 +66,7 @@ CREDIT_LIMIT = 16
 #: (CHANNEL_BIT) of every credit / NACK / probe marker.
 UNICAST, MCAST = 0, 1
 CHANNEL_BIT = 0x0001_0000
-_PTYPE = (PacketType.MESSAGE, PacketType.MULTICAST)
+_PTYPE = (MESSAGE, MULTICAST)
 _PREFIX = ("", "mcast_")
 
 #: Marker word carried by credit tokens; disjoint from eMPI token encoding.
@@ -442,11 +442,11 @@ class TieInterface:
 
     def accept(self, flit: Flit) -> None:
         """Sort an incoming flit into its data stream or the token decoder."""
-        channel = flit.ptype - PacketType.MESSAGE  # MULTICAST follows it
+        channel = flit.ptype - MESSAGE  # MULTICAST follows it
         if channel not in (UNICAST, MCAST):
             raise ProtocolError(f"TIE got non-message flit {flit!r}")
         self.rx_event = True
-        if flit.subtype == SubType.MSG_REQUEST:
+        if flit.subtype == MSG_REQUEST:
             self._accept_token(flit.src, flit.data)
             return
         stream = (self.rx[channel].get(flit.src)
@@ -526,7 +526,7 @@ class TieInterface:
 
     # -- TX ------------------------------------------------------------------
 
-    def make_flit(self, channel: int, dst: int, subtype: SubType, seq: int,
+    def make_flit(self, channel: int, dst: int, subtype: int, seq: int,
                   word: int, burst: int = 1, mask: int = 0) -> Flit:
         """The one place a message-path flit is built, on either channel."""
         if channel and dst != MULTICAST_DST:
@@ -546,7 +546,7 @@ class TieInterface:
         # how many flits this flit's packet contains (2-bit field).
         return [
             (base + offset, gate, self.make_flit(
-                channel, dst, SubType.MSG_DATA, (base + offset) % seq_mod,
+                channel, dst, MSG_DATA, (base + offset) % seq_mod,
                 word, min(4, total - (offset // 4) * 4), mask,
             ))
             for offset, word in enumerate(words)
@@ -592,14 +592,14 @@ class TieInterface:
     def make_request_flit(self, dst_node: int, word: int) -> Flit:
         """Build a single-flit control token for the request segment."""
         self.stats.inc("requests_sent")
-        return self.make_flit(UNICAST, dst_node, SubType.MSG_REQUEST, 0, word)
+        return self.make_flit(UNICAST, dst_node, MSG_REQUEST, 0, word)
 
     def credit_flit(self) -> Flit | None:
         """Next owed token, if any (drained by the node, 1/cycle)."""
         if self.pending_credits.empty:
             return None
         dst, word = self.pending_credits.peek()
-        return self.make_flit(UNICAST, dst, SubType.MSG_REQUEST, 0, word)
+        return self.make_flit(UNICAST, dst, MSG_REQUEST, 0, word)
 
     def credit_sent(self) -> None:
         self.pending_credits.pop()
@@ -610,7 +610,7 @@ class TieInterface:
             return None
         dst, slot, word = self.pending_retx[0]
         return self.make_flit(
-            UNICAST, dst, SubType.MSG_RETX, slot & SLOT_MASK, word
+            UNICAST, dst, MSG_RETX, slot & SLOT_MASK, word
         )
 
     def retx_sent(self) -> None:

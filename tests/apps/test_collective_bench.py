@@ -116,3 +116,21 @@ def test_expected_vectors_are_indexed_by_rank():
     assert others == [None, None]
     assert at_root == collective_bench.reference_reduce(everyone, 0, "sum")
     assert expected("allreduce") == [at_root] * 3
+
+
+def test_importing_the_collective_workloads_does_not_import_numpy():
+    """Only the Jacobi grid and its validation name numpy; every process
+    that imports ``repro.apps`` for something else (sweep workers, the
+    CLI, the collective benchmarks) must not pay its 16 MiB and 0.2 s."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.apps.collective_bench, repro.apps.jacobi.driver; "
+         "print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(Path(collective_bench.__file__).parents[2])},
+    )
+    assert done.stdout.strip() == "False"

@@ -159,3 +159,65 @@ def test_deadlock_reported_not_hung():
     with pytest.raises(DeadlockError) as exc:
         run_programs(config, sender_that_never_sends, waiter)
     assert "wait_msg" in str(exc.value)
+
+
+def test_counters_are_exact_when_read_not_at_every_sleep():
+    """The MPMMU's per-flit counters are brought up to date by
+    ``flush_stats``, which every reader of record calls first —
+    ``collect_stats``, the registry's sampler, ``attribution`` — and no
+    longer at each sleep.  Held to a twin that flushes after every step,
+    at three points in the middle of a write-through Jacobi run.  The raw
+    ``mpmmu.stats`` is *allowed* to lag between reads (its docstring says
+    so), so it is only held to never running ahead."""
+    from repro.apps.jacobi.driver import JacobiParams, run_jacobi
+    from repro.telemetry.attribution import occupancy_ledgers
+    from repro.telemetry.config import TelemetryConfig
+
+    config = SystemConfig(
+        n_workers=3, cache_size_kb=2, cache_policy="wt",
+        telemetry=TelemetryConfig(sample_interval=512, attribution=True),
+    )
+
+    def staged_reads(flush_every_step: bool) -> list:
+        reads = []
+
+        def observer(system):
+            mpmmu = system.mpmmu
+            if flush_every_step:
+                step = mpmmu.step
+
+                def flushing_step(cycle):
+                    step(cycle)
+                    mpmmu.flush_stats()
+
+                mpmmu.step = flushing_step
+            run = system.run
+
+            def staged_run(*args, **kwargs):
+                for stop in (700, 1500, 2600):
+                    system.sim.run(max_cycles=stop - system.cycle)
+                    raw = mpmmu.stats.as_dict()
+                    stats = system.collect_stats()
+                    sampled = {
+                        name: value for name, value
+                        in system.telemetry.registry.totals().items()
+                        if name.startswith("mpmmu.")
+                    }
+                    reads.append((raw, stats["mpmmu"], sampled,
+                                  occupancy_ledgers(system)["mpmmu"]))
+                return run(*args, **kwargs)
+
+            system.run = staged_run
+
+        result = run_jacobi(config, JacobiParams(n=10, iterations=2, warmup=0),
+                            observer=observer)
+        assert result.validated
+        return reads
+
+    lazy, eager = staged_reads(False), staged_reads(True)
+    assert [read[1:] for read in lazy] == [read[1:] for read in eager]
+    for raw, stats, sampled, ledger in lazy:
+        assert stats["requests_received"] == ledger["requests"] > 0
+        assert sampled == {f"mpmmu.{key}": value for key, value in stats.items()}
+        assert all(raw.get(key, 0) <= value for key, value in stats.items())
+    assert lazy[0][1] != lazy[1][1] != lazy[2][1]  # three different moments

@@ -248,3 +248,32 @@ def test_deflection_invariant_breach_in_the_fabric_names_cycle_node_and_flit():
         match=rf"cycle 0: node 0 routed .*#{flit.uid}\b.* to a missing link",
     ):
         sim.run(max_cycles=5)
+
+
+def test_the_tables_the_fabric_binds_once_are_the_topologys_own_objects():
+    """``NocFabric.step`` unpacks its tables from one tuple built with the
+    fabric; that is only right while they are the *same objects* everybody
+    else edits in place."""
+    from repro.noc import switch
+
+    topology = MeshTopology(3, 3)
+    sim = Simulator()
+    fabric = sim.register(NocFabric(topology))
+    plans = topology.mcast_plans
+    for table in (topology.productive_table, plans, topology.neighbor_table,
+                  topology.reverse_port_table, fabric.regs, fabric._work,
+                  fabric._delayed, fabric.ports):
+        assert sum(entry is table for entry in fabric._bound) == 1
+    # The plan table empties itself at its limit — in place, so the dict
+    # the bypass reads is still the one the router fills.
+    plans.update(dict.fromkeys(range(-switch.PLAN_TABLE_LIMIT, 0), (0, -1, (), 0)))
+    multicast = Flit(dst=-1, src=0, ptype=PacketType.MULTICAST, dst_mask=0b110,
+                     injected_at=0)
+    switch.route_node(0, [multicast], None, topology)
+    assert topology.mcast_plans is plans and list(plans) == [0b110 * 9 + 0]
+    # A routing entry rewritten *after* the build still bites.
+    topology.productive_table[0 * 9 + 8] = (NORTH,)
+    flit = Flit(dst=8, src=0, ptype=PacketType.MESSAGE)
+    assert fabric.ports_of(0).inject.try_inject(flit)
+    with pytest.raises(SimulationError, match="to a missing link"):
+        sim.run(max_cycles=5)

@@ -96,3 +96,49 @@ def test_a_moved_exact_metric_or_a_failed_gate_exits_1(capsys):
     assert paired.main(args, run=canned(lines, failed, [])) == 1
     assert "C failed its gate" in capsys.readouterr().out
     assert paired.main(args, run=canned(["Traceback ..."], lines, [])) == 1
+
+
+def test_several_workloads_get_a_block_each_and_a_closing_table(capsys):
+    # Two pairs of each of two workloads: the first 20 % faster, the
+    # second with a moved exact metric, which makes the whole command 1.
+    parent = [result_line(10_000), result_line(10_100),
+              result_line(500.0), result_line(505.0)]
+    change = [result_line(12_000), result_line(12_120),
+              result_line(500.0), result_line(505.0, cycles=5008)]
+    calls = []
+    status = paired.main(
+        ["P", "C", "--workload", "jacobi_wt_8w", "allreduce_ring_8w",
+         "--pairs", "2", "--seconds", "1"],
+        run=canned(parent, change, calls),
+    )
+    assert status == 1
+    assert [workload for __, workload, __ in calls] == (
+        ["jacobi_wt_8w"] * 4 + ["allreduce_ring_8w"] * 4
+    )
+    out = capsys.readouterr().out
+    per_workload, table = out.split("== all workloads\n")
+    assert per_workload.index("== jacobi_wt_8w") < per_workload.index(
+        "== allreduce_ring_8w")
+    assert per_workload.count("change/parent by pair:") == 2 * 4
+    blocks = sections(table)
+    speed = blocks["sim_cycles_per_s"].splitlines()
+    assert speed[1].split() == ["workload", "parent", "change", "ratio", "wins",
+                                "verdict"]
+    assert speed[2].split() == ["jacobi_wt_8w", "10050", "12060", "1.200x", "2/2",
+                                "gain"]
+    assert speed[3].split() == ["allreduce_ring_8w", "502.5", "502.5", "1.000x",
+                                "0/2", "unresolved"]
+    cycles = blocks["sim_cycles"].splitlines()
+    assert cycles[2].split()[-1] == "equal" and cycles[3].split()[-1] == "DIFFERS"
+
+
+def test_workload_all_is_every_workload_of_the_benchmark(capsys):
+    calls = []
+    lines = [result_line(10_000)] * 16
+    assert paired.main(["P", "C", "--workload", "all", "--pairs", "2"],
+                       run=canned(lines, list(lines), calls)) == 0
+    assert [workload for __, workload, __ in calls[::4]] == [
+        workload["name"] for workload in paired.SPEC["workloads"]
+    ]
+    assert len(calls) == 32
+    assert capsys.readouterr().out.count("unresolved") >= 8
