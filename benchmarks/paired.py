@@ -55,7 +55,7 @@ def report(samples: dict[str, tuple[list, list]]) -> dict[str, tuple]:
             values = sorted(set(parent + change))
             word = "DIFFERS" if values[1:] else "equal"
             print(f"  exact: {word} {values}")
-            wins = 0
+            wins = None  # nothing to win: equal or not
         else:
             print("  change/parent by pair:",
                   *(f"{c / p:.3f}" for p, c in zip(parent, change)))
@@ -81,8 +81,9 @@ def closing_table(rows: dict[str, dict[str, tuple]]) -> None:
               f"{'wins':>7}  verdict")
         for workload, by_metric in rows.items():
             parent, change, wins, pairs, word = by_metric[metric["name"]]
+            won = "-" if wins is None else f"{wins}/{pairs}"
             print(f"  {workload:<26}{parent:>12.6g}{change:>12.6g}"
-                  f"{change / parent:>8.3f}x{f'{wins}/{pairs}':>7}  {word}")
+                  f"{change / parent:>8.3f}x{won:>7}  {word}")
 
 
 def measure(args, workload: str, run) -> dict[str, tuple[list, list]] | None:
