@@ -1,10 +1,13 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the paper's design choices.
 
 Each benchmark sweeps one architectural knob on a fixed workload and
 prints a small table, making the cost/benefit of the paper's choices
 visible: arbiter configuration (Fig. 3), barrier algorithm, write-buffer
-depth, ejection width, torus vs mesh, and the Section II-C lock-write
-protocol.
+depth, ejection width, torus vs mesh, the Section II-C lock-write
+protocol and the Multiply-High core option.  It is the only end-to-end
+exerciser of the arbiter modes, the ejection width and ``use_mul_high``
+(``benchmarks/options_census.txt`` shows them with one value in traffic);
+needs the pytest-benchmark plugin: ``pytest benchmarks/bench_ablations.py``.
 """
 
 from __future__ import annotations

@@ -9,6 +9,9 @@ workload (``run.py --workload <name> --quick``), all in this process under
 end of body, ``__repr__`` excepted) with its line count, then the total.
 ``--baseline benchmarks/traffic_census.txt`` (this script's committed output)
 exits 1 when an unlisted function is unreached: wire it, delete it or list it.
+``--options`` prints instead ``Class.field  n distinct  values`` for each field
+of every dataclass the traffic hands ``MedeaSystem`` or a ``repro.apps``
+``run_*`` driver (committed as ``benchmarks/options_census.txt``; CI diffs it).
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import dataclasses
+import enum
 import json
 import runpy
 import sys
@@ -38,15 +43,45 @@ def definitions(node: ast.AST, prefix: str = ""):
         yield from definitions(child, name)
 
 
-def unreached(traffic, roots=(SRC,)) -> list[tuple[str, int]]:
-    """Defs under ``roots`` that ``traffic()`` never enters: sorted (name, lines)."""
-    codes = set()
+def observe(traffic) -> tuple[set, dict[str, set[str]]]:
+    """Run ``traffic()`` under ``sys.setprofile``: the code objects it entered,
+    and ``Class.field`` -> the values (as text) of the options it handed over."""
+    codes, options = set(), {}
+
+    def record(owner) -> None:
+        for field in dataclasses.fields(owner):
+            value = getattr(owner, field.name)
+            if dataclasses.is_dataclass(value):
+                record(value)
+                value = type(value).__name__
+            elif isinstance(value, enum.Enum):
+                value = value.value  # "wb" and WritePolicy.WRITE_BACK are one value
+            key = f"{type(owner).__name__}.{field.name}"
+            options.setdefault(key, set()).add(repr(value))
+
+    def on_call(frame, event, _) -> None:
+        if event != "call":
+            return
+        code = frame.f_code
+        codes.add(code)
+        name, path = code.co_name, code.co_filename
+        if (name == "__init__" and path.endswith("repro/system/medea.py")
+                or name.startswith("run_") and "/repro/apps/" in path):
+            for argument in frame.f_locals.values():
+                if dataclasses.is_dataclass(argument):
+                    record(argument)
+
     previous = sys.getprofile()
-    sys.setprofile(lambda frame, event, _: event == "call" and codes.add(frame.f_code))
+    sys.setprofile(on_call)
     try:
         traffic()
     finally:
         sys.setprofile(previous)
+    return codes, options
+
+
+def unreached(codes: set, roots=(SRC,)) -> list[tuple[str, int]]:
+    """Defs under ``roots`` whose code is not in ``codes``: sorted (name, lines)."""
     entered = {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in codes}
     return sorted(
         (f"{path.relative_to(root.parent)}:{name}", lines)
@@ -90,11 +125,24 @@ def report(missing: list[tuple[str, int]], baseline: Path | None) -> int:
     return 1 if new else 0
 
 
+def option_lines(options: dict[str, set[str]]) -> list[str]:
+    """``Class.field  n distinct  values``, fields and values sorted."""
+    return [
+        f"{name:34} {len(values):2d} distinct  "
+        + ", ".join(sorted(values, key=lambda text: (len(text), text)))
+        for name, values in sorted(options.items())
+    ]
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", type=Path, help="committed listing to hold to")
+    parser.add_argument("--options", action="store_true", help="list option values")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as out, open(f"{out}/stdout", "w") as sink:
         with contextlib.redirect_stdout(sink):
-            missing = unreached(lambda: traffic(Path(out)))
-    sys.exit(report(missing, args.baseline))
+            codes, options = observe(lambda: traffic(Path(out)))
+    if args.options:
+        print("\n".join(option_lines(options)))
+    else:
+        sys.exit(report(unreached(codes), args.baseline))

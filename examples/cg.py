@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from repro.apps.cg import CgParams, run_cg
 from repro.dse.report import format_table
-from repro.system.presets import cg_reference_config
+from repro.system.config import SystemConfig
 
 
 def overlap_on_vs_off() -> None:
-    config = cg_reference_config()
+    config = SystemConfig(n_workers=8, cache_size_kb=16)
     rows = []
     outcomes = {}
     for model in ("empi", "pure_sm"):
@@ -59,7 +59,7 @@ def overlap_on_vs_off() -> None:
 
 
 def bit_identity() -> None:
-    config = cg_reference_config()
+    config = SystemConfig(n_workers=8, cache_size_kb=16)
     results = {}
     for overlap in (False, True):
         results[overlap] = run_cg(

@@ -17,7 +17,6 @@ from repro.dse.area import AreaModel
 from repro.dse.executor import run_space
 from repro.dse.pareto import FrontPoint, kill_rule_prune, pareto_front
 from repro.dse.report import ascii_plot, format_table
-from repro.dse.runner import SweepResult
 from repro.dse.space import jacobi_sweep_space
 
 
@@ -36,18 +35,18 @@ def main() -> None:
 
     area_model = AreaModel()
     candidates = [
-        (SweepResult.from_json(outcome.payload),
+        (outcome.item.config, outcome.payload["cycles_per_iteration"],
          area_model.chip_area(outcome.item.config))
         for outcome in results.outcomes
     ]
-    baseline, __ = min(candidates, key=lambda item: item[1])
+    baseline, base_cycles, __ = min(candidates, key=lambda item: item[2])
     points = [
         FrontPoint(
             area_mm2=area,
-            speedup=baseline.cycles_per_iteration / result.cycles_per_iteration,
-            label=f"{result.n_workers}P_{result.cache_kb}k$",
+            speedup=base_cycles / cycles,
+            label=f"{config.n_workers}P_{config.cache_size_kb}k$",
         )
-        for result, area in candidates
+        for config, cycles, area in candidates
     ]
 
     front = pareto_front(points)
@@ -71,7 +70,7 @@ def main() -> None:
     ))
     best = optimal[-1]
     print(f"largest worthwhile design: {best.label} at {best.area_mm2:.1f} "
-          f"mm^2, speedup {best.speedup:.1f} over {baseline.label}")
+          f"mm^2, speedup {best.speedup:.1f} over {baseline.label()}")
 
 
 if __name__ == "__main__":

@@ -65,7 +65,7 @@ def spatial_view(system) -> None:
 
 
 def sampled_metrics_cross_check(system, result) -> None:
-    registry = system.telemetry.registry
+    registry = system.telemetry
     sampled = sampled_overlap_efficiency(registry)
     print("sampled-timeline cross-check:")
     print(f"  overlap efficiency from the app's own counters: "

@@ -16,8 +16,8 @@ Quick start::
                         JacobiParams(n=16, iterations=4))
     print(result.cycles_per_iteration)
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-paper-vs-measured record.
+See ``ROADMAP.md`` for where the reproduction stands, ``CHANGES.md`` for
+what each change measured, and ``python -m repro list`` for the experiments.
 """
 
 from repro.errors import (

@@ -1,5 +1,5 @@
-"""Workloads: Jacobi, the dot-product reduction kernel, synthetic traffic."""
+"""Workloads: Jacobi, synthetic traffic."""
 
-from repro.apps import dotproduct, jacobi, synthetic
+from repro.apps import jacobi, synthetic
 
-__all__ = ["dotproduct", "jacobi", "synthetic"]
+__all__ = ["jacobi", "synthetic"]

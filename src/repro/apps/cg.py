@@ -30,9 +30,9 @@ hidden behind compute), reported in :class:`CgResult`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.apps.dotproduct import chunks_for
+from repro.apps.jacobi.partition import split_evenly
 from repro.empi.collectives import (
     CollectiveAlgorithm,
     CommModel,
@@ -71,7 +71,6 @@ class CgParams:
     #: the measured sweet spot on the reference mesh (frequent enough to
     #: keep collectives moving, rare enough not to tax the compute).
     poll_interval: int = 8
-    validate: bool = True
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -129,7 +128,7 @@ def reference_cg(
     programming model or blocking mode.
     """
     algorithm = CollectiveAlgorithm.parse(algorithm)
-    chunks = chunks_for(n, n_workers)
+    chunks = split_evenly(n, n_workers)
     x = [0.0] * n
     b = [rhs_value(i) for i in range(n)]
     r = list(b)
@@ -369,16 +368,13 @@ def run_cg(config: SystemConfig, params: CgParams,
     :class:`MedeaSystem` before the programs load — the hook trace/telemetry
     tooling uses to reach the event log and the metric registry afterwards.
     """
-    params = CgParams(
-        params.n, params.iterations, params.model, params.algorithm,
-        params.overlap, params.poll_interval, params.validate,
-    )
+    params = replace(params)  # a checked copy: __post_init__ runs again
     if params.n < config.n_workers:
         raise ConfigError(
             f"CG system of {params.n} rows cannot occupy "
             f"{config.n_workers} workers"
         )
-    chunks = chunks_for(params.n, config.n_workers)
+    chunks = split_evenly(params.n, config.n_workers)
     results: dict[int, list[float]] = {}
     rr_out: dict[int, list[float]] = {}
     system = MedeaSystem(config)
@@ -391,12 +387,9 @@ def run_cg(config: SystemConfig, params: CgParams,
     total_cycles = system.run(max_cycles=max_cycles)
     marks = system.events.marks(system.rank_to_node[0])
     x = [value for rank in range(config.n_workers) for value in results[rank]]
-    if params.validate:
-        expected_x, expected_rr = reference_cg(
-            params.n, config.n_workers, params.iterations, params.algorithm
-        )
-    else:
-        expected_x, expected_rr = x, rr_out[0]
+    expected_x, expected_rr = reference_cg(
+        params.n, config.n_workers, params.iterations, params.algorithm
+    )
     return CgResult(
         params=params,
         config_label=config.label(),

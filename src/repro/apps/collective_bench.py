@@ -10,7 +10,7 @@ this over collective x algorithm x programming model x mesh size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.empi.collectives import (
     CollectiveAlgorithm,
@@ -41,7 +41,6 @@ class CollectiveBenchParams:
     algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR
     n_values: int = 8
     repeats: int = 4
-    validate: bool = True
 
     def __post_init__(self) -> None:
         if self.collective not in COLLECTIVES:
@@ -151,10 +150,7 @@ def run_collective_bench(
     capture hook :func:`~repro.apps.cg.run_cg` offers, so trace/analyze
     workloads can hold onto the system for post-run inspection.
     """
-    params = CollectiveBenchParams(
-        params.collective, params.model, params.algorithm,
-        params.n_values, params.repeats, params.validate,
-    )
+    params = replace(params)  # a checked copy: __post_init__ runs again
     n_workers = config.n_workers
     results: dict[int, list] = {}
     system = MedeaSystem(config)
@@ -169,13 +165,12 @@ def run_collective_bench(
     op_cycles = marks["ops_done"] - marks["ops_start"]
 
     validated = True
-    if params.validate:
-        groups = system.rank_groups
-        for repeat in range(params.repeats):
-            expected = _expected(params, n_workers, repeat, groups)
-            for rank in range(n_workers):
-                if results[rank][repeat] != expected[rank]:
-                    validated = False
+    groups = system.rank_groups
+    for repeat in range(params.repeats):
+        expected = _expected(params, n_workers, repeat, groups)
+        for rank in range(n_workers):
+            if results[rank][repeat] != expected[rank]:
+                validated = False
     return CollectiveBenchResult(
         params=params,
         config_label=config.label(),

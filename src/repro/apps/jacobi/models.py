@@ -65,8 +65,6 @@ def make_jacobi_program(
     strips: list[Strip],
     rank: int,
     write_back: bool = True,
-    sm_poll_backoff: int = 24,
-    note_rank: int = 0,
     lock_writes: bool | None = None,
 ) -> Callable[[ProgramContext], Generator]:
     """Build the program factory for one rank of the chosen model.
@@ -80,12 +78,11 @@ def make_jacobi_program(
     """
     model = JacobiModel.parse(model)
     if model is JacobiModel.HYBRID_FULL:
-        return _hybrid_full_factory(n, iterations, strips, rank, note_rank)
+        return _hybrid_full_factory(n, iterations, strips, rank)
     if lock_writes is None:
         lock_writes = model is JacobiModel.PURE_SM
     return _shared_memory_factory(
-        model, n, iterations, strips, rank, write_back, sm_poll_backoff,
-        note_rank, lock_writes,
+        model, n, iterations, strips, rank, write_back, lock_writes,
     )
 
 
@@ -115,7 +112,7 @@ def _point_cycles(ctx: ProgramContext) -> int:
 
 
 def _hybrid_full_factory(
-    n: int, iterations: int, strips: list[Strip], rank: int, note_rank: int
+    n: int, iterations: int, strips: list[Strip], rank: int
 ) -> Callable[[ProgramContext], Generator]:
     def program(ctx: ProgramContext) -> Generator:
         empi = ctx.empi
@@ -149,7 +146,7 @@ def _hybrid_full_factory(
             base_a = base_b = ctx.private_base
 
         yield from empi.barrier()
-        if rank == note_rank:
+        if rank == 0:
             yield ctx.note("start")
 
         point_cost = _point_cycles(ctx)
@@ -197,7 +194,7 @@ def _hybrid_full_factory(
                         yield ("compute", point_cost)
                         yield from ctx.store_double(row_out + j * 8, value)
             yield from empi.barrier()
-            if rank == note_rank:
+            if rank == 0:
                 yield ctx.note(f"iter:{t}")
             cur, nxt = nxt, cur
 
@@ -216,8 +213,6 @@ def _shared_memory_factory(
     strips: list[Strip],
     rank: int,
     write_back: bool,
-    sm_poll_backoff: int,
-    note_rank: int,
     lock_writes: bool,
 ) -> Callable[[ProgramContext], Generator]:
     def program(ctx: ProgramContext) -> Generator:
@@ -230,9 +225,7 @@ def _shared_memory_factory(
         grid0 = initial_grid(n)
 
         if model is JacobiModel.PURE_SM:
-            sm_barrier = SharedMemoryBarrier(
-                ctx, ctx.shared_base, poll_backoff=sm_poll_backoff
-            )
+            sm_barrier = SharedMemoryBarrier(ctx, ctx.shared_base)
             barrier = sm_barrier.wait
         else:
             empi = ctx.empi
@@ -265,7 +258,7 @@ def _shared_memory_factory(
                 yield from ctx.flush_range(base_b + i * stride, n * 8)
 
         yield from barrier()
-        if rank == note_rank:
+        if rank == 0:
             yield ctx.note("start")
 
         point_cost = _point_cycles(ctx)
@@ -337,7 +330,7 @@ def _shared_memory_factory(
                     for i in sorted(edge_rows):
                         yield from ctx.flush_range(nxt + i * stride, n * 8)
             yield from barrier()
-            if rank == note_rank:
+            if rank == 0:
                 yield ctx.note(f"iter:{t}")
             cur, nxt = nxt, cur
 

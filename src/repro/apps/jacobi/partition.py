@@ -3,7 +3,8 @@
 The interior rows ``1 .. n-2`` are split into contiguous strips, one per
 worker, extras going to the lowest ranks.  With more workers than interior
 rows, trailing ranks own zero rows — they still join every barrier (the
-paper runs 16x16 on up to 15 cores, where exactly this happens).
+paper runs 16x16 on up to 15 cores, where exactly this happens).  CG and
+matmul split their index ranges with the same :func:`split_evenly`.
 """
 
 from __future__ import annotations
@@ -31,23 +32,26 @@ class Strip:
         return self.n_rows == 0
 
 
+def split_evenly(count: int, n_workers: int, first: int = 0) -> list[Strip]:
+    """``count`` consecutive items from ``first`` as one contiguous strip
+    per rank: sizes differ by at most one, the extras go to the lowest
+    ranks, and with more ranks than items the trailing strips are empty."""
+    base, extra = divmod(count, n_workers)
+    strips = []
+    for rank in range(n_workers):
+        size = base + (1 if rank < extra else 0)
+        strips.append(Strip(rank, first, size))
+        first += size
+    return strips
+
+
 def partition_interior(n: int, n_workers: int) -> list[Strip]:
     """Split interior rows of an ``n x n`` grid over ``n_workers`` ranks."""
     if n < 3:
         raise ConfigError(f"grid must be at least 3x3, got {n}")
     if n_workers < 1:
         raise ConfigError(f"need at least one worker, got {n_workers}")
-    interior = n - 2
-    base = interior // n_workers
-    extra = interior % n_workers
-    strips = []
-    row = 1
-    for rank in range(n_workers):
-        count = base + (1 if rank < extra else 0)
-        strips.append(Strip(rank, row, count))
-        row += count
-    assert row == n - 1
-    return strips
+    return split_evenly(n - 2, n_workers, first=1)
 
 
 def prev_owner(strips: list[Strip], rank: int) -> int | None:

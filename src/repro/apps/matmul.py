@@ -21,9 +21,9 @@ the per-slice accumulation order and the reduce combine order exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.apps.dotproduct import chunks_for
+from repro.apps.jacobi.partition import split_evenly
 from repro.empi.collectives import (
     CollectiveAlgorithm,
     CommModel,
@@ -53,7 +53,6 @@ class MatmulParams:
     tile: int = 2
     model: CommModel | str = CommModel.EMPI
     algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR
-    validate: bool = True
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -90,7 +89,7 @@ def reference_matmul(
     algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR,
 ) -> list[list[float]]:
     """The exact C the machine must produce (same accumulation orders)."""
-    chunks = chunks_for(n, n_workers)
+    chunks = split_evenly(n, n_workers)
     partials = []
     for chunk in chunks:
         rows = []
@@ -211,10 +210,8 @@ def _make_program(params: MatmulParams, chunks, rank: int,
 def run_matmul(config: SystemConfig, params: MatmulParams,
                max_cycles: int | None = None) -> MatmulResult:
     """Run one matrix-multiply experiment on one architecture point."""
-    params = MatmulParams(
-        params.n, params.tile, params.model, params.algorithm, params.validate
-    )
-    chunks = chunks_for(params.n, config.n_workers)
+    params = replace(params)  # a checked copy: __post_init__ runs again
+    chunks = split_evenly(params.n, config.n_workers)
     results: dict[int, list[list[float]]] = {}
     system = MedeaSystem(config)
     system.load_programs([
@@ -223,10 +220,8 @@ def run_matmul(config: SystemConfig, params: MatmulParams,
     ])
     total_cycles = system.run(max_cycles=max_cycles)
     marks = system.events.marks(system.rank_to_node[0])
-    expected = (
-        reference_matmul(params.n, config.n_workers, params.tile,
-                         params.algorithm)
-        if params.validate else results[0]
+    expected = reference_matmul(
+        params.n, config.n_workers, params.tile, params.algorithm
     )
     return MatmulResult(
         params=params,

@@ -24,7 +24,7 @@ validate bit for bit against :func:`reference_stream`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.empi.collectives import (
     CollectiveAlgorithm,
@@ -56,7 +56,6 @@ class StreamParams:
     block_values: int = 8
     model: CommModel | str = CommModel.EMPI
     algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR
-    validate: bool = True
 
     def __post_init__(self) -> None:
         if self.n_blocks < 1:
@@ -187,10 +186,7 @@ def _make_program(params: StreamParams, rank: int, n_workers: int,
 def run_stream(config: SystemConfig, params: StreamParams,
                max_cycles: int | None = None) -> StreamResult:
     """Run one stream experiment on one architecture point."""
-    params = StreamParams(
-        params.n_blocks, params.block_values, params.model,
-        params.algorithm, params.validate,
-    )
+    params = replace(params)  # a checked copy: __post_init__ runs again
     n_workers = config.n_workers
     results: dict[int, tuple[float, float]] = {}
     system = MedeaSystem(config)
@@ -207,10 +203,7 @@ def run_stream(config: SystemConfig, params: StreamParams,
             f"stream: ranks disagree on the totals: {results}"
         )
     total, checksum = results[0]
-    expected_total, expected_checksum = (
-        reference_stream(params, n_workers)
-        if params.validate else (total, checksum)
-    )
+    expected_total, expected_checksum = reference_stream(params, n_workers)
     return StreamResult(
         params=params,
         config_label=config.label(),

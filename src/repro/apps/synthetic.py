@@ -184,30 +184,22 @@ class SyntheticParams:
     The params-dataclass face of :func:`run_synthetic_traffic`, so NoC
     characterization sweeps ride the same declarative
     :class:`~repro.dse.space.SweepSpace` + executor machinery (and result
-    cache keys) as every architecture sweep.
+    cache keys) as every architecture sweep.  It holds what a sweep turns;
+    the fabric is that function's default 4x4 folded torus.
     """
 
     rate: float = 0.1
     pattern: str = "uniform"
     cycles: int = 2000
-    width: int = 4
-    height: int = 4
-    topology_kind: str = "folded_torus"
-    drain_cycles: int = 2000
     seed: int = 1
-    spatial: bool = False
 
 
 def run_synthetic_point(params: SyntheticParams) -> TrafficStats:
-    """Evaluate one :class:`SyntheticParams` point."""
+    """Evaluate one :class:`SyntheticParams` point, spatial matrices kept."""
     return run_synthetic_traffic(
-        width=params.width,
-        height=params.height,
         rate=params.rate,
         cycles=params.cycles,
         pattern=params.pattern,
-        topology_kind=params.topology_kind,
-        drain_cycles=params.drain_cycles,
         seed=params.seed,
-        spatial=params.spatial,
+        spatial=True,
     )

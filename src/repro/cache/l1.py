@@ -22,6 +22,10 @@ class WritePolicy(enum.Enum):
 # Members as module constants, for the reason given in repro.noc.packet.
 WRITE_BACK, __ = WritePolicy
 
+#: The wire protocol (block transactions of 4 words, 4-bit seq) is built
+#: around 16-byte lines, like the reference design.
+LINE_BYTES = 16
+
 
 class CacheLine:
     """One cache line: tag, state bits and the actual data words."""
@@ -48,7 +52,7 @@ class L1Cache:
     def __init__(
         self,
         size_bytes: int,
-        line_bytes: int = 16,
+        line_bytes: int = LINE_BYTES,
         assoc: int = 2,
         policy: WritePolicy | str = WritePolicy.WRITE_BACK,
         name: str = "l1",

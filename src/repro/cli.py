@@ -151,7 +151,7 @@ def run_trace(argv: list[str]) -> int:
           f"(open in ui.perfetto.dev)")
     if args.heatmap:
         from repro.telemetry.attribution import windowed_link_utilization
-        windows = windowed_link_utilization(system.telemetry.registry)
+        windows = windowed_link_utilization(system.telemetry)
         print(render_noc_report(
             system.fabric.spatial_dict(), windows["windows"]
         ))

@@ -14,7 +14,7 @@ performance).  This package is that harness:
   schema-hashed caching, the numerical-validation check, and
   :class:`SpaceResults` (``axis``/``grouped``/``get``) for summaries;
 * :mod:`repro.dse.runner` — the journaled result store + the Jacobi
-  point driver and its :class:`SweepResult` row;
+  point driver;
 * :mod:`repro.dse.registry` — the experiment registry: the one way to run
   an experiment (CLI, benchmarks and tests all call its entries);
 * :mod:`repro.dse.experiments` — the registered experiments, each shape
@@ -29,7 +29,6 @@ from repro.dse.area import AreaModel
 from repro.dse.executor import PointOutcome, SpaceResults, run_space
 from repro.dse.pareto import kill_rule_prune, pareto_front
 from repro.dse.registry import Experiment, ExperimentReport, register_experiment
-from repro.dse.runner import SweepResult
 from repro.dse.space import Axis, SweepSpace, Variant, jacobi_sweep_space
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "ExperimentReport",
     "PointOutcome",
     "SpaceResults",
-    "SweepResult",
     "SweepSpace",
     "Variant",
     "jacobi_sweep_space",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.mpmmu.mpmmu import MPMMU_CACHE_KB
 from repro.system.config import SystemConfig
 
 
@@ -48,5 +49,5 @@ class AreaModel:
         """Total die area of one architecture point, in mm^2."""
         return (
             config.n_workers * self.core_area(config.cache_size_kb)
-            + self.mpmmu_area(config.mpmmu_cache_kb)
+            + self.mpmmu_area(MPMMU_CACHE_KB)
         )

@@ -48,7 +48,7 @@ from repro.dse.registry import (
     register_experiment,
 )
 from repro.dse.report import ascii_plot, format_table
-from repro.dse.runner import SweepResult, jacobi_app
+from repro.dse.runner import jacobi_app
 from repro.dse.space import Axis, SweepSpace, Variant, jacobi_sweep_space
 from repro.faults import FaultPlan
 from repro.system.config import SystemConfig
@@ -168,15 +168,12 @@ def _summarize_execution_time(experiment: str, paper_fig: int,
     # per core count, one column (and one plotted series) per cache/policy.
     series: dict[str, list[tuple[float, float]]] = {}
     cells: dict[int, list[str]] = {}
-    for payload in results.payloads():
-        result = SweepResult.from_json(payload)
-        label = f"{result.cache_kb}kB${result.policy.upper()}"
-        series.setdefault(label, []).append(
-            (result.n_workers, result.cycles_per_iteration)
-        )
-        cells.setdefault(result.n_workers, []).append(
-            f"{result.cycles_per_iteration:.0f}"
-        )
+    for outcome in results.outcomes:
+        config = outcome.item.config
+        cycles = outcome.payload["cycles_per_iteration"]
+        label = f"{config.cache_size_kb}kB${config.policy.value.upper()}"
+        series.setdefault(label, []).append((config.n_workers, cycles))
+        cells.setdefault(config.n_workers, []).append(f"{cycles:.0f}")
     header = ["cores"] + list(series)
     rows = [[cores, *row] for cores, row in cells.items()]
     text = (
@@ -237,21 +234,22 @@ def _summarize_speedup_area(experiment: str, paper_fig: int,
     size = results.space.base_params.n
     area_model = AreaModel()
     candidates = [
-        (SweepResult.from_json(outcome.payload),
+        (outcome.item.config, outcome.payload["cycles_per_iteration"],
          area_model.chip_area(outcome.item.config))
         for outcome in results.outcomes
     ]
     # Speedup baseline: the smallest-area architecture of the sweep.
-    baseline_result, baseline_area = min(candidates, key=lambda item: item[1])
-    base_cycles = baseline_result.cycles_per_iteration
+    baseline_config, base_cycles, baseline_area = min(
+        candidates, key=lambda item: item[2]
+    )
     points = [
         FrontPoint(
             area_mm2=area,
-            speedup=base_cycles / result.cycles_per_iteration,
-            label=f"{result.n_workers}P_{result.cache_kb}k$"
-                  f"{'_WT' if result.policy == 'wt' else ''}",
+            speedup=base_cycles / cycles,
+            label=f"{config.n_workers}P_{config.cache_size_kb}k$"
+                  f"{'_WT' if config.policy.value == 'wt' else ''}",
         )
-        for result, area in candidates
+        for config, cycles, area in candidates
     ]
     front = pareto_front(points)
     optimal = kill_rule_prune(front)
@@ -268,9 +266,9 @@ def _summarize_speedup_area(experiment: str, paper_fig: int,
     text = (
         f"{experiment}: optimal speedup vs chip area, Jacobi {size}x{size}\n"
         + _scale_note(run.full, f"{size}x{size}")
-        + f"speedup baseline: {baseline_result.label} at "
+        + f"speedup baseline: {baseline_config.label()} at "
           f"{baseline_area:.2f} mm^2 "
-          f"({baseline_result.cycles_per_iteration:.0f} cycles/iter)\n"
+          f"({base_cycles:.0f} cycles/iter)\n"
         + format_table(["area_mm2", "speedup", "config", "kill rule"], rows)
         + "\n"
         + ascii_plot(
@@ -1029,8 +1027,7 @@ def _build_noc(full: bool) -> SweepSpace:
                  else (0.05, 0.2, 0.45),
                  target="params"),
         ),
-        base_params=SyntheticParams(cycles=4000 if full else 1500,
-                                    spatial=True),
+        base_params=SyntheticParams(cycles=4000 if full else 1500),
     )
 
 

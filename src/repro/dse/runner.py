@@ -7,75 +7,38 @@
   journal + store into the JSON file through a temp file + rename, so a
   kill at any moment leaves a loadable store.  A sweep killed at point k
   resumes at point k+1.
-* :func:`jacobi_app` / :class:`SweepResult` — the app driver of the
-  Jacobi-shaped spaces (:func:`repro.dse.space.jacobi_sweep_space`) and
-  the typed row the figure summaries read its payloads back into.
+* :func:`jacobi_app` — the app driver of the Jacobi-shaped spaces
+  (:func:`repro.dse.space.jacobi_sweep_space`).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro import __version__ as _repro_version
 from repro.apps.jacobi.driver import run_jacobi
 
 
-@dataclass
-class SweepResult:
-    """The distilled outcome of one sweep point (JSON-serializable)."""
-
-    label: str
-    n_workers: int
-    cache_kb: int
-    policy: str
-    model: str
-    n: int
-    cycles_per_iteration: float
-    iteration_cycles: list[int]
-    total_cycles: int
-    validated: bool
-    noc_flits: int = 0
-    noc_deflections: int = 0
-    mpmmu_busy_cycles: int = 0
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SweepResult":
-        return cls(**data)
-
-
 def jacobi_app(config, params) -> dict:
     """Evaluate one Jacobi point: the app driver every backend runs."""
-    outcome = run_jacobi(config, params)
-    noc = outcome.stats.get("noc", {})
-    mpmmu = outcome.stats.get("mpmmu", {})
-    return asdict(SweepResult(
-        label=config.label(),
-        n_workers=config.n_workers,
-        cache_kb=config.cache_size_kb,
-        policy=config.policy.value,
-        model=params.model.value if hasattr(params.model, "value")
-        else str(params.model),
-        n=params.n,
-        cycles_per_iteration=outcome.cycles_per_iteration,
-        iteration_cycles=outcome.iteration_cycles,
-        total_cycles=outcome.total_cycles,
-        validated=outcome.validated,
-        noc_flits=noc.get("flits_ejected", 0),
-        noc_deflections=noc.get("deflections", 0),
-        mpmmu_busy_cycles=mpmmu.get("busy_cycles", 0),
-    ))
+    result = run_jacobi(config, params)
+    return {
+        "cycles_per_iteration": result.cycles_per_iteration,
+        "iteration_cycles": result.iteration_cycles,
+        "total_cycles": result.total_cycles,
+        "validated": result.validated,
+    }
 
 
 #: Bump whenever a change can alter simulated cycle counts (kernel/NoC/
 #: timing-model changes) or the cache-key/JSON layout: cached sweep points
 #: are only trusted when they were produced by the same cache version, so
-#: a hot-path overhaul can never silently serve stale figures.  Version 4:
-#: enums keyed by value, no ``zip`` schema entry, no wall time in the
-#: Jacobi payload.
-CACHE_VERSION = f"4:{_repro_version}"
+#: a hot-path overhaul can never silently serve stale figures.  Version 5:
+#: config and params keys lost the fields no run ever set; the Jacobi
+#: payload no longer repeats its point's coordinates.
+CACHE_VERSION = f"5:{_repro_version}"
 
 
 class ResultCache:
@@ -131,9 +94,6 @@ class ResultCache:
 
     def get_raw(self, key: str) -> dict | None:
         return self._data.get(key)
-
-    def put_raw(self, key: str, payload: dict) -> None:
-        self._data[key] = payload
 
     def append(self, key: str, payload: dict) -> None:
         """Persist one completed point durably, right now.

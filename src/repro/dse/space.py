@@ -91,7 +91,7 @@ class Axis:
     axis name) on the ``target`` dataclass (``"config"`` or ``"params"``);
     :class:`Variant` values carry their own per-target override dicts and
     ignore ``target``/``field``.  A seed axis is just an ordinary axis
-    over a seed-bearing field (see :func:`seed_axis`).
+    over a seed-bearing field.
     """
 
     name: str
@@ -122,13 +122,6 @@ class Axis:
             for v in self.values
         })
         return [self.name, self.target, self.field_name, kinds]
-
-
-def seed_axis(seeds: int | tuple[int, ...], name: str = "seed",
-              target: str = "params") -> Axis:
-    """An axis over a seed field: ``seeds`` is a count or explicit tuple."""
-    values = tuple(range(seeds)) if isinstance(seeds, int) else tuple(seeds)
-    return Axis(name=name, values=values, target=target)
 
 
 @dataclass(frozen=True)

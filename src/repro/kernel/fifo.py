@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Generic, Iterator, TypeVar
 
-from repro.errors import FifoEmptyError, FifoFullError
+from repro.errors import ConfigError, FifoEmptyError, FifoFullError
 
 T = TypeVar("T")
 
@@ -23,7 +23,7 @@ class Fifo(Generic[T]):
 
     def __init__(self, capacity: int | None = None, name: str = "fifo") -> None:
         if capacity is not None and capacity < 1:
-            raise ValueError(f"{name}: capacity must be >= 1 or None, got {capacity}")
+            raise ConfigError(f"{name}: capacity must be >= 1 or None, got {capacity}")
         self.name = name
         self.capacity = capacity
         self._items: deque[T] = deque()
@@ -70,14 +70,6 @@ class Fifo(Generic[T]):
         occupancy = len(items)
         if occupancy > self.max_occupancy:
             self.max_occupancy = occupancy
-
-    def try_push(self, item: T) -> bool:
-        """Push if space is available; return whether the push happened."""
-        if self.full:
-            self.full_rejections += 1
-            return False
-        self.push(item)
-        return True
 
     def pop(self) -> T:
         items = self._items

@@ -43,17 +43,3 @@ def unpack_doubles(words: list[int]) -> list[float]:
         words_to_float(words[2 * i], words[2 * i + 1])
         for i in range(len(words) // 2)
     ]
-
-
-def int_to_word(value: int) -> int:
-    """Two's-complement encode a signed 32-bit integer."""
-    if not (-(1 << 31) <= value < (1 << 31)):
-        raise ValueError(f"{value} does not fit a signed 32-bit word")
-    return value & 0xFFFF_FFFF
-
-
-def word_to_int(word: int) -> int:
-    """Two's-complement decode a word to a signed integer."""
-    if word & 0x8000_0000:
-        return word - (1 << 32)
-    return word

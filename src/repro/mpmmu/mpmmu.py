@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 
 from repro.cache.l1 import L1Cache
-from repro.errors import ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.kernel.component import Component
 from repro.kernel.fifo import Fifo
 from repro.mem.ddr import DdrModel
@@ -52,6 +52,10 @@ class _MpmmuState(enum.Enum):
 
 # Members as module constants, for the reason given in repro.noc.packet.
 _IDLE, _BUSY, _WAIT_DATA = _MpmmuState
+
+#: Size of the MPMMU's local cache (the reference design's; the paper's
+#: sweep turns the workers' caches only).
+MPMMU_CACHE_KB = 16
 
 #: Per-transaction counter keys, indexed by packet type.
 _SERVED_KEY = tuple(f"served_{kind.name.lower()}" for kind in PacketType)
@@ -103,12 +107,24 @@ class MpmmuNode(Component):
         cache: L1Cache,
         ddr: DdrModel,
         n_workers: int,
-        service_overhead: int = 4,
+        # The MPMMU is a processor running protocol software: cycles of
+        # decode/dispatch per transaction, before the cache/DDR access.
+        # 12 is the value behind every committed golden, pin and report
+        # (with it `compare` reads sm/full 2.07x at 6 cores against the
+        # paper's ~2x).
+        service_overhead: int = 12,
         cache_hit_cycles: int = 2,
         out_fifo_depth: int = 16,
         data_fifo_depth: int = 8,
     ) -> None:
         super().__init__("mpmmu")
+        # A block reply is pushed whole: a shallower FIFO would overflow
+        # mid-run instead of refusing at build.
+        if out_fifo_depth < cache.words_per_line:
+            raise ConfigError(
+                f"mpmmu: out_fifo_depth {out_fifo_depth} cannot hold one "
+                f"block reply ({cache.words_per_line} flits)"
+            )
         self.ports = ports
         ports.eject.owner = self
         self.cache = cache

@@ -22,15 +22,3 @@ DELTA_Y = (-1, 0, 1, 0)
 
 #: OPPOSITE[d] is the port on the receiving switch for a flit sent out of d.
 OPPOSITE = (SOUTH, WEST, NORTH, EAST)
-
-
-def signed_wrap_delta(src: int, dst: int, size: int) -> int:
-    """Shortest signed displacement from ``src`` to ``dst`` on a ring.
-
-    The result lies in ``[-size//2, size//2]``; for even ``size`` the
-    positive direction is chosen on an exact tie (deterministic).
-    """
-    delta = (dst - src) % size
-    if delta > size // 2:
-        delta -= size
-    return delta

@@ -168,8 +168,9 @@ class Topology:
         When *both* ports of a pair strictly reduce hop distance (an
         even-size torus ring tie, or a two-wide ring's double link), the
         ``drop`` port is removed from the candidate list — reproducing
-        :func:`~repro.noc.coords.signed_wrap_delta`'s positive-direction
-        tie rule.  Non-grid topologies usually need no pruning.
+        the positive-direction tie rule of the closed-form reference
+        (``signed_wrap_delta``, ``tests/noc/test_topology_properties.py``).
+        Non-grid topologies usually need no pruning.
         """
         return ()
 
@@ -431,8 +432,8 @@ class GridTopology(Topology):
         return rows
 
     def _productive_pairs(self) -> tuple[tuple[int, int], ...]:
-        # signed_wrap_delta resolves an even-ring tie to the positive
-        # displacement: EAST over WEST, SOUTH over NORTH.
+        # The closed-form reference resolves an even-ring tie to the
+        # positive displacement: EAST over WEST, SOUTH over NORTH.
         return ((EAST, WEST), (SOUTH, NORTH))
 
     # -- construction hooks --------------------------------------------------

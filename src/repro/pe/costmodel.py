@@ -5,49 +5,35 @@ subtracts average 19 cycles; multiplies average 60 cycles with a 16/32-bit
 multiplier, dropping to 26 cycles when the core includes the "Multiply
 High" option (Section II-B).  Those numbers drive how compute-heavy a
 Jacobi point is relative to the memory system, so they are front and
-center here and configurable for ablations.
+center here.  The option is the one field; the library's figures are
+constants of the class (no run has ever turned one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
-
 
 @dataclass(frozen=True)
 class FpCostModel:
     """Cycle costs of double-precision emulation plus scalar bookkeeping."""
 
-    #: DP add/subtract average (Tensilica emulation library).
-    fp_add: int = 19
-    #: DP multiply with the Multiply-High option.
-    fp_mul_mulhigh: int = 26
-    #: DP multiply with only 16/32-bit multipliers.
-    fp_mul_basic: int = 60
     #: Whether the configured core includes Multiply High.
     use_mul_high: bool = True
-    #: DP compare (used by convergence checks).
-    fp_cmp: int = 10
-    #: DP divide (emulated; not used by Jacobi but part of the library).
-    fp_div: int = 90
-    #: Generic integer/address-arithmetic op.
-    int_op: int = 1
-    #: Taken-branch / loop-maintenance cost charged per loop body.
-    loop_overhead: int = 2
 
-    def __post_init__(self) -> None:
-        for name in (
-            "fp_add",
-            "fp_mul_mulhigh",
-            "fp_mul_basic",
-            "fp_cmp",
-            "fp_div",
-            "int_op",
-            "loop_overhead",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"cost {name} must be >= 1")
+    # Un-annotated, so constants of the class and not dataclass fields.
+    #: DP add/subtract average (Tensilica emulation library).
+    fp_add = 19
+    #: DP multiply with the Multiply-High option.
+    fp_mul_mulhigh = 26
+    #: DP multiply with only 16/32-bit multipliers.
+    fp_mul_basic = 60
+    #: DP compare (used by convergence checks).
+    fp_cmp = 10
+    #: DP divide (emulated; not used by Jacobi but part of the library).
+    fp_div = 90
+    #: Taken-branch / loop-maintenance cost charged per loop body.
+    loop_overhead = 2
 
     @property
     def fp_mul(self) -> int:

@@ -70,6 +70,7 @@ from __future__ import annotations
 import typing
 from collections.abc import Generator
 
+from repro.cache.l1 import LINE_BYTES
 from repro.mem.memory_map import MemoryMap
 from repro.mem.values import (
     float_to_words,
@@ -97,8 +98,6 @@ class ProgramContext:
         memory_map: MemoryMap,
         cost: FpCostModel,
         rank_to_node: dict[int, int],
-        line_bytes: int = 16,
-        local_mem_bytes: int = 1 << 20,
         dma_queue_depth: int = 0,
         dma_reduce_assist: bool = True,
         empi_timeout_cycles: int = 0,
@@ -110,8 +109,6 @@ class ProgramContext:
         self.map = memory_map
         self.cost = cost
         self.rank_to_node = rank_to_node
-        self.line_bytes = line_bytes
-        self.local_mem_bytes = local_mem_bytes
         #: Depth of this tile's DMA TX queue (0 = no engine; the ``hw``
         #: collective algorithm refuses to run without one).
         self.dma_queue_depth = dma_queue_depth
@@ -206,7 +203,7 @@ class ProgramContext:
 
     def flush_range(self, addr: int, n_bytes: int) -> Program:
         """DHWB every line overlapping [addr, addr + n_bytes)."""
-        line = self.line_bytes
+        line = LINE_BYTES
         first = addr & ~(line - 1)
         last = (addr + n_bytes - 1) & ~(line - 1)
         for line_addr in range(first, last + 1, line):
@@ -214,7 +211,7 @@ class ProgramContext:
 
     def invalidate_range(self, addr: int, n_bytes: int) -> Program:
         """DII every line overlapping [addr, addr + n_bytes)."""
-        line = self.line_bytes
+        line = LINE_BYTES
         first = addr & ~(line - 1)
         last = (addr + n_bytes - 1) & ~(line - 1)
         for line_addr in range(first, last + 1, line):

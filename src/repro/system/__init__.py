@@ -10,7 +10,7 @@ This is the package users start from::
 
 The configuration axes mirror the paper's design-space exploration: number
 of worker cores (the MPMMU adds one more node), L1 cache size and write
-policy, plus NoC/arbiter/MPMMU/DDR parameters for finer studies.
+policy, plus the NoC, arbiter and DDR-latency knobs a test or ablation turns.
 """
 
 from repro.system.config import SystemConfig

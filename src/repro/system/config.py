@@ -1,4 +1,12 @@
-"""System configuration: every knob of the MEDEA design space."""
+"""System configuration: the knobs of the MEDEA design space that are turned.
+
+A field is here because an experiment, a benchmark workload or a test sets
+it (``benchmarks/options_census.txt`` lists each field with the values the
+repo's traffic hands it).  A model constant no run varies — the 16-byte
+line, FIFO depths, the MPMMU's service overhead, DDR write cost — lives
+once, beside the component that owns it, as a named constant or that
+constructor's default.
+"""
 
 from __future__ import annotations
 
@@ -23,7 +31,9 @@ class SystemConfig:
     The three headline axes of the paper's exploration are ``n_workers``
     (2-15 compute cores; the MPMMU is one more node), ``cache_size_kb``
     (2-64 kB) and ``cache_policy`` ('wb'/'wt').  Everything else defaults
-    to the reference implementation described in Section II.
+    to the reference implementation described in Section II.  Only what
+    the traffic or a test turns is a field; model constants live beside
+    their component (see the module docstring).
     """
 
     # -- exploration axes ---------------------------------------------------
@@ -32,7 +42,6 @@ class SystemConfig:
     cache_policy: WritePolicy | str = "wb"
 
     # -- L1 details -----------------------------------------------------------
-    cache_line_bytes: int = 16
     cache_assoc: int = 2
     write_buffer_depth: int = 4
 
@@ -75,37 +84,23 @@ class SystemConfig:
 
     # -- arbiter (Fig. 3 configurations) ----------------------------------------
     arbiter_mode: ArbiterMode | str = "dual_fifo"
-    arbiter_fifo_depth: int = 4
     arbiter_high_priority: TrafficClass | str = "message"
 
-    # -- MPMMU + DDR --------------------------------------------------------------
-    mpmmu_cache_kb: int = 16
-    #: The MPMMU is a processor running protocol software; ~12 cycles of
-    #: decode/dispatch per transaction (calibrated in EXPERIMENTS.md).
-    mpmmu_service_overhead: int = 12
-    mpmmu_cache_hit_cycles: int = 2
-    mpmmu_out_fifo_depth: int = 16
-    mpmmu_data_fifo_depth: int = 8
+    # -- DDR --------------------------------------------------------------------------
     ddr_read_latency: int = 24
-    ddr_words_per_cycle: int = 1
-    ddr_posted_write_cost: int = 2
 
     # -- memory map ------------------------------------------------------------------
     shared_size: int = 1 << 20
     private_size: int = 1 << 20
-    local_mem_bytes: int = 1 << 20
 
     # -- core -----------------------------------------------------------------------
     fp: FpCostModel = field(default_factory=FpCostModel)
-    lock_retry_backoff: int = 16
-    recv_overhead: int = 2
 
     # -- runtime ----------------------------------------------------------------------
     empi_barrier: BarrierAlgorithm | str = "central"
     #: Record hardware events (NoC ejects, DMA descriptor lifecycles) in
     #: the system's event log; telemetry implies it.
     trace: bool = False
-    max_cycles: int = 2_000_000_000
 
     # -- fault injection + recovery (opt-in; default off) -----------------------------
     #: Seeded fault schedule (:class:`repro.faults.FaultPlan`).  None keeps
@@ -207,13 +202,8 @@ class SystemConfig:
             )
         if self.write_buffer_depth < 1:
             raise ConfigError("write_buffer_depth must be >= 1")
-        if self.cache_line_bytes != 16:
-            # The wire protocol (block transactions of 4 words, 4-bit seq)
-            # is built around 16-byte lines, like the reference design.
-            raise ConfigError("this implementation models 16-byte cache lines")
-        for name in ("mpmmu_service_overhead", "ddr_read_latency"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        if self.ddr_read_latency < 1:
+            raise ConfigError("ddr_read_latency must be >= 1")
         if self.faults is not None:
             self.faults.validate()
         for name in ("watchdog_cycles", "empi_timeout_cycles",

@@ -7,7 +7,7 @@ from collections.abc import Callable, Generator
 from repro.bridge.arbiter import NocAccessArbiter
 from repro.bridge.pif2noc import AddressLut, Pif2NocBridge
 from repro.dma.engine import DmaTxEngine
-from repro.cache.l1 import L1Cache, WritePolicy
+from repro.cache.l1 import LINE_BYTES, L1Cache, WritePolicy
 from repro.empi.requests import OverlapFold
 from repro.empi.runtime import Empi
 from repro.errors import ConfigError, MemoryAccessError
@@ -19,7 +19,7 @@ from repro.mem.ddr import DdrModel
 from repro.mem.memory_map import MemoryMap
 from repro.mem.scratchpad import Scratchpad
 from repro.mem.values import words_to_float
-from repro.mpmmu.mpmmu import MpmmuNode
+from repro.mpmmu.mpmmu import MPMMU_CACHE_KB, MpmmuNode
 from repro.noc.network import NocFabric
 from repro.noc.topology import build_topology
 from repro.pe.processor import ProcessorNode
@@ -32,8 +32,8 @@ from repro.pe.tie import (
     TieInterface,
 )
 from repro.system.config import SystemConfig
-from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.registry import (
+    MetricRegistry,
     TelemetrySampler,
     sampled_overlap_efficiency,
 )
@@ -43,6 +43,9 @@ ProgramFactory = Callable[[ProgramContext], Generator]
 
 #: The MPMMU always occupies NoC node 0; worker rank r sits at node r + 1.
 MPMMU_NODE = 0
+
+#: Cycle budget of a :meth:`MedeaSystem.run` that names none.
+DEFAULT_MAX_CYCLES = 2_000_000_000
 
 
 class MedeaSystem:
@@ -94,24 +97,17 @@ class MedeaSystem:
         self.ddr = DdrModel(
             size_bytes=self.map.total_size,
             read_latency=config.ddr_read_latency,
-            words_per_cycle=config.ddr_words_per_cycle,
-            posted_write_cost=config.ddr_posted_write_cost,
         )
         self.mpmmu = MpmmuNode(
             self.fabric.ports_of(MPMMU_NODE),
             cache=L1Cache(
-                config.mpmmu_cache_kb * 1024,
-                line_bytes=config.cache_line_bytes,
+                MPMMU_CACHE_KB * 1024,
                 assoc=config.cache_assoc,
                 policy=WritePolicy.WRITE_BACK,
                 name="mpmmu.l1",
             ),
             ddr=self.ddr,
             n_workers=config.n_workers,
-            service_overhead=config.mpmmu_service_overhead,
-            cache_hit_cycles=config.mpmmu_cache_hit_cycles,
-            out_fifo_depth=config.mpmmu_out_fifo_depth,
-            data_fifo_depth=config.mpmmu_data_fifo_depth,
         )
         self.sim.register(self.mpmmu)
 
@@ -138,8 +134,9 @@ class MedeaSystem:
             self.nodes.append(self._build_worker(rank))
         self.contexts: list[ProgramContext] = []
 
-        #: Telemetry hub (None when config.telemetry is None — the
-        #: default build carries only is-it-None checks, like faults).
+        #: The sampled metric registry (None when config.telemetry is
+        #: None — the default build carries only is-it-None checks, like
+        #: faults).
         self.telemetry = None
         if telemetry_cfg is not None:
             self.telemetry = self._build_telemetry(telemetry_cfg)
@@ -228,7 +225,6 @@ class MedeaSystem:
             ports=ports,
             cache=L1Cache(
                 config.cache_size_bytes,
-                line_bytes=config.cache_line_bytes,
                 assoc=config.cache_assoc,
                 policy=config.policy,
                 name=f"l1[{rank}]",
@@ -238,16 +234,13 @@ class MedeaSystem:
             arbiter=NocAccessArbiter(
                 ports.inject,
                 mode=config.arbiter_mode,
-                fifo_depth=config.arbiter_fifo_depth,
                 high_priority=config.arbiter_high_priority,
                 name=f"arb[{rank}]",
             ),
             tie=tie,
-            scratchpad=Scratchpad(config.local_mem_bytes, name=f"lmem[{rank}]"),
+            scratchpad=Scratchpad(name=f"lmem[{rank}]"),
             memory_map=self.map,
             cost=config.fp,
-            lock_retry_backoff=config.lock_retry_backoff,
-            recv_overhead=config.recv_overhead,
             events=self.events,
             dma=dma,
             reliability=reliability,
@@ -255,7 +248,7 @@ class MedeaSystem:
         self.sim.register(node)
         return node
 
-    def _build_telemetry(self, telemetry_cfg) -> TelemetryHub:
+    def _build_telemetry(self, telemetry_cfg) -> MetricRegistry:
         """Assemble the metric registry and arm the periodic sampler.
 
         Registration order matters twice: the tile's *core* source
@@ -264,8 +257,7 @@ class MedeaSystem:
         values), and the sampler component registers after every worker
         so its snapshots see each cycle's final state.
         """
-        hub = TelemetryHub(telemetry_cfg)
-        registry = hub.registry
+        registry = MetricRegistry(telemetry_cfg.sample_interval)
         self.fabric.enable_spatial()
         registry.add_source("noc", self.fabric.spatial_values)
         registry.add_counters("noc", self.fabric.stats)
@@ -291,7 +283,7 @@ class MedeaSystem:
         )
         self.sampler = self.sim.register(TelemetrySampler(registry))
         self.sampler.wake()
-        return hub
+        return registry
 
     # -- watchdog plumbing -------------------------------------------------------
 
@@ -365,8 +357,6 @@ class MedeaSystem:
             memory_map=self.map,
             cost=config.fp,
             rank_to_node=self.rank_to_node,
-            line_bytes=config.cache_line_bytes,
-            local_mem_bytes=config.local_mem_bytes,
             dma_queue_depth=config.dma_tx_queue_depth,
             dma_reduce_assist=config.dma_reduce_assist,
             empi_timeout_cycles=config.empi_timeout_cycles,
@@ -425,7 +415,7 @@ class MedeaSystem:
         :class:`~repro.errors.SimulationError` if ``max_cycles`` elapse
         first.
         """
-        budget = max_cycles if max_cycles is not None else self.config.max_cycles
+        budget = max_cycles if max_cycles is not None else DEFAULT_MAX_CYCLES
         start = self.sim.cycle
         # A finished system is necessarily quiescent (every component has
         # slept), so the drained/idle scan only needs to run on cycles
@@ -451,7 +441,7 @@ class MedeaSystem:
         if segment.owner >= 0:
             line = self.nodes[segment.owner].cache.probe(addr)
             if line is not None:
-                return line.words[(addr % self.config.cache_line_bytes) >> 2]
+                return line.words[(addr % LINE_BYTES) >> 2]
             return self.ddr.store.read_word(addr)
         dirty_value: int | None = None
         for node in self.nodes:
@@ -462,7 +452,7 @@ class MedeaSystem:
                         f"two dirty copies of shared word {addr:#x}: "
                         f"software coherence protocol was violated"
                     )
-                dirty_value = line.words[(addr % self.config.cache_line_bytes) >> 2]
+                dirty_value = line.words[(addr % LINE_BYTES) >> 2]
         if dirty_value is not None:
             return dirty_value
         return self.ddr.store.read_word(addr)
@@ -512,8 +502,8 @@ class MedeaSystem:
     def _telemetry_summary(self) -> dict:
         """Close the timeline at the current cycle and summarize it."""
         from repro.telemetry.attribution import attribution_summary
-        self.telemetry.finalize(self.sim.cycle)
-        registry = self.telemetry.registry
+        registry = self.telemetry
+        registry.finalize(self.sim.cycle)
         return {
             "attribution": attribution_summary(self),
             "sample_interval": registry.sample_interval,

@@ -37,7 +37,6 @@ from repro.telemetry.heatmap import (
     render_panel_map,
     render_windowed_utilization,
 )
-from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.registry import (
     MetricRegistry,
     TelemetrySampler,
@@ -48,7 +47,6 @@ __all__ = [
     "AttributionError",
     "MetricRegistry",
     "TelemetryConfig",
-    "TelemetryHub",
     "TelemetrySampler",
     "attribution_summary",
     "build_report",

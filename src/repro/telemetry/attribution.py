@@ -476,7 +476,7 @@ def build_report(system, workload: str = "", stats: dict | None = None) -> dict:
         faults = system.injector.as_dict()
     links = None
     if system.telemetry is not None:
-        links = windowed_link_utilization(system.telemetry.registry)
+        links = windowed_link_utilization(system.telemetry)
     return {
         "schema": REPORT_SCHEMA,
         "workload": workload,

@@ -133,11 +133,11 @@ def log_events(system, end_cycle: int) -> list[dict]:
 
 
 def _metric_events(system) -> list[dict]:
-    telemetry = getattr(system, "telemetry", None)
-    if telemetry is None:
+    registry = getattr(system, "telemetry", None)
+    if registry is None:
         return []
     events = []
-    for cycle, row in telemetry.registry.samples:
+    for cycle, row in registry.samples:
         for name, delta in row.items():
             events.append({
                 "ph": "C", "pid": PID_METRICS, "tid": 0, "ts": cycle,

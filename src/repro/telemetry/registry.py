@@ -43,6 +43,7 @@ class MetricRegistry:
         self._prev: dict[str, float] = {}
         #: One row per sample: (cycle, {name: delta for changed names}).
         self.samples: list[tuple[int, dict[str, float]]] = []
+        self._finalized_at: int | None = None
 
     # -- source registration -------------------------------------------------
 
@@ -97,6 +98,17 @@ class MetricRegistry:
         self.samples.append((cycle, row))
         return row
 
+    def finalize(self, cycle: int) -> None:
+        """Take the end-of-run sample (idempotent per cycle).
+
+        The periodic sampler lands on interval boundaries; this closes
+        the timeline at the actual last cycle so totals match the
+        end-of-run counters exactly.
+        """
+        if self._finalized_at != cycle:
+            self.sample(cycle)
+            self._finalized_at = cycle
+
     # -- timeline access -----------------------------------------------------
 
     def timeline(self, name: str) -> list[tuple[int, float]]:
@@ -104,11 +116,6 @@ class MetricRegistry:
         return [
             (cycle, row.get(name, 0)) for cycle, row in self.samples
         ]
-
-    def series(self) -> dict[str, list[tuple[int, float]]]:
-        """Every metric that ever moved, as (cycle, delta) curves."""
-        names = sorted({name for __, row in self.samples for name in row})
-        return {name: self.timeline(name) for name in names}
 
     def totals(self) -> dict[str, float]:
         """Absolute value of every metric as of the last sample."""

@@ -31,7 +31,6 @@ from repro.apps.collective_bench import (
 )
 from repro.faults import FaultPlan
 from repro.system.config import SystemConfig
-from repro.system.presets import cg_reference_config
 from repro.telemetry.config import TelemetryConfig
 
 
@@ -63,7 +62,8 @@ class TraceWorkload:
 
 def _cg_full_stack() -> tuple[SystemConfig, CgParams]:
     """8w CG with everything on: DMA ring allreduce, faults, telemetry."""
-    config = cg_reference_config(
+    config = SystemConfig(
+        n_workers=8, cache_size_kb=16,
         dma_tx_queue_depth=4,
         faults=FaultPlan(seed=7, drop_rate=0.002),
         telemetry=TelemetryConfig(sample_interval=2048, attribution=True),
@@ -80,8 +80,9 @@ def _cg_reference() -> tuple[SystemConfig, CgParams]:
     No faults or DMA: this is the run whose ~0.96 overlap efficiency the
     sampled timeline must reproduce from counters alone.
     """
-    config = cg_reference_config(
-        telemetry=TelemetryConfig(sample_interval=2048, attribution=True)
+    config = SystemConfig(
+        n_workers=8, cache_size_kb=16,
+        telemetry=TelemetryConfig(sample_interval=2048, attribution=True),
     )
     params = CgParams(
         n=64, iterations=10, model="empi", algorithm="tree", overlap=True,

@@ -7,7 +7,6 @@ import pytest
 from repro.apps.cg import CgParams, reference_cg, run_cg
 from repro.errors import ConfigError
 from repro.system.config import SystemConfig
-from repro.system.presets import cg_reference_config
 
 
 def test_reference_cg_converges():
@@ -58,7 +57,7 @@ def test_cg_blocking_and_overlap_agree_across_models():
 def test_overlap_strictly_faster_on_reference_mesh():
     """The acceptance point: 8-worker reference machine, hybrid model —
     overlap must win outright, with measured overlap efficiency."""
-    config = cg_reference_config()
+    config = SystemConfig(n_workers=8, cache_size_kb=16)
     params = dict(n=64, iterations=10, model="empi", algorithm="tree")
     blocking = run_cg(config, CgParams(overlap=False, **params))
     overlapped = run_cg(config, CgParams(overlap=True, **params))

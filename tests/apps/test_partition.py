@@ -10,6 +10,7 @@ from repro.apps.jacobi.partition import (
     next_owner,
     partition_interior,
     prev_owner,
+    split_evenly,
 )
 from repro.errors import ConfigError
 
@@ -58,6 +59,35 @@ def test_invalid_inputs():
         partition_interior(2, 1)
     with pytest.raises(ConfigError):
         partition_interior(8, 0)
+
+
+@given(count=st.integers(0, 300), workers=st.integers(1, 64),
+       first=st.integers(0, 9))
+def test_split_evenly_is_contiguous_balanced_and_extras_lead(
+    count, workers, first
+):
+    strips = split_evenly(count, workers, first=first)
+    assert [strip.rank for strip in strips] == list(range(workers))
+    sizes = [strip.n_rows for strip in strips]
+    assert sum(sizes) == count
+    assert max(sizes) - min(sizes) <= 1
+    assert sizes == sorted(sizes, reverse=True)  # the extras lead
+    start = first
+    for strip in strips:  # contiguous from ``first``, empty strips too
+        assert strip.first_row == start
+        start += strip.n_rows
+    assert start == first + count
+
+
+@given(n=st.integers(3, 70), workers=st.integers(1, 16))
+def test_partition_interior_is_the_even_split_of_the_interior_rows(n, workers):
+    assert partition_interior(n, workers) == split_evenly(n - 2, workers, first=1)
+
+
+def test_split_evenly_of_ten_over_three():
+    # The CG / matmul use: index ranges from 0.
+    strips = split_evenly(10, 3)
+    assert [(s.first_row, s.n_rows) for s in strips] == [(0, 4), (4, 3), (7, 3)]
 
 
 @given(n=st.integers(3, 70), workers=st.integers(1, 16))

@@ -1,9 +1,10 @@
 """Every registered experiment, through both backends, bit for bit.
 
 All registered experiments run once through the inline backend
-(``--backend inline --jobs 1``, the deterministic baseline) and once
-through the process pool, each pass sharing one warm cache directory the way the CLI's
-figure pipeline does (fig7/fig9 reuse fig6/fig8 sweep points).  Reports
+(``--backend inline --jobs 1``, the deterministic baseline: the
+session-scoped ``inline_reports`` of ``conftest.py``) and once through
+the process pool, each pass sharing one warm cache directory the way the
+CLI's figure pipeline does (fig7/fig9 reuse fig6/fig8 sweep points).  Reports
 must agree row for row and series for series — simulated cycle counts
 cannot depend on the execution backend or on scheduling order — and the
 inline reports must equal the pinned texts byte for byte.
@@ -21,20 +22,6 @@ from repro.dse.experiments import REGISTRY
 #: saved ``<name>.txt``); regenerate one only when its report is meant to
 #: change.
 REPORT_PINS = Path(__file__).parent / "report_pins"
-
-
-@pytest.fixture(scope="module")
-def inline_cache_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("inline_cache")
-
-
-@pytest.fixture(scope="module")
-def inline_reports(inline_cache_dir):
-    return {
-        name: experiment(full=False, jobs=1, backend="inline",
-                         cache_dir=inline_cache_dir)
-        for name, experiment in REGISTRY.items()
-    }
 
 
 @pytest.fixture(scope="module")

@@ -3,18 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 import pytest
 
 from repro.apps.jacobi.driver import JacobiParams
-from repro.dse.executor import run_space
-from repro.dse.runner import (
-    CACHE_VERSION,
-    ResultCache,
-    SweepResult,
-    jacobi_app,
-)
+from repro.dse.executor import PointOutcome, run_space
+from repro.dse.runner import CACHE_VERSION, ResultCache, jacobi_app
 from repro.dse.space import SweepSpace, jacobi_sweep_space
 
 
@@ -27,18 +21,21 @@ def tiny_space(name: str = "tiny", **kwargs) -> SweepSpace:
     return jacobi_sweep_space(name, **defaults)
 
 
-def run_rows(space: SweepSpace, **kwargs) -> list[SweepResult]:
-    """The space's points, in order, as typed Jacobi rows."""
-    results = run_space(space, **kwargs)
-    return [SweepResult.from_json(payload) for payload in results.payloads()]
+def run_rows(space: SweepSpace, **kwargs) -> list[PointOutcome]:
+    """The space's evaluated points, in point order."""
+    return run_space(space, **kwargs).outcomes
 
 
 def test_jacobi_app_validates():
     point = tiny_space().points()[0]
-    result = SweepResult.from_json(jacobi_app(point.config, point.params))
-    assert result.validated
-    assert result.cycles_per_iteration > 0
-    assert result.n_workers == 1
+    payload = jacobi_app(point.config, point.params)
+    assert payload["validated"]
+    assert payload["cycles_per_iteration"] > 0
+    # Measurements only: the point's coordinates are the work item's.
+    assert sorted(payload) == [
+        "cycles_per_iteration", "iteration_cycles", "total_cycles",
+        "validated",
+    ]
 
 
 def test_jacobi_payload_is_deterministic():
@@ -52,13 +49,13 @@ def test_jacobi_payload_is_deterministic():
 
 def test_jacobi_rows_inline_order_matches_points():
     results = run_rows(tiny_space(), jobs=1)
-    assert [r.n_workers for r in results] == [1, 2]
+    assert [r.coords["workers"] for r in results] == [1, 2]
 
 
 def test_jacobi_rows_through_the_process_pool():
     results = run_rows(tiny_space(), jobs=2)
     assert len(results) == 2
-    assert all(r.validated for r in results)
+    assert all(r.payload["validated"] for r in results)
 
 
 def test_cache_reuse(tmp_path):
@@ -66,9 +63,8 @@ def test_cache_reuse(tmp_path):
     first = run_rows(space, jobs=1, cache_dir=tmp_path)
     assert (tmp_path / "cached.json").exists()
     second = run_rows(space, jobs=1, cache_dir=tmp_path)
-    assert [r.cycles_per_iteration for r in first] == [
-        r.cycles_per_iteration for r in second
-    ]
+    assert [r.payload for r in first] == [r.payload for r in second]
+    assert all(r.from_cache for r in second)
 
 
 def test_cache_does_not_leak_across_different_points(tmp_path):
@@ -77,27 +73,14 @@ def test_cache_does_not_leak_across_different_points(tmp_path):
         "shared_name", workers=(1,), cache_sizes_kb=(8,),
     )
     results = run_rows(space_b, jobs=1, cache_dir=tmp_path)
-    assert results[0].cache_kb == 8
-
-
-def test_result_round_trips_through_json(tmp_path):
-    cache = ResultCache(tmp_path, "roundtrip")
-    result = SweepResult(
-        label="2P_4k$_WB", n_workers=2, cache_kb=4, policy="wb",
-        model="hybrid_full", n=6, cycles_per_iteration=100.0,
-        iteration_cycles=[120, 100], total_cycles=400, validated=True,
-    )
-    cache.put_raw("key", asdict(result))
-    cache.save()
-    reloaded = ResultCache(tmp_path, "roundtrip").get_raw("key")
-    assert SweepResult.from_json(reloaded) == result
+    assert not results[0].from_cache
 
 
 def test_raw_layer_round_trips(tmp_path):
-    # Non-Jacobi experiments store plain JSON dicts through the same
-    # versioned store.
+    # Every experiment stores plain JSON dicts through the same versioned
+    # store.
     cache = ResultCache(tmp_path, "raw")
-    cache.put_raw("k", {"cycles_per_op": 42.5, "validated": True})
+    cache.append("k", {"cycles_per_op": 42.5, "validated": True})
     cache.save()
     reloaded = ResultCache(tmp_path, "raw")
     assert reloaded.get_raw("k") == {"cycles_per_op": 42.5, "validated": True}
@@ -122,7 +105,7 @@ def test_cache_discards_versionless_seed_layout(tmp_path):
 
     # A sweep over the discarded cache recomputes and re-versions the file.
     second = run_rows(space, jobs=1, cache_dir=tmp_path)
-    assert [r.total_cycles for r in first] == [r.total_cycles for r in second]
+    assert [r.payload for r in first] == [r.payload for r in second]
     assert "__cache_version__" in json.loads(path.read_text())
 
 

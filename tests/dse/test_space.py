@@ -17,7 +17,6 @@ from repro.dse.space import (
     Variant,
     config_cache_key,
     jacobi_sweep_space,
-    seed_axis,
 )
 from repro.empi.runtime import BarrierAlgorithm
 from repro.errors import ConfigError
@@ -169,12 +168,11 @@ def test_prune_drops_combinations():
     assert len(coords) == 3
 
 
-def test_seed_axis_from_count_and_tuple():
-    assert seed_axis(3).values == (0, 1, 2)
-    assert seed_axis((7, 11)).values == (7, 11)
+def test_a_seed_axis_is_an_ordinary_params_axis():
     space = SweepSpace(
         name="s", app=print, app_id="x",
-        axes=(Axis("rate", (0.1,), target="params"), seed_axis(2)),
+        axes=(Axis("rate", (0.1,), target="params"),
+              Axis("seed", (0, 1), target="params")),
         base_params=SyntheticParams(),
     )
     seeds = [p.params.seed for p in space.points()]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import FifoEmptyError, FifoFullError
+from repro.errors import ConfigError, FifoEmptyError, FifoFullError
 from repro.kernel.fifo import Fifo
 
 
@@ -22,12 +22,6 @@ def test_bounded_capacity_enforced():
     assert fifo.full
     with pytest.raises(FifoFullError):
         fifo.push(3)
-
-
-def test_try_push_reports_rejection():
-    fifo: Fifo[int] = Fifo(1)
-    assert fifo.try_push(1)
-    assert not fifo.try_push(2)
     assert fifo.full_rejections == 1
 
 
@@ -103,5 +97,5 @@ def test_clear_empties_but_keeps_stats():
 
 
 def test_invalid_capacity_rejected():
-    with pytest.raises(ValueError):
-        Fifo(0)
+    with pytest.raises(ConfigError, match="mpmmu.data: capacity"):
+        Fifo(0, name="mpmmu.data")

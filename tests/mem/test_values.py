@@ -5,16 +5,10 @@ from __future__ import annotations
 import math
 import struct
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mem.values import (
-    float_to_words,
-    int_to_word,
-    word_to_int,
-    words_to_float,
-)
+from repro.mem.values import float_to_words, words_to_float
 
 
 def test_double_round_trip_simple():
@@ -44,25 +38,3 @@ def test_nan_payload_preserved():
     result = words_to_float(low, high)
     assert math.isnan(result)
     assert struct.pack("<d", result) == struct.pack("<d", nan_bits)
-
-
-def test_int_round_trip_negative():
-    assert word_to_int(int_to_word(-5)) == -5
-    assert int_to_word(-1) == 0xFFFF_FFFF
-
-
-@given(st.integers(-(1 << 31), (1 << 31) - 1))
-def test_int_round_trip_property(value):
-    assert word_to_int(int_to_word(value)) == value
-
-
-def test_int_overflow_rejected():
-    with pytest.raises(ValueError):
-        int_to_word(1 << 31)
-    with pytest.raises(ValueError):
-        int_to_word(-(1 << 31) - 1)
-
-
-def test_word_to_int_positive():
-    assert word_to_int(5) == 5
-    assert word_to_int(0x7FFF_FFFF) == 0x7FFF_FFFF

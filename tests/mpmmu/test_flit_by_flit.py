@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.l1 import L1Cache
-from repro.errors import ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.kernel.simulator import Simulator
 from repro.mem.ddr import DdrModel
 from repro.mpmmu.mpmmu import MpmmuNode, _MpmmuState, _WriteAssembly
@@ -76,7 +76,7 @@ def build() -> tuple[Simulator, NocFabric, MpmmuNode]:
     fabric = sim.register(NocFabric(MeshTopology(2, 2)))
     mpmmu = sim.register(MpmmuNode(
         fabric.ports_of(0), cache=L1Cache(1024, name="mpmmu.l1"),
-        ddr=DdrModel(), n_workers=3, data_fifo_depth=2,
+        ddr=DdrModel(), n_workers=3, service_overhead=4, data_fifo_depth=2,
     ))
     return sim, fabric, mpmmu
 
@@ -130,6 +130,29 @@ def test_typed_error_write_assembled_short():
         match=r"mpmmu: write assembled with 1 of 4 words \(granted to node 3",
     ):
         assembly.words()
+
+
+def test_typed_error_out_fifo_cannot_hold_a_block_reply():
+    """A reply FIFO shallower than a line's word count used to pass the
+    build and die mid-run (``FifoFullError: mpmmu.out: push on full FIFO
+    (cap=3)``).  The depth is no longer a ``SystemConfig`` field either,
+    so this constructor is the only way left to ask for one."""
+    fabric = NocFabric(MeshTopology(2, 2))
+
+    def build_with(depth: int) -> MpmmuNode:
+        return MpmmuNode(
+            fabric.ports_of(0), cache=L1Cache(1024, name="mpmmu.l1"),
+            ddr=DdrModel(), n_workers=3, out_fifo_depth=depth,
+        )
+
+    for depth in (1, 2, 3):
+        with pytest.raises(
+            ConfigError,
+            match=rf"mpmmu: out_fifo_depth {depth} cannot hold one block "
+                  rf"reply \(4 flits\)",
+        ):
+            build_with(depth)
+    assert build_with(4).out_fifo.capacity == 4
 
 
 def test_typed_error_data_flit_with_no_write_granted():

@@ -200,7 +200,7 @@ def test_counters_are_exact_when_read_not_at_every_sleep():
                     stats = system.collect_stats()
                     sampled = {
                         name: value for name, value
-                        in system.telemetry.registry.totals().items()
+                        in system.telemetry.totals().items()
                         if name.startswith("mpmmu.")
                     }
                     reads.append((raw, stats["mpmmu"], sampled,

@@ -15,8 +15,9 @@ from repro.noc.coords import (
     OPPOSITE,
     SOUTH,
     WEST,
-    signed_wrap_delta,
 )
+# The ring-tie rule lives with the closed-form reference it serves.
+from tests.noc.test_topology_properties import signed_wrap_delta
 
 
 def test_direction_constants_are_distinct():

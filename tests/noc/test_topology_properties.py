@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.noc.coords import EAST, NORTH, SOUTH, WEST, signed_wrap_delta
+from repro.noc.coords import EAST, NORTH, SOUTH, WEST
 from repro.noc.topology import (
     GATEWAY_PORT,
     ChipletTopology,
@@ -136,6 +136,18 @@ def test_neighbors_are_one_hop_apart(topo):
 # The closed forms are this test's oracle and nothing else's, so they live
 # here (moved unchanged out of noc/topology.py, methods -> functions of a
 # topology), keyed by topology kind.
+
+
+def signed_wrap_delta(src: int, dst: int, size: int) -> int:
+    """Shortest signed displacement from ``src`` to ``dst`` on a ring.
+
+    The result lies in ``[-size//2, size//2]``; for even ``size`` the
+    positive direction is chosen on an exact tie (deterministic).
+    """
+    delta = (dst - src) % size
+    if delta > size // 2:
+        delta -= size
+    return delta
 
 
 def _torus_deltas(topo, src: int, dst: int) -> tuple[int, int]:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cache.l1 import LINE_BYTES
 from repro.errors import SimulationError
 from repro.faults import FaultPlan
 from repro.pe.processor import CoreState
@@ -53,7 +54,7 @@ def snapshot(system: MedeaSystem) -> dict:
     """Everything a run reports, plus the private state behind it."""
     cycle = system.sim.cycle
     stats = system.collect_stats()
-    registry = system.telemetry.registry if system.telemetry else None
+    registry = system.telemetry
     return {
         "stats": stats,
         "states": [node.state for node in system.nodes],
@@ -266,7 +267,7 @@ def program_of(ops):
         segment, line, word = where
         if segment == "p":
             return ctx.private_base + line * SET_STRIDE + word * 4
-        return ctx.shared_base + line * ctx.line_bytes + word * 4
+        return ctx.shared_base + line * LINE_BYTES + word * 4
 
     def program(ctx):
         for op in ops:
@@ -313,7 +314,7 @@ def test_schedules_agree_on_every_sampled_row(script, interval):
     reference = build(config, programs)
     run_ahead(ahead)
     run_per_cycle(reference)
-    assert ahead.telemetry.registry.samples == reference.telemetry.registry.samples
+    assert ahead.telemetry.samples == reference.telemetry.samples
     assert snapshot(ahead) == snapshot(reference)
 
 

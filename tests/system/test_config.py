@@ -48,7 +48,7 @@ def test_with_changes_copies():
         ("topology_kind", "ring"),
         ("eject_width", 0),
         ("write_buffer_depth", 0),
-        ("cache_line_bytes", 32),
+        ("dma_tx_queue_depth", -1),
         ("ddr_read_latency", 0),
         ("grid", (2, 2)),  # too small for 5 nodes (default 4 workers)
     ],
@@ -61,7 +61,6 @@ def test_invalid_settings_rejected(field, value):
 def _enum_fields():
     from repro.apps.cg import CgParams
     from repro.apps.collective_bench import CollectiveBenchParams
-    from repro.apps.dotproduct import DotProductParams, ReductionModel
     from repro.apps.jacobi.driver import JacobiParams
     from repro.apps.jacobi.models import JacobiModel
     from repro.apps.matmul import MatmulParams
@@ -75,7 +74,6 @@ def _enum_fields():
     yield SystemConfig, "arbiter_high_priority", TrafficClass
     yield SystemConfig, "empi_barrier", BarrierAlgorithm
     yield JacobiParams, "model", JacobiModel
-    yield DotProductParams, "model", ReductionModel
     for params in (CgParams, CollectiveBenchParams, MatmulParams, StreamParams):
         yield params, "model", CommModel
         yield params, "algorithm", CollectiveAlgorithm

@@ -63,7 +63,7 @@ def test_flush_hook_runs_before_the_provider_is_read():
     assert registry.sample(50) == {"core.ops": 3}
 
 
-def test_timeline_and_series_report_per_sample_curves():
+def test_timeline_reports_the_per_sample_curve():
     registry = MetricRegistry()
     counters = CounterSet("c")
     registry.add_counters("n", counters)
@@ -73,7 +73,19 @@ def test_timeline_and_series_report_per_sample_curves():
     counters.inc("a", 4)
     registry.sample(30)
     assert registry.timeline("n.a") == [(10, 1), (20, 0), (30, 4)]
-    assert registry.series() == {"n.a": [(10, 1), (20, 0), (30, 4)]}
+
+
+def test_finalize_closes_the_timeline_once_per_cycle():
+    registry = MetricRegistry()
+    counters = CounterSet("c")
+    registry.add_counters("n", counters)
+    counters.inc("a", 2)
+    registry.finalize(37)
+    registry.finalize(37)  # a second collect_stats() at the same cycle
+    assert registry.samples == [(37, {"n.a": 2})]
+    assert registry.total("n.a") == 2
+    registry.finalize(40)
+    assert [cycle for cycle, __ in registry.samples] == [37, 40]
 
 
 def test_add_latency_samples_count_and_total():

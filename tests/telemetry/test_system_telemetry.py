@@ -128,7 +128,7 @@ def test_write_chrome_trace_file_round_trip(tiny_run, tmp_path):
 
 def test_sampled_overlap_matches_the_apps_own_number(tiny_run):
     system, result = tiny_run
-    sampled = sampled_overlap_efficiency(system.telemetry.registry)
+    sampled = sampled_overlap_efficiency(system.telemetry)
     assert sampled == pytest.approx(result.overlap_efficiency, abs=1e-12)
 
 
@@ -137,7 +137,7 @@ def test_reference_overlap_efficiency_from_samples_alone():
     ~0.96 overlap efficiency on the 8w tree CG run, computed from
     ``empi.overlap.*`` counter deltas with no access to the event log."""
     system, result = run_trace_workload("cg-reference")
-    sampled = sampled_overlap_efficiency(system.telemetry.registry)
+    sampled = sampled_overlap_efficiency(system.telemetry)
     assert sampled == pytest.approx(result.overlap_efficiency, abs=1e-12)
     assert sampled > 0.9
 

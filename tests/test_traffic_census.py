@@ -11,7 +11,9 @@ from repro.dse.executor import run_space
 from repro.dse.space import jacobi_sweep_space
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-from traffic_census import SRC, report, unreached  # noqa: E402
+from traffic_census import (  # noqa: E402
+    SRC, observe, option_lines, report, unreached,
+)
 
 PLANTED = '''\
 def reached():
@@ -29,6 +31,14 @@ class Holder:
 '''
 
 
+def tiny_space(name: str, workers: tuple[int, ...] = (2,)):
+    """One small Jacobi point per worker count."""
+    return jacobi_sweep_space(
+        name, workers=workers, cache_sizes_kb=(2,), policies=("wb",),
+        params=JacobiParams(n=6, iterations=1, warmup=0),
+    )
+
+
 def test_census_lists_what_one_experiment_point_never_enters(tmp_path, capsys):
     planted_dir = tmp_path / "planted"
     planted_dir.mkdir()
@@ -42,14 +52,10 @@ def test_census_lists_what_one_experiment_point_never_enters(tmp_path, capsys):
     def traffic():
         # One 2-worker point through the sweep service, plus one of the
         # two planted functions.
-        space = jacobi_sweep_space(
-            "census", workers=(2,), cache_sizes_kb=(2,), policies=("wb",),
-            params=JacobiParams(n=6, iterations=1, warmup=0),
-        )
-        run_space(space, backend="inline")
+        run_space(tiny_space("census"), backend="inline")
         planted.reached()
 
-    missing = unreached(traffic, roots=(SRC, planted_dir))
+    missing = unreached(observe(traffic)[0], roots=(SRC, planted_dir))
     lines = dict(missing)
     # The planted function nothing called is listed, decorator to last
     # line; its called sibling and the excepted __repr__ are not.
@@ -71,3 +77,30 @@ def test_census_lists_what_one_experiment_point_never_enters(tmp_path, capsys):
     baseline.write_text("\n".join(kept) + "\n")
     assert report(missing, baseline) == 1
     assert "planted/mod.py:Holder.never" in capsys.readouterr().err
+
+
+def test_census_counts_the_values_each_option_takes():
+    __, options = observe(
+        lambda: run_space(tiny_space("options"), backend="inline")
+    )
+    # Every field of what the point hands MedeaSystem and run_jacobi, the
+    # nested cost model's too; an enum counts as its value.
+    assert options["SystemConfig.n_workers"] == {"2"}
+    assert options["SystemConfig.cache_policy"] == {"'wb'"}
+    assert options["SystemConfig.fp"] == {"'FpCostModel'"}
+    assert options["SystemConfig.faults"] == {"None"}
+    assert len(options["FpCostModel.use_mul_high"]) == 1
+    assert options["JacobiParams.n"] == {"6"}
+    assert options["JacobiParams.model"] == {"'hybrid_full'"}
+    assert all(len(values) == 1 for values in options.values())
+
+    # A planted second point: exactly the turned axis shows two values.
+    __, options = observe(
+        lambda: run_space(tiny_space("options2", (2, 3)), backend="inline")
+    )
+    turned = {name for name, values in options.items() if len(values) > 1}
+    assert turned == {"SystemConfig.n_workers"}
+    lines = option_lines(options)
+    assert [line.split() for line in lines if "n_workers" in line] == [
+        ["SystemConfig.n_workers", "2", "distinct", "2,", "3"]
+    ]
