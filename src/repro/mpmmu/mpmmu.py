@@ -178,10 +178,9 @@ class MpmmuNode(Component):
             # keep (exactly) until the wakeup, so sleep through the
             # service window even when req_fifo is non-empty.
             self.sleep(until=self._busy_until)
-        elif not (
-            self._req_items or (state is _WAIT_DATA and self._data_items)
-        ):
-            # IDLE, or WAIT_DATA with nothing buffered: wake on delivery.
+        elif not (self._data_items if state is _WAIT_DATA else self._req_items):
+            # WAIT_DATA with no data flit buffered (queued requests keep,
+            # as above), or IDLE with no request: wake on delivery.
             self.sleep()
 
     def _phase_rx(self, flit: Flit) -> None:

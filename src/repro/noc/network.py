@@ -39,7 +39,7 @@ from repro.kernel.fifo import Fifo
 from repro.kernel.stats import LatencyStat
 from repro.kernel.trace import EJECT, EventLog
 from repro.noc.flit import Flit
-from repro.noc.packet import MULTICAST, FlitCodec
+from repro.noc.packet import MULTICAST, PTYPE_NAME, FlitCodec
 from repro.noc.switch import RoutingOutcome, route_node
 from repro.noc.topology import Topology
 
@@ -534,7 +534,8 @@ class NocFabric(Component):
             self._spatial.node_ejects[port.node] += 1
         if self.events is not None:
             self.events.emit(
-                cycle, port.node, EJECT, flit.uid, (flit.ptype.name, latency)
+                cycle, port.node, EJECT, flit.uid,
+                (PTYPE_NAME[flit.ptype], latency),
             )
         eject = port.eject
         eject.queue.push(flit)

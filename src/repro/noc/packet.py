@@ -79,6 +79,8 @@ class SubType(enum.IntEnum):
 # the per-step modules binds its members like this, beside its definition.
 (SINGLE_READ, SINGLE_WRITE, BLOCK_READ, BLOCK_WRITE,
  LOCK, UNLOCK, MESSAGE, MULTICAST) = PacketType
+#: ``PTYPE_NAME[flit.ptype]``: ``.name`` is a descriptor call per read.
+PTYPE_NAME = tuple(kind.name for kind in PacketType)
 #: SUB-TYPE codes as the plain ints a flit's ``subtype`` field holds.
 ADDR, DATA, ACK, NACK = map(int, SubType)
 MSG_REQUEST, MSG_DATA, MSG_RETX = map(

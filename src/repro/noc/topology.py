@@ -26,6 +26,8 @@ item-3 target of hundreds of tiles.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import ConfigError
 from repro.noc.coords import (
     ALL_DIRECTIONS,
@@ -137,24 +139,23 @@ class Topology:
         self.port_mask_table: list[int] = [
             sum(1 << port for port in ports) for ports in self.ports_table
         ]
-        # hop_table[src * n + dst] -> BFS hop distance (-1 = unreachable).
-        n = self.n_nodes
-        self.hop_table: list[int] = [0] * (n * n)
-        for dst in range(n):
-            dist = self._bfs_distances(dst)
-            base = dst  # hop_table is symmetric; fill the dst column
-            for src in range(n):
-                self.hop_table[src * n + base] = dist[src]
+        # hop_table[src * n + dst] -> BFS hop distance (-1 = unreachable);
         # productive_table[src * n + dst] -> tuple of preferred ports.
+        # One BFS per destination feeds both.
+        self.hop_table: list[int] = [0] * (self.n_nodes * self.n_nodes)
         self.productive_table: list[tuple[int, ...]] = (
-            self._build_productive(killed=None)
+            self._build_productive(killed=None, hop_table=self.hop_table)
         )
         #: Multicast branch plans derived from ``productive_table`` (never
         #: rebuilt, so never stale), filled on demand by the router — see
         #: :mod:`repro.noc.switch`.
         self.mcast_plans: dict[int, tuple] = {}
-        # Lazy per-source latency-weighted distance tables (path_latency).
+        # Lazy per-source latency-weighted distance tables (path_latencies).
         self._latency_dist: dict[int, list[int]] = {}
+        #: Per-tile credit plans, keyed ``(node, cap)`` and filled by
+        #: ``MedeaSystem._credit_plan`` — a function of the link latencies
+        #: alone, so it is kept where they are.
+        self.credit_plans: dict[tuple[int, int], dict[int, int]] = {}
 
     # -- graph construction hooks -------------------------------------------
 
@@ -268,18 +269,21 @@ class Topology:
         return tuple(candidates)
 
     def _build_productive(
-        self, killed: list[int] | None
+        self, killed: list[int] | None, hop_table: list[int] | None = None
     ) -> list[tuple[int, ...]]:
         n = self.n_nodes
         table: list[tuple[int, ...]] = [()] * (n * n)
+        # A few dozen distinct tuples fill the n * n slots: keep one of each.
+        unique: dict[tuple[int, ...], tuple[int, ...]] = {}
         for dst in range(n):
             dist = self._bfs_distances(dst, killed)
+            if hop_table is not None:
+                hop_table[dst::n] = dist  # the dst column
             for src in range(n):
                 if src == dst or dist[src] < 0:
                     continue
-                table[src * n + dst] = self._productive_ports(
-                    src, dist, killed
-                )
+                ports = self._productive_ports(src, dist, killed)
+                table[src * n + dst] = unique.setdefault(ports, ports)
         return table
 
     def productive_override(self, killed: list[int]) -> list[tuple[int, ...]]:
@@ -333,8 +337,8 @@ class Topology:
     def link_latency(self, node: int, port: int) -> int:
         return self.link_latency_table[node][port]
 
-    def path_latency(self, src: int, dst: int) -> int:
-        """Minimum cumulative link latency from ``src`` to ``dst``.
+    def path_latencies(self, src: int) -> list[int]:
+        """Minimum cumulative link latency from ``src`` to every node.
 
         On uniform topologies this is the hop distance; with slow
         inter-chiplet links it is the latency-weighted shortest path
@@ -369,7 +373,7 @@ class Topology:
                                  neighbor),
                             )
             self._latency_dist[src] = table
-        return table[dst]
+        return table
 
     def port_name(self, node: int, port: int) -> str:
         """Human name for an output port (compass letter on grids)."""
@@ -649,6 +653,15 @@ class ChipletTopology(Topology):
         )
 
 
+def _near_square(tiles: int, min_width: int) -> tuple[int, int]:
+    """(width, height) holding ``tiles``: least waste, then nearest to
+    square, the narrowest of equals."""
+    return min(
+        ((width, -(-tiles // width)) for width in range(min_width, tiles + 1)),
+        key=lambda grid: (grid[0] * grid[1] - tiles, abs(grid[0] - grid[1])),
+    )
+
+
 def grid_for_nodes(n_nodes: int, kind: str = "folded_torus") -> tuple[int, int]:
     """Smallest (width, height) grid with at least ``n_nodes`` tiles.
 
@@ -662,18 +675,7 @@ def grid_for_nodes(n_nodes: int, kind: str = "folded_torus") -> tuple[int, int]:
             f"a {kind} grid needs at least 2 nodes (one worker plus the "
             f"MPMMU), got {n_nodes}"
         )
-    best: tuple[int, int] | None = None
-    best_key: tuple[int, int] | None = None
-    for width in range(2, n_nodes + 1):
-        height = -(-n_nodes // width)  # ceil division
-        if height < 1:
-            continue
-        key = (width * height - n_nodes, abs(width - height))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (width, height)
-    assert best is not None
-    return best
+    return _near_square(n_nodes, min_width=2)
 
 
 def chiplet_grid_for(n_workers: int, n_chiplets: int) -> tuple[int, int]:
@@ -684,18 +686,19 @@ def chiplet_grid_for(n_workers: int, n_chiplets: int) -> tuple[int, int]:
             f"got {n_chiplets}"
         )
     per_chiplet = max(1, -(-n_workers // n_chiplets))
-    best: tuple[int, int] | None = None
-    best_key: tuple[int, int, int] | None = None
-    for width in range(1, per_chiplet + 1):
-        height = -(-per_chiplet // width)
-        key = (width * height - per_chiplet, abs(width - height), width)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (width, height)
-    assert best is not None
-    return best
+    return _near_square(per_chiplet, min_width=1)
 
 
+#: Distinct topologies :func:`build_topology` keeps (least recently used
+#: goes first): the paper's sweep has 14, one per core count, 20 kB each.
+#: A 256-tile one holds 1.3 MB of tables (torus; chiplet 1.9 MB plus
+#: 2.4 MB of credit plans) and at worst 12 MB of multicast plans
+#: (``PLAN_TABLE_LIMIT`` random masks): 16 of those are 70 MB of tables,
+#: 230 MB with every plan table full.
+TOPOLOGY_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)
 def build_topology(
     kind: str,
     n_nodes: int,
@@ -714,6 +717,14 @@ def build_topology(
     IO hub is node 0.  ``chiplet_link_width`` is the inter-chiplet
     serialization factor: ``2`` halves the off-die wire width, so every
     flit occupies it for two cycles.
+
+    **The result is shared.**  A topology is a pure function of these
+    (hashable) arguments and nothing in ``src/`` writes to one after it
+    is built, so every system of one description in a process gets the
+    same object — tables, multicast plans and credit plans computed
+    once.  Never write to it; construct :class:`MeshTopology`,
+    :class:`FoldedTorusTopology` or :class:`ChipletTopology` directly
+    (they are not cached) to hand-edit a table.
     """
     if kind == "chiplet":
         n_workers = n_nodes - 1

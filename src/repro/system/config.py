@@ -125,6 +125,14 @@ class SystemConfig:
     #: only hot-path cost anywhere is an is-it-None attribute check.
     telemetry: TelemetryConfig | None = None
 
+    def __post_init__(self) -> None:
+        # A config loaded from JSON carries lists; the topology factory
+        # memoises on these, and the DSE cache key prints them.
+        for name in ("grid", "chiplet_grid"):
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, tuple(value))
+
     # -- derived -------------------------------------------------------------------------
 
     @property

@@ -182,15 +182,16 @@ class MedeaSystem:
             return {}
         reliable = self.injector is not None
         cap = (MAX_SPAN - CREDIT_WINDOW) if reliable else CREDIT_LIMIT
-        plan = {}
-        for peer in range(topology.n_nodes):
-            if peer == node_id:
-                continue
-            rtt = 2 * topology.path_latency(node_id, peer)
-            limit = max(CREDIT_LIMIT, min(cap, rtt + CREDIT_WINDOW))
-            if limit != CREDIT_LIMIT:
-                plan[peer] = limit
-        return plan
+        plan = topology.credit_plans.get((node_id, cap))
+        if plan is None:
+            plan = topology.credit_plans[node_id, cap] = {}
+            for peer, latency in enumerate(topology.path_latencies(node_id)):
+                limit = max(CREDIT_LIMIT, min(cap, 2 * latency + CREDIT_WINDOW))
+                if limit != CREDIT_LIMIT and peer != node_id:
+                    plan[peer] = limit
+        # The plan is the topology's, shared by every system built on it;
+        # the TIE gets a copy of its own.
+        return dict(plan)
 
     def _build_worker(self, rank: int) -> ProcessorNode:
         config = self.config

@@ -119,6 +119,45 @@ def test_replies_flit_for_flit_and_cycle_for_cycle():
     }
 
 
+def test_no_mpmmu_step_of_a_write_through_jacobi_changes_nothing():
+    """Every step the MPMMU is given moves something: its state, a FIFO,
+    a counter or its injection slot.  Waiting for write data with requests
+    queued it used to stay awake, more than half its steps; a delivery
+    wakes it in the arrival cycle, so it sleeps instead."""
+    from repro.apps.jacobi.driver import JacobiParams, run_jacobi
+    from repro.system.config import SystemConfig
+
+    idle_steps = []
+
+    def watch(system):
+        mpmmu = system.mpmmu
+        fifos = (mpmmu.ports.eject.queue, mpmmu.req_fifo, mpmmu.data_fifo,
+                 mpmmu.out_fifo)
+
+        def fingerprint():
+            return (
+                mpmmu._state, [(f.pushes, f.pops) for f in fifos],
+                mpmmu.stats.as_dict(), mpmmu.ports.inject.pending,
+            )
+
+        step = mpmmu.step
+
+        def watched_step(cycle):
+            before = fingerprint()
+            step(cycle)
+            if fingerprint() == before:
+                idle_steps.append(cycle)
+
+        mpmmu.step = watched_step
+
+    result = run_jacobi(
+        SystemConfig(n_workers=4, cache_size_kb=2, cache_policy="wt"),
+        JacobiParams(n=10, iterations=2, warmup=0), observer=watch,
+    )
+    assert result.validated
+    assert idle_steps == []
+
+
 # -- what used to be asserts -------------------------------------------------
 
 

@@ -122,3 +122,31 @@ def test_paper_sweep_axes():
     configs = paper_space_configs()
     assert {c.n_workers for c in configs} == set(range(2, 16))
     assert {c.cache_size_kb for c in configs} == set(VALID_CACHE_SIZES_KB)
+
+
+@pytest.mark.parametrize("config", [
+    SystemConfig(n_workers=8, topology_kind="mesh", grid=(3, 3)),
+    SystemConfig(n_workers=4, topology_kind="chiplet", chiplets=2,
+                 chiplet_grid=(2, 1)),
+])
+def test_typed_config_rebuilt_from_json_builds_the_same_machine(config):
+    """JSON has no tuples: ``grid`` and ``chiplet_grid`` come back as lists,
+    which the memoised topology factory cannot hash and the DSE cache key
+    prints differently."""
+    import dataclasses
+    import json
+
+    from repro.dse.space import config_cache_key
+    from repro.pe.costmodel import FpCostModel
+    from repro.system.medea import MedeaSystem
+
+    data = json.loads(json.dumps(dataclasses.asdict(config)))
+    assert [3, 3] in data.values() or [2, 1] in data.values()
+    rebuilt = SystemConfig(**{**data, "fp": FpCostModel(**data["fp"])})
+    assert rebuilt == config
+    assert config_cache_key(rebuilt) == config_cache_key(config)
+    assert MedeaSystem(rebuilt).topology is MedeaSystem(config).topology
+    # ... and a list handed over directly, or through with_changes.
+    direct = SystemConfig(n_workers=8, grid=[3, 3], chiplet_grid=[2, 1])
+    assert (direct.grid, direct.chiplet_grid) == ((3, 3), (2, 1))
+    assert direct.with_changes(grid=[4, 3]).grid == (4, 3)
