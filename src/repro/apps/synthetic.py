@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.kernel.component import Component
 from repro.kernel.simulator import Simulator
 from repro.noc.flit import Flit
@@ -109,8 +109,11 @@ class _TrafficSource(Component):
                 return
             flit = Flit(dst=dst, src=self.node, ptype=PacketType.MESSAGE,
                         data=self.sent & 0xFFFF_FFFF)
-            accepted = self.ports.inject.try_inject(flit)
-            assert accepted
+            if not self.ports.inject.try_inject(flit):
+                raise ProtocolError(
+                    f"cycle {cycle}: node {self.node}'s injection slot "
+                    f"refused {flit!r} while reporting itself free"
+                )
             self.sent += 1
 
 

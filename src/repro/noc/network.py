@@ -27,6 +27,26 @@ productive port — what the router computes when nobody contends — and both
 fall into the same eject and forward code as routed flits (fault hooks
 included).  ``tests/noc/test_switch_golden.py`` compares the two for every
 (switch, input link, destination).
+
+**Lone-flit path.**  A step of a network that holds exactly one flit has
+nothing to arbitrate and nothing to commit, and on the shared-memory path
+that is almost every step (93 % of a write-through Jacobi's, 3 % of a
+DMA ring allreduce's).  :meth:`NocFabric.step` sees it in the fabric's own
+state — one flit counted, one node on the worklist, the delayed heap
+empty, no fault injector attached — and :meth:`NocFabric._step_lone` finds
+the flit (pending injection or one input register), ejects it through
+:meth:`NocFabric._eject` if it is home, else latches it straight into the
+neighbour's register on its first productive port, with the counters, the
+spatial view and the injection bookkeeping of the general step.  It
+declines, touching nothing, what needs more than that: a multicast flit
+with several destinations left, a self-addressed injection (the zero-hop
+rule), a link with latency or serialisation above one (the delayed heap),
+an empty productive set; the general step then runs as if the path did
+not exist.  ``test_lone_flit_bypass_matches_route_node_everywhere`` (same
+file) holds it to ``route_node`` for every (switch, input link or
+injection slot, destination) and says which path ran;
+``tests/system/test_lone_path_differential.py`` runs whole systems with
+and without it.
 """
 
 from __future__ import annotations
@@ -235,6 +255,12 @@ class NocFabric(Component):
             topology.productive_table, topology.mcast_plans, topology,
             eject_capacity, RoutingOutcome(n_ports=n_ports),
         )
+        # The same for _step_lone, which reads fewer of them.
+        self._lone_bound = (
+            self._work, self.regs, self.ports, n, topology.productive_table,
+            direct_links, topology.neighbor_table,
+            topology.reverse_port_table,
+        )
 
     # -- node-facing API -----------------------------------------------------
 
@@ -279,6 +305,14 @@ class NocFabric(Component):
     # -- clocked behaviour ------------------------------------------------------
 
     def step(self, cycle: int) -> None:
+        # Lone-flit path (module docstring), chosen from the fabric's own
+        # state; the cheapest test to fail comes first.
+        if (
+            self._flit_count == 1 and not self._delayed
+            and self.faults is None and len(self._work) == 1
+            and self._step_lone(cycle)
+        ):
+            return
         (work, regs, delayed, moves, ports, neighbor_table, reverse_table,
          direct_table, port_range, one_port, idle_row, n_nodes,
          productive_table, plans, topo, eject_capacity, scratch) = self._bound
@@ -514,6 +548,80 @@ class NocFabric(Component):
                 self.sleep(until=delayed[0][0])
             else:
                 self.sleep()
+
+    def _step_lone(self, cycle: int) -> bool:
+        """One step of a network that holds a single flit (module
+        docstring); False, with nothing touched, hands the step to the
+        general path."""
+        (work, regs, ports, n_nodes, productive_table, direct_table,
+         neighbor_table, reverse_table) = self._lone_bound
+        (node,) = work
+        port = ports[node]
+        slot = port.inject
+        row = regs[node]
+        flit = slot.pending
+        in_port = -1  # the injection slot
+        if flit is None:
+            for flit in row:
+                in_port += 1
+                if flit is not None:
+                    break
+            else:
+                raise SimulationError(
+                    f"cycle {cycle}: node {node} is on the fabric's worklist "
+                    f"with no flit latched or pending (1 flit counted in the "
+                    f"network)"
+                )
+        dst = flit.dst
+        if dst < 0:
+            mask = flit.dst_mask
+            if mask & mask - 1:
+                return False  # several destinations: replication is routing
+            dst = mask.bit_length() - 1
+        if dst == node:
+            if in_port < 0:
+                return False  # self-addressed injection: the zero-hop rule
+            row[in_port] = None
+            work.clear()
+            if flit.dst < 0:
+                # Last destination of a multicast flit: it leaves the
+                # network itself, as a unicast arrival would.
+                flit.dst = node
+                flit.dst_mask = 0
+            self._eject(port, flit, cycle)
+            inc = self.stats.inc
+            inc("flits_ejected")
+            inc("flit_hops", flit.hops)
+            self.sleep()
+            return True
+        dirs = productive_table[node * n_nodes + dst]
+        if not dirs:
+            return False
+        direction = dirs[0]
+        if not direct_table[node][direction]:
+            return False  # a slow, narrow or missing link
+        neighbor = neighbor_table[node][direction]
+        in_dir = reverse_table[node][direction]
+        latch = regs[neighbor]
+        if latch[in_dir] is not None:
+            raise SimulationError(
+                f"link register collision at node {neighbor} dir {in_dir}"
+            )
+        if in_port < 0:
+            flit.injected_at = cycle
+            slot.pending = None
+            slot.injected += 1
+            self.stats.inc("flits_injected")
+        else:
+            row[in_port] = None
+        flit.hops += 1
+        latch[in_dir] = flit
+        work.clear()
+        work.add(neighbor)
+        spatial = self._spatial
+        if spatial is not None:
+            spatial.link_transits[neighbor][in_dir] += 1
+        return True
 
     def _eject(
         self, port: NodePorts, flit: Flit, cycle: int, zero_hop: bool = False

@@ -8,7 +8,8 @@ from repro.apps.synthetic import (
     PATTERNS,
     run_synthetic_traffic,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
+from repro.noc.network import InjectionPort
 
 
 def test_uniform_traffic_delivers_everything():
@@ -76,3 +77,12 @@ def test_deterministic_given_seed():
     assert first.injected == second.injected
     assert first.mean_latency == second.mean_latency
     assert first.deflections == second.deflections
+
+
+def test_refused_injection_is_a_typed_error(monkeypatch):
+    """A slot that reports itself free and then refuses the flit is a
+    broken port: ``ProtocolError`` naming the node, under ``python -O``
+    too (it was a bare assert)."""
+    monkeypatch.setattr(InjectionPort, "try_inject", lambda port, flit: False)
+    with pytest.raises(ProtocolError, match=r"node \d+'s injection slot"):
+        run_synthetic_traffic(rate=0.5, cycles=50)

@@ -7,6 +7,7 @@ from collections.abc import Callable, Generator
 import pytest
 
 from repro.noc.flit import MULTICAST_DST
+from repro.noc.network import NocFabric
 from repro.pe.tie import CREDIT_WINDOW, MCAST, UNICAST
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
@@ -59,6 +60,43 @@ def assert_streams_conserved(system) -> None:
             assert all(
                 slot >= min(floors, default=0) for slot in window.retx
             ), where
+
+
+class LonePath:
+    """A spy on ``NocFabric._step_lone``, the fabric's lone-flit path.
+
+    ``returned`` is what it returned, call by call — ``[True]`` after a
+    step the path took, ``[False]`` after one it looked at and declined,
+    ``[]`` after one that never reached it; ``latched`` lists the cycles
+    of the steps it took that left the flit in the network.  ``decline()``
+    makes every later step decline: the fabric then runs the general step
+    only, the reference the path is compared with.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.returned: list[bool] = []
+        self.latched: list[int] = []
+        self._monkeypatch = monkeypatch
+        real = NocFabric._step_lone
+
+        def spy(fabric, cycle):
+            done = real(fabric, cycle)
+            self.returned.append(done)
+            if done and fabric.flits_in_network:
+                self.latched.append(cycle)
+            return done
+
+        monkeypatch.setattr(NocFabric, "_step_lone", spy)
+
+    def decline(self) -> None:
+        self._monkeypatch.setattr(
+            NocFabric, "_step_lone", lambda fabric, cycle: False
+        )
+
+
+@pytest.fixture
+def lone_path(monkeypatch) -> LonePath:
+    return LonePath(monkeypatch)
 
 
 @pytest.fixture

@@ -15,11 +15,13 @@ unicast and multicast flits — under fault port masks and rerouted tables
 too — must come out of ``route_node`` exactly as they come out of those.
 
 The fabric skips ``route_node`` altogether for a switch with nothing to
-arbitrate (the uncontended-switch bypass in ``NocFabric.step``); the last
-tests check that shortcut against ``route_node`` for every (switch, input
-link, destination) of a mesh, a torus and a chiplet package — hub and
-gateway switches with their slow links included — and that everything
-else still reaches the router.
+arbitrate (the uncontended-switch bypass in ``NocFabric.step``), and the
+whole general step for a network that holds one flit (the lone-flit path,
+``NocFabric._step_lone``); the last tests check both shortcuts against
+``route_node`` for every (switch, input link or injection slot,
+destination) of a mesh, a torus and a chiplet package — hub and gateway
+switches with their slow links included — say which of the two ran, and
+check that everything else still reaches the general step and the router.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import random
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.faults import FaultInjector, FaultPlan
 from repro.kernel.simulator import Simulator
 from repro.noc.flit import Flit
@@ -714,17 +717,32 @@ def _assert_step_equals_router(case, topology, node, latched, inject,
 _MASKS_INACTIVE = FaultPlan(seed=1, drop_credits=((0, 1, 1),))
 
 
+def _lone_path_takes(topology, node, flit) -> bool:
+    """Whether the lone-flit path carries ``flit``, alone in the network
+    at ``node``: home, or one single-cycle link from its next register."""
+    dst = flit.dst if flit.dst >= 0 else flit.dst_mask.bit_length() - 1
+    if dst == node:
+        return True
+    direction = topology.productive_table[node * topology.n_nodes + dst][0]
+    return (topology.link_latency_table[node][direction],
+            topology.link_ser_table[node][direction]) == (1, 1)
+
+
 @pytest.mark.parametrize("topology", [
     MeshTopology(4, 3),
     FoldedTorusTopology(3, 3),
     ChipletTopology(3, 2, 2, link_latency=4, link_serialization=2),
 ], ids=lambda topology: topology.kind)
-def test_lone_flit_bypass_matches_route_node_everywhere(topology, monkeypatch):
-    """Every uncontended switch the fabric does not hand to the router —
-    a lone transit flit (unicast, or multicast with one branch), a lone
-    injection of either kind, each also beside one flit ejecting here —
-    for every (switch, input link, destination), fault-free and under a
-    fault plan whose masks stay inactive."""
+def test_lone_flit_bypass_matches_route_node_everywhere(
+    topology, monkeypatch, lone_path
+):
+    """Every step the fabric does not hand to the router — a lone transit
+    flit (unicast, or multicast with one destination), a lone injection of
+    either kind, each also beside one flit ejecting here — for every
+    (switch, input link, destination), fault-free and under a fault plan
+    whose masks stay inactive.  A flit alone in a fault-free network takes
+    the lone-flit path unless its link is a slow one; every other case is
+    the general step's, through its uncontended-switch bypass."""
     import repro.noc.network as network
 
     routed = []
@@ -744,6 +762,16 @@ def test_lone_flit_bypass_matches_route_node_everywhere(topology, monkeypatch):
         return Flit(dst=-1, src=(dst + 1) % n_nodes, dst_mask=1 << dst,
                     ptype=PacketType.MULTICAST, injected_at=3, hops=hops)
 
+    def check(case, node, latched, inject, faults):
+        flits = list(latched.values()) + ([inject] if inject else [])
+        expected = []
+        if faults is None and len(flits) == 1:
+            expected = [_lone_path_takes(topology, node, flits[0])]
+        del lone_path.returned[:]
+        _assert_step_equals_router(case, topology, node, latched, inject,
+                                   faults)
+        assert lone_path.returned == expected, case
+
     for node, faults in itertools.product(
         range(n_nodes), (None, _MASKS_INACTIVE)
     ):
@@ -752,36 +780,127 @@ def test_lone_flit_bypass_matches_route_node_everywhere(topology, monkeypatch):
             for dst in range(n_nodes):
                 case = f"node {node} in_port {in_port} dst {dst} {faults}"
                 for make in (unicast, one_bit):
-                    _assert_step_equals_router(
-                        f"{case} lone {make.__name__}", topology, node,
-                        {in_port: make(dst)}, None, faults,
-                    )
+                    check(f"{case} lone {make.__name__}", node,
+                          {in_port: make(dst)}, None, faults)
                 if dst == node:
                     continue
                 for make in (unicast, one_bit):
                     kind = make.__name__
                     if in_port == ports[0]:
-                        _assert_step_equals_router(
-                            f"{case} lone {kind} injection", topology, node,
-                            {}, make(dst, hops=0), faults,
-                        )
-                    _assert_step_equals_router(
-                        f"{case} {kind} injection beside an arrival",
-                        topology, node, {in_port: one_bit(node)},
-                        make(dst, hops=0), faults,
-                    )
+                        check(f"{case} lone {kind} injection", node,
+                              {}, make(dst, hops=0), faults)
+                    check(f"{case} {kind} injection beside an arrival",
+                          node, {in_port: one_bit(node)},
+                          make(dst, hops=0), faults)
                     if len(ports) > 1:
                         other = ports[(ports.index(in_port) + 1) % len(ports)]
-                        _assert_step_equals_router(
-                            f"{case} {kind} transit beside an arrival",
-                            topology, node,
-                            {in_port: unicast(node), other: make(dst)},
-                            None, faults,
-                        )
+                        check(f"{case} {kind} transit beside an arrival",
+                              node,
+                              {in_port: unicast(node), other: make(dst)},
+                              None, faults)
     assert routed == []
 
 
-def test_lone_flit_bypass_keeps_the_spatial_view():
+def test_lone_flit_path_declines_what_is_not_one_flit_on_a_fast_link(
+    lone_path,
+):
+    """The cases the lone-flit path must hand back untouched, each still
+    equal to ``route_node`` through the general step."""
+    mesh = MeshTopology(4, 3)
+    package = ChipletTopology(3, 2, 2, link_latency=4, link_serialization=2)
+
+    def message(dst, src=0, hops=0):
+        return Flit(dst=dst, src=src, ptype=PacketType.MESSAGE,
+                    injected_at=3, hops=hops)
+
+    # A self-addressed injection never enters a switch: the zero-hop rule.
+    fabric = _step_fabric(mesh, 5, {}, 9, inject=message(5, src=5))
+    assert lone_path.returned == [False]
+    assert fabric.ports[5].eject.queue.pop().dst == 5
+    assert (fabric.latency.count, fabric.latency.total) == (1, 0)
+    assert fabric.stats["flits_injected"] == fabric.stats["flits_ejected"] == 1
+    assert fabric.flits_in_network == 0 and not fabric.active
+
+    # Two destinations left, both down one port: one branch, so the
+    # switch bypass forwards it — but reading a plan is the general step's.
+    del lone_path.returned[:]
+    two_bits = Flit(dst=-1, src=0, dst_mask=1 << 2 | 1 << 3,
+                    ptype=PacketType.MULTICAST, injected_at=3, hops=1)
+    _assert_step_equals_router("two bits", mesh, 1,
+                               {mesh.ports_of(1)[0]: two_bits}, None)
+    assert lone_path.returned == [False]
+
+    # A link with latency or serialisation above one delivers through the
+    # delayed heap (hub -> gateway here), which only the general step fills.
+    del lone_path.returned[:]
+    hub = package.hub_node
+    gateway = package.neighbor_table[hub][package.ports_of(hub)[0]]
+    assert package.link_latency_table[hub][package.ports_of(hub)[0]] == 4
+    _assert_step_equals_router("slow link", package, hub, {},
+                               message(gateway, src=hub))
+    assert lone_path.returned == [False]
+
+    # A fault injector, even one whose masks never activate, has hooks on
+    # every link and ejection: the path is not entered.
+    del lone_path.returned[:]
+    _assert_step_equals_router("injector attached", mesh, 5,
+                               {mesh.ports_of(5)[0]: message(11, hops=2)},
+                               None, faults=_MASKS_INACTIVE)
+    assert lone_path.returned == []
+
+    # A second flit, in flight on a slow link: the first is forwarded and
+    # ejected, and the second — the only flit left — lands and ejects in
+    # its due cycle, all by the general step, which alone reads the heap.
+    del lone_path.returned[:]
+    fabric = NocFabric(package)
+    Simulator().register(fabric)
+    here, there = 1, 8  # one switch in each chiplet
+    out = next(port for port in package.ports_of(here)
+               if package.link_latency_table[here][port] == 1)
+    first = message(package.neighbor_table[here][out], hops=2)
+    second = message(there, hops=1)
+    in_port = package.ports_of(there)[0]
+    fabric.regs[here][package.reverse_port_table[here][out]] = first
+    fabric._work.add(here)
+    fabric._delayed.append((11, 1, there, in_port, second))
+    fabric._flit_count = 2
+    fabric.step(9)
+    fabric.step(10)
+    assert fabric.ports[first.dst].eject.queue.pop() is first
+    assert fabric.flits_in_network == 1 and fabric._delayed
+    fabric.step(11)
+    assert lone_path.returned == []
+    assert fabric.ports[there].eject.queue.pop() is second
+    assert fabric.flits_in_network == 0 and not fabric.active
+
+
+def test_lone_flit_path_raises_typed_errors():
+    """Count and worklist out of step, or a register already held where
+    the flit must latch: ``SimulationError``, under ``python -O`` too."""
+    mesh = MeshTopology(3, 3)
+    fabric = NocFabric(mesh)
+    Simulator().register(fabric)
+    fabric._work.add(4)
+    fabric._flit_count = 1
+    with pytest.raises(SimulationError, match=r"cycle 7: node 4 .* no flit"):
+        fabric.step(7)
+
+    flit = Flit(dst=8, src=0, ptype=PacketType.MESSAGE, injected_at=0)
+    fabric = NocFabric(mesh)
+    Simulator().register(fabric)
+    in_port = mesh.ports_of(4)[0]
+    fabric.regs[4][in_port] = flit
+    fabric._work.add(4)
+    fabric._flit_count = 1
+    direction = mesh.productive_table[4 * mesh.n_nodes + 8][0]
+    neighbor = mesh.neighbor_table[4][direction]
+    held = mesh.reverse_port_table[4][direction]
+    fabric.regs[neighbor][held] = Flit(dst=0, src=8, ptype=PacketType.MESSAGE)
+    with pytest.raises(SimulationError, match="link register collision"):
+        fabric.step(7)
+
+
+def test_lone_flit_bypass_keeps_the_spatial_view(lone_path):
     topology = MeshTopology(3, 3)
     flit = Flit(dst=8, src=0, ptype=PacketType.MESSAGE, injected_at=0)
     fabric = _step_lone_flit(topology, 4, topology.ports_of(4)[0], flit, 2,
@@ -793,9 +912,12 @@ def test_lone_flit_bypass_keeps_the_spatial_view():
     fabric = _step_lone_flit(topology, 4, topology.ports_of(4)[0], home, 2,
                              spatial=True)
     assert fabric._spatial.node_ejects[4] == 1
+    assert lone_path.returned == [True, True]
 
 
-def test_multicast_or_contended_switches_still_take_the_router(monkeypatch):
+def test_multicast_or_contended_switches_still_take_the_router(
+    monkeypatch, lone_path
+):
     """The bypass is for a switch with nothing to arbitrate: at most one
     flit that needs a port, at most one arrival, one branch, no live
     fault mask.  Everything else is the router's."""
@@ -808,6 +930,7 @@ def test_multicast_or_contended_switches_still_take_the_router(monkeypatch):
         return route_node(node, inputs, inject, *args, **kwargs)
 
     monkeypatch.setattr(network, "route_node", spy)
+    lone_path.decline()  # so that every step here reaches the switch
     topology = MeshTopology(3, 3)
     ports = topology.ports_of(4)
 
