@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.errors import SimulationError
 from repro.kernel.stats import CounterSet
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -61,7 +62,11 @@ class Component:
             if self.sim is not None:
                 self.sim.notify_deactivated(self)
         if until is not None:
-            assert self.sim is not None, "cannot schedule before attach()"
+            if self.sim is None:
+                raise SimulationError(
+                    f"{self.name}: sleep(until={until}) on a component no "
+                    f"Simulator has registered; there is no clock to wake it"
+                )
             self.sim.wake_at(self, until)
 
     # -- debugging ---------------------------------------------------------

@@ -53,7 +53,7 @@ from repro.errors import DeadlockError, SimulationError
 from repro.kernel.component import Component
 
 #: A cycle no run reaches: "no deadline", "no observer".
-_NEVER = sys.maxsize
+NEVER = sys.maxsize
 
 
 class Simulator:
@@ -80,7 +80,7 @@ class Simulator:
         #: ``run`` stops looking away, and the cycle after the next
         #: declared observation.
         self._run_horizon = 0
-        self._observed_horizon = _NEVER
+        self._observed_horizon = NEVER
 
     # -- registration -------------------------------------------------------
 
@@ -175,7 +175,7 @@ class Simulator:
         start = self.cycle
         deadline = None if max_cycles is None else start + max_cycles
         every_cycle = until is not None and not until_idle
-        self._run_horizon = _NEVER if deadline is None else deadline
+        self._run_horizon = NEVER if deadline is None else deadline
         self.horizon = min(self._run_horizon, self._observed_horizon)
         wakeups = self._wakeups
         components = self._components

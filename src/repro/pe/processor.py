@@ -27,6 +27,29 @@ flit arrival, a scheduled compute/backoff expiry, or job completion.  Its
 batched counters are folded in when they are read (``flush_op_stats``:
 ``collect_stats``, the telemetry registry, the ledgers), not at each sleep.
 
+A step that can only repeat the previous one costs one test.  Three kinds
+of step are woken for nothing they can act on — a ``WAIT_TX`` tile whose
+send is out of credit (awake every cycle, counting the stall), a blocked
+tile polled for its reliability timers, a ``RUNNING`` tile woken by a
+stale poll before ``_ready_at`` — and the step that has just been one
+writes the **quiet horizon** (``_quiet_until``): the first cycle at which
+a step that finds no flit on the RX queue, nothing in the arbiter and a
+free injection slot could do anything else.  That is the reliability
+agent's :meth:`~repro.pe.reliability.ReliabilityAgent.next_deadline`
+(never, without an agent), capped at ``_ready_at - 1`` for a running
+core.  It is written in three places only — the credit-gated arm of
+``_phase_tie_tx`` and the ``RUNNING`` and poll arms of ``_phase_sleep`` —
+and only when nothing *after* this step's tick touched what the tick
+reads: the TX phase did not run and the core neither executed nor resumed
+(``_acted_at``), and no reduction-assist descriptor is live.  The first
+tick after a step that raised demand or took words must run; every later
+one before the deadline cannot act.  Inside the horizon ``step`` repeats
+the stalled cycle's two counters or re-issues the sleep, by core state;
+a flit, a busy arbiter or slot, or ``load_program`` clears the horizon
+and the six phases run untouched.  Same wake-ups, same cycles, same
+counters: ``tests/system/test_quiet_step_differential.py`` holds whole
+runs to a machine whose horizon is zeroed before every step.
+
 Phase 5 does not visit the core once per *core-local* op.  The L1 and the
 scratchpad are private to the tile under software flush/invalidate
 coherence (no snoops), so a run of ``compute`` ops, L1 hits and
@@ -52,6 +75,7 @@ from repro.bridge.pif2noc import Pif2NocBridge
 from repro.cache.l1 import WRITE_BACK, L1Cache
 from repro.errors import ProgramError, ProtocolError
 from repro.kernel.component import Component
+from repro.kernel.simulator import NEVER
 from repro.kernel.trace import MARK, EventLog
 from repro.mem.memory_map import MemoryMap
 from repro.mem.scratchpad import Scratchpad
@@ -187,6 +211,13 @@ class ProcessorNode(Component):
         self._wait_msg: tuple[ReceiveStream, int] | None = None
         self._pending_req_flit: Flit | None = None
         self._last_op: tuple | None = None
+        #: The quiet horizon (module docstring): steps before this cycle
+        #: that find no flit, an empty arbiter and a free injection slot
+        #: repeat the step that wrote it.  0: nothing is proven.
+        self._quiet_until = 0
+        #: The last cycle on which the TX phase ran or the core executed
+        #: or resumed — "did anything run after this step's tick".
+        self._acted_at = -1
         # Hot-path bindings: the deques backing the RX queue and the TIE
         # credit queue are stable objects, so step() can test them without
         # attribute chains or property calls.
@@ -223,6 +254,7 @@ class ProcessorNode(Component):
         self._send_value = None
         self._pending_op = None
         self._ready_at = 0
+        self._quiet_until = 0
         self.wake()
 
     @property
@@ -249,6 +281,24 @@ class ProcessorNode(Component):
     # -- clocked behaviour ----------------------------------------------------------
 
     def step(self, cycle: int) -> None:
+        if cycle < self._quiet_until:
+            # Inside the quiet horizon: with no flit to take, an empty
+            # arbiter and a free injection slot, the full step would only
+            # repeat the one that wrote the horizon — by state, a
+            # credit-stalled cycle, or the sleep it ended in.
+            arbiter = self.arbiter
+            if not (self._rx_items or arbiter.n_pending
+                    or arbiter.port.pending is not None):
+                state = self.state
+                if state is _WAIT_TX:
+                    self.tie._n_credit_stall_cycles += 1
+                    self._n_credit_wait += 1
+                elif state is _RUNNING:
+                    self.sleep(until=self._ready_at)
+                else:
+                    self.sleep(until=cycle + self.reliability.poll_interval)
+                return
+            self._quiet_until = 0
         # The six phases of the module docstring, with each phase's cheap
         # emptiness guard inlined so an idle phase costs one attribute test.
         bridge = self.bridge
@@ -306,6 +356,7 @@ class ProcessorNode(Component):
     # 4 -------------------------------------------------------------------------------
 
     def _phase_tie_tx(self, cycle: int, dma_busy: bool) -> None:
+        self._acted_at = cycle
         tie = self.tie
         offer = self.arbiter.offer_message
         if self._credit_items:
@@ -346,6 +397,11 @@ class ProcessorNode(Component):
             # core is credit-stalled this cycle.
             if self.state is _WAIT_TX:
                 self._n_credit_wait += 1
+                if not (dma_busy or self.bridge._outgoing):
+                    # This arm wrote nothing the tick reads and a core
+                    # blocked in WAIT_TX neither executes nor resumes:
+                    # until a credit arrives the stall repeats.
+                    self._quiet_until = self._tick_horizon()
             return
         if offer(flit):
             finished = tie.tx_advance()
@@ -374,6 +430,7 @@ class ProcessorNode(Component):
         return not self._jobs and self._active_job is None and self.bridge.idle
 
     def _resume(self, cycle: int, cost: int) -> None:
+        self._acted_at = cycle
         self._change_state(_RUNNING, cycle)
         self._ready_at = cycle + cost
 
@@ -392,8 +449,10 @@ class ProcessorNode(Component):
         # The first op that is not core-local is parked for its exact
         # issue cycle, and the tile waits for it as for a long compute.
         now = cycle
-        # A reliability agent arms its timers on whichever cycles the
-        # tile is stepped, so such a tile keeps the per-cycle schedule.
+        self._acted_at = cycle
+        # A reliability agent's tick runs on every stepped cycle at which
+        # it can act (not inside the quiet horizon) and arms its timers
+        # from those cycles, so such a tile keeps the per-cycle schedule.
         horizon = cycle if self.reliability is not None else self.sim.horizon
         while True:
             op = self._pending_op
@@ -764,6 +823,12 @@ class ProcessorNode(Component):
             return
         if self.state is _RUNNING:
             if self._ready_at > cycle + 1:
+                if self._acted_at != cycle:
+                    # An early wake that found nothing to do: so will
+                    # every other one before the core is due.
+                    self._quiet_until = min(
+                        self._tick_horizon(), self._ready_at - 1
+                    )
                 self.sleep(until=self._ready_at)
             return
         if self.state is _WAIT_FENCE and self._pipeline_empty():
@@ -772,9 +837,24 @@ class ProcessorNode(Component):
         if self.reliability is not None and self.reliability.wants_poll:
             # A starvation timer is armed: wake to check it even if no
             # flit ever arrives (the very loss being timed out on).
+            if self._acted_at != cycle:
+                self._quiet_until = self._tick_horizon()
             self.sleep(until=cycle + self.reliability.poll_interval)
             return
         self.sleep()
+
+    def _tick_horizon(self) -> int:
+        """The quiet horizon a step may write once it has shown that
+        nothing ran after its reliability tick: the first cycle at which
+        a tick can act on streams and windows left as they are (never,
+        without an agent).  0 — no horizon — while a reduction-assist
+        descriptor is live: the assist reads its stream after every tick.
+        """
+        dma = self.dma
+        if dma is not None and dma._rx is not None:
+            return 0
+        agent = self.reliability
+        return NEVER if agent is None else agent.next_deadline()
 
     def flush_op_stats(self) -> None:
         """Fold the batched hot-path op counters into the CounterSet.

@@ -29,6 +29,13 @@ is idempotent — this repairs a *lost credit* the way NACKs repair lost
 data).  Both watches run once per channel; nothing else tells the
 channels apart.
 
+Between expirations the agent is idle in a way its owner can rely on: a
+tick that finds every stream and window as the previous tick left them
+re-arms nothing, and cannot fire before :meth:`ReliabilityAgent.next_deadline`.
+The owning node skips such ticks (its *quiet horizon*, see
+:mod:`repro.pe.processor`); any step that lets the core or the TX phase
+run after a tick is followed by a tick that does run.
+
 After ``max_retries`` expirations without progress the agent records the
 failure on the injector's ``gave_up`` list and stops; it never raises.
 Deciding that a silent component is dead is the watchdog's job
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.kernel.simulator import NEVER
 from repro.pe.tie import (
     CHANNEL_BIT,
     CREDIT_PROBE_WORD,
@@ -121,6 +129,18 @@ class ReliabilityAgent:
             for key in [k for k in timers if k not in live]:
                 del timers[key]
         self.wants_poll = bool(timers)
+
+    def next_deadline(self) -> int:
+        """The first cycle at which a tick can act on its own: the
+        smallest deadline of an armed timer that has not given up
+        (``NEVER`` with none).  Until then a tick that finds the streams
+        and windows as the previous tick left them changes nothing —
+        what the owning node's quiet horizon rests on."""
+        deadline = NEVER
+        for timer in self._timers.values():
+            if timer.deadline < deadline and not timer.dead:
+                deadline = timer.deadline
+        return deadline
 
     def _check_stream(
         self, cycle: int, channel: int, src: int, stream: ReceiveStream,

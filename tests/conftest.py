@@ -8,6 +8,7 @@ import pytest
 
 from repro.noc.flit import MULTICAST_DST
 from repro.noc.network import NocFabric
+from repro.pe.processor import CoreState, ProcessorNode
 from repro.pe.tie import CREDIT_WINDOW, MCAST, UNICAST
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
@@ -97,6 +98,65 @@ class LonePath:
 @pytest.fixture
 def lone_path(monkeypatch) -> LonePath:
     return LonePath(monkeypatch)
+
+
+class _Watched(int):
+    """A quiet horizon of equal value that is recognisably this object."""
+
+
+class QuietSteps:
+    """A spy on the quiet arm of ``ProcessorNode.step`` (first lines).
+
+    ``taken`` counts the steps the arm took, by kind — ``"stalled"`` (a
+    credit-stalled ``WAIT_TX`` cycle), ``"running"`` and ``"blocked"``
+    (the two re-issued sleeps); ``full`` counts the steps that ran all
+    six phases; ``cycles`` lists ``(cycle, tile name)`` of the taken ones.
+    A step inside a horizon is known to have taken the arm by what it
+    leaves behind: the arm writes nothing to the horizon, anything else
+    clears it first.  ``decline()`` zeroes the horizon before every later
+    step: every step is then a full one, the reference the arm is
+    compared with.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.taken = {"stalled": 0, "running": 0, "blocked": 0}
+        self.full = 0
+        self.cycles: list[tuple[int, str]] = []
+        self._monkeypatch = monkeypatch
+        self._real = real = ProcessorNode.step
+
+        def spy(node, cycle):
+            if cycle >= node._quiet_until:
+                self.full += 1
+                return real(node, cycle)
+            node._quiet_until = watched = _Watched(node._quiet_until)
+            real(node, cycle)
+            if node._quiet_until is not watched:
+                self.full += 1
+                return
+            node._quiet_until = int(watched)
+            state = node.state
+            self.taken[
+                "stalled" if state is CoreState.WAIT_TX else
+                "running" if state is CoreState.RUNNING else "blocked"
+            ] += 1
+            self.cycles.append((cycle, node.name))
+
+        monkeypatch.setattr(ProcessorNode, "step", spy)
+
+    def decline(self) -> None:
+        real = self._real
+
+        def full_step(node, cycle):
+            node._quiet_until = 0
+            real(node, cycle)
+
+        self._monkeypatch.setattr(ProcessorNode, "step", full_step)
+
+
+@pytest.fixture
+def quiet_steps(monkeypatch) -> QuietSteps:
+    return QuietSteps(monkeypatch)
 
 
 @pytest.fixture

@@ -162,6 +162,18 @@ def test_wakeup_in_past_rejected():
         sim.wake_at(comp, 3)
 
 
+def test_timed_sleep_before_registration_is_a_typed_error():
+    """Not an assert: it names the component and fires under ``python -O``
+    (an untimed sleep needs no clock and stays legal)."""
+    comp = Recorder("orphan")
+    comp.sleep()
+    with pytest.raises(
+        SimulationError, match=r"orphan: sleep\(until=7\) on a component no "
+                               r"Simulator has registered",
+    ):
+        comp.sleep(until=7)
+
+
 def test_double_registration_rejected():
     sim = Simulator()
     comp = Recorder("a")

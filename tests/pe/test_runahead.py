@@ -168,27 +168,72 @@ def test_notes_are_parked_not_stamped_early():
     assert system.events.program == reference.events.program
 
 
-def test_tile_with_a_reliability_agent_keeps_the_per_cycle_schedule():
-    """The agent arms its timers on the cycles the tile is stepped, so
-    the tile must be stepped on the cycles the per-cycle schedule has."""
-    def hits(ctx):
+def _hits(ctx):
+    yield ctx.store(ctx.private_base, 1)
+    yield ctx.note("warm")
+    for __ in range(30):
+        yield ctx.load(ctx.private_base)
+
+
+def _exchange(first_sender: bool):
+    """Three 24-word messages each way between two tiles, L1 hits in
+    between: under drops every receive waits on a starvation timer."""
+    def program(ctx):
+        peer = 1 - ctx.rank
         yield ctx.store(ctx.private_base, 1)
-        yield ctx.note("warm")
-        for __ in range(30):
-            yield ctx.load(ctx.private_base)
+        for round_ in range(3):
+            for __ in range(5):
+                yield ctx.load(ctx.private_base)
+            words = [(ctx.rank << 16) | (round_ << 8) | i for i in range(24)]
+            if first_sender:
+                yield ctx.send_words(peer, words)
+                yield ctx.recv_words(peer, 24)
+            else:
+                yield ctx.recv_words(peer, 24)
+                yield ctx.send_words(peer, words)
+    return program
 
-    def ticked_cycles(run):
-        system = build(solo(faults=FaultPlan(seed=1)), [hits])
-        agent = system.nodes[0].reliability
+
+def test_tile_with_a_reliability_agent_keeps_the_per_cycle_schedule():
+    """The agent's tick runs on every stepped cycle at which it can act
+    (inside the tile's quiet horizon it provably cannot, and the step
+    skips it), and what it does depends on which cycles those are: so the
+    tile never runs ahead, and both schedules must tick it on the same
+    cycles and leave the same timers behind each tick."""
+    def ticks(run, config, programs):
+        system = build(config, programs)
         ticked = []
-        tick = agent.tick
-        agent.tick = lambda cycle: (ticked.append(cycle), tick(cycle))
-        run(system)
-        return ticked
+        for node in system.nodes:
+            agent = node.reliability
+            tick = agent.tick
 
-    ticked = ticked_cycles(run_ahead)
-    assert ticked == ticked_cycles(run_per_cycle)
+            def spy(cycle, agent=agent, tick=tick):
+                tick(cycle)
+                ticked.append((cycle, agent.node_id, [
+                    (key, timer.front, timer.deadline, timer.attempt)
+                    for key, timer in agent._timers.items()
+                ]))
+
+            agent.tick = spy
+        run(system)
+        return ticked, system.collect_stats()["faults"]
+
+    solo_hits = (solo(faults=FaultPlan(seed=1)), [_hits])
+    ticked, __ = ticks(run_ahead, *solo_hits)
+    assert ticked == ticks(run_per_cycle, *solo_hits)[0]
     assert len(ticked) > 30  # one visit per hit at the least
+
+    lossy_pair = (
+        SystemConfig(
+            n_workers=2, cache_size_kb=2,
+            faults=FaultPlan(seed=4, drop_rate=0.08),
+        ),
+        [_exchange(True), _exchange(False)],
+    )
+    ticked, faults = ticks(run_ahead, *lossy_pair)
+    assert (ticked, faults) == ticks(run_per_cycle, *lossy_pair)
+    assert faults["nacks_issued"] > 0  # timers were armed, and fired
+    assert any(timers for __, __, timers in ticked)
 
 
 def test_stepping_outside_run_never_runs_ahead():
