@@ -23,7 +23,7 @@ from collections.abc import Callable, Generator
 from repro.apps.jacobi.partition import Strip, next_owner, prev_owner
 from repro.apps.jacobi.reference import initial_grid, stencil
 from repro.empi.smsync import SharedMemoryBarrier
-from repro.errors import parse_enum
+from repro.errors import ConfigError, parse_enum
 from repro.pe.program import ProgramContext
 
 #: Bytes reserved at the bottom of the shared segment for SM-sync state.
@@ -116,7 +116,8 @@ def _hybrid_full_factory(
 ) -> Callable[[ProgramContext], Generator]:
     def program(ctx: ProgramContext) -> Generator:
         empi = ctx.empi
-        assert empi is not None
+        if empi is None:
+            raise ConfigError("context has no eMPI endpoint bound")
         strip = strips[rank]
         k = strip.n_rows
         stride = row_stride(n)
@@ -228,9 +229,9 @@ def _shared_memory_factory(
             sm_barrier = SharedMemoryBarrier(ctx, ctx.shared_base)
             barrier = sm_barrier.wait
         else:
-            empi = ctx.empi
-            assert empi is not None
-            barrier = empi.barrier
+            if ctx.empi is None:
+                raise ConfigError("context has no eMPI endpoint bound")
+            barrier = ctx.empi.barrier
 
         # Storage set: owned interior rows, plus the global boundary rows
         # adjacent to this strip (someone must initialize them).

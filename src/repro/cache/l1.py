@@ -158,13 +158,12 @@ class L1Cache:
         ways = self._sets[set_index]
         if not ways:  # nothing was ever installed here: no write-back
             return False, 0, []
-        victim = None
+        victim = ways[0]
         for line in ways:
             if not line.valid:
                 return False, 0, []
-            if victim is None or line.lru < victim.lru:
+            if line.lru < victim.lru:
                 victim = line
-        assert victim is not None
         victim_addr = self._line_base(victim.tag, set_index)
         if victim.dirty:
             return True, victim_addr, list(victim.words)
@@ -178,18 +177,18 @@ class L1Cache:
                 f"got {len(words)}"
             )
         set_index, tag = self._locate(addr)
-        if not self._sets[set_index]:
-            self._sets[set_index] = [
+        ways = self._sets[set_index]
+        if not ways:
+            ways = self._sets[set_index] = [
                 CacheLine(self.words_per_line) for _ in range(self.assoc)
             ]
-        victim = None
-        for line in self._sets[set_index]:
+        victim = ways[0]
+        for line in ways:
             if not line.valid:
                 victim = line
                 break
-            if victim is None or line.lru < victim.lru:
+            if line.lru < victim.lru:
                 victim = line
-        assert victim is not None
         if victim.valid:
             self.stats.inc("evictions_dirty" if victim.dirty else "evictions_clean")
         victim.tag = tag

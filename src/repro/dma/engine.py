@@ -8,8 +8,9 @@ The engine sits between the core and the TIE/arbiter message path:
   ``send``/``isend`` path imposes;
 * every cycle the owning node pumps the engine: the head descriptor is
   activated (it becomes the engine's outgoing message, streaming out of
-  the group's send window) and the current flit is offered to the
-  arbiter's message class.
+  the group's send window), and one call, :meth:`DmaTxEngine.send`,
+  offers the current flit to the arbiter's message class — an owed
+  retransmission first — and advances.
 
 There is one descriptor kind, a group send: every descriptor carries a
 destination bitmask, and a send to a single tile is a mask with one bit
@@ -64,7 +65,7 @@ from __future__ import annotations
 
 import typing
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from repro.empi.collectives import ReduceOp, combine_scalar
 from repro.errors import ProtocolError
@@ -73,12 +74,14 @@ from repro.kernel.stats import CounterSet
 from repro.kernel.trace import DMA_ACTIVATE, DMA_POST, DMA_RETIRE, EventLog
 from repro.mem.values import words_to_float
 from repro.noc.flit import MULTICAST_DST, Flit
-from repro.noc.packet import MSG_RETX
 from repro.pe.tie import (
     CREDIT_WINDOW,
+    FINISHED,
+    GATED,
     MCAST,
     MCAST_SYNC_WORD,
-    SLOT_MASK,
+    REFUSED,
+    SENT,
     OutgoingMessage,
 )
 
@@ -163,7 +166,6 @@ class DmaTxEngine:
         #: Reliable-delivery mode only: NACK-requested retransmissions
         #: awaiting a TX slot, (member, slot, word).
         self.pending_retx: deque[tuple[int, int, int]] = deque()
-        self._retx_current = False
         self.stats = CounterSet(f"dma[{tie.node_id}]")
         # Per-flit hot counters, batched like the TIE's and folded into
         # the CounterSet by flush_stats() when the node's are read.
@@ -403,44 +405,28 @@ class DmaTxEngine:
         self.stats.inc("messages_started")
         return OutgoingMessage(self.window, entries)
 
-    def tx_current(self) -> Flit | None:
-        """The credit-gated flit to offer the arbiter this cycle."""
+    def send(self, offer: Callable[[Flit], bool]) -> int:
+        """Offer this cycle's flit to ``offer`` (the arbiter's message
+        class): an owed retransmission — its NACKing member is stalled on
+        it, and it passed the gate when first emitted — else the streaming
+        descriptor's (``GATED`` also when nothing streams)."""
         if self.pending_retx:
-            # Retransmissions first: the NACKing member's stream is
-            # stalled on this word, and its slot is already credited-gated
-            # (it was emitted once), so no new gate applies.
-            member, slot, word = self.pending_retx[0]
-            self._retx_current = True
-            return self.tie.make_flit(
-                MCAST, member, MSG_RETX, slot & SLOT_MASK, word
-            )
-        self._retx_current = False
-        if self._active is None:
-            return None
-        flit = self._active.current()
-        if flit is None:
-            self._n_credit_stalls += 1
-        return flit
-
-    def tx_advance(self) -> None:
-        """Mark the current flit accepted by the arbiter."""
-        if self._retx_current:
-            member, slot, _word = self.pending_retx.popleft()
-            self.window.queued.discard((member, slot))
-            self._retx_current = False
-            self.stats.inc("retx_sent")
-            return
+            return SENT if self.tie.send_retx(
+                MCAST, self.pending_retx, self.stats, offer
+            ) else REFUSED
         active = self._active
         if active is None:
-            raise ProtocolError(
-                f"dma[{self.node_id}]: flit accepted with no descriptor "
-                f"streaming"
-            )
-        self._n_flits_sent += 1
-        if active.advance():
-            self._active = None
-            if active.uid:
-                self._emit(DMA_RETIRE, active.uid)
+            return GATED
+        sent = active.send(offer)
+        if sent == GATED:
+            self._n_credit_stalls += 1
+        elif sent != REFUSED:
+            self._n_flits_sent += 1
+            if sent == FINISHED:
+                self._active = None
+                if active.uid:
+                    self._emit(DMA_RETIRE, active.uid)
+        return sent
 
     def flush_stats(self) -> None:
         """Fold the batched per-flit counters into the CounterSet."""

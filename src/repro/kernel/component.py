@@ -27,8 +27,8 @@ class Component:
         self.stats = CounterSet(name)
         #: Registration index (kernel phase order); set by Simulator.register.
         self._order = -1
-        #: Index into the kernel's active array, or -1 while inactive.
-        self._active_slot = -1
+        #: ``1 << _order``: this component's bit in the kernel's active set.
+        self._bit = 0
 
     # -- kernel wiring -----------------------------------------------------
 
@@ -53,9 +53,8 @@ class Component:
     def sleep(self, until: int | None = None) -> None:
         """Stop being stepped; optionally schedule a wakeup at ``until``.
 
-        Only the component itself may call this (the kernel's self-sleep
-        invariant): the active-set scheduler assumes a component cannot be
-        put to sleep while queued in the current cycle's agenda.
+        The kernel is told only on a change — it toggles the component's
+        active-set bit — so the ``active`` test below keeps the two equal.
         """
         if self.active:
             self.active = False

@@ -15,10 +15,11 @@ number of *events* rather than the number of *cycles* or *components*:
   by an explicit :meth:`~repro.kernel.component.Component.wake` from a peer
   (event-blocked, e.g. waiting for a reply flit);
 * when no component is active the clock jumps to the next wakeup;
-* a cycle only visits the *active* components: the kernel maintains an
-  explicit active set (a swap-remove array updated by ``wake``/``sleep``)
-  and steps it through a per-cycle min-heap of registration orders, so a
-  cycle costs O(active log active) rather than O(registered);
+* a cycle only visits the *active* components: the active set is one
+  integer whose bit ``order`` is set while the component registered
+  ``order``-th is active (``wake`` sets it, ``sleep`` clears it), and a
+  cycle steps its lowest set bit, then re-reads the mask *above* that bit
+  after every step;
 * a component may *run ahead* of the clock over work nothing outside it
   can see or disturb (a core's L1 hits, FP ops and scratchpad accesses:
   private state under software coherence), applying the effects at once
@@ -29,18 +30,14 @@ number of *events* rather than the number of *cycles* or *components*:
   the next :meth:`Simulator.observe_at` sample — so every observer sees
   exactly the state the cycle-by-cycle schedule would have shown it.
 
-Active-set invariants (relied on for cycle-exactness):
-
-* only a component itself calls ``sleep()`` (self-sleep invariant), so a
-  component scheduled in the current cycle's agenda cannot turn inactive
-  before it is popped;
-* a component woken *mid-cycle* by an earlier-registered component is
-  stepped in the same cycle (pushed into the agenda); one woken by a
-  later-registered component, or by itself, is stepped the next cycle —
-  byte-for-byte the behaviour of the original scan-all loop;
-* agenda pops are strictly ascending in registration order because a
-  mid-cycle push only happens for orders greater than the one currently
-  stepping.
+That re-read is the whole mid-cycle wake contract: a component woken by
+an earlier phase (a higher bit) steps this cycle, one woken by a later
+phase or by itself (a bit at or below the one stepping) steps next cycle.
+Stepping in ascending bit order is therefore exactly the scan-all loop —
+release due wakes, then step every registered component that is
+``active``, in registration order — which
+``tests/kernel/test_scheduler_differential.py`` keeps beside this one as
+its readable twin and holds it to, step for step.
 """
 
 from __future__ import annotations
@@ -62,15 +59,11 @@ class Simulator:
     def __init__(self) -> None:
         self.cycle = 0
         self._components: list[Component] = []
-        #: Unordered active set; ``Component._active_slot`` indexes into it.
-        self._active: list[Component] = []
+        #: The active set: bit ``Component._order`` set while it is active.
+        self._active = 0
         self._wakeups: list[tuple[int, int, Component]] = []
         self._wakeup_seq = 0
         self._running = False
-        #: Registration order of the component currently stepping, or -1
-        #: outside the step loop.  Mid-cycle wakes compare against it.
-        self._stepping_order = -1
-        self._agenda: list[int] = []
         #: First cycle at which anything outside a component may look at
         #: it; a component may apply private effects early only for
         #: cycles before it.  0 outside :meth:`run`: stepping a component
@@ -90,39 +83,23 @@ class Simulator:
             raise SimulationError(f"{component.name} already registered")
         component.attach(self)
         component._order = len(self._components)
+        component._bit = 1 << component._order
         self._components.append(component)
         if component.active:
-            component._active_slot = len(self._active)
-            self._active.append(component)
+            self._active |= component._bit
         return component
 
     @property
     def components(self) -> tuple[Component, ...]:
         return tuple(self._components)
 
-    @property
-    def n_active(self) -> int:
-        return len(self._active)
-
-    # -- activity bookkeeping (called from Component) -----------------------
+    # -- activity bookkeeping (called from Component on a change) ------------
 
     def notify_activated(self, component: Component) -> None:
-        component._active_slot = len(self._active)
-        self._active.append(component)
-        if -1 < self._stepping_order < component._order:
-            # Woken mid-cycle by an earlier-phase component: step it this
-            # cycle, exactly where the registration-order scan would have.
-            heapq.heappush(self._agenda, component._order)
+        self._active |= component._bit
 
     def notify_deactivated(self, component: Component) -> None:
-        active = self._active
-        slot = component._active_slot
-        assert 0 <= slot < len(active), "activity accounting underflow"
-        last = active.pop()
-        if last is not component:
-            active[slot] = last
-            last._active_slot = slot
-        component._active_slot = -1
+        self._active ^= component._bit
 
     def wake_at(self, component: Component, cycle: int) -> None:
         """Schedule ``component`` to become active at ``cycle`` (>= now)."""
@@ -179,18 +156,12 @@ class Simulator:
         self.horizon = min(self._run_horizon, self._observed_horizon)
         wakeups = self._wakeups
         components = self._components
-        active = self._active
-        agenda = self._agenda
         heappop = heapq.heappop
-        heapify = heapq.heapify
         try:
             while True:
-                if active:
-                    if every_cycle and until():
-                        break
-                else:
-                    if until is not None and until():
-                        break
+                idle = not self._active
+                if (idle or every_cycle) and until is not None and until():
+                    break
                 if deadline is not None and self.cycle >= deadline:
                     if until is None:
                         break
@@ -199,7 +170,7 @@ class Simulator:
                         f"condition (now {self.cycle})"
                     )
                 # Fast-forward over idle time.
-                if not active:
+                if idle:
                     if not wakeups:
                         if until is None:
                             break
@@ -218,29 +189,15 @@ class Simulator:
                 while wakeups and wakeups[0][0] <= now:
                     __, __, comp = heappop(wakeups)
                     comp.wake()
-                # Step the active set in phase (registration) order.  The
-                # single-component case (very common once activity gating
-                # kicks in) skips the heap entirely; mid-cycle wakes of
-                # later-phase components land in the agenda either way.
-                if len(active) == 1:
-                    comp = active[0]
-                    self._stepping_order = comp._order
-                    comp.step(now)
-                else:
-                    for comp in active:
-                        agenda.append(comp._order)
-                    heapify(agenda)
-                while agenda:
-                    order = heappop(agenda)
-                    comp = components[order]
-                    if comp.active:
-                        self._stepping_order = order
-                        comp.step(now)
-                self._stepping_order = -1
+                # Step the lowest active bit, then re-read the mask above
+                # it (module docstring: the mid-cycle wake contract).
+                mask = self._active
+                while mask:
+                    above = (mask & -mask).bit_length()
+                    components[above - 1].step(now)
+                    mask = self._active >> above << above
                 self.cycle = now + 1
         finally:
-            del agenda[:]
-            self._stepping_order = -1
             self._running = False
             self._run_horizon = self.horizon = 0
         return self.cycle - start

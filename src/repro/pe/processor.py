@@ -86,7 +86,9 @@ from repro.noc.packet import (
     UNLOCK, PacketType,
 )
 from repro.pe.costmodel import FpCostModel
-from repro.pe.tie import MCAST, UNICAST, ReceiveStream, TieInterface
+from repro.pe.tie import (
+    FINISHED, GATED, MCAST, UNICAST, ReceiveStream, TieInterface,
+)
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dma.engine import DmaTxEngine
@@ -368,8 +370,7 @@ class ProcessorNode(Component):
         if tie.pending_retx:
             # NACK-requested retransmissions next: the peer's stream is
             # stalled on these words (reliable-delivery mode only).
-            if offer(tie.retx_flit()):
-                tie.retx_sent()
+            tie.send_retx(UNICAST, tie.pending_retx, tie.stats, offer)
             return
         if self._pending_req_flit is not None:
             if offer(self._pending_req_flit):
@@ -380,33 +381,28 @@ class ProcessorNode(Component):
         if dma_busy:
             # The engine drains autonomously: classify waiting NACKs,
             # activate the head descriptor when none is streaming, and
-            # offer the current flit, one per cycle.
+            # offer a flit, one per cycle; the TIE's stream goes only on
+            # a cycle the engine had none to go.
             dma = self.dma
             if dma._active is None or tie.mcast_nacks:
                 dma.pump()
-            flit = dma.tx_current()
-            if flit is not None:
-                if offer(flit):
-                    dma.tx_advance()
+            if dma.send(offer) != GATED:
                 return
         if tie.tx is None:
             return
-        flit = tie.tx_current()
-        if flit is None:
-            # None with a live tx: the credit gate refused it; a blocked
-            # core is credit-stalled this cycle.
-            if self.state is _WAIT_TX:
-                self._n_credit_wait += 1
-                if not (dma_busy or self.bridge._outgoing):
-                    # This arm wrote nothing the tick reads and a core
-                    # blocked in WAIT_TX neither executes nor resumes:
-                    # until a credit arrives the stall repeats.
-                    self._quiet_until = self._tick_horizon()
+        sent = tie.send(offer)
+        if self.state is not _WAIT_TX:
             return
-        if offer(flit):
-            finished = tie.tx_advance()
-            if finished and self.state is _WAIT_TX:
-                self._resume(cycle, cost=1)
+        if sent == GATED:
+            # A blocked core is credit-stalled this cycle.
+            self._n_credit_wait += 1
+            if not (dma_busy or self.bridge._outgoing):
+                # This arm wrote nothing the tick reads and a core
+                # blocked in WAIT_TX neither executes nor resumes:
+                # until a credit arrives the stall repeats.
+                self._quiet_until = self._tick_horizon()
+        elif sent == FINISHED:
+            self._resume(cycle, cost=1)
 
     # 5 -------------------------------------------------------------------------------
 

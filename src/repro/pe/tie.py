@@ -18,7 +18,10 @@ Every word stream between two tiles runs one protocol, written once:
   floor each member has credited back, the one credit gate, and — when a
   fault plan makes delivery *reliable* — the retransmit buffer and the
   NACK classifier.  An :class:`OutgoingMessage` is a message streaming
-  out of a window, one flit per cycle.
+  out of a window, one flit per cycle, each through one call,
+  :meth:`OutgoingMessage.send`: read the entry, apply the credit gate,
+  offer the flit to the arbiter, advance — answering ``SENT``,
+  ``FINISHED``, ``REFUSED`` or ``GATED``.
 
 There are two **channels**.  UNICAST: a window per destination, member
 tuple ``(dst,)``, fed by the core's ``send``/``isend`` alone.  MCAST: one
@@ -38,6 +41,7 @@ the token is owed — a timer in :mod:`repro.pe.reliability`.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 
 from repro.errors import ProtocolError
 from repro.kernel.fifo import Fifo
@@ -97,6 +101,9 @@ CREDIT_PROBE_WORD = 0x7F06_0000
 MARKER_MASK = 0xFFFF_0000
 #: Low-half payload of reliable-mode tokens (absolute slot mod 2^16).
 SLOT_MASK = 0xFFFF
+
+#: What one :meth:`OutgoingMessage.send` did with the current flit.
+SENT, FINISHED, REFUSED, GATED = range(4)
 
 
 class ReceiveStream:
@@ -264,7 +271,7 @@ class SendWindow:
         A member's *budget* — the slots it may be sent beyond its credited
         floor — is its credit-plan window, capped in reliable mode by the
         retransmit SRAM: every emitted-but-unretired slot must stay
-        replayable.
+        replayable.  :meth:`OutgoingMessage.send` applies it inline.
         """
         credited = self.credited
         plan = self.credit_plan
@@ -334,21 +341,28 @@ class OutgoingMessage:
         self.index = 0
         self.uid = 0  # event-log lifecycle id of a DMA descriptor (0 = off)
 
-    def current(self) -> Flit | None:
-        """The next flit, or None while its slot is credit-gated."""
+    def send(self, offer: Callable[[Flit], bool]) -> int:
+        """Offer the current flit to ``offer`` (the arbiter's message
+        class) unless :meth:`SendWindow.blocked_by`'s gate, inline, holds
+        it; advance past it once taken.  The replay buffer records a word
+        at emission, so it holds only emitted-but-unretired slots."""
         slot, gate, flit = self.entries[self.index]
-        return None if self.window.blocked_by(slot, gate) else flit
-
-    def advance(self) -> bool:
-        """Mark the current flit emitted; True when the message finished."""
         window = self.window
-        if window.retx_slots is not None:
-            # Recorded at emission time, so the buffer only ever holds
-            # emitted-but-unretired slots (bounded by the gate).
-            slot, _gate, flit = self.entries[self.index]
+        credited = window.credited
+        plan = window.credit_plan
+        cap = window.retx_slots
+        for member in gate:
+            budget = plan.get(member, CREDIT_LIMIT)
+            if cap is not None and cap < budget:
+                budget = cap
+            if slot >= credited.get(member, 0) + budget:
+                return GATED
+        if not offer(flit):
+            return REFUSED
+        if cap is not None:
             window.retx[slot] = flit.data
         self.index += 1
-        return self.index >= len(self.entries)
+        return FINISHED if self.index == len(self.entries) else SENT
 
 
 class TieInterface:
@@ -384,6 +398,7 @@ class TieInterface:
         self.pending_credits: Fifo[tuple[int, int]] = Fifo(
             None, name=f"tie[{node_id}].cr"
         )
+        #: The core's data message in flight (see :meth:`send`).
         self.tx: OutgoingMessage | None = None
         #: Reliable-delivery mode (fault layer active): 16-bit wire
         #: sequence numbers, absolute credit tokens, and a bounded
@@ -568,26 +583,17 @@ class TieInterface:
         ))
         self.stats.inc("messages_sent")
 
-    def tx_current(self) -> Flit | None:
-        """The credit-gated data flit to offer the arbiter this cycle."""
-        if self.tx is None:
-            return None
-        flit = self.tx.current()
-        if flit is None:
+    def send(self, offer: Callable[[Flit], bool]) -> int:
+        """Offer the data stream's current flit (:meth:`OutgoingMessage.send`)
+        and count what happened; the message is dropped once it finished."""
+        sent = self.tx.send(offer)
+        if sent == GATED:
             self._n_credit_stall_cycles += 1
-        return flit
-
-    def tx_advance(self) -> bool:
-        """Mark the current flit accepted; True when the message finished."""
-        if self.tx is None:
-            raise ProtocolError(
-                f"tie[{self.node_id}]: flit accepted with no send in flight"
-            )
-        self._n_data_flits_sent += 1
-        if self.tx.advance():
-            self.tx = None
-            return True
-        return False
+        elif sent != REFUSED:
+            self._n_data_flits_sent += 1
+            if sent == FINISHED:
+                self.tx = None
+        return sent
 
     def make_request_flit(self, dst_node: int, word: int) -> Flit:
         """Build a single-flit control token for the request segment."""
@@ -604,19 +610,21 @@ class TieInterface:
     def credit_sent(self) -> None:
         self.pending_credits.pop()
 
-    def retx_flit(self) -> Flit | None:
-        """Next owed retransmission (drained by the node, 1/cycle)."""
-        if not self.pending_retx:
-            return None
-        dst, slot, word = self.pending_retx[0]
-        return self.make_flit(
-            UNICAST, dst, MSG_RETX, slot & SLOT_MASK, word
-        )
-
-    def retx_sent(self) -> None:
-        dst, slot, _word = self.pending_retx.popleft()
-        self.windows[dst].queued.discard((dst, slot))
-        self.stats.inc("retx_sent")
+    def send_retx(self, channel: int, queue: deque, stats: CounterSet,
+                  offer: Callable[[Flit], bool]) -> bool:
+        """Offer the head of a NACK-requested retransmission queue of
+        ``(member, slot, word)`` — the TIE's unicast one or the DMA
+        engine's group one — counting it into ``stats`` once it went."""
+        member, slot, word = queue[0]
+        if not offer(self.make_flit(
+            channel, member, MSG_RETX, slot & SLOT_MASK, word
+        )):
+            return False
+        queue.popleft()
+        window = self.windows[MULTICAST_DST if channel else member]
+        window.queued.discard((member, slot))
+        stats.inc("retx_sent")
+        return True
 
     def flush_stats(self) -> None:
         """Fold the batched per-flit counters into the CounterSet.

@@ -7,11 +7,16 @@ import pytest
 from repro.apps.jacobi.driver import JacobiParams, run_jacobi
 from repro.apps.jacobi.models import (
     JacobiModel,
+    make_jacobi_program,
     row_stride,
     shared_grid_bases,
     strip_grid_bases,
 )
+from repro.apps.jacobi.partition import partition_interior
 from repro.errors import ConfigError
+from repro.mem.memory_map import MemoryMap
+from repro.pe.costmodel import FpCostModel
+from repro.pe.program import ProgramContext
 from repro.system.config import SystemConfig
 
 MODELS = ["hybrid_full", "hybrid_sync", "pure_sm"]
@@ -36,6 +41,20 @@ def test_model_parse():
     assert JacobiModel.parse(JacobiModel.HYBRID_FULL) is JacobiModel.HYBRID_FULL
     with pytest.raises(ConfigError):
         JacobiModel.parse("magic")
+
+
+@pytest.mark.parametrize("model", ["hybrid_full", "hybrid_sync"])
+def test_a_messaging_model_without_an_empi_endpoint_is_a_typed_error(model):
+    """A hand-built context has no eMPI endpoint bound (the system
+    builder binds one): the two models that message say so, under
+    ``python -O`` too."""
+    ctx = ProgramContext(
+        rank=0, n_workers=2, node_id=1, memory_map=MemoryMap(2),
+        cost=FpCostModel(), rank_to_node={0: 1, 1: 2},
+    )
+    program = make_jacobi_program(model, 8, 1, partition_interior(8, 2), 0)
+    with pytest.raises(ConfigError, match="no eMPI endpoint bound"):
+        next(program(ctx))
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -13,8 +13,8 @@ import pytest
 from repro.dma.engine import DmaTxEngine, mask_members
 from repro.errors import ProgramError, ProtocolError
 from repro.kernel.trace import DMA_ACTIVATE, DMA_POST, DMA_RETIRE
-from repro.noc.flit import MULTICAST_DST
-from repro.pe.tie import TieInterface
+from repro.noc.flit import MULTICAST_DST, Flit
+from repro.pe.tie import GATED, REFUSED, TieInterface
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
 
@@ -22,6 +22,33 @@ from repro.system.medea import MedeaSystem
 def make_engine(depth=2, multicast=True, node_id=1, n_nodes=9):
     return DmaTxEngine(TieInterface(node_id), n_nodes=n_nodes, depth=depth,
                        multicast=multicast)
+
+
+def drain(engine: DmaTxEngine) -> list[Flit]:
+    """Pump the engine into an arbiter that takes every flit, until it
+    is idle or gated; the flits offered."""
+    offered: list[Flit] = []
+
+    def take(flit: Flit) -> bool:
+        offered.append(flit)
+        return True
+
+    engine.pump()
+    while engine.busy and engine.send(take) != GATED:
+        engine.pump()
+    return offered
+
+
+def peek(engine: DmaTxEngine) -> Flit | None:
+    """The flit the engine offers this cycle — refused, so it stays
+    current — or None when no flit may go."""
+    offered: list[Flit] = []
+
+    def refuse(flit: Flit) -> bool:
+        offered.append(flit)
+        return False
+
+    return offered[0] if engine.send(refuse) == REFUSED else None
 
 
 def test_mask_members_iterates_ascending():
@@ -67,20 +94,12 @@ def test_multicast_group_reregistration_waits_for_quiescence():
     # The registered group stays re-usable meanwhile.
     assert engine.post_multicast(group_a, [2])
     # Drain both descriptors through the engine streamer.
-    engine.pump()
-    while engine.busy:
-        if engine.tx_current() is not None:
-            engine.tx_advance()
-        engine.pump()
+    drain(engine)
     # Streamed but not yet credited: still not quiescent (2 slots sent,
     # zero credited would allow it only because 2 < CREDIT_WINDOW; force
     # the interesting case with a full window outstanding).
     engine.post_multicast(group_a, list(range(10)))
-    engine.pump()
-    while engine.busy:
-        if engine.tx_current() is not None:
-            engine.tx_advance()
-        engine.pump()
+    drain(engine)
     assert not engine.post_multicast(1 << 2, [3])  # 12 slots, 0 credited
     engine.window.credited[2] = 8
     assert not engine.post_multicast(1 << 2, [3])  # member 3 still behind
@@ -93,8 +112,7 @@ def test_multicast_group_reregistration_waits_for_quiescence():
     # No new member joined (shrinking group): no sync handshake pending,
     # so the descriptor streams immediately.
     engine.pump()
-    assert engine.tx_current() is not None
-    assert engine.tx_current().seq == 12 % 16
+    assert peek(engine).seq == 12 % 16
 
 
 def test_multicast_group_growth_syncs_new_members():
@@ -102,11 +120,7 @@ def test_multicast_group_growth_syncs_new_members():
 
     engine = make_engine(depth=4)
     assert engine.post_multicast(1 << 2, list(range(5)))
-    engine.pump()
-    while engine.busy:
-        if engine.tx_current() is not None:
-            engine.tx_advance()
-        engine.pump()
+    drain(engine)
     engine.window.credited[2] = 8  # member 2 quiescent
     grown = (1 << 2) | (1 << 5)
     assert engine.post_multicast(grown, [9])
@@ -118,10 +132,10 @@ def test_multicast_group_growth_syncs_new_members():
     assert engine.window.credited[5] == 5
     # The descriptor holds until the new member acks the sync.
     engine.pump()
-    assert engine.tx_current() is None
+    assert peek(engine) is None
     engine.tie.mcast_sync_acks.add(5)
     engine.pump()
-    flit = engine.tx_current()
+    flit = peek(engine)
     assert flit is not None and flit.dst_mask == grown and flit.seq == 5
 
 
@@ -129,33 +143,23 @@ def test_multicast_head_streams_mask_flits_with_shared_slots():
     engine = make_engine(depth=4)
     mask = (1 << 2) | (1 << 5)
     engine.post_multicast(mask, [7, 8, 9])
-    engine.pump()
-    assert engine.busy
-    seen = []
-    while engine.busy:
-        flit = engine.tx_current()
-        assert flit is not None
-        seen.append(flit)
-        engine.tx_advance()
+    seen = drain(engine)
+    assert not engine.busy
     assert [f.data for f in seen] == [7, 8, 9]
     assert all(f.dst == MULTICAST_DST and f.dst_mask == mask for f in seen)
     assert [f.seq for f in seen] == [0, 1, 2]
     # The next descriptor continues the shared slot space.
     engine.post_multicast(mask, [1])
     engine.pump()
-    assert engine.tx_current().seq == 3
+    assert peek(engine).seq == 3
 
 
 def test_fallback_expands_member_major_with_identical_slots():
     engine = make_engine(depth=4, multicast=False)
     mask = (1 << 2) | (1 << 5)
     engine.post_multicast(mask, [7, 8])
-    engine.pump()
-    seen = []
-    while engine.busy:
-        flit = engine.tx_current()
-        seen.append(flit)
-        engine.tx_advance()
+    seen = drain(engine)
+    assert not engine.busy
     assert [(f.dst, f.seq, f.data) for f in seen] == [
         (2, 0, 7), (2, 1, 8), (5, 0, 7), (5, 1, 8),
     ]
@@ -168,15 +172,14 @@ def test_credit_gating_stalls_on_the_slowest_member():
     engine = make_engine(depth=1)
     mask = (1 << 2) | (1 << 5)
     engine.post_multicast(mask, list(range(CREDIT_LIMIT + 4)))
-    engine.pump()
-    for _ in range(CREDIT_LIMIT):
-        assert engine.tx_current() is not None
-        engine.tx_advance()
-    assert engine.tx_current() is None  # slot 16 needs credits
+    assert len(drain(engine)) == CREDIT_LIMIT  # slot 16 needs credits
     engine.window.credited[2] = 8
-    assert engine.tx_current() is None  # member 5 still at zero
+    assert peek(engine) is None  # member 5 still at zero
     engine.window.credited[5] = 8
-    assert engine.tx_current() is not None
+    assert peek(engine) is not None
+    engine.flush_stats()
+    assert engine.stats["credit_stall_cycles"] == 2
+    assert engine.stats["flits_sent"] == CREDIT_LIMIT
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from repro.pe.reliability import DEMAND_FACTOR, ReliabilityAgent
 from repro.pe.tie import (
     CREDIT_PROBE_WORD,
     CREDIT_WORD,
+    GATED,
     NACK_WORD,
-    SLOT_MASK,
     UNICAST,
     TieInterface,
 )
@@ -43,12 +43,26 @@ def token(word: int, src: int = PEER) -> Flit:
 def drain_tx(tie: TieInterface, n: int) -> list[Flit]:
     """Emit up to ``n`` flits of the current send, as the node would."""
     emitted = []
-    for _ in range(n):
-        flit = tie.tx_current()
-        if flit is None:
-            break
+
+    def take(flit: Flit) -> bool:
         emitted.append(flit)
-        tie.tx_advance()
+        return True
+
+    while tie.tx_busy and len(emitted) < n and tie.send(take) != GATED:
+        pass
+    return emitted
+
+
+def drain_retx(tie: TieInterface) -> list[Flit]:
+    """Send every owed unicast retransmission, as the node would."""
+    emitted = []
+
+    def take(flit: Flit) -> bool:
+        emitted.append(flit)
+        return True
+
+    while tie.pending_retx:
+        tie.send_retx(UNICAST, tie.pending_retx, tie.stats, take)
     return emitted
 
 
@@ -93,10 +107,9 @@ def test_valid_nack_queues_one_retransmission():
     tie.accept(token(NACK_WORD | 2))
     tie.accept(token(NACK_WORD | 2))        # duplicate NACK: no double-queue
     assert len(tie.pending_retx) == 1
-    flit = tie.retx_flit()
+    (flit,) = drain_retx(tie)
     assert flit.subtype == int(SubType.MSG_RETX)
     assert flit.seq == 2 and flit.data == 52 and flit.dst == PEER
-    tie.retx_sent()
     assert not tie.pending_retx
     assert tie.stats.as_dict()["retx_sent"] == 1
     # Once drained, the same slot may be NACKed (and served) again.
@@ -111,7 +124,7 @@ def test_retx_buffer_full_backpressures_the_sender():
     tie = reliable_tie(retx_slots=4)
     tie.begin_send(PEER, list(range(10)))
     assert len(drain_tx(tie, 10)) == 4      # slots 0-3, then the gate
-    assert tie.tx_current() is None
+    assert tie.send(lambda flit: True) == GATED
     assert len(tie.windows[PEER].retx) == 4
     tie.flush_stats()
     assert tie.stats.as_dict()["credit_stall_cycles"] >= 1
@@ -231,7 +244,7 @@ def test_credit_stall_probes_the_gating_peer():
     agent = agent_for(tie, nack_timeout=10)
     tie.begin_send(PEER, list(range(20)))
     drain_tx(tie, 20)                       # stalls at the credit limit
-    assert tie.tx_current() is None
+    assert tie.send(lambda flit: True) == GATED
     agent.tick(0)
     agent.tick(10)
     dst, word = tie.pending_credits.pop()

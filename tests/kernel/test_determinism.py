@@ -1,11 +1,11 @@
 """Determinism guard for the active-set kernel refactor.
 
-The kernel's explicit active set (wake/sleep maintained, stepped through a
-per-cycle order heap) must not introduce any iteration-order dependence:
-two identical runs of the 8-worker Jacobi reference configuration have to
-agree on every cycle count and every statistic, bit for bit.  This is the
-test that fails first if agenda ordering, worklist sets, or batched
-counter flushing ever become nondeterministic.
+The kernel's explicit active set (a bit mask that wake/sleep maintain,
+stepped lowest bit first) must not introduce any iteration-order
+dependence: two identical runs of the 8-worker Jacobi reference
+configuration have to agree on every cycle count and every statistic, bit
+for bit.  This is the test that fails first if step ordering, worklist
+sets, or batched counter flushing ever become nondeterministic.
 """
 
 from __future__ import annotations

@@ -245,6 +245,89 @@ def test_component_activated_mid_run_is_stepped():
     assert late.seen == [4, 5]
 
 
+def test_component_woken_by_a_later_phase_steps_next_cycle():
+    sim = Simulator()
+    early = Recorder("early", run_cycles=2)
+    early.active = False
+
+    class Waker(Component):
+        def __init__(self) -> None:
+            super().__init__("waker")
+            self.active = True
+
+        def step(self, cycle: int) -> None:
+            if cycle == 4:
+                early.wake()
+                self.sleep()
+
+    sim.register(early)
+    sim.register(Waker())
+    sim.run(max_cycles=20)
+    assert early.seen == [5, 6]
+
+
+def test_component_that_sleeps_and_wakes_itself_steps_next_cycle():
+    sim = Simulator()
+
+    class Napper(Component):
+        def __init__(self) -> None:
+            super().__init__("napper")
+            self.active = True
+            self.seen: list[int] = []
+
+        def step(self, cycle: int) -> None:
+            self.seen.append(cycle)
+            self.sleep()
+            if len(self.seen) < 3:
+                self.wake()
+
+    napper = sim.register(Napper())
+    after = sim.register(Recorder("after", run_cycles=3))
+    sim.run(max_cycles=20)
+    assert napper.seen == [0, 1, 2]
+    assert after.seen == [0, 1, 2]
+
+
+def test_seventy_components_step_in_registration_order():
+    """More components than a machine word has bits (``jacobi_wb_64t``
+    registers 65, ``chiplet_hier_64t`` 66): every one steps in phase order,
+    also after waking out of order and mid-cycle."""
+    sim = Simulator()
+    order: list[tuple[int, int]] = []
+
+    class Ordered(Component):
+        def __init__(self, index: int) -> None:
+            super().__init__(f"c{index}")
+            self.index = index
+            self.active = True
+
+        def step(self, cycle: int) -> None:
+            order.append((cycle, self.index))
+            if cycle == 0:
+                # Evens wake at 1, odds at 2 (out of registration order).
+                self.sleep(until=1 + self.index % 2)
+            elif cycle == 1:
+                if self.index == 2:
+                    parts[67].wake()  # later: steps this cycle
+                elif self.index == 68:
+                    parts[3].wake()  # earlier: steps next cycle
+                self.sleep(until=2)
+            else:
+                self.sleep()
+
+    parts = [sim.register(Ordered(index)) for index in range(70)]
+    sim.run(max_cycles=10)
+    by_cycle: dict[int, list[int]] = {}
+    for cycle, index in order:
+        by_cycle.setdefault(cycle, []).append(index)
+    assert by_cycle == {
+        0: list(range(70)),
+        1: sorted([*range(0, 70, 2), 67]),
+        2: list(range(70)),
+    }
+    assert sim.cycle == 3
+
+
 def test_empty_simulator_run_is_a_noop():
     sim = Simulator()
     assert sim.run(max_cycles=100) == 0

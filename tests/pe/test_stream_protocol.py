@@ -29,8 +29,11 @@ from repro.pe.tie import (
     CHANNEL_BIT,
     CREDIT_LIMIT,
     CREDIT_PROBE_WORD,
+    FINISHED,
+    GATED,
     MCAST,
     NACK_WORD,
+    REFUSED,
     SLOT_MASK,
     UNICAST,
     OutgoingMessage,
@@ -111,14 +114,19 @@ class Harness:
             )))
             return True
         message = self.message
-        flit = message.current() if message is not None else None
-        if flit is None:
+        if message is None:
             return False
-        slot, gate, _flit = message.entries[message.index]
+        slot, gate, flit = message.entries[message.index]
+        blocked = self.blocked()
+        sent = message.send(lambda offered: offered is flit)
+        assert (sent == GATED) == bool(blocked)  # the gate, two ways
+        if sent == GATED:
+            return False
+        assert sent != REFUSED
         for member in gate:
             self.data.append((member, flit))
             self.sent_upto[member] = slot + 1
-        if message.advance():
+        if sent == FINISHED:
             self.message = None
         return True
 

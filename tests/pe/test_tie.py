@@ -10,8 +10,12 @@ from repro.errors import ProtocolError
 from repro.noc.flit import MULTICAST_DST, Flit
 from repro.noc.packet import PacketType, SubType
 from repro.pe.tie import (
+    FINISHED,
+    GATED,
     MAX_SPAN,
     MCAST,
+    REFUSED,
+    SENT,
     SEQ_WINDOW,
     ReceiveStream,
     TieInterface,
@@ -160,20 +164,28 @@ def grant_credit(tie: TieInterface, src: int) -> None:
                     subtype=int(SubType.MSG_REQUEST), data=CREDIT_WORD))
 
 
+def drain(tie: TieInterface) -> list[Flit]:
+    """Stream the data message into an arbiter that takes every flit,
+    until it finished or the credit gate stops it; the flits offered."""
+    offered: list[Flit] = []
+
+    def take(flit: Flit) -> bool:
+        offered.append(flit)
+        return True
+
+    while tie.tx_busy and tie.send(take) != GATED:
+        pass
+    return offered
+
+
 def test_begin_send_generates_wrapping_sequence_numbers():
     tie = TieInterface(node_id=0)
     tie.begin_send(3, list(range(20)))
-    seqs = []
-    while True:
-        flit = tie.tx_current()
-        if flit is None:
-            if tie.tx_busy:  # stalled on flow control: credit the sender
-                grant_credit(tie, src=3)
-                continue
-            break
-        seqs.append(flit.seq)
-        tie.tx_advance()
-    assert seqs == [i % SEQ_WINDOW for i in range(20)]
+    flits = drain(tie)
+    while tie.tx_busy:  # stalled on flow control: credit the sender
+        grant_credit(tie, src=3)
+        flits += drain(tie)
+    assert [flit.seq for flit in flits] == [i % SEQ_WINDOW for i in range(20)]
 
 
 def test_credit_gate_limits_inflight_slots():
@@ -181,18 +193,12 @@ def test_credit_gate_limits_inflight_slots():
 
     tie = TieInterface(node_id=0)
     tie.begin_send(3, list(range(CREDIT_LIMIT + 4)))
-    sent = 0
-    while tie.tx_current() is not None:
-        tie.tx_advance()
-        sent += 1
-    assert sent == CREDIT_LIMIT  # stalled exactly at the window limit
+    # Stalled exactly at the window limit.
+    assert len(drain(tie)) == CREDIT_LIMIT
     assert tie.tx_busy
     grant_credit(tie, src=3)
-    extra = 0
-    while tie.tx_current() is not None:
-        tie.tx_advance()
-        extra += 1
-    assert extra == 4  # the message's remaining flits, within the credit
+    # The message's remaining flits, within the credit.
+    assert len(drain(tie)) == 4
     assert not tie.tx_busy
     assert CREDIT_WINDOW >= 4  # the credit covered them
 
@@ -222,20 +228,15 @@ def test_credits_do_not_enter_request_queue():
 def test_send_slots_continue_across_messages():
     tie = TieInterface(node_id=0)
     tie.begin_send(3, [1, 2, 3])
-    while tie.tx_current() is not None:
-        tie.tx_advance()
+    drain(tie)
     tie.begin_send(3, [4, 5])
-    assert tie.tx_current().seq == 3  # continues the per-dst slot counter
+    assert drain(tie)[0].seq == 3  # continues the per-dst slot counter
 
 
 def test_burst_field_groups_logic_packets():
     tie = TieInterface(node_id=0)
     tie.begin_send(1, list(range(6)))  # packets of 4 + 2
-    bursts = []
-    while tie.tx_current() is not None:
-        bursts.append(tie.tx_current().burst)
-        tie.tx_advance()
-    assert bursts == [4, 4, 4, 4, 2, 2]
+    assert [flit.burst for flit in drain(tie)] == [4, 4, 4, 4, 2, 2]
 
 
 def test_concurrent_send_rejected():
@@ -251,12 +252,16 @@ def test_empty_send_rejected():
         tie.begin_send(1, [])
 
 
-def test_tx_advance_completion():
+def test_send_reports_each_flit_and_finishes_the_message():
     tie = TieInterface(node_id=0)
     tie.begin_send(1, [1, 2])
-    assert not tie.tx_advance()
-    assert tie.tx_advance()
+    assert tie.send(lambda flit: False) == REFUSED  # the arbiter is full
+    assert tie.send(lambda flit: True) == SENT
+    assert tie.tx_busy
+    assert tie.send(lambda flit: True) == FINISHED
     assert not tie.tx_busy
+    tie.flush_stats()
+    assert tie.stats["data_flits_sent"] == 2
 
 
 def test_request_flit_shape():
@@ -277,9 +282,7 @@ def test_per_flit_counters_batch_until_flush():
     fold into the CounterSet exactly (the core/MPMMU batching pattern)."""
     tie = TieInterface(node_id=0)
     tie.begin_send(1, [1, 2, 3])
-    tie.tx_advance()
-    tie.tx_advance()
-    tie.tx_advance()
+    drain(tie)
     for seq in range(4):
         tie.accept(data_flit(src=2, seq=seq, word=seq))
     assert tie.stats.get("data_flits_sent", 0) == 0
@@ -297,12 +300,8 @@ def test_credit_stall_cycles_batch_until_flush():
 
     tie = TieInterface(node_id=0)
     tie.begin_send(1, list(range(CREDIT_LIMIT + 4)))
-    sent = 0
-    while tie.tx_current() is not None:
-        tie.tx_advance()
-        sent += 1
-    assert sent == CREDIT_LIMIT  # stalled at the credit gate
-    assert tie.tx_current() is None  # one more stalled cycle
+    assert len(drain(tie)) == CREDIT_LIMIT  # stalled at the credit gate
+    assert tie.send(lambda flit: True) == GATED  # one more stalled cycle
     tie.flush_stats()
     assert tie.stats["credit_stall_cycles"] == 2
 

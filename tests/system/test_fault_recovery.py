@@ -29,7 +29,7 @@ from repro.empi.collectives import make_comm
 from repro.errors import DeadlockError, EmpiTimeoutError, WatchdogError
 from repro.faults import FaultPlan
 from repro.pe.reliability import ReliabilityAgent
-from repro.pe.tie import OutgoingMessage
+from repro.pe.tie import FINISHED, SENT, OutgoingMessage
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
 from tests.conftest import assert_streams_conserved
@@ -134,18 +134,19 @@ def test_retx_slots_bounds_both_channels(algorithm, monkeypatch):
     # the TIE's unicast windows (tree) nor the DMA engine's group window
     # (hw) may hold more than retx_slots slots in flight or buffered.
     peak = {"in_flight": 0, "buffered": 0}
-    advance = OutgoingMessage.advance
+    send = OutgoingMessage.send
 
-    def recording_advance(message):
+    def recording_send(message, offer):
         slot, _gate, _flit = message.entries[message.index]
-        finished = advance(message)     # both peaks follow an emission
-        window = message.window
-        floor = min(window.credited.get(m, 0) for m in window.members)
-        peak["in_flight"] = max(peak["in_flight"], slot + 1 - floor)
-        peak["buffered"] = max(peak["buffered"], len(window.retx))
-        return finished
+        sent = send(message, offer)
+        if sent in (SENT, FINISHED):    # both peaks follow an emission
+            window = message.window
+            floor = min(window.credited.get(m, 0) for m in window.members)
+            peak["in_flight"] = max(peak["in_flight"], slot + 1 - floor)
+            peak["buffered"] = max(peak["buffered"], len(window.retx))
+        return sent
 
-    monkeypatch.setattr(OutgoingMessage, "advance", recording_advance)
+    monkeypatch.setattr(OutgoingMessage, "send", recording_send)
     narrow = bench(algorithm, FaultPlan(seed=3, drop_rate=0.02, retx_slots=8),
                    n_values=64)
     assert narrow.validated
