@@ -35,9 +35,9 @@ an earlier phase (a higher bit) steps this cycle, one woken by a later
 phase or by itself (a bit at or below the one stepping) steps next cycle.
 Stepping in ascending bit order is therefore exactly the scan-all loop —
 release due wakes, then step every registered component that is
-``active``, in registration order — which
-``tests/kernel/test_scheduler_differential.py`` keeps beside this one as
-its readable twin and holds it to, step for step.
+``active``, in registration order — which ``tests/reference_machine.py``
+keeps beside this one as its readable twin, ``ScanAllSimulator``, and
+``tests/kernel/test_scheduler_differential.py`` holds it to, step for step.
 """
 
 from __future__ import annotations
@@ -144,7 +144,9 @@ class Simulator:
         cycle.  Without it ``until`` may read any component on any cycle,
         so :attr:`horizon` follows the clock and nothing runs ahead: that
         schedule is the cycle-by-cycle reference the run-ahead one is
-        tested against.
+        tested against.  The reference machine of
+        ``tests/reference_machine.py`` runs whole systems on that schedule
+        and on the scan-all loop of the module docstring at once.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")

@@ -44,9 +44,9 @@ rule), a link with latency or serialisation above one (the delayed heap),
 an empty productive set; the general step then runs as if the path did
 not exist.  ``test_lone_flit_bypass_matches_route_node_everywhere`` (same
 file) holds it to ``route_node`` for every (switch, input link or
-injection slot, destination) and says which path ran;
-``tests/system/test_lone_path_differential.py`` runs whole systems with
-and without it.
+injection slot, destination) and says which path ran.  Whole systems run
+with it declining, beside every other skip turned off, on the reference
+machine of ``tests/reference_machine.py``.
 """
 
 from __future__ import annotations

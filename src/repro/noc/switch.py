@@ -41,7 +41,8 @@ for a rerouted ``productive_override``, replaced by an empty one whenever
 ``_recompute_productive`` rebuilds that.  It is cleared at
 ``PLAN_TABLE_LIMIT`` entries.  Both routers, and every inline shortcut for
 plans with nothing to split, are held flit for flit to their plainest
-forms in ``tests/noc/test_switch_golden.py``.
+forms in ``tests/noc/test_switch_golden.py``, and whole systems routed by
+the plainest one are the reference machine of ``tests/reference_machine.py``.
 """
 
 from __future__ import annotations

@@ -47,8 +47,7 @@ one before the deadline cannot act.  Inside the horizon ``step`` repeats
 the stalled cycle's two counters or re-issues the sleep, by core state;
 a flit, a busy arbiter or slot, or ``load_program`` clears the horizon
 and the six phases run untouched.  Same wake-ups, same cycles, same
-counters: ``tests/system/test_quiet_step_differential.py`` holds whole
-runs to a machine whose horizon is zeroed before every step.
+counters.
 
 Phase 5 does not visit the core once per *core-local* op.  The L1 and the
 scratchpad are private to the tile under software flush/invalidate
@@ -60,6 +59,10 @@ store, any TIE/DMA/bridge/lock/flush/fence op, a ``note``, the program's
 end) for its exact issue cycle — bounded by the kernel's
 :attr:`~repro.kernel.simulator.Simulator.horizon`, so anything that reads
 a tile from outside sees the cycle-by-cycle state.
+
+The reference machine of ``tests/reference_machine.py`` turns both
+shortcuts off — the horizon zeroed before every step, ``finished`` polled
+every cycle so that no core runs ahead — and whole runs must not notice.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.pe.processor import CoreState, ProcessorNode
 from repro.pe.tie import CREDIT_WINDOW, MCAST, UNICAST
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
+from tests.reference_machine import turn_off
 
 
 def run_programs(
@@ -63,48 +66,35 @@ def assert_streams_conserved(system) -> None:
             ), where
 
 
-class LonePath:
+@pytest.fixture
+def lone_path(monkeypatch) -> SimpleNamespace:
     """A spy on ``NocFabric._step_lone``, the fabric's lone-flit path.
 
     ``returned`` is what it returned, call by call — ``[True]`` after a
     step the path took, ``[False]`` after one it looked at and declined,
     ``[]`` after one that never reached it; ``latched`` lists the cycles
-    of the steps it took that left the flit in the network.  ``decline()``
-    makes every later step decline: the fabric then runs the general step
-    only, the reference the path is compared with.
+    of the steps it took that left the flit in the network.
     """
+    seen = SimpleNamespace(returned=[], latched=[])
+    real = NocFabric._step_lone
 
-    def __init__(self, monkeypatch) -> None:
-        self.returned: list[bool] = []
-        self.latched: list[int] = []
-        self._monkeypatch = monkeypatch
-        real = NocFabric._step_lone
+    def spy(fabric, cycle):
+        done = real(fabric, cycle)
+        seen.returned.append(done)
+        if done and fabric.flits_in_network:
+            seen.latched.append(cycle)
+        return done
 
-        def spy(fabric, cycle):
-            done = real(fabric, cycle)
-            self.returned.append(done)
-            if done and fabric.flits_in_network:
-                self.latched.append(cycle)
-            return done
-
-        monkeypatch.setattr(NocFabric, "_step_lone", spy)
-
-    def decline(self) -> None:
-        self._monkeypatch.setattr(
-            NocFabric, "_step_lone", lambda fabric, cycle: False
-        )
-
-
-@pytest.fixture
-def lone_path(monkeypatch) -> LonePath:
-    return LonePath(monkeypatch)
+    monkeypatch.setattr(NocFabric, "_step_lone", spy)
+    return seen
 
 
 class _Watched(int):
     """A quiet horizon of equal value that is recognisably this object."""
 
 
-class QuietSteps:
+@pytest.fixture
+def quiet_steps(monkeypatch) -> SimpleNamespace:
     """A spy on the quiet arm of ``ProcessorNode.step`` (first lines).
 
     ``taken`` counts the steps the arm took, by kind — ``"stalled"`` (a
@@ -113,50 +103,40 @@ class QuietSteps:
     six phases; ``cycles`` lists ``(cycle, tile name)`` of the taken ones.
     A step inside a horizon is known to have taken the arm by what it
     leaves behind: the arm writes nothing to the horizon, anything else
-    clears it first.  ``decline()`` zeroes the horizon before every later
-    step: every step is then a full one, the reference the arm is
-    compared with.
+    clears it first.
     """
+    seen = SimpleNamespace(
+        taken={"stalled": 0, "running": 0, "blocked": 0}, full=0, cycles=[]
+    )
+    real = ProcessorNode.step
 
-    def __init__(self, monkeypatch) -> None:
-        self.taken = {"stalled": 0, "running": 0, "blocked": 0}
-        self.full = 0
-        self.cycles: list[tuple[int, str]] = []
-        self._monkeypatch = monkeypatch
-        self._real = real = ProcessorNode.step
+    def spy(node, cycle):
+        if cycle >= node._quiet_until:
+            seen.full += 1
+            return real(node, cycle)
+        node._quiet_until = watched = _Watched(node._quiet_until)
+        real(node, cycle)
+        if node._quiet_until is not watched:
+            seen.full += 1
+            return
+        node._quiet_until = int(watched)
+        state = node.state
+        seen.taken[
+            "stalled" if state is CoreState.WAIT_TX else
+            "running" if state is CoreState.RUNNING else "blocked"
+        ] += 1
+        seen.cycles.append((cycle, node.name))
 
-        def spy(node, cycle):
-            if cycle >= node._quiet_until:
-                self.full += 1
-                return real(node, cycle)
-            node._quiet_until = watched = _Watched(node._quiet_until)
-            real(node, cycle)
-            if node._quiet_until is not watched:
-                self.full += 1
-                return
-            node._quiet_until = int(watched)
-            state = node.state
-            self.taken[
-                "stalled" if state is CoreState.WAIT_TX else
-                "running" if state is CoreState.RUNNING else "blocked"
-            ] += 1
-            self.cycles.append((cycle, node.name))
-
-        monkeypatch.setattr(ProcessorNode, "step", spy)
-
-    def decline(self) -> None:
-        real = self._real
-
-        def full_step(node, cycle):
-            node._quiet_until = 0
-            real(node, cycle)
-
-        self._monkeypatch.setattr(ProcessorNode, "step", full_step)
+    monkeypatch.setattr(ProcessorNode, "step", spy)
+    return seen
 
 
 @pytest.fixture
-def quiet_steps(monkeypatch) -> QuietSteps:
-    return QuietSteps(monkeypatch)
+def reference(monkeypatch) -> Callable:
+    """``reference(twins)``: those skips (all five by default) off for the
+    rest of the test — the reference machine of ``tests/reference_machine.py``
+    on the test's own ``monkeypatch``."""
+    return partial(turn_off, monkeypatch)
 
 
 @pytest.fixture

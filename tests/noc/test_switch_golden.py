@@ -1,15 +1,14 @@
 """Golden-equivalence property tests for the optimized deflection router.
 
-``_reference_route_node`` below is a deliberately straightforward
-transcription of the original (pre-optimization) switch: free ports as a
-set, unconditional sorting, productive directions through the topology
-method.  The optimized ``route_node`` (bitmasks, skipped sorts, scratch
-reuse) must produce identical outcomes flit-for-flit over randomized
-configurations on both torus and mesh topologies — including the mutation
-of per-flit deflection counters.
-
-The multicast half has the same kind of oracle: ``_reference_route_multicast``
-and ``_reference_place_multicast`` are the router's multicast functions as
+``_reference_route_mixed`` below is the one reference router — the
+reference machine's (``tests/reference_machine.py``).  Its unicast half is
+a deliberately straightforward transcription of the original
+(pre-optimization) switch: free ports as a set, unconditional sorting.
+The optimized ``route_node`` (bitmasks, skipped sorts, scratch reuse) must
+produce identical outcomes flit-for-flit over randomized unicast rows on
+both torus and mesh topologies — including the mutation of per-flit
+deflection counters.  Its multicast half, ``_reference_route_multicast``
+and ``_reference_place_multicast``, is the router's multicast functions as
 they stood before branch plans became a table, and drawn rows of mixed
 unicast and multicast flits — under fault port masks and rerouted tables
 too — must come out of ``route_node`` exactly as they come out of those.
@@ -26,6 +25,7 @@ check that everything else still reaches the general step and the router.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -51,58 +51,6 @@ def _age_key(flit):
     return (flit.injected_at, flit.uid)
 
 
-def _reference_route_node(node, inputs, inject, topology, eject_capacity=1):
-    """The seed implementation of route_node, kept verbatim-simple."""
-    ports = topology.ports_of(node)
-
-    arrived = [flit for flit in inputs if flit.dst == node]
-    transit = [flit for flit in inputs if flit.dst != node]
-
-    arrived.sort(key=_age_key)
-    ejected = arrived[:eject_capacity]
-    recirculating = arrived[eject_capacity:]
-    eject_overflow = len(recirculating)
-
-    outputs = [None, None, None, None]
-    deflections = 0
-    free = set(ports)
-
-    contenders = sorted(transit + recirculating, key=_age_key)
-    for flit in contenders:
-        placed = False
-        for direction in topology.productive_directions(node, flit.dst):
-            if direction in free:
-                outputs[direction] = flit
-                free.discard(direction)
-                placed = True
-                break
-        if not placed:
-            for direction in ports:
-                if direction in free:
-                    outputs[direction] = flit
-                    free.discard(direction)
-                    placed = True
-                    flit.deflections += 1
-                    deflections += 1
-                    break
-        assert placed
-    injected = False
-    if inject is not None and free:
-        for direction in topology.productive_directions(node, inject.dst):
-            if direction in free:
-                outputs[direction] = inject
-                free.discard(direction)
-                injected = True
-                break
-        if not injected:
-            direction = min(free)
-            outputs[direction] = inject
-            free.discard(direction)
-            injected = True
-    return RoutingOutcome(ejected, outputs, injected, deflections,
-                          eject_overflow)
-
-
 def _random_flit(rng, n_nodes, uid):
     return Flit(
         dst=rng.randrange(n_nodes),
@@ -114,85 +62,24 @@ def _random_flit(rng, n_nodes, uid):
     )
 
 
-def _clone(flit):
-    return Flit(
-        dst=flit.dst, src=flit.src, ptype=flit.ptype, subtype=flit.subtype,
-        seq=flit.seq, burst=flit.burst, data=flit.data,
-        dst_mask=flit.dst_mask, uid=flit.uid,
-        injected_at=flit.injected_at, hops=flit.hops,
-        deflections=flit.deflections,
-    )
-
-
-def _assert_same_outcome(case, got, expected, flits, ref_flits):
-    got_ej = [f.uid for f in got.ejected]
-    exp_ej = [f.uid for f in expected.ejected]
-    assert got_ej == exp_ej, f"{case}: ejected differ {got_ej} != {exp_ej}"
-    got_out = [f.uid if f is not None else None for f in got.outputs]
-    exp_out = [f.uid if f is not None else None for f in expected.outputs]
-    assert got_out == exp_out, f"{case}: outputs differ {got_out} != {exp_out}"
-    assert got.injected == expected.injected, f"{case}: injected differs"
-    assert got.deflections == expected.deflections, f"{case}: deflections"
-    assert got.eject_overflow == expected.eject_overflow, f"{case}: overflow"
-    # The per-flit deflection counters must mutate identically.
-    for mine, ref in zip(flits, ref_flits):
-        assert mine.deflections == ref.deflections, (
-            f"{case}: flit #{mine.uid} deflection counter diverged"
-        )
-
-
-def _run_equivalence(topology, rng, rounds, reuse_scratch):
-    n_nodes = topology.n_nodes
-    scratch = RoutingOutcome() if reuse_scratch else None
-    uid = 0
-    for case in range(rounds):
-        node = rng.randrange(n_nodes)
-        ports = topology.ports_of(node)
-        n_inputs = rng.randrange(0, len(ports) + 1)
-        flits = []
-        for _ in range(n_inputs):
-            flits.append(_random_flit(rng, n_nodes, uid))
-            uid += 1
-        inject = None
-        if rng.random() < 0.7:
-            inject = _random_flit(rng, n_nodes, uid)
-            # The fabric strips self-addressed injections before routing.
-            if inject.dst == node:
-                inject.dst = (node + 1) % n_nodes
-            uid += 1
-        eject_capacity = rng.choice((1, 2))
-
-        ref_flits = [_clone(f) for f in flits]
-        ref_inject = _clone(inject) if inject is not None else None
-        expected = _reference_route_node(
-            node, ref_flits, ref_inject, topology, eject_capacity
-        )
-        got = route_node(node, flits, inject, topology, eject_capacity,
-                         out=scratch)
-        _assert_same_outcome(
-            f"case {case} node {node}", got, expected,
-            flits + ([inject] if inject else []),
-            ref_flits + ([ref_inject] if ref_inject else []),
-        )
+#: A flit's twin, uid and all.
+_clone = dataclasses.replace
 
 
 def test_optimized_router_matches_reference_on_torus():
-    rng = random.Random(0xC0FFEE)
-    _run_equivalence(FoldedTorusTopology(4, 4), rng, rounds=2000,
-                     reuse_scratch=False)
+    _run_mixed_equivalence(FoldedTorusTopology(4, 4), random.Random(0xC0FFEE),
+                           rounds=2000, multicast=0.0)
 
 
 def test_optimized_router_matches_reference_on_torus_with_scratch_reuse():
-    rng = random.Random(0xBEEF)
-    _run_equivalence(FoldedTorusTopology(3, 3), rng, rounds=2000,
-                     reuse_scratch=True)
+    _run_mixed_equivalence(FoldedTorusTopology(3, 3), random.Random(0xBEEF),
+                           rounds=2000, multicast=0.0)
 
 
 def test_optimized_router_matches_reference_on_mesh():
     # Mesh corners/edges have fewer ports, exercising partial port masks.
-    rng = random.Random(42)
-    _run_equivalence(MeshTopology(4, 3), rng, rounds=2000,
-                     reuse_scratch=True)
+    _run_mixed_equivalence(MeshTopology(4, 3), random.Random(42),
+                           rounds=2000, multicast=0.0)
 
 
 def test_scratch_reuse_is_equivalent_to_fresh_outcomes():
@@ -492,8 +379,10 @@ def _assert_same_mixed_outcome(case, got, expected, flits, ref_flits):
     ], f"{case}: an input flit diverged"
 
 
-def _run_mixed_equivalence(topology, rng, rounds, tables=None):
-    """Drawn rows through ``route_node`` and the reference.
+def _run_mixed_equivalence(topology, rng, rounds, tables=None, multicast=0.6):
+    """Drawn rows through ``route_node`` (its scratch outcome reused) and
+    the reference; ``multicast`` is the share of multicast flits, and with
+    0 no injection is one either.
 
     ``tables`` (a callable) yields ``(port_mask, productive, plans)`` per
     case: the fault layer's view.  Default: a random live-port subset in a
@@ -508,10 +397,12 @@ def _run_mixed_equivalence(topology, rng, rounds, tables=None):
         for _ in range(rng.randrange(0, len(ports) + 1)):
             serial += 1
             flits.append(_draw_flit(rng, topology, node, serial,
-                                    multicast=rng.random() < 0.6,
+                                    multicast=rng.random() < multicast,
                                     mask_bits=rng.choice((1, None))))
         inject = None
-        kind = rng.choice(("none", "unicast", "one-bit", "many-bit"))
+        kind = rng.choice(("none", "unicast", "one-bit", "many-bit")[
+            :4 if multicast else 2
+        ])
         if kind != "none":
             serial += 1
             inject = _draw_flit(rng, topology, node, serial,
@@ -916,7 +807,7 @@ def test_lone_flit_bypass_keeps_the_spatial_view(lone_path):
 
 
 def test_multicast_or_contended_switches_still_take_the_router(
-    monkeypatch, lone_path
+    monkeypatch, reference
 ):
     """The bypass is for a switch with nothing to arbitrate: at most one
     flit that needs a port, at most one arrival, one branch, no live
@@ -930,7 +821,7 @@ def test_multicast_or_contended_switches_still_take_the_router(
         return route_node(node, inputs, inject, *args, **kwargs)
 
     monkeypatch.setattr(network, "route_node", spy)
-    lone_path.decline()  # so that every step here reaches the switch
+    reference(["lone_path"])  # so that every step here reaches the switch
     topology = MeshTopology(3, 3)
     ports = topology.ports_of(4)
 

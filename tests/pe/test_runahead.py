@@ -5,22 +5,22 @@
 schedule *is* the cycle-by-cycle reference.  ``MedeaSystem.run`` polls
 only when idle, so cores run ahead of the clock over L1 hits, FP ops and
 scratchpad accesses.  Everything a run reports must agree between the
-two, bit for bit.
+two, bit for bit: ``machine_state`` of ``tests/reference_machine.py``,
+whose ``run_ahead`` twin is this per-cycle schedule.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.l1 import LINE_BYTES
-from repro.errors import SimulationError
 from repro.faults import FaultPlan
 from repro.pe.processor import CoreState
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
 from repro.telemetry.config import TelemetryConfig
+from tests.reference_machine import assert_agree, machine_state
 
 #: Bytes between two addresses of one cache set (2 kB, 16 B lines, 2 ways).
 SET_STRIDE = 1024
@@ -43,53 +43,6 @@ def run_per_cycle(system: MedeaSystem) -> None:
 
 def stop_ahead(system: MedeaSystem, cycles: int) -> None:
     system.sim.run(max_cycles=cycles)
-
-
-def stop_per_cycle(system: MedeaSystem, cycles: int) -> None:
-    with pytest.raises(SimulationError):
-        system.sim.run(max_cycles=cycles, until=lambda: False)
-
-
-def snapshot(system: MedeaSystem) -> dict:
-    """Everything a run reports, plus the private state behind it."""
-    cycle = system.sim.cycle
-    stats = system.collect_stats()
-    registry = system.telemetry
-    return {
-        "stats": stats,
-        "states": [node.state for node in system.nodes],
-        "program_events": list(system.events.program),
-        # Flit uids come from a process-wide counter: drop the key.
-        "ring_events": [
-            (e.cycle, e.tile, e.kind, e.payload) for e in system.events.ring
-        ],
-        "ledgers": [node.cycle_ledger(cycle) for node in system.nodes],
-        "caches": [
-            [
-                (line.tag, line.valid, line.dirty, tuple(line.words), line.lru)
-                for ways in node.cache._sets for line in ways
-            ]
-            for node in system.nodes
-        ],
-        "scratchpads": [
-            dict(node.scratchpad.store._words) for node in system.nodes
-        ],
-        "write_buffer_stalls": [
-            node.write_buffer_stalls for node in system.nodes
-        ],
-        # port_busy_cycles counts arbiter *visits* that found the port
-        # busy: a tile asleep with nothing queued is not visited, so it
-        # is a host-schedule count (and no report exports it).
-        "arbiters": [
-            {
-                key: value
-                for key, value in node.arbiter.stats.as_dict().items()
-                if key != "port_busy_cycles"
-            }
-            for node in system.nodes
-        ],
-        "samples": None if registry is None else list(registry.samples),
-    }
 
 
 # -- the traps, one by one -----------------------------------------------------
@@ -121,7 +74,7 @@ def test_program_end_reached_ahead_finishes_on_its_exact_cycle():
     run_ahead(system)
     assert system.nodes[0].state is CoreState.DONE
     assert system.sim.cycle == reference.sim.cycle
-    assert snapshot(system) == snapshot(reference)
+    assert machine_state(system) == machine_state(reference)
 
 
 def test_miss_found_ahead_is_counted_once_on_its_issue_cycle():
@@ -334,49 +287,42 @@ _DRAWN = settings(
 )
 
 
+def drawn(config: SystemConfig, per_tile) -> object:
+    """The drawn programs as a ``tests.reference_machine.outcome`` run."""
+    def run(max_cycles, observer) -> bool:
+        system = build(config, [program_of(ops) for ops in per_tile])
+        observer(system)
+        system.run(max_cycles=max_cycles or BUDGET)
+        return True
+    return run
+
+
 @_DRAWN
 @given(script=scripts())
 def test_schedules_agree_on_a_whole_run(script):
-    config, per_tile = script
-    programs = [program_of(ops) for ops in per_tile]
-    ahead = build(config, programs)
-    reference = build(config, programs)
-    run_ahead(ahead)
-    run_per_cycle(reference)
-    assert ahead.sim.cycle == reference.sim.cycle
-    assert snapshot(ahead) == snapshot(reference)
+    assert_agree(drawn(*script), ["run_ahead"])
 
 
 @_DRAWN
 @given(script=scripts(), interval=st.integers(1, 97))
 def test_schedules_agree_on_every_sampled_row(script, interval):
     config, per_tile = script
-    config = config.with_changes(
-        telemetry=TelemetryConfig(sample_interval=interval)
-    )
-    programs = [program_of(ops) for ops in per_tile]
-    ahead = build(config, programs)
-    reference = build(config, programs)
-    run_ahead(ahead)
-    run_per_cycle(reference)
-    assert ahead.telemetry.samples == reference.telemetry.samples
-    assert snapshot(ahead) == snapshot(reference)
+    telemetry = TelemetryConfig(sample_interval=interval)
+    assert_agree(drawn(config.with_changes(telemetry=telemetry), per_tile),
+                 ["run_ahead"])
 
 
 @_DRAWN
 @given(script=scripts(), data=st.data())
 def test_schedules_agree_when_stopped_mid_run(script, data):
+    """... and a run stopped ahead of the clock resumes to the whole run."""
     config, per_tile = script
     programs = [program_of(ops) for ops in per_tile]
     whole = build(config, programs)
     run_ahead(whole)
     stop = data.draw(st.integers(1, max(1, whole.sim.cycle - 1)))
+    assert_agree(drawn(config, per_tile), ["run_ahead"], stop)
     ahead = build(config, programs)
-    reference = build(config, programs)
     stop_ahead(ahead, stop)
-    stop_per_cycle(reference, stop)
-    assert ahead.sim.cycle == reference.sim.cycle == stop
-    assert snapshot(ahead) == snapshot(reference)
     run_ahead(ahead)
-    run_per_cycle(reference)
-    assert snapshot(ahead) == snapshot(reference) == snapshot(whole)
+    assert machine_state(ahead) == machine_state(whole)

@@ -1,9 +1,10 @@
 """A flipped bit that the modelled checksum misses is delivered.
 
-Found by the drawn window of
-``tests/system/test_quiet_step_differential.py`` under ``MEDEA_FULL=1``
-(scenario ``(2, 0.04, 0.01, ("tree", 4), 64, (24, 3))``); the parent
-commit ``d5f33bc`` behaves identically, so it is not the quiet arm's.
+Found by the drawn lossy window — then the quiet arm's alone, now the
+reference machine's in ``tests/system/test_reference_machine.py`` — under
+``MEDEA_FULL=1`` (scenario ``(2, 0.04, 0.01, ("tree", 4), 64, (24, 3))``);
+the parent commit ``d5f33bc`` behaves identically, so it is not the quiet
+arm's.
 
 The run finishes (13 721 cycles) and reports ``validated=False``: the
 allreduce result differs from the combine-order reference.  Of the 29

@@ -1,24 +1,15 @@
-"""The tile's quiet arm against the full step, whole systems.
+"""Whole systems against the reference machine (``tests/reference_machine.py``).
 
-``ProcessorNode.step`` starts with one test: inside the tile's quiet
-horizon (``pe/processor.py``, module docstring) a step that finds no flit,
-an empty arbiter and a free injection slot repeats the step that wrote
-the horizon — a credit-stalled cycle, or a re-issued sleep — without
-running the six phases.  Here the same runs go twice, as built and with
-the horizon zeroed before every step so every step is a full one, and
-everything a run reports must be equal: cycles, ``collect_stats()``, the
-attribution report, the injector's ``gave_up`` list and every
-reliability agent's timers — also when the run is cut by ``max_cycles``
-inside a quiet stretch, where the tiles' private state and the kernel's
-pending wake-ups are compared too.  The reference machine is assembled
-here, by monkeypatch (the ``quiet_steps`` fixture of ``tests/conftest.py``);
-there is no switch for it in ``src/``.
+Every run in ``RUNS`` must end in the same ``machine_state`` as built and
+with all five skips turned off at once; runs cut short are compared twin
+by twin, the kernel's state included, at cycles where that skip was just
+taken.  A mismatch fails with the first cycle and field that differ.
 
-The horizon is written only by a step that has shown that nothing ran
-after its reliability tick.  Without that condition one scenario in 120
-differs, by one credit probe, and no golden notices — hence the drawn
-window at the end, which has to be wide, and the two scenarios pinned
-as its explicit examples.
+The quiet horizon is written only by a step that has shown that nothing
+ran after its reliability tick.  Without that condition one scenario in
+120 differs, by one credit probe, and no golden notices — hence the drawn
+window at the end, which has to be wide, and the two scenarios pinned as
+its explicit examples.
 """
 
 from __future__ import annotations
@@ -33,6 +24,7 @@ from repro.apps.collective_bench import (
     CollectiveBenchParams,
     run_collective_bench,
 )
+from repro.apps.jacobi.driver import JacobiParams, run_jacobi
 from repro.cache.l1 import LINE_BYTES
 from repro.dse.registry import full_scale_requested
 from repro.empi.collectives import make_comm, reference_allreduce
@@ -42,8 +34,8 @@ from repro.mem.values import pack_doubles
 from repro.pe.processor import ProcessorNode
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
-from repro.telemetry.attribution import build_report, render_report
-from tests.conftest import QuietSteps
+from repro.telemetry.config import TelemetryConfig
+from tests.reference_machine import assert_agree, drive
 
 
 def allreduce(algorithm: str, n_values: int = 16, repeats: int = 2):
@@ -53,6 +45,8 @@ def allreduce(algorithm: str, n_values: int = 16, repeats: int = 2):
     )
 
 
+_FOUR_WT = SystemConfig(n_workers=4, cache_size_kb=4, cache_policy="wt")
+_JACOBI = JacobiParams(n=10, iterations=2, warmup=0)
 _EIGHT = SystemConfig(n_workers=8, cache_size_kb=16)
 _MESH = SystemConfig(n_workers=8, topology_kind="mesh")
 _CHIPLETS = SystemConfig(
@@ -62,6 +56,18 @@ _CHIPLETS = SystemConfig(
 
 #: name -> (config, collective-bench params).
 BENCHES = {
+    # The shared-memory path: nearly every fabric step holds one flit.
+    "allreduce_sm": (
+        SystemConfig(n_workers=4, cache_size_kb=4),
+        CollectiveBenchParams(
+            collective="allreduce", model="pure_sm", algorithm="tree",
+            n_values=8, repeats=1,
+        ),
+    ),
+    # The DMA engine's ring: contended switches, one-bit multicast flits.
+    "dma_ring": (
+        _EIGHT.with_changes(dma_tx_queue_depth=4), allreduce("ring", 64, 1),
+    ),
     # The benchmark's allreduce_tree_8w_lossy, four repeats for sixteen.
     "lossy_tree": (
         _EIGHT.with_changes(faults=FaultPlan(seed=3, drop_rate=0.02)),
@@ -92,17 +98,32 @@ BENCHES = {
     ),
     # No fault plan, so no agent: the stalled arm with a horizon of never.
     "chiplet_hier": (_CHIPLETS, allreduce("hier")),
+    # 64 workers, fabric and MPMMU: 66 components, a mask past 64 bits.
+    "chiplet_hier_64w": (
+        SystemConfig(
+            n_workers=64, cache_size_kb=16, topology_kind="chiplet",
+            chiplets=4, chiplet_grid=(4, 4), chiplet_link_latency=8,
+            chiplet_link_width=2,
+        ),
+        allreduce("hier", 8, 1),
+    ),
+}
+
+#: name -> (config, Jacobi params).
+JACOBIS = {
+    "jacobi_wt": (_FOUR_WT, _JACOBI),
+    # Run-ahead's workload: L1 hits between the barriers.
+    "jacobi_wb": (_FOUR_WT.with_changes(cache_policy="wb"), _JACOBI),
+    "jacobi_wt_telemetry": (
+        _FOUR_WT.with_changes(
+            telemetry=TelemetryConfig(sample_interval=256, attribution=True)
+        ),
+        _JACOBI,
+    ),
 }
 
 
-def run_bench(config, params, max_cycles, observer):
-    result = run_collective_bench(
-        config, params, max_cycles=max_cycles, observer=observer
-    )
-    assert result.validated
-
-
-def run_overlap(max_cycles, observer):
+def run_overlap(max_cycles, observer) -> bool:
     """A non-blocking tree allreduce (``isend`` underneath) progressed
     from inside an ``overlap`` region of compute, then the blocking one,
     under 3 % drops: the TIE streams and stalls while the core is
@@ -140,11 +161,11 @@ def run_overlap(max_cycles, observer):
     system.load_programs([factory(rank) for rank in range(n_workers)])
     system.run(max_cycles=max_cycles or 500_000)
     expected = reference_allreduce(contributions, "sum", "tree")
-    assert all(outputs[rank] == (expected, expected)
+    return all(outputs[rank] == (expected, expected)
                for rank in range(n_workers))
 
 
-def run_stalled_send(max_cycles, observer):
+def run_stalled_send(max_cycles, observer) -> bool:
     """Hand-written: a blocking send whose credits are eaten (probes
     repair it, timeouts later) issued behind four dirty-line flushes and
     a group descriptor that loses credits too — the stalled tile's bridge
@@ -181,10 +202,10 @@ def run_stalled_send(max_cycles, observer):
     observer(system)
     system.load_programs([sender, receiver])
     system.run(max_cycles=max_cycles or 100_000)
-    assert received == {"unicast": words, "group": words[::-1]}
+    return received == {"unicast": words, "group": words[::-1]}
 
 
-def run_stalled_send_reducing(max_cycles, observer):
+def run_stalled_send_reducing(max_cycles, observer) -> bool:
     """Hand-written: the credit-starved send again, issued with an
     accumulate-on-receive descriptor posted whose doubles arrive during
     the stall — the assist combines one per cycle, after each tick."""
@@ -212,66 +233,34 @@ def run_stalled_send_reducing(max_cycles, observer):
     observer(system)
     system.load_programs([reducer, feeder])
     system.run(max_cycles=max_cycles or 100_000)
-    assert received == {
+    return received == {
         "unicast": words, "sum": [1.0 + addend for addend in addends],
     }
 
 
 #: name -> run(max_cycles, observer): builds the system, shows it to
-#: ``observer``, runs it and checks what the programs computed.
-RUNS = {name: partial(run_bench, *bench) for name, bench in BENCHES.items()} | {
-    "isend_overlap": run_overlap, "stalled_send": run_stalled_send,
-    "stalled_send_reducing": run_stalled_send_reducing,
-}
+#: ``observer``, runs it and says whether the programs computed the
+#: right thing (``tests.reference_machine.outcome``'s runs).
+RUNS = (
+    {name: partial(drive, run_jacobi, *jacobi)
+     for name, jacobi in JACOBIS.items()}
+    | {name: partial(drive, run_collective_bench, *bench)
+       for name, bench in BENCHES.items()}
+    | {"isend_overlap": run_overlap, "stalled_send": run_stalled_send,
+       "stalled_send_reducing": run_stalled_send_reducing}
+)
 
 
-def timers_of(system) -> dict:
-    """Every reliability agent's armed timers, field by field."""
-    return {
-        node.name: {
-            key: (timer.front, timer.deadline, timer.attempt, timer.dead)
-            for key, timer in node.reliability._timers.items()
-        }
-        for node in system.nodes if node.reliability is not None
-    }
-
-
-def everything(system, name: str) -> dict:
-    """What the run reports, the agents' timers behind it and — what a
-    run cut short adds — where every tile and the kernel stand."""
-    injector = system.injector
-    return {
-        "cycle": system.cycle,
-        "stats": system.collect_stats(),
-        "report": render_report(build_report(system, workload=name)),
-        "gave_up": None if injector is None else list(injector.gave_up),
-        "timers": timers_of(system),
-        "tiles": [
-            (node.state, node._ready_at, node.active, node._state_since,
-             node.tie.tx is not None, len(node._jobs))
-            for node in system.nodes
-        ],
-        "wakeups": sorted(
-            (cycle, component.name)
-            for cycle, __, component in system.sim._wakeups
-        ),
-    }
-
-
-def run(name: str, max_cycles: int | None = None) -> dict:
-    """``everything`` after the run; ``max_cycles`` cuts it short."""
+def run(name: str) -> MedeaSystem:
     seen = []
-    if max_cycles is None:
-        RUNS[name](None, seen.append)
-    else:
-        with pytest.raises(SimulationError, match="max_cycles"):
-            RUNS[name](max_cycles, seen.append)
-    (system,) = seen
-    return everything(system, name)
+    assert RUNS[name](None, seen.append), f"{name} computed a wrong result"
+    return seen[0]
 
 
-#: The arms each run must have exercised for its comparison to mean
-#: something (``QuietSteps.taken`` keys).
+#: What each run must have exercised for its comparison to mean something:
+#: the runs the lone-flit path carries, and the quiet arms each run takes
+#: (``quiet_steps.taken`` keys).
+LONE = ("jacobi_wt", "allreduce_sm", "jacobi_wt_telemetry")
 ARMS = {
     "lossy_tree": ("stalled", "running", "blocked"),
     "drop_dead_link_stall": ("stalled", "running", "blocked"),
@@ -285,31 +274,46 @@ ARMS = {
 
 
 @pytest.mark.parametrize("name", RUNS)
-def test_whole_runs_are_equal_with_and_without_the_quiet_arm(
-    name, quiet_steps
+def test_whole_runs_agree_with_the_reference_machine(
+    name, lone_path, quiet_steps
 ):
-    as_built = run(name)
-    for arm in ARMS[name]:
+    as_built = assert_agree(RUNS[name])
+    assert as_built["outcome"] is True, f"{name} computed a wrong result"
+    if name in LONE:
+        # The path carried most of the traffic (every flit is injected,
+        # hops and ejects: three steps or more).
+        ejected = as_built["system"]["stats"]["noc"]["flits_ejected"]
+        assert sum(lone_path.returned) > 2 * ejected
+    for arm in ARMS.get(name, ()):
         assert quiet_steps.taken[arm] > 0, (arm, quiet_steps.taken)
-    quiet_steps.decline()
-    assert run(name) == as_built
 
 
-@pytest.mark.parametrize(
-    "name", ["lossy_tree", "eaten_credits", "chiplet_hier", "isend_overlap"]
-)
-def test_runs_cut_short_are_equal_with_and_without_the_quiet_arm(
-    name, quiet_steps
-):
-    """Stopped right after three cycles on which a tile took the arm —
-    a quarter, half and three quarters of the way through them."""
-    run(name)
-    cycles = [cycle for cycle, __ in quiet_steps.cycles]
-    stops = [cycles[len(cycles) * k // 4] + 1 for k in (1, 2, 3)]
-    cut = {stop: run(name, stop) for stop in stops}
-    quiet_steps.decline()
-    for stop in stops:
-        assert run(name, stop) == cut[stop], f"stopped at {stop}"
+#: (twin, run): each schedule-keeping twin alone, on runs its skip carries.
+CUT_SHORT = [
+    ("kernel", "lossy_tree"), ("kernel", "dma_ring"),
+    ("lone_path", "jacobi_wt"), ("lone_path", "allreduce_sm"),
+    ("quiet", "lossy_tree"), ("quiet", "eaten_credits"),
+    ("quiet", "chiplet_hier"), ("quiet", "isend_overlap"),
+    ("router", "dma_ring"), ("router", "chiplet_hw"),
+]
+
+
+@pytest.mark.parametrize("twin, name", CUT_SHORT)
+def test_runs_cut_short_agree_twin_by_twin(twin, name, lone_path, quiet_steps):
+    """Stopped right after three cycles a quarter, half and three quarters
+    of the way through those on which the skip was taken — a flit latched
+    by the lone path, a tile in the quiet arm — or through the run, for
+    the kernel and the router; the kernel's active set, its mask and its
+    pending wake-ups are compared too."""
+    whole = run(name)
+    cycles = {
+        "lone_path": list(lone_path.latched),
+        "quiet": [cycle for cycle, __ in quiet_steps.cycles],
+    }.get(twin) or range(whole.cycle)
+    for k in (1, 2, 3):
+        stop = cycles[len(cycles) * k // 4] + 1
+        kernel = assert_agree(RUNS[name], (twin,), stop, schedule=True)["kernel"]
+        assert kernel["mask"] == kernel["active"], f"stopped at {stop}"
 
 
 def test_the_arm_declines_while_a_reduce_descriptor_is_live(
@@ -356,9 +360,12 @@ def test_a_timer_that_gave_up_does_not_hold_the_arm_back(quiet_steps):
     (system,) = seen
     assert system.injector.gave_up
     gave_up_at = {
-        name: max(deadline for __, deadline, __, dead in timers.values() if dead)
-        for name, timers in timers_of(system).items()
-        if any(dead for *__, dead in timers.values())
+        node.name: max(
+            timer.deadline for timer in node.reliability._timers.values()
+            if timer.dead
+        )
+        for node in system.nodes
+        if any(timer.dead for timer in node.reliability._timers.values())
     }
     assert gave_up_at
     assert any(
@@ -398,9 +405,7 @@ _scenarios = st.tuples(
 # cycles equal) and by a blocked tile's poll (a NACK timer armed late).
 @example(scenario=(1, 0.06, 0.0, ("ring", 4), 96, (24, 3)))
 @example(scenario=(0, 0.04, 0.0, ("tree", 4), 64, (24, 3)))
-def test_drawn_lossy_allreduces_are_equal_with_and_without_the_quiet_arm(
-    scenario,
-):
+def test_drawn_lossy_allreduces_agree_with_the_reference_machine(scenario):
     seed, drop_rate, corrupt_rate, (algorithm, depth), timeout, size = scenario
     config = _EIGHT.with_changes(
         dma_tx_queue_depth=depth,
@@ -409,18 +414,8 @@ def test_drawn_lossy_allreduces_are_equal_with_and_without_the_quiet_arm(
             nack_timeout=timeout,
         ),
     )
-    params = allreduce(algorithm, *size)
-
-    def outcome() -> dict:
-        seen = []
-        result = run_collective_bench(config, params, observer=seen.append)
-        # Not asserted: a flipped bit that the modelled CRC misses is
-        # delivered (tests/regressions/) — on both machines or neither.
-        return everything(seen[0], "drawn") | {"validated": result.validated}
-
-    # A function-scoped fixture would not reset between drawn examples:
-    # each example installs (and removes) its own spy.
-    as_built = outcome()
-    with pytest.MonkeyPatch.context() as patch:
-        QuietSteps(patch).decline()
-        assert outcome() == as_built
+    # Not asserted valid: a flipped bit that the modelled CRC misses is
+    # delivered (tests/regressions/) — on both machines or neither.
+    assert_agree(
+        partial(drive, run_collective_bench, config, allreduce(algorithm, *size))
+    )
