@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
-from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +13,6 @@ from repro.pe.processor import CoreState, ProcessorNode
 from repro.pe.tie import CREDIT_WINDOW, MCAST, UNICAST
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
-from tests.reference_machine import turn_off
 
 
 def run_programs(
@@ -132,20 +130,6 @@ def quiet_steps(monkeypatch) -> SimpleNamespace:
 
 
 @pytest.fixture
-def reference(monkeypatch) -> Callable:
-    """``reference(twins)``: those skips (all five by default) off for the
-    rest of the test — the reference machine of ``tests/reference_machine.py``
-    on the test's own ``monkeypatch``."""
-    return partial(turn_off, monkeypatch)
-
-
-@pytest.fixture
 def tiny_config() -> SystemConfig:
     """Two workers, small caches — the cheapest interesting machine."""
     return SystemConfig(n_workers=2, cache_size_kb=2)
-
-
-@pytest.fixture
-def quad_config() -> SystemConfig:
-    """Four workers with the reference cache setup."""
-    return SystemConfig(n_workers=4, cache_size_kb=8)

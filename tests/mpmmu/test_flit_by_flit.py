@@ -129,7 +129,7 @@ def test_no_mpmmu_step_of_a_write_through_jacobi_changes_nothing():
     instead.  The run is the reference machine's write-through Jacobi."""
     from tests.system.test_reference_machine import RUNS
 
-    idle_steps = []
+    idle_steps, queued_sleeps = [], []
 
     def watch(system):
         mpmmu = system.mpmmu
@@ -140,11 +140,15 @@ def test_no_mpmmu_step_of_a_write_through_jacobi_changes_nothing():
             step(cycle)
             if component_state(mpmmu) == before:
                 idle_steps.append(cycle)
+            if (mpmmu._state is _MpmmuState.WAIT_DATA and mpmmu._req_items
+                    and not mpmmu.active):
+                queued_sleeps.append(cycle)
 
         mpmmu.step = watched_step
 
     assert RUNS["jacobi_wt"](None, watch)
     assert idle_steps == []
+    assert queued_sleeps  # the sleep in WAIT_DATA with requests queued
 
 
 # -- what used to be asserts -------------------------------------------------

@@ -134,12 +134,6 @@ def test_multicast_injection_stalls_without_free_port(topo):
     assert not outcome.injected
 
 
-def fabric_with_listener(n_nodes_mask):
-    topo = FoldedTorusTopology(3, 3)
-    fabric = NocFabric(topo)
-    return topo, fabric
-
-
 def test_fabric_delivers_multicast_to_every_member_once():
     topo = FoldedTorusTopology(3, 3)
     fabric = NocFabric(topo)

@@ -806,13 +806,12 @@ def test_lone_flit_bypass_keeps_the_spatial_view(lone_path):
     assert lone_path.returned == [True, True]
 
 
-def test_multicast_or_contended_switches_still_take_the_router(
-    monkeypatch, reference
-):
+def test_multicast_or_contended_switches_still_take_the_router(monkeypatch):
     """The bypass is for a switch with nothing to arbitrate: at most one
     flit that needs a port, at most one arrival, one branch, no live
     fault mask.  Everything else is the router's."""
     import repro.noc.network as network
+    from tests.reference_machine import TWINS  # which imports this module
 
     routed = []
 
@@ -821,7 +820,8 @@ def test_multicast_or_contended_switches_still_take_the_router(
         return route_node(node, inputs, inject, *args, **kwargs)
 
     monkeypatch.setattr(network, "route_node", spy)
-    reference(["lone_path"])  # so that every step here reaches the switch
+    # The lone path's twin, so that every step here reaches the switch.
+    monkeypatch.setattr(*TWINS["lone_path"])
     topology = MeshTopology(3, 3)
     ports = topology.ports_of(4)
 

@@ -9,9 +9,9 @@ wake-ups, then every ``active`` component in registration order);
 (``NocFabric._step_lone`` declines); ``quiet``, the tile's quiet horizon
 (zeroed before every tile step); ``router``, ``route_node``
 (``_reference_route_mixed`` of ``tests/noc/test_switch_golden.py``).
-:func:`reference_machine` installs any subset for a ``with`` block, the
-``reference`` fixture of ``tests/conftest.py`` for the rest of a test; no
-switch for any of them exists in ``src/``.  All but run-ahead keep the
+:func:`reference_machine` installs any subset for a ``with`` block (one
+twin for a whole test: ``monkeypatch.setattr(*TWINS[twin])``); no switch
+for any of them exists in ``src/``.  All but run-ahead keep the
 schedule, so a run cut short under one of them alone is compared with
 the kernel's state included.  Two skips have no seam and no twin, the
 fabric's uncontended-switch bypass and the MPMMU's sleep in ``WAIT_DATA``;
@@ -133,16 +133,12 @@ TWINS = {
 ALL = tuple(TWINS)
 
 
-def turn_off(patch: pytest.MonkeyPatch, twins=ALL) -> None:
-    """Install ``twins`` on ``patch``: the reference machine until undone."""
-    for twin in twins:
-        patch.setattr(*TWINS[twin])
-
-
 @contextmanager
 def reference_machine(twins=ALL):
+    """The machine with ``twins`` (all five by default) installed."""
     with pytest.MonkeyPatch.context() as patch:
-        turn_off(patch, twins)
+        for twin in twins:
+            patch.setattr(*TWINS[twin])
         yield
 
 
@@ -259,12 +255,15 @@ def drive(driver, config, params, max_cycles=None, observer=None) -> bool:
 def outcome(run, max_cycles: int | None = None, schedule: bool = False) -> dict:
     """``machine_state`` after ``run(max_cycles, observer)`` — which builds
     a system, shows it to ``observer`` and runs it — with what the run
-    returned or raised (a run cut short raises) under ``"outcome"``."""
+    returned under ``"outcome"``, or ``"cut short: <the error>"`` if
+    ``max_cycles`` ran out first.  Any other error is raised."""
     seen = []
     try:
         result = run(max_cycles, seen.append)
-    except Exception as error:  # the state is what is compared
-        result = f"{type(error).__name__}: {error}"
+    except SimulationError as error:
+        if max_cycles is None or "max_cycles" not in str(error):
+            raise
+        result = f"cut short: {error}"
     return {**machine_state(seen[0], schedule), "outcome": result}
 
 
@@ -280,10 +279,9 @@ def _difference(path: str, as_built, reference):
     if hasattr(as_built, "_asdict") and type(as_built) is type(reference):
         as_built, reference = as_built._asdict(), reference._asdict()
     if isinstance(as_built, dict) and isinstance(reference, dict):
-        keys = [*as_built, *(key for key in reference if key not in as_built)]
         pairs = [(f"{path}.{key}" if path else str(key),
                   as_built.get(key, "<absent>"), reference.get(key, "<absent>"))
-                 for key in keys]
+                 for key in {**as_built, **reference}]
     elif (isinstance(as_built, list) and isinstance(reference, list)
           and len(as_built) == len(reference)):
         pairs = [(f"{path}[{index}]", *pair)
@@ -325,10 +323,12 @@ def _short(value) -> str:
 def assert_agree(run, twins=ALL, stop: int | None = None,
                  schedule: bool = False) -> dict:
     """``run`` (an :func:`outcome` run) ends in the same state as built and
-    on the reference machine — cut short at ``stop`` cycles if given; a
-    mismatch fails with its :func:`first_divergence`.  Returns the as-built
-    state."""
+    on the reference machine — cut short at ``stop`` cycles if given, which
+    the run as built must not outlast; a mismatch fails with its
+    :func:`first_divergence`.  Returns the as-built state."""
     as_built, reference = _states(run, twins, stop, schedule)
+    assert stop is None or str(as_built["outcome"]).startswith("cut short"), (
+        f"the run ended before the stop at {stop}: {as_built['outcome']}")
     if as_built != reference:
         end = stop or max(as_built["system"]["cycle"],
                           reference["system"]["cycle"])

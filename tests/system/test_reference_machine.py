@@ -35,7 +35,12 @@ from repro.pe.processor import ProcessorNode
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
 from repro.telemetry.config import TelemetryConfig
-from tests.reference_machine import assert_agree, drive
+from tests.reference_machine import (
+    ScanAllSimulator,
+    assert_agree,
+    drive,
+    reference_machine,
+)
 
 
 def allreduce(algorithm: str, n_values: int = 16, repeats: int = 2):
@@ -291,6 +296,7 @@ def test_whole_runs_agree_with_the_reference_machine(
 #: (twin, run): each schedule-keeping twin alone, on runs its skip carries.
 CUT_SHORT = [
     ("kernel", "lossy_tree"), ("kernel", "dma_ring"),
+    ("kernel", "chiplet_hier_64w"),
     ("lone_path", "jacobi_wt"), ("lone_path", "allreduce_sm"),
     ("quiet", "lossy_tree"), ("quiet", "eaten_credits"),
     ("quiet", "chiplet_hier"), ("quiet", "isend_overlap"),
@@ -302,18 +308,29 @@ CUT_SHORT = [
 def test_runs_cut_short_agree_twin_by_twin(twin, name, lone_path, quiet_steps):
     """Stopped right after three cycles a quarter, half and three quarters
     of the way through those on which the skip was taken — a flit latched
-    by the lone path, a tile in the quiet arm — or through the run, for
-    the kernel and the router; the kernel's active set, its mask and its
-    pending wake-ups are compared too."""
+    by the lone path (and caught in its link register), a tile in the
+    quiet arm — or through the run, for the kernel and the router; the
+    kernel's active set, its mask and its pending wake-ups are compared
+    too."""
     whole = run(name)
+    if twin == "kernel":  # the twin is the reference machine's kernel
+        with reference_machine([twin]):
+            assert type(MedeaSystem(_FOUR_WT).sim) is ScanAllSimulator
     cycles = {
+        "kernel": range(whole.cycle), "router": range(whole.cycle),
         "lone_path": list(lone_path.latched),
         "quiet": [cycle for cycle, __ in quiet_steps.cycles],
-    }.get(twin) or range(whole.cycle)
+    }[twin]
+    assert cycles, f"{name} never took the {twin} skip"
     for k in (1, 2, 3):
         stop = cycles[len(cycles) * k // 4] + 1
-        kernel = assert_agree(RUNS[name], (twin,), stop, schedule=True)["kernel"]
+        as_built = assert_agree(RUNS[name], (twin,), stop, schedule=True)
+        kernel = as_built["kernel"]
         assert kernel["mask"] == kernel["active"], f"stopped at {stop}"
+        if twin == "lone_path":
+            fabric = as_built["noc"]
+            assert fabric["_flit_count"] == 1, f"stopped at {stop}"
+            assert any(any(row) for row in fabric["regs"]), f"stopped at {stop}"
 
 
 def test_the_arm_declines_while_a_reduce_descriptor_is_live(
