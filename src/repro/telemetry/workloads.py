@@ -11,8 +11,9 @@ hardware multicast+assist) so ``medea analyze`` can name the hop that
 bounds each path.
 
 All workloads arm :attr:`TelemetryConfig.attribution` — the zero-cycle
-``cp`` notes it adds are timing-neutral by construction (the bench_smoke
-guard enforces it), and without them the critical-path section of the
+``cp`` notes it adds are timing-neutral by construction (enforced by
+``tests/telemetry/test_attribution.py``, which holds an attributed run
+to the clean run's cycles), and without them the critical-path section of the
 analyze report would be empty.
 
 Lives outside the package root on purpose: it imports the application

@@ -99,14 +99,14 @@ def test_fig7_quick_is_served_entirely_from_a_fig6_warm_cache(tmp_path):
     assert (derived.n_computed, derived.n_cached) == (0, 1)
 
 
-def test_noc_experiment_quick():
-    report = REGISTRY["noc"](full=False)
+def test_noc_experiment_quick(inline_reports):
+    report = inline_reports["noc"]
     assert "all delivered" in report.text
     assert all(row[-1] == "yes" for row in report.rows)
 
 
-def test_collectives_experiment_quick():
-    report = REGISTRY["collectives"](full=False)
+def test_collectives_experiment_quick(inline_reports):
+    report = inline_reports["collectives"]
     assert "sm/empi" in report.text
     # Every collective appears, and every SM point costs more than eMPI
     # (the paper's headline claim, per collective).
@@ -115,10 +115,12 @@ def test_collectives_experiment_quick():
     assert all(float(row[-1][:-1]) > 1.0 for row in report.rows)
 
 
-def test_collectives_experiment_hits_the_result_cache(tmp_path, monkeypatch):
-    """Second run with the same cache dir must not simulate anything."""
-    first = REGISTRY["collectives"](full=False, cache_dir=tmp_path)
-    assert (tmp_path / "collectives.json").exists()
+def test_collectives_experiment_hits_the_result_cache(inline_reports,
+                                                      inline_cache_dir,
+                                                      monkeypatch):
+    """A rerun over the session's warm cache must not simulate anything."""
+    first = inline_reports["collectives"]
+    assert (inline_cache_dir / "collectives.json").exists()
 
     import repro.dse.experiments as experiments
 
@@ -126,18 +128,19 @@ def test_collectives_experiment_hits_the_result_cache(tmp_path, monkeypatch):
         raise AssertionError("cache miss: collective point re-simulated")
 
     monkeypatch.setattr(experiments, "run_collective_bench", boom)
-    second = REGISTRY["collectives"](full=False, cache_dir=tmp_path)
+    second = REGISTRY["collectives"](full=False, jobs=1, backend="inline",
+                                     cache_dir=inline_cache_dir)
     assert second.rows == first.rows
 
 
-def test_matmul_experiment_quick():
-    report = REGISTRY["matmul"](full=False)
+def test_matmul_experiment_quick(inline_reports):
+    report = inline_reports["matmul"]
     assert "reduce sm/empi" in report.text
     assert {row[1] for row in report.rows} == {"linear", "tree"}
 
 
-def test_stream_experiment_quick():
-    report = REGISTRY["stream"](full=False)
+def test_stream_experiment_quick(inline_reports):
+    report = inline_reports["stream"]
     assert "cyc/blk" in report.text
     assert len(report.series["empi"]) == len(report.series["pure_sm"]) == 2
 

@@ -2,20 +2,16 @@
 
 Every (collective, backend, algorithm, point-to-point path) combination
 is run blocking and non-blocking (``i<op>`` + ``wait``) across mesh
-sizes, roots and vector lengths, and its end-to-end cycle count compared
-with the committed table ``collective_cycles.json``; delivered vectors
-are checked against the combine-order references on the way.  A
-refactor of the collective bodies must emit every timed op in the same
-order, i.e. pass this table unchanged.  After an *intentional* timing
-change regenerate it with ``PYTHONPATH=src python -m
-tests.empi.cycle_pins`` and review the diff.
+sizes, roots and vector lengths, and its end-to-end cycle count held to
+the golden store's ``collective_cycles`` table (``tests/goldens.py``);
+delivered vectors are checked against the combine-order references on
+the way.  A refactor of the collective bodies must emit every timed op
+in the same order, i.e. leave this table unchanged.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.empi.collectives import (
     make_comm,
@@ -25,7 +21,6 @@ from repro.empi.collectives import (
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
 
-TABLE_PATH = Path(__file__).with_name("collective_cycles.json")
 COLLECTIVES = ("bcast", "reduce", "allreduce")
 N_VALUES = (2, 16)  # 2 < P everywhere: the ring runs with empty segments
 ROOTS = (0, 2)
@@ -116,14 +111,14 @@ def run_point(collective: str, combo: Combo, n_workers: int, root: int,
     return cycles
 
 
-def measure(collective: str, combo_name: str) -> dict[str, int]:
-    """Every table point of one (collective, combo): key -> cycles."""
+def points(collective: str, combo_name: str) -> dict[str, tuple]:
+    """Every table point of one (collective, combo): key -> its arguments."""
     combo = COMBOS[combo_name]
     roots = (0,) if collective == "allreduce" else ROOTS
     return {
         f"{collective}/{combo_name}/P{n_workers}/root{root}/n{n_values}/"
         f"{'blocking' if blocking else 'nonblocking'}":
-        run_point(collective, combo, n_workers, root, n_values, blocking)
+        (n_workers, root, n_values, blocking)
         for n_workers in combo.sizes
         for root in roots
         for n_values in N_VALUES
@@ -131,20 +126,22 @@ def measure(collective: str, combo_name: str) -> dict[str, int]:
     }
 
 
-def assert_pinned(collective: str, combo_name: str) -> None:
-    table = json.loads(TABLE_PATH.read_text())
-    measured = measure(collective, combo_name)
-    drifted = {
-        key: (table.get(key), cycles)
-        for key, cycles in measured.items()
-        if table.get(key) != cycles
+def measure(collective: str, combo_name: str) -> dict[str, int]:
+    """Every table point of one (collective, combo): key -> cycles."""
+    return {
+        key: run_point(collective, COMBOS[combo_name], *arguments)
+        for key, arguments in points(collective, combo_name).items()
     }
-    assert not drifted, f"(pinned, measured) cycles drifted: {drifted}"
 
 
-if __name__ == "__main__":
-    table: dict[str, int] = {}
-    for collective in COLLECTIVES:
-        for combo_name in COMBOS:
-            table.update(measure(collective, combo_name))
-    TABLE_PATH.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n")
+PIN_KEYS = tuple(
+    key for collective in COLLECTIVES for combo_name in COMBOS
+    for key in points(collective, combo_name)
+)
+
+
+def measure_pins() -> dict[str, int]:
+    return {
+        key: cycles for collective in COLLECTIVES for combo_name in COMBOS
+        for key, cycles in measure(collective, combo_name).items()
+    }

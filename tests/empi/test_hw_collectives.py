@@ -31,7 +31,8 @@ from repro.empi.smsync import SharedMemoryCollectives
 from repro.errors import ConfigError, ProgramError
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
-from tests.empi.cycle_pins import COLLECTIVES, assert_pinned
+from tests.empi.cycle_pins import COLLECTIVES, measure
+from tests.goldens import check
 
 
 def run_system(factories, n_workers, **overrides):
@@ -314,7 +315,7 @@ def test_hw_engine_error_names_the_operation():
 def test_hw_cycles_are_pinned(collective, combo):
     """Exact total cycles with the reduction assist on and off,
     blocking and non-blocking."""
-    assert_pinned(collective, combo)
+    check("collective_cycles", measure(collective, combo))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ from repro.kernel.trace import (
 )
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
-from tests.empi.cycle_pins import COLLECTIVES, assert_pinned
+from tests.empi.cycle_pins import COLLECTIVES, measure
+from tests.goldens import check
 
 
 def drive(program, results=None):
@@ -548,4 +549,4 @@ def test_queued_nonblocking_collectives_complete_in_order(model):
 ])
 def test_blocking_and_nonblocking_cycles_are_pinned(collective, combo):
     """Exact total cycles, blocking and i<op>+wait, P x root x length."""
-    assert_pinned(collective, combo)
+    check("collective_cycles", measure(collective, combo))

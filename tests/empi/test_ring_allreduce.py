@@ -37,7 +37,8 @@ from repro.empi.collectives import (
 from repro.errors import ConfigError
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
-from tests.empi.cycle_pins import COLLECTIVES, assert_pinned
+from tests.empi.cycle_pins import COLLECTIVES, measure
+from tests.goldens import check
 
 
 def run_system(factories, n_workers, **overrides):
@@ -218,7 +219,7 @@ def test_ring_and_hier_cycles_are_pinned(collective, combo):
     """Exact total cycles over the TIE, engine and slot-arena rings
     (rooted collectives under ring/hier run the tree), blocking and
     non-blocking, including vectors shorter than the ring."""
-    assert_pinned(collective, combo)
+    check("collective_cycles", measure(collective, combo))
 
 
 # ---------------------------------------------------------------------------

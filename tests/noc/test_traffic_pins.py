@@ -6,19 +6,15 @@ unicast/multicast mix, each pinned whole: every fabric counter
 (injections, ejections, hops, deflections, eject overflows, injection
 stalls, multicast copies), the full latency histogram, and the
 ``TrafficStats`` the public ``run_synthetic_traffic`` returns.  The
-table ``synthetic_traffic.json`` was generated on the commit *before*
-the fabric's lone-flit bypass, so a routing shortcut that moves one flit
-differently shows up here.  After an *intentional* change to fabric
-timing regenerate it with ``PYTHONPATH=src python -m
-tests.noc.test_traffic_pins`` and review the diff.
+golden store's ``synthetic_traffic`` table (``tests/goldens.py``) was
+generated on the commit *before* the fabric's lone-flit bypass, so a
+routing shortcut that moves one flit differently shows up here.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict
-from pathlib import Path
 
 import pytest
 
@@ -28,8 +24,8 @@ from repro.noc.flit import MULTICAST_DST, Flit
 from repro.noc.network import NocFabric
 from repro.noc.packet import PacketType
 from repro.noc.topology import FoldedTorusTopology
+from tests.goldens import check
 
-TABLE_PATH = Path(__file__).with_name("synthetic_traffic.json")
 RATES = (0.02, 0.15, 0.45)
 CYCLES = 600
 DRAIN = 2000
@@ -86,7 +82,10 @@ def fabric_outcome(rate: float, source=_TrafficSource) -> dict:
     }
 
 
-def measure() -> dict:
+PIN_KEYS = (*(f"unicast@{rate}" for rate in RATES), "multicast-mix@0.15")
+
+
+def measure_pins() -> dict:
     table = {
         f"unicast@{rate}": {
             "fabric": fabric_outcome(rate),
@@ -97,13 +96,12 @@ def measure() -> dict:
         for rate in RATES
     }
     table["multicast-mix@0.15"] = {"fabric": fabric_outcome(0.15, _MixSource)}
-    # Through JSON so the comparison sees what the file can hold.
-    return json.loads(json.dumps(table))
+    return table
 
 
 @pytest.fixture(scope="module")
 def measured() -> dict:
-    return measure()
+    return measure_pins()
 
 
 def test_every_case_delivers_everything(measured):
@@ -120,11 +118,4 @@ def test_every_case_delivers_everything(measured):
 
 
 def test_synthetic_traffic_matches_the_pinned_table(measured):
-    pinned = json.loads(TABLE_PATH.read_text())
-    assert measured.keys() == pinned.keys()
-    for name in pinned:
-        assert measured[name] == pinned[name], name
-
-
-if __name__ == "__main__":
-    TABLE_PATH.write_text(json.dumps(measure(), indent=1, sort_keys=True) + "\n")
+    check("synthetic_traffic", measured)

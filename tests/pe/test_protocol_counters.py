@@ -1,19 +1,15 @@
 """Every stream-protocol counter of six protocol-heavy allreduce runs.
 
-``protocol_counters.json`` holds, for each run below, the end-to-end
-cycle count, the validation verdict, every worker's ``tie`` and ``dma``
-counter dict and the fault counters — the only place the multicast
-NACK / credit / probe counters and the DMA retransmit counters are read
-by a test.  A refactor of the message path must leave the table
-unchanged; after an *intentional* protocol change regenerate it with
-``PYTHONPATH=src python -m tests.pe.test_protocol_counters`` and review
-the diff.
+The golden store's ``protocol_counters`` table (``tests/goldens.py``)
+holds, for each run below, the end-to-end cycle count, the validation
+verdict, every worker's ``tie`` and ``dma`` counter dict and the fault
+counters — the only place the multicast NACK / credit / probe counters
+and the DMA retransmit counters are read by a test.  A refactor of the
+message path must leave the table unchanged; a drift names the run, the
+section, the rank and the counter.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import pytest
 
@@ -23,8 +19,7 @@ from repro.apps.collective_bench import (
 )
 from repro.faults import FaultPlan
 from repro.system.config import SystemConfig
-
-TABLE_PATH = Path(__file__).with_name("protocol_counters.json")
+from tests.goldens import check
 
 _DMA = {"dma_tx_queue_depth": 4}
 
@@ -81,22 +76,15 @@ def measure(name: str) -> dict:
     }
 
 
+PIN_KEYS = tuple(RUNS)
+
+
+def measure_pins() -> dict:
+    return {name: measure(name) for name in RUNS}
+
+
 @pytest.mark.parametrize("name", RUNS)
 def test_protocol_counters_are_pinned(name):
-    pinned = json.loads(TABLE_PATH.read_text())[name]
     measured = measure(name)
     assert measured["validated"]
-    # Compare section by section so a drift names the tile it is on.
-    for section in ("cycles", "validated", "faults"):
-        assert measured[section] == pinned[section], section
-    for section in ("tie", "dma"):
-        for rank, (got, want) in enumerate(
-            zip(measured[section], pinned[section], strict=True)
-        ):
-            assert got == want, f"{section} counters of rank {rank}"
-
-
-if __name__ == "__main__":
-    TABLE_PATH.write_text(json.dumps(
-        {name: measure(name) for name in RUNS}, indent=1, sort_keys=True,
-    ) + "\n")
+    check("protocol_counters", {name: measured})

@@ -1,24 +1,35 @@
 """Cycle attribution: conservation, determinism, critical paths, schema.
 
-The conservation tests run every bench_smoke golden workload — both
-traffic shapes (Jacobi shared-memory kernels and eMPI collectives),
-faults on and off — and assert each tile's cycle partition sums to the
-elapsed cycles **bit-exactly**.  The rest covers the extractor on the
-isolated 8w allreduce workloads (tree / ring / hw must each name a
-bounding hop whose path telescopes to the measured latency), double-run
-determinism of the full report, and the schema validator the CI
-observability-smoke job runs.
+``SMOKE_WORKLOADS`` are the golden store's ``smoke`` pins
+(``tests/goldens.py``): nine runs over both traffic shapes — the Jacobi
+kernels guard the memory system (cache/bridge/MPMMU path), the
+collectives the communication layer (TIE streams, the DMA engine and NoC
+multicast, the fault layer's recovery, the chiplet package) — each held
+to its exact cycles and, on the same run, to ledger conservation: each
+tile's cycle partition sums to the elapsed cycles **bit-exactly**.
+Telemetry and attribution only observe: their runs take the clean run's
+cycles.  The rest covers the extractor on the isolated 8w allreduce
+workloads (tree / ring / hw must each name a bounding hop whose path
+telescopes to the measured latency), double-run determinism of the full
+report, and the schema validator the CI observability-smoke job runs.
 """
 
 from __future__ import annotations
 
 import copy
 import sys
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
 
+from repro.apps.collective_bench import (
+    CollectiveBenchParams,
+    run_collective_bench,
+)
+from repro.apps.jacobi.driver import JacobiParams, run_jacobi
 from repro.empi.collectives import ReduceOp, combine_cost, make_comm
+from repro.faults import FaultPlan
 from repro.kernel.trace import CP_ENTER, CP_EXIT, CP_HOP, EventLog
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
@@ -36,11 +47,75 @@ from repro.telemetry.attribution import (
 )
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.workloads import run_trace_workload
+from tests.goldens import check
 
 BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 sys.path.insert(0, str(BENCHMARKS))
-from bench_smoke import SMOKE_WORKLOADS  # noqa: E402
 from validate_report import validate_report  # noqa: E402
+
+_8W = {"n_workers": 8, "cache_size_kb": 16}
+_DMA_8W = {**_8W, "dma_tx_queue_depth": 4}
+
+
+def _jacobi(config: dict, **params):
+    return partial(run_jacobi, SystemConfig(**config), JacobiParams(**params))
+
+
+def _collective(config: dict, collective: str, algorithm: str, n_values: int,
+                repeats: int):
+    return partial(run_collective_bench, SystemConfig(**config),
+                   CollectiveBenchParams(collective=collective, model="empi",
+                                         algorithm=algorithm,
+                                         n_values=n_values, repeats=repeats))
+
+
+#: name -> runner returning a validated result; its golden is the
+#: ``total_cycles`` plus ``iteration_cycles`` (Jacobi) or ``op_cycles``
+#: (collectives).
+SMOKE_WORKLOADS = {
+    "reference_8w16kb_n30": _jacobi(_8W, n=30, iterations=3, warmup=1),
+    "small_2w4kb_n16": _jacobi({"n_workers": 2, "cache_size_kb": 4},
+                               n=16, iterations=3, warmup=1),
+    "saturated_mpmmu_8w16kb_wt_n16": _jacobi({**_8W, "cache_policy": "wt"},
+                                             n=16, iterations=2, warmup=0),
+    # ``faults=None`` (the default): the fault layer off costs nothing.
+    "collective_allreduce_8w_tree": _collective(_8W, "allreduce", "tree", 16, 4),
+    # The hardware collective engine: DMA TX queue + NoC multicast.
+    "multicast_bcast_8w": _collective(_DMA_8W, "bcast", "hw", 16, 4),
+    # Long vectors over the ring on the engine path (neighbour multicast
+    # descriptors + qreduce accumulate-on-receive, segment arithmetic).
+    "ring_allreduce_8w_long": _collective(_DMA_8W, "allreduce", "ring", 256, 2),
+    # 2% seeded flit loss: CRC drops, NACK/retransmit rounds, credit
+    # probes, under the injector's default no-progress watchdog.
+    "lossy_allreduce_8w_tree": _collective(
+        {**_8W, "faults": FaultPlan(seed=3, drop_rate=0.02)},
+        "allreduce", "tree", 16, 4,
+    ),
+    # 4 compute chiplets of 2x2 around the IO hub, serialized links, the
+    # hierarchical schedule (intra-chiplet ring + gateway tree).
+    "chiplet_allreduce_16w_hier": _collective(
+        {"n_workers": 16, "cache_size_kb": 16, "topology_kind": "chiplet",
+         "chiplets": 4, "chiplet_grid": (2, 2), "chiplet_link_latency": 4,
+         "chiplet_link_width": 2},
+        "allreduce", "hier", 16, 2,
+    ),
+    # Metric sampler, event tracer and NoC spatial counters all recording.
+    "telemetry_allreduce_8w_tree": _collective(
+        {**_8W, "telemetry": TelemetryConfig(sample_interval=1024)},
+        "allreduce", "tree", 16, 4,
+    ),
+}
+PIN_KEYS = tuple(SMOKE_WORKLOADS)
+
+
+def golden_of(result) -> dict:
+    return {field: getattr(result, field)
+            for field in ("total_cycles", "iteration_cycles", "op_cycles")
+            if hasattr(result, field)}
+
+
+def measure_pins() -> dict:
+    return {name: golden_of(runner()) for name, runner in SMOKE_WORKLOADS.items()}
 
 
 def _run_captured(runner):
@@ -51,16 +126,22 @@ def _run_captured(runner):
     return captured["system"], result
 
 
-# -- conservation on every golden workload ---------------------------------------
+@cache
+def smoke_run(name: str):
+    """(system, result) of one golden workload, run once per session."""
+    return _run_captured(SMOKE_WORKLOADS[name])
+
+
+# -- the golden workloads: cycles and conservation on one run --------------------
 
 
 @pytest.mark.parametrize("name", sorted(SMOKE_WORKLOADS))
 def test_ledger_conservation_on_golden_workloads(name):
-    """On every bench_smoke golden workload — both models, faults on and
-    off — per-tile state sums equal total cycles exactly."""
-    runner, __ = SMOKE_WORKLOADS[name]
-    system, result = _run_captured(runner)
+    """Each golden workload — both models, faults on and off — takes its
+    pinned cycles, and its per-tile state sums equal them exactly."""
+    system, result = smoke_run(name)
     assert result.validated
+    check("smoke", {name: golden_of(result)})
     cycles = system.sim.cycle
     tiles = check_conservation(system)  # raises AttributionError if inexact
     assert len(tiles) == len(system.nodes)
@@ -69,6 +150,29 @@ def test_ledger_conservation_on_golden_workloads(name):
         assert tile["total"] == cycles
     aggregate = aggregate_ledger(tiles)
     assert aggregate["total"] == cycles * len(tiles)
+
+
+def test_telemetry_and_attribution_are_timing_neutral():
+    """The telemetry run's cycles and the attribution run's cycles equal
+    the clean run's, while the first records samples and trace events and
+    the second critical paths that telescope (its ``cp`` events are
+    zero-cycle ops)."""
+    __, clean = smoke_run("collective_allreduce_8w_tree")
+    __, telemetry = smoke_run("telemetry_allreduce_8w_tree")
+    system, attributed = _run_captured(_collective(
+        {**_8W, "telemetry": TelemetryConfig(sample_interval=1024,
+                                             attribution=True)},
+        "allreduce", "tree", 16, 4,
+    ))
+    assert attributed.validated
+    assert golden_of(telemetry) == golden_of(attributed) == golden_of(clean)
+    summary = telemetry.stats["telemetry"]
+    assert summary["samples"] > 0
+    assert summary["trace_events"] > 0
+    paths = critical_paths(system.events, system.rank_to_node)
+    assert len(paths) == 4  # one per repeat
+    for path in paths:
+        assert sum(edge["cycles"] for edge in path["edges"]) == path["latency"]
 
 
 def test_conservation_check_rejects_a_cooked_ledger():
