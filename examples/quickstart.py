@@ -7,7 +7,7 @@ Run with::
 This is the 30-second tour: one architecture point (4 worker cores + the
 MPMMU on a folded torus, 16 kB write-back L1s), the paper's Jacobi
 workload in the full hybrid model, cycle measurements, bit-exact
-validation against numpy, and a peek at the NoC statistics.
+validation against the reference, and a peek at the NoC statistics.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def main() -> None:
     print(f"\ncycles/iteration (steady state): {result.cycles_per_iteration:.0f}")
     print(f"per-iteration breakdown        : {result.iteration_cycles}")
     print(f"total cycles                   : {result.total_cycles}")
-    print(f"validated vs numpy             : {result.validated} "
+    print(f"validated vs reference         : {result.validated} "
           f"(max abs error {result.max_abs_error:g})")
 
     noc = result.stats["noc"]

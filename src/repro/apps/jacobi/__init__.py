@@ -12,7 +12,7 @@ Three programming models, matching Section III's comparison:
   barrier is a lock-protected counter plus an uncached spin flag, all
   through the MPMMU.
 
-Every variant is validated bit-for-bit against the numpy reference in
+Every variant is validated bit-for-bit against the pure-Python reference in
 :mod:`repro.apps.jacobi.reference`.
 """
 

@@ -6,14 +6,13 @@ that protocol: rank 0 records a note at the end of every iteration's
 barrier; per-iteration cycles are the differences; the reported figure is
 the mean over the post-warm-up iterations.
 
-Every run is validated against the numpy reference bit-for-bit, so
+Every run is validated against the pure-Python reference bit-for-bit, so
 performance numbers can never come from a machine that silently computed
 the wrong answer.
 """
 
 from __future__ import annotations
 
-import typing
 from dataclasses import dataclass, field
 
 from repro.apps.jacobi.models import (
@@ -29,9 +28,6 @@ from repro.cache.l1 import WritePolicy
 from repro.errors import ConfigError, SimulationError
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
-
-if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
-    import numpy as np
 
 
 @dataclass
@@ -143,12 +139,14 @@ def run_jacobi(
     measured = iteration_cycles[params.warmup :]
     cycles_per_iteration = sum(measured) / len(measured)
 
-    import numpy as np  # only named here; see reference.initial_grid
-
     expected = jacobi_reference(initial_grid(params.n), params.iterations)
     simulated = extract_grid(system, params.n, strips, model, params.iterations)
-    validated = bool(np.array_equal(simulated, expected))
-    max_abs_error = float(np.max(np.abs(simulated - expected)))
+    validated = simulated == expected
+    max_abs_error = max(
+        abs(got - want)
+        for got_row, want_row in zip(simulated, expected)
+        for got, want in zip(got_row, want_row)
+    )
 
     return JacobiResult(
         params=params,
@@ -168,7 +166,7 @@ def extract_grid(
     strips: list[Strip],
     model: JacobiModel,
     iterations: int,
-) -> np.ndarray:
+) -> list[list[float]]:
     """Read the final grid out of the simulated memory hierarchy.
 
     Reads go through :meth:`MedeaSystem.debug_read_double`, which sees
@@ -189,7 +187,7 @@ def extract_grid(
             for r in range(1, strip.n_rows + 1):
                 global_row = strip.first_row - 1 + r
                 for j in range(1, n - 1):
-                    grid[global_row, j] = system.debug_read_double(
+                    grid[global_row][j] = system.debug_read_double(
                         base + r * stride + j * 8
                     )
         return grid
@@ -197,5 +195,5 @@ def extract_grid(
     base = base_b if final_is_b else base_a
     for i in range(1, n - 1):
         for j in range(1, n - 1):
-            grid[i, j] = system.debug_read_double(base + i * stride + j * 8)
+            grid[i][j] = system.debug_read_double(base + i * stride + j * 8)
     return grid

@@ -132,7 +132,7 @@ def _hybrid_full_factory(
                 global_row = strip.first_row - 1 + r
                 for j in range(n):
                     yield from ctx.store_double(
-                        base_a + r * stride + j * 8, float(grid0[global_row, j])
+                        base_a + r * stride + j * 8, grid0[global_row][j]
                     )
             # Grid B only needs the cells the stencil reads but never
             # writes: global boundary rows and the two boundary columns.
@@ -141,7 +141,7 @@ def _hybrid_full_factory(
                 columns = range(n) if global_row in (0, n - 1) else (0, n - 1)
                 for j in columns:
                     yield from ctx.store_double(
-                        base_b + r * stride + j * 8, float(grid0[global_row, j])
+                        base_b + r * stride + j * 8, grid0[global_row][j]
                     )
         else:
             base_a = base_b = ctx.private_base
@@ -244,14 +244,10 @@ def _shared_memory_factory(
                 init_rows.append(n - 1)
         for i in init_rows:
             for j in range(n):
-                yield from ctx.store_double(
-                    base_a + i * stride + j * 8, float(grid0[i, j])
-                )
+                yield from ctx.store_double(base_a + i * stride + j * 8, grid0[i][j])
             columns = range(n) if i in (0, n - 1) else (0, n - 1)
             for j in columns:
-                yield from ctx.store_double(
-                    base_b + i * stride + j * 8, float(grid0[i, j])
-                )
+                yield from ctx.store_double(base_b + i * stride + j * 8, grid0[i][j])
         if write_back:
             # Producer obligation (Section II-E): flush what others read.
             for i in init_rows:

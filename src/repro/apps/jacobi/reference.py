@@ -1,4 +1,4 @@
-"""Golden numpy reference for the Jacobi solver.
+"""Golden pure-Python reference for the Jacobi solver.
 
 The simulated programs replicate this computation *operation for
 operation* with identical IEEE-754 evaluation order, so results must match
@@ -7,44 +7,43 @@ simulated machine, not numerical noise.
 
 Evaluation order contract (kept in sync with the programs):
 ``value = (((up + down) + left) + right) * 0.25``.
+
+A grid is a list of ``n`` rows, each its own list of ``n`` floats.
 """
 
 from __future__ import annotations
 
-import typing
 
-if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
-    import numpy as np
-
-
-def initial_grid(n: int) -> np.ndarray:
+def initial_grid(n: int) -> list[list[float]]:
     """Deterministic Dirichlet problem: hot top edge, graded side walls."""
-    # Imported where it is named (here and in ``run_jacobi``'s validation):
-    # ``repro.apps`` is imported by every sweep worker, the CLI and the
-    # collective workloads, which never touch a grid — 16 MiB and 0.2 s.
-    import numpy as np
-
     if n < 3:
         raise ValueError(f"grid must be at least 3x3, got {n}")
-    grid = np.zeros((n, n), dtype=np.float64)
-    grid[:, 0] = 0.75
-    grid[:, -1] = 0.25
-    grid[0, :] = 1.0
-    grid[-1, :] = -0.5
-    return grid
+    interior = [0.75] + [0.0] * (n - 2) + [0.25]
+    return [[1.0] * n] + [interior[:] for __ in range(n - 2)] + [[-0.5] * n]
 
 
-def step_reference(grid: np.ndarray) -> np.ndarray:
-    """One Jacobi sweep with the contract's FP evaluation order."""
-    new = grid.copy()
-    acc = grid[:-2, 1:-1] + grid[2:, 1:-1]
-    acc = acc + grid[1:-1, :-2]
-    acc = acc + grid[1:-1, 2:]
-    new[1:-1, 1:-1] = acc * 0.25
+def step_reference(grid: list[list[float]]) -> list[list[float]]:
+    """One Jacobi sweep with the contract's FP evaluation order.
+
+    Returns a new grid (boundary copied); ``grid`` is left untouched.
+    """
+    n = len(grid)
+    new = [grid[0][:]]
+    for i in range(1, n - 1):
+        above, row, below = grid[i - 1], grid[i], grid[i + 1]
+        new.append(
+            [row[0]]
+            + [
+                stencil(above[j], below[j], row[j - 1], row[j + 1])
+                for j in range(1, n - 1)
+            ]
+            + [row[-1]]
+        )
+    new.append(grid[-1][:])
     return new
 
 
-def jacobi_reference(grid: np.ndarray, iterations: int) -> np.ndarray:
+def jacobi_reference(grid: list[list[float]], iterations: int) -> list[list[float]]:
     """``iterations`` Jacobi sweeps from ``grid`` (input untouched)."""
     current = grid
     for __ in range(iterations):

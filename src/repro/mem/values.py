@@ -4,8 +4,8 @@ The datapath is 32 bits wide (PIF bus, flit DATA field), so IEEE-754
 doubles occupy two consecutive words, little-endian (low word at the lower
 address) — the layout the Xtensa's double-precision emulation library uses.
 Bit-exactness matters: the Jacobi validation compares simulated results
-against numpy *bit for bit*, so any lossy conversion here would show up as
-a test failure rather than silent drift.
+against its pure-Python reference *bit for bit*, so any lossy conversion
+here would show up as a test failure rather than silent drift.
 """
 
 from __future__ import annotations

@@ -119,9 +119,9 @@ def test_expected_vectors_are_indexed_by_rank():
 
 
 def test_importing_the_collective_workloads_does_not_import_numpy():
-    """Only the Jacobi grid and its validation name numpy; every process
-    that imports ``repro.apps`` for something else (sweep workers, the
-    CLI, the collective benchmarks) must not pay its 16 MiB and 0.2 s."""
+    """numpy is a test-only oracle: no process that imports ``repro.apps``
+    (sweep workers, the CLI, the Jacobi and collective benchmarks) may
+    pay its import, about 12 MiB of peak RSS and 0.15 s."""
     import subprocess
     import sys
     from pathlib import Path

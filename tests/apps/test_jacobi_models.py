@@ -66,6 +66,43 @@ def test_models_validate_bit_exactly(model, n_workers):
     assert result.max_abs_error == 0.0
 
 
+def test_jacobi_runs_and_validates_without_numpy():
+    """The simulator needs only the standard library: with the numpy import
+    blocked, every model still builds its grid, runs and validates."""
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import json\n"
+        "from repro.apps.jacobi.driver import JacobiParams, run_jacobi\n"
+        "from repro.system.config import SystemConfig\n"
+        "out = []\n"
+        "for model, policy in (('hybrid_full', 'wb'), ('hybrid_sync', 'wt'),\n"
+        "                      ('pure_sm', 'wb')):\n"
+        "    config = SystemConfig(n_workers=4, cache_policy=policy)\n"
+        "    params = JacobiParams(n=10, iterations=2, warmup=0, model=model)\n"
+        "    result = run_jacobi(config, params)\n"
+        "    out.append([model, result.validated, result.max_abs_error])\n"
+        "print(json.dumps(out))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
+    )
+    assert json.loads(done.stdout) == [
+        ["hybrid_full", True, 0.0],
+        ["hybrid_sync", True, 0.0],
+        ["pure_sm", True, 0.0],
+    ]
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_models_validate_under_write_through(model):
     config = SystemConfig(n_workers=2, cache_size_kb=4, cache_policy="wt")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.apps.matmul import (
@@ -32,6 +31,7 @@ def test_matmul_validates_bit_for_bit(model, algorithm):
 
 
 def test_reference_agrees_with_numpy():
+    np = pytest.importorskip("numpy")
     n, workers = 6, 3
     a = np.array([[a_value(i, k) for k in range(n)] for i in range(n)])
     b = np.array([[b_value(k, j) for j in range(n)] for k in range(n)])
