@@ -1,0 +1,171 @@
+"""Opcodes one driver call of a benchmark workload executes, by function.
+
+    python3 benchmarks/opcode_census.py CHECKOUT [CHANGE] [--workload W [W ...] | all] [--top N]
+
+A noise-free second view of a hot-path change on a shared host, beside the
+timed pairs of ``paired.py``: each checkout runs, in a process of its own
+on its own ``src/``, one untraced warm-up call of a ``benchmarks/perf``
+workload's driver and then one more under ``sys.settrace`` with opcode
+events on, counting every bytecode instruction executed in a Python frame
+(C code, builtins and the standard library's C modules, counts nothing).
+The count is a property of the code and the workload, not of the host,
+so two runs give the same total and a change of one opcode in a million
+is a real one: the cyclic garbage collector, whose finalizers run when
+allocation happens to trigger it, is off for the traced call, and
+``PYTHONHASHSEED=0`` holds set orders fixed across processes.  About 20 s
+per workload and checkout on a 2-core host.
+
+Per workload: the total (and with two checkouts both totals and the
+change), then the ``--top`` functions (by count, or by the change's size)
+as ``path:qualified name`` rows and one row for the rest, so the rows sum
+to the total.  Several workloads end with one table, a row each.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def census(call) -> dict:
+    """``call()`` under opcode tracing: ``{code object: opcodes}``."""
+    counts = {}
+
+    def local(frame, event, arg):
+        if event == "opcode":
+            code = frame.f_code
+            counts[code] = counts.get(code, 0) + 1
+        return local
+
+    def on_call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return local
+
+    gc.collect()
+    gc.disable()
+    sys.settrace(on_call)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return counts
+
+
+def by_function(counts: dict, root: Path) -> dict[str, int]:
+    """``{path:qualified name: opcodes}``, a path under ``root`` relative to
+    it (so two checkouts name their functions alike), any other by its
+    file name alone."""
+    rows = {}
+    for code, count in counts.items():
+        path = Path(code.co_filename)
+        where = path.relative_to(root) if path.is_relative_to(root) else path.name
+        key = f"{where}:{getattr(code, 'co_qualname', code.co_name)}"  # 3.11+
+        rows[key] = rows.get(key, 0) + count
+    return rows
+
+
+def measure(checkout: Path, workload: str) -> dict[str, int]:
+    """One workload's functions in ``checkout``, counted in this process."""
+    for part in ("benchmarks/perf", "src"):
+        sys.path.insert(0, str(checkout / part))
+    from workloads import BY_NAME  # the checkout's own
+
+    spec = BY_NAME[workload]
+    call = partial(spec.driver, spec.config, spec.params)  # no frame of its own
+    call()  # warm-up: imports, caches and lazy tables, untraced
+    return by_function(census(call), checkout.resolve())
+
+
+def measure_in_child(checkout: str, workload: str) -> dict[str, int]:
+    command = [sys.executable, __file__, "--child", checkout, workload]
+    environment = {**os.environ, "PYTHONHASHSEED": "0"}
+    done = subprocess.run(command, capture_output=True, text=True,
+                          env=environment, check=True)
+    return json.loads(done.stdout)
+
+
+def rows_of(sides: list[dict[str, int]], top: int) -> list[tuple[str, list[int]]]:
+    """The ``top`` functions — the most opcodes, or with two sides the
+    largest change — then ``(N other functions)``: rows that sum to the
+    totals, one count per side each."""
+    names = set().union(*sides)
+    table = {name: [side.get(name, 0) for side in sides] for name in names}
+
+    def weight(name):
+        counts = table[name]
+        return abs(counts[-1] - counts[0]) if len(counts) > 1 else counts[0]
+
+    ranked = sorted(names, key=lambda name: (-weight(name), name))
+    rows = [(name, table[name]) for name in ranked[:top]]
+    rest = ranked[top:]
+    if rest:
+        rows.append((f"({len(rest)} other functions)",
+                     [sum(table[name][i] for name in rest)
+                      for i in range(len(sides))]))
+    return rows
+
+
+def change(before: int, after: int) -> str:
+    return f"{100 * (after - before) / before:+.1f} %" if before else "-"
+
+
+def report(workload: str, sides: list[dict[str, int]], top: int) -> list[int]:
+    """Print one workload's block; return its totals, one per side."""
+    totals = [sum(side.values()) for side in sides]
+    line = " -> ".join(f"{total:,}" for total in totals)
+    suffix = f" ({change(*totals)})" if len(totals) > 1 else ""
+    print(f"== {workload}: {line} opcodes{suffix}")
+    for name, counts in rows_of(sides, top):
+        cells = "".join(f"{count:>14,}" for count in counts)
+        delta = f"{counts[-1] - counts[0]:>+14,}" if len(counts) > 1 else ""
+        print(f"{cells}{delta}  {name}")
+    return totals
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--child"]:
+        print(json.dumps(measure(Path(argv[1]), argv[2])))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkouts", nargs="+", metavar="CHECKOUT",
+                        help="one checkout, or the parent's and the change's")
+    parser.add_argument("--workload", nargs="+", default=["all"],
+                        help="workload names from BENCHMARK.json, or 'all'")
+    parser.add_argument("--top", type=int, default=12,
+                        help="functions listed per workload (default 12)")
+    args = parser.parse_args(argv)
+    if len(args.checkouts) > 2:
+        parser.error("one checkout or two")
+    workloads = args.workload
+    if workloads == ["all"]:
+        workloads = [workload["name"] for workload in SPEC["workloads"]]
+    totals = {}
+    for workload in workloads:
+        sides = [measure_in_child(checkout, workload)
+                 for checkout in args.checkouts]
+        totals[workload] = report(workload, sides, args.top)
+    if len(totals) > 1:
+        two = len(args.checkouts) == 2
+        print("\n| workload | " + ("parent | change | change |" if two
+                                   else "opcodes |"))
+        print("|---|" + ("---:|" * (3 if two else 1)))
+        for workload, counts in totals.items():
+            cells = " | ".join(f"{count:,}" for count in counts)
+            extra = f" | {change(*counts)}" if two else ""
+            print(f"| `{workload}` | {cells}{extra} |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -200,14 +200,14 @@ def _make_program(params: CgParams, chunks, rank: int,
 
         def compute_row(i: int, halo_left, halo_right):
             """One SpMV row: q[i] = (A p)[i], fixed accumulation order."""
-            p_i = yield from ctx.load_double(p_a + 8 * i)
+            p_i = yield ctx.load_double(p_a + 8 * i)
             p_left = p_right = None
             if i > 0:
-                p_left = yield from ctx.load_double(p_a + 8 * (i - 1))
+                p_left = yield ctx.load_double(p_a + 8 * (i - 1))
             elif has_left:
                 p_left = halo_left
             if i < k - 1:
-                p_right = yield from ctx.load_double(p_a + 8 * (i + 1))
+                p_right = yield ctx.load_double(p_a + 8 * (i + 1))
             elif has_right:
                 p_right = halo_right
             acc = DIAG * p_i
@@ -224,7 +224,7 @@ def _make_program(params: CgParams, chunks, rank: int,
                 + neighbours * (cost.fp_mul + cost.fp_add)
                 + cost.loop_overhead,
             )
-            yield from ctx.store_double(q_a + 8 * i, acc)
+            yield ctx.store_double(q_a + 8 * i, acc)
 
         def interior_rows():
             for i in range(1, k - 1):
@@ -233,8 +233,8 @@ def _make_program(params: CgParams, chunks, rank: int,
         def local_dot(u_a: int, v_a: int):
             acc = 0.0
             for i in range(k):
-                u_i = yield from ctx.load_double(u_a + 8 * i)
-                v_i = yield from ctx.load_double(v_a + 8 * i)
+                u_i = yield ctx.load_double(u_a + 8 * i)
+                v_i = yield ctx.load_double(v_a + 8 * i)
                 acc += u_i * v_i
                 yield ("compute", mac)
             return acc
@@ -245,18 +245,18 @@ def _make_program(params: CgParams, chunks, rank: int,
 
         def x_update(alpha: float):
             for i in range(k):
-                x_i = yield from ctx.load_double(x_a + 8 * i)
-                p_i = yield from ctx.load_double(p_a + 8 * i)
+                x_i = yield ctx.load_double(x_a + 8 * i)
+                p_i = yield ctx.load_double(p_a + 8 * i)
                 x_i = x_i + alpha * p_i
                 yield ("compute", mac)
-                yield from ctx.store_double(x_a + 8 * i, x_i)
+                yield ctx.store_double(x_a + 8 * i, x_i)
 
         # -- init: x = 0, r = p = b --------------------------------------
         for i in range(k):
             b_i = rhs_value(first + i)
-            yield from ctx.store_double(x_a + 8 * i, 0.0)
-            yield from ctx.store_double(r_a + 8 * i, b_i)
-            yield from ctx.store_double(p_a + 8 * i, b_i)
+            yield ctx.store_double(x_a + 8 * i, 0.0)
+            yield ctx.store_double(r_a + 8 * i, b_i)
+            yield ctx.store_double(p_a + 8 * i, b_i)
             yield ("compute", cost.loop_overhead)
         yield from comm.barrier()
         if rank == 0:
@@ -277,11 +277,11 @@ def _make_program(params: CgParams, chunks, rank: int,
                 if has_right:
                     recv_right = yield from comm.irecv(right_rank, 1)
                 if has_left:
-                    p_0 = yield from ctx.load_double(p_a)
+                    p_0 = yield ctx.load_double(p_a)
                     request = yield from comm.isend(left_rank, [p_0])
                     send_requests.append(request)
                 if has_right:
-                    p_k = yield from ctx.load_double(p_a + 8 * (k - 1))
+                    p_k = yield ctx.load_double(p_a + 8 * (k - 1))
                     request = yield from comm.isend(right_rank, [p_k])
                     send_requests.append(request)
                 yield from comm.overlap(
@@ -296,10 +296,10 @@ def _make_program(params: CgParams, chunks, rank: int,
                     yield from compute_row(i, halo_left, halo_right)
             else:
                 if has_left:
-                    p_0 = yield from ctx.load_double(p_a)
+                    p_0 = yield ctx.load_double(p_a)
                     yield from comm.send(left_rank, [p_0])
                 if has_right:
-                    p_k = yield from ctx.load_double(p_a + 8 * (k - 1))
+                    p_k = yield ctx.load_double(p_a + 8 * (k - 1))
                     yield from comm.send(right_rank, [p_k])
                 if has_left:
                     halo_left = (yield from comm.recv(left_rank, 1))[0]
@@ -316,11 +316,11 @@ def _make_program(params: CgParams, chunks, rank: int,
 
             # -- r -= alpha q, then the residual norm --------------------
             for i in range(k):
-                r_i = yield from ctx.load_double(r_a + 8 * i)
-                q_i = yield from ctx.load_double(q_a + 8 * i)
+                r_i = yield ctx.load_double(r_a + 8 * i)
+                q_i = yield ctx.load_double(q_a + 8 * i)
                 r_i = r_i - alpha * q_i
                 yield ("compute", mac)
-                yield from ctx.store_double(r_a + 8 * i, r_i)
+                yield ctx.store_double(r_a + 8 * i, r_i)
             rr_new_local = yield from local_dot(r_a, r_a)
 
             # -- x += alpha p, overlapped with the norm allreduce --------
@@ -338,11 +338,11 @@ def _make_program(params: CgParams, chunks, rank: int,
             beta = rr_new / rr
             yield ("compute", cost.fp_div)
             for i in range(k):
-                r_i = yield from ctx.load_double(r_a + 8 * i)
-                p_i = yield from ctx.load_double(p_a + 8 * i)
+                r_i = yield ctx.load_double(r_a + 8 * i)
+                p_i = yield ctx.load_double(p_a + 8 * i)
                 p_i = r_i + beta * p_i
                 yield ("compute", mac)
-                yield from ctx.store_double(p_a + 8 * i, p_i)
+                yield ctx.store_double(p_a + 8 * i, p_i)
             rr = rr_new
             rr_history.append(rr)
 
@@ -351,7 +351,7 @@ def _make_program(params: CgParams, chunks, rank: int,
             yield ctx.note("solve_done")
         x_final = []
         for i in range(k):
-            x_i = yield from ctx.load_double(x_a + 8 * i)
+            x_i = yield ctx.load_double(x_a + 8 * i)
             x_final.append(x_i)
         results[rank] = x_final
         rr_out[rank] = rr_history

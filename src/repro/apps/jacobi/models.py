@@ -95,7 +95,7 @@ def _load_row(ctx: ProgramContext, row_addr: int, n: int) -> Generator:
     """Load one full row of doubles through the cache."""
     values = []
     for j in range(n):
-        value = yield from ctx.load_double(row_addr + j * 8)
+        value = yield ctx.load_double(row_addr + j * 8)
         values.append(value)
     return values
 
@@ -131,7 +131,7 @@ def _hybrid_full_factory(
             for r in range(k + 2):
                 global_row = strip.first_row - 1 + r
                 for j in range(n):
-                    yield from ctx.store_double(
+                    yield ctx.store_double(
                         base_a + r * stride + j * 8, grid0[global_row][j]
                     )
             # Grid B only needs the cells the stencil reads but never
@@ -140,7 +140,7 @@ def _hybrid_full_factory(
                 global_row = strip.first_row - 1 + r
                 columns = range(n) if global_row in (0, n - 1) else (0, n - 1)
                 for j in columns:
-                    yield from ctx.store_double(
+                    yield ctx.store_double(
                         base_b + r * stride + j * 8, grid0[global_row][j]
                     )
         else:
@@ -183,17 +183,17 @@ def _hybrid_full_factory(
                             up_v = halo_above[j]
                             yield ("compute", 1)  # receive-buffer read
                         else:
-                            up_v = yield from ctx.load_double(row_above + j * 8)
+                            up_v = yield ctx.load_double(row_above + j * 8)
                         if use_halo_down:
                             down_v = halo_below[j]
                             yield ("compute", 1)
                         else:
-                            down_v = yield from ctx.load_double(row_below + j * 8)
-                        left_v = yield from ctx.load_double(row_mine + (j - 1) * 8)
-                        right_v = yield from ctx.load_double(row_mine + (j + 1) * 8)
+                            down_v = yield ctx.load_double(row_below + j * 8)
+                        left_v = yield ctx.load_double(row_mine + (j - 1) * 8)
+                        right_v = yield ctx.load_double(row_mine + (j + 1) * 8)
                         value = stencil(up_v, down_v, left_v, right_v)
                         yield ("compute", point_cost)
-                        yield from ctx.store_double(row_out + j * 8, value)
+                        yield ctx.store_double(row_out + j * 8, value)
             yield from empi.barrier()
             if rank == 0:
                 yield ctx.note(f"iter:{t}")
@@ -244,10 +244,10 @@ def _shared_memory_factory(
                 init_rows.append(n - 1)
         for i in init_rows:
             for j in range(n):
-                yield from ctx.store_double(base_a + i * stride + j * 8, grid0[i][j])
+                yield ctx.store_double(base_a + i * stride + j * 8, grid0[i][j])
             columns = range(n) if i in (0, n - 1) else (0, n - 1)
             for j in columns:
-                yield from ctx.store_double(base_b + i * stride + j * 8, grid0[i][j])
+                yield ctx.store_double(base_b + i * stride + j * 8, grid0[i][j])
         if write_back:
             # Producer obligation (Section II-E): flush what others read.
             for i in init_rows:
@@ -294,29 +294,29 @@ def _shared_memory_factory(
                             line_addr = row_out + line_start * 8
                             yield ("lock", line_addr)
                             for j in columns:
-                                up_v = yield from ctx.load_double(row_above + j * 8)
-                                down_v = yield from ctx.load_double(row_below + j * 8)
-                                left_v = yield from ctx.load_double(
+                                up_v = yield ctx.load_double(row_above + j * 8)
+                                down_v = yield ctx.load_double(row_below + j * 8)
+                                left_v = yield ctx.load_double(
                                     row_mine + (j - 1) * 8
                                 )
-                                right_v = yield from ctx.load_double(
+                                right_v = yield ctx.load_double(
                                     row_mine + (j + 1) * 8
                                 )
                                 value = stencil(up_v, down_v, left_v, right_v)
                                 yield ("compute", point_cost)
-                                yield from ctx.store_double(row_out + j * 8, value)
+                                yield ctx.store_double(row_out + j * 8, value)
                             if write_back:
                                 yield ("flush", line_addr)
                             yield ("unlock", line_addr)
                     else:
                         for j in range(1, n - 1):
-                            up_v = yield from ctx.load_double(row_above + j * 8)
-                            down_v = yield from ctx.load_double(row_below + j * 8)
-                            left_v = yield from ctx.load_double(row_mine + (j - 1) * 8)
-                            right_v = yield from ctx.load_double(row_mine + (j + 1) * 8)
+                            up_v = yield ctx.load_double(row_above + j * 8)
+                            down_v = yield ctx.load_double(row_below + j * 8)
+                            left_v = yield ctx.load_double(row_mine + (j - 1) * 8)
+                            right_v = yield ctx.load_double(row_mine + (j + 1) * 8)
                             value = stencil(up_v, down_v, left_v, right_v)
                             yield ("compute", point_cost)
-                            yield from ctx.store_double(row_out + j * 8, value)
+                            yield ctx.store_double(row_out + j * 8, value)
                 if write_back and not lock_writes:
                     # Only the rows a neighbor will read need flushing.
                     edge_rows = set()

@@ -145,7 +145,7 @@ def _make_program(params: MatmulParams, chunks, rank: int,
         # result stays bit-identical to reference_matmul.
         def _store_columns(row, i):
             for kk in range(k_size):
-                yield from ctx.store_double(
+                yield ctx.store_double(
                     a_base + (i * k_size + kk) * 8, row[k_first + kk]
                 )
 
@@ -161,7 +161,7 @@ def _make_program(params: MatmulParams, chunks, rank: int,
         # B rows of the slice are this rank's own data.
         for kk in range(k_size):
             for j in range(n):
-                yield from ctx.store_double(
+                yield ctx.store_double(
                     b_base + (kk * n + j) * 8, b_value(k_first + kk, j)
                 )
         yield from comm.barrier()
@@ -176,8 +176,8 @@ def _make_program(params: MatmulParams, chunks, rank: int,
             for j in range(n):
                 acc = 0.0
                 for kk in range(k_size):
-                    a = yield from ctx.load_double(a_base + (i * k_size + kk) * 8)
-                    b = yield from ctx.load_double(b_base + (kk * n + j) * 8)
+                    a = yield ctx.load_double(a_base + (i * k_size + kk) * 8)
+                    b = yield ctx.load_double(b_base + (kk * n + j) * 8)
                     acc += a * b
                     yield ("compute", mac_cost)
                 row_out.append(acc)
@@ -196,7 +196,7 @@ def _make_program(params: MatmulParams, chunks, rank: int,
                 for index, i in enumerate(rows):
                     row = combined[index * n:(index + 1) * n]
                     for j in range(n):
-                        yield from ctx.store_double(
+                        yield ctx.store_double(
                             c_base + (i * n + j) * 8, row[j]
                         )
                     c_rows.append(row)

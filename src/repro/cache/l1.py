@@ -105,14 +105,16 @@ class L1Cache:
         return None
 
     def lookup(
-        self, addr: int, is_write: bool = False, count_miss: bool = True
+        self, addr: int, is_write: bool = False, count_miss: bool = True,
+        words: int = 1,
     ) -> CacheLine | None:
         """Tag match with hit/miss accounting and LRU touch.
 
         ``count_miss=False`` is for a core probing ahead of the clock: a
         hit is complete (nothing else can touch the line first), a miss
         is left unrecorded for the lookup made on the cycle the access
-        issues, which counts it once.
+        issues, which counts it once.  A hit for ``words`` accesses to one
+        line leaves the cache as that many lookups would.
         """
         line_index = addr // self.line_bytes
         set_index = line_index % self.n_sets
@@ -120,10 +122,10 @@ class L1Cache:
         counters = self.stats._counters
         for line in self._sets[set_index]:
             if line.valid and line.tag == tag:
-                self._tick += 1
+                self._tick += words
                 line.lru = self._tick
                 key = "write_hits" if is_write else "read_hits"
-                counters[key] = counters.get(key, 0) + 1
+                counters[key] = counters.get(key, 0) + words
                 return line
         if count_miss:
             key = "write_misses" if is_write else "read_misses"

@@ -57,6 +57,7 @@ from repro.kernel.trace import (
     REQUEST_POST,
     EventLog,
 )
+from repro.pe.program import word_ops
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pe.program import Program, ProgramContext
@@ -375,7 +376,8 @@ class ProgressEngine:
 
         ``frag`` is an ordinary program generator (ops only, no
         RESCHEDULE).  After every ``poll_interval`` forwarded ops the
-        engine takes one progress round, so posted communication
+        engine takes one progress round (a double op is forwarded as its
+        two word ops: a round may fall between them), so posted communication
         advances underneath the computation; the region is bracketed
         with overlap enter/exit events for :class:`OverlapFold`.  Returns
         the fragment's return value; outstanding requests are *not*
@@ -384,6 +386,7 @@ class ProgressEngine:
         if poll_interval < 1:
             raise ProgramError("poll_interval must be >= 1")
         yield ("note", OVERLAP_ENTER, None, None)
+        frag = _instructions(frag)
         ops_since_poll = 0
         send_value: object = None
         while True:
@@ -399,6 +402,20 @@ class ProgressEngine:
                 yield from self.progress()
         yield ("note", OVERLAP_EXIT, None, None)
         return result
+
+
+def _instructions(frag: "Program") -> "Program":
+    """``frag`` with each double op as the two word ops it stands for."""
+    send_value = None
+    while True:
+        try:
+            op = frag.send(send_value)
+        except StopIteration as stop:
+            return stop.value
+        if op[0] in {"load_double", "store_double"}:
+            send_value = yield from word_ops(op)
+        else:
+            send_value = yield op
 
 
 class EngineCompletion:

@@ -67,14 +67,17 @@ class MemoryMap:
     # -- lookups ----------------------------------------------------------------
 
     def segment_of(self, addr: int) -> Segment:
-        if self.shared.contains(addr):
+        shared_size = self.shared.size  # the shared segment starts at 0
+        if addr >= shared_size:
+            if addr < self.total_size:
+                rank = (addr - shared_size) // self.privates[0].size
+                return self.privates[rank]
+            raise MemoryAccessError(
+                f"address {addr:#x} beyond mapped memory ({self.total_size:#x})"
+            )
+        if addr >= 0:
             return self.shared
-        if addr < self.total_size:
-            rank = (addr - self.shared.size) // self.privates[0].size
-            return self.privates[rank]
-        raise MemoryAccessError(
-            f"address {addr:#x} beyond mapped memory ({self.total_size:#x})"
-        )
+        raise MemoryAccessError(f"address {addr:#x} below mapped memory")
 
     def is_shared(self, addr: int) -> bool:
         return self.shared.contains(addr)

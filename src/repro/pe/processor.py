@@ -58,11 +58,16 @@ own and parks the first op that leaves the core (a miss, a write-through
 store, any TIE/DMA/bridge/lock/flush/fence op, a ``note``, the program's
 end) for its exact issue cycle — bounded by the kernel's
 :attr:`~repro.kernel.simulator.Simulator.horizon`, so anything that reads
-a tile from outside sees the cycle-by-cycle state.
+a tile from outside sees the cycle-by-cycle state.  A double op is both
+its words' L1 hits at once when it is 8-aligned in a segment the tile may
+touch, hits (a store: under write-back) and leaves a cycle before the
+horizon for the next fetch; any other runs as its two word ops
+(:func:`~repro.pe.program.word_ops`), misses, stalls and errors included.
 
-The reference machine of ``tests/reference_machine.py`` turns both
+The reference machine of ``tests/reference_machine.py`` turns these
 shortcuts off — the horizon zeroed before every step, ``finished`` polled
-every cycle so that no core runs ahead — and whole runs must not notice.
+every cycle so that no core runs ahead, every double run word by word —
+and whole runs must not notice.
 """
 
 from __future__ import annotations
@@ -82,6 +87,7 @@ from repro.kernel.simulator import NEVER
 from repro.kernel.trace import MARK, EventLog
 from repro.mem.memory_map import MemoryMap
 from repro.mem.scratchpad import Scratchpad
+from repro.mem.values import float_to_words, words_to_float
 from repro.noc.flit import Flit
 from repro.noc.network import NodePorts
 from repro.noc.packet import (
@@ -89,6 +95,7 @@ from repro.noc.packet import (
     UNLOCK, PacketType,
 )
 from repro.pe.costmodel import FpCostModel
+from repro.pe.program import word_ops
 from repro.pe.tie import (
     FINISHED, GATED, MCAST, UNICAST, ReceiveStream, TieInterface,
 )
@@ -139,6 +146,7 @@ _BATCHED_COUNTERS = (
     ("_n_store_miss", "ops_store_miss"), ("_n_lmem", "ops_lmem"),
     ("_n_credit_wait", "credit_wait_cycles"),
 )
+_ZEROED_COUNTERS = {attribute: 0 for attribute, __ in _BATCHED_COUNTERS}
 
 #: What the interpreter executes when the program generator is exhausted;
 #: matched by identity, so no program can yield it.
@@ -234,16 +242,23 @@ class ProcessorNode(Component):
         self._cache_lookup = cache.lookup
         self._line_bytes = cache.line_bytes
         self._write_back = cache.policy is WRITE_BACK
-        #: ``send`` of the loaded program generator (None: none loaded).
+        # Where a double needs no check_access: shared (from 0) or this
+        # tile's own.
+        own = memory_map.privates[rank]
+        self._shared_end = memory_map.shared.size
+        self._own_base, self._own_end = own.base, own.base + own.size
+        #: ``send`` of the loaded program generator (None: none loaded),
+        #: or of a double's word ops while they run (``_outer_send``: the
+        #: program's meanwhile).
         self._program_send: typing.Callable | None = None
+        self._outer_send: typing.Callable | None = None
         # Hot op counters, batched as plain ints and flushed into the
         # CounterSet when it is read (see flush_op_stats).  The last one,
         # _n_credit_wait, is the WAIT_TX cycles where the TIE data stream
         # was credit-gated (the peer's window exhausted), splitting
         # cycles_wait_tx into credit_stall vs plain streaming for the
         # cycle ledger.
-        for attribute, __ in _BATCHED_COUNTERS:
-            setattr(self, attribute, 0)
+        vars(self).update(_ZEROED_COUNTERS)
 
     # -- program control -------------------------------------------------------
 
@@ -255,6 +270,7 @@ class ProcessorNode(Component):
             # Accept any iterable of ops (ops that need no results).
             program = (op for op in program)
         self._program_send = program.send
+        self._outer_send = None
         self.state = _RUNNING
         self._send_value = None
         self._pending_op = None
@@ -458,8 +474,13 @@ class ProcessorNode(Component):
             if op is None:
                 try:
                     op = self._program_send(self._send_value)
-                except StopIteration:
-                    op = _PROGRAM_END
+                except StopIteration as stop:
+                    if self._outer_send is None:
+                        op = _PROGRAM_END
+                    else:  # a double's word ops are done
+                        self._program_send, self._outer_send = self._outer_send, None
+                        self._send_value = stop.value
+                        continue
                 self._send_value = None
             else:
                 self._pending_op = None
@@ -472,6 +493,33 @@ class ProcessorNode(Component):
                     continue
                 self._n_compute += 1
                 self._n_compute_cycles += cost
+            elif code in {"load_double", "store_double"}:
+                # Both words at once (module docstring).  One set test here
+                # and one for the lmem pair: an op that leaves the core passes
+                # as many tests as before doubles, each a hash probe.
+                addr = op[1]
+                line = None
+                if (now + 2 < horizon and not addr & 7
+                        and (0 <= addr < self._shared_end
+                             or self._own_base <= addr < self._own_end)):
+                    if code == "load_double":
+                        line = self._cache_lookup(addr, False, False, 2)
+                    elif self._write_back:
+                        line = self._cache_lookup(addr, True, False, 2)
+                if line is None:  # word by word, through the arms below
+                    self._outer_send = self._program_send
+                    self._program_send = word_ops(op).send
+                    continue
+                words = line.words
+                index = (addr % self._line_bytes) >> 2
+                if code == "load_double":
+                    self._send_value = words_to_float(words[index], words[index + 1])
+                    self._n_load_hit += 2
+                else:
+                    words[index], words[index + 1] = float_to_words(op[2])
+                    line.dirty = True
+                    self._n_store_hit += 2
+                cost = 2
             elif code == "load":
                 addr = op[1]
                 self._check_access(self.rank, addr)
@@ -491,12 +539,11 @@ class ProcessorNode(Component):
                         line.dirty = True
                         self._n_store_hit += 1
                         cost = 1
-            elif code == "lmem_read":
-                self._send_value = self.scratchpad.read_word(op[1])
-                self._n_lmem += 1
-                cost = Scratchpad.ACCESS_CYCLES
-            elif code == "lmem_write":
-                self.scratchpad.write_word(op[1], op[2])
+            elif code in {"lmem_read", "lmem_write"}:
+                if code == "lmem_read":
+                    self._send_value = self.scratchpad.read_word(op[1])
+                else:
+                    self.scratchpad.write_word(op[1], op[2])
                 self._n_lmem += 1
                 cost = Scratchpad.ACCESS_CYCLES
             if cost:

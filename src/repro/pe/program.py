@@ -15,6 +15,8 @@ op tuple               effect                                      result
 ("compute", n)         occupy the core for n cycles                None
 ("load", a)            cached word load (global address)           word
 ("store", a, v)        cached word store                           None
+("load_double", a)     cached double load: the words at a, a + 4   float
+("store_double", a, v) cached double store: v's two words          None
 ("uload", a)           uncached word load (bypasses L1)            word
 ("ustore", a, v)       uncached posted word store                  None
 ("flush", a)           DHWB: write back the dirty line holding a   None
@@ -46,7 +48,9 @@ op tuple               effect                                      result
  payload)              repro.kernel.trace); zero cycles
 =====================  ==========================================  =========
 
-The helpers below compose these into doubles, row transfers, range
+A double is two 32-bit words (:mod:`repro.mem.values`): ``load_double``/
+``store_double`` are the word ops at ``a`` and ``a + 4`` in one op.  The
+helpers below compose these into uncached doubles, row transfers, range
 flush/invalidate, etc., so application code reads like the C it stands for.
 
 **Only ops carry a cycle.**  Each op executes on its exact simulated
@@ -56,7 +60,9 @@ between two yields has no cycle of its own: it runs whenever the core
 reaches it, which may be *earlier* in host time than its simulated
 cycle, because a core runs ahead of the clock over ops nothing outside
 it can see (``compute``, L1 hits, scratchpad accesses) and only then
-waits for the cycle of the next op that leaves the core.  So two
+waits for the cycle of the next op that leaves the core; a double op
+spends two cycles, word by word whenever its words cannot both hit at
+once before anyone looks (``repro.pe.processor``).  So two
 programs must not communicate through shared Python state (a list both
 append to, a flag one sets and the other reads): the order of such side
 effects across tiles is host order, not simulated order.  To order
@@ -71,6 +77,7 @@ import typing
 from collections.abc import Generator
 
 from repro.cache.l1 import LINE_BYTES
+from repro.errors import ProgramError
 from repro.mem.memory_map import MemoryMap
 from repro.mem.values import (
     float_to_words,
@@ -150,7 +157,7 @@ class ProgramContext:
     def node_of(self, rank: int) -> int:
         return self.rank_to_node[rank]
 
-    # -- word-level op builders ------------------------------------------------
+    # -- op builders -----------------------------------------------------------
 
     @staticmethod
     def compute(cycles: int) -> tuple:
@@ -174,20 +181,18 @@ class ProgramContext:
         return ("store", addr, value)
 
     @staticmethod
+    def load_double(addr: int) -> tuple:
+        return ("load_double", addr)
+
+    @staticmethod
+    def store_double(addr: int, value: float) -> tuple:
+        return ("store_double", addr, value)
+
+    @staticmethod
     def note(label: str) -> tuple:
         return ("note", label)
 
-    # -- double-precision helpers (two 32-bit words each) --------------------------
-
-    def load_double(self, addr: int) -> Program:
-        low = yield ("load", addr)
-        high = yield ("load", addr + 4)
-        return words_to_float(low, high)
-
-    def store_double(self, addr: int, value: float) -> Program:
-        low, high = float_to_words(value)
-        yield ("store", addr, low)
-        yield ("store", addr + 4, high)
+    # -- uncached doubles (two word ops each) ----------------------------------
 
     def uncached_load_double(self, addr: int) -> Program:
         low = yield ("uload", addr)
@@ -203,18 +208,12 @@ class ProgramContext:
 
     def flush_range(self, addr: int, n_bytes: int) -> Program:
         """DHWB every line overlapping [addr, addr + n_bytes)."""
-        line = LINE_BYTES
-        first = addr & ~(line - 1)
-        last = (addr + n_bytes - 1) & ~(line - 1)
-        for line_addr in range(first, last + 1, line):
+        for line_addr in _lines(addr, n_bytes):
             yield ("flush", line_addr)
 
     def invalidate_range(self, addr: int, n_bytes: int) -> Program:
         """DII every line overlapping [addr, addr + n_bytes)."""
-        line = LINE_BYTES
-        first = addr & ~(line - 1)
-        last = (addr + n_bytes - 1) & ~(line - 1)
-        for line_addr in range(first, last + 1, line):
+        for line_addr in _lines(addr, n_bytes):
             yield ("inval", line_addr)
 
     # -- message helpers (rank-addressed) -------------------------------------------------
@@ -231,3 +230,24 @@ class ProgramContext:
     def recv_doubles(self, src_rank: int, n_values: int) -> Program:
         words = yield ("recv", self.node_of(src_rank), 2 * n_values)
         return unpack_doubles(words)
+
+
+def _lines(addr: int, n_bytes: int) -> range:
+    """The line addresses overlapping [addr, addr + n_bytes), if any."""
+    if n_bytes < 0:
+        raise ProgramError(f"negative range length {n_bytes} at {addr:#x}")
+    first = addr & ~(LINE_BYTES - 1)
+    return range(first, addr + n_bytes if n_bytes else first, LINE_BYTES)
+
+
+def word_ops(op: tuple) -> Program:
+    """A double op as the two word ops it stands for, returning its result
+    (the interpreter's word path; an ``overlap`` region's two instructions)."""
+    addr = op[1]
+    if op[0] == "load_double":
+        low = yield ("load", addr)
+        high = yield ("load", addr + 4)
+        return words_to_float(low, high)
+    low, high = float_to_words(op[2])
+    yield ("store", addr, low)
+    yield ("store", addr + 4, high)

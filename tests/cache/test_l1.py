@@ -35,6 +35,25 @@ def test_install_then_hit():
     assert cache.stats["read_hits"] == 1
 
 
+@pytest.mark.parametrize("is_write", [False, True])
+def test_a_two_word_lookup_is_two_lookups(is_write):
+    """A hit leaves tick, LRU and counters as two lookups would; a miss
+    not counted ahead of the clock leaves them as they were."""
+    one, two = make_cache(), make_cache()
+    for cache in (one, two):
+        cache.install(0x100, [1, 2, 3, 4])
+        cache.install(0x300, [5, 6, 7, 8])  # the same set, the other way
+    key = "write_hits" if is_write else "read_hits"
+    for cache, lookups, words in ((one, 2, 1), (two, 1, 2)):
+        for __ in range(lookups):
+            assert cache.lookup(0x108, is_write, False, words) is not None
+        assert cache.lookup(0x500, is_write, False, words) is None
+        assert cache.stats.as_dict() == {"refills": 2, key: 2}
+    assert one._tick == two._tick == 4
+    assert one.probe(0x100).lru == two.probe(0x100).lru == 4
+    assert one.victim_for(0x500) == two.victim_for(0x500)
+
+
 def test_line_addr_masks_offset():
     cache = make_cache()
     assert cache.line_addr(0x123) == 0x120

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Generator
 from types import SimpleNamespace
 
 import pytest
 
+import repro.pe.processor as processor
+from repro.cache.l1 import L1Cache
 from repro.noc.flit import MULTICAST_DST
 from repro.noc.network import NocFabric
 from repro.pe.processor import CoreState, ProcessorNode
@@ -126,6 +129,33 @@ def quiet_steps(monkeypatch) -> SimpleNamespace:
         seen.cycles.append((cycle, node.name))
 
     monkeypatch.setattr(ProcessorNode, "step", spy)
+    return seen
+
+
+@pytest.fixture
+def doubles(monkeypatch) -> SimpleNamespace:
+    """A spy on the double ops of ``ProcessorNode._execute``.
+
+    ``fused`` lists the cycles, on the core's own clock, at which a double
+    ran both its words in one visit (the L1 hit a two-word lookup);
+    ``word_by_word`` counts the doubles that ran as their two word ops.
+    """
+    seen = SimpleNamespace(fused=[], word_by_word=0)
+    lookup = L1Cache.lookup
+    word_ops = processor.word_ops
+
+    def spy_lookup(cache, addr, is_write=False, count_miss=True, words=1):
+        line = lookup(cache, addr, is_write, count_miss, words)
+        if words > 1 and line is not None:
+            seen.fused.append(sys._getframe(1).f_locals["now"])
+        return line
+
+    def spy_words(op):
+        seen.word_by_word += 1
+        return word_ops(op)
+
+    monkeypatch.setattr(L1Cache, "lookup", spy_lookup)
+    monkeypatch.setattr(processor, "word_ops", spy_words)
     return seen
 
 

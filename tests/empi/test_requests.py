@@ -32,6 +32,7 @@ from repro.kernel.trace import (
     REQUEST_POST,
     EventLog,
 )
+from repro.mem.values import float_to_words
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
 from tests.empi.cycle_pins import COLLECTIVES, measure
@@ -158,6 +159,32 @@ def test_overlap_interleaves_progress_rounds():
                      "compute"]
     assert ops[0] == ("note", OVERLAP_ENTER, None, None)
     assert ops[-1] == ("note", OVERLAP_EXIT, None, None)
+
+
+def test_overlap_counts_a_double_as_its_two_words():
+    """The poll count is in instructions, and a double is two: a round
+    falls between the words of the double that crosses the interval."""
+    engine = ProgressEngine()
+    low, high = float_to_words(2.5)
+
+    def frag():
+        while True:
+            yield ("poll",)
+            yield RESCHEDULE
+
+    def compute():
+        value = yield ("load_double", 0x100)
+        yield ("store_double", 0x108, value)
+        return value
+
+    drive(engine.post(frag(), "f"))
+    ops, value = drive(engine.overlap(compute(), poll_interval=3),
+                       [None, low, high])
+    assert ops[1:-1] == [
+        ("load", 0x100), ("load", 0x104), ("store", 0x108, low), ("poll",),
+        ("store", 0x10C, high),
+    ]
+    assert value == 2.5
 
 
 def test_overlap_stats_accounting():

@@ -31,6 +31,16 @@ def test_segment_of_out_of_range():
         memory_map.segment_of(0x200)
 
 
+@pytest.mark.parametrize("addr", [-4, -8])
+def test_a_negative_address_is_below_mapped_memory(addr):
+    """Not the private segment a negative rank index would name."""
+    memory_map = MemoryMap(4, shared_size=0x100, private_size=0x100)
+    with pytest.raises(MemoryAccessError, match=f"address {addr:#x} below"):
+        memory_map.check_access(0, addr)
+    with pytest.raises(MemoryAccessError, match="below mapped memory"):
+        memory_map.segment_of(addr)
+
+
 def test_is_shared():
     memory_map = MemoryMap(1, shared_size=0x100, private_size=0x100)
     assert memory_map.is_shared(0x50)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.l1 import WritePolicy
-from repro.errors import ProgramError
+from repro.errors import MemoryAccessError, ProgramError
 from repro.system.config import SystemConfig
 from tests.conftest import run_programs
 
@@ -219,6 +219,17 @@ def test_foreign_private_access_rejected():
     config = SystemConfig(n_workers=2, cache_size_kb=2)
     with pytest.raises(Exception):
         run_programs(config, nosy, victim)
+
+
+def test_a_double_below_mapped_memory_runs_word_by_word(doubles):
+    """No segment holds it, so it takes the word path, whose first word
+    the memory map refuses."""
+    def program(ctx):
+        yield ctx.load_double(-8)
+
+    with pytest.raises(MemoryAccessError, match="address -0x8 below mapped"):
+        run_programs(solo(), program)
+    assert (doubles.fused, doubles.word_by_word) == ([], 1)
 
 
 def test_message_round_trip_content():

@@ -206,11 +206,16 @@ _ADDR = st.tuples(
 )
 _LMEM = st.integers(0, 7).map(lambda index: index * 4)
 
+_DOUBLE = st.floats(allow_nan=False)
+
 _TILE_OP = st.one_of(
     st.tuples(st.just("load"), _ADDR),
     st.tuples(st.just("load"), _ADDR),
     st.tuples(st.just("store"), _ADDR, _WORD),
     st.tuples(st.just("store"), _ADDR, _WORD),
+    # A double at word 1 or 3 is not 8-aligned (at 3 it spans two lines).
+    st.tuples(st.just("load_double"), _ADDR),
+    st.tuples(st.just("store_double"), _ADDR, _DOUBLE),
     st.tuples(st.just("compute"), st.integers(0, 40)),
     st.tuples(st.just("flush"), _ADDR),
     st.tuples(st.just("inval"), _ADDR),
@@ -274,7 +279,8 @@ def program_of(ops):
                 yield ctx.send_words(op[1], op[2])
             elif code == "recv":
                 yield ctx.recv_words(op[1], op[2])
-            elif code in ("load", "store", "flush", "inval", "uload", "ustore"):
+            elif code in ("load", "store", "load_double", "store_double",
+                          "flush", "inval", "uload", "ustore"):
                 yield (code, resolve(ctx, op[1]), *op[2:])
             else:
                 yield op

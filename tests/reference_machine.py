@@ -8,7 +8,9 @@ wake-ups, then every ``active`` component in registration order);
 ``finished`` every cycle); ``lone_path``, a network holding one flit
 (``NocFabric._step_lone`` declines); ``quiet``, the tile's quiet horizon
 (zeroed before every tile step); ``router``, ``route_node``
-(``_reference_route_mixed`` of ``tests/noc/test_switch_golden.py``).
+(``_reference_route_mixed`` of ``tests/noc/test_switch_golden.py``);
+``double``, a double op's two words in one visit (the L1 misses every
+two-word lookup, so each double runs as its two word ops).
 :func:`reference_machine` installs any subset for a ``with`` block (one
 twin for a whole test: ``monkeypatch.setattr(*TWINS[twin])``); no switch
 for any of them exists in ``src/``.  All but run-ahead keep the
@@ -42,6 +44,7 @@ import repro.system.medea as medea
 from repro.errors import DeadlockError, SimulationError
 from repro.kernel.simulator import NEVER, Simulator
 from repro.kernel.stats import CounterSet, LatencyStat
+from repro.cache.l1 import L1Cache
 from repro.noc.flit import Flit
 from repro.noc.network import NocFabric
 from repro.pe.processor import ProcessorNode
@@ -115,6 +118,11 @@ def _reference_router(node, row, inject, topology, eject_capacity, scratch,
 
 
 _step = ProcessorNode.step
+_lookup = L1Cache.lookup
+
+
+def _word_lookup(cache, addr, is_write=False, count_miss=True, words=1):
+    return None if words > 1 else _lookup(cache, addr, is_write, count_miss)
 
 
 def _full_step(node, cycle) -> None:
@@ -129,13 +137,14 @@ TWINS = {
     "lone_path": (NocFabric, "_step_lone", lambda fabric, cycle: False),
     "quiet": (ProcessorNode, "step", _full_step),
     "router": (network, "route_node", _reference_router),
+    "double": (L1Cache, "lookup", _word_lookup),
 }
 ALL = tuple(TWINS)
 
 
 @contextmanager
 def reference_machine(twins=ALL):
-    """The machine with ``twins`` (all five by default) installed."""
+    """The machine with ``twins`` (all six by default) installed."""
     with pytest.MonkeyPatch.context() as patch:
         for twin in twins:
             patch.setattr(*TWINS[twin])

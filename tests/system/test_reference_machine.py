@@ -1,7 +1,7 @@
 """Whole systems against the reference machine (``tests/reference_machine.py``).
 
 Every run in ``RUNS`` must end in the same ``machine_state`` as built and
-with all five skips turned off at once; runs cut short are compared twin
+with all six skips turned off at once; runs cut short are compared twin
 by twin, the kernel's state included, at cycles where that skip was just
 taken.  A mismatch fails with the first cycle and field that differ.
 
@@ -122,6 +122,13 @@ JACOBIS = {
     "jacobi_wt_telemetry": (
         _FOUR_WT.with_changes(
             telemetry=TelemetryConfig(sample_interval=256, attribution=True)
+        ),
+        _JACOBI,
+    ),
+    # A sample every third cycle: horizons fall between a double's words.
+    "jacobi_wb_sampled": (
+        _FOUR_WT.with_changes(
+            cache_policy="wb", telemetry=TelemetryConfig(sample_interval=3)
         ),
         _JACOBI,
     ),
@@ -301,17 +308,21 @@ CUT_SHORT = [
     ("quiet", "lossy_tree"), ("quiet", "eaten_credits"),
     ("quiet", "chiplet_hier"), ("quiet", "isend_overlap"),
     ("router", "dma_ring"), ("router", "chiplet_hw"),
+    ("double", "jacobi_wb"), ("double", "jacobi_wt"),
 ]
 
 
 @pytest.mark.parametrize("twin, name", CUT_SHORT)
-def test_runs_cut_short_agree_twin_by_twin(twin, name, lone_path, quiet_steps):
+def test_runs_cut_short_agree_twin_by_twin(
+    twin, name, lone_path, quiet_steps, doubles
+):
     """Stopped right after three cycles a quarter, half and three quarters
     of the way through those on which the skip was taken — a flit latched
     by the lone path (and caught in its link register), a tile in the
-    quiet arm — or through the run, for the kernel and the router; the
-    kernel's active set, its mask and its pending wake-ups are compared
-    too."""
+    quiet arm, the first of a double's two words run in one visit (the
+    stop falls between them) — or through the run, for the kernel and the
+    router; the kernel's active set, its mask and its pending wake-ups are
+    compared too."""
     whole = run(name)
     if twin == "kernel":  # the twin is the reference machine's kernel
         with reference_machine([twin]):
@@ -320,6 +331,7 @@ def test_runs_cut_short_agree_twin_by_twin(twin, name, lone_path, quiet_steps):
         "kernel": range(whole.cycle), "router": range(whole.cycle),
         "lone_path": list(lone_path.latched),
         "quiet": [cycle for cycle, __ in quiet_steps.cycles],
+        "double": sorted(doubles.fused),
     }[twin]
     assert cycles, f"{name} never took the {twin} skip"
     for k in (1, 2, 3):
@@ -331,6 +343,26 @@ def test_runs_cut_short_agree_twin_by_twin(twin, name, lone_path, quiet_steps):
             fabric = as_built["noc"]
             assert fabric["_flit_count"] == 1, f"stopped at {stop}"
             assert any(any(row) for row in fabric["regs"]), f"stopped at {stop}"
+
+
+@pytest.mark.parametrize("name", JACOBIS)
+def test_whole_runs_agree_with_word_by_word_doubles(name, doubles):
+    """The ``double`` twin alone: the full reference machine runs no core
+    ahead of the clock, so it never runs a double's words in one visit
+    either."""
+    as_built = assert_agree(RUNS[name], ("double",))
+    assert as_built["outcome"] is True, f"{name} computed a wrong result"
+    assert doubles.fused, f"{name} ran no double in one visit"
+
+
+def test_samples_between_the_words_send_doubles_word_by_word(doubles):
+    """A sample every third cycle leaves fewer doubles room for both
+    words before the next one, so more of them run word by word."""
+    run("jacobi_wb")
+    fused, word_by_word = len(doubles.fused), doubles.word_by_word
+    run("jacobi_wb_sampled")
+    assert 0 < len(doubles.fused) - fused < fused
+    assert doubles.word_by_word - word_by_word > word_by_word
 
 
 def test_the_arm_declines_while_a_reduce_descriptor_is_live(
