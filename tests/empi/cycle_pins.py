@@ -1,4 +1,4 @@
-"""Exact ``total_cycles`` pins for bcast / reduce / allreduce.
+"""Exact ``total_cycles`` and hop pins for bcast / reduce / allreduce.
 
 Every (collective, backend, algorithm, point-to-point path) combination
 is run blocking and non-blocking (``i<op>`` + ``wait``) across mesh
@@ -7,6 +7,12 @@ the golden store's ``collective_cycles`` table (``tests/goldens.py``);
 delivered vectors are checked against the combine-order references on
 the way.  A refactor of the collective bodies must emit every timed op
 in the same order, i.e. leave this table unchanged.
+
+The ``hops/`` keys of the same table hold what cycle counts cannot: the
+zero-cycle ``cph`` notes (:data:`~repro.kernel.trace.CP_HOP`) an eMPI
+collective emits under ``TelemetryConfig(attribution=True)``, one
+``[cycle, kind, peer]`` list per rank, for every eMPI combination at one
+size (P=5, root 2, 16 values; P=8 on the chiplet package).
 """
 
 from __future__ import annotations
@@ -18,8 +24,10 @@ from repro.empi.collectives import (
     reference_allreduce,
     reference_reduce,
 )
+from repro.kernel.trace import CP_HOP
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
+from repro.telemetry.config import TelemetryConfig
 
 COLLECTIVES = ("bcast", "reduce", "allreduce")
 N_VALUES = (2, 16)  # 2 < P everywhere: the ring runs with empty segments
@@ -65,8 +73,8 @@ def contribution(rank: int, n_values: int) -> list[float]:
 
 
 def run_point(collective: str, combo: Combo, n_workers: int, root: int,
-              n_values: int, blocking: bool) -> int:
-    """Run one table point, validate its results, return total cycles."""
+              n_values: int, blocking: bool, **overrides) -> MedeaSystem:
+    """Run one table point, validate its results, return the system."""
     out: dict[int, object] = {}
     contribs = [contribution(r, n_values) for r in range(n_workers)]
 
@@ -92,10 +100,10 @@ def run_point(collective: str, combo: Combo, n_workers: int, root: int,
         return program
 
     system = MedeaSystem(SystemConfig(
-        n_workers=n_workers, cache_size_kb=2, **combo.overrides
+        n_workers=n_workers, cache_size_kb=2, **combo.overrides, **overrides
     ))
     system.load_programs([factory(r) for r in range(n_workers)])
-    cycles = system.run(max_cycles=5_000_000)
+    system.run(max_cycles=5_000_000)
     if collective == "bcast":
         expected = dict.fromkeys(range(n_workers), contribs[root])
     elif collective == "reduce":
@@ -108,7 +116,7 @@ def run_point(collective: str, combo: Combo, n_workers: int, root: int,
             contribs, "sum", combo.algorithm, groups=system.rank_groups
         ))
     assert out == expected, f"{collective} delivered the wrong vectors"
-    return cycles
+    return system
 
 
 def points(collective: str, combo_name: str) -> dict[str, tuple]:
@@ -129,19 +137,56 @@ def points(collective: str, combo_name: str) -> dict[str, tuple]:
 def measure(collective: str, combo_name: str) -> dict[str, int]:
     """Every table point of one (collective, combo): key -> cycles."""
     return {
-        key: run_point(collective, COMBOS[combo_name], *arguments)
+        key: run_point(collective, COMBOS[combo_name], *arguments).cycle
         for key, arguments in points(collective, combo_name).items()
     }
 
 
-PIN_KEYS = tuple(
-    key for collective in COLLECTIVES for combo_name in COMBOS
-    for key in points(collective, combo_name)
-)
+HOP_COMBOS = tuple(name for name, combo in COMBOS.items()
+                   if combo.model == "empi")
 
 
-def measure_pins() -> dict[str, int]:
+def hop_points(collective: str) -> dict[str, tuple]:
+    """The hop pins of one collective: key -> (combo name, arguments)."""
+    root = 0 if collective == "allreduce" else 2
     return {
-        key: cycles for collective in COLLECTIVES for combo_name in COMBOS
-        for key, cycles in measure(collective, combo_name).items()
+        f"hops/{collective}/{combo_name}/"
+        f"{'blocking' if blocking else 'nonblocking'}":
+        (combo_name, (5 if 5 in COMBOS[combo_name].sizes
+                      else COMBOS[combo_name].sizes[0], root, 16, blocking))
+        for combo_name in HOP_COMBOS
+        for blocking in (True, False)
     }
+
+
+def measure_hops(collective: str) -> dict[str, list]:
+    """Every rank's ``(cycle, kind, peer)`` hops of one collective's
+    hop points: key -> one hop list per rank."""
+    measured = {}
+    for key, (combo_name, arguments) in hop_points(collective).items():
+        system = run_point(
+            collective, COMBOS[combo_name], *arguments,
+            telemetry=TelemetryConfig(attribution=True),
+        )
+        hops = [[] for __ in range(system.config.n_workers)]
+        rank_of = {node: rank for rank, node in system.rank_to_node.items()}
+        for cycle, tile, kind, __, payload in system.events.program:
+            if kind == CP_HOP:
+                hops[rank_of[tile]].append((cycle, *payload))
+        measured[key] = hops
+    return measured
+
+
+PIN_KEYS = tuple(
+    key for collective in COLLECTIVES
+    for combo_name in COMBOS for key in points(collective, combo_name)
+) + tuple(key for collective in COLLECTIVES for key in hop_points(collective))
+
+
+def measure_pins() -> dict:
+    pins: dict = {}
+    for collective in COLLECTIVES:
+        for combo_name in COMBOS:
+            pins.update(measure(collective, combo_name))
+        pins.update(measure_hops(collective))
+    return pins

@@ -35,7 +35,7 @@ from repro.kernel.trace import (
 from repro.mem.values import float_to_words
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
-from tests.empi.cycle_pins import COLLECTIVES, measure
+from tests.empi.cycle_pins import COLLECTIVES, measure, measure_hops
 from tests.goldens import check
 
 
@@ -577,3 +577,10 @@ def test_queued_nonblocking_collectives_complete_in_order(model):
 def test_blocking_and_nonblocking_cycles_are_pinned(collective, combo):
     """Exact total cycles, blocking and i<op>+wait, P x root x length."""
     check("collective_cycles", measure(collective, combo))
+
+
+@pytest.mark.parametrize("collective", COLLECTIVES)
+def test_hops_are_pinned(collective):
+    """Every rank's zero-cycle hop notes, at the cycle each is emitted,
+    for every eMPI combination, blocking and i<op>+wait."""
+    check("collective_cycles", measure_hops(collective))
