@@ -15,10 +15,14 @@ programming models:
   uncached MPMMU round trip and every phase is a shared-memory barrier —
   the serialization cost the hybrid architecture exists to remove.
 
-Floating-point reduction is not associative, so each (algorithm, op)
-pair fixes one combine order and the pure-python reference functions here
-replicate it *exactly*.  Apps validate bit for bit against these
-references, never against a reordered numpy shortcut.
+Both run the same schedules (:mod:`repro.empi.schedules`): one function
+per algorithm, its rounds of transfers over a rank list.  Floating-point
+reduction is not associative, so each (algorithm, op) pair fixes one
+combine order and the pure-python reference functions here replicate it
+*exactly*, written independently of the schedules.  Apps validate bit
+for bit against these references, never against a reordered numpy
+shortcut.  To add an algorithm, write one schedule function and one
+independent reference.
 """
 
 from __future__ import annotations
@@ -35,46 +39,33 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class CollectiveAlgorithm(enum.Enum):
-    """How a rooted collective moves data between ranks.
+    """How a collective moves data: each is one schedule function of
+    :mod:`repro.empi.schedules`, run by both programming models.
 
     * ``linear`` — the root exchanges with every other rank directly:
       O(P) messages all touching the root, one hop of software latency;
-    * ``tree`` — a binomial tree: O(P) messages but only ceil(log2 P)
-      rounds on the critical path, the classic large-P win;
-    * ``hw`` — the hardware collective engine (:mod:`repro.dma`): the
-      data-distribution half of a collective becomes ONE multicast
-      descriptor the fabric replicates, and the combining half runs the
-      binomial tree — in the tree order, so ``hw`` results are
-      bit-identical to ``tree``.  With the engine's reduction assist on
-      (``dma_reduce_assist``, the default) each tree round's combine
-      happens *at the engine on flit arrival* (a ``qreduce``
-      accumulate-on-receive descriptor) instead of serializing through
-      processor ops.  Requires ``dma_tx_queue_depth >= 1`` and the
-      ``empi`` model.
-    * ``ring`` — reduce-scatter + allgather over a rank ring, the
-      long-vector allreduce schedule: every rank moves 2(P-1)/P of the
-      vector instead of the tree's log2(P) whole-vector hops.  Applies
-      to ``allreduce`` (its own combine order, fixed by
-      :func:`reference_allreduce`); rooted collectives under ``ring``
-      run the binomial tree.  Rides the DMA engine (neighbor multicast
-      descriptors + ``qreduce``) when one is fitted, the TIE
-      send/recv path otherwise, and the slot arena on ``pure_sm`` —
-      all three deliver bit-identical vectors.
-    * ``hier`` — the topology-aware hierarchical allreduce for chiplet
-      systems: a ring allreduce *within* each chiplet's rank group
-      (cheap on-die neighbour links), then a binomial tree across the
-      chiplet *leaders* (the gateway-adjacent first rank of each group,
-      so only log2(C) whole-vector transfers cross the expensive
-      inter-chiplet links), then a binomial broadcast back down each
-      group.  Its combine order is fixed by :func:`reference_allreduce`
-      with ``groups``; on a flat topology (no rank groups) there is one
-      group and ``hier`` delivers the ``ring`` bits exactly.  Rooted
-      collectives under ``hier`` run the binomial tree.  Requires the
-      ``empi`` model — on ``pure_sm`` every word serializes through the
-      MPMMU whatever the schedule, so hierarchy has nothing to exploit.
+    * ``tree`` — binomial trees: ceil(log2 P) rounds on the critical
+      path, the classic large-P win;
+    * ``hw`` — the linear broadcast and the tree reduce on the hardware
+      collective engine (:mod:`repro.dma`): a one-to-many send is ONE
+      multicast descriptor the fabric replicates, and with the reduction
+      assist (``dma_reduce_assist``, the default) each combine happens
+      at the engine on flit arrival (``qreduce``) instead of on the
+      core.  Bit-identical to ``tree``; needs ``dma_tx_queue_depth >=
+      1`` and the ``empi`` model;
+    * ``ring`` — the long-vector allreduce (reduce-scatter + allgather):
+      on the DMA engine when one is fitted with the reduction assist on,
+      the TIE otherwise, the slot arena on ``pure_sm``;
+    * ``hier`` — the chiplet allreduce: ring within each chiplet's rank
+      group, tree across the group leaders and back down; the ``ring``
+      bits on a flat topology.  ``empi`` only: on ``pure_sm`` every word
+      serializes through the MPMMU whatever the schedule.
 
-    Scatter and gather are root-centric by definition (every payload
-    word starts or ends at the root), so they always run linear.
+    ``ring`` and ``hier`` have no root, so a rooted collective under
+    them runs the tree (:meth:`rooted`); scatter and gather always run
+    linear.  To add an algorithm, write one schedule function and one
+    independent reference of its combine order
+    (:func:`reference_reduce` / :func:`reference_allreduce`).
     """
 
     LINEAR = "linear"

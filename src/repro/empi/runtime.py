@@ -16,25 +16,27 @@ Tokens carry an epoch (mod 256) so back-to-back barriers cannot steal each
 other's tokens; early tokens are stashed and matched later, giving the
 runtime MPI-like out-of-band tolerance with a tiny footprint.
 
-Collectives are written once.  Each algorithm is ONE generator over an
-ordered rank list (``_linear_*_over``, ``_tree_*_over``,
-``_ring_allreduce_over``, ``_mcast_bcast``); rooted collectives pass the
-ranks rotated so the root leads, ``hier`` passes chiplet groups.  What
-varies between the blocking op, the non-blocking request and the
-DMA-engine offload is only the *point-to-point flavour* handed to the
-body (:class:`_TieFlavour`, :class:`_DmaFlavour`), chosen once per call
-in ``_bcast`` / ``_reduce`` / ``_allreduce``.
+Collectives are written once, as schedules (:mod:`repro.empi.schedules`):
+each algorithm is one function returning its rounds of transfers over
+an ordered rank list; rooted collectives pass the ranks rotated so the
+root leads, ``hier`` composes ring and tree over chiplet groups.
+:meth:`Empi._execute` runs any schedule for one rank over a
+*point-to-point flavour* (:class:`_TieFlavour`, :class:`_DmaFlavour`),
+and what varies between the blocking op, the non-blocking request and
+the DMA-engine offload is only the flavour, chosen once per call in
+``_bcast`` / ``_reduce`` / ``_allreduce`` beside the schedule.
 
-* To add an **algorithm**: write one ``_<name>_over(ranks, ..., p2p)``
-  body using only ``p2p.send`` / ``recv`` / ``expect_combine`` /
-  ``recv_combine``, dispatch to it from ``_bcast``/``_reduce``/
-  ``_allreduce``, and give :mod:`repro.empi.collectives` an independent
-  pure-python reference of its combine order.  Blocking, non-blocking
-  and engine-offloaded variants then exist by construction.
+* To add an **algorithm**: write one schedule function and one
+  independent reference (of its combine order, in
+  :mod:`repro.empi.collectives`), and pick the schedule in
+  ``_bcast``/``_reduce``/``_allreduce``.  Blocking, non-blocking,
+  engine-offloaded and shared-memory variants then exist by
+  construction.
 * To add a **flavour** (say, in-switch combining): write one class with
-  those four generator methods, emitting its ``cph`` hop notes at
-  send/receive completion, and select it where the existing two are
-  selected.  No algorithm body changes.
+  the generator methods ``send`` (to a list of ranks) / ``recv`` /
+  ``recv_combine`` (and ``expect_combine`` when ``prepost`` is set),
+  emitting its ``cph`` hop notes at send/receive completion, and select
+  it where the existing two are selected.  No schedule changes.
 """
 
 from __future__ import annotations
@@ -43,17 +45,20 @@ import enum
 import typing
 
 from repro.empi.collectives import (
-    HIER, HW, LINEAR, RING,
+    HIER, HW, LINEAR, RING, TREE,
     CollectiveAlgorithm,
     ReduceOp,
     combine_cost,
     combine_values,
-    ring_segments,
 )
 from repro.empi.requests import (
     RESCHEDULE,
     EngineCompletion,
     ProgressEngine,
+)
+from repro.empi.schedules import (
+    fold, hier_allreduce, linear_bcast, linear_reduce,
+    ring_allreduce, rotated, tree_bcast, tree_reduce,
 )
 from repro.errors import ProgramError, parse_enum
 from repro.kernel.trace import CP_ENTER, CP_EXIT, CP_HOP
@@ -105,19 +110,18 @@ class _TieFlavour:
             self._send = empi.ctx.send_doubles
             self._recv = empi.ctx.recv_doubles
 
-    def send(self, dst_rank: int, values: list[float]) -> "Program":
-        yield from self._send(dst_rank, values)
-        yield from self._empi._cp_hop("snd", dst_rank)
+    def send(self, dst_ranks: list[int], values: list[float]) -> "Program":
+        """One stream per receiver, in order, each with its hop note."""
+        for dst_rank in dst_ranks:
+            yield from self._send(dst_rank, values)
+            yield from self._empi._cp_hop("snd", dst_rank)
 
     def recv(self, src_rank: int, n_values: int) -> "Program":
         values = yield from self._recv(src_rank, n_values)
         yield from self._empi._cp_hop("rcv", src_rank)
         return values
 
-    def expect_combine(self, src_rank: int, acc: list[float],
-                       op: ReduceOp) -> tuple:
-        """Nothing to pre-post: :meth:`recv_combine` does all the work."""
-        return ()
+    prepost = False  # no expect_combine: recv_combine does all the work
 
     def recv_combine(self, src_rank: int, acc: list[float],
                      op: ReduceOp) -> "Program":
@@ -141,6 +145,8 @@ class _DmaFlavour:
     fragments reschedule so overlapped compute runs while the engines
     stream and combine.
     """
+
+    prepost = True
 
     def __init__(self, empi: "Empi", frag: bool, label: str) -> None:
         self._empi = empi
@@ -167,17 +173,17 @@ class _DmaFlavour:
             elif guard is not None:
                 guard.tick()
 
-    def mcast(self, group: int, values: list[float],
-              peer: object) -> "Program":
-        """Queue ``values`` for the node bitmask ``group``."""
+    def send(self, dst_ranks: list[int], values: list[float]) -> "Program":
+        """One multicast descriptor for all of ``dst_ranks``; its hop
+        note names the receiver, or ``'*'`` for more than one."""
+        node_of = self._empi.ctx.node_of
+        group = 0
+        for dst_rank in dst_ranks:
+            group |= 1 << node_of(dst_rank)
+        peer = dst_ranks[0] if len(dst_ranks) == 1 else "*"
         return self._poll(
             ("qmcast", group, pack_doubles(values)), "multicast post",
             self._empi._cp_hop("snd", peer),
-        )
-
-    def send(self, dst_rank: int, values: list[float]) -> "Program":
-        return self.mcast(
-            1 << self._empi.ctx.node_of(dst_rank), values, dst_rank
         )
 
     def recv(self, src_rank: int, n_values: int) -> "Program":
@@ -373,10 +379,18 @@ class Empi(EngineCompletion):
 
     # -- vector collectives ----------------------------------------------------------------
     #
-    # Public entry points resolve the algorithm, bracket the op for the
-    # critical-path extractor and — for the i* flavour — post the body
-    # as a request; _bcast/_reduce/_allreduce pick the point-to-point
-    # flavour once and hand it to the one body of the algorithm.
+    # Public entry points resolve the algorithm, report the collective
+    # (_agree), bracket the op for the critical-path extractor and, for
+    # the i* flavour, post the body as a request; _bcast/_reduce/
+    # _allreduce pick the schedule and the flavour for _execute.
+
+    def _agree(self, collective: str, algorithm: CollectiveAlgorithm,
+               root: int | None, n_values: int) -> None:
+        """Report this rank's next collective to the system's
+        :class:`~repro.empi.schedules.Agreement`."""
+        if self.ctx.agreement is not None:
+            self.ctx.agreement.check("empi", self.ctx.n_workers, self.ctx.rank,
+                                     collective, algorithm.value, root, n_values)
 
     def _require_hw(self, what: str) -> None:
         if self.ctx.dma_queue_depth < 1:
@@ -385,12 +399,6 @@ class Empi(EngineCompletion):
                 f"({what}) needs the DMA/TX-queue engine; set "
                 f"dma_tx_queue_depth >= 1 on the SystemConfig"
             )
-
-    def _rooted_at(self, root: int) -> list[int]:
-        """All ranks rotated so ``root`` leads: list position = the
-        binomial tree's relative rank."""
-        n = self.ctx.n_workers
-        return [(root + i) % n for i in range(n)]
 
     def bcast_doubles(
         self,
@@ -401,14 +409,12 @@ class Empi(EngineCompletion):
     ) -> "Program":
         """MPI_bcast: every rank returns the root's ``n_values`` doubles.
 
-        ``linear`` has the root stream to each rank in ascending order;
-        ``tree`` runs the binomial broadcast (each holder forwards down
-        its subtree, largest subtree first), ceil(log2 P) token rounds on
-        the critical path; ``hw`` posts ONE multicast descriptor on the
-        DMA engine and lets the fabric replicate — the root takes a
-        single injection whatever P is.
+        ``hw`` runs the linear schedule on the DMA engine: the root's
+        one-to-many send is ONE multicast descriptor, a single injection
+        whatever P is.
         """
         algorithm = CollectiveAlgorithm.parse(algorithm)
+        self._agree("bcast", algorithm, root, n_values)
         return self._cp_span(
             f"bcast[{algorithm.value}]",
             self._bcast(root, values, n_values, algorithm, frag=False),
@@ -424,29 +430,22 @@ class Empi(EngineCompletion):
     ) -> "Program":
         ctx = self.ctx
         n = ctx.n_workers
-        if ctx.rank == root:
-            if values is None or len(values) != n_values:
-                raise ProgramError("broadcast root must supply the payload")
+        if ctx.rank == root and (values is None or len(values) != n_values):
+            raise ProgramError("broadcast root must supply the payload")
         if n == 1:
             return list(values)  # type: ignore[arg-type]
         if not frag:
             self._check_engine_idle("bcast", algorithm)
         algorithm = algorithm.rooted()
-        if algorithm is HW:
-            self._require_hw("ibcast" if frag else "bcast")
-            body = self._mcast_bcast(
-                root, values, n_values, _DmaFlavour(self, frag, "bcast[hw]")
-            )
-        elif algorithm is LINEAR:
-            body = self._linear_bcast_over(
-                range(n), root, values, n_values, _TieFlavour(self, frag)
-            )
+        p2p: _Flavour = _TieFlavour(self, frag)
+        if algorithm is TREE:
+            plan = ((rotated(n, root), tree_bcast(n, n_values)),)
         else:
-            body = self._tree_bcast_over(
-                self._rooted_at(root), values, n_values,
-                _TieFlavour(self, frag),
-            )
-        result = yield from body
+            plan = ((tuple(range(n)), linear_bcast(n, root, n_values)),)
+            if algorithm is HW:
+                self._require_hw("ibcast" if frag else "bcast")
+                p2p = _DmaFlavour(self, frag, "bcast[hw]")
+        result = yield from self._execute(plan, values, n_values, None, p2p)
         return result
 
     def reduce_doubles(
@@ -458,19 +457,14 @@ class Empi(EngineCompletion):
     ) -> "Program":
         """MPI_reduce: elementwise ``op`` of every rank's vector, at root.
 
-        Returns the combined vector at ``root`` and ``None`` elsewhere.
-        The combine order is exactly the one
-        :func:`~repro.empi.collectives.reference_reduce` replicates, so
-        results validate bit for bit.  ``hw`` always combines in the
-        binomial-tree order (identical bits to ``tree``); with the
-        engine's reduction assist on, each round's combine happens at
-        the engine as the child's flits arrive (children stream their
-        accumulators as single-member multicast descriptors, parents
-        post ``qreduce`` accumulate-on-receive descriptors) instead of
-        serializing through recv copies and processor FP ops.  ``ring``
-        is an allreduce schedule; a rooted reduce under it runs the tree.
+        Returns the combined vector at ``root`` and ``None`` elsewhere,
+        bit for bit :func:`~repro.empi.collectives.reference_reduce`.
+        ``hw`` runs the tree; with the engine's reduction assist on,
+        children stream their accumulators as single-member multicast
+        descriptors and parents combine at the engine (``qreduce``).
         """
         requested = CollectiveAlgorithm.parse(algorithm)
+        self._agree("reduce", requested, root, len(values))
         return self._cp_span(
             f"reduce[{requested.value}]",
             self._reduce(root, values, ReduceOp.parse(op), requested,
@@ -497,13 +491,11 @@ class Empi(EngineCompletion):
             if ctx.dma_reduce_assist:
                 p2p = _DmaFlavour(self, frag, "reduce[hw]")
         if requested.rooted().combine_order() is LINEAR:
-            body = self._linear_reduce_over(range(n), root, values, op, p2p)
+            plan = ((tuple(range(n)), linear_reduce(n, root, len(values))),)
         else:
-            body = self._tree_reduce_over(
-                self._rooted_at(root), values, op, p2p
-            )
-        result = yield from body
-        return result
+            plan = ((rotated(n, root), tree_reduce(n, len(values))),)
+        acc = yield from self._execute(plan, values, len(values), op, p2p)
+        return acc if ctx.rank == root else None
 
     def allreduce_doubles(
         self,
@@ -513,21 +505,14 @@ class Empi(EngineCompletion):
     ) -> "Program":
         """MPI_allreduce: reduce at rank 0, then broadcast the result.
 
-        Under ``hw`` the reduce leg runs the binomial tree (bit-identical
-        to ``tree``, engine-combined when the reduction assist is on) and
-        the broadcast leg is one multicast descriptor.  Under ``ring``
-        the whole operation is a reduce-scatter + allgather around the
-        rank ring — the long-vector schedule, with its own combine order
-        fixed by :func:`~repro.empi.collectives.reference_allreduce`;
-        with a DMA engine fitted (and the reduction assist on) the
-        neighbour sends are single-member multicast descriptors and the
-        combines engine-side ``qreduce`` descriptors, otherwise the TIE
-        send/recv path carries the same schedule.  Under ``hier`` it is
-        the chiplet-aware composition: ring within each chiplet's rank
-        group, binomial tree across the group leaders, broadcast back
-        down (see :meth:`_allreduce_hier`).
+        Under ``ring`` one reduce-scatter + allgather schedule instead,
+        on the DMA engine (``qreduce`` combines) when one is fitted with
+        the reduction assist on, the TIE otherwise; under ``hier`` the
+        chiplet composition over ``ctx.rank_groups``.  Bit for bit
+        :func:`~repro.empi.collectives.reference_allreduce`.
         """
         algorithm = CollectiveAlgorithm.parse(algorithm)
+        self._agree("allreduce", algorithm, None, len(values))
         return self._cp_span(
             f"allreduce[{algorithm.value}]",
             self._allreduce(values, ReduceOp.parse(op), algorithm,
@@ -545,233 +530,73 @@ class Empi(EngineCompletion):
         n = ctx.n_workers
         if n > 1 and not frag:
             self._check_engine_idle("allreduce", algorithm)
+        p2p: _Flavour = _TieFlavour(self, frag)
         if algorithm is RING:
-            p2p: _Flavour
+            plan = ((tuple(range(n)), ring_allreduce(n, len(values))),)
             if ctx.dma_queue_depth >= 1 and ctx.dma_reduce_assist:
                 p2p = _DmaFlavour(self, frag, "allreduce[ring]")
-            else:
-                p2p = _TieFlavour(self, frag)
-            body = self._ring_allreduce_over(range(n), values, op, p2p)
         elif algorithm is HIER:
-            body = self._allreduce_hier(values, op, _TieFlavour(self, frag))
+            groups = ctx.rank_groups or [range(n)]
+            plan = hier_allreduce(tuple(map(tuple, groups)), len(values))
         else:
             reduced = yield from self._reduce(0, values, op, algorithm, frag)
-            body = self._bcast(0, reduced, len(values), algorithm, frag)
-        result = yield from body
+            result = yield from self._bcast(0, reduced, len(values), algorithm, frag)
+            return result
+        result = yield from self._execute(plan, values, len(values), op, p2p)
         return result
 
-    # -- the algorithms: one body each, over an ordered rank list --------------
-    #
-    # ``p2p`` is the point-to-point flavour (_TieFlavour / _DmaFlavour).
-    # Combine orders are the ones reference_reduce / reference_allreduce
-    # replicate for the same rank list.
+    def _execute(self, plan: tuple, values: list[float] | None,
+                 n_values: int, op: ReduceOp | None,
+                 p2p: _Flavour) -> "Program":
+        """Run this rank's part of ``plan`` over the flavour ``p2p``.
 
-    def _linear_bcast_over(
-        self, ranks: typing.Sequence[int], root: int,
-        values: list[float] | None, n_values: int, p2p: _Flavour,
-    ) -> "Program":
-        """``root`` streams the payload to every other rank, list order."""
-        if self.ctx.rank != root:
-            received = yield from p2p.recv(root, n_values)
-            return received
-        for rank in ranks:
-            if rank != root:
-                yield from p2p.send(rank, values)
-        return list(values)  # type: ignore[arg-type]
-
-    def _linear_reduce_over(
-        self, ranks: typing.Sequence[int], root: int, values: list[float],
-        op: ReduceOp, p2p: _Flavour,
-    ) -> "Program":
-        """``root`` combines every contribution in list order (its own
-        in place); returns the accumulator at the root, None elsewhere."""
-        if self.ctx.rank != root:
-            yield from p2p.send(root, values)
-            return None
-        n_values = len(values)
-        acc: list[float] | None = None
-        for rank in ranks:
-            if rank == root:
-                contrib = list(values)
-            else:
-                contrib = yield from p2p.recv(rank, n_values)
-            if acc is None:
-                acc = contrib
-            else:
-                acc = combine_values(acc, contrib, op)
-                yield ("compute", combine_cost(self.ctx.cost, n_values, op))
-        return acc
-
-    def _tree_bcast_over(
-        self, ranks: typing.Sequence[int], values: list[float] | None,
-        n_values: int, p2p: _Flavour,
-    ) -> "Program":
-        """Binomial-tree broadcast over ``ranks`` from root ``ranks[0]``.
-
-        Only the root's ``values`` are read; the payload moves bit-for-
-        bit, so broadcasts never enter a combine order.
+        A plan is ``(ranks, schedule)`` pieces (see
+        :mod:`repro.empi.schedules`); this rank runs, in order, those
+        that list it, its position in ``ranks`` naming its transfers.
+        The accumulator starts as ``values`` (zeros for a broadcast
+        receiver).  Each round pre-posts every combining receive where
+        the flavour does (``expect_combine``: the DMA ``qreduce``), does
+        its send — to all its receivers at once: on the DMA flavour one
+        multicast descriptor, hop ``('snd', '*')`` for several — then
+        completes the receives in listed order.  A receive from the rank
+        itself (the linear reduce's root) folds its own contribution in
+        with a ``compute``, no receive and no hop.  The flavours emit a
+        ``rcv`` hop as a receive completes, before the combine's
+        ``compute``, and a ``snd`` hop after a send.
         """
-        k = len(ranks)
-        if k == 1:
-            return list(values)  # type: ignore[arg-type]
-        rel = ranks.index(self.ctx.rank)
-        if rel == 0:
-            data = list(values)  # type: ignore[arg-type]
-            mask = 1
-            while mask < k:
-                mask <<= 1
-        else:
-            mask = 1
-            while not rel & mask:
-                mask <<= 1
-            # mask is the lowest set bit: the parent cleared it.
-            data = yield from p2p.recv(ranks[rel - mask], n_values)
-        # Forward down the subtree, largest half first; every mask below
-        # the receive bit is clear in ``rel``, so rel + mask is always a
-        # descendant.
-        mask >>= 1
-        while mask:
-            child = rel + mask
-            if child < k:
-                yield from p2p.send(ranks[child], data)
-            mask >>= 1
-        return data
-
-    def _tree_reduce_over(
-        self, ranks: typing.Sequence[int], values: list[float], op: ReduceOp,
-        p2p: _Flavour,
-    ) -> "Program":
-        """Binomial-tree reduce over ``ranks`` with root ``ranks[0]``.
-
-        At mask m every subtree root at list position ``rel`` absorbs
-        the finished accumulator of position ``rel | m``, so the result
-        at the root matches ``reference_reduce(contributions in ranks
-        order, 0, op, tree)``.  Returns the accumulator at the root,
-        None elsewhere.
-        """
-        k = len(ranks)
-        acc = list(values)
-        if k == 1:
-            return acc
-        rel = ranks.index(self.ctx.rank)
-        mask = 1
-        while mask < k:
-            if rel & mask:
-                yield from p2p.send(ranks[rel - mask], acc)
-                return None
-            peer = rel | mask
-            if peer < k:
-                yield from p2p.expect_combine(ranks[peer], acc, op)
-                acc = yield from p2p.recv_combine(ranks[peer], acc, op)
-            mask <<= 1
-        return acc
-
-    def _ring_allreduce_over(
-        self, ranks: typing.Sequence[int], values: list[float], op: ReduceOp,
-        p2p: _Flavour,
-    ) -> "Program":
-        """Ring allreduce over ``ranks``: reduce-scatter, then allgather.
-
-        The vector is split by :func:`~repro.empi.collectives.ring_segments`
-        into one segment per ring position; for k-1 steps each rank
-        streams one segment to its right neighbour and combines the
-        arriving chain into the matching local segment (accumulator
-        first), leaving position i with the fully combined segment
-        (i+1) mod k, which k-1 further steps circulate to everyone.
-        Each rank moves 2(k-1)/k of the vector instead of the tree's
-        log2(k) whole-vector hops — the long-vector win.  The bits match
-        ``reference_allreduce(contributions in ranks order, op, ring)``.
-        """
-        k = len(ranks)
-        acc = list(values)
-        if k == 1:
-            return acc
-        idx = ranks.index(self.ctx.rank)
-        nxt, prv = ranks[(idx + 1) % k], ranks[(idx - 1) % k]
-        segments = ring_segments(len(values), k)
-        for step in range(k - 1):  # reduce-scatter
-            s0, s1 = segments[(idx - step) % k]
-            r0, r1 = segments[(idx - step - 1) % k]
-            if r1 > r0:
-                yield from p2p.expect_combine(prv, acc[r0:r1], op)
-            if s1 > s0:
-                yield from p2p.send(nxt, acc[s0:s1])
-            if r1 > r0:
-                acc[r0:r1] = yield from p2p.recv_combine(prv, acc[r0:r1], op)
-        for step in range(k - 1):  # allgather
-            s0, s1 = segments[(idx + 1 - step) % k]
-            r0, r1 = segments[(idx - step) % k]
-            if s1 > s0:
-                yield from p2p.send(nxt, acc[s0:s1])
-            if r1 > r0:
-                acc[r0:r1] = yield from p2p.recv(prv, r1 - r0)
-        return acc
-
-    def _mcast_bcast(
-        self, root: int, values: list[float] | None, n_values: int,
-        p2p: _DmaFlavour,
-    ) -> "Program":
-        """Hardware broadcast: one multicast descriptor, fabric replication.
-
-        The root posts the packed payload with the all-other-workers
-        bitmask and is done — the DMA engine streams and the switches
-        replicate.  Every other rank takes it off its *multicast*
-        receive stream from the root; delivered bits are the root's
-        payload verbatim, exactly as in the software broadcasts.
-        """
-        ctx = self.ctx
-        if ctx.rank != root:
-            received = yield from p2p.recv(root, n_values)
-            return received
-        group = 0
-        for rank in range(ctx.n_workers):
-            if rank != root:
-                group |= 1 << ctx.node_of(rank)
-        yield from p2p.mcast(group, values, "*")
-        return list(values)  # type: ignore[arg-type]
-
-    def _allreduce_hier(self, values: list[float], op: ReduceOp,
-                        p2p: _TieFlavour) -> "Program":
-        """Hierarchical allreduce: intra-chiplet ring, inter-chiplet tree.
-
-        Three phases, each over rank lists from ``ctx.rank_groups``:
-
-        1. ring allreduce within each chiplet group — every member ends
-           with the group sum, moving 2(k-1)/k of the vector over cheap
-           on-die links;
-        2. binomial-tree reduce of the group sums across the group
-           *leaders* (each group's first rank — the gateway tile, whose
-           switch owns the uplink), then tree broadcast of the total
-           back across the leaders: only log2(C) whole-vector transfers
-           cross the inter-chiplet links;
-        3. binomial-tree broadcast from each leader down its group.
-
-        On a flat topology (``rank_groups`` None) there is one all-ranks
-        group: phase 1 is the plain ring and phases 2-3 vanish, so
-        ``hier`` delivers the ``ring`` bits.  The combine order is
-        exactly :func:`~repro.empi.collectives.reference_allreduce` with
-        ``groups``.
-        """
-        ctx = self.ctx
-        groups = ctx.rank_groups or [list(range(ctx.n_workers))]
-        members = next(g for g in groups if ctx.rank in g)
-        acc = yield from self._ring_allreduce_over(members, values, op, p2p)
-        leaders = [g[0] for g in groups]
-        if len(leaders) > 1:
-            if ctx.rank == members[0]:
-                reduced = yield from self._tree_reduce_over(
-                    leaders, acc, op, p2p
-                )
-                acc = yield from self._tree_bcast_over(
-                    leaders, reduced, len(values), p2p
-                )
-            if len(members) > 1:
-                acc = yield from self._tree_bcast_over(
-                    members,
-                    acc if ctx.rank == members[0] else None,
-                    len(values),
-                    p2p,
-                )
+        me = self.ctx.rank
+        prepost = p2p.prepost
+        acc = [0.0] * n_values if values is None else list(values)
+        for ranks, schedule in plan:
+            if me not in ranks:
+                continue
+            pos = ranks.index(me)
+            for own in schedule.steps(pos):
+                if prepost:
+                    for src, dst, (start, stop), combine in own:
+                        if dst == pos and src != pos and combine:
+                            yield from p2p.expect_combine(
+                                ranks[src], acc[start:stop], op)
+                dsts = []
+                for src, dst, segment, __ in own:
+                    if src == pos and dst != pos:
+                        dsts.append(ranks[dst])
+                        start, stop = segment
+                if dsts:
+                    yield from p2p.send(dsts, acc[start:stop])
+                for src, dst, segment, combine in own:
+                    if dst != pos:
+                        continue
+                    start, stop = segment
+                    if src == pos:
+                        yield from fold(acc, segment, values[start:stop],
+                                        combine, op, self.ctx.cost)
+                    elif combine:
+                        acc[start:stop] = yield from p2p.recv_combine(
+                            ranks[src], acc[start:stop], op
+                        )
+                    else:
+                        acc[start:stop] = yield from p2p.recv(ranks[src], stop - start)
         return acc
 
     def scatter_doubles(
@@ -820,8 +645,8 @@ class Empi(EngineCompletion):
     # -- non-blocking operations (request/progress engine) ---------------------------------
     #
     # Each non-blocking op posts a *communication fragment* on the
-    # engine: the same algorithm bodies as the blocking ops above (so
-    # results are bit-identical either way) run over the fragment
+    # engine: the same schedules as the blocking ops above (so results
+    # are bit-identical either way) run over the fragment
     # flavour of the point-to-point layer — TX descriptors and status
     # polls, so the core keeps running while the TIE streams.  Progress
     # happens inside wait/test and inside overlap() (see
@@ -849,6 +674,7 @@ class Empi(EngineCompletion):
     ) -> "Program":
         """MPI_Ibcast: same combine-free data movement as ``bcast_doubles``."""
         algorithm = CollectiveAlgorithm.parse(algorithm)
+        self._agree("bcast", algorithm, root, n_values)
         return self._post_collective(
             f"ibcast[{algorithm.value}]",
             self._bcast(root, values, n_values, algorithm, frag=True),
@@ -863,6 +689,7 @@ class Empi(EngineCompletion):
     ) -> "Program":
         """MPI_Ireduce: same combine order as ``reduce_doubles``."""
         algorithm = CollectiveAlgorithm.parse(algorithm)
+        self._agree("reduce", algorithm, root, len(values))
         return self._post_collective(
             f"ireduce[{algorithm.value}]",
             self._reduce(root, values, ReduceOp.parse(op), algorithm,
@@ -878,6 +705,7 @@ class Empi(EngineCompletion):
         """MPI_Iallreduce: the blocking ``allreduce_doubles`` schedule
         (bit-identical result), progressed by the engine."""
         algorithm = CollectiveAlgorithm.parse(algorithm)
+        self._agree("allreduce", algorithm, None, len(values))
         return self._post_collective(
             f"iallreduce[{algorithm.value}]",
             self._allreduce(values, ReduceOp.parse(op), algorithm, frag=True),

@@ -15,12 +15,12 @@ the progress engine between MPMMU round trips.  That is the only
 difference between a blocking op and its ``i*`` twin on this backend,
 so delivered bits are equal by construction.
 
-* To add an **algorithm** to :class:`SharedMemoryCollectives`: write one
-  body of publish-slot / ``barrier_state.wait(pause)`` / read-slot
-  rounds taking ``pause``, and dispatch to it from ``_reduce`` /
-  ``_allreduce``; the blocking and ``i*`` entry points already pass the
-  two pauses.  Keep the combine order of the eMPI body of the same name
-  (one reference in :mod:`repro.empi.collectives` validates both).
+* To add an **algorithm**: write one schedule function and one
+  independent reference (see :mod:`repro.empi.schedules`), and pick the
+  schedule in ``_reduce`` / ``_allreduce``;
+  :meth:`SharedMemoryCollectives._execute` runs any schedule as
+  publish-slot / ``barrier_state.wait(pause)`` / read-slot rounds, and
+  the blocking and ``i*`` entry points already pass the two pauses.
 * A new **flavour** here is just another pause op.
 """
 
@@ -33,11 +33,11 @@ from repro.empi.collectives import (
     CollectiveAlgorithm,
     CommModel,
     ReduceOp,
-    combine_cost,
-    combine_values,
-    ring_segments,
 )
 from repro.empi.requests import RESCHEDULE, EngineCompletion, ProgressEngine
+from repro.empi.schedules import (
+    Schedule, fold, linear_bcast, linear_reduce, ring_allreduce, tree_reduce,
+)
 from repro.errors import ConfigError, ProgramError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -243,10 +243,9 @@ class SharedMemoryCollectives(EngineCompletion):
     Every payload word is an uncached MPMMU round trip and every phase
     boundary is a full shared-memory barrier — the serialization the
     paper's Section III charges against the pure-SM model, now measurable
-    per collective.  Combine orders match the message-passing backend
-    exactly (``linear``: root reads slots in ascending rank order;
-    ``tree``: binomial rounds where the parent absorbs the peer's slot),
-    so a program's numerical result is identical under either backend.
+    per collective.  The schedules are the message-passing backend's
+    (:mod:`repro.empi.schedules`), so a program's numerical result is
+    identical under either backend.
     """
 
     model = CommModel.PURE_SM
@@ -391,112 +390,63 @@ class SharedMemoryCollectives(EngineCompletion):
         )
         return result
 
+    def _agree(self, collective: str, root: int | None,
+               n_values: int) -> None:
+        """Report this rank's next collective on this arena to the
+        system's :class:`~repro.empi.schedules.Agreement`."""
+        if self.ctx.agreement is not None:
+            self.ctx.agreement.check(
+                f"pure_sm@{self.slot_base:#x}", self.n_workers, self.ctx.rank,
+                collective, self.algorithm.value, root, n_values)
+
     def bcast(self, root: int, values: list[float] | None,
               n_values: int) -> "Program":
         """Root publishes its slot; everyone reads it back uncached.
 
         The MPMMU serializes all readers whatever the software does, so
-        there is a single sensible SM broadcast and the configured
-        algorithm does not change the traffic pattern.
+        every algorithm runs the linear schedule.
         """
         self._check_engine_idle("bcast")
+        self._agree("bcast", root, n_values)
         result = yield from self._bcast(root, values, n_values, None)
         return result
 
     def _bcast(self, root: int, values: list[float] | None,
                n_values: int, pause: object) -> "Program":
-        ctx = self.ctx
-        barrier = self.barrier_state.wait
-        if ctx.rank == root:
+        if self.ctx.rank == root:
             if values is None or len(values) != n_values:
                 raise ProgramError("broadcast root must supply the payload")
             if self.n_workers == 1:
                 return list(values)
-            yield from self._write_slot(root, values)
-            yield from barrier(pause)
-            result = list(values)
-        else:
-            yield from barrier(pause)
-            result = yield from self._read_slot(root, n_values)
-        # Root may not reuse the arena until every rank has read it.
-        yield from barrier(pause)
+        schedule = linear_bcast(self.n_workers, root, n_values)
+        result = yield from self._execute(
+            schedule, self.ctx.rank, values, n_values, None, pause,
+            republish=False,
+        )
         return result
 
     def reduce(self, root: int, values: list[float],
                op: ReduceOp | str = ReduceOp.SUM) -> "Program":
         self._check_engine_idle("reduce", self.algorithm)
-        result = yield from self._reduce(
-            root, values, ReduceOp.parse(op), None
-        )
+        self._agree("reduce", root, len(values))
+        result = yield from self._reduce(root, values, ReduceOp.parse(op), None)
         return result
 
     def _reduce(self, root: int, values: list[float], op: ReduceOp,
                 pause: object) -> "Program":
-        if self.n_workers == 1:
-            return list(values)
-        if self.algorithm is LINEAR:
-            result = yield from self._reduce_linear(root, values, op, pause)
-        else:
-            result = yield from self._reduce_tree(root, values, op, pause)
-        yield from self.barrier_state.wait(pause)
-        return result
-
-    def _reduce_linear(self, root: int, values: list[float],
-                       op: ReduceOp, pause: object) -> "Program":
-        """Everyone publishes; the root combines in ascending rank order."""
-        ctx = self.ctx
-        n_values = len(values)
-        yield from self._write_slot(ctx.rank, values)
-        yield from self.barrier_state.wait(pause)
-        if ctx.rank != root:
-            return None
-        acc: list[float] | None = None
-        for rank in range(self.n_workers):
-            if rank == ctx.rank:
-                contrib = list(values)
-            else:
-                contrib = yield from self._read_slot(rank, n_values)
-            if acc is None:
-                acc = contrib
-            else:
-                acc = combine_values(acc, contrib, op)
-                yield ("compute", combine_cost(ctx.cost, n_values, op))
-        return acc
-
-    def _reduce_tree(self, root: int, values: list[float],
-                     op: ReduceOp, pause: object) -> "Program":
-        """Binomial rounds: parents absorb their peer's slot each round.
-
-        Slots are indexed by *relative* rank so the tree arithmetic
-        matches the message-passing backend bit for bit; a barrier
-        separates rounds (a parent may only read a slot its child has
-        finished updating).
-        """
-        ctx = self.ctx
         n = self.n_workers
-        n_values = len(values)
-        barrier = self.barrier_state.wait
-        relative = (ctx.rank - root) % n
-        yield from self._write_slot(relative, values)
-        acc = list(values)
-        done = False
-        mask = 1
-        while mask < n:
-            yield from barrier(pause)
-            if not done:
-                if relative & mask:
-                    # Our accumulator is final; the parent reads our slot.
-                    done = True
-                else:
-                    peer = relative | mask
-                    if peer != relative and peer < n:
-                        other = yield from self._read_slot(peer, n_values)
-                        acc = combine_values(acc, other, op)
-                        yield ("compute", combine_cost(ctx.cost, n_values, op))
-                        yield from self._write_slot(relative, acc)
-            mask <<= 1
-        yield from barrier(pause)
-        return acc if ctx.rank == root else None
+        if n == 1:
+            return list(values)
+        rank = self.ctx.rank
+        tree = self.algorithm.rooted() is not LINEAR
+        if tree:
+            schedule, slot = tree_reduce(n, len(values)), (rank - root) % n
+        else:
+            schedule, slot = linear_reduce(n, root, len(values)), rank
+        acc = yield from self._execute(
+            schedule, slot, values, len(values), op, pause, republish=tree
+        )
+        return acc if rank == root else None
 
     def allreduce(self, values: list[float],
                   op: ReduceOp | str = ReduceOp.SUM) -> "Program":
@@ -504,58 +454,74 @@ class SharedMemoryCollectives(EngineCompletion):
             # Named for the op the caller issued (parity with Empi's
             # allreduce guard), not the inner reduce/bcast legs.
             self._check_engine_idle("allreduce", self.algorithm)
+        self._agree("allreduce", None, len(values))
         result = yield from self._allreduce(values, ReduceOp.parse(op), None)
         return result
 
     def _allreduce(self, values: list[float], op: ReduceOp,
                    pause: object) -> "Program":
         if self.algorithm is RING and self.n_workers > 1:
-            result = yield from self._allreduce_ring(values, op, pause)
+            result = yield from self._execute(
+                ring_allreduce(self.n_workers, len(values)), self.ctx.rank,
+                values, len(values), op, pause, republish=False,
+            )
             return result
         # Reduce at rank 0 (None elsewhere), then broadcast it.
         reduced = yield from self._reduce(0, values, op, pause)
         result = yield from self._bcast(0, reduced, len(values), pause)
         return result
 
-    def _allreduce_ring(self, values: list[float], op: ReduceOp,
-                        pause: object) -> "Program":
-        """Ring allreduce over the slot arena: the pure-SM mirror.
+    def _execute(self, schedule: Schedule, slot: int,
+                 values: list[float] | None, n_values: int,
+                 op: ReduceOp | None, pause: object,
+                 republish: bool) -> "Program":
+        """Run the part of ``schedule`` at position ``slot`` over the arena.
 
-        Same :func:`~repro.empi.collectives.ring_segments` partition and
-        the same accumulator-first combine order as the message-passing
-        ring, so delivered bits are identical; but every segment hop is
-        publish-own-slot / barrier / read-left-neighbour's-slot /
-        barrier — 2(P-1) barrier pairs of MPMMU round trips, the
-        serialization the hybrid ring does not pay.
+        A position is a slot: the relative rank for the tree, the rank
+        for linear and ring.  A send publishes the segment to the
+        sender's slot; a receive reads the sender's slot back after a
+        barrier, one from the rank itself (the linear reduce's root)
+        reads nothing and folds its own contribution in with a
+        ``compute``.  The accumulator starts as ``values`` (zeros for a
+        broadcast receiver); ``pause`` is yielded between barrier polls.
+        Two round shapes, which the pins hold:
+
+        * ``republish`` (the tree): every rank publishes before the first
+          round and after every combine, the root included; a round is
+          barrier, reads; the run closes with two barriers;
+        * otherwise (linear, ring, and every broadcast, which ignores the
+          algorithm): a round is publish once (if sending), barrier,
+          reads, barrier, so a linear run closes with one barrier.
         """
-        ctx = self.ctx
-        n = self.n_workers
         barrier = self.barrier_state.wait
-        segments = ring_segments(len(values), n)
-        acc = list(values)
-        rank = ctx.rank
-        prv = (rank - 1) % n
-        for phase in ("reduce_scatter", "allgather"):
-            for step in range(n - 1):
-                if phase == "reduce_scatter":
-                    s0, s1 = segments[(rank - step) % n]
-                    r0, r1 = segments[(rank - step - 1) % n]
+        cost = self.ctx.cost
+        acc = [0.0] * n_values if values is None else list(values)
+        if republish:
+            yield from self._write_slot(slot, acc)
+        for own in schedule.steps(slot):
+            if not republish:
+                for src, __, (start, stop), __ in own:
+                    if src == slot:
+                        yield from self._write_slot(slot, acc[start:stop])
+                        break
+            yield from barrier(pause)
+            for src, dst, segment, combine in own:
+                start, stop = segment
+                if dst != slot:
+                    continue
+                if src == slot:
+                    other = values[start:stop]
                 else:
-                    s0, s1 = segments[(rank + 1 - step) % n]
-                    r0, r1 = segments[(rank - step) % n]
-                if s1 > s0:
-                    yield from self._write_slot(rank, acc[s0:s1])
-                yield from barrier(pause)
-                n_recv = r1 - r0
-                if n_recv:
-                    other = yield from self._read_slot(prv, n_recv)
-                    if phase == "reduce_scatter":
-                        acc[r0:r1] = combine_values(acc[r0:r1], other, op)
-                        yield ("compute", combine_cost(ctx.cost, n_recv, op))
-                    else:
-                        acc[r0:r1] = other
+                    other = yield from self._read_slot(src, stop - start)
+                yield from fold(acc, segment, other, combine, op, cost)
+                if republish:
+                    yield from self._write_slot(slot, acc)
+            if not republish:
                 # A slot may only be republished once its reader is done.
                 yield from barrier(pause)
+        if republish:
+            yield from barrier(pause)
+            yield from barrier(pause)
         return acc
 
     def scatter(self, root: int, chunks: list[list[float]] | None,
@@ -635,12 +601,14 @@ class SharedMemoryCollectives(EngineCompletion):
 
     def ibcast(self, root: int, values: list[float] | None,
                n_values: int) -> "Program":
+        self._agree("bcast", root, n_values)
         return self._post_collective(
             "ibcast", self._bcast(root, values, n_values, RESCHEDULE)
         )
 
     def ireduce(self, root: int, values: list[float],
                 op: ReduceOp | str = ReduceOp.SUM) -> "Program":
+        self._agree("reduce", root, len(values))
         return self._post_collective(
             "ireduce",
             self._reduce(root, values, ReduceOp.parse(op), RESCHEDULE),
@@ -648,6 +616,7 @@ class SharedMemoryCollectives(EngineCompletion):
 
     def iallreduce(self, values: list[float],
                    op: ReduceOp | str = ReduceOp.SUM) -> "Program":
+        self._agree("allreduce", None, len(values))
         return self._post_collective(
             "iallreduce",
             self._allreduce(values, ReduceOp.parse(op), RESCHEDULE),

@@ -89,6 +89,7 @@ from repro.pe.costmodel import FpCostModel
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.empi.runtime import Empi
+    from repro.empi.schedules import Agreement
 
 #: Type alias for program generators.
 Program = Generator[tuple, object, None]
@@ -143,6 +144,10 @@ class ProgramContext:
         #: Whether eMPI brackets collectives with critical-path events
         #: (TelemetryConfig.attribution); set by the system builder.
         self.attribution = False
+        #: The loaded system's :class:`~repro.empi.schedules.Agreement`,
+        #: shared by all its ranks (None: collectives go unchecked); set
+        #: by the system builder.
+        self.agreement: "Agreement | None" = None
 
     # -- address helpers -----------------------------------------------------
 

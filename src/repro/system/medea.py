@@ -10,6 +10,7 @@ from repro.dma.engine import DmaTxEngine
 from repro.cache.l1 import LINE_BYTES, L1Cache, WritePolicy
 from repro.empi.requests import OverlapFold
 from repro.empi.runtime import Empi
+from repro.empi.schedules import Agreement
 from repro.errors import ConfigError, MemoryAccessError
 from repro.faults import FaultInjector
 from repro.kernel.simulator import Simulator
@@ -395,8 +396,10 @@ class MedeaSystem:
                 f"need {self.config.n_workers} programs, got {len(factories)}"
             )
         self.contexts = []
+        agreement = Agreement()
         for rank, factory in enumerate(factories):
             ctx = self.context_for(rank)
+            ctx.agreement = agreement
             self.contexts.append(ctx)
             self.nodes[rank].load_program(factory(ctx))
 

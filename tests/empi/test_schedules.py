@@ -1,0 +1,244 @@
+"""One schedule per algorithm, run by both executors, held to the references.
+
+Each collective algorithm is one schedule function in
+:mod:`repro.empi.schedules`; the message-passing executor (TIE or DMA
+flavour) and the slot-arena executor run it.  Here:
+
+* a drawn differential: P, vector length (zero included), root, op,
+  path and blocking-vs-``i<op>`` drawn; every rank's result must equal
+  the independent reference of :mod:`repro.empi.collectives` bit for
+  bit (40 examples; ``MEDEA_FULL=1`` runs 400);
+* a zero-length collective returns ``[]`` on every path;
+* a communicator whose members disagree on their k-th collective ends
+  in a typed :class:`~repro.errors.ProgramError` naming it (the
+  ``typed_error`` tests, also run under ``python -O``);
+* the schedules' shapes, read without simulating.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.dse.registry import full_scale_requested
+from repro.empi.collectives import (
+    make_comm,
+    reference_allreduce,
+    reference_reduce,
+)
+from repro.empi.schedules import (
+    hier_allreduce,
+    linear_bcast,
+    linear_reduce,
+    ring_allreduce,
+    tree_bcast,
+    tree_reduce,
+)
+from repro.errors import ProgramError
+from repro.system.config import SystemConfig
+from repro.system.medea import MedeaSystem
+from tests.empi.cycle_pins import COLLECTIVES, COMBOS
+
+#: Every path of the pin table; the chiplet package sized to fit any P.
+PATHS = {
+    name: (combo.model, combo.algorithm,
+           {k: v for k, v in combo.overrides.items() if k != "chiplet_grid"})
+    for name, combo in COMBOS.items()
+}
+
+
+def run(collective, path, contributions, root=0, op="sum", blocking=True,
+        n_values=None):
+    """Run one collective on every rank; return (results, rank groups).
+
+    ``contributions[r]`` is rank r's vector (a bcast reads only the
+    root's); ``n_values`` defaults to each rank's own length.
+    """
+    model, algorithm, overrides = PATHS[path]
+    n_workers = len(contributions)
+    out = {}
+
+    def factory(rank):
+        def program(ctx):
+            mine = contributions[rank]
+            length = len(mine) if n_values is None else n_values[rank]
+            comm = make_comm(ctx, model, algorithm,
+                             max_values=max([1, *map(len, contributions)]))
+            if collective == "bcast":
+                args = (root, mine if rank == root else None, length)
+            elif collective == "reduce":
+                args = (root, mine, op)
+            else:
+                args = (mine, op)
+            yield from comm.barrier()
+            if blocking:
+                out[rank] = yield from getattr(comm, collective)(*args)
+            else:
+                request = yield from getattr(comm, "i" + collective)(*args)
+                out[rank] = yield from comm.wait(request)
+            yield from comm.barrier()
+        return program
+
+    system = MedeaSystem(SystemConfig(
+        n_workers=n_workers, cache_size_kb=2, **overrides
+    ))
+    system.load_programs([factory(r) for r in range(n_workers)])
+    system.run(max_cycles=2_000_000)
+    return out, system.rank_groups
+
+
+def expected(collective, path, contributions, root, op, groups):
+    algorithm = PATHS[path][1]
+    n_workers = len(contributions)
+    if collective == "bcast":
+        return dict.fromkeys(range(n_workers), contributions[root])
+    if collective == "reduce":
+        result = dict.fromkeys(range(n_workers))
+        result[root] = reference_reduce(contributions, root, op, algorithm)
+        return result
+    return dict.fromkeys(range(n_workers), reference_allreduce(
+        contributions, op, algorithm, groups=groups
+    ))
+
+
+def bits(results):
+    """Results with every double as its exact bits (-0.0 is not 0.0)."""
+    return {rank: None if vector is None else [v.hex() for v in vector]
+            for rank, vector in results.items()}
+
+
+# -- the drawn differential ------------------------------------------------------
+
+
+@settings(
+    max_examples=400 if full_scale_requested() else 40,
+    derandomize=True, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    n_workers=st.sampled_from(range(1, 10)),
+    n_values=st.sampled_from(range(21)),
+    root_draw=st.integers(0, 8),
+    op=st.sampled_from(["sum", "max"]),
+    path=st.sampled_from(sorted(PATHS)),
+    collective=st.sampled_from(COLLECTIVES),
+    blocking=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_drawn_collectives_match_the_references(
+    n_workers, n_values, root_draw, op, path, collective, blocking, seed,
+):
+    rng = random.Random(seed)
+    contributions = [[rng.uniform(-4.0, 4.0) for __ in range(n_values)]
+                     for __ in range(n_workers)]
+    root = root_draw % n_workers
+    out, groups = run(collective, path, contributions, root, op, blocking)
+    assert bits(out) == bits(
+        expected(collective, path, contributions, root, op, groups)
+    ), f"{collective} on {path}, P={n_workers}, n={n_values}, root {root}"
+
+
+# -- zero-length collectives -----------------------------------------------------
+
+
+@pytest.mark.parametrize("blocking", [True, False])
+@pytest.mark.parametrize("collective", COLLECTIVES)
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_zero_length_collectives_return_empty(path, collective, blocking):
+    out, __ = run(collective, path, [[], []], root=1, blocking=blocking)
+    if collective == "reduce":
+        assert out == {0: None, 1: []}
+    else:
+        assert out == {0: [], 1: []}
+
+
+# -- disagreeing members: typed errors -------------------------------------------
+
+MISMATCH_PATHS = ["empi-linear", "empi-tree", "empi-ring", "empi-ring-dma",
+                  "empi-hw", "sm-linear", "sm-tree", "sm-ring"]
+
+
+@pytest.mark.parametrize("lengths", [(4, 3, 4, 4), (4, 5, 4, 4)])
+@pytest.mark.parametrize("blocking", [True, False])
+@pytest.mark.parametrize("path", MISMATCH_PATHS)
+def test_mismatched_lengths_raise_a_typed_error(path, blocking, lengths):
+    contributions = [[float(r + 1)] * n for r, n in enumerate(lengths)]
+    with pytest.raises(ProgramError) as caught:
+        run("allreduce", path, contributions, blocking=blocking)
+    message = str(caught.value)
+    assert message.startswith("allreduce #0 ")
+    assert "rank 1 issued n_values=" + str(lengths[1]) in message
+    assert "n_values=4" in message
+
+
+@pytest.mark.parametrize("path", ["empi-tree", "empi-hw", "sm-linear"])
+def test_mismatched_bcast_lengths_raise_a_typed_error(path):
+    with pytest.raises(ProgramError, match=r"bcast #0 .*n_values=3.*n_values=2"
+                       r"|bcast #0 .*n_values=2.*n_values=3"):
+        run("bcast", path, [[1.0, 2.0, 3.0]] * 3, n_values=[3, 3, 2])
+
+
+def test_mismatched_collectives_raise_a_typed_error():
+    def factory(rank):
+        def program(ctx):
+            comm = make_comm(ctx, "empi", "tree")
+            yield from comm.allreduce([1.0])
+            if rank == 2:
+                yield from comm.reduce(1, [2.0])
+            else:
+                yield from comm.bcast(1, [2.0] if rank == 1 else None, 1)
+        return program
+
+    system = MedeaSystem(SystemConfig(n_workers=3, cache_size_kb=2))
+    system.load_programs([factory(r) for r in range(3)])
+    with pytest.raises(ProgramError,
+                       match=r"#1 \(empi\): rank \d issued collective="):
+        system.run(max_cycles=200_000)
+
+
+# -- the schedules, read without simulating --------------------------------------
+
+
+def pairs(schedule):
+    return [[(src, dst) for src, dst, __, __ in transfers]
+            for transfers in schedule.rounds]
+
+
+def test_a_position_sees_its_own_transfers_in_listed_order():
+    schedule = linear_bcast(4, 2, 5)
+    assert schedule.steps(2) == (((2, 0, (0, 5), False), (2, 1, (0, 5), False),
+                                  (2, 3, (0, 5), False)),)
+    assert schedule.steps(0) == (((2, 0, (0, 5), False),),)
+
+
+def test_linear_reduce_folds_the_root_in_at_its_place():
+    assert linear_reduce(3, 1, 4).rounds == ((
+        (0, 1, (0, 4), False), (1, 1, (0, 4), True), (2, 1, (0, 4), True),
+    ),)
+
+
+def test_binomial_trees_from_position_zero():
+    assert pairs(tree_reduce(5, 1)) == [[(1, 0), (3, 2)], [(2, 0)], [(4, 0)]]
+    assert pairs(tree_bcast(5, 1)) == [[(0, 4)], [(0, 2)], [(0, 1), (2, 3)]]
+
+
+def test_empty_segments_are_dropped_rounds_kept():
+    schedule = ring_allreduce(4, 2)
+    assert len(schedule.rounds) == 6
+    assert all(len(transfers) == 2 for transfers in schedule.rounds)
+    assert linear_reduce(2, 0, 0).rounds == ((),)
+    # Segments 2 and 3 are empty: position 3 sits the first round out.
+    assert pairs(schedule)[0] == [(0, 1), (1, 2)] and schedule.steps(3)[0] == ()
+
+
+def test_hier_plans_the_ring_per_group_then_the_leaders():
+    assert hier_allreduce(((0, 1, 2),), 6) == (((0, 1, 2), ring_allreduce(3, 6)),)
+    groups = ((0, 1), (2, 3, 4))
+    assert hier_allreduce(groups, 6) == (
+        ((0, 1), ring_allreduce(2, 6)), ((2, 3, 4), ring_allreduce(3, 6)),
+        ((0, 2), tree_reduce(2, 6)), ((0, 2), tree_bcast(2, 6)),
+        ((0, 1), tree_bcast(2, 6)), ((2, 3, 4), tree_bcast(3, 6)),
+    )

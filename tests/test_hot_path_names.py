@@ -28,6 +28,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 HOT_PACKAGES = ("kernel", "noc", "pe", "bridge", "mpmmu", "dma", "cache", "mem")
 HOT_MODULES = (
     "faults.py", "empi/runtime.py", "empi/collectives.py", "empi/smsync.py",
+    "empi/schedules.py",
 )
 
 _ENUM_BASES = {"Enum", "IntEnum"}
