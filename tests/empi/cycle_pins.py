@@ -1,11 +1,15 @@
-"""Exact ``total_cycles`` and hop pins for bcast / reduce / allreduce.
+"""Exact ``total_cycles`` and hop pins for every collective.
 
 Every (collective, backend, algorithm, point-to-point path) combination
-is run blocking and non-blocking (``i<op>`` + ``wait``) across mesh
-sizes, roots and vector lengths, and its end-to-end cycle count held to
-the golden store's ``collective_cycles`` table (``tests/goldens.py``);
-delivered vectors are checked against the combine-order references on
-the way.  A refactor of the collective bodies must emit every timed op
+of bcast / reduce / allreduce is run blocking and non-blocking
+(``i<op>`` + ``wait``) across mesh sizes, roots and vector lengths, and
+its end-to-end cycle count held to the golden store's
+``collective_cycles`` table (``tests/goldens.py``); delivered vectors
+are checked against the combine-order references on the way.  Scatter
+and gather, always linear and with no ``i*`` form, are pinned blocking
+on the combinations that differ for them: each model's flat path, the
+hierarchical barrier under the slot arena, and eMPI on the chiplet
+package.  A refactor of the collective bodies must emit every timed op
 in the same order, i.e. leave this table unchanged.
 
 The ``hops/`` keys of the same table hold what cycle counts cannot: the
@@ -30,6 +34,10 @@ from repro.system.medea import MedeaSystem
 from repro.telemetry.config import TelemetryConfig
 
 COLLECTIVES = ("bcast", "reduce", "allreduce")
+SCATTER_GATHER = ("scatter", "gather")
+SCATTER_GATHER_COMBOS = (
+    "empi-linear", "sm-linear", "sm-tree-chiplet", "empi-hier-chiplet",
+)
 N_VALUES = (2, 16)  # 2 < P everywhere: the ring runs with empty segments
 ROOTS = (0, 2)
 
@@ -88,6 +96,10 @@ def run_point(collective: str, combo: Combo, n_workers: int, root: int,
                 args = (root, mine if rank == root else None, n_values)
             elif collective == "reduce":
                 args = (root, mine)
+            elif collective == "scatter":
+                args = (root, contribs if rank == root else None, n_values)
+            elif collective == "gather":
+                args = (root, mine)
             else:
                 args = (mine,)
             yield from comm.barrier()
@@ -111,6 +123,11 @@ def run_point(collective: str, combo: Combo, n_workers: int, root: int,
         expected[root] = reference_reduce(
             contribs, root, "sum", combo.algorithm
         )
+    elif collective == "scatter":
+        expected = dict(enumerate(contribs))
+    elif collective == "gather":
+        expected = dict.fromkeys(range(n_workers))
+        expected[root] = contribs
     else:
         expected = dict.fromkeys(range(n_workers), reference_allreduce(
             contribs, "sum", combo.algorithm, groups=system.rank_groups
@@ -123,6 +140,7 @@ def points(collective: str, combo_name: str) -> dict[str, tuple]:
     """Every table point of one (collective, combo): key -> its arguments."""
     combo = COMBOS[combo_name]
     roots = (0,) if collective == "allreduce" else ROOTS
+    modes = (True,) if collective in SCATTER_GATHER else (True, False)
     return {
         f"{collective}/{combo_name}/P{n_workers}/root{root}/n{n_values}/"
         f"{'blocking' if blocking else 'nonblocking'}":
@@ -130,7 +148,7 @@ def points(collective: str, combo_name: str) -> dict[str, tuple]:
         for n_workers in combo.sizes
         for root in roots
         for n_values in N_VALUES
-        for blocking in (True, False)
+        for blocking in modes
     }
 
 
@@ -177,16 +195,26 @@ def measure_hops(collective: str) -> dict[str, list]:
     return measured
 
 
+def _tables():
+    """Every (collective, combo) the table covers."""
+    for collective in COLLECTIVES:
+        for combo_name in COMBOS:
+            yield collective, combo_name
+    for collective in SCATTER_GATHER:
+        for combo_name in SCATTER_GATHER_COMBOS:
+            yield collective, combo_name
+
+
 PIN_KEYS = tuple(
-    key for collective in COLLECTIVES
-    for combo_name in COMBOS for key in points(collective, combo_name)
+    key for collective, combo_name in _tables()
+    for key in points(collective, combo_name)
 ) + tuple(key for collective in COLLECTIVES for key in hop_points(collective))
 
 
 def measure_pins() -> dict:
     pins: dict = {}
+    for collective, combo_name in _tables():
+        pins.update(measure(collective, combo_name))
     for collective in COLLECTIVES:
-        for combo_name in COMBOS:
-            pins.update(measure(collective, combo_name))
         pins.update(measure_hops(collective))
     return pins

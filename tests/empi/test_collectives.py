@@ -25,6 +25,8 @@ from repro.empi.smsync import SharedMemoryChannel, SharedMemoryCollectives
 from repro.errors import ConfigError, ProgramError
 from repro.system.config import SystemConfig
 from tests.conftest import run_programs
+from tests.empi.cycle_pins import SCATTER_GATHER, SCATTER_GATHER_COMBOS, measure
+from tests.goldens import check
 
 MODELS = ("empi", "pure_sm")
 ALGORITHMS = ("linear", "tree")
@@ -205,6 +207,14 @@ def test_single_worker_collectives_are_local(model):
     assert results["allreduce"] == mine
     assert results["scatter"] == mine
     assert results["gather"] == [mine]
+
+
+@pytest.mark.parametrize("collective", SCATTER_GATHER)
+@pytest.mark.parametrize("combo", SCATTER_GATHER_COMBOS)
+def test_scatter_and_gather_cycles_are_pinned(collective, combo):
+    """Exact total cycles of the blocking scatter and gather, P x root
+    x length, delivered vectors checked on the way."""
+    check("collective_cycles", measure(collective, combo))
 
 
 def test_backends_agree_bit_for_bit():
