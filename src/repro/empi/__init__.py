@@ -5,8 +5,8 @@ Section II-E: "we implemented a subset of MPI APIs called embedded-MPI
 MPI_barrier() ... a direct communication between cores is possible totally
 avoiding in some cases the access to the global-memory."
 
-:mod:`repro.empi.runtime` provides those three primitives (plus gather /
-broadcast / allreduce conveniences built from them) over the TIE port
+:mod:`repro.empi.runtime` provides those three primitives (plus the
+eMPI collective backend built from them) over the TIE port
 operations.  :mod:`repro.empi.smsync` provides the *shared-memory*
 synchronization used by the pure-SM baseline: MPMMU lock/unlock sections
 and a sense-reversing barrier that spins on an uncached flag — every poll

@@ -1,15 +1,17 @@
-"""Collective communication: algorithms, references, and the backend facade.
+"""Collective communication: algorithms, references, and the one front.
 
 The paper's evaluation stops at barriers; its future-work section asks for
 "standard parallel benchmarks", and those live or die on collectives.
 This module gives MEDEA programs MPI-style collectives — broadcast,
 reduce, allreduce, scatter and gather — each runnable over **both**
-programming models:
+programming models.  A collective call is accepted in one front
+(:class:`Communicator`); a backend supplies its plan choice and
+executor:
 
-* the hybrid message-passing path (:class:`EmpiCollectives`, delegating
-  to the vector collectives on :class:`~repro.empi.runtime.Empi`): data
-  rides the TIE streams, synchronization rides single-flit request
-  tokens, and the MPMMU is never touched;
+* the hybrid message-passing path
+  (:class:`~repro.empi.runtime.EmpiCollectives`): data rides the TIE
+  streams, synchronization rides single-flit request tokens, and the
+  MPMMU is never touched;
 * the pure shared-memory path
   (:class:`~repro.empi.smsync.SharedMemoryCollectives`): every word is an
   uncached MPMMU round trip and every phase is a shared-memory barrier —
@@ -22,7 +24,7 @@ combine order and the pure-python reference functions here replicate it
 *exactly*, written independently of the schedules.  Apps validate bit
 for bit against these references, never against a reordered numpy
 shortcut.  To add an algorithm, write one schedule function and one
-independent reference.
+independent reference, and pick it in each backend's plan choice.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import enum
 import typing
 
 from repro.empi.requests import EngineCompletion
-from repro.errors import ConfigError, parse_enum
-from repro.kernel.trace import PHASE_ENTER, PHASE_EXIT
+from repro.errors import ConfigError, ProgramError, parse_enum
+from repro.kernel import trace
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pe.program import Program, ProgramContext
@@ -279,137 +281,150 @@ def reference_allreduce(
 
 
 # ---------------------------------------------------------------------------
-# The backend facade
+# The collective front, written once for both models
 # ---------------------------------------------------------------------------
 
 
-class EmpiCollectives(EngineCompletion):
-    """Message-passing backend: collectives over TIE streams and tokens.
+class Communicator(EngineCompletion):
+    """One rank's collectives: a call is accepted here, once for both models.
 
-    A thin adapter presenting the shared collective interface (``barrier``
-    / ``bcast`` / ``reduce`` / ``allreduce`` / ``scatter`` / ``gather``)
-    on top of :class:`~repro.empi.runtime.Empi`, with the algorithm
-    chosen once at construction — the sweep axis the DSE harness turns.
+    Each collective is one method.  It checks the root and the root's
+    payload, parses the op and reports the call to the system's
+    :class:`~repro.empi.schedules.Agreement`.  A blocking call then runs
+    the engine-idle guard and is bracketed with zero-cycle phase notes,
+    so the trace exporter renders it as a span; an ``i<op>`` call is
+    posted in the engine's ``"collective"`` turn under the label
+    ``i<op>[<algorithm>]``.  A backend supplies what differs between the
+    models: its plan choice and executor (``_bcast`` / ``_reduce`` /
+    ``_allreduce``, run blocking or as a posted request's fragment per
+    ``frag``), its ``_scatter`` / ``_gather`` bodies, and ``barrier``,
+    ``send``, ``recv``, ``isend`` and ``irecv``; plus the attributes
+    ``ctx``, ``engine``, ``algorithm`` (chosen once at construction, the
+    sweep axis the DSE harness turns), ``n_workers`` and ``comm_name``
+    (the communicator's name in the agreement).
     """
 
-    model = CommModel.EMPI
-
-    def __init__(
-        self,
-        ctx: "ProgramContext",
-        algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR,
-    ) -> None:
-        if ctx.empi is None:
-            raise ConfigError("context has no eMPI endpoint bound")
-        self.ctx = ctx
-        self.empi = ctx.empi
-        self.engine = ctx.empi.engine
-        self.algorithm = CollectiveAlgorithm.parse(algorithm)
-
-    def _phased(self, label: str, frag: "Program") -> "Program":
-        """Bracket a blocking collective with zero-cycle phase notes.
-
-        The notes cost nothing in simulated time (``note`` ops are
-        zero-cycle) and let the trace exporter render each collective as
-        a span on the rank's timeline.
-        """
-        yield ("note", PHASE_ENTER, label, None)
-        result = yield from frag
-        yield ("note", PHASE_EXIT, label, None)
-        return result
-
-    def barrier(self) -> "Program":
-        yield from self._phased("barrier", self.empi.barrier())
-
-    def send(self, dst_rank: int, values: list[float]) -> "Program":
-        """Blocking point-to-point send of doubles (MPI_send)."""
-        yield from self.empi.send_doubles(dst_rank, values)
-
-    def recv(self, src_rank: int, n_values: int) -> "Program":
-        """Blocking point-to-point receive of doubles (MPI_receive)."""
-        result = yield from self.empi.recv_doubles(src_rank, n_values)
-        return result
+    model: CommModel
+    algorithm: CollectiveAlgorithm
+    n_workers: int
+    comm_name: str
 
     def bcast(self, root: int, values: list[float] | None,
               n_values: int) -> "Program":
-        result = yield from self._phased(
-            f"bcast[{self.algorithm.value}]",
-            self.empi.bcast_doubles(
-                root, values, n_values, algorithm=self.algorithm
-            ),
-        )
-        return result
+        """MPI_bcast: every rank returns the root's ``n_values`` doubles."""
+        self._check_payload(root, values, n_values)
+        return self._blocking("bcast", root, n_values,
+                              self._bcast(root, values, n_values, False))
 
     def reduce(self, root: int, values: list[float],
                op: ReduceOp | str = ReduceOp.SUM) -> "Program":
-        result = yield from self._phased(
-            f"reduce[{self.algorithm.value}]",
-            self.empi.reduce_doubles(
-                root, values, op=op, algorithm=self.algorithm
-            ),
-        )
-        return result
+        """MPI_reduce: elementwise ``op`` of every rank's vector at
+        ``root`` (``None`` elsewhere), bit for bit
+        :func:`reference_reduce`."""
+        op = ReduceOp.parse(op)
+        return self._blocking("reduce", root, len(values),
+                              self._reduce(root, values, op, False))
 
     def allreduce(self, values: list[float],
                   op: ReduceOp | str = ReduceOp.SUM) -> "Program":
-        result = yield from self._phased(
-            f"allreduce[{self.algorithm.value}]",
-            self.empi.allreduce_doubles(
-                values, op=op, algorithm=self.algorithm
-            ),
-        )
-        return result
+        """MPI_allreduce: every rank returns :func:`reference_allreduce`."""
+        op = ReduceOp.parse(op)
+        return self._blocking("allreduce", None, len(values),
+                              self._allreduce(values, op, False))
 
     def scatter(self, root: int, chunks: list[list[float]] | None,
                 n_values: int) -> "Program":
-        result = yield from self._phased(
-            "scatter",
-            self.empi.scatter_doubles(root, chunks, n_values),
-        )
-        return result
+        """MPI_scatter: rank r returns the root's ``chunks[r]``.  Root-
+        centric by definition, so always linear."""
+        if self.ctx.rank == root:
+            if chunks is None or len(chunks) != self.n_workers:
+                raise ProgramError("scatter root must supply one chunk per rank")
+            if any(len(chunk) != n_values for chunk in chunks):
+                raise ProgramError(f"scatter chunks must hold {n_values} values")
+        self._accept("scatter", LINEAR, root, n_values, True)
+        return self._phase("scatter", self._scatter(root, chunks, n_values))
 
     def gather(self, root: int, values: list[float]) -> "Program":
-        result = yield from self._phased(
-            "gather", self.empi.gather_doubles(root, values)
-        )
-        return result
-
-    # -- non-blocking interface (mirrored by SharedMemoryCollectives) -------
-    #
-    # Thin delegation to the Empi request layer, with the backend's
-    # configured algorithm applied to the collectives, so application
-    # code is backend-agnostic for overlap exactly as it is for the
-    # blocking collectives.  wait/test/overlap come from
-    # EngineCompletion over the endpoint's engine.
-
-    def isend(self, dst_rank: int, values: list[float]) -> "Program":
-        request = yield from self.empi.isend(dst_rank, values)
-        return request
-
-    def irecv(self, src_rank: int, n_values: int) -> "Program":
-        request = yield from self.empi.irecv(src_rank, n_values)
-        return request
+        """MPI_gather: the root returns every rank's vector in rank order
+        (``None`` elsewhere); always linear."""
+        self._accept("gather", LINEAR, root, len(values), True)
+        return self._phase("gather", self._gather(root, values))
 
     def ibcast(self, root: int, values: list[float] | None,
                n_values: int) -> "Program":
-        request = yield from self.empi.ibcast_doubles(
-            root, values, n_values, algorithm=self.algorithm
-        )
-        return request
+        """MPI_Ibcast: ``bcast`` as a request; ``wait`` returns its result."""
+        self._check_payload(root, values, n_values)
+        return self._posted("bcast", root, n_values,
+                            self._bcast(root, values, n_values, True))
 
     def ireduce(self, root: int, values: list[float],
                 op: ReduceOp | str = ReduceOp.SUM) -> "Program":
-        request = yield from self.empi.ireduce_doubles(
-            root, values, op=op, algorithm=self.algorithm
-        )
-        return request
+        """MPI_Ireduce: ``reduce`` as a request, the same combine order."""
+        op = ReduceOp.parse(op)
+        return self._posted("reduce", root, len(values),
+                            self._reduce(root, values, op, True))
 
     def iallreduce(self, values: list[float],
                    op: ReduceOp | str = ReduceOp.SUM) -> "Program":
-        request = yield from self.empi.iallreduce_doubles(
-            values, op=op, algorithm=self.algorithm
+        """MPI_Iallreduce: ``allreduce`` as a request, the same bits."""
+        op = ReduceOp.parse(op)
+        return self._posted("allreduce", None, len(values),
+                            self._allreduce(values, op, True))
+
+    # -- acceptance -------------------------------------------------------------
+
+    def _check_payload(self, root: int, values: list[float] | None,
+                       n_values: int) -> None:
+        if self.ctx.rank == root and (values is None or len(values) != n_values):
+            raise ProgramError("broadcast root must supply the payload")
+
+    def _accept(self, collective: str, algorithm: CollectiveAlgorithm,
+                root: int | None, n_values: int, blocking: bool) -> None:
+        """Check ``root``, report the call to the agreement and refuse a
+        blocking call while requests are outstanding."""
+        ctx = self.ctx
+        if root is not None and not 0 <= root < self.n_workers:
+            raise ProgramError(
+                f"rank {ctx.rank}: {collective} root {root} is not a rank "
+                f"of this communicator (0..{self.n_workers - 1})"
+            )
+        if ctx.agreement is not None:
+            ctx.agreement.check(self.comm_name, self.n_workers, ctx.rank,
+                                collective, algorithm.value, root, n_values)
+        if blocking:
+            self._check_engine_idle(collective, algorithm)
+
+    def _blocking(self, collective: str, root: int | None, n_values: int,
+                  body: "Program") -> "Program":
+        self._accept(collective, self.algorithm, root, n_values, True)
+        label = f"{collective}[{self.algorithm.value}]"
+        return self._phase(label, self._span(label, body))
+
+    def _posted(self, collective: str, root: int | None, n_values: int,
+                body: "Program") -> "Program":
+        """Post ``body`` through the collective turn: every rank posts its
+        collectives in the same order (the MPI-3 rule), and a later one
+        queues behind an unfinished earlier one instead of interleaving
+        with it on the streams or the slot arena."""
+        self._accept(collective, self.algorithm, root, n_values, False)
+        label = f"i{collective}[{self.algorithm.value}]"
+        return self.engine.post(
+            self.engine.in_turn("collective", self._span(label, body)), label
         )
-        return request
+
+    def _phase(self, label: str, body: "Program") -> "Program":
+        """Bracket a blocking call with zero-cycle phase notes, which the
+        trace exporter renders as a span on the rank's timeline."""
+        yield ("note", trace.PHASE_ENTER, label, None)
+        result = yield from body
+        yield ("note", trace.PHASE_EXIT, label, None)
+        return result
+
+    def _span(self, label: str, body: "Program") -> "Program":
+        """The backend's wrapper of one collective body: none here; eMPI
+        binds its critical-path span
+        (:meth:`~repro.empi.runtime.Empi._cp_span`) under attribution."""
+        return body
 
 
 def make_comm(
@@ -423,16 +438,18 @@ def make_comm(
 ):
     """Build the collective backend for one rank's program.
 
-    ``empi`` ignores the shared-memory arguments; ``pure_sm`` carves its
-    slot arena at ``base_addr`` (default: the bottom of the shared
-    segment) sized for vectors of up to ``max_values`` doubles, plus —
-    when ``p2p_values`` > 0 — an n x n mailbox matrix sized for
-    ``p2p_values``-double messages, backing isend/irecv.  Returns an
-    object with the common collective interface (blocking and
-    non-blocking).
+    A collective call is accepted in one front (:class:`Communicator`);
+    a backend supplies its plan choice and executor.  ``empi`` ignores
+    the shared-memory arguments; ``pure_sm`` carves its slot arena at
+    ``base_addr`` (default: the bottom of the shared segment) sized for
+    vectors of up to ``max_values`` doubles, plus — when ``p2p_values``
+    > 0 — an n x n mailbox matrix sized for ``p2p_values``-double
+    messages, backing isend/irecv.
     """
     model = CommModel.parse(model)
     if model is _EMPI:
+        from repro.empi.runtime import EmpiCollectives
+
         return EmpiCollectives(ctx, algorithm)
     from repro.empi.smsync import SharedMemoryCollectives
 

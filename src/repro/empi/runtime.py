@@ -16,15 +16,19 @@ Tokens carry an epoch (mod 256) so back-to-back barriers cannot steal each
 other's tokens; early tokens are stashed and matched later, giving the
 runtime MPI-like out-of-band tolerance with a tiny footprint.
 
-Collectives are written once, as schedules (:mod:`repro.empi.schedules`):
-each algorithm is one function returning its rounds of transfers over
-an ordered rank list; rooted collectives pass the ranks rotated so the
-root leads, ``hier`` composes ring and tree over chiplet groups.
-:meth:`Empi._execute` runs any schedule for one rank over a
-*point-to-point flavour* (:class:`_TieFlavour`, :class:`_DmaFlavour`),
-and what varies between the blocking op, the non-blocking request and
-the DMA-engine offload is only the flavour, chosen once per call in
-``_bcast`` / ``_reduce`` / ``_allreduce`` beside the schedule.
+:class:`Empi` is the transport: tokens, barriers, point-to-point,
+request fragments, the flavours and the critical-path span and hop
+notes.  A collective call is accepted in one front
+(:class:`~repro.empi.collectives.Communicator`); a backend supplies its
+plan choice and executor.  :class:`EmpiCollectives` is the eMPI one:
+each algorithm is a schedule (:mod:`repro.empi.schedules`), rooted
+collectives pass the ranks rotated so the root leads, ``hier`` composes
+ring and tree over chiplet groups, and :meth:`EmpiCollectives._execute`
+runs any schedule for one rank over a *point-to-point flavour*
+(:class:`_TieFlavour`, :class:`_DmaFlavour`).  What varies between the
+blocking op, the non-blocking request and the DMA-engine offload is only
+the flavour, chosen once per call in ``_bcast`` / ``_reduce`` /
+``_allreduce`` beside the schedule.
 
 * To add an **algorithm**: write one schedule function and one
   independent reference (of its combine order, in
@@ -47,6 +51,8 @@ import typing
 from repro.empi.collectives import (
     HIER, HW, LINEAR, RING, TREE,
     CollectiveAlgorithm,
+    CommModel,
+    Communicator,
     ReduceOp,
     combine_cost,
     combine_values,
@@ -60,7 +66,7 @@ from repro.empi.schedules import (
     fold, hier_allreduce, linear_bcast, linear_reduce,
     ring_allreduce, rotated, tree_bcast, tree_reduce,
 )
-from repro.errors import ProgramError, parse_enum
+from repro.errors import ConfigError, ProgramError, parse_enum
 from repro.kernel.trace import CP_ENTER, CP_EXIT, CP_HOP
 from repro.mem.values import pack_doubles, unpack_doubles
 
@@ -241,36 +247,31 @@ class Empi(EngineCompletion):
         )
         #: Critical-path attribution (TelemetryConfig.attribution): when
         #: armed, every collective is bracketed with zero-cycle CP_ENTER /
-        #: CP_EXIT events and its completed sends/receives emit CP_HOP
-        #: events, so the extractor can thread causal edges through the
-        #: op.  Off by default: _cp_key stays None and no note is built.
-        self._cp = ctx.attribution
-        self._cp_depth = 0
+        #: CP_EXIT events (:meth:`_cp_span`) and its completed
+        #: sends/receives emit CP_HOP events, so the extractor can thread
+        #: causal edges through the op.  Off by default: _cp_key stays
+        #: None and no note is built.
         self._cp_counts: dict[str, int] = {}
         self._cp_key: str | None = None
 
     def _cp_span(self, label: str, body: "Program") -> "Program":
         """Bracket one collective occurrence with CP_ENTER/CP_EXIT events.
 
-        The occurrence key is ``label#k`` (k = how many times this rank
-        ran the label), which aligns across ranks by the SPMD same-order
-        rule.  Nested public collectives (allreduce = reduce + bcast) run
-        bare under the depth guard, so their hops attribute to the outer
-        op.
+        The eMPI backend wraps each collective body in this span when
+        attribution is armed.  The occurrence key is ``label#k`` (k = how
+        many times this rank ran the label), which aligns across ranks by
+        the SPMD same-order rule.  Spans never nest: a blocking
+        collective is refused while a request is outstanding, and posted
+        collectives run one at a time in the collective turn.
         """
-        if not self._cp or self._cp_depth:
-            result = yield from body
-            return result
         count = self._cp_counts.get(label, 0)
         self._cp_counts[label] = count + 1
         key = f"{label}#{count}"
-        self._cp_depth += 1
         self._cp_key = key
         yield ("note", CP_ENTER, key, None)
         try:
             result = yield from body
         finally:
-            self._cp_depth -= 1
             self._cp_key = None
         yield ("note", CP_EXIT, key, None)
         return result
@@ -377,279 +378,11 @@ class Empi(EngineCompletion):
             distance <<= 1
             round_index += 1
 
-    # -- vector collectives ----------------------------------------------------------------
+    # -- non-blocking point-to-point (request/progress engine) ---------------------------
     #
-    # Public entry points resolve the algorithm, report the collective
-    # (_agree), bracket the op for the critical-path extractor and, for
-    # the i* flavour, post the body as a request; _bcast/_reduce/
-    # _allreduce pick the schedule and the flavour for _execute.
-
-    def _agree(self, collective: str, algorithm: CollectiveAlgorithm,
-               root: int | None, n_values: int) -> None:
-        """Report this rank's next collective to the system's
-        :class:`~repro.empi.schedules.Agreement`."""
-        if self.ctx.agreement is not None:
-            self.ctx.agreement.check("empi", self.ctx.n_workers, self.ctx.rank,
-                                     collective, algorithm.value, root, n_values)
-
-    def _require_hw(self, what: str) -> None:
-        if self.ctx.dma_queue_depth < 1:
-            raise ProgramError(
-                f"rank {self.ctx.rank}: the 'hw' collective algorithm "
-                f"({what}) needs the DMA/TX-queue engine; set "
-                f"dma_tx_queue_depth >= 1 on the SystemConfig"
-            )
-
-    def bcast_doubles(
-        self,
-        root: int,
-        values: list[float] | None,
-        n_values: int,
-        algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR,
-    ) -> "Program":
-        """MPI_bcast: every rank returns the root's ``n_values`` doubles.
-
-        ``hw`` runs the linear schedule on the DMA engine: the root's
-        one-to-many send is ONE multicast descriptor, a single injection
-        whatever P is.
-        """
-        algorithm = CollectiveAlgorithm.parse(algorithm)
-        self._agree("bcast", algorithm, root, n_values)
-        return self._cp_span(
-            f"bcast[{algorithm.value}]",
-            self._bcast(root, values, n_values, algorithm, frag=False),
-        )
-
-    def _bcast(
-        self,
-        root: int,
-        values: list[float] | None,
-        n_values: int,
-        algorithm: CollectiveAlgorithm,
-        frag: bool,
-    ) -> "Program":
-        ctx = self.ctx
-        n = ctx.n_workers
-        if ctx.rank == root and (values is None or len(values) != n_values):
-            raise ProgramError("broadcast root must supply the payload")
-        if n == 1:
-            return list(values)  # type: ignore[arg-type]
-        if not frag:
-            self._check_engine_idle("bcast", algorithm)
-        algorithm = algorithm.rooted()
-        p2p: _Flavour = _TieFlavour(self, frag)
-        if algorithm is TREE:
-            plan = ((rotated(n, root), tree_bcast(n, n_values)),)
-        else:
-            plan = ((tuple(range(n)), linear_bcast(n, root, n_values)),)
-            if algorithm is HW:
-                self._require_hw("ibcast" if frag else "bcast")
-                p2p = _DmaFlavour(self, frag, "bcast[hw]")
-        result = yield from self._execute(plan, values, n_values, None, p2p)
-        return result
-
-    def reduce_doubles(
-        self,
-        root: int,
-        values: list[float],
-        op: ReduceOp | str = ReduceOp.SUM,
-        algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR,
-    ) -> "Program":
-        """MPI_reduce: elementwise ``op`` of every rank's vector, at root.
-
-        Returns the combined vector at ``root`` and ``None`` elsewhere,
-        bit for bit :func:`~repro.empi.collectives.reference_reduce`.
-        ``hw`` runs the tree; with the engine's reduction assist on,
-        children stream their accumulators as single-member multicast
-        descriptors and parents combine at the engine (``qreduce``).
-        """
-        requested = CollectiveAlgorithm.parse(algorithm)
-        self._agree("reduce", requested, root, len(values))
-        return self._cp_span(
-            f"reduce[{requested.value}]",
-            self._reduce(root, values, ReduceOp.parse(op), requested,
-                         frag=False),
-        )
-
-    def _reduce(
-        self,
-        root: int,
-        values: list[float],
-        op: ReduceOp,
-        requested: CollectiveAlgorithm,
-        frag: bool,
-    ) -> "Program":
-        ctx = self.ctx
-        n = ctx.n_workers
-        if n == 1:
-            return list(values)
-        if not frag:
-            self._check_engine_idle("reduce", requested)
-        p2p: _Flavour = _TieFlavour(self, frag)
-        if requested is HW:
-            self._require_hw("ireduce" if frag else "reduce")
-            if ctx.dma_reduce_assist:
-                p2p = _DmaFlavour(self, frag, "reduce[hw]")
-        if requested.rooted().combine_order() is LINEAR:
-            plan = ((tuple(range(n)), linear_reduce(n, root, len(values))),)
-        else:
-            plan = ((rotated(n, root), tree_reduce(n, len(values))),)
-        acc = yield from self._execute(plan, values, len(values), op, p2p)
-        return acc if ctx.rank == root else None
-
-    def allreduce_doubles(
-        self,
-        values: list[float],
-        op: ReduceOp | str = ReduceOp.SUM,
-        algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR,
-    ) -> "Program":
-        """MPI_allreduce: reduce at rank 0, then broadcast the result.
-
-        Under ``ring`` one reduce-scatter + allgather schedule instead,
-        on the DMA engine (``qreduce`` combines) when one is fitted with
-        the reduction assist on, the TIE otherwise; under ``hier`` the
-        chiplet composition over ``ctx.rank_groups``.  Bit for bit
-        :func:`~repro.empi.collectives.reference_allreduce`.
-        """
-        algorithm = CollectiveAlgorithm.parse(algorithm)
-        self._agree("allreduce", algorithm, None, len(values))
-        return self._cp_span(
-            f"allreduce[{algorithm.value}]",
-            self._allreduce(values, ReduceOp.parse(op), algorithm,
-                            frag=False),
-        )
-
-    def _allreduce(
-        self,
-        values: list[float],
-        op: ReduceOp,
-        algorithm: CollectiveAlgorithm,
-        frag: bool,
-    ) -> "Program":
-        ctx = self.ctx
-        n = ctx.n_workers
-        if n > 1 and not frag:
-            self._check_engine_idle("allreduce", algorithm)
-        p2p: _Flavour = _TieFlavour(self, frag)
-        if algorithm is RING:
-            plan = ((tuple(range(n)), ring_allreduce(n, len(values))),)
-            if ctx.dma_queue_depth >= 1 and ctx.dma_reduce_assist:
-                p2p = _DmaFlavour(self, frag, "allreduce[ring]")
-        elif algorithm is HIER:
-            groups = ctx.rank_groups or [range(n)]
-            plan = hier_allreduce(tuple(map(tuple, groups)), len(values))
-        else:
-            reduced = yield from self._reduce(0, values, op, algorithm, frag)
-            result = yield from self._bcast(0, reduced, len(values), algorithm, frag)
-            return result
-        result = yield from self._execute(plan, values, len(values), op, p2p)
-        return result
-
-    def _execute(self, plan: tuple, values: list[float] | None,
-                 n_values: int, op: ReduceOp | None,
-                 p2p: _Flavour) -> "Program":
-        """Run this rank's part of ``plan`` over the flavour ``p2p``.
-
-        A plan is ``(ranks, schedule)`` pieces (see
-        :mod:`repro.empi.schedules`); this rank runs, in order, those
-        that list it, its position in ``ranks`` naming its transfers.
-        The accumulator starts as ``values`` (zeros for a broadcast
-        receiver).  Each round pre-posts every combining receive where
-        the flavour does (``expect_combine``: the DMA ``qreduce``), does
-        its send — to all its receivers at once: on the DMA flavour one
-        multicast descriptor, hop ``('snd', '*')`` for several — then
-        completes the receives in listed order.  A receive from the rank
-        itself (the linear reduce's root) folds its own contribution in
-        with a ``compute``, no receive and no hop.  The flavours emit a
-        ``rcv`` hop as a receive completes, before the combine's
-        ``compute``, and a ``snd`` hop after a send.
-        """
-        me = self.ctx.rank
-        prepost = p2p.prepost
-        acc = [0.0] * n_values if values is None else list(values)
-        for ranks, schedule in plan:
-            if me not in ranks:
-                continue
-            pos = ranks.index(me)
-            for own in schedule.steps(pos):
-                if prepost:
-                    for src, dst, (start, stop), combine in own:
-                        if dst == pos and src != pos and combine:
-                            yield from p2p.expect_combine(
-                                ranks[src], acc[start:stop], op)
-                dsts = []
-                for src, dst, segment, __ in own:
-                    if src == pos and dst != pos:
-                        dsts.append(ranks[dst])
-                        start, stop = segment
-                if dsts:
-                    yield from p2p.send(dsts, acc[start:stop])
-                for src, dst, segment, combine in own:
-                    if dst != pos:
-                        continue
-                    start, stop = segment
-                    if src == pos:
-                        yield from fold(acc, segment, values[start:stop],
-                                        combine, op, self.ctx.cost)
-                    elif combine:
-                        acc[start:stop] = yield from p2p.recv_combine(
-                            ranks[src], acc[start:stop], op
-                        )
-                    else:
-                        acc[start:stop] = yield from p2p.recv(ranks[src], stop - start)
-        return acc
-
-    def scatter_doubles(
-        self,
-        root: int,
-        chunks: list[list[float]] | None,
-        n_values: int,
-    ) -> "Program":
-        """MPI_scatter: rank r returns the root's ``chunks[r]``.
-
-        Root-centric by definition, so always linear (see
-        :class:`~repro.empi.collectives.CollectiveAlgorithm`).
-        """
-        ctx = self.ctx
-        n = ctx.n_workers
-        if n > 1:
-            self._check_engine_idle("scatter", LINEAR)
-        if ctx.rank == root:
-            if chunks is None or len(chunks) != n:
-                raise ProgramError("scatter root must supply one chunk per rank")
-            if any(len(chunk) != n_values for chunk in chunks):
-                raise ProgramError(f"scatter chunks must hold {n_values} values")
-            for rank in range(n):
-                if rank != root:
-                    yield from self.send_doubles(rank, chunks[rank])
-            return list(chunks[root])
-        received = yield from self.recv_doubles(root, n_values)
-        return received
-
-    def gather_doubles(self, root: int, values: list[float]) -> "Program":
-        """MPI_gather: root returns every rank's vector, in rank order."""
-        ctx = self.ctx
-        n = ctx.n_workers
-        if n > 1:
-            self._check_engine_idle("gather", LINEAR)
-        if ctx.rank != root:
-            yield from self.send_doubles(root, values)
-            return None
-        gathered: list[list[float] | None] = [None] * n
-        gathered[root] = list(values)
-        for rank in range(n):
-            if rank != root:
-                gathered[rank] = yield from self.recv_doubles(rank, len(values))
-        return gathered
-
-    # -- non-blocking operations (request/progress engine) ---------------------------------
-    #
-    # Each non-blocking op posts a *communication fragment* on the
-    # engine: the same schedules as the blocking ops above (so results
-    # are bit-identical either way) run over the fragment
-    # flavour of the point-to-point layer — TX descriptors and status
-    # polls, so the core keeps running while the TIE streams.  Progress
-    # happens inside wait/test and inside overlap() (see
+    # Each posts a *communication fragment* on the engine: TX descriptors
+    # and status polls, so the core keeps running while the TIE streams.
+    # Progress happens inside wait/test and inside overlap() (see
     # :class:`~repro.empi.requests.EngineCompletion`) — the cooperative
     # analogue of MPI progress.
 
@@ -663,69 +396,6 @@ class Empi(EngineCompletion):
         """MPI_Irecv: post a receive of doubles; ``wait`` returns them."""
         return self.engine.post(
             self._frag_recv_doubles(src_rank, n_values), f"irecv<-{src_rank}"
-        )
-
-    def ibcast_doubles(
-        self,
-        root: int,
-        values: list[float] | None,
-        n_values: int,
-        algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR,
-    ) -> "Program":
-        """MPI_Ibcast: same combine-free data movement as ``bcast_doubles``."""
-        algorithm = CollectiveAlgorithm.parse(algorithm)
-        self._agree("bcast", algorithm, root, n_values)
-        return self._post_collective(
-            f"ibcast[{algorithm.value}]",
-            self._bcast(root, values, n_values, algorithm, frag=True),
-        )
-
-    def ireduce_doubles(
-        self,
-        root: int,
-        values: list[float],
-        op: ReduceOp | str = ReduceOp.SUM,
-        algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR,
-    ) -> "Program":
-        """MPI_Ireduce: same combine order as ``reduce_doubles``."""
-        algorithm = CollectiveAlgorithm.parse(algorithm)
-        self._agree("reduce", algorithm, root, len(values))
-        return self._post_collective(
-            f"ireduce[{algorithm.value}]",
-            self._reduce(root, values, ReduceOp.parse(op), algorithm,
-                         frag=True),
-        )
-
-    def iallreduce_doubles(
-        self,
-        values: list[float],
-        op: ReduceOp | str = ReduceOp.SUM,
-        algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR,
-    ) -> "Program":
-        """MPI_Iallreduce: the blocking ``allreduce_doubles`` schedule
-        (bit-identical result), progressed by the engine."""
-        algorithm = CollectiveAlgorithm.parse(algorithm)
-        self._agree("allreduce", algorithm, None, len(values))
-        return self._post_collective(
-            f"iallreduce[{algorithm.value}]",
-            self._allreduce(values, ReduceOp.parse(op), algorithm, frag=True),
-        )
-
-    def _post_collective(self, label: str, body: "Program") -> "Program":
-        """Post a collective body, serialized through the collective turn.
-
-        All ranks must post their non-blocking collectives in the same
-        order (the MPI-3 rule); the turn makes a later collective queue
-        behind an unfinished earlier one instead of interleaving its
-        messages into the same streams.  The turn also makes the
-        critical-path span unambiguous: at most one collective body
-        executes at a time, so ``_cp_key`` names exactly this op while
-        interleaved point-to-point fragments (which never emit hops)
-        progress underneath it.
-        """
-        return self.engine.post(
-            self.engine.in_turn("collective", self._cp_span(label, body)),
-            label,
         )
 
     # -- communication fragments -----------------------------------------------------------
@@ -780,3 +450,210 @@ class Empi(EngineCompletion):
             self.ctx.node_of(src_rank), 2 * n_values
         )
         return unpack_doubles(words)
+
+
+class EmpiCollectives(Communicator):
+    """The message-passing backend: collectives over TIE streams and tokens.
+
+    The front (:class:`~repro.empi.collectives.Communicator`) accepts
+    each call; this class supplies the eMPI plan choice — the schedule
+    and the point-to-point flavour, chosen once per call in ``_bcast`` /
+    ``_reduce`` / ``_allreduce`` — and :meth:`_execute`, which runs the
+    plan for this rank.  Point-to-point, barriers, fragments and the
+    critical-path notes are the rank's :class:`Empi` transport.
+    """
+
+    model = CommModel.EMPI
+
+    def __init__(
+        self,
+        ctx: "ProgramContext",
+        algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR,
+    ) -> None:
+        if ctx.empi is None:
+            raise ConfigError("context has no eMPI endpoint bound")
+        self.ctx = ctx
+        self.empi = ctx.empi
+        self.engine = ctx.empi.engine
+        self.algorithm = CollectiveAlgorithm.parse(algorithm)
+        self.n_workers = ctx.n_workers
+        self.comm_name = "empi"
+        if ctx.attribution:
+            self._span = ctx.empi._cp_span
+
+    def barrier(self) -> "Program":
+        return self._phase("barrier", self.empi.barrier())
+
+    def send(self, dst_rank: int, values: list[float]) -> "Program":
+        """Blocking point-to-point send of doubles (MPI_send)."""
+        return self.empi.send_doubles(dst_rank, values)
+
+    def recv(self, src_rank: int, n_values: int) -> "Program":
+        """Blocking point-to-point receive of doubles (MPI_receive)."""
+        return self.empi.recv_doubles(src_rank, n_values)
+
+    def isend(self, dst_rank: int, values: list[float]) -> "Program":
+        return self.empi.isend(dst_rank, values)
+
+    def irecv(self, src_rank: int, n_values: int) -> "Program":
+        return self.empi.irecv(src_rank, n_values)
+
+    # -- the plan choice ------------------------------------------------------------------
+
+    def _require_hw(self, what: str) -> None:
+        if self.ctx.dma_queue_depth < 1:
+            raise ProgramError(
+                f"rank {self.ctx.rank}: the 'hw' collective algorithm "
+                f"({what}) needs the DMA/TX-queue engine; set "
+                f"dma_tx_queue_depth >= 1 on the SystemConfig"
+            )
+
+    def _bcast(self, root: int, values: list[float] | None, n_values: int,
+               frag: bool) -> "Program":
+        """``hw`` runs the linear schedule on the DMA engine: the root's
+        one-to-many send is ONE multicast descriptor, a single injection
+        whatever P is."""
+        n = self.n_workers
+        if n == 1:
+            return list(values)  # type: ignore[arg-type]
+        algorithm = self.algorithm.rooted()
+        p2p: _Flavour = _TieFlavour(self.empi, frag)
+        if algorithm is TREE:
+            plan = ((rotated(n, root), tree_bcast(n, n_values)),)
+        else:
+            plan = ((tuple(range(n)), linear_bcast(n, root, n_values)),)
+            if algorithm is HW:
+                self._require_hw("ibcast" if frag else "bcast")
+                p2p = _DmaFlavour(self.empi, frag, "bcast[hw]")
+        result = yield from self._execute(plan, values, n_values, None, p2p)
+        return result
+
+    def _reduce(self, root: int, values: list[float], op: ReduceOp,
+                frag: bool) -> "Program":
+        """``hw`` runs the tree; with the engine's reduction assist on,
+        children stream their accumulators as single-member multicast
+        descriptors and parents combine at the engine (``qreduce``)."""
+        ctx = self.ctx
+        n = self.n_workers
+        if n == 1:
+            return list(values)
+        p2p: _Flavour = _TieFlavour(self.empi, frag)
+        if self.algorithm is HW:
+            self._require_hw("ireduce" if frag else "reduce")
+            if ctx.dma_reduce_assist:
+                p2p = _DmaFlavour(self.empi, frag, "reduce[hw]")
+        if self.algorithm.rooted().combine_order() is LINEAR:
+            plan = ((tuple(range(n)), linear_reduce(n, root, len(values))),)
+        else:
+            plan = ((rotated(n, root), tree_reduce(n, len(values))),)
+        acc = yield from self._execute(plan, values, len(values), op, p2p)
+        return acc if ctx.rank == root else None
+
+    def _allreduce(self, values: list[float], op: ReduceOp,
+                   frag: bool) -> "Program":
+        """Reduce at rank 0, then broadcast the result.  Under ``ring``
+        one reduce-scatter + allgather schedule instead, on the DMA
+        engine (``qreduce`` combines) when one is fitted with the
+        reduction assist on, the TIE otherwise; under ``hier`` the
+        chiplet composition over ``ctx.rank_groups``."""
+        ctx = self.ctx
+        n = self.n_workers
+        p2p: _Flavour = _TieFlavour(self.empi, frag)
+        if self.algorithm is RING:
+            plan = ((tuple(range(n)), ring_allreduce(n, len(values))),)
+            if ctx.dma_queue_depth >= 1 and ctx.dma_reduce_assist:
+                p2p = _DmaFlavour(self.empi, frag, "allreduce[ring]")
+        elif self.algorithm is HIER:
+            groups = ctx.rank_groups or [range(n)]
+            plan = hier_allreduce(tuple(map(tuple, groups)), len(values))
+        else:
+            reduced = yield from self._reduce(0, values, op, frag)
+            result = yield from self._bcast(0, reduced, len(values), frag)
+            return result
+        result = yield from self._execute(plan, values, len(values), op, p2p)
+        return result
+
+    def _scatter(self, root: int, chunks: list[list[float]] | None,
+                 n_values: int) -> "Program":
+        """The root streams ``chunks[r]`` to each other rank r in rank
+        order; a zero-length scatter moves nothing."""
+        ctx = self.ctx
+        if ctx.rank == root:
+            for rank in range(self.n_workers):
+                if rank != root and n_values:
+                    yield from ctx.send_doubles(rank, chunks[rank])
+            return list(chunks[root])
+        if not n_values:
+            return []
+        received = yield from ctx.recv_doubles(root, n_values)
+        return received
+
+    def _gather(self, root: int, values: list[float]) -> "Program":
+        """Every other rank streams its vector to the root, which takes
+        them in rank order; a zero-length gather moves nothing."""
+        ctx = self.ctx
+        if ctx.rank != root:
+            if values:
+                yield from ctx.send_doubles(root, values)
+            return None
+        gathered = []
+        for rank in range(self.n_workers):
+            if rank == root or not values:
+                gathered.append(list(values))
+            else:
+                gathered.append((yield from ctx.recv_doubles(rank, len(values))))
+        return gathered
+
+    def _execute(self, plan: tuple, values: list[float] | None,
+                 n_values: int, op: ReduceOp | None,
+                 p2p: _Flavour) -> "Program":
+        """Run this rank's part of ``plan`` over the flavour ``p2p``.
+
+        A plan is ``(ranks, schedule)`` pieces (see
+        :mod:`repro.empi.schedules`); this rank runs, in order, those
+        that list it, its position in ``ranks`` naming its transfers.
+        The accumulator starts as ``values`` (zeros for a broadcast
+        receiver).  Each round pre-posts every combining receive where
+        the flavour does (``expect_combine``: the DMA ``qreduce``), does
+        its send — to all its receivers at once: on the DMA flavour one
+        multicast descriptor, hop ``('snd', '*')`` for several — then
+        completes the receives in listed order.  A receive from the rank
+        itself (the linear reduce's root) folds its own contribution in
+        with a ``compute``, no receive and no hop.  The flavours emit a
+        ``rcv`` hop as a receive completes, before the combine's
+        ``compute``, and a ``snd`` hop after a send.
+        """
+        me = self.ctx.rank
+        prepost = p2p.prepost
+        acc = [0.0] * n_values if values is None else list(values)
+        for ranks, schedule in plan:
+            if me not in ranks:
+                continue
+            pos = ranks.index(me)
+            for own in schedule.steps(pos):
+                if prepost:
+                    for src, dst, (start, stop), combine in own:
+                        if dst == pos and src != pos and combine:
+                            yield from p2p.expect_combine(
+                                ranks[src], acc[start:stop], op)
+                dsts = []
+                for src, dst, segment, __ in own:
+                    if src == pos and dst != pos:
+                        dsts.append(ranks[dst])
+                        start, stop = segment
+                if dsts:
+                    yield from p2p.send(dsts, acc[start:stop])
+                for src, dst, segment, combine in own:
+                    if dst != pos:
+                        continue
+                    start, stop = segment
+                    if src == pos:
+                        yield from fold(acc, segment, values[start:stop],
+                                        combine, op, self.ctx.cost)
+                    elif combine:
+                        acc[start:stop] = yield from p2p.recv_combine(
+                            ranks[src], acc[start:stop], op
+                        )
+                    else:
+                        acc[start:stop] = yield from p2p.recv(ranks[src], stop - start)
+        return acc

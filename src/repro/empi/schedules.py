@@ -16,9 +16,10 @@ ranks rotated so the root is position 0 for the trees, each chiplet
 group for ``hier``.  A *plan* is a sequence of ``(ranks, schedule)``
 pieces; a rank runs, in order, the pieces that list it, so disjoint
 pieces one after the other run side by side.  Two executors run them:
-:meth:`repro.empi.runtime.Empi._execute` (messages, over the TIE or DMA
-flavour) and :meth:`repro.empi.smsync.SharedMemoryCollectives._execute`
-(the slot arena, where a position is a slot).  To add an algorithm,
+:meth:`repro.empi.runtime.EmpiCollectives._execute` (messages, over the
+TIE or DMA flavour) and
+:meth:`repro.empi.smsync.SharedMemoryCollectives._execute` (the slot
+arena, where a position is a slot).  To add an algorithm,
 write one schedule function here and one independent reference in
 :mod:`repro.empi.collectives`; a reference derived from the schedule
 could not catch a schedule bug.  Schedules are memoised per shape (size,

@@ -15,12 +15,17 @@ the progress engine between MPMMU round trips.  That is the only
 difference between a blocking op and its ``i*`` twin on this backend,
 so delivered bits are equal by construction.
 
+A collective call is accepted in one front
+(:class:`~repro.empi.collectives.Communicator`); a backend supplies its
+plan choice and executor.  :class:`SharedMemoryCollectives` is the
+pure-SM one.
+
 * To add an **algorithm**: write one schedule function and one
   independent reference (see :mod:`repro.empi.schedules`), and pick the
   schedule in ``_reduce`` / ``_allreduce``;
   :meth:`SharedMemoryCollectives._execute` runs any schedule as
-  publish-slot / ``barrier_state.wait(pause)`` / read-slot rounds, and
-  the blocking and ``i*`` entry points already pass the two pauses.
+  publish-slot / ``barrier_state.wait(pause)`` / read-slot rounds, with
+  the pause the front's blocking or ``i*`` call implies.
 * A new **flavour** here is just another pause op.
 """
 
@@ -32,9 +37,10 @@ from repro.empi.collectives import (
     HIER, HW, LINEAR, RING,
     CollectiveAlgorithm,
     CommModel,
+    Communicator,
     ReduceOp,
 )
-from repro.empi.requests import RESCHEDULE, EngineCompletion, ProgressEngine
+from repro.empi.requests import RESCHEDULE, ProgressEngine
 from repro.empi.schedules import (
     Schedule, fold, linear_bcast, linear_reduce, ring_allreduce, tree_reduce,
 )
@@ -231,7 +237,7 @@ class HierarchicalBarrier:
             yield pause
 
 
-class SharedMemoryCollectives(EngineCompletion):
+class SharedMemoryCollectives(Communicator):
     """Collectives over the MPMMU: the pure-SM baseline's answer to eMPI.
 
     Layout (all in the shared segment, uncacheably accessed):
@@ -243,9 +249,11 @@ class SharedMemoryCollectives(EngineCompletion):
     Every payload word is an uncached MPMMU round trip and every phase
     boundary is a full shared-memory barrier — the serialization the
     paper's Section III charges against the pure-SM model, now measurable
-    per collective.  The schedules are the message-passing backend's
-    (:mod:`repro.empi.schedules`), so a program's numerical result is
-    identical under either backend.
+    per collective.  The front (:class:`~repro.empi.collectives.Communicator`)
+    accepts each call; this class supplies the plan choice, the slot-arena
+    executor and the scatter/gather bodies.  The schedules are the
+    message-passing backend's (:mod:`repro.empi.schedules`), so a
+    program's numerical result is identical under either backend.
     """
 
     model = CommModel.PURE_SM
@@ -308,6 +316,7 @@ class SharedMemoryCollectives(EngineCompletion):
             )
         self.slot_stride = _lines(max_values * 8)
         self.slot_base = base + self.barrier_state.footprint
+        self.comm_name = f"pure_sm@{self.slot_base:#x}"
         #: Total shared bytes this arena occupies (for callers placing
         #: their own data after it).
         self.footprint = (
@@ -367,11 +376,7 @@ class SharedMemoryCollectives(EngineCompletion):
             values.append(value)
         return values
 
-    # -- the collective interface (mirrors EmpiCollectives) -----------------
-    #
-    # Each collective is one body taking the barrier ``pause``: the
-    # blocking entry point checks the engine is idle and spins (pause
-    # None), the i* entry point posts the same body with RESCHEDULE.
+    # -- what the pure-SM backend supplies to the front ------------------------
 
     def barrier(self) -> "Program":
         self._check_engine_idle("barrier")
@@ -390,50 +395,24 @@ class SharedMemoryCollectives(EngineCompletion):
         )
         return result
 
-    def _agree(self, collective: str, root: int | None,
-               n_values: int) -> None:
-        """Report this rank's next collective on this arena to the
-        system's :class:`~repro.empi.schedules.Agreement`."""
-        if self.ctx.agreement is not None:
-            self.ctx.agreement.check(
-                f"pure_sm@{self.slot_base:#x}", self.n_workers, self.ctx.rank,
-                collective, self.algorithm.value, root, n_values)
-
-    def bcast(self, root: int, values: list[float] | None,
-              n_values: int) -> "Program":
+    def _bcast(self, root: int, values: list[float] | None,
+               n_values: int, frag: bool) -> "Program":
         """Root publishes its slot; everyone reads it back uncached.
 
         The MPMMU serializes all readers whatever the software does, so
         every algorithm runs the linear schedule.
         """
-        self._check_engine_idle("bcast")
-        self._agree("bcast", root, n_values)
-        result = yield from self._bcast(root, values, n_values, None)
-        return result
-
-    def _bcast(self, root: int, values: list[float] | None,
-               n_values: int, pause: object) -> "Program":
-        if self.ctx.rank == root:
-            if values is None or len(values) != n_values:
-                raise ProgramError("broadcast root must supply the payload")
-            if self.n_workers == 1:
-                return list(values)
+        if self.n_workers == 1:
+            return list(values)
         schedule = linear_bcast(self.n_workers, root, n_values)
         result = yield from self._execute(
-            schedule, self.ctx.rank, values, n_values, None, pause,
+            schedule, self.ctx.rank, values, n_values, None, frag,
             republish=False,
         )
         return result
 
-    def reduce(self, root: int, values: list[float],
-               op: ReduceOp | str = ReduceOp.SUM) -> "Program":
-        self._check_engine_idle("reduce", self.algorithm)
-        self._agree("reduce", root, len(values))
-        result = yield from self._reduce(root, values, ReduceOp.parse(op), None)
-        return result
-
     def _reduce(self, root: int, values: list[float], op: ReduceOp,
-                pause: object) -> "Program":
+                frag: bool) -> "Program":
         n = self.n_workers
         if n == 1:
             return list(values)
@@ -444,36 +423,26 @@ class SharedMemoryCollectives(EngineCompletion):
         else:
             schedule, slot = linear_reduce(n, root, len(values)), rank
         acc = yield from self._execute(
-            schedule, slot, values, len(values), op, pause, republish=tree
+            schedule, slot, values, len(values), op, frag, republish=tree
         )
         return acc if rank == root else None
 
-    def allreduce(self, values: list[float],
-                  op: ReduceOp | str = ReduceOp.SUM) -> "Program":
-        if self.n_workers > 1:
-            # Named for the op the caller issued (parity with Empi's
-            # allreduce guard), not the inner reduce/bcast legs.
-            self._check_engine_idle("allreduce", self.algorithm)
-        self._agree("allreduce", None, len(values))
-        result = yield from self._allreduce(values, ReduceOp.parse(op), None)
-        return result
-
     def _allreduce(self, values: list[float], op: ReduceOp,
-                   pause: object) -> "Program":
+                   frag: bool) -> "Program":
         if self.algorithm is RING and self.n_workers > 1:
             result = yield from self._execute(
                 ring_allreduce(self.n_workers, len(values)), self.ctx.rank,
-                values, len(values), op, pause, republish=False,
+                values, len(values), op, frag, republish=False,
             )
             return result
         # Reduce at rank 0 (None elsewhere), then broadcast it.
-        reduced = yield from self._reduce(0, values, op, pause)
-        result = yield from self._bcast(0, reduced, len(values), pause)
+        reduced = yield from self._reduce(0, values, op, frag)
+        result = yield from self._bcast(0, reduced, len(values), frag)
         return result
 
     def _execute(self, schedule: Schedule, slot: int,
                  values: list[float] | None, n_values: int,
-                 op: ReduceOp | None, pause: object,
+                 op: ReduceOp | None, frag: bool,
                  republish: bool) -> "Program":
         """Run the part of ``schedule`` at position ``slot`` over the arena.
 
@@ -483,7 +452,8 @@ class SharedMemoryCollectives(EngineCompletion):
         barrier, one from the rank itself (the linear reduce's root)
         reads nothing and folds its own contribution in with a
         ``compute``.  The accumulator starts as ``values`` (zeros for a
-        broadcast receiver); ``pause`` is yielded between barrier polls.
+        broadcast receiver).  Between barrier polls a blocking call spins
+        and a request's fragment (``frag``) yields ``RESCHEDULE``.
         Two round shapes, which the pins hold:
 
         * ``republish`` (the tree): every rank publishes before the first
@@ -494,6 +464,7 @@ class SharedMemoryCollectives(EngineCompletion):
           reads, barrier, so a linear run closes with one barrier.
         """
         barrier = self.barrier_state.wait
+        pause = RESCHEDULE if frag else None
         cost = self.ctx.cost
         acc = [0.0] * n_values if values is None else list(values)
         if republish:
@@ -524,37 +495,37 @@ class SharedMemoryCollectives(EngineCompletion):
             yield from barrier(pause)
         return acc
 
-    def scatter(self, root: int, chunks: list[list[float]] | None,
-                n_values: int) -> "Program":
-        self._check_engine_idle("scatter")
+    def _scatter(self, root: int, chunks: list[list[float]] | None,
+                 n_values: int) -> "Program":
+        """The root publishes chunk r to slot r; after a barrier each
+        rank reads its own slot back."""
         ctx = self.ctx
         n = self.n_workers
+        barrier = self.barrier_state.wait
         if ctx.rank == root:
-            if chunks is None or len(chunks) != n:
-                raise ProgramError("scatter root must supply one chunk per rank")
-            if any(len(chunk) != n_values for chunk in chunks):
-                raise ProgramError(f"scatter chunks must hold {n_values} values")
             if n == 1:
                 return list(chunks[root])
             for rank in range(n):
                 if rank != root:
                     yield from self._write_slot(rank, chunks[rank])
-            yield from self.barrier()
+            yield from barrier()
             result = list(chunks[root])
         else:
-            yield from self.barrier()
+            yield from barrier()
             result = yield from self._read_slot(ctx.rank, n_values)
-        yield from self.barrier()
+        yield from barrier()
         return result
 
-    def gather(self, root: int, values: list[float]) -> "Program":
-        self._check_engine_idle("gather")
+    def _gather(self, root: int, values: list[float]) -> "Program":
+        """Every rank publishes its slot; after a barrier the root reads
+        them all back in rank order."""
         ctx = self.ctx
         n = self.n_workers
+        barrier = self.barrier_state.wait
         if n == 1:
             return [list(values)]
         yield from self._write_slot(ctx.rank, values)
-        yield from self.barrier()
+        yield from barrier()
         result = None
         if ctx.rank == root:
             gathered: list[list[float] | None] = [None] * n
@@ -563,7 +534,7 @@ class SharedMemoryCollectives(EngineCompletion):
                 if rank != root:
                     gathered[rank] = yield from self._read_slot(rank, len(values))
             result = gathered
-        yield from self.barrier()
+        yield from barrier()
         return result
 
     # -- non-blocking operations (request/progress engine) ------------------
@@ -597,39 +568,6 @@ class SharedMemoryCollectives(EngineCompletion):
                 ),
             ),
             f"irecv<-{src_rank}",
-        )
-
-    def ibcast(self, root: int, values: list[float] | None,
-               n_values: int) -> "Program":
-        self._agree("bcast", root, n_values)
-        return self._post_collective(
-            "ibcast", self._bcast(root, values, n_values, RESCHEDULE)
-        )
-
-    def ireduce(self, root: int, values: list[float],
-                op: ReduceOp | str = ReduceOp.SUM) -> "Program":
-        self._agree("reduce", root, len(values))
-        return self._post_collective(
-            "ireduce",
-            self._reduce(root, values, ReduceOp.parse(op), RESCHEDULE),
-        )
-
-    def iallreduce(self, values: list[float],
-                   op: ReduceOp | str = ReduceOp.SUM) -> "Program":
-        self._agree("allreduce", None, len(values))
-        return self._post_collective(
-            "iallreduce",
-            self._allreduce(values, ReduceOp.parse(op), RESCHEDULE),
-        )
-
-    def _post_collective(self, what: str, body: "Program") -> "Program":
-        # The slot arena and barrier are single shared resources: only
-        # one non-blocking collective runs at a time, and every rank
-        # must post its collectives in the same order (same rule as the
-        # eMPI engine).
-        return self.engine.post(
-            self.engine.in_turn("collective", body),
-            f"{what}[{self.algorithm.value}]",
         )
 
 

@@ -23,6 +23,7 @@ from repro.empi.collectives import (
 )
 from repro.empi.smsync import SharedMemoryChannel, SharedMemoryCollectives
 from repro.errors import ConfigError, ProgramError
+from repro.kernel.trace import PHASE_ENTER, PHASE_EXIT
 from repro.system.config import SystemConfig
 from tests.conftest import run_programs
 from tests.empi.cycle_pins import SCATTER_GATHER, SCATTER_GATHER_COMBOS, measure
@@ -215,6 +216,46 @@ def test_scatter_and_gather_cycles_are_pinned(collective, combo):
     """Exact total cycles of the blocking scatter and gather, P x root
     x length, delivered vectors checked on the way."""
     check("collective_cycles", measure(collective, combo))
+
+
+def _phase_notes(model: str) -> list[list[tuple[str, str]]]:
+    """Every rank's phase notes over barrier, the five blocking
+    collectives, an ``ireduce`` + ``wait`` and a closing barrier."""
+    n_workers = 3
+
+    def program(ctx):
+        comm = make_comm(ctx, model, "tree", max_values=N_VALUES)
+        mine = contribution(ctx.rank)
+        yield from comm.barrier()
+        yield from comm.bcast(0, mine if ctx.rank == 0 else None, N_VALUES)
+        yield from comm.reduce(1, mine)
+        yield from comm.allreduce(mine)
+        chunks = [mine] * n_workers if ctx.rank == 2 else None
+        yield from comm.scatter(2, chunks, N_VALUES)
+        yield from comm.gather(0, mine)
+        request = yield from comm.ireduce(0, mine)
+        yield from comm.wait(request)
+        yield from comm.barrier()
+
+    system = run_programs(config_for(n_workers), *[program] * n_workers)
+    notes = [[] for __ in range(n_workers)]
+    rank_of = {node: rank for rank, node in system.rank_to_node.items()}
+    for __, tile, kind, label, __ in system.events.program:
+        if kind in (PHASE_ENTER, PHASE_EXIT):
+            notes[rank_of[tile]].append((kind, label))
+    return notes
+
+
+def test_pure_sm_blocking_collectives_are_phase_spans():
+    """One zero-cycle phase pair per blocking collective on pure-SM, as
+    on eMPI (whose barriers are spans too); a request is not one."""
+    labels = ["bcast[tree]", "reduce[tree]", "allreduce[tree]",
+              "scatter", "gather"]
+    pairs = [note for label in labels
+             for note in ((PHASE_ENTER, label), (PHASE_EXIT, label))]
+    barrier = [(PHASE_ENTER, "barrier"), (PHASE_EXIT, "barrier")]
+    assert _phase_notes("pure_sm") == [pairs] * 3
+    assert _phase_notes("empi") == [barrier + pairs + barrier] * 3
 
 
 def test_backends_agree_bit_for_bit():

@@ -31,7 +31,7 @@ from repro.empi.smsync import SharedMemoryCollectives
 from repro.errors import ConfigError, ProgramError
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
-from tests.empi.cycle_pins import COLLECTIVES, measure
+from tests.empi.cycle_pins import COLLECTIVES, SCATTER_GATHER, measure
 from tests.goldens import check
 
 
@@ -240,65 +240,86 @@ def test_hw_allreduce_then_bcast_from_nonzero_root_regroups():
     assert system.nodes[1].dma.stats.as_dict()["group_reregisters"] == 1
 
 
-@pytest.mark.parametrize("algorithm", ["tree", "hw", "ring"])
-def test_guard_names_the_algorithm_in_use(algorithm):
-    """Mixed-algorithm apps get actionable messages: the outstanding-
-    request guard names the algorithm of the blocking collective AND the
-    posted request's label carries its own algorithm."""
+def _blocking_call(comm, collective, n_workers):
+    payload = [2.0, 2.0]
+    if collective == "bcast":
+        return comm.bcast(0, payload, 2)
+    if collective == "reduce":
+        return comm.reduce(0, payload)
+    if collective == "allreduce":
+        return comm.allreduce(payload)
+    if collective == "scatter":
+        return comm.scatter(0, [payload] * n_workers, 2)
+    return comm.gather(0, payload)
+
+
+def _guard_message(model, algorithm, collective):
+    """The message of a blocking ``collective`` that rank 0 issues while
+    its ``iallreduce`` is outstanding (rank 1 just waits)."""
     seen = {}
 
-    def left(ctx):
-        comm = make_comm(ctx, "empi", algorithm, max_values=2)
-        yield from comm.barrier()
-        request = yield from comm.iallreduce([1.0, float(ctx.rank)])
-        try:
-            yield from comm.allreduce([2.0, 2.0])
-        except ProgramError as err:
-            seen["message"] = str(err)
-        __ = yield from comm.wait(request)
-        yield from comm.barrier()
+    def factory(rank):
+        def program(ctx):
+            comm = make_comm(ctx, model, algorithm, max_values=2)
+            yield from comm.barrier()
+            request = yield from comm.iallreduce([1.0, float(ctx.rank)])
+            if rank == 0:
+                try:
+                    yield from _blocking_call(comm, collective, 2)
+                except ProgramError as err:
+                    seen["message"] = str(err)
+            __ = yield from comm.wait(request)
+            yield from comm.barrier()
+        return program
 
-    def right(ctx):
-        comm = make_comm(ctx, "empi", algorithm, max_values=2)
-        yield from comm.barrier()
-        request = yield from comm.iallreduce([1.0, float(ctx.rank)])
-        __ = yield from comm.wait(request)
-        yield from comm.barrier()
+    overrides = hw_config() if model == "empi" else {}
+    run_system([factory(r) for r in range(2)], 2, **overrides)
+    return seen["message"]
 
-    run_system([left, right], 2, **hw_config(n_workers=2))
-    message = seen["message"]
-    assert f"blocking allreduce[{algorithm}]" in message
-    assert f"iallreduce[{algorithm}]" in message  # the request's label
+
+@pytest.mark.parametrize("algorithm", ["tree", "hw", "ring"])
+def test_guard_names_the_algorithm_in_use(algorithm):
+    """Mixed-algorithm apps get actionable messages: for every blocking
+    collective the outstanding-request guard names the algorithm in use
+    (scatter and gather are always linear) AND the posted request's label
+    carries its own algorithm."""
+    for collective in COLLECTIVES + SCATTER_GATHER:
+        message = _guard_message("empi", algorithm, collective)
+        in_use = "linear" if collective in SCATTER_GATHER else algorithm
+        assert f"blocking {collective}[{in_use}]" in message
+        assert f"iallreduce[{algorithm}]" in message  # the request's label
 
 
 @pytest.mark.parametrize("algorithm", ["tree", "ring"])
 def test_sm_guard_names_the_algorithm_in_use(algorithm):
     # Backend parity: the shared-memory guard carries the same shape
     # and names the op the caller issued, not an inner leg.
+    for collective in COLLECTIVES + SCATTER_GATHER:
+        message = _guard_message("pure_sm", algorithm, collective)
+        in_use = "linear" if collective in SCATTER_GATHER else algorithm
+        assert f"blocking {collective}[{in_use}]" in message
+        assert f"iallreduce[{algorithm}]" in message
+
+
+@pytest.mark.parametrize("collective", COLLECTIVES + SCATTER_GATHER)
+@pytest.mark.parametrize("model", ["empi", "pure_sm"])
+def test_guard_holds_on_a_single_rank(model, collective):
+    """One rule at any P: a lone rank with a request outstanding (an
+    ``irecv`` from itself, never matched) is refused a blocking
+    collective just the same."""
     seen = {}
 
-    def left(ctx):
-        comm = make_comm(ctx, "pure_sm", algorithm, max_values=2)
-        yield from comm.barrier()
-        request = yield from comm.iallreduce([1.0, float(ctx.rank)])
-        try:
-            yield from comm.allreduce([2.0, 2.0])
-        except ProgramError as err:
-            seen["message"] = str(err)
-        __ = yield from comm.wait(request)
-        yield from comm.barrier()
+    def program(ctx):
+        comm = make_comm(ctx, model, "tree", max_values=2, p2p_values=2)
+        __ = yield from comm.irecv(0, 2)
+        with pytest.raises(ProgramError) as caught:
+            yield from _blocking_call(comm, collective, 1)
+        seen["message"] = str(caught.value)
 
-    def right(ctx):
-        comm = make_comm(ctx, "pure_sm", algorithm, max_values=2)
-        yield from comm.barrier()
-        request = yield from comm.iallreduce([1.0, float(ctx.rank)])
-        __ = yield from comm.wait(request)
-        yield from comm.barrier()
-
-    run_system([left, right], 2)
-    message = seen["message"]
-    assert f"blocking allreduce[{algorithm}]" in message
-    assert f"iallreduce[{algorithm}]" in message
+    run_system([program], 1)
+    in_use = "linear" if collective in SCATTER_GATHER else "tree"
+    assert f"blocking {collective}[{in_use}]" in seen["message"]
+    assert "irecv<-0" in seen["message"]
 
 
 def test_hw_engine_error_names_the_operation():

@@ -5,13 +5,15 @@ Each collective algorithm is one schedule function in
 flavour) and the slot-arena executor run it.  Here:
 
 * a drawn differential: P, vector length (zero included), root, op,
-  path and blocking-vs-``i<op>`` drawn; every rank's result must equal
-  the independent reference of :mod:`repro.empi.collectives` bit for
-  bit (40 examples; ``MEDEA_FULL=1`` runs 400);
+  path, collective and blocking-vs-``i<op>`` drawn (scatter and gather
+  blocking only); every rank's result must equal the independent
+  reference of :mod:`repro.empi.collectives` bit for bit (40 examples;
+  ``MEDEA_FULL=1`` runs 400);
 * a zero-length collective returns ``[]`` on every path;
-* a communicator whose members disagree on their k-th collective ends
-  in a typed :class:`~repro.errors.ProgramError` naming it (the
-  ``typed_error`` tests, also run under ``python -O``);
+* a communicator whose members disagree on their k-th collective, or a
+  root outside the communicator, ends in a typed
+  :class:`~repro.errors.ProgramError` naming it (the ``typed_error``
+  tests, also run under ``python -O``);
 * the schedules' shapes, read without simulating.
 """
 
@@ -40,7 +42,7 @@ from repro.empi.schedules import (
 from repro.errors import ProgramError
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
-from tests.empi.cycle_pins import COLLECTIVES, COMBOS
+from tests.empi.cycle_pins import COLLECTIVES, COMBOS, SCATTER_GATHER
 
 #: Every path of the pin table; the chiplet package sized to fit any P.
 PATHS = {
@@ -51,11 +53,13 @@ PATHS = {
 
 
 def run(collective, path, contributions, root=0, op="sum", blocking=True,
-        n_values=None):
+        n_values=None, roots=None):
     """Run one collective on every rank; return (results, rank groups).
 
     ``contributions[r]`` is rank r's vector (a bcast reads only the
-    root's); ``n_values`` defaults to each rank's own length.
+    root's; a scatter root sends ``contributions[r]`` to rank r);
+    ``n_values`` defaults to each rank's own length and ``roots`` to
+    ``root`` on every rank.
     """
     model, algorithm, overrides = PATHS[path]
     n_workers = len(contributions)
@@ -65,12 +69,18 @@ def run(collective, path, contributions, root=0, op="sum", blocking=True,
         def program(ctx):
             mine = contributions[rank]
             length = len(mine) if n_values is None else n_values[rank]
+            my_root = root if roots is None else roots[rank]
             comm = make_comm(ctx, model, algorithm,
                              max_values=max([1, *map(len, contributions)]))
             if collective == "bcast":
-                args = (root, mine if rank == root else None, length)
+                args = (my_root, mine if rank == my_root else None, length)
             elif collective == "reduce":
-                args = (root, mine, op)
+                args = (my_root, mine, op)
+            elif collective == "scatter":
+                args = (my_root, contributions if rank == my_root else None,
+                        length)
+            elif collective == "gather":
+                args = (my_root, mine)
             else:
                 args = (mine, op)
             yield from comm.barrier()
@@ -99,15 +109,28 @@ def expected(collective, path, contributions, root, op, groups):
         result = dict.fromkeys(range(n_workers))
         result[root] = reference_reduce(contributions, root, op, algorithm)
         return result
+    if collective == "scatter":
+        return dict(enumerate(contributions))
+    if collective == "gather":
+        result = dict.fromkeys(range(n_workers))
+        result[root] = contributions
+        return result
     return dict.fromkeys(range(n_workers), reference_allreduce(
         contributions, op, algorithm, groups=groups
     ))
 
 
 def bits(results):
-    """Results with every double as its exact bits (-0.0 is not 0.0)."""
-    return {rank: None if vector is None else [v.hex() for v in vector]
-            for rank, vector in results.items()}
+    """Results with every double as its exact bits (-0.0 is not 0.0); a
+    gather root's list of vectors keeps its shape."""
+    def exact(value):
+        if value is None:
+            return None
+        if isinstance(value, float):
+            return value.hex()
+        return [exact(item) for item in value]
+
+    return {rank: exact(value) for rank, value in results.items()}
 
 
 # -- the drawn differential ------------------------------------------------------
@@ -124,7 +147,7 @@ def bits(results):
     root_draw=st.integers(0, 8),
     op=st.sampled_from(["sum", "max"]),
     path=st.sampled_from(sorted(PATHS)),
-    collective=st.sampled_from(COLLECTIVES),
+    collective=st.sampled_from(COLLECTIVES + SCATTER_GATHER),
     blocking=st.booleans(),
     seed=st.integers(0, 2**16),
 )
@@ -135,6 +158,7 @@ def test_drawn_collectives_match_the_references(
     contributions = [[rng.uniform(-4.0, 4.0) for __ in range(n_values)]
                      for __ in range(n_workers)]
     root = root_draw % n_workers
+    blocking = blocking or collective in SCATTER_GATHER  # no i* form
     out, groups = run(collective, path, contributions, root, op, blocking)
     assert bits(out) == bits(
         expected(collective, path, contributions, root, op, groups)
@@ -144,13 +168,21 @@ def test_drawn_collectives_match_the_references(
 # -- zero-length collectives -----------------------------------------------------
 
 
-@pytest.mark.parametrize("blocking", [True, False])
-@pytest.mark.parametrize("collective", COLLECTIVES)
+#: Every (collective, blocking) call there is: scatter and gather have no
+#: ``i*`` form.
+CALLS = [(collective, blocking) for collective in COLLECTIVES + SCATTER_GATHER
+         for blocking in (True, False)
+         if blocking or collective not in SCATTER_GATHER]
+
+
+@pytest.mark.parametrize("collective,blocking", CALLS)
 @pytest.mark.parametrize("path", sorted(PATHS))
 def test_zero_length_collectives_return_empty(path, collective, blocking):
     out, __ = run(collective, path, [[], []], root=1, blocking=blocking)
     if collective == "reduce":
         assert out == {0: None, 1: []}
+    elif collective == "gather":
+        assert out == {0: None, 1: [[], []]}
     else:
         assert out == {0: [], 1: []}
 
@@ -197,6 +229,44 @@ def test_mismatched_collectives_raise_a_typed_error():
     with pytest.raises(ProgramError,
                        match=r"#1 \(empi\): rank \d issued collective="):
         system.run(max_cycles=200_000)
+
+
+@pytest.mark.parametrize("root", [3, -1])
+@pytest.mark.parametrize("collective,blocking",
+                         [call for call in CALLS if call[0] != "allreduce"])
+@pytest.mark.parametrize("path", ["empi-linear", "empi-tree",
+                                  "sm-linear", "sm-tree"])
+def test_out_of_range_root_is_a_typed_error(path, collective, blocking, root):
+    with pytest.raises(ProgramError,
+                       match=rf"rank \d: {collective} root {root} is not a "
+                             rf"rank of this communicator \(0\.\.2\)"):
+        run(collective, path, [[1.0, 2.0]] * 3, root=root, blocking=blocking)
+
+
+@pytest.mark.parametrize("path", ["empi-linear", "sm-linear"])
+@pytest.mark.parametrize("collective", SCATTER_GATHER)
+def test_scatter_and_gather_lengths_disagreeing_are_a_typed_error(
+    path, collective,
+):
+    # Rank 1 passes 3 values where the others pass 4 (a scatter root's
+    # chunks are all of 4: only rank 1's n_values disagrees).
+    lengths = [4, 3, 4]
+    if collective == "scatter":
+        contributions = [[float(r + 1)] * 4 for r in range(3)]
+    else:
+        contributions = [[float(r + 1)] * n for r, n in enumerate(lengths)]
+    with pytest.raises(ProgramError) as caught:
+        run(collective, path, contributions, n_values=lengths)
+    message = str(caught.value)
+    assert message.startswith(f"{collective} #0 ")
+    assert "rank 1 issued n_values=3" in message
+
+
+@pytest.mark.parametrize("path", ["empi-linear", "sm-linear"])
+def test_scatter_roots_disagreeing_are_a_typed_error(path):
+    with pytest.raises(ProgramError,
+                       match=r"scatter #0 .*root=[01], rank \d issued root=[01]"):
+        run("scatter", path, [[1.0, 2.0]] * 3, roots=[0, 0, 1])
 
 
 # -- the schedules, read without simulating --------------------------------------
