@@ -198,9 +198,3 @@ class Pif2NocBridge:
         self.idle = True
         self._outgoing = []
         return txn
-
-    # -- diagnostics ----------------------------------------------------------------------
-
-    def describe(self) -> str:
-        txn = f"{self._txn.kind.name}@{self._txn.addr:#x}" if self._txn else "none"
-        return f"{self._state.value}({txn})"

@@ -130,12 +130,12 @@ class TimeoutGuard:
     nothing).  When a horizon expires the guard backs off — the next
     horizon grows by ``budget << attempt`` — and after ``retries``
     expirations it raises :class:`~repro.errors.EmpiTimeoutError` naming
-    the rank, the stuck operation, every outstanding request and (when a
-    fault plan is active) the injector's fault context.
+    the rank, the stuck operation, every outstanding request and the
+    run's report (``MedeaSystem.report``).
     """
 
     __slots__ = ("rank", "budget", "retries", "what", "pending",
-                 "fault_context", "rounds", "attempt", "horizon")
+                 "report", "rounds", "attempt", "horizon")
 
     def __init__(
         self,
@@ -144,14 +144,14 @@ class TimeoutGuard:
         retries: int,
         what: str,
         pending: Callable[[], list[str]] | None = None,
-        fault_context: Callable[[], str] | None = None,
+        report: Callable[[], str] | None = None,
     ) -> None:
         self.rank = rank
         self.budget = budget
         self.retries = retries
         self.what = what
         self.pending = pending
-        self.fault_context = fault_context
+        self.report = report
         self.rounds = 0
         self.attempt = 0
         self.horizon = budget
@@ -176,9 +176,8 @@ class TimeoutGuard:
         labels = self.pending() if self.pending is not None else []
         if labels:
             parts.append(f"outstanding requests: {', '.join(labels)}")
-        if self.fault_context is not None:
-            parts.append(self.fault_context())
-        return "; ".join(parts)
+        report = f"\n{self.report()}" if self.report is not None else ""
+        return "; ".join(parts) + report
 
 
 class ProgressEngine:
@@ -198,20 +197,20 @@ class ProgressEngine:
         self.rank = -1
         self.timeout_rounds = 0
         self.timeout_retries = 3
-        self.fault_context: Callable[[], str] | None = None
+        self.report: Callable[[], str] | None = None
 
     def configure_timeout(
         self,
         rank: int,
         budget: int,
         retries: int,
-        fault_context: Callable[[], str] | None = None,
+        report: Callable[[], str] | None = None,
     ) -> None:
         """Arm wait/progress timeouts (budget 0 keeps them off)."""
         self.rank = rank
         self.timeout_rounds = budget
         self.timeout_retries = retries
-        self.fault_context = fault_context
+        self.report = report
 
     def guard(self, what: str) -> TimeoutGuard | None:
         """A fresh :class:`TimeoutGuard`, or None with timeouts off."""
@@ -220,7 +219,7 @@ class ProgressEngine:
         return TimeoutGuard(
             self.rank, self.timeout_rounds, self.timeout_retries, what,
             pending=lambda: self.active_labels,
-            fault_context=self.fault_context,
+            report=self.report,
         )
 
     # -- resource turn-taking -------------------------------------------------

@@ -243,7 +243,7 @@ class Empi(EngineCompletion):
             ctx.rank,
             ctx.empi_timeout_cycles,
             ctx.empi_timeout_retries,
-            fault_context=ctx.fault_context,
+            report=ctx.report,
         )
         #: Critical-path attribution (TelemetryConfig.attribution): when
         #: armed, every collective is bracketed with zero-cycle CP_ENTER /

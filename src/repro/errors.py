@@ -37,21 +37,21 @@ class DeadlockError(SimulationError):
 
     Raised by :meth:`repro.kernel.simulator.Simulator.run` when every
     component is idle, no wakeup is scheduled and the caller's ``until``
-    predicate is still false.  The message includes a per-component
-    diagnostic to make protocol bugs debuggable.
+    predicate is still false.  The message carries the run's report
+    (``Simulator.report``) to make protocol bugs debuggable.
     """
 
 
 class WatchdogError(DeadlockError):
     """The no-progress watchdog expired.
 
-    Raised by :class:`repro.kernel.watchdog.ProgressWatchdog` when no flit
-    has moved and every core has sat in a WAIT state for a full budget of
-    cycles.  Semantically a deadlock (and a subclass of
-    :class:`DeadlockError` so existing handlers keep working), but raised
-    *eagerly* from inside a still-live simulation — e.g. when reliability
-    retries were exhausted under an unrecoverable fault plan — instead of
-    waiting for the kernel's wakeup queue to drain.
+    Raised by :class:`repro.kernel.watchdog.ProgressWatchdog`, naming what
+    still moved, when no flit entered or left the network and every core
+    sat in a WAIT state for a full budget of cycles.  Semantically a
+    deadlock (and a subclass of :class:`DeadlockError` so existing handlers
+    keep working), but raised *eagerly* from inside a still-live simulation
+    — e.g. when reliability retries were exhausted under an unrecoverable
+    fault plan — instead of waiting for the kernel's wakeup queue to drain.
     """
 
 
@@ -59,9 +59,9 @@ class EmpiTimeoutError(MedeaError):
     """An eMPI wait/progress loop exceeded its cycle budget.
 
     Carries the rank, the stuck operation (with its algorithm, e.g.
-    ``iallreduce[ring]``), every still-pending request label and — when a
-    fault plan is active — the fault context, so a lost-message hang names
-    its victim instead of spinning forever.
+    ``iallreduce[ring]``), every still-pending request label and the run's
+    report, so a lost-message hang names its victim instead of spinning
+    forever.
     """
 
 

@@ -68,11 +68,5 @@ class Component:
                 )
             self.sim.wake_at(self, until)
 
-    # -- debugging ---------------------------------------------------------
-
-    def describe_state(self) -> str:
-        """One-line state description used in deadlock diagnostics."""
-        return "active" if self.active else "idle"
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"

@@ -48,6 +48,7 @@ from collections.abc import Callable
 
 from repro.errors import DeadlockError, SimulationError
 from repro.kernel.component import Component
+from repro.kernel.state import component_lines
 
 #: A cycle no run reaches: "no deadline", "no observer".
 NEVER = sys.maxsize
@@ -56,8 +57,12 @@ NEVER = sys.maxsize
 class Simulator:
     """Global clock and scheduler for a set of :class:`Component` objects."""
 
-    def __init__(self) -> None:
+    def __init__(self, report: Callable[[], str] | None = None) -> None:
         self.cycle = 0
+        #: What every error that stops a run unfinished carries: the
+        #: system's (``MedeaSystem.report``) or one line per component.
+        self.report = report or (
+            lambda: "\n".join(component_lines(self._components)))
         self._components: list[Component] = []
         #: The active set: bit ``Component._order`` set while it is active.
         self._active = 0
@@ -135,7 +140,8 @@ class Simulator:
         Returns the number of cycles elapsed during this call.  Raises
         :class:`DeadlockError` if the system goes fully idle with no pending
         wakeup while ``until`` is still false — i.e. a genuine protocol
-        deadlock, with a per-component diagnostic in the message.
+        deadlock — and :class:`SimulationError` if ``max_cycles`` elapse
+        first; both carry :attr:`report`.
 
         ``until_idle=True`` is an exactness-preserving optimization for
         stop conditions that can only become true when every component is
@@ -169,14 +175,17 @@ class Simulator:
                         break
                     raise SimulationError(
                         f"max_cycles={max_cycles} exceeded before stop "
-                        f"condition (now {self.cycle})"
+                        f"condition (now {self.cycle})\n{self.report()}"
                     )
                 # Fast-forward over idle time.
                 if idle:
                     if not wakeups:
                         if until is None:
                             break
-                        raise DeadlockError(self._deadlock_report())
+                        raise DeadlockError(
+                            f"deadlock at cycle {self.cycle}: no active "
+                            f"component, no wakeup\n{self.report()}"
+                        )
                     target = wakeups[0][0]
                     if deadline is not None and target >= deadline:
                         # Cycle ``deadline`` itself is never stepped.
@@ -203,11 +212,3 @@ class Simulator:
             self._running = False
             self._run_horizon = self.horizon = 0
         return self.cycle - start
-
-    # -- diagnostics ----------------------------------------------------------
-
-    def _deadlock_report(self) -> str:
-        lines = [f"deadlock at cycle {self.cycle}: no active component, no wakeup"]
-        for comp in self._components:
-            lines.append(f"  {comp.name}: {comp.describe_state()}")
-        return "\n".join(lines)

@@ -1,21 +1,22 @@
 """No-progress watchdog: turns silent hangs into structured reports.
 
 A deadlock the kernel can prove — empty active set, no pending wakeup —
-already raises :class:`~repro.errors.DeadlockError` with per-component
-diagnostics.  The failure mode the fault layer adds is subtler: a system
-that is *live but stuck*, endlessly polling (reliability timers, lock
-backoff, eMPI progress loops) without any flit ever moving again — e.g.
-after retransmission retries were exhausted on a dead link.  Such a
-system never goes wakeup-free, so it would spin to ``max_cycles``.
+already raises :class:`~repro.errors.DeadlockError` with the run's
+report.  A system *live but stuck* — endlessly polling (reliability
+timers, lock backoff, eMPI progress loops) after retries were exhausted
+on a dead link, or deflecting flits that never arrive — never goes
+wakeup-free, so it would spin to ``max_cycles``.
 
 The watchdog is a component registered *last* (after every node, so its
 checks see the cycle's final state), waking every ``budget`` cycles.  If
-between two consecutive checks (1) no flit was injected, moved or
-ejected and (2) no core was RUNNING and the MPMMU was idle at both
-check points, it raises :class:`~repro.errors.WatchdogError` carrying
-the system's full progress report.  Both predicates are supplied by the
-system builder as callables, keeping the kernel free of system-layer
-imports.
+between two consecutive checks (1) no flit entered or left the network
+and (2) no core was RUNNING and the MPMMU was idle at both check points,
+it raises :class:`~repro.errors.WatchdogError` carrying the kernel's
+report and, under ``moved since the last check:``, every leaf of the
+watched components' state that changed in between (read only at checks
+where no core is busy): in a livelock, the circling flits.  Both
+predicates are supplied by the system builder as callables, keeping the
+kernel free of system-layer imports.
 
 Timing neutrality: the watchdog's step only reads state, and its wakeups
 merely add cycles to the kernel's visit schedule — they never change
@@ -25,10 +26,11 @@ bit-identical with and without it.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.errors import WatchdogError
 from repro.kernel.component import Component
+from repro.kernel.state import changes, component_state, short
 
 
 class ProgressWatchdog(Component):
@@ -39,7 +41,7 @@ class ProgressWatchdog(Component):
         budget: int,
         snapshot: Callable[[], tuple],
         busy: Callable[[], bool],
-        report: Callable[[], str],
+        watched: Sequence[Component],
     ) -> None:
         if budget <= 0:
             raise ValueError(f"watchdog budget must be positive, got {budget}")
@@ -47,9 +49,11 @@ class ProgressWatchdog(Component):
         self.budget = budget
         self._snapshot = snapshot
         self._busy = busy
-        self._report = report
+        self.watched = watched
         self._last: tuple | None = None
         self._was_busy = True
+        #: The watched components' state at the last check, if not busy.
+        self.kept: dict | None = None
 
     def step(self, cycle: int) -> None:
         snap = self._snapshot()
@@ -60,11 +64,20 @@ class ProgressWatchdog(Component):
             and not busy
             and not self._was_busy
         ):
+            moved = [f"    {path}: {short(before)} → {short(after)}"
+                     for path, before, after
+                     in changes("", self.kept, self._state())] or ["    nothing"]
             raise WatchdogError(
                 f"no progress for {self.budget} cycles (watchdog fired at "
-                f"cycle {cycle}): no flit moved and no core ran since the "
-                f"last check\n{self._report()}"
+                f"cycle {cycle}): no flit entered or left the network and "
+                f"no core ran since the last check\n{self.sim.report()}\n"
+                f"  moved since the last check:\n" + "\n".join(moved)
             )
         self._last = snap
         self._was_busy = busy
+        self.kept = None if busy else self._state()
         self.sleep(until=cycle + self.budget)
+
+    def _state(self) -> dict:
+        return {component.name: component_state(component)
+                for component in self.watched}

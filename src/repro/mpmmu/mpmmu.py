@@ -335,10 +335,3 @@ class MpmmuNode(Component):
             self._req_items or self._data_items or self._out_items
             or self._rx_items
         )
-
-    def describe_state(self) -> str:
-        return (
-            f"{self._state.value}, req={len(self.req_fifo)}, "
-            f"data={len(self.data_fifo)}, out={len(self.out_fifo)}, "
-            f"locks_held={self.locks.held_count}"
-        )

@@ -764,9 +764,3 @@ class NocFabric(Component):
     @property
     def flits_in_network(self) -> int:
         return self._flit_count
-
-    def describe_state(self) -> str:
-        return (
-            f"{'active' if self.active else 'idle'}, "
-            f"{self.flits_in_network} flits in network"
-        )

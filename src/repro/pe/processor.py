@@ -946,11 +946,3 @@ class ProcessorNode(Component):
             "lock_spin": raw[_WAIT_LOCK],
             "idle": raw[_DONE],
         }
-
-    def describe_state(self) -> str:
-        return (
-            f"{self.state.value}, ready_at={self._ready_at}, "
-            f"jobs={len(self._jobs)}, active_job="
-            f"{self._active_job.tag if self._active_job else None}, "
-            f"last_op={self._last_op!r}, bridge={self.bridge.describe()}"
-        )

@@ -137,10 +137,10 @@ class ProgramContext:
         self.rank_groups: list[list[int]] | None = None
         # Bound by the system builder (import cycle otherwise).
         self.empi: "Empi | None" = None
-        #: Optional () -> str callable supplying fault-injection context
-        #: for timeout diagnostics; set by the system builder when a
-        #: fault plan is active.
-        self.fault_context: "typing.Callable[[], str] | None" = None
+        #: Optional () -> str callable supplying the run's report for
+        #: timeout diagnostics (``MedeaSystem.report``); set by the
+        #: system builder.
+        self.report: "typing.Callable[[], str] | None" = None
         #: Whether eMPI brackets collectives with critical-path events
         #: (TelemetryConfig.attribution); set by the system builder.
         self.attribution = False

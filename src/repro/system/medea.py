@@ -14,6 +14,7 @@ from repro.empi.schedules import Agreement
 from repro.errors import ConfigError, MemoryAccessError
 from repro.faults import FaultInjector
 from repro.kernel.simulator import Simulator
+from repro.kernel.state import component_lines
 from repro.kernel.watchdog import ProgressWatchdog
 from repro.kernel.trace import EventLog
 from repro.mem.ddr import DdrModel
@@ -64,7 +65,7 @@ class MedeaSystem:
             chiplet_link_latency=config.chiplet_link_latency,
             chiplet_link_width=config.chiplet_link_width,
         )
-        self.sim = Simulator()
+        self.sim = Simulator(report=self.report)
         telemetry_cfg = config.telemetry
         #: The run's one event log (see :mod:`repro.kernel.trace`).
         self.events = EventLog()
@@ -155,7 +156,7 @@ class MedeaSystem:
                     budget,
                     snapshot=self._progress_snapshot,
                     busy=self._progress_busy,
-                    report=self._progress_report,
+                    watched=(self.fabric, self.mpmmu, *self.nodes),
                 )
             )
             # Components register asleep; arm the periodic check so the
@@ -307,46 +308,34 @@ class MedeaSystem:
             node.state is CoreState.RUNNING for node in self.nodes
         )
 
-    def _ledger_summary(self) -> str:
-        """Top cycle-ledger stall class per unfinished rank, one line.
-
-        Rides the always-on state counters, so it is available in every
-        hang/timeout report even with telemetry off.
-        """
+    def report(self) -> str:
+        """What every error that stops a run unfinished carries: the top
+        cycle-ledger stall class per unfinished rank (always-on counters),
+        one derived line per component (``kernel/state.py``), the pending
+        eMPI requests, the fault context and the last telemetry sample."""
         from repro.pe.processor import CoreState
         cycle = self.sim.cycle
-        parts = []
+        ledger = []
         for node in self.nodes:
-            if node.state is CoreState.DONE:
-                continue
-            ledger = node.cycle_ledger(cycle)
-            stall, cycles = max(
-                (item for item in ledger.items()
-                 if item[0] not in ("compute", "idle")),
-                key=lambda item: item[1],
-            )
-            share = (100 * cycles) // cycle if cycle else 0
-            parts.append(f"rank {node.rank} {stall} {cycles}cyc ({share}%)")
-        if not parts:
-            return "cycle ledger: all ranks done"
-        return "cycle ledger: " + ", ".join(parts)
-
-    def _progress_report(self) -> str:
-        lines = [f"  {self._ledger_summary()}"]
-        for comp in self.sim.components:
-            lines.append(f"  {comp.name}: {comp.describe_state()}")
+            if node.state is not CoreState.DONE:
+                stall, cycles = max(
+                    (item for item in node.cycle_ledger(cycle).items()
+                     if item[0] not in ("compute", "idle")),
+                    key=lambda item: item[1],
+                )
+                share = (100 * cycles) // cycle if cycle else 0
+                ledger.append(f"rank {node.rank} {stall} {cycles}cyc ({share}%)")
+        lines = [f"  cycle ledger: {', '.join(ledger) or 'all ranks done'}",
+                 *component_lines(self.sim.components)]
         for ctx in self.contexts:
-            empi = ctx.empi
-            if empi is not None:
-                labels = empi.engine.active_labels
-                if labels:
-                    lines.append(
-                        f"  empi[rank {ctx.rank}]: pending {', '.join(labels)}"
-                    )
-        if self.injector is not None:
-            lines.append(f"  {self.injector.describe()}")
-        if self.telemetry is not None:
-            lines.append(f"  {self.telemetry.describe()}")
+            labels = ctx.empi.engine.active_labels
+            if labels:
+                lines.append(
+                    f"  empi[rank {ctx.rank}]: pending {', '.join(labels)}"
+                )
+        for source in (self.injector, self.telemetry):
+            if source is not None:
+                lines.append(f"  {source.describe()}")
         return "\n".join(lines)
 
     def context_for(self, rank: int) -> ProgramContext:
@@ -365,21 +354,7 @@ class MedeaSystem:
             empi_timeout_retries=config.empi_timeout_retries,
         )
         ctx.rank_groups = self.rank_groups
-        # Timeout/watchdog reports carry every diagnostic describer we
-        # have: fault state, the last telemetry snapshot, and the cycle
-        # ledger's top stall class per stuck rank.
-        describers = [
-            source.describe
-            for source in (self.injector, self.telemetry)
-            if source is not None
-        ]
-        describers.append(self._ledger_summary)
-        if len(describers) == 1:
-            ctx.fault_context = describers[0]
-        else:
-            ctx.fault_context = lambda: "\n".join(
-                describe() for describe in describers
-            )
+        ctx.report = self.report
         telemetry_cfg = config.telemetry
         ctx.attribution = (
             telemetry_cfg is not None and telemetry_cfg.attribution

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from enum import Enum
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
@@ -128,14 +130,11 @@ def test_deadlock_raises_with_diagnostics():
         def step(self, cycle: int) -> None:  # pragma: no cover
             raise AssertionError("never stepped")
 
-        def describe_state(self) -> str:
-            return "waiting for a reply that will never come"
-
-    sim.register(Stuck("stuck"))
+    stuck = sim.register(Stuck("stuck"))
+    stuck.phase = Enum("Phase", {"WAITING": "waiting for a reply"}).WAITING
     with pytest.raises(DeadlockError) as exc:
         sim.run(until=lambda: False)
-    assert "stuck" in str(exc.value)
-    assert "never come" in str(exc.value)
+    assert "\n  stuck: phase=waiting for a reply" in str(exc.value)
 
 
 def test_until_checked_before_stepping():

@@ -18,13 +18,13 @@ import pytest
 from repro.cache.l1 import L1Cache
 from repro.errors import ConfigError, ProtocolError
 from repro.kernel.simulator import Simulator
+from repro.kernel.state import component_state
 from repro.mem.ddr import DdrModel
 from repro.mpmmu.mpmmu import MpmmuNode, _MpmmuState, _WriteAssembly
 from repro.noc.flit import Flit
 from repro.noc.network import NocFabric
 from repro.noc.packet import PacketType, SubType
 from repro.noc.topology import MeshTopology
-from tests.reference_machine import component_state
 
 ADDR, DATA = int(SubType.ADDR), int(SubType.DATA)
 SR, SW, BR, BW, LOCK, UNLOCK = list(PacketType)[:6]
@@ -122,7 +122,7 @@ def test_replies_flit_for_flit_and_cycle_for_cycle():
 
 def test_no_mpmmu_step_of_a_write_through_jacobi_changes_nothing():
     """Every step the MPMMU is given moves something in its section of the
-    machine state (``component_state`` of ``tests/reference_machine.py``):
+    machine state (``component_state`` of ``repro.kernel.state``):
     its state, a FIFO, a counter or its injection slot.  Waiting for
     write data with requests queued it used to stay awake, more than half
     its steps; a delivery wakes it in the arrival cycle, so it sleeps

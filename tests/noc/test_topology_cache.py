@@ -29,7 +29,7 @@ from repro.noc.switch import _branch_plan
 from repro.noc.topology import TOPOLOGY_CACHE_SIZE, build_topology
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
-from repro.telemetry.attribution import build_report, render_report
+from repro.system.state import machine_state
 
 sys.path.insert(
     0, str(Path(__file__).resolve().parents[2] / "benchmarks" / "perf")
@@ -126,13 +126,6 @@ def loaded_system(config: SystemConfig) -> MedeaSystem:
     return system
 
 
-def outcome(system: MedeaSystem) -> tuple:
-    return (
-        system.cycle, system.collect_stats(),
-        render_report(build_report(system, workload="allreduce-hw")),
-    )
-
-
 @pytest.mark.parametrize("kind", KIND_CONFIGS)
 def test_cold_and_warm_systems_are_the_same_machine(kind):
     config = KIND_CONFIGS[kind]
@@ -143,7 +136,7 @@ def test_cold_and_warm_systems_are_the_same_machine(kind):
     assert warm.topology is cold.topology
     assert build_topology.cache_info()[:2] == (1, 1)  # hits, misses
     warm.run()
-    assert outcome(warm) == outcome(cold)
+    assert machine_state(warm) == machine_state(cold)
 
 
 @pytest.mark.parametrize("kind", KIND_CONFIGS)
@@ -163,7 +156,7 @@ def test_two_systems_on_one_topology_stepped_alternately(kind):
     while not (first.finished() and second.finished()):
         advance(first)
         advance(second)
-    assert outcome(first) == outcome(second) == outcome(alone)
+    assert machine_state(first) == machine_state(second) == machine_state(alone)
     # ... and every TIE owns its credit plan.
     plans = [node.tie.credit_plan for node in first.nodes + second.nodes]
     assert len({id(plan) for plan in plans}) == len(plans)

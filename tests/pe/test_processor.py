@@ -6,6 +6,7 @@ import pytest
 
 from repro.cache.l1 import WritePolicy
 from repro.errors import MemoryAccessError, ProgramError
+from repro.kernel.state import component_lines
 from repro.system.config import SystemConfig
 from tests.conftest import run_programs
 
@@ -333,10 +334,10 @@ def test_done_node_is_drained():
     assert system.finished()
 
 
-def test_describe_state_mentions_progress():
+def test_state_line_names_the_core_state():
     def program(ctx):
         yield ("compute", 5)
 
     system = run_programs(solo(), program)
-    description = system.nodes[0].describe_state()
-    assert "done" in description
+    assert "  pe[0]: state=done, last_op=['end']" in component_lines(
+        system.sim.components)

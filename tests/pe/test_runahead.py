@@ -5,8 +5,8 @@
 schedule *is* the cycle-by-cycle reference.  ``MedeaSystem.run`` polls
 only when idle, so cores run ahead of the clock over L1 hits, FP ops and
 scratchpad accesses.  Everything a run reports must agree between the
-two, bit for bit: ``machine_state`` of ``tests/reference_machine.py``,
-whose ``run_ahead`` twin is this per-cycle schedule.
+two, bit for bit: ``machine_state``; this per-cycle schedule is the
+``run_ahead`` twin of ``tests/reference_machine.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from repro.pe.processor import CoreState
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
 from repro.telemetry.config import TelemetryConfig
-from tests.reference_machine import assert_agree, machine_state
+from repro.system.state import machine_state
+from tests.reference_machine import assert_agree
 
 #: Bytes between two addresses of one cache set (2 kB, 16 B lines, 2 ways).
 SET_STRIDE = 1024

@@ -21,21 +21,18 @@ their proofs stay where they are, the exhaustive per-switch test of
 ``tests/noc/test_switch_golden.py`` and the no-op census of
 ``tests/mpmmu/test_flit_by_flit.py``.
 
-Two machines are compared on :func:`machine_state`: one section per
-component (:func:`component_state`, also the no-op censuses' per-step
-fingerprint), the fault layer, every memory word and what the run
-reports.  :func:`first_divergence` bisects runs cut short for the first
-cycle whose state differs and names the field.
+Two machines are compared on ``machine_state`` (``repro.system.state``):
+one section per component (``component_state`` of ``repro.kernel.state``,
+also the no-op censuses' per-step fingerprint), the fault layer, every
+memory word and what the run reports.  :func:`first_divergence` bisects
+runs cut short for the first cycle whose state differs and names the
+field.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
-from collections import deque, namedtuple
 from contextlib import contextmanager
-from enum import Enum
-from operator import attrgetter, methodcaller
 
 import pytest
 
@@ -43,12 +40,11 @@ import repro.noc.network as network
 import repro.system.medea as medea
 from repro.errors import DeadlockError, SimulationError
 from repro.kernel.simulator import NEVER, Simulator
-from repro.kernel.stats import CounterSet, LatencyStat
+from repro.kernel.state import changes
 from repro.cache.l1 import L1Cache
-from repro.noc.flit import Flit
 from repro.noc.network import NocFabric
 from repro.pe.processor import ProcessorNode
-from repro.telemetry.attribution import build_report, render_report
+from repro.system.state import machine_state
 from tests.noc.test_switch_golden import _reference_route_mixed
 
 # -- the twins -----------------------------------------------------------------
@@ -76,13 +72,16 @@ class ScanAllSimulator(Simulator):
                         break
                     raise SimulationError(
                         f"max_cycles={max_cycles} exceeded before stop "
-                        f"condition (now {self.cycle})"
+                        f"condition (now {self.cycle})\n{self.report()}"
                     )
                 if idle:
                     if not self._wakeups:
                         if until is None:
                             break
-                        raise DeadlockError(self._deadlock_report())
+                        raise DeadlockError(
+                            f"deadlock at cycle {self.cycle}: no active "
+                            f"component, no wakeup\n{self.report()}"
+                        )
                     target = self._wakeups[0][0]
                     if deadline is not None and target >= deadline:
                         self.cycle = deadline
@@ -151,108 +150,6 @@ def reference_machine(twins=ALL):
         yield
 
 
-# -- the machine's state -------------------------------------------------------
-
-#: Attributes no section reads: the schedule (``active`` is the kernel
-#: section's) and the quiet arm's bookkeeping, uids (a flit's come from a
-#: process-wide counter), references back into the machine (each part is
-#: read where it is owned), the static build, bulk memory (the ``memory``
-#: section) and the host-side branch-plan cache.
-_NOT_STATE = frozenset({
-    "active", "_quiet_until", "_acted_at", "uid",
-    "sim", "fabric", "owner", "tie", "dma", "injector", "faults", "clock",
-    "events", "topology", "map", "lut", "codec", "_bound", "_lone_bound",
-    "_sets", "store", "mcast_plans",
-})
-_SCALARS = frozenset({type(None), bool, int, float, str})
-_CONVERTERS: dict = {}  # type -> _converter(type): the censuses run per step
-
-
-def plain(value):
-    """``value`` as data two machines can be compared on: a counter set as
-    its dict but for the arbiter's ``port_busy_cycles`` (visits that found
-    the port busy: a tile asleep is not visited), any other object as a
-    dict of its attributes but the ``_NOT_STATE`` ones and bound methods."""
-    kind = type(value)
-    if kind in _SCALARS:
-        return value
-    if kind not in _CONVERTERS:
-        _CONVERTERS[kind] = _converter(kind)
-    return _CONVERTERS[kind](value)
-
-
-def _converter(kind: type):
-    if issubclass(kind, (int, float, str, Enum, set, frozenset)):
-        return lambda value: value
-    if kind is Flit:  # the commonest object: one call, named fields
-        fields = [name for name in Flit.__slots__ if name not in _NOT_STATE]
-        read, flit = attrgetter(*fields), namedtuple("flit", fields)
-        return lambda value: flit(*read(value))
-    if issubclass(kind, (CounterSet, LatencyStat)):
-        return lambda value: {key: count for key, count in value.as_dict().items()
-                              if key != "port_busy_cycles"}
-    if issubclass(kind, random.Random):
-        return methodcaller("getstate")
-    if issubclass(kind, dict):
-        return lambda value: {key: plain(item) for key, item in value.items()}
-    if issubclass(kind, (list, tuple, deque)):
-        return lambda value: [plain(item) for item in value]
-    names = [name for name in getattr(kind, "__slots__", ())
-             if name not in _NOT_STATE]
-    if names:
-        return lambda value: {name: plain(item) for name in names
-                              if not callable(item := getattr(value, name))}
-    return lambda value: {
-        name: plain(item) for name, item in vars(value).items()
-        if name not in _NOT_STATE and not callable(item)
-    }
-
-
-def component_state(component) -> dict:
-    """Everything a step of ``component`` can change but whether it is
-    awake afterwards, the quiet arm's two integers and its bulk memory."""
-    state = plain(component)
-    for part in ("tie", "dma"):  # a tile's own, which its agent points at
-        if hasattr(component, part):
-            state[part] = plain(getattr(component, part))
-    return state
-
-
-def machine_state(system, schedule: bool = False) -> dict:
-    """The kernel's active set, mask and pending wake-ups (``schedule``
-    only), one section per component in phase order, the fault layer,
-    every memory word and what the run reports."""
-    stats = system.collect_stats()  # folds the batched counters in first
-    sim = system.sim
-    state = {"kernel": {
-        "active": [comp.name for comp in sim.components if comp.active],
-        "mask": [comp.name for comp in sim.components if sim._active & comp._bit],
-        "wakeups": sorted((cycle, comp.name) for cycle, __, comp in sim._wakeups),
-    }} if schedule else {}
-    for component in (system.fabric, system.mpmmu, *system.nodes):
-        state[component.name] = component_state(component)
-    state["faults"] = plain(system.injector)
-    state["memory"] = {
-        "ddr": dict(system.ddr.store._words),
-        "mpmmu": plain(system.mpmmu.cache._sets),
-        **{node.name: {"l1": plain(node.cache._sets),
-                       "lmem": dict(node.scratchpad.store._words)}
-           for node in system.nodes},
-    }
-    registry = system.telemetry
-    state["system"] = {
-        "cycle": system.cycle, "stats": stats,
-        "report": render_report(build_report(system, workload="run")),
-        "samples": None if registry is None else list(registry.samples),
-        "program_events": list(system.events.program),
-        "ring_events": [  # the key of an EJECT is a flit uid
-            (event.cycle, event.tile, event.kind, event.payload)
-            for event in system.events.ring
-        ],
-    }
-    return state
-
-
 # -- comparing two machines -------------------------------------------------------
 
 
@@ -282,25 +179,6 @@ def _states(run, twins, max_cycles, schedule) -> tuple[dict, dict]:
         return as_built, outcome(run, max_cycles, schedule)
 
 
-def _difference(path: str, as_built, reference):
-    """The first field at which two plain values differ, descending into
-    dicts, flits and equal-length lists: ``(path, as built, reference)``."""
-    if hasattr(as_built, "_asdict") and type(as_built) is type(reference):
-        as_built, reference = as_built._asdict(), reference._asdict()
-    if isinstance(as_built, dict) and isinstance(reference, dict):
-        pairs = [(f"{path}.{key}" if path else str(key),
-                  as_built.get(key, "<absent>"), reference.get(key, "<absent>"))
-                 for key in {**as_built, **reference}]
-    elif (isinstance(as_built, list) and isinstance(reference, list)
-          and len(as_built) == len(reference)):
-        pairs = [(f"{path}[{index}]", *pair)
-                 for index, pair in enumerate(zip(as_built, reference))]
-    else:
-        return path, as_built, reference
-    return next((_difference(*pair) for pair in pairs if pair[1] != pair[2]),
-                (path, as_built, reference))
-
-
 def first_divergence(run, stop: int, twins=ALL, schedule: bool = False) -> str:
     """Where ``run`` (an :func:`outcome` run, differing when cut short at
     ``stop`` cycles) first differs between the machine as built and the
@@ -316,7 +194,7 @@ def first_divergence(run, stop: int, twins=ALL, schedule: bool = False) -> str:
         as_built, reference = _states(run, twins, middle, schedule)
         low, high = (low, middle) if as_built != reference else (middle, high)
     as_built, reference = _states(run, twins, high, schedule)
-    path, mine, theirs = _difference("", as_built, reference)
+    path, mine, theirs = next(changes("", as_built, reference))
     others = [section for section, state in as_built.items()
               if state != reference[section] and not path.startswith(section)]
     return (f"cycle {high - 1}: {path}: as-built {_short(mine)}, reference "

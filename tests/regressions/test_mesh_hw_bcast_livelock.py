@@ -10,29 +10,36 @@ than the 32-value allreduce of ``test_mesh_hw_allreduce_livelock.py`` and
 hung the same way: the multicast livelock family of Berejuck's survey
 (PAPERS.md), the fabric active, so no ``DeadlockError`` fires.
 
-The hang report at cycle 50 000 (``describe_state`` per tile):
+The watchdog's report, with ``watchdog_cycles=5_000`` armed on ``CONFIG``
+(``dataclasses.replace``); unarmed, the run dies of ``max_cycles`` with a
+report of the same form, less the ``moved`` section:
 
-    pe[0] wait_req, ready_at=170, last_op=('recvreq',)     (in the end barrier)
-    pe[1] wait_req, ready_at=164, last_op=('recvreq',)
-    pe[2] wait_msg, ready_at=114, last_op=('mrecv', 1, 32)
-    pe[3] wait_msg, ready_at=113, last_op=('mrecv', 1, 32)
-    pe[4] wait_req, ready_at=165, last_op=('recvreq',)
-    pe[5] wait_msg, ready_at=115, last_op=('mrecv', 1, 32)
-    pe[6] wait_msg, ready_at=114, last_op=('mrecv', 1, 32)
-    pe[7] wait_msg, ready_at=113, last_op=('mrecv', 1, 32)
+    no progress for 5000 cycles (watchdog fired at cycle 10000): no flit entered or left the network and no core ran since the last check
+      cycle ledger: rank 0 barrier_spin 9964cyc (99%), rank 1 barrier_spin 9854cyc (98%), rank 2 wait_msg 9941cyc (99%), rank 3 wait_msg 9940cyc (99%), rank 4 barrier_spin 9860cyc (98%), rank 5 wait_msg 9934cyc (99%), rank 6 wait_msg 9933cyc (99%), rank 7 wait_msg 9930cyc (99%)
+      noc: work={5}
+      mpmmu: state=idle, after_state=idle
+      pe[0]: state=wait_req, last_op=['recvreq']
+      pe[1]: state=wait_req, last_op=['recvreq']
+      pe[2]: state=wait_msg, wait_msg=[…], last_op=['mrecv', 1, 32]
+      pe[3]: state=wait_msg, wait_msg=[…], last_op=['mrecv', 1, 32]
+      pe[4]: state=wait_req, last_op=['recvreq']
+      pe[5]: state=wait_msg, wait_msg=[…], last_op=['mrecv', 1, 32]
+      pe[6]: state=wait_msg, wait_msg=[…], last_op=['mrecv', 1, 32]
+      pe[7]: state=wait_msg, wait_msg=[…], last_op=['mrecv', 1, 32]
+      watchdog: last=[131, 509, 3]
+      moved since the last check:
+        noc.stats.deflections: 4947 → 9947
+        noc.regs[5][0].hops: 4880 → 9880
+        noc.regs[5][0].deflections: 2438 → 4938
+        noc.regs[5][2].hops: 4882 → 9882
+        noc.regs[5][3].hops: 4878 → 9878
+        noc.regs[5][3].deflections: 2437 → 4937
 
-Every bridge idle, every DMA engine drained (the root's sent its two
-descriptors, 64 flits), no TIE send in flight.  The five ``wait_msg``
-tiles hold the root's second 32-word broadcast up to slot 59 (61 on
-``pe[7]``, which also lacks 63) and want 64; the missing flits are still
-in the network, three multicast flits from node 1 —
-
-    reg[2][2]  MULTICAST 1->mask=0x100 seq=13  (slot 61; 24 938 deflections)
-    reg[4][1]  MULTICAST 1->mask=0x100 seq=15  (slot 63; 24 937 deflections)
-    reg[8][0]  MULTICAST 1->mask=0xd8  seq=11  (slot 59; 0 deflections)
-
-— each about 49 880 hops old, with ``noc.deflections`` 49 947 against
-``flit_hops`` 1 830 and ``eject_overflows`` 64.
+The five ``wait_msg`` tiles hold the root's second 32-word broadcast up
+to slot 59 (61 on ``pe[7]``) and want 64.  What still moves is three
+flits from node 1, two one-member multicasts (``mask=0x100``, seq 13 and
+15) and a ``mask=0xd8`` one (seq 11), between node 5 (even cycles, as
+here) and ``regs[2][2]``, ``regs[4][1]``, ``regs[8][0]`` (odd cycles).
 """
 
 from __future__ import annotations

@@ -26,7 +26,12 @@ from repro.apps.collective_bench import (
     run_collective_bench,
 )
 from repro.empi.collectives import make_comm
-from repro.errors import DeadlockError, EmpiTimeoutError, WatchdogError
+from repro.errors import (
+    DeadlockError,
+    EmpiTimeoutError,
+    SimulationError,
+    WatchdogError,
+)
 from repro.faults import FaultPlan
 from repro.pe.reliability import ReliabilityAgent
 from repro.pe.tie import FINISHED, SENT, OutgoingMessage
@@ -260,6 +265,50 @@ def test_total_loss_fires_the_watchdog_with_a_structured_report():
     assert "wait_msg" in message            # the blocked components
     assert "fault context [seed=1]" in message
     assert isinstance(exc.value, DeadlockError)  # catchable as the base
+
+
+def test_max_cycles_error_carries_the_report():
+    config = SystemConfig(n_workers=2)
+    system = MedeaSystem(config)
+    system.load_programs([_waiter, _silent])
+    with pytest.raises(SimulationError) as exc:
+        system.run(max_cycles=2_000)
+    message = str(exc.value)
+    assert message.startswith("max_cycles=2000 exceeded")
+    assert "\n  cycle ledger: rank 0 " in message
+    assert "\n  pe[1]: state=done" in message
+    assert "\n  empi[rank 0]: pending irecv<-1" in message
+
+
+def test_a_stalled_switch_fires_the_watchdog_naming_what_moves():
+    # Switch 2 stalls from cycle 20 for longer than the run: rank 0's
+    # stream to rank 1 never completes, and two of its flits circle the
+    # stalled switch.  Not a bug: a correct machine reports it too.
+    def sender(ctx):
+        yield from ctx.empi.send_doubles(1, [float(i) for i in range(16)])
+
+    def receiver(ctx):
+        yield from ctx.empi.recv_doubles(0, 16)
+
+    def idle(ctx):
+        yield ("compute", 1)
+
+    config = SystemConfig(
+        n_workers=4, topology_kind="mesh", watchdog_cycles=5_000,
+        faults=FaultPlan(seed=1, stalls=((2, 20, 60_000),)),
+    )
+    system = MedeaSystem(config)
+    system.load_programs([sender, receiver, idle, idle])
+    with pytest.raises(WatchdogError) as exc:
+        system.run(max_cycles=200_000)
+    report, moved = str(exc.value).split("\n  moved since the last check:\n")
+    assert "(watchdog fired at cycle 10000)" in report
+    assert "\n  pe[1]: state=wait_msg" in report
+    moved = [line.split(":")[0].strip() for line in moved.splitlines()]
+    assert "noc.ports[1].inject.stalled_cycles" in moved
+    for register in ("noc.regs[0][1]", "noc.regs[1][3]"):
+        assert f"{register}.hops" in moved
+        assert f"{register}.deflections" in moved
 
 
 # -- timing neutrality ------------------------------------------------------
