@@ -33,8 +33,9 @@ def plain(value):
     """``value`` as data two machines can be compared on: a counter set as
     its dict but for the arbiter's ``port_busy_cycles`` (visits that found
     the port busy: a tile asleep is not visited), a slotted dataclass (a
-    flit) as a named tuple of its fields, any other object as a dict of
-    its attributes but the ``_NOT_STATE`` ones and bound methods."""
+    flit, whose fields are scalars) as a named tuple of its fields, any
+    other object as a dict of its attributes but the ``_NOT_STATE`` ones
+    and bound methods."""
     kind = type(value)
     if kind in _SCALARS:
         return value
@@ -44,8 +45,10 @@ def plain(value):
 
 
 def _converter(kind: type):
-    if issubclass(kind, (int, float, str, Enum, set, frozenset)):
+    if issubclass(kind, (int, float, str, Enum, frozenset)):
         return lambda value: value
+    if issubclass(kind, set):  # a copy: the reading outlives the step
+        return set
     if is_dataclass(kind) and "__slots__" in vars(kind):
         names = [field.name for field in fields(kind)
                  if field.name not in _NOT_STATE]

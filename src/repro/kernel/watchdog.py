@@ -14,7 +14,8 @@ and (2) no core was RUNNING and the MPMMU was idle at both check points,
 it raises :class:`~repro.errors.WatchdogError` carrying the kernel's
 report and, under ``moved since the last check:``, every leaf of the
 watched components' state that changed in between (read only at checks
-where no core is busy): in a livelock, the circling flits.  Both
+where no core is busy, from the second on): in a livelock, the circling
+flits.  Both
 predicates are supplied by the system builder as callables, keeping the
 kernel free of system-layer imports.
 
@@ -64,18 +65,26 @@ class ProgressWatchdog(Component):
             and not busy
             and not self._was_busy
         ):
-            moved = [f"    {path}: {short(before)} → {short(after)}"
-                     for path, before, after
-                     in changes("", self.kept, self._state())] or ["    nothing"]
+            if self.kept is None:  # the last check was the first
+                moved = ["    not read at the first check"]
+            else:
+                moved = [f"    {path}: {short(before)} → {short(after)}"
+                         for path, before, after
+                         in changes("", self.kept, self._state())] or ["    nothing"]
             raise WatchdogError(
                 f"no progress for {self.budget} cycles (watchdog fired at "
                 f"cycle {cycle}): no flit entered or left the network and "
                 f"no core ran since the last check\n{self.sim.report()}\n"
                 f"  moved since the last check:\n" + "\n".join(moved)
             )
+        # Reading state gives every object it reads a real ``__dict__``
+        # (CPython 3.11), whose attributes are then slower to reach: one
+        # read at cycle 0 cost allreduce_tree_8w_lossy about a tenth of
+        # its speed.  So never at the first check, the only one a run
+        # shorter than the budget makes.
+        self.kept = None if busy or self._last is None else self._state()
         self._last = snap
         self._was_busy = busy
-        self.kept = None if busy else self._state()
         self.sleep(until=cycle + self.budget)
 
     def _state(self) -> dict:
