@@ -77,11 +77,10 @@ class ProgressWatchdog(Component):
                 f"no core ran since the last check\n{self.sim.report()}\n"
                 f"  moved since the last check:\n" + "\n".join(moved)
             )
-        # Reading state gives every object it reads a real ``__dict__``
-        # (CPython 3.11), whose attributes are then slower to reach: one
-        # read at cycle 0 cost allreduce_tree_8w_lossy about a tenth of
-        # its speed.  So never at the first check, the only one a run
-        # shorter than the budget makes.
+        # Not at the first check, the only one a run shorter than the
+        # budget makes: a read gives each object it reads a real
+        # ``__dict__``, slower to use (CPython 3.11; one at cycle 0 cost
+        # allreduce_tree_8w_lossy a tenth of its speed).
         self.kept = None if busy or self._last is None else self._state()
         self._last = snap
         self._was_busy = busy
