@@ -48,7 +48,6 @@ from collections.abc import Callable
 
 from repro.errors import DeadlockError, SimulationError
 from repro.kernel.component import Component
-from repro.kernel.state import component_lines
 
 #: A cycle no run reaches: "no deadline", "no observer".
 NEVER = sys.maxsize
@@ -61,8 +60,7 @@ class Simulator:
         self.cycle = 0
         #: What every error that stops a run unfinished carries: the
         #: system's (``MedeaSystem.report``) or one line per component.
-        self.report = report or (
-            lambda: "\n".join(component_lines(self._components)))
+        self.report = report or self._component_lines
         self._components: list[Component] = []
         #: The active set: bit ``Component._order`` set while it is active.
         self._active = 0
@@ -212,3 +210,8 @@ class Simulator:
             self._running = False
             self._run_horizon = self.horizon = 0
         return self.cycle - start
+
+    def _component_lines(self) -> str:
+        # Imported here: a run that stops as asked never loads the reader.
+        from repro.kernel.state import component_lines
+        return "\n".join(component_lines(self._components))

@@ -1,6 +1,10 @@
 """The machine's state, read by reflection: runs compare on
 :func:`component_state`, :func:`changes` names the leaves two readings
-differ at, reports print :func:`state_line`.  Nothing here runs per step.
+differ at, reports print :func:`state_line`.  The simulation never reads
+it, and a timed run must not: a read gives each object it reads a real
+``__dict__`` (CPython 3.11), slower to use from then on.  ``src/`` imports
+it where a report or a reading is made, so a run that stops as asked never
+loads it (0.1 MiB of peak RSS on ``allreduce_tree_8w_lossy``).
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from collections.abc import Callable, Sequence
 
 from repro.errors import WatchdogError
 from repro.kernel.component import Component
-from repro.kernel.state import changes, component_state, short
 
 
 class ProgressWatchdog(Component):
@@ -65,6 +64,7 @@ class ProgressWatchdog(Component):
             and not busy
             and not self._was_busy
         ):
+            from repro.kernel.state import changes, short
             if self.kept is None:  # the last check was the first
                 moved = ["    not read at the first check"]
             else:
@@ -87,5 +87,6 @@ class ProgressWatchdog(Component):
         self.sleep(until=cycle + self.budget)
 
     def _state(self) -> dict:
+        from repro.kernel.state import component_state
         return {component.name: component_state(component)
                 for component in self.watched}

@@ -14,7 +14,6 @@ from repro.empi.schedules import Agreement
 from repro.errors import ConfigError, MemoryAccessError
 from repro.faults import FaultInjector
 from repro.kernel.simulator import Simulator
-from repro.kernel.state import component_lines
 from repro.kernel.watchdog import ProgressWatchdog
 from repro.kernel.trace import EventLog
 from repro.mem.ddr import DdrModel
@@ -313,6 +312,7 @@ class MedeaSystem:
         cycle-ledger stall class per unfinished rank (always-on counters),
         one derived line per component (``kernel/state.py``), the pending
         eMPI requests, the fault context and the last telemetry sample."""
+        from repro.kernel.state import component_lines
         from repro.pe.processor import CoreState
         cycle = self.sim.cycle
         ledger = []
