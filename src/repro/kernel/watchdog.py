@@ -15,9 +15,8 @@ it raises :class:`~repro.errors.WatchdogError` carrying the kernel's
 report and, under ``moved since the last check:``, every leaf of the
 watched components' state that changed in between (read only at checks
 where no core is busy, from the second on): in a livelock, the circling
-flits.  Both
-predicates are supplied by the system builder as callables, keeping the
-kernel free of system-layer imports.
+flits.  Both predicates are supplied by the system builder as callables,
+keeping the kernel free of system-layer imports.
 
 Timing neutrality: the watchdog's step only reads state, and its wakeups
 merely add cycles to the kernel's visit schedule — they never change
