@@ -1,6 +1,7 @@
 """Opcodes one driver call of a benchmark workload executes, by function.
 
     python3 benchmarks/opcode_census.py CHECKOUT [CHANGE] [--workload W [W ...] | all] [--top N]
+        [--fail-above PCT]
 
 A noise-free second view of a hot-path change on a shared host, beside the
 timed pairs of ``paired.py``: each checkout runs, in a process of its own
@@ -18,7 +19,9 @@ per workload and checkout on a 2-core host.
 Per workload: the total (and with two checkouts both totals and the
 change), then the ``--top`` functions (by count, or by the change's size)
 as ``path:qualified name`` rows and one row for the rest, so the rows sum
-to the total.  Several workloads end with one table, a row each.
+to the total.  Several workloads end with one table, a row each.  With two
+checkouts, ``--fail-above PCT`` exits 1 when any workload's count rose by
+more than PCT percent (CI's ``opcode-census`` job passes 2).
 """
 
 from __future__ import annotations
@@ -116,6 +119,12 @@ def rows_of(sides: list[dict[str, int]], top: int) -> list[tuple[str, list[int]]
     return rows
 
 
+def risen(totals: dict[str, list[int]], percent: float) -> list[str]:
+    """The workloads whose count rose by more than ``percent`` percent."""
+    return [workload for workload, (before, after) in totals.items()
+            if after > before * (1 + percent / 100)]
+
+
 def change(before: int, after: int) -> str:
     return f"{100 * (after - before) / before:+.1f} %" if before else "-"
 
@@ -144,9 +153,13 @@ def main(argv: list[str]) -> int:
                         help="workload names from BENCHMARK.json, or 'all'")
     parser.add_argument("--top", type=int, default=12,
                         help="functions listed per workload (default 12)")
+    parser.add_argument("--fail-above", type=float, metavar="PCT",
+                        help="exit 1 if a workload's count rose by more")
     args = parser.parse_args(argv)
     if len(args.checkouts) > 2:
         parser.error("one checkout or two")
+    if args.fail_above is not None and len(args.checkouts) != 2:
+        parser.error("--fail-above compares two checkouts")
     workloads = args.workload
     if workloads == ["all"]:
         workloads = [workload["name"] for workload in SPEC["workloads"]]
@@ -164,6 +177,9 @@ def main(argv: list[str]) -> int:
             cells = " | ".join(f"{count:,}" for count in counts)
             extra = f" | {change(*counts)}" if two else ""
             print(f"| `{workload}` | {cells}{extra} |")
+    if args.fail_above is not None and (rose := risen(totals, args.fail_above)):
+        print(f"\nrose by more than {args.fail_above:g} %: " + ", ".join(rose))
+        return 1
     return 0
 
 

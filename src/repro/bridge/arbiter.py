@@ -61,6 +61,12 @@ class NocAccessArbiter:
         self.port = inject_port
         self.name = name
         self.stats = CounterSet(name)
+        # The per-grant counters, plain ints that every read of ``stats``
+        # folds in.
+        self._n_granted = self._n_be_grants = 0
+        self.stats.batch(self, (
+            ("_n_be_grants", "be_grants"), ("_n_granted", "flits_granted"),
+        ))
         #: Flits accepted from either interface and not yet granted; a
         #: plain count so the owning node's step can test it for free.
         self.n_pending = 0
@@ -115,7 +121,6 @@ class NocAccessArbiter:
     def tick(self) -> None:
         """Move at most one flit toward the injection port this cycle."""
         if self.port.pending is not None:
-            self.stats.inc("port_busy_cycles")
             return
         hp = self._hp_q
         if hp is None:
@@ -133,7 +138,7 @@ class NocAccessArbiter:
             be = self._be_q
             if be is None or not be._items:
                 return
-            self.stats.inc("be_grants")
+            self._n_be_grants += 1
             flit = be.pop()
         if flit is not None:
             self.n_pending -= 1
@@ -141,7 +146,7 @@ class NocAccessArbiter:
                 raise ProtocolError(
                     f"{self.name}: injection port reported free but rejected flit"
                 )
-            self.stats.inc("flits_granted")
+            self._n_granted += 1
 
     # -- introspection -----------------------------------------------------------------
 

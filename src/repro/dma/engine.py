@@ -168,10 +168,15 @@ class DmaTxEngine:
         self.pending_retx: deque[tuple[int, int, int]] = deque()
         self.stats = CounterSet(f"dma[{tie.node_id}]")
         # Per-flit hot counters, batched like the TIE's and folded into
-        # the CounterSet by flush_stats() when the node's are read.
+        # the CounterSet whenever it is read.
         self._n_flits_sent = 0
         self._n_credit_stalls = 0
         self._n_reduced = 0
+        self.stats.batch(self, (
+            ("_n_flits_sent", "flits_sent"),
+            ("_n_credit_stalls", "credit_stall_cycles"),
+            ("_n_reduced", "values_reduced"),
+        ))
         #: Where descriptor lifecycles (post/activate/retire) are logged,
         #: stamped with ``clock.cycle`` — the posting methods take no
         #: cycle argument.  None keeps the hot path at a single attribute
@@ -427,14 +432,6 @@ class DmaTxEngine:
                 if active.uid:
                     self._emit(DMA_RETIRE, active.uid)
         return sent
-
-    def flush_stats(self) -> None:
-        """Fold the batched per-flit counters into the CounterSet."""
-        self.stats.absorb(self, (
-            ("_n_flits_sent", "flits_sent"),
-            ("_n_credit_stalls", "credit_stall_cycles"),
-            ("_n_reduced", "values_reduced"),
-        ))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -19,7 +19,9 @@ number of *events* rather than the number of *cycles* or *components*:
   integer whose bit ``order`` is set while the component registered
   ``order``-th is active (``wake`` sets it, ``sleep`` clears it), and a
   cycle steps its lowest set bit, then re-reads the mask *above* that bit
-  after every step;
+  after every step; a busy cycle short of the deadline (``NEVER`` when
+  there is none) makes one test before that, and ``until`` and the idle
+  tests run only on an idle cycle or when ``until`` is polled every cycle;
 * a component may *run ahead* of the clock over work nothing outside it
   can see or disturb (a core's L1 hits, FP ops and scratchpad accesses:
   private state under software coherence), applying the effects at once
@@ -155,46 +157,47 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        start = self.cycle
-        deadline = None if max_cycles is None else start + max_cycles
+        start = now = self.cycle
+        deadline = NEVER if max_cycles is None else start + max_cycles
         every_cycle = until is not None and not until_idle
-        self._run_horizon = NEVER if deadline is None else deadline
+        self._run_horizon = deadline
         self.horizon = min(self._run_horizon, self._observed_horizon)
         wakeups = self._wakeups
         components = self._components
         heappop = heapq.heappop
         try:
             while True:
-                idle = not self._active
-                if (idle or every_cycle) and until is not None and until():
-                    break
-                if deadline is not None and self.cycle >= deadline:
-                    if until is None:
+                # A busy cycle short of the deadline tests nothing else.
+                if not self._active or every_cycle or now >= deadline:
+                    idle = not self._active
+                    if (idle or every_cycle) and until is not None and until():
                         break
-                    raise SimulationError(
-                        f"max_cycles={max_cycles} exceeded before stop "
-                        f"condition (now {self.cycle})\n{self.report()}"
-                    )
-                # Fast-forward over idle time.
-                if idle:
-                    if not wakeups:
+                    if now >= deadline:
                         if until is None:
                             break
-                        raise DeadlockError(
-                            f"deadlock at cycle {self.cycle}: no active "
-                            f"component, no wakeup\n{self.report()}"
+                        raise SimulationError(
+                            f"max_cycles={max_cycles} exceeded before stop "
+                            f"condition (now {now})\n{self.report()}"
                         )
-                    target = wakeups[0][0]
-                    if deadline is not None and target >= deadline:
-                        # Cycle ``deadline`` itself is never stepped.
-                        self.cycle = deadline
-                        continue
-                    if target > self.cycle:
-                        self.cycle = target
+                    # Fast-forward over idle time.
+                    if idle:
+                        if not wakeups:
+                            if until is None:
+                                break
+                            raise DeadlockError(
+                                f"deadlock at cycle {now}: no active "
+                                f"component, no wakeup\n{self.report()}"
+                            )
+                        target = wakeups[0][0]
+                        if target >= deadline:
+                            # Cycle ``deadline`` itself is never stepped.
+                            self.cycle = now = deadline
+                            continue
+                        if target > now:
+                            self.cycle = now = target
+                    if every_cycle:
+                        self._run_horizon = self.horizon = now
                 # Release due wakeups.
-                now = self.cycle
-                if every_cycle:
-                    self._run_horizon = self.horizon = now
                 while wakeups and wakeups[0][0] <= now:
                     __, __, comp = heappop(wakeups)
                     comp.wake()
@@ -205,7 +208,8 @@ class Simulator:
                     above = (mask & -mask).bit_length()
                     components[above - 1].step(now)
                     mask = self._active >> above << above
-                self.cycle = now + 1
+                now += 1
+                self.cycle = now
         finally:
             self._running = False
             self._run_horizon = self.horizon = 0

@@ -18,13 +18,14 @@ from operator import attrgetter, methodcaller
 
 from repro.kernel.stats import CounterSet, LatencyStat
 
-#: Attributes no section reads: the schedule (``active`` is the kernel's)
-#: and the quiet arm's bookkeeping, uids (a flit's come from a
-#: process-wide counter), references back into the machine (each part is
-#: read where it is owned), the static build, bulk memory (a system's
-#: ``memory`` section) and the host-side branch-plan cache.
+#: Attributes no section reads: the schedule (``active`` is the kernel's),
+#: the host's hints (the quiet arm's bookkeeping, the lone path's input
+#: port), uids (a flit's come from a process-wide counter), references
+#: back into the machine (each part is read where it is owned), the static
+#: build, bulk memory (a system's ``memory`` section) and the host-side
+#: branch-plan cache.
 _NOT_STATE = frozenset({
-    "active", "_quiet_until", "_acted_at", "uid",
+    "active", "_quiet_until", "_acted_at", "_lone_in", "uid",
     "sim", "fabric", "owner", "tie", "dma", "injector", "faults", "clock",
     "events", "topology", "map", "lut", "codec", "_bound", "_lone_bound",
     "_sets", "store", "mcast_plans",
@@ -34,10 +35,9 @@ _CONVERTERS: dict = {}  # type -> _converter(type): the censuses run per step
 
 
 def plain(value):
-    """``value`` as data two machines can be compared on: a counter set as
-    its dict but for the arbiter's ``port_busy_cycles`` (visits that found
-    the port busy: a tile asleep is not visited), a slotted dataclass (a
-    flit, whose fields are scalars) as a named tuple of its fields, any
+    """``value`` as data two machines can be compared on: a counter set or
+    latency statistic as its (folded) dict, a slotted dataclass (a flit,
+    whose fields are scalars) as a named tuple of its fields, any
     other object as a dict of its attributes but the ``_NOT_STATE`` ones
     and bound methods."""
     kind = type(value)
@@ -59,8 +59,7 @@ def _converter(kind: type):
         read, record = attrgetter(*names), namedtuple(kind.__name__.lower(), names)
         return lambda value: record(*read(value))
     if issubclass(kind, (CounterSet, LatencyStat)):
-        return lambda value: {key: count for key, count in value.as_dict().items()
-                              if key != "port_busy_cycles"}
+        return methodcaller("as_dict")
     if issubclass(kind, random.Random):
         return methodcaller("getstate")
     if issubclass(kind, dict):

@@ -3,102 +3,133 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable
 from typing import Any
 
 
 class CounterSet:
-    """A named bag of integer counters.
+    """A named bag of integer counters, exact whenever it is read.
 
     Counting must stay cheap (it happens on hot per-cycle paths), so this is
     a thin wrapper over a dict with convenience accessors and merge support
-    for aggregating across components or sweep runs.  Hot call sites may
-    batch increments in plain ints of their own (:meth:`absorb`): such a
-    set is exact *when read through* what flushes the owner first —
-    ``MedeaSystem.collect_stats``, the telemetry registry's ``flush=``
-    hook, ``telemetry.attribution``, ``flush_op_stats`` — not at every
-    cycle or sleep.  The MPMMU's per-flit counters are exact through the
-    same readers (``MpmmuNode.flush_stats`` copies what its FIFOs count).
+    for aggregating across components or sweep runs.  A hot call site may
+    count in plain ints of its owner instead (:meth:`batch`), and a set may
+    own a ``fold``, a callable that brings it up to date otherwise (the
+    MPMMU copies what its FIFOs count).  Every read first absorbs the
+    batched ints and runs the fold — :meth:`get`, ``[]``, ``in``,
+    :meth:`as_dict` and the source side of :meth:`merge` — so no reader
+    has anything to remember; ``inc`` does not.
     """
 
-    __slots__ = ("name", "_counters")
+    __slots__ = ("name", "_counters", "_owner", "_batched", "fold")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._counters: dict[str, int] = {}
+        self._owner: object = None
+        self._batched: tuple[tuple[str, str], ...] = ()
+        self.fold: Callable[[], None] | None = None
 
-    def inc(self, key: str, amount: int = 1) -> None:
-        counters = self._counters
-        counters[key] = counters.get(key, 0) + amount
+    def batch(self, owner: object, batched: tuple[tuple[str, str], ...]) -> None:
+        """Let ``owner`` count in plain ints of its own — ``(attribute,
+        key)`` pairs — which every read adds in, in that order, and zeroes.
+        (Held in slots, not a closure: a tile's build allocates no object
+        more for the garbage collector to trace.)"""
+        self._owner, self._batched = owner, batched
 
-    def absorb(self, owner: object, batched: tuple[tuple[str, str], ...]) -> None:
-        """Fold ``owner``'s batched plain-int counters — ``(attribute,
-        key)`` pairs — into this set and zero them."""
-        for attribute, key in batched:
+    def _read(self) -> dict[str, int]:
+        owner = self._owner
+        for attribute, key in self._batched:
             amount = getattr(owner, attribute)
             if amount:
                 self.inc(key, amount)
                 setattr(owner, attribute, 0)
+        if self.fold is not None:
+            self.fold()
+        return self._counters
+
+    def inc(self, key: str, amount: int = 1) -> None:
+        counters = self._counters
+        counters[key] = counters.get(key, 0) + amount
 
     def set_max(self, key: str, value: int) -> None:
         if value > self._counters.get(key, 0):
             self._counters[key] = value
 
     def get(self, key: str, default: int = 0) -> int:
-        return self._counters.get(key, default)
+        return self._read().get(key, default)
 
     def __getitem__(self, key: str) -> int:
-        return self._counters.get(key, 0)
+        return self._read().get(key, 0)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._counters
+        return key in self._read()
 
     def merge(self, other: "CounterSet") -> None:
         """Add every counter of ``other`` into this set."""
-        for key, value in other._counters.items():
+        for key, value in other._read().items():
             self.inc(key, value)
 
     def as_dict(self) -> dict[str, int]:
-        return dict(self._counters)
+        return dict(self._read())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CounterSet {self.name} {self._counters}>"
 
 
 class LatencyStat:
-    """Streaming min/max/mean/histogram for per-event latencies.
+    """Min/max/mean/histogram of per-event latencies.
 
-    Used for flit network latency and memory-transaction round trips.  The
-    histogram uses fixed power-of-two buckets so recording stays O(1) and
-    allocation-free.
+    Used for flit network latency and memory-transaction round trips.  It
+    keeps one exact ``{latency: count}`` histogram, ``counts``, so
+    recording is one dict update (the fabric's ``_eject`` makes it
+    inline); everything else — ``count``, ``total``, ``min``, ``max``,
+    ``buckets``, ``mean``, :meth:`percentile_bound` — is derived when read.
+    ``buckets`` groups the histogram by the fixed bounds of ``BOUNDS``:
+    powers of two to 1024, then 4096 and 16384, and an open-ended last one.
     """
 
     #: Bucket upper bounds (inclusive); the last bucket is open-ended.
     BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384)
 
-    __slots__ = ("name", "count", "total", "min", "max", "buckets")
+    __slots__ = ("name", "counts")
 
     def __init__(self, name: str = "latency") -> None:
         self.name = name
-        self.count = 0
-        self.total = 0
-        self.min: int | None = None
-        self.max: int | None = None
-        self.buckets = [0] * (len(self.BOUNDS) + 1)
+        self.counts: dict[int, int] = {}
 
     def record(self, value: int) -> None:
-        # O(1)-ish and allocation-free: bisect over the inclusive bounds
-        # lands values past the last bound in the open-ended bucket.
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        self.buckets[bisect_left(self.BOUNDS, value)] += 1
+        counts = self.counts
+        counts[value] = counts.get(value, 0) + 1
+
+    @property
+    def count(self) -> int:
+        return sum(self.counts.values())
+
+    @property
+    def total(self) -> int:
+        return sum(value * n for value, n in self.counts.items())
+
+    @property
+    def min(self) -> int | None:
+        return min(self.counts, default=None)
+
+    @property
+    def max(self) -> int | None:
+        return max(self.counts, default=None)
+
+    @property
+    def buckets(self) -> list[int]:
+        buckets = [0] * (len(self.BOUNDS) + 1)
+        for value, n in self.counts.items():
+            # Values past the last bound land in the open-ended bucket.
+            buckets[bisect_left(self.BOUNDS, value)] += n
+        return buckets
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        count = self.count
+        return self.total / count if count else 0.0
 
     def percentile_bound(self, fraction: float) -> int | None:
         """Upper bucket bound containing the given fraction of samples.
@@ -107,9 +138,10 @@ class LatencyStat:
         adequate for the "sporadic high latency flits" observation the
         paper makes about deflection routing.
         """
-        if not self.count:
+        count = self.count
+        if not count:
             return None
-        threshold = fraction * self.count
+        threshold = fraction * count
         seen = 0
         for index, bucket in enumerate(self.buckets):
             seen += bucket

@@ -20,10 +20,9 @@ inside the cache", Section II-C) while the DDR word store stays
 authoritative, which keeps post-simulation validation reads simple.
 
 The three per-flit counters (``requests_received``,
-``data_flits_received``, ``reply_flits_sent``) are exact *when read
-through* ``MedeaSystem.collect_stats``, the telemetry registry or
-``telemetry.attribution`` (each calls :meth:`MpmmuNode.flush_stats`
-first), not at every sleep; a direct read of ``mpmmu.stats`` may lag.
+``data_flits_received``, ``reply_flits_sent``) are not kept on the hot
+path: the FIFOs already count what passes through them, and every read of
+``mpmmu.stats`` copies those counts in first (the counter set's fold).
 """
 
 from __future__ import annotations
@@ -147,6 +146,7 @@ class MpmmuNode(Component):
         self._req_items = self.req_fifo._items
         self._data_items = self.data_fifo._items
         self._out_items = self.out_fifo._items
+        self.stats.fold = self._fold_stats
 
     # -- clocked behaviour ---------------------------------------------------
 
@@ -225,13 +225,10 @@ class MpmmuNode(Component):
                 f"rejected {flit!r}"
             )
 
-    def flush_stats(self) -> None:
-        """Bring the per-flit counters up to date (module docstring).
-
-        The FIFOs already count what passes through them, so the hot path
-        keeps no tally of its own: a request received is a push on the
-        request FIFO, a reply sent a pop of the outgoing one.
-        """
+    def _fold_stats(self) -> None:
+        """Bring the per-flit counters up to date (module docstring): a
+        request received is a push on the request FIFO, a reply sent a pop
+        of the outgoing one."""
         set_max = self.stats.set_max  # the three only grow; 0 adds no key
         set_max("requests_received", self.req_fifo.pushes)
         set_max("data_flits_received", self.data_fifo.pushes)

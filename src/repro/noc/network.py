@@ -34,18 +34,22 @@ that is almost every step (93 % of a write-through Jacobi's, 3 % of a
 DMA ring allreduce's).  :meth:`NocFabric.step` sees it in the fabric's own
 state — one flit counted, one node on the worklist, the delayed heap
 empty, no fault injector attached — and :meth:`NocFabric._step_lone` finds
-the flit (pending injection or one input register), ejects it through
+the flit — the pending injection, or the input register the path last
+latched a flit in (``_lone_in``, a host-side hint; one the general step
+latched is found by a scan of the row) — ejects it through
 :meth:`NocFabric._eject` if it is home, else latches it straight into the
 neighbour's register on its first productive port, with the counters, the
-spatial view and the injection bookkeeping of the general step.  It
-declines, touching nothing, what needs more than that: a multicast flit
-with several destinations left, a self-addressed injection (the zero-hop
-rule), a link with latency or serialisation above one (the delayed heap),
-an empty productive set; the general step then runs as if the path did
-not exist.  ``test_lone_flit_bypass_matches_route_node_everywhere`` (same
-file) holds it to ``route_node`` for every (switch, input link or
-injection slot, destination) and says which path ran.  Whole systems run
-with it declining, beside every other skip turned off, on the reference
+spatial view and the injection bookkeeping of the general step.  The
+per-flit counters of both steps are plain ints that every read of
+``stats`` folds in.  It declines, touching nothing, what needs more than
+that: a multicast flit with several destinations left, a self-addressed
+injection (the zero-hop rule), a link with latency or serialisation above
+one (the delayed heap), an empty productive set; the general step then
+runs as if the path did not exist.
+``test_lone_flit_bypass_matches_route_node_everywhere`` (same file) holds
+it to ``route_node`` for every (switch, input link or injection slot,
+destination) and says which path ran.  Whole systems run with it
+declining, beside every other skip turned off, on the reference
 machine of ``tests/reference_machine.py``.
 """
 
@@ -233,6 +237,17 @@ class NocFabric(Component):
             for node in range(n)
         ]
         self.latency = LatencyStat("noc_latency")
+        # The three per-flit counters, plain ints that every read of
+        # ``stats`` folds in.
+        self._n_flits_injected = self._n_flits_ejected = self._n_flit_hops = 0
+        self.stats.batch(self, (
+            ("_n_flits_injected", "flits_injected"),
+            ("_n_flits_ejected", "flits_ejected"),
+            ("_n_flit_hops", "flit_hops"),
+        ))
+        #: The input port the lone path last latched a flit on: where
+        #: the next lone step looks first.
+        self._lone_in = 0
         #: Optional per-link/per-switch matrices (telemetry spatial view).
         self._spatial: SpatialCounters | None = None
         # What step() reads on every call and nothing rebinds after the
@@ -351,7 +366,7 @@ class NocFabric(Component):
         if faults is not None:
             faults.advance(cycle)
             masks_active = faults.masks_active
-        # Per-step counter accumulation; flushed once into the CounterSet.
+        # Per-step counter accumulation, added to the counters once.
         flits_injected = injection_stalls = deflections = eject_overflows = 0
         flits_ejected = flit_hops = 0
         for node in work_nodes:
@@ -531,18 +546,16 @@ class NocFabric(Component):
             transits = spatial.link_transits
             for neighbor, in_dir, __ in moves:
                 transits[neighbor][in_dir] += 1
+        self._n_flits_injected += flits_injected
+        self._n_flits_ejected += flits_ejected
+        self._n_flit_hops += flit_hops
         inc = self.stats.inc
-        if flits_injected:
-            inc("flits_injected", flits_injected)
         if injection_stalls:
             inc("injection_stalls", injection_stalls)
         if deflections:
             inc("deflections", deflections)
         if eject_overflows:
             inc("eject_overflows", eject_overflows)
-        if flits_ejected:
-            inc("flits_ejected", flits_ejected)
-            inc("flit_hops", flit_hops)
         if not work:
             if delayed:
                 self.sleep(until=delayed[0][0])
@@ -562,16 +575,18 @@ class NocFabric(Component):
         flit = slot.pending
         in_port = -1  # the injection slot
         if flit is None:
-            for flit in row:
-                in_port += 1
-                if flit is not None:
-                    break
-            else:
-                raise SimulationError(
-                    f"cycle {cycle}: node {node} is on the fabric's worklist "
-                    f"with no flit latched or pending (1 flit counted in the "
-                    f"network)"
-                )
+            in_port = self._lone_in
+            flit = row[in_port]
+            if flit is None:  # the general step latched it: find it
+                for in_port, flit in enumerate(row):
+                    if flit is not None:
+                        break
+                else:
+                    raise SimulationError(
+                        f"cycle {cycle}: node {node} is on the fabric's "
+                        f"worklist with no flit latched or pending (1 flit "
+                        f"counted in the network)"
+                    )
         dst = flit.dst
         if dst < 0:
             mask = flit.dst_mask
@@ -589,9 +604,8 @@ class NocFabric(Component):
                 flit.dst = node
                 flit.dst_mask = 0
             self._eject(port, flit, cycle)
-            inc = self.stats.inc
-            inc("flits_ejected")
-            inc("flit_hops", flit.hops)
+            self._n_flits_ejected += 1
+            self._n_flit_hops += flit.hops
             self.sleep()
             return True
         dirs = productive_table[node * n_nodes + dst]
@@ -611,11 +625,12 @@ class NocFabric(Component):
             flit.injected_at = cycle
             slot.pending = None
             slot.injected += 1
-            self.stats.inc("flits_injected")
+            self._n_flits_injected += 1
         else:
             row[in_port] = None
         flit.hops += 1
         latch[in_dir] = flit
+        self._lone_in = in_dir
         work.clear()
         work.add(neighbor)
         spatial = self._spatial
@@ -636,7 +651,8 @@ class NocFabric(Component):
             self._flit_count -= 1
             return False
         latency = 0 if zero_hop else cycle - flit.injected_at + 1
-        self.latency.record(latency)
+        counts = self.latency.counts  # LatencyStat.record, inline
+        counts[latency] = counts.get(latency, 0) + 1
         self._flit_count -= 1
         if self._spatial is not None:
             self._spatial.node_ejects[port.node] += 1

@@ -24,8 +24,8 @@ Intra-cycle phase order (one ``step`` = one clock):
 
 The node sleeps whenever nothing above can make progress and is woken by
 flit arrival, a scheduled compute/backoff expiry, or job completion.  Its
-batched counters are folded in when they are read (``flush_op_stats``:
-``collect_stats``, the telemetry registry, the ledgers), not at each sleep.
+batched counters are folded in whenever ``stats`` is read (the counter
+set's fold), not at each sleep.
 
 A step that can only repeat the previous one costs one test.  Three kinds
 of step are woken for nothing they can act on — a ``WAIT_TX`` tile whose
@@ -138,7 +138,7 @@ _RECV_OPS = {
 }
 
 #: The hot op counters ``_execute`` and the TX phase batch as plain ints:
-#: (attribute, counter key), in the order ``flush_op_stats`` folds them.
+#: (attribute, counter key), in the order a read of ``stats`` folds them.
 _BATCHED_COUNTERS = (
     ("_n_compute", "ops_compute"), ("_n_compute_cycles", "compute_cycles"),
     ("_n_load_hit", "ops_load_hit"), ("_n_load_miss", "ops_load_miss"),
@@ -252,13 +252,14 @@ class ProcessorNode(Component):
         #: program's meanwhile).
         self._program_send: typing.Callable | None = None
         self._outer_send: typing.Callable | None = None
-        # Hot op counters, batched as plain ints and flushed into the
-        # CounterSet when it is read (see flush_op_stats).  The last one,
+        # Hot op counters, batched as plain ints and folded into the
+        # CounterSet whenever it is read.  The last one,
         # _n_credit_wait, is the WAIT_TX cycles where the TIE data stream
         # was credit-gated (the peer's window exhausted), splitting
         # cycles_wait_tx into credit_stall vs plain streaming for the
         # cycle ledger.
         vars(self).update(_ZEROED_COUNTERS)
+        self.stats.batch(self, _BATCHED_COUNTERS)
 
     # -- program control -------------------------------------------------------
 
@@ -902,21 +903,6 @@ class ProcessorNode(Component):
         agent = self.reliability
         return NEVER if agent is None else agent.next_deadline()
 
-    def flush_op_stats(self) -> None:
-        """Fold the batched hot-path op counters into the CounterSet.
-
-        ``stats``, ``tie.stats`` and ``dma.stats`` are exact *when read
-        through* something that calls this first —
-        ``MedeaSystem.collect_stats``, the telemetry registry's ``flush=``
-        hook, :meth:`cycle_ledger`, ``telemetry.attribution`` — not at
-        every sleep: a tile that sleeps every other step would pay a
-        flush each time for a read that comes once per run or sample.
-        """
-        self.tie.flush_stats()
-        if self.dma is not None:
-            self.dma.flush_stats()
-        self.stats.absorb(self, _BATCHED_COUNTERS)
-
     # -- diagnostics --------------------------------------------------------------------------------
 
     def cycle_ledger(self, end_cycle: int) -> dict[str, int]:
@@ -929,10 +915,9 @@ class ProcessorNode(Component):
         construction.  WAIT_TX is split into ``credit_stall`` (cycles the
         TIE data stream was credit-gated while the core blocked) and
         ``tx_stream`` (the rest: streaming / arbiter / port time) using
-        the always-on ``credit_wait_cycles`` counter.  Read-only: flushes
-        batched counters but never changes timing.
+        the always-on ``credit_wait_cycles`` counter.  Read-only: never
+        changes timing.
         """
-        self.flush_op_stats()
         raw = {state: self.stats.get(state.cycles_key) for state in CoreState}
         raw[self.state] += end_cycle - self._state_since
         credit = min(self.stats.get("credit_wait_cycles"), raw[_WAIT_TX])

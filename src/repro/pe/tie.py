@@ -421,12 +421,17 @@ class TieInterface:
         #: Set when a flit arrives; the node uses it to re-check waiters.
         self.rx_event = False
         # Per-flit hot counters, batched as plain ints and folded into the
-        # CounterSet by flush_stats() when the owning node's counters are
-        # read — the same pattern as the core/MPMMU counters.
+        # CounterSet whenever it is read — the same pattern as the core's.
         self._n_data_flits_sent = 0
         self._n_flits_received = 0
         self._n_credit_stall_cycles = 0
         self._n_mcast_flits_received = 0
+        self.stats.batch(self, (
+            ("_n_data_flits_sent", "data_flits_sent"),
+            ("_n_flits_received", "data_flits_received"),
+            ("_n_credit_stall_cycles", "credit_stall_cycles"),
+            ("_n_mcast_flits_received", "mcast_flits_received"),
+        ))
 
     def stream_from(self, src_node: int,
                     channel: int = UNICAST) -> ReceiveStream:
@@ -625,17 +630,3 @@ class TieInterface:
         window.queued.discard((member, slot))
         stats.inc("retx_sent")
         return True
-
-    def flush_stats(self) -> None:
-        """Fold the batched per-flit counters into the CounterSet.
-
-        The owning node calls this from its own stats flush
-        (:meth:`~repro.pe.processor.ProcessorNode.flush_op_stats`, which
-        every reader of the counters goes through).
-        """
-        self.stats.absorb(self, (
-            ("_n_data_flits_sent", "data_flits_sent"),
-            ("_n_flits_received", "data_flits_received"),
-            ("_n_credit_stall_cycles", "credit_stall_cycles"),
-            ("_n_mcast_flits_received", "mcast_flits_received"),
-        ))

@@ -253,26 +253,18 @@ class MedeaSystem:
     def _build_telemetry(self, telemetry_cfg) -> MetricRegistry:
         """Assemble the metric registry and arm the periodic sampler.
 
-        Registration order matters twice: the tile's *core* source
-        carries the ``flush_op_stats`` hook (which also folds the TIE and
-        DMA batched counters, so the later tile sources read exact
-        values), and the sampler component registers after every worker
-        so its snapshots see each cycle's final state.
+        The sampler component registers after every worker so its
+        snapshots see each cycle's final state.
         """
         registry = MetricRegistry(telemetry_cfg.sample_interval)
         self.fabric.enable_spatial()
         registry.add_source("noc", self.fabric.spatial_values)
         registry.add_counters("noc", self.fabric.stats)
         registry.add_latency("noc.latency", self.fabric.latency)
-        registry.add_counters(
-            "mpmmu", self.mpmmu.stats, flush=self.mpmmu.flush_stats
-        )
+        registry.add_counters("mpmmu", self.mpmmu.stats)
         for node in self.nodes:
             node_id = self.rank_to_node[node.rank]
-            registry.add_counters(
-                f"tile{node_id}.core", node.stats,
-                flush=node.flush_op_stats,
-            )
+            registry.add_counters(f"tile{node_id}.core", node.stats)
             registry.add_counters(f"tile{node_id}.cache", node.cache.stats)
             registry.add_counters(f"tile{node_id}.tie", node.tie.stats)
             if node.dma is not None:
@@ -443,9 +435,6 @@ class MedeaSystem:
 
     def collect_stats(self) -> dict:
         """Aggregate statistics for reports and tests."""
-        for node in self.nodes:
-            node.flush_op_stats()
-        self.mpmmu.flush_stats()
         return {
             "cycles": self.sim.cycle,
             "noc": {

@@ -107,7 +107,6 @@ def check_conservation(system) -> list[dict]:
 def occupancy_ledgers(system) -> dict:
     """MPMMU and DMA occupancy (overlapping the cores, not partitioned)."""
     cycles = system.sim.cycle
-    system.mpmmu.flush_stats()
     busy = system.mpmmu.stats.get("busy_cycles")
     mpmmu = {
         "busy": busy,
@@ -118,7 +117,6 @@ def occupancy_ledgers(system) -> dict:
     for node in system.nodes:
         if node.dma is None:
             continue
-        node.flush_op_stats()
         stats = node.dma.stats
         dma.append({
             "rank": node.rank,
@@ -192,7 +190,6 @@ def dispatch_histogram(system) -> dict[str, int]:
     """
     histogram: dict[str, int] = {}
     for node in system.nodes:
-        node.flush_op_stats()
         for name, value in node.stats.as_dict().items():
             if name.startswith("ops_") and value:
                 opcode = name[len("ops_"):]

@@ -9,14 +9,14 @@ hierarchical names (``tile3.tie.data_flits_sent``,
 snapshots the *deltas* between visits, so utilization, deflection rate,
 credit stalls and retransmits become per-interval curves.
 
-Sources are ``(prefix, provider, flush)`` triples: ``provider`` returns
-the source's current absolute values as a flat dict, ``flush`` (optional)
-folds any batched hot-path counters in first.  The registry computes the
-deltas itself, so providers stay the plain ``as_dict`` accessors the
-components already have.
+Sources are ``(prefix, provider)`` pairs: ``provider`` returns the
+source's current absolute values as a flat dict.  The registry computes
+the deltas itself, so providers stay the plain ``as_dict`` accessors the
+components already have (a counter set folds its batched hot-path
+counters in on every read).
 
-Timing neutrality: sampling only *reads* simulator state (flushes move
-already-earned counts between Python dicts), and the sampler component's
+Timing neutrality: sampling only *reads* simulator state (folds move
+already-earned counts from plain ints into dicts), and the sampler component's
 periodic wakeups merely add cycles to the kernel's visit schedule — the
 same argument as the no-progress watchdog — so simulated cycle counts
 are bit-identical with telemetry on or off.
@@ -38,7 +38,7 @@ class MetricRegistry:
 
     def __init__(self, sample_interval: int = 4096) -> None:
         self.sample_interval = sample_interval
-        self._sources: list[tuple[str, Provider, Callable[[], None] | None]] = []
+        self._sources: list[tuple[str, Provider]] = []
         #: Absolute value at the last sample, per hierarchical name.
         self._prev: dict[str, float] = {}
         #: One row per sample: (cycle, {name: delta for changed names}).
@@ -47,28 +47,16 @@ class MetricRegistry:
 
     # -- source registration -------------------------------------------------
 
-    def add_source(
-        self,
-        prefix: str,
-        provider: Provider,
-        flush: Callable[[], None] | None = None,
-    ) -> None:
+    def add_source(self, prefix: str, provider: Provider) -> None:
         """Register a metric source under ``prefix``.
 
         Keys of the provider's dict become ``{prefix}.{key}`` metric
-        names.  Sources are sampled in registration order, so a flush
-        hook registered early (e.g. a node's op-stats flush) also
-        freshens later sources that share its batching.
+        names; sources are sampled in registration order.
         """
-        self._sources.append((prefix, provider, flush))
+        self._sources.append((prefix, provider))
 
-    def add_counters(
-        self,
-        prefix: str,
-        counters: CounterSet,
-        flush: Callable[[], None] | None = None,
-    ) -> None:
-        self.add_source(prefix, counters.as_dict, flush)
+    def add_counters(self, prefix: str, counters: CounterSet) -> None:
+        self.add_source(prefix, counters.as_dict)
 
     def add_latency(self, prefix: str, stat: LatencyStat) -> None:
         """Register a latency histogram as count/total counters.
@@ -86,9 +74,7 @@ class MetricRegistry:
         """Snapshot every source; record and return the delta row."""
         prev = self._prev
         row: dict[str, float] = {}
-        for prefix, provider, flush in self._sources:
-            if flush is not None:
-                flush()
+        for prefix, provider in self._sources:
             for key, value in provider().items():
                 name = f"{prefix}.{key}"
                 before = prev.get(name, 0)
@@ -171,7 +157,7 @@ class TelemetrySampler(Component):
     """Periodic registry sampler (the watchdog's timing-neutral pattern).
 
     Registered last so its snapshots see each cycle's final state; its
-    step only reads (and flushes batched counters), so cycle counts stay
+    step only reads (and folds batched counters), so cycle counts stay
     bit-identical with the sampler present.  Each sample cycle is
     declared to the kernel beforehand (``Simulator.observe_at``), so no
     component has run ahead of the clock when its counters are read.

@@ -117,7 +117,6 @@ def test_tick_respects_busy_port():
     arbiter.offer_message(flit(2))
     arbiter.tick()  # port still holds flit 1
     assert port.pending.data == 1
-    assert arbiter.stats["port_busy_cycles"] == 1
 
 
 def test_has_pending_all_modes():

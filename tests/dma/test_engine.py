@@ -177,7 +177,6 @@ def test_credit_gating_stalls_on_the_slowest_member():
     assert peek(engine) is None  # member 5 still at zero
     engine.window.credited[5] = 8
     assert peek(engine) is not None
-    engine.flush_stats()
     assert engine.stats["credit_stall_cycles"] == 2
     assert engine.stats["flits_sent"] == CREDIT_LIMIT
 

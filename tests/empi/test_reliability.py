@@ -126,7 +126,6 @@ def test_retx_buffer_full_backpressures_the_sender():
     assert len(drain_tx(tie, 10)) == 4      # slots 0-3, then the gate
     assert tie.send(lambda flit: True) == GATED
     assert len(tie.windows[PEER].retx) == 4
-    tie.flush_stats()
     assert tie.stats.as_dict()["credit_stall_cycles"] >= 1
     tie.accept(token(CREDIT_WORD | 2))      # peer retires slots 0-1
     assert len(drain_tx(tie, 10)) == 2      # window slides by exactly 2

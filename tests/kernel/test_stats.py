@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.kernel.stats import CounterSet, LatencyStat
 
 
@@ -156,3 +161,61 @@ def test_latency_records_boundary_values():
     assert stat.count == len(LatencyStat.BOUNDS)
     # Each boundary value lands in its own (closed) bucket.
     assert all(bucket == 1 for bucket in stat.buckets[:-1])
+
+
+class _RecordOracle:
+    """``LatencyStat`` as it kept its fields before they were derived from
+    the histogram: the old ``record`` body, per record."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0
+        self.min = None
+        self.max = None
+        self.buckets = [0] * (len(LatencyStat.BOUNDS) + 1)
+
+    def record(self, value: int) -> None:
+        self.count += 1
+        self.total += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        self.buckets[bisect_left(LatencyStat.BOUNDS, value)] += 1
+
+
+_LATENCIES = st.lists(st.one_of(
+    st.integers(0, 20_000),
+    st.sampled_from([bound + delta for bound in LatencyStat.BOUNDS
+                     for delta in (-1, 0, 1)]),
+), max_size=60)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(values=_LATENCIES)
+def test_derived_latency_fields_equal_a_per_record_oracle(values):
+    stat, oracle = LatencyStat("lat"), _RecordOracle()
+    for value in values:
+        stat.record(value)
+        oracle.record(value)
+    assert (stat.count, stat.total, stat.min, stat.max, stat.buckets) == (
+        oracle.count, oracle.total, oracle.min, oracle.max, oracle.buckets)
+    mean = oracle.total / oracle.count if oracle.count else 0.0
+    assert stat.mean == mean
+    bounds = {}
+    for fraction in (0, 0.5, 0.99, 1):
+        bound = None
+        if oracle.count:
+            seen, threshold = 0, fraction * oracle.count
+            for index, bucket in enumerate(oracle.buckets):
+                seen += bucket
+                if seen >= threshold:
+                    bound = (LatencyStat.BOUNDS[index]
+                             if index < len(LatencyStat.BOUNDS) else oracle.max)
+                    break
+        bounds[fraction] = bound
+        assert stat.percentile_bound(fraction) == bound
+    assert stat.as_dict() == {
+        "name": "lat", "count": oracle.count, "mean": mean,
+        "min": oracle.min, "max": oracle.max, "p99_bound": bounds[0.99],
+    }

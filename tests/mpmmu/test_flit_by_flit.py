@@ -109,7 +109,6 @@ def test_replies_flit_for_flit_and_cycle_for_cycle():
     assert tuple(replies) == REPLIES
     assert mpmmu.idle and mpmmu.locks.held_count == 0
     assert mpmmu.data_fifo.max_occupancy == 2  # it did fill
-    mpmmu.flush_stats()
     assert mpmmu.stats.as_dict() == {
         "served_single_write": 1, "served_single_read": 1,
         "served_block_read": 2, "served_block_write": 1, "served_lock": 3,

@@ -162,13 +162,12 @@ def test_deadlock_reported_not_hung():
 
 
 def test_counters_are_exact_when_read_not_at_every_sleep():
-    """The MPMMU's per-flit counters are brought up to date by
-    ``flush_stats``, which every reader of record calls first —
-    ``collect_stats``, the registry's sampler, ``attribution`` — and no
-    longer at each sleep.  Held to a twin that flushes after every step,
-    at three points in the middle of a write-through Jacobi run.  The raw
-    ``mpmmu.stats`` is *allowed* to lag between reads (its docstring says
-    so), so it is only held to never running ahead."""
+    """The per-flit counters live in plain ints or the FIFOs' counts (the
+    MPMMU's three, the fabric's three, an arbiter's grants) and a read
+    folds them in — not each sleep.  Held, at three points in the middle
+    of a write-through Jacobi run, to a twin that reads them after every
+    step: a raw read equals ``collect_stats()``, the registry's totals and
+    ``attribution``, and every read equals the twin's."""
     from repro.apps.jacobi.driver import JacobiParams, run_jacobi
     from repro.telemetry.attribution import occupancy_ledgers
     from repro.telemetry.config import TelemetryConfig
@@ -178,32 +177,37 @@ def test_counters_are_exact_when_read_not_at_every_sleep():
         telemetry=TelemetryConfig(sample_interval=512, attribution=True),
     )
 
-    def staged_reads(flush_every_step: bool) -> list:
+    def staged_reads(fold_every_step: bool) -> list:
         reads = []
 
         def observer(system):
-            mpmmu = system.mpmmu
-            if flush_every_step:
-                step = mpmmu.step
+            mpmmu, fabric, tile = system.mpmmu, system.fabric, system.nodes[0]
+            if fold_every_step:
+                for component, counters in ((mpmmu, mpmmu.stats),
+                                            (fabric, fabric.stats),
+                                            (tile, tile.arbiter.stats)):
+                    def folding_step(cycle, step=component.step,
+                                     counters=counters):
+                        step(cycle)
+                        counters.as_dict()
 
-                def flushing_step(cycle):
-                    step(cycle)
-                    mpmmu.flush_stats()
-
-                mpmmu.step = flushing_step
+                    component.step = folding_step
             run = system.run
 
             def staged_run(*args, **kwargs):
                 for stop in (700, 1500, 2600):
                     system.sim.run(max_cycles=stop - system.cycle)
-                    raw = mpmmu.stats.as_dict()
-                    stats = system.collect_stats()
-                    sampled = {
-                        name: value for name, value
-                        in system.telemetry.totals().items()
-                        if name.startswith("mpmmu.")
+                    raw = {
+                        "mpmmu": mpmmu.stats.as_dict(),
+                        "noc": {key: fabric.stats[key] for key in (
+                            "flits_injected", "flits_ejected", "flit_hops")},
+                        "latency": fabric.latency.as_dict(),
+                        "latency_total": fabric.latency.total,
+                        "grants": tile.arbiter.stats.as_dict(),
                     }
-                    reads.append((raw, stats["mpmmu"], sampled,
+                    stats = system.collect_stats()
+                    totals = system.telemetry.totals()
+                    reads.append((raw, stats, totals,
                                   occupancy_ledgers(system)["mpmmu"]))
                 return run(*args, **kwargs)
 
@@ -215,9 +219,19 @@ def test_counters_are_exact_when_read_not_at_every_sleep():
         return reads
 
     lazy, eager = staged_reads(False), staged_reads(True)
-    assert [read[1:] for read in lazy] == [read[1:] for read in eager]
-    for raw, stats, sampled, ledger in lazy:
-        assert stats["requests_received"] == ledger["requests"] > 0
-        assert sampled == {f"mpmmu.{key}": value for key, value in stats.items()}
-        assert all(raw.get(key, 0) <= value for key, value in stats.items())
+    assert lazy == eager
+    for raw, stats, totals, ledger in lazy:
+        assert raw["mpmmu"] == stats["mpmmu"]
+        assert stats["mpmmu"]["requests_received"] == ledger["requests"] > 0
+        assert {name: value for name, value in totals.items()
+                if name.startswith("mpmmu.")} == {
+            f"mpmmu.{key}": value for key, value in stats["mpmmu"].items()}
+        noc = stats["noc"]
+        assert raw["noc"] == {key: noc[key] for key in raw["noc"]}
+        assert raw["noc"]["flits_ejected"] > 0
+        assert {key: totals[f"noc.{key}"] for key in raw["noc"]} == raw["noc"]
+        assert raw["latency"] == noc["latency"]
+        assert (totals["noc.latency.count"], totals["noc.latency.total"]) == (
+            raw["latency"]["count"], raw["latency_total"])
+        assert raw["grants"]["flits_granted"] > 0
     assert lazy[0][1] != lazy[1][1] != lazy[2][1]  # three different moments

@@ -260,7 +260,6 @@ def test_send_reports_each_flit_and_finishes_the_message():
     assert tie.tx_busy
     assert tie.send(lambda flit: True) == FINISHED
     assert not tie.tx_busy
-    tie.flush_stats()
     assert tie.stats["data_flits_sent"] == 2
 
 
@@ -277,32 +276,30 @@ def test_max_span_is_two_windows():
     assert MAX_SPAN == 2 * SEQ_WINDOW
 
 
-def test_per_flit_counters_batch_until_flush():
-    """The hot per-flit counters live in plain ints between flushes and
-    fold into the CounterSet exactly (the core/MPMMU batching pattern)."""
+def test_per_flit_counters_batch_until_read():
+    """The hot per-flit counters live in plain ints between reads, and
+    every read of the CounterSet folds them in exactly (the core's and
+    the fabric's batching pattern)."""
     tie = TieInterface(node_id=0)
     tie.begin_send(1, [1, 2, 3])
     drain(tie)
     for seq in range(4):
         tie.accept(data_flit(src=2, seq=seq, word=seq))
-    assert tie.stats.get("data_flits_sent", 0) == 0
-    assert tie.stats.get("data_flits_received", 0) == 0
-    tie.flush_stats()
+    assert (tie._n_data_flits_sent, tie._n_flits_received) == (3, 4)
     assert tie.stats["data_flits_sent"] == 3
-    assert tie.stats["data_flits_received"] == 4
-    # A second flush must not double-count.
-    tie.flush_stats()
-    assert tie.stats["data_flits_sent"] == 3
+    assert tie.stats.get("data_flits_received") == 4
+    assert (tie._n_data_flits_sent, tie._n_flits_received) == (0, 0)
+    # A second read must not double-count.
+    assert tie.stats.as_dict()["data_flits_sent"] == 3
 
 
-def test_credit_stall_cycles_batch_until_flush():
+def test_credit_stall_cycles_batch_until_read():
     from repro.pe.tie import CREDIT_LIMIT
 
     tie = TieInterface(node_id=0)
     tie.begin_send(1, list(range(CREDIT_LIMIT + 4)))
     assert len(drain(tie)) == CREDIT_LIMIT  # stalled at the credit gate
     assert tie.send(lambda flit: True) == GATED  # one more stalled cycle
-    tie.flush_stats()
     assert tie.stats["credit_stall_cycles"] == 2
 
 

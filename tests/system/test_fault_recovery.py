@@ -321,6 +321,23 @@ def test_watchdog_is_timing_neutral():
     assert armed.total_cycles == unarmed.total_cycles
 
 
+def test_the_watchdog_reads_folded_counters(lone_path):
+    # A fault-free write-through Jacobi on one worker: its flits travel
+    # the lone path, which counts them in plain ints that only a read of
+    # the fabric's stats folds in.  No two of its cycles with no core
+    # running and the MPMMU idle share a folded fingerprint (measured:
+    # the longest legitimate quiet gap is 0 cycles), so a watchdog that
+    # checks every cycle must never fire; one whose fingerprint read the
+    # counters without the fold would see no flit move, and fires.
+    from repro.apps.jacobi.driver import JacobiParams, run_jacobi
+
+    config = SystemConfig(n_workers=1, cache_size_kb=2, cache_policy="wt",
+                          watchdog_cycles=1)
+    result = run_jacobi(config, JacobiParams(n=10, iterations=2, warmup=0))
+    assert result.validated
+    assert lone_path.returned.count(True) > 1000
+
+
 def test_zero_rate_plan_loses_and_retransmits_nothing():
     # The reliable wire format (wide flits, CRC, absolute credits) is
     # opt-in; with a plan attached but nothing injected the collective

@@ -51,15 +51,12 @@ def test_sample_row_only_holds_changed_names():
     assert row == {"x.moving": 1}  # sparse: frozen didn't move
 
 
-def test_flush_hook_runs_before_the_provider_is_read():
+def test_a_counter_fold_runs_before_the_provider_is_read():
     registry = MetricRegistry()
     counters = CounterSet("c")
     batched = {"pending": 3}
-
-    def flush():
-        counters.inc("ops", batched.pop("pending", 0))
-
-    registry.add_counters("core", counters, flush=flush)
+    counters.fold = lambda: counters.inc("ops", batched.pop("pending", 0))
+    registry.add_counters("core", counters)
     assert registry.sample(50) == {"core.ops": 3}
 
 
