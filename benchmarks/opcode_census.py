@@ -16,17 +16,27 @@ allocation happens to trigger it, is off for the traced call, and
 ``PYTHONHASHSEED=0`` holds set orders fixed across processes.  About 20 s
 per workload and checkout on a 2-core host.
 
+The cost the count cannot see is one of layout: CPython (3.11 on) keeps up
+to 29 instance attribute values inline, and an instance past that, or one
+whose ``__dict__`` something read, gets a real dict, after which every
+attribute access is slower at the same opcodes.  So the census also counts
+the ``src/repro`` objects alive after the traced call — its machine, held
+until the collector runs — that have a real dict (:func:`real_dict`).
+
 Per workload: the total (and with two checkouts both totals and the
 change), then the ``--top`` functions (by count, or by the change's size)
 as ``path:qualified name`` rows and one row for the rest, so the rows sum
-to the total.  Several workloads end with one table, a row each.  With two
-checkouts, ``--fail-above PCT`` exits 1 when any workload's count rose by
-more than PCT percent (CI's ``opcode-census`` job passes 2).
+to the total, then the objects with a real dict, by class.  Several
+workloads end with one table, a row each.  With two checkouts,
+``--fail-above PCT`` exits 1 when any workload's count rose by more than
+PCT percent (CI's ``opcode-census`` job passes 2) or the change left more
+objects with a real dict than the parent.
 """
 
 from __future__ import annotations
 
 import argparse
+import enum
 import gc
 import json
 import os
@@ -39,8 +49,47 @@ ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def census(call) -> dict:
-    """``call()`` under opcode tracing: ``{code object: opcodes}``."""
+_ABSENT = object()
+
+
+def real_dict(obj) -> dict | None:
+    """``obj``'s instance dict if CPython has materialised one, else None.
+
+    Read through ``gc.get_referents``, which shows an instance's inline
+    attribute values or, once it has one, its dict — never ``__dict__``,
+    whose first read would itself make the dict.  A referent dict is the
+    instance's when each of its items is the attribute of that name."""
+    for ref in gc.get_referents(obj):
+        if type(ref) is dict and ref and all(
+                type(name) is str and getattr(obj, name, _ABSENT) is value
+                for name, value in ref.items()):
+            return ref
+    return None
+
+
+def dict_holders(objects) -> dict[str, int]:
+    """``{"Class (n attributes)": objects}`` for the ``src/repro`` objects
+    among ``objects`` that have a real dict (:func:`real_dict`), counting
+    its items and the slots declared along the class's MRO; enum members
+    aside, which the ``enum`` module gives one."""
+    found = {}
+    for obj in objects:
+        kind = type(obj)
+        module = vars(kind).get("__module__")  # not a str for every type
+        if (isinstance(module, str) and module.startswith("repro.")
+                and not isinstance(obj, enum.Enum)
+                and (held := real_dict(obj)) is not None):
+            count = len(held) + sum(len(vars(klass).get("__slots__", ()))
+                                    for klass in kind.__mro__)
+            key = f"{kind.__qualname__} ({count} attributes)"
+            found[key] = found.get(key, 0) + 1
+    return dict(sorted(found.items()))
+
+
+def census(call) -> tuple[dict, dict[str, int]]:
+    """``call()`` under opcode tracing: ``{code object: opcodes}``, and the
+    :func:`dict_holders` among the objects alive after it, read while the
+    collector is still off."""
     counts = {}
 
     def local(frame, event, arg):
@@ -61,8 +110,10 @@ def census(call) -> dict:
         call()
     finally:
         sys.settrace(None)
+    try:
+        return counts, dict_holders(gc.get_objects())
+    finally:
         gc.enable()
-    return counts
 
 
 def by_function(counts: dict, root: Path) -> dict[str, int]:
@@ -78,8 +129,9 @@ def by_function(counts: dict, root: Path) -> dict[str, int]:
     return rows
 
 
-def measure(checkout: Path, workload: str) -> dict[str, int]:
-    """One workload's functions in ``checkout``, counted in this process."""
+def measure(checkout: Path, workload: str) -> dict:
+    """One workload in ``checkout``, counted in this process: ``opcodes``
+    by function and the ``dicts`` left (:func:`census`)."""
     for part in ("benchmarks/perf", "src"):
         sys.path.insert(0, str(checkout / part))
     from workloads import BY_NAME  # the checkout's own
@@ -87,10 +139,11 @@ def measure(checkout: Path, workload: str) -> dict[str, int]:
     spec = BY_NAME[workload]
     call = partial(spec.driver, spec.config, spec.params)  # no frame of its own
     call()  # warm-up: imports, caches and lazy tables, untraced
-    return by_function(census(call), checkout.resolve())
+    counts, dicts = census(call)
+    return {"opcodes": by_function(counts, checkout.resolve()), "dicts": dicts}
 
 
-def measure_in_child(checkout: str, workload: str) -> dict[str, int]:
+def measure_in_child(checkout: str, workload: str) -> dict:
     command = [sys.executable, __file__, "--child", checkout, workload]
     environment = {**os.environ, "PYTHONHASHSEED": "0"}
     done = subprocess.run(command, capture_output=True, text=True,
@@ -119,18 +172,25 @@ def rows_of(sides: list[dict[str, int]], top: int) -> list[tuple[str, list[int]]
     return rows
 
 
-def risen(totals: dict[str, list[int]], percent: float) -> list[str]:
-    """The workloads whose count rose by more than ``percent`` percent."""
+def risen(totals: dict[str, list[int]], percent: float,
+          dicts: dict[str, list[int]] | None = None) -> list[str]:
+    """The workloads whose count rose by more than ``percent`` percent, or
+    whose objects with a real dict grew in number at all."""
+    dicts = dicts or {}
     return [workload for workload, (before, after) in totals.items()
-            if after > before * (1 + percent / 100)]
+            if after > before * (1 + percent / 100)
+            or (held := dicts.get(workload)) and held[1] > held[0]]
 
 
 def change(before: int, after: int) -> str:
     return f"{100 * (after - before) / before:+.1f} %" if before else "-"
 
 
-def report(workload: str, sides: list[dict[str, int]], top: int) -> list[int]:
-    """Print one workload's block; return its totals, one per side."""
+def report(workload: str, sides: list[dict], top: int) -> tuple[list[int], list[int]]:
+    """Print one workload's block; return its opcode totals and its
+    objects with a real dict, one per side each."""
+    dicts = [side["dicts"] for side in sides]
+    sides = [side["opcodes"] for side in sides]
     totals = [sum(side.values()) for side in sides]
     line = " -> ".join(f"{total:,}" for total in totals)
     suffix = f" ({change(*totals)})" if len(totals) > 1 else ""
@@ -139,7 +199,12 @@ def report(workload: str, sides: list[dict[str, int]], top: int) -> list[int]:
         cells = "".join(f"{count:>14,}" for count in counts)
         delta = f"{counts[-1] - counts[0]:>+14,}" if len(counts) > 1 else ""
         print(f"{cells}{delta}  {name}")
-    return totals
+    held = [sum(side.values()) for side in dicts]
+    print("   objects with a real __dict__: " + " -> ".join(map(str, held)))
+    for name in sorted(set().union(*dicts)):
+        cells = " -> ".join(str(side.get(name, 0)) for side in dicts)
+        print(f"{cells:>14}  {name}")
+    return totals, held
 
 
 def main(argv: list[str]) -> int:
@@ -163,22 +228,25 @@ def main(argv: list[str]) -> int:
     workloads = args.workload
     if workloads == ["all"]:
         workloads = [workload["name"] for workload in SPEC["workloads"]]
-    totals = {}
+    totals, dicts = {}, {}
     for workload in workloads:
         sides = [measure_in_child(checkout, workload)
                  for checkout in args.checkouts]
-        totals[workload] = report(workload, sides, args.top)
+        totals[workload], dicts[workload] = report(workload, sides, args.top)
     if len(totals) > 1:
         two = len(args.checkouts) == 2
-        print("\n| workload | " + ("parent | change | change |" if two
-                                   else "opcodes |"))
-        print("|---|" + ("---:|" * (3 if two else 1)))
+        print("\n| workload | " + ("parent | change | change | real dicts |"
+                                   if two else "opcodes | real dicts |"))
+        print("|---|" + ("---:|" * (4 if two else 2)))
         for workload, counts in totals.items():
             cells = " | ".join(f"{count:,}" for count in counts)
             extra = f" | {change(*counts)}" if two else ""
-            print(f"| `{workload}` | {cells}{extra} |")
-    if args.fail_above is not None and (rose := risen(totals, args.fail_above)):
-        print(f"\nrose by more than {args.fail_above:g} %: " + ", ".join(rose))
+            held = " -> ".join(map(str, dicts[workload]))
+            print(f"| `{workload}` | {cells}{extra} | {held} |")
+    if args.fail_above is not None and (
+            rose := risen(totals, args.fail_above, dicts)):
+        print(f"\nrose by more than {args.fail_above:g} %, or left more "
+              "objects with a real __dict__: " + ", ".join(rose))
         return 1
     return 0
 

@@ -18,6 +18,17 @@ class Component:
     should call :meth:`sleep` (optionally with a wakeup cycle); an external
     event source (an arriving flit, a freed FIFO slot) re-activates it with
     :meth:`wake`.  This is the mechanism behind the kernel's activity gating.
+
+    Layout rule: a component, and every object it builds, has at most 29
+    instance attributes (these six included) or names its own in
+    ``__slots__`` (``ProcessorNode``).  CPython 3.11 keeps up to 29
+    attribute values inline in the instance; at 30, or once anything
+    reads ``vars(obj)`` or ``obj.__dict__``, the instance gets a real dict
+    and every attribute access on it is slower at the same opcode count
+    (ROADMAP item 16).  So nothing in ``src/`` reads either outside the
+    state reader (:mod:`repro.kernel.state`), which no timed path calls;
+    ``tests/system/test_instance_layout.py`` holds every component kind
+    to the rule after a build and after a run.
     """
 
     def __init__(self, name: str) -> None:

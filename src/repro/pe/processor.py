@@ -146,7 +146,6 @@ _BATCHED_COUNTERS = (
     ("_n_store_miss", "ops_store_miss"), ("_n_lmem", "ops_lmem"),
     ("_n_credit_wait", "credit_wait_cycles"),
 )
-_ZEROED_COUNTERS = {attribute: 0 for attribute, __ in _BATCHED_COUNTERS}
 
 #: What the interpreter executes when the program generator is exhausted;
 #: matched by identity, so no program can yield it.
@@ -166,6 +165,23 @@ class _Job:
 
 class ProcessorNode(Component):
     """A worker tile: executes one program against the full memory system."""
+
+    # Every attribute of the tile's own, in the order __init__ sets them
+    # (the order the state reader, and so a report, lists them): 50 of
+    # them, past the 29 that CPython keeps inline before it gives an
+    # instance a real dict (the layout rule of repro.kernel.component).
+    __slots__ = (
+        "rank", "node_id", "ports", "cache", "write_buffer_depth",
+        "write_buffer_stalls", "bridge", "arbiter", "tie", "scratchpad",
+        "map", "cost", "lock_retry_backoff", "recv_overhead", "events",
+        "dma", "reliability", "state", "_state_since", "_ready_at",
+        "_send_value", "_pending_op", "_jobs", "_active_job", "_n_posted",
+        "_wait_msg", "_pending_req_flit", "_last_op", "_quiet_until",
+        "_acted_at", "_rx_items", "_credit_items", "_check_access",
+        "_cache_lookup", "_line_bytes", "_write_back", "_shared_end",
+        "_own_base", "_own_end", "_program_send", "_outer_send",
+        *(attribute for attribute, __ in _BATCHED_COUNTERS),
+    )
 
     def __init__(
         self,
@@ -258,7 +274,8 @@ class ProcessorNode(Component):
         # was credit-gated (the peer's window exhausted), splitting
         # cycles_wait_tx into credit_stall vs plain streaming for the
         # cycle ledger.
-        vars(self).update(_ZEROED_COUNTERS)
+        for attribute, __ in _BATCHED_COUNTERS:
+            setattr(self, attribute, 0)
         self.stats.batch(self, _BATCHED_COUNTERS)
 
     # -- program control -------------------------------------------------------

@@ -119,7 +119,9 @@ class ReliabilityAgent:
         live: set[tuple] = set()
         for channel, streams in enumerate(tie.rx):
             for src, stream in streams.items():
-                self._check_stream(cycle, channel, src, stream, live)
+                # A stream with no gap and no unmet demand needs no timer.
+                if stream.slots or stream.wanted > stream.lowest_missing:
+                    self._check_stream(cycle, channel, src, stream, live)
         if tie.tx is not None:
             self._check_tx(cycle, UNICAST, tie.tx, live)
         if self.dma is not None and self.dma._active is not None:
@@ -147,8 +149,6 @@ class ReliabilityAgent:
         live: set,
     ) -> None:
         gap = bool(stream.slots)
-        if not gap and stream.wanted <= stream.lowest_missing:
-            return
         key = (_RX_TAG[channel], src)
         live.add(key)
         self._expire(
