@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import inf
 
 from repro.errors import ConfigError
 from repro.kernel.stats import CounterSet
@@ -146,27 +147,57 @@ class FaultPlan:
                 raise ConfigError(f"empty fault_window {self.fault_window}")
 
 
+def _crc8_tables() -> list[tuple[int, ...]]:
+    """The per-byte-position tables of :func:`_crc8`'s 11-byte layout.
+
+    MSB first, zero initial value, no final XOR, so the CRC is linear:
+    the CRC of a message is the XOR of each byte's CRC with every other
+    byte zero, and entry ``b`` of position ``i``'s table is the CRC of
+    ``b`` followed by ``10 - i`` zero bytes.
+    """
+    last = []  # one byte: the classic table
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc << 1 ^ 0x07 if crc & 0x80 else crc << 1) & 0xFF
+        last.append(crc)
+    tables = [tuple(last)]
+    for _ in range(10):  # one more zero byte after each
+        tables.append(tuple(last[crc] for crc in tables[-1]))
+    return tables[::-1]
+
+
+(_SRC_HI, _SRC_LO, _PTYPE, _SUBTYPE, _SEQ_HI, _SEQ_LO, _BURST,
+ _DATA_3, _DATA_2, _DATA_1, _DATA_0) = _crc8_tables()
+
+
 def _crc8(src: int, ptype: int, subtype: int, seq: int, burst: int,
           data: int) -> int:
-    """8-bit end-to-end checksum over the protocol + payload fields.
+    """CRC-8 (polynomial 0x07, Koopman 0x83) over the protocol + payload
+    fields, laid out as 11 bytes, big-endian: src 2, ptype 1, subtype 1,
+    seq 2, burst 1, data 4 — 88 bits, each field an unsigned integer of
+    its width.
 
-    Deliberately excludes the routing fields (dst/mask): multicast
-    replication rewrites those per branch, and the fault model never
-    corrupts them.  An FNV-style mix folded to 8 bits — the model of a
-    real CRC-8, not its polynomial.
+    Koopman's CRC tables give 0x83 Hamming distance 4 up to 119 data
+    bits (P. Koopman and T. Chakravarty, "Cyclic Redundancy Code (CRC)
+    Polynomial Selection for Embedded Networks", DSN 2004), so every 1-,
+    2- and 3-bit error in these 88 bits is caught
+    (``tests/noc/test_faults.py`` flips every 1- and 2-bit pattern).
+    One lookup per byte position, XORed.  Deliberately excludes the
+    routing fields (dst/mask): multicast replication rewrites those per
+    branch, and the fault model never corrupts them.
     """
-    h = 0x811C9DC5
-    for value in (src, ptype, subtype, seq, burst, data):
-        h = ((h ^ (value & 0xFFFFFFFF)) * 0x01000193) & 0xFFFFFFFF
-    return (h ^ (h >> 8) ^ (h >> 16) ^ (h >> 24)) & 0xFF
-
-
-def _is_stream_data(flit) -> bool:
-    """True for the flits covered by transient faults + retransmission."""
     return (
-        flit.ptype >= MESSAGE
-        and flit.subtype in (MSG_DATA, MSG_RETX)
+        _SRC_HI[src >> 8] ^ _SRC_LO[src & 0xFF] ^ _PTYPE[ptype]
+        ^ _SUBTYPE[subtype] ^ _SEQ_HI[seq >> 8] ^ _SEQ_LO[seq & 0xFF]
+        ^ _BURST[burst] ^ _DATA_3[data >> 24] ^ _DATA_2[data >> 16 & 0xFF]
+        ^ _DATA_1[data >> 8 & 0xFF] ^ _DATA_0[data & 0xFF]
     )
+
+
+#: Stream data — MESSAGE or MULTICAST flits of these subtypes — is what
+#: transient faults and retransmission cover.
+_STREAM_SUBTYPES = (MSG_DATA, MSG_RETX)
 
 
 @dataclass
@@ -227,6 +258,9 @@ class FaultInjector:
         #: Schedule sorted by (cycle, kind, ...) — deterministic activation.
         self._events = sorted(events)
         self._next_event = 0
+        #: The first cycle at which :meth:`advance` has anything to do: the
+        #: next scheduled entry's or the earliest stall end (``inf``: never).
+        self.next_due = self._events[0][0] if self._events else inf
         #: Streams whose recovery retries were exhausted (set by the
         #: reliability agents; surfaces in the watchdog report).
         self.gave_up: list[str] = []
@@ -266,10 +300,14 @@ class FaultInjector:
     # -- scheduled events ---------------------------------------------------
 
     def advance(self, cycle: int) -> None:
-        """Activate schedule entries due by ``cycle`` and expire stalls."""
-        while (self._next_event < len(self._events)
-               and self._events[self._next_event][0] <= cycle):
-            due, kind, node, arg = self._events[self._next_event]
+        """Activate schedule entries due by ``cycle`` and expire stalls.
+
+        A no-op before ``next_due``, so the fabric calls it only from then
+        on."""
+        events = self._events
+        while (self._next_event < len(events)
+               and events[self._next_event][0] <= cycle):
+            due, kind, node, arg = events[self._next_event]
             self._next_event += 1
             if kind == 0:
                 self._kill_link(cycle, node, arg)
@@ -279,6 +317,11 @@ class FaultInjector:
             for node in [n for n, s in self._stalled.items() if cycle >= s.end]:
                 self._stall_off(cycle, node)
         self.masks_active = bool(self._stalled) or any(self._killed)
+        due = (events[self._next_event][0]
+               if self._next_event < len(events) else inf)
+        for stall in self._stalled.values():
+            due = min(due, stall.end)
+        self.next_due = due
 
     def _kill_link(self, cycle: int, node: int, direction: int) -> None:
         neighbor = self.topology.neighbor_table[node][direction]
@@ -348,8 +391,9 @@ class FaultInjector:
         May flip a payload bit in place (leaving the checksum stale, so
         the corruption is caught — and the flit dropped — at ejection).
         """
-        if not self._transient or not _is_stream_data(flit):
-            return True
+        if (not self._transient or flit.ptype < MESSAGE
+                or flit.subtype not in _STREAM_SUBTYPES):
+            return True  # not stream data: no transient fault touches it
         if self._window is not None and not (
             self._window[0] <= cycle < self._window[1]
         ):

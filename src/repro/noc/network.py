@@ -33,10 +33,10 @@ nothing to arbitrate and nothing to commit, and on the shared-memory path
 that is almost every step (93 % of a write-through Jacobi's, 3 % of a
 DMA ring allreduce's).  :meth:`NocFabric.step` sees it in the fabric's own
 state — one flit counted, one node on the worklist, the delayed heap
-empty, no fault injector attached — and :meth:`NocFabric._step_lone` finds
-the flit — the pending injection, or the input register the path last
-latched a flit in (``_lone_in``, a host-side hint; one the general step
-latched is found by a scan of the row) — ejects it through
+empty — and :meth:`NocFabric._step_lone` finds the flit — the pending
+injection, or the input register the path last latched a flit in
+(``_lone_in``, a host-side hint; one the general step latched is found
+by a scan of the row) — ejects it through
 :meth:`NocFabric._eject` if it is home, else latches it straight into the
 neighbour's register on its first productive port, with the counters, the
 spatial view and the injection bookkeeping of the general step.  The
@@ -45,7 +45,12 @@ per-flit counters of both steps are plain ints that every read of
 that: a multicast flit with several destinations left, a self-addressed
 injection (the zero-hop rule), a link with latency or serialisation above
 one (the delayed heap), an empty productive set; the general step then
-runs as if the path did not exist.
+runs as if the path did not exist.  Under a fault plan it runs while no
+port mask is active (no link killed, no switch stalled): it reads the
+fault schedule when it is due, as the general step would have in that
+cycle, and declines while a mask is active; its hop passes the injector's
+link hook (a drop takes the flit out of the network, a corrupted one
+travels on) and its ejection the checksum check, as in the general step.
 ``test_lone_flit_bypass_matches_route_node_everywhere`` (same file) holds
 it to ``route_node`` for every (switch, input link or injection slot,
 destination) and says which path ran.  Whole systems run with it
@@ -255,9 +260,9 @@ class NocFabric(Component):
         # the same objects, so an edit made in place (a test's hand-written
         # routing entry, the plan table clearing itself at its limit) is
         # seen — bound once, to be unpacked in one go rather than looked
-        # up attribute by attribute every cycle.  ``faults``, ``_spatial``
-        # and the fault layer's rerouted tables *are* rebound after the
-        # build and are read where they are used.  Four live only here:
+        # up attribute by attribute every cycle.  ``_spatial`` and the
+        # fault layer's rerouted tables *are* rebound after the build and
+        # are read where they are used.  Four live only here:
         # the step's (neighbor, in_port, flit) move list, the direct-link
         # flags, the all-None row a routed switch's registers are reset to
         # and the router's reusable outcome.
@@ -270,11 +275,12 @@ class NocFabric(Component):
             topology.productive_table, topology.mcast_plans, topology,
             eject_capacity, RoutingOutcome(n_ports=n_ports),
         )
-        # The same for _step_lone, which reads fewer of them.
+        # The same for _step_lone, which reads fewer of them, and the
+        # fault injector, which nothing rebinds either.
         self._lone_bound = (
             self._work, self.regs, self.ports, n, topology.productive_table,
             direct_links, topology.neighbor_table,
-            topology.reverse_port_table,
+            topology.reverse_port_table, faults,
         )
 
     # -- node-facing API -----------------------------------------------------
@@ -324,8 +330,7 @@ class NocFabric(Component):
         # state; the cheapest test to fail comes first.
         if (
             self._flit_count == 1 and not self._delayed
-            and self.faults is None and len(self._work) == 1
-            and self._step_lone(cycle)
+            and len(self._work) == 1 and self._step_lone(cycle)
         ):
             return
         (work, regs, delayed, moves, ports, neighbor_table, reverse_table,
@@ -364,7 +369,8 @@ class NocFabric(Component):
         faults = self.faults
         masks_active = False
         if faults is not None:
-            faults.advance(cycle)
+            if cycle >= faults.next_due:
+                faults.advance(cycle)
             masks_active = faults.masks_active
         # Per-step counter accumulation, added to the counters once.
         flits_injected = injection_stalls = deflections = eject_overflows = 0
@@ -564,10 +570,16 @@ class NocFabric(Component):
 
     def _step_lone(self, cycle: int) -> bool:
         """One step of a network that holds a single flit (module
-        docstring); False, with nothing touched, hands the step to the
+        docstring); False, with nothing touched but the fault schedule
+        the general step reads in the same cycle, hands the step to the
         general path."""
         (work, regs, ports, n_nodes, productive_table, direct_table,
-         neighbor_table, reverse_table) = self._lone_bound
+         neighbor_table, reverse_table, faults) = self._lone_bound
+        if faults is not None:
+            if cycle >= faults.next_due:
+                faults.advance(cycle)  # as the general step would now
+            if faults.masks_active:
+                return False  # a stalled switch or a dead port: routing
         (node,) = work
         port = ports[node]
         slot = port.inject
@@ -603,9 +615,9 @@ class NocFabric(Component):
                 # network itself, as a unicast arrival would.
                 flit.dst = node
                 flit.dst_mask = 0
-            self._eject(port, flit, cycle)
-            self._n_flits_ejected += 1
-            self._n_flit_hops += flit.hops
+            if self._eject(port, flit, cycle):
+                self._n_flits_ejected += 1
+                self._n_flit_hops += flit.hops
             self.sleep()
             return True
         dirs = productive_table[node * n_nodes + dst]
@@ -628,10 +640,17 @@ class NocFabric(Component):
             self._n_flits_injected += 1
         else:
             row[in_port] = None
+        work.clear()
+        if faults is not None and not faults.on_link(
+            node, direction, flit, cycle
+        ):
+            # Dropped on the wire: gone from the in-network population.
+            self._flit_count -= 1
+            self.sleep()
+            return True
         flit.hops += 1
         latch[in_dir] = flit
         self._lone_in = in_dir
-        work.clear()
         work.add(neighbor)
         spatial = self._spatial
         if spatial is not None:

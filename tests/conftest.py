@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Generator
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
@@ -74,12 +75,26 @@ def lone_path(monkeypatch) -> SimpleNamespace:
     ``returned`` is what it returned, call by call — ``[True]`` after a
     step the path took, ``[False]`` after one it looked at and declined,
     ``[]`` after one that never reached it; ``latched`` lists the cycles
-    of the steps it took that left the flit in the network.
+    of the steps it took that left the flit in the network.  Inside
+    ``with lone_path.decline():`` it is the path's twin instead — it declines
+    every step, touching nothing — and records nothing.
     """
-    seen = SimpleNamespace(returned=[], latched=[])
+    seen = SimpleNamespace(returned=[], latched=[], declining=False)
     real = NocFabric._step_lone
 
+    @contextmanager
+    def decline():
+        seen.declining = True
+        try:
+            yield
+        finally:
+            seen.declining = False
+
+    seen.decline = decline
+
     def spy(fabric, cycle):
+        if seen.declining:
+            return False
         done = real(fabric, cycle)
         seen.returned.append(done)
         if done and fabric.flits_in_network:

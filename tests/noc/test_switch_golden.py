@@ -28,15 +28,18 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from functools import partial
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.faults import FaultInjector, FaultPlan
 from repro.kernel.simulator import Simulator
+from repro.kernel.state import component_state, plain
+from repro.kernel.trace import FAULT
 from repro.noc.flit import Flit
 from repro.noc.network import NocFabric
-from repro.noc.packet import PacketType
+from repro.noc.packet import PacketType, SubType
 from repro.noc.switch import RoutingOutcome, route_node
 from repro.noc.topology import (
     ChipletTopology,
@@ -631,9 +634,10 @@ def test_lone_flit_bypass_matches_route_node_everywhere(
     flit (unicast, or multicast with one destination), a lone injection of
     either kind, each also beside one flit ejecting here — for every
     (switch, input link, destination), fault-free and under a fault plan
-    whose masks stay inactive.  A flit alone in a fault-free network takes
-    the lone-flit path unless its link is a slow one; every other case is
-    the general step's, through its uncontended-switch bypass."""
+    whose masks stay inactive.  A flit alone in the network takes the
+    lone-flit path unless its link is a slow one, under that plan too;
+    every other case is the general step's, through its
+    uncontended-switch bypass."""
     import repro.noc.network as network
 
     routed = []
@@ -656,7 +660,7 @@ def test_lone_flit_bypass_matches_route_node_everywhere(
     def check(case, node, latched, inject, faults):
         flits = list(latched.values()) + ([inject] if inject else [])
         expected = []
-        if faults is None and len(flits) == 1:
+        if len(flits) == 1:
             expected = [_lone_path_takes(topology, node, flits[0])]
         del lone_path.returned[:]
         _assert_step_equals_router(case, topology, node, latched, inject,
@@ -731,13 +735,7 @@ def test_lone_flit_path_declines_what_is_not_one_flit_on_a_fast_link(
                                message(gateway, src=hub))
     assert lone_path.returned == [False]
 
-    # A fault injector, even one whose masks never activate, has hooks on
-    # every link and ejection: the path is not entered.
-    del lone_path.returned[:]
-    _assert_step_equals_router("injector attached", mesh, 5,
-                               {mesh.ports_of(5)[0]: message(11, hops=2)},
-                               None, faults=_MASKS_INACTIVE)
-    assert lone_path.returned == []
+    # (An active fault mask declines too: the fault-plan test below.)
 
     # A second flit, in flight on a slow link: the first is forwarded and
     # ejected, and the second — the only flit left — lands and ejects in
@@ -763,6 +761,91 @@ def test_lone_flit_path_declines_what_is_not_one_flit_on_a_fast_link(
     assert lone_path.returned == []
     assert fabric.ports[there].eject.queue.pop() is second
     assert fabric.flits_in_network == 0 and not fabric.active
+
+
+def _fault_steps(plan, node, make, cycles, inject=False):
+    """A 4x3 mesh fabric under ``plan`` whose one flit, ``make()``, is
+    latched in ``node``'s first input register (or, with ``inject``,
+    offered to its injection slot), stepped at ``cycles``: everything a
+    step can change — the fabric, the injector with its RNG, the FAULT
+    events in order."""
+    topology = MeshTopology(4, 3)
+    injector = FaultInjector(plan, topology)
+    fabric = NocFabric(topology, faults=injector)
+    Simulator().register(fabric)
+    flit = make()
+    if inject:
+        assert fabric.ports[node].inject.try_inject(flit)  # stamps it
+    else:
+        injector.stamp(flit)
+        fabric.regs[node][topology.ports_of(node)[0]] = flit
+        fabric._work.add(node)
+        fabric._flit_count = 1
+    for cycle in cycles:
+        fabric.step(cycle)
+    return {
+        "fabric": component_state(fabric),
+        "faults": plain(injector),
+        "events": [(event.cycle, event.tile, event.key, event.payload)
+                   for event in injector.events.of_kind(FAULT)],
+    }
+
+
+def _stream_data(dst, src=0):
+    return Flit(dst=dst, src=src, ptype=PacketType.MESSAGE,
+                subtype=int(SubType.MSG_DATA), seq=7, burst=1,
+                data=0xCAFE, injected_at=3, hops=1)
+
+
+#: (plan, node, flit's destination, cycles stepped, offered to the
+#: injection slot, what the lone path returns, the fault counters).
+_FAULTED_LONE_STEPS = {
+    # Dropped on its hop out of a register, and out of the slot.
+    "dropped in transit": (
+        FaultPlan(seed=4, drop_rate=1.0), 5, 11, (9,), False, [True],
+        {"dropped": 1},
+    ),
+    "dropped at injection": (
+        FaultPlan(seed=4, drop_rate=1.0), 5, 11, (9,), True, [True],
+        {"dropped": 1},
+    ),
+    # Corrupted on its one hop, then thrown away by the ejection port.
+    "corrupted, then CRC-dropped": (
+        FaultPlan(seed=4, corrupt_rate=1.0), 5, 6, (9, 10), False,
+        [True, True], {"corrupted": 1, "crc_dropped": 1},
+    ),
+    # A switch stalled elsewhere is a live mask: the router's step (whose
+    # link hook drops the flit).
+    "stall-masked": (
+        FaultPlan(seed=4, drop_rate=0.5, stalls=((0, 2, 40),)), 5, 11,
+        (9,), False, [False], {"stall_on": 1, "dropped": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _FAULTED_LONE_STEPS)
+def test_lone_flit_path_under_a_fault_plan_matches_the_general_step(
+    case, lone_path
+):
+    """A lone flit under a fault plan: the path takes its step while no
+    port mask is active — hop through the link hook, ejection through the
+    checksum — and declines while one is; either way the fabric, the
+    fault counters, the FAULT events and the injector's RNG are those of
+    the general step alone (the path's twin, ``lone_path.decline()``)."""
+    plan, node, dst, cycles, inject, returned, counted = (
+        _FAULTED_LONE_STEPS[case]
+    )
+
+    def steps():
+        return _fault_steps(plan, node, partial(_stream_data, dst), cycles,
+                            inject)
+
+    as_built = steps()
+    assert lone_path.returned == returned, case
+    assert as_built["faults"]["counts"] == counted, case
+    assert as_built["fabric"]["_flit_count"] == 0, case
+    with lone_path.decline():
+        assert steps() == as_built, case
 
 
 def test_lone_flit_path_raises_typed_errors():

@@ -58,6 +58,15 @@ KIND_CONFIGS = {
 }
 
 
+@pytest.fixture(autouse=True)
+def _no_shared_topology_outlives_the_test():
+    """The comparisons below read ``vars()`` of shared topologies, which
+    gives each a real ``__dict__`` (CPython 3.11): slower for every later
+    system of its description in this process.  They leave none behind."""
+    yield
+    build_topology.cache_clear()
+
+
 # -- (a) nothing writes to a shared topology ----------------------------------
 
 

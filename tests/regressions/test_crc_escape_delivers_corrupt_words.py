@@ -20,11 +20,14 @@ the word is in sequence, so it is credited and consumed.  Expected of a
 correct machine: every single-bit corruption is caught at ejection and
 repaired by a NACK, as it is in
 ``test_allreduce_recovers_from_corruption`` (seed 9, three algorithms).
+
+Fixed by making ``_crc8`` a real CRC-8 (polynomial 0x07, Hamming distance
+4 over the 88 protected bits): every 1- and 2-bit error is caught, which
+``tests/noc/test_faults.py`` checks pattern by pattern.  The run now
+validates.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.apps.collective_bench import (
     CollectiveBenchParams,
@@ -45,10 +48,6 @@ PARAMS = CollectiveBenchParams(
 )
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="one of 29 corrupted flits passes the 8-bit checksum model",
-)
 def test_every_single_bit_corruption_is_caught_and_repaired():
     result = run_collective_bench(CONFIG, PARAMS, max_cycles=500_000)
     faults = result.stats["faults"]
