@@ -96,9 +96,7 @@ class _TrafficSource(Component):
 
     def step(self, cycle: int) -> None:
         # Drain anything delivered to us (sink role).
-        queue = self.ports.eject.queue
-        while queue:
-            queue.pop()
+        self.ports.eject.queue.clear()
         if cycle >= self.stop_at:
             if self.fabric.flits_in_network == 0:
                 self.sleep()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import typing
+from heapq import heappush
 
 from repro.errors import SimulationError
 from repro.kernel.stats import CounterSet
@@ -18,6 +19,13 @@ class Component:
     should call :meth:`sleep` (optionally with a wakeup cycle); an external
     event source (an arriving flit, a freed FIFO slot) re-activates it with
     :meth:`wake`.  This is the mechanism behind the kernel's activity gating.
+
+    The two write the kernel's schedule themselves, with no call into it:
+    ``wake`` and ``sleep`` set and clear this component's bit of the
+    active set (``Simulator._active``), and a timed ``sleep`` pushes its
+    wake-up on ``Simulator._wakeups`` after the one check that it is not
+    in the past.  The kernel writes them only to register a component and
+    to release a due wake-up.
 
     Layout rule: a component, and every object it builds, has at most 29
     instance attributes (these six included) or names its own in
@@ -58,26 +66,34 @@ class Component:
         (or later this cycle, when woken by an earlier-phase component)."""
         if not self.active:
             self.active = True
-            if self.sim is not None:
-                self.sim.notify_activated(self)
+            sim = self.sim
+            if sim is not None:
+                sim._active |= self._bit
 
     def sleep(self, until: int | None = None) -> None:
         """Stop being stepped; optionally schedule a wakeup at ``until``.
 
-        The kernel is told only on a change — it toggles the component's
-        active-set bit — so the ``active`` test below keeps the two equal.
+        The bit is toggled only on a change of ``active``, which keeps the
+        two equal.
         """
+        sim = self.sim
         if self.active:
             self.active = False
-            if self.sim is not None:
-                self.sim.notify_deactivated(self)
+            if sim is not None:
+                sim._active ^= self._bit
         if until is not None:
-            if self.sim is None:
+            if sim is None:
                 raise SimulationError(
                     f"{self.name}: sleep(until={until}) on a component no "
                     f"Simulator has registered; there is no clock to wake it"
                 )
-            self.sim.wake_at(self, until)
+            if until < sim.cycle:
+                raise SimulationError(
+                    f"{self.name}: sleep(until={until}) is in the past "
+                    f"(now {sim.cycle})"
+                )
+            seq = sim._wakeup_seq = sim._wakeup_seq + 1
+            heappush(sim._wakeups, (until, seq, self))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"

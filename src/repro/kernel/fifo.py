@@ -5,7 +5,8 @@ MPMMU's Pif-Request/Pif-Data/outgoing queues, the TIE receive segments —
 is an instance of :class:`Fifo`.  The model is untimed (push and pop are
 performed by the owning component inside its own clocked ``step``); what it
 adds over ``collections.deque`` is bounded capacity with explicit full/empty
-errors plus occupancy statistics used by the reports.
+errors.  It counts nothing per item: an owner whose report needs a count
+keeps it where it moves the item (the MPMMU's per-flit counters).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ T = TypeVar("T")
 
 
 class Fifo(Generic[T]):
-    """A bounded (or unbounded) first-in first-out queue with statistics."""
+    """A bounded (or unbounded) first-in first-out queue."""
 
     def __init__(self, capacity: int | None = None, name: str = "fifo") -> None:
         if capacity is not None and capacity < 1:
@@ -27,9 +28,6 @@ class Fifo(Generic[T]):
         self.name = name
         self.capacity = capacity
         self._items: deque[T] = deque()
-        self.pushes = 0
-        self.pops = 0
-        self.max_occupancy = 0
         self.full_rejections = 0
 
     # -- state ----------------------------------------------------------------
@@ -66,16 +64,11 @@ class Fifo(Generic[T]):
             self.full_rejections += 1
             raise FifoFullError(f"{self.name}: push on full FIFO (cap={capacity})")
         items.append(item)
-        self.pushes += 1
-        occupancy = len(items)
-        if occupancy > self.max_occupancy:
-            self.max_occupancy = occupancy
 
     def pop(self) -> T:
         items = self._items
         if not items:
             raise FifoEmptyError(f"{self.name}: pop on empty FIFO")
-        self.pops += 1
         return items.popleft()
 
     def peek(self) -> T:

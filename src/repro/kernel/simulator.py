@@ -32,6 +32,12 @@ number of *events* rather than the number of *cycles* or *components*:
   the next :meth:`Simulator.observe_at` sample — so every observer sees
   exactly the state the cycle-by-cycle schedule would have shown it.
 
+The schedule has two writers and no call between them.  A component
+writes its own part: ``wake`` and ``sleep`` set and clear its bit of the
+active set, and ``sleep(until=…)`` pushes its wake-up on the heap after
+the one past-cycle check there is.  :meth:`Simulator.run` writes the rest:
+it sets the bit (and ``active``) of each wake-up that falls due.
+
 That re-read is the whole mid-cycle wake contract: a component woken by
 an earlier phase (a higher bit) steps this cycle, one woken by a later
 phase or by itself (a bit at or below the one stepping) steps next cycle.
@@ -66,6 +72,8 @@ class Simulator:
         self._components: list[Component] = []
         #: The active set: bit ``Component._order`` set while it is active.
         self._active = 0
+        #: ``(cycle, seq, component)`` pushed by a timed ``sleep``; ``seq``
+        #: counts every wake-up ever scheduled and orders those of a cycle.
         self._wakeups: list[tuple[int, int, Component]] = []
         self._wakeup_seq = 0
         self._running = False
@@ -97,24 +105,6 @@ class Simulator:
     @property
     def components(self) -> tuple[Component, ...]:
         return tuple(self._components)
-
-    # -- activity bookkeeping (called from Component on a change) ------------
-
-    def notify_activated(self, component: Component) -> None:
-        self._active |= component._bit
-
-    def notify_deactivated(self, component: Component) -> None:
-        self._active ^= component._bit
-
-    def wake_at(self, component: Component, cycle: int) -> None:
-        """Schedule ``component`` to become active at ``cycle`` (>= now)."""
-        if cycle < self.cycle:
-            raise SimulationError(
-                f"wakeup for {component.name} at {cycle} is in the past "
-                f"(now {self.cycle})"
-            )
-        self._wakeup_seq += 1
-        heapq.heappush(self._wakeups, (cycle, self._wakeup_seq, component))
 
     def observe_at(self, cycle: int) -> None:
         """Declare that component state will next be read at ``cycle``.
@@ -197,10 +187,12 @@ class Simulator:
                             self.cycle = now = target
                     if every_cycle:
                         self._run_horizon = self.horizon = now
-                # Release due wakeups.
+                # Release due wakeups (``Component.wake``, inline: setting
+                # a bit already set changes nothing).
                 while wakeups and wakeups[0][0] <= now:
-                    __, __, comp = heappop(wakeups)
-                    comp.wake()
+                    comp = heappop(wakeups)[2]
+                    comp.active = True
+                    self._active |= comp._bit
                 # Step the lowest active bit, then re-read the mask above
                 # it (module docstring: the mid-cycle wake contract).
                 mask = self._active

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable
 from typing import Any
 
 
@@ -13,22 +12,19 @@ class CounterSet:
     Counting must stay cheap (it happens on hot per-cycle paths), so this is
     a thin wrapper over a dict with convenience accessors and merge support
     for aggregating across components or sweep runs.  A hot call site may
-    count in plain ints of its owner instead (:meth:`batch`), and a set may
-    own a ``fold``, a callable that brings it up to date otherwise (the
-    MPMMU copies what its FIFOs count).  Every read first absorbs the
-    batched ints and runs the fold — :meth:`get`, ``[]``, ``in``,
+    count in plain ints of its owner instead (:meth:`batch`).  Every read
+    first absorbs the batched ints — :meth:`get`, ``[]``, ``in``,
     :meth:`as_dict` and the source side of :meth:`merge` — so no reader
     has anything to remember; ``inc`` does not.
     """
 
-    __slots__ = ("name", "_counters", "_owner", "_batched", "fold")
+    __slots__ = ("name", "_counters", "_owner", "_batched")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._counters: dict[str, int] = {}
         self._owner: object = None
         self._batched: tuple[tuple[str, str], ...] = ()
-        self.fold: Callable[[], None] | None = None
 
     def batch(self, owner: object, batched: tuple[tuple[str, str], ...]) -> None:
         """Let ``owner`` count in plain ints of its own — ``(attribute,
@@ -44,17 +40,11 @@ class CounterSet:
             if amount:
                 self.inc(key, amount)
                 setattr(owner, attribute, 0)
-        if self.fold is not None:
-            self.fold()
         return self._counters
 
     def inc(self, key: str, amount: int = 1) -> None:
         counters = self._counters
         counters[key] = counters.get(key, 0) + amount
-
-    def set_max(self, key: str, value: int) -> None:
-        if value > self._counters.get(key, 0):
-            self._counters[key] = value
 
     def get(self, key: str, default: int = 0) -> int:
         return self._read().get(key, default)

@@ -20,9 +20,9 @@ inside the cache", Section II-C) while the DDR word store stays
 authoritative, which keeps post-simulation validation reads simple.
 
 The three per-flit counters (``requests_received``,
-``data_flits_received``, ``reply_flits_sent``) are not kept on the hot
-path: the FIFOs already count what passes through them, and every read of
-``mpmmu.stats`` copies those counts in first (the counter set's fold).
+``data_flits_received``, ``reply_flits_sent``) are plain ints counted
+where the flit moves (``_phase_rx``, ``_phase_out``), which every read of
+``mpmmu.stats`` adds in (the counter set's batch).
 """
 
 from __future__ import annotations
@@ -139,14 +139,20 @@ class MpmmuNode(Component):
         self._after_busy: list[Flit] = []
         self._after_state = _IDLE
         self._assembly: _WriteAssembly | None = None
-        # Stable bindings of the deques behind the four queues: an
-        # emptiness or capacity test in step() is then a truth test or a
-        # len() of a deque, not a Python-level Fifo property call.
-        self._rx_items = ports.eject.queue._items
+        # Stable bindings of the deques behind the four queues (the
+        # ejection port's is one): an emptiness or capacity test in step()
+        # is then a truth test or a len() of a deque, not a Python-level
+        # Fifo property call.
+        self._rx_items = ports.eject.queue
         self._req_items = self.req_fifo._items
         self._data_items = self.data_fifo._items
         self._out_items = self.out_fifo._items
-        self.stats.fold = self._fold_stats
+        self._n_requests = self._n_data_flits = self._n_replies = 0
+        self.stats.batch(self, (
+            ("_n_requests", "requests_received"),
+            ("_n_data_flits", "data_flits_received"),
+            ("_n_replies", "reply_flits_sent"),
+        ))
 
     # -- clocked behaviour ---------------------------------------------------
 
@@ -190,19 +196,23 @@ class MpmmuNode(Component):
             # MESSAGE nor MULTICAST flits).
             raise ProtocolError(f"mpmmu received message flit {flit!r}")
         subtype = flit.subtype
+        # Each arm tests its FIFO's capacity, so the flit is appended to
+        # the deque behind it directly.
         if subtype == ADDR:
-            fifo = self.req_fifo
-            if len(self._req_items) >= fifo.capacity:
+            items = self._req_items
+            if len(items) >= self.req_fifo.capacity:
                 # Request FIFO depth equals the worker count; overflow means
                 # a core broke the one-outstanding-transaction contract.
                 raise ProtocolError("mpmmu request FIFO overflow")
+            self._n_requests += 1
         elif subtype == DATA:
-            fifo = self.data_fifo
-            if len(self._data_items) >= fifo.capacity:
+            items = self._data_items
+            if len(items) >= self.data_fifo.capacity:
                 return  # leave it in the ejection queue until space frees
+            self._n_data_flits += 1
         else:
             raise ProtocolError(f"mpmmu got unexpected subtype in {flit!r}")
-        fifo.push(self.ports.eject.queue.pop())
+        items.append(self._rx_items.popleft())
 
     def _phase_fsm(self, cycle: int) -> None:
         """The service window has elapsed: release the replies and move on."""
@@ -218,21 +228,13 @@ class MpmmuNode(Component):
             self._begin_service(self.req_fifo.pop(), cycle)
 
     def _phase_out(self, cycle: int) -> None:
-        flit = self.out_fifo.pop()
+        flit = self._out_items.popleft()
+        self._n_replies += 1
         if not self.ports.inject.try_inject(flit):
             raise ProtocolError(
                 f"mpmmu: cycle {cycle}: injection port reported free but "
                 f"rejected {flit!r}"
             )
-
-    def _fold_stats(self) -> None:
-        """Bring the per-flit counters up to date (module docstring): a
-        request received is a push on the request FIFO, a reply sent a pop
-        of the outgoing one."""
-        set_max = self.stats.set_max  # the three only grow; 0 adds no key
-        set_max("requests_received", self.req_fifo.pushes)
-        set_max("data_flits_received", self.data_fifo.pushes)
-        set_max("reply_flits_sent", self.out_fifo.pops)
 
     # -- transaction service -------------------------------------------------------
 

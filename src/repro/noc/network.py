@@ -60,11 +60,11 @@ machine of ``tests/reference_machine.py``.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 
 from repro.errors import ProtocolError, SimulationError
 from repro.kernel.component import Component
-from repro.kernel.fifo import Fifo
 from repro.kernel.stats import LatencyStat
 from repro.kernel.trace import EJECT, EventLog
 from repro.noc.flit import Flit
@@ -127,14 +127,16 @@ class EjectionPort:
     The queue is backed by local memory in the real design (the TIE
     interface scatters arrivals straight into the processor data RAM), so
     it is modelled unbounded; the network still ejects at most
-    ``eject_capacity`` flits per cycle.
+    ``eject_capacity`` flits per cycle.  Being unbounded and counting
+    nothing, it is a plain ``collections.deque``: the fabric appends, the
+    owner takes the oldest flit with ``popleft``.
     """
 
     __slots__ = ("node", "queue", "owner")
 
     def __init__(self, node: int) -> None:
         self.node = node
-        self.queue: Fifo[Flit] = Fifo(capacity=None, name=f"eject[{node}]")
+        self.queue: deque[Flit] = deque()
         #: Woken by the fabric when a flit lands in ``queue``.
         self.owner: Component | None = None
 
@@ -681,7 +683,7 @@ class NocFabric(Component):
                 (PTYPE_NAME[flit.ptype], latency),
             )
         eject = port.eject
-        eject.queue.push(flit)
+        eject.queue.append(flit)
         owner = eject.owner
         if owner is not None and not owner.active:
             owner.wake()

@@ -247,10 +247,10 @@ class ProcessorNode(Component):
         #: The last cycle on which the TX phase ran or the core executed
         #: or resumed — "did anything run after this step's tick".
         self._acted_at = -1
-        # Hot-path bindings: the deques backing the RX queue and the TIE
-        # credit queue are stable objects, so step() can test them without
-        # attribute chains or property calls.
-        self._rx_items = ports.eject.queue._items
+        # Hot-path bindings: the RX queue (a deque) and the deque behind
+        # the TIE credit queue are stable objects, so step() can test them
+        # without attribute chains or property calls.
+        self._rx_items = ports.eject.queue
         self._credit_items = tie.pending_credits._items
         # The same for the interpreter's core-local arms, which run once
         # per op rather than once per step.
@@ -314,7 +314,7 @@ class ProcessorNode(Component):
             and not self.tie.pending_retx
             and (self.dma is None or not (self.dma.busy or self.dma.rx_busy))
             and not self.arbiter.has_pending
-            and self.ports.eject.queue.empty
+            and not self._rx_items
         )
 
     # -- clocked behaviour ----------------------------------------------------------
@@ -345,7 +345,7 @@ class ProcessorNode(Component):
         dma = self.dma
         if self._rx_items:
             # Phase 1: one flit off the ejection port, demuxed on its type.
-            flit = self.ports.eject.queue.pop()
+            flit = self._rx_items.popleft()
             if flit.ptype >= MESSAGE:  # MESSAGE or MULTICAST
                 tie.accept(flit)
             elif bridge.on_reply(flit, cycle) is not None:

@@ -372,11 +372,11 @@ class MedeaSystem:
 
     def finished(self) -> bool:
         """True when every program ended and all traffic has drained."""
-        return (
-            all(node.drained for node in self.nodes)
-            and self.mpmmu.idle
-            and self.fabric.flits_in_network == 0
-        )
+        # A plain loop: the kernel polls this on every idle cycle.
+        for node in self.nodes:
+            if not node.drained:
+                return False
+        return self.mpmmu.idle and self.fabric.flits_in_network == 0
 
     def run(self, max_cycles: int | None = None) -> int:
         """Run to completion; returns elapsed cycles.

@@ -59,18 +59,6 @@ def test_free_slots_tracking():
     assert fifo.free_slots == 2
 
 
-def test_occupancy_statistics():
-    fifo: Fifo[int] = Fifo(8)
-    for value in range(5):
-        fifo.push(value)
-    for __ in range(3):
-        fifo.pop()
-    fifo.push(9)
-    assert fifo.max_occupancy == 5
-    assert fifo.pushes == 6
-    assert fifo.pops == 3
-
-
 def test_bool_and_empty():
     fifo: Fifo[int] = Fifo(2)
     assert not fifo
@@ -88,12 +76,14 @@ def test_iteration_preserves_order():
 
 
 def test_clear_empties_but_keeps_stats():
-    fifo: Fifo[int] = Fifo(4)
+    fifo: Fifo[int] = Fifo(2)
     fifo.push(1)
     fifo.push(2)
+    with pytest.raises(FifoFullError):
+        fifo.push(3)
     fifo.clear()
     assert fifo.empty
-    assert fifo.pushes == 2
+    assert fifo.full_rejections == 1
 
 
 def test_invalid_capacity_rejected():

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 from enum import Enum
 
+import sys
+
 import pytest
 
+from repro.apps.jacobi.driver import JacobiParams, run_jacobi
 from repro.errors import DeadlockError, SimulationError
+from repro.kernel import simulator
 from repro.kernel.component import Component
 from repro.kernel.simulator import Simulator
+from repro.system.config import SystemConfig
 
 
 class Recorder(Component):
@@ -157,8 +162,11 @@ def test_wakeup_in_past_rejected():
     comp = Recorder("a", run_cycles=50)
     sim.register(comp)
     sim.run(max_cycles=10)
-    with pytest.raises(SimulationError):
-        sim.wake_at(comp, 3)
+    with pytest.raises(
+        SimulationError, match=r"^a: sleep\(until=3\) is in the past \(now 10\)",
+    ):
+        comp.sleep(until=3)
+    assert not sim._wakeups
 
 
 def test_timed_sleep_before_registration_is_a_typed_error():
@@ -217,8 +225,9 @@ def test_duplicate_wakeups_step_component_once_per_cycle():
     sim = Simulator()
     comp = Sleeper("s", gap=3, repeats=2)
     sim.register(comp)
-    sim.wake_at(comp, 3)
-    sim.wake_at(comp, 3)
+    comp.sleep(until=3)
+    comp.sleep(until=3)
+    comp.wake()  # active at 0 again, with two wake-ups pending at 3
     sim.run()
     assert comp.seen == [0, 3]
 
@@ -398,3 +407,26 @@ def test_the_deadline_cycle_is_never_stepped():
     assert sim.cycle == 5
     sim.run(max_cycles=6)
     assert comp.seen == [0, 5, 10]
+
+
+def test_a_built_system_runs_without_calling_into_the_kernel():
+    """Wakes, sleeps and timed wake-ups write the kernel's state in place:
+    in a whole run (a 2-worker write-through Jacobi, which sleeps on
+    timers and on flits) no function of the kernel's module but
+    ``Simulator.run`` is entered."""
+    entered: set[str] = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == simulator.__file__:
+            entered.add(frame.f_code.co_qualname)
+
+    def trace_run(system):
+        sys.setprofile(profile)
+
+    try:
+        run_jacobi(SystemConfig(n_workers=2, cache_policy="wt"),
+                   JacobiParams(n=10, iterations=2, warmup=1),
+                   observer=trace_run)
+    finally:
+        sys.setprofile(None)
+    assert entered == {"Simulator.run"}

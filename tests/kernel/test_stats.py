@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,12 +24,14 @@ def test_counter_missing_key_is_zero():
     assert counters.get("nothing", 7) == 7
 
 
-def test_counter_set_max():
+def test_a_batch_is_added_in_on_read_and_a_zero_adds_no_key():
+    owner = SimpleNamespace(_n_depth=0)
     counters = CounterSet("c")
-    counters.set_max("depth", 3)
-    counters.set_max("depth", 1)
-    counters.set_max("depth", 9)
-    assert counters["depth"] == 9
+    counters.batch(owner, (("_n_depth", "depth"),))
+    assert "depth" not in counters  # 0 is the implicit default already
+    owner._n_depth = 2
+    assert counters["depth"] == 2 and owner._n_depth == 0
+    assert counters.as_dict() == {"depth": 2}
 
 
 def test_counter_merge():
@@ -94,15 +97,6 @@ def test_counter_merge_empty_is_identity():
     left.inc("a", 2)
     left.merge(CounterSet("empty"))
     assert left.as_dict() == {"a": 2}
-
-
-def test_counter_set_max_accepts_zero_only_as_first_value():
-    counters = CounterSet("c")
-    counters.set_max("depth", 0)
-    assert "depth" not in counters  # 0 is the implicit default already
-    counters.set_max("depth", 2)
-    counters.set_max("depth", 0)
-    assert counters["depth"] == 2
 
 
 def test_latency_percentile_bound_single_sample():

@@ -30,7 +30,7 @@ class Collector(Component):
     def step(self, cycle: int) -> None:
         queue = self.port.eject.queue
         while queue:
-            self.received.append((cycle, queue.pop()))
+            self.received.append((cycle, queue.popleft()))
         self.sleep()
 
 
@@ -162,7 +162,7 @@ class Flood(Component):
     def step(self, cycle: int) -> None:
         queue = self.port.eject.queue
         while queue:
-            queue.pop()
+            queue.popleft()
             self.received += 1
         if self.remaining <= 0:
             if self.fabric.flits_in_network == 0:

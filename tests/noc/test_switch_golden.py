@@ -552,11 +552,11 @@ def _assert_step_equals_router(case, topology, node, latched, inject,
     assert fabric.regs[node] == [None] * topology.max_ports, case
     queue = fabric.ports[node].eject.queue
     for twin in expected.ejected:
-        flit = queue.pop()
+        flit = queue.popleft()
         assert flit is original[twin.uid], case
         assert (flit.dst, flit.dst_mask) == (twin.dst, twin.dst_mask), case
         assert flit.hops == hops_before[flit.uid], case
-    assert queue.empty, case
+    assert not queue, case
     ejected_hops = sum(hops_before[twin.uid] for twin in expected.ejected)
     assert stats["flits_ejected"] == len(expected.ejected), case
     assert stats["flit_hops"] == ejected_hops, case
@@ -711,7 +711,7 @@ def test_lone_flit_path_declines_what_is_not_one_flit_on_a_fast_link(
     # A self-addressed injection never enters a switch: the zero-hop rule.
     fabric = _step_fabric(mesh, 5, {}, 9, inject=message(5, src=5))
     assert lone_path.returned == [False]
-    assert fabric.ports[5].eject.queue.pop().dst == 5
+    assert fabric.ports[5].eject.queue.popleft().dst == 5
     assert (fabric.latency.count, fabric.latency.total) == (1, 0)
     assert fabric.stats["flits_injected"] == fabric.stats["flits_ejected"] == 1
     assert fabric.flits_in_network == 0 and not fabric.active
@@ -755,11 +755,11 @@ def test_lone_flit_path_declines_what_is_not_one_flit_on_a_fast_link(
     fabric._flit_count = 2
     fabric.step(9)
     fabric.step(10)
-    assert fabric.ports[first.dst].eject.queue.pop() is first
+    assert fabric.ports[first.dst].eject.queue.popleft() is first
     assert fabric.flits_in_network == 1 and fabric._delayed
     fabric.step(11)
     assert lone_path.returned == []
-    assert fabric.ports[there].eject.queue.pop() is second
+    assert fabric.ports[there].eject.queue.popleft() is second
     assert fabric.flits_in_network == 0 and not fabric.active
 
 

@@ -42,7 +42,7 @@ class _MixSource(_TrafficSource):
             return
         queue = self.ports.eject.queue
         while queue:
-            queue.pop()
+            queue.popleft()
         if self.rng.random() < self.rate:
             n = self.fabric.topology.n_nodes
             others = [node for node in range(n) if node != self.node]

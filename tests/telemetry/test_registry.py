@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -54,10 +56,11 @@ def test_sample_row_only_holds_changed_names():
 def test_a_counter_fold_runs_before_the_provider_is_read():
     registry = MetricRegistry()
     counters = CounterSet("c")
-    batched = {"pending": 3}
-    counters.fold = lambda: counters.inc("ops", batched.pop("pending", 0))
+    owner = SimpleNamespace(_n_ops=3)
+    counters.batch(owner, (("_n_ops", "ops"),))
     registry.add_counters("core", counters)
     assert registry.sample(50) == {"core.ops": 3}
+    assert owner._n_ops == 0
 
 
 def test_timeline_reports_the_per_sample_curve():
