@@ -8,7 +8,9 @@ timed pairs of ``paired.py``: each checkout runs, in a process of its own
 on its own ``src/``, one untraced warm-up call of a ``benchmarks/perf``
 workload's driver and then one more under ``sys.settrace`` with opcode
 events on, counting every bytecode instruction executed in a Python frame
-(C code, builtins and the standard library's C modules, counts nothing).
+(C code, builtins and the standard library's C modules, counts nothing)
+and every frame entered: a call or a generator's resumption, each of
+which costs its own frame set-up beside the opcodes it runs.
 The count is a property of the code and the workload, not of the host,
 so two runs give the same total and a change of one opcode in a million
 is a real one: the cyclic garbage collector, whose finalizers run when
@@ -23,14 +25,15 @@ attribute access is slower at the same opcodes.  So the census also counts
 the ``src/repro`` objects alive after the traced call — its machine, held
 until the collector runs — that have a real dict (:func:`real_dict`).
 
-Per workload: the total (and with two checkouts both totals and the
-change), then the ``--top`` functions (by count, or by the change's size)
-as ``path:qualified name`` rows and one row for the rest, so the rows sum
-to the total, then the objects with a real dict, by class.  Several
+Per workload: the totals of opcodes and of frames (and with two
+checkouts both totals and the change), then the ``--top`` functions (by
+opcodes, or by the change's size) as ``path:qualified name`` rows, their
+opcodes then their frames, and one row for the rest, so the rows sum to
+the totals, then the objects with a real dict, by class.  Several
 workloads end with one table, a row each.  With two checkouts,
-``--fail-above PCT`` exits 1 when any workload's count rose by more than
-PCT percent (CI's ``opcode-census`` job passes 2) or the change left more
-objects with a real dict than the parent.
+``--fail-above PCT`` exits 1 when any workload's opcodes or frames rose
+by more than PCT percent (CI's ``opcode-census`` job passes 2) or the
+change left more objects with a real dict than the parent.
 """
 
 from __future__ import annotations
@@ -86,11 +89,12 @@ def dict_holders(objects) -> dict[str, int]:
     return dict(sorted(found.items()))
 
 
-def census(call) -> tuple[dict, dict[str, int]]:
-    """``call()`` under opcode tracing: ``{code object: opcodes}``, and the
-    :func:`dict_holders` among the objects alive after it, read while the
-    collector is still off."""
+def census(call) -> tuple[dict, dict, dict[str, int]]:
+    """``call()`` under opcode tracing: ``{code object: opcodes}``,
+    ``{code object: frames entered}``, and the :func:`dict_holders` among
+    the objects alive after it, read while the collector is still off."""
     counts = {}
+    frames = {}
 
     def local(frame, event, arg):
         if event == "opcode":
@@ -99,6 +103,9 @@ def census(call) -> tuple[dict, dict[str, int]]:
         return local
 
     def on_call(frame, event, arg):
+        # Sent for every frame entered: a call or a generator resumption.
+        code = frame.f_code
+        frames[code] = frames.get(code, 0) + 1
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
         return local
@@ -111,7 +118,7 @@ def census(call) -> tuple[dict, dict[str, int]]:
     finally:
         sys.settrace(None)
     try:
-        return counts, dict_holders(gc.get_objects())
+        return counts, frames, dict_holders(gc.get_objects())
     finally:
         gc.enable()
 
@@ -131,7 +138,7 @@ def by_function(counts: dict, root: Path) -> dict[str, int]:
 
 def measure(checkout: Path, workload: str) -> dict:
     """One workload in ``checkout``, counted in this process: ``opcodes``
-    by function and the ``dicts`` left (:func:`census`)."""
+    and ``frames`` by function and the ``dicts`` left (:func:`census`)."""
     for part in ("benchmarks/perf", "src"):
         sys.path.insert(0, str(checkout / part))
     from workloads import BY_NAME  # the checkout's own
@@ -139,8 +146,10 @@ def measure(checkout: Path, workload: str) -> dict:
     spec = BY_NAME[workload]
     call = partial(spec.driver, spec.config, spec.params)  # no frame of its own
     call()  # warm-up: imports, caches and lazy tables, untraced
-    counts, dicts = census(call)
-    return {"opcodes": by_function(counts, checkout.resolve()), "dicts": dicts}
+    counts, frames, dicts = census(call)
+    root = checkout.resolve()
+    return {"opcodes": by_function(counts, root),
+            "frames": by_function(frames, root), "dicts": dicts}
 
 
 def measure_in_child(checkout: str, workload: str) -> dict:
@@ -172,13 +181,31 @@ def rows_of(sides: list[dict[str, int]], top: int) -> list[tuple[str, list[int]]
     return rows
 
 
+def aligned(rows: list[tuple[str, list[int]]], top: int,
+            sides: list[dict[str, int]]) -> list[list[int]]:
+    """One count per side of ``sides`` for each row of :func:`rows_of`
+    (ranked on another measure): a named row's own, and the rest row's
+    what the named rows leave of each side's total."""
+    counts = [[side.get(name, 0) for side in sides] for name, __ in rows[:top]]
+    if rows[top:]:
+        counts.append([sum(side.values()) - sum(row[i] for row in counts)
+                       for i, side in enumerate(sides)])
+    return counts
+
+
 def risen(totals: dict[str, list[int]], percent: float,
-          dicts: dict[str, list[int]] | None = None) -> list[str]:
-    """The workloads whose count rose by more than ``percent`` percent, or
-    whose objects with a real dict grew in number at all."""
-    dicts = dicts or {}
-    return [workload for workload, (before, after) in totals.items()
-            if after > before * (1 + percent / 100)
+          dicts: dict[str, list[int]] | None = None,
+          frames: dict[str, list[int]] | None = None) -> list[str]:
+    """The workloads whose opcodes or frames rose by more than
+    ``percent`` percent, or whose objects with a real dict grew in number
+    at all."""
+    dicts, frames = dicts or {}, frames or {}
+
+    def rose(counts):
+        return counts is not None and counts[1] > counts[0] * (1 + percent / 100)
+
+    return [workload for workload, counts in totals.items()
+            if rose(counts) or rose(frames.get(workload))
             or (held := dicts.get(workload)) and held[1] > held[0]]
 
 
@@ -186,25 +213,36 @@ def change(before: int, after: int) -> str:
     return f"{100 * (after - before) / before:+.1f} %" if before else "-"
 
 
-def report(workload: str, sides: list[dict], top: int) -> tuple[list[int], list[int]]:
-    """Print one workload's block; return its opcode totals and its
-    objects with a real dict, one per side each."""
+def totals_line(totals: list[int], unit: str) -> str:
+    suffix = f" ({change(*totals)})" if len(totals) > 1 else ""
+    return " -> ".join(f"{total:,}" for total in totals) + unit + suffix
+
+
+def report(workload: str, sides: list[dict],
+           top: int) -> tuple[list[int], list[int], list[int]]:
+    """Print one workload's block; return its opcode totals, its frame
+    totals and its objects with a real dict, one per side each."""
     dicts = [side["dicts"] for side in sides]
+    frames = [side["frames"] for side in sides]
     sides = [side["opcodes"] for side in sides]
     totals = [sum(side.values()) for side in sides]
-    line = " -> ".join(f"{total:,}" for total in totals)
-    suffix = f" ({change(*totals)})" if len(totals) > 1 else ""
-    print(f"== {workload}: {line} opcodes{suffix}")
-    for name, counts in rows_of(sides, top):
-        cells = "".join(f"{count:>14,}" for count in counts)
-        delta = f"{counts[-1] - counts[0]:>+14,}" if len(counts) > 1 else ""
-        print(f"{cells}{delta}  {name}")
+    frame_totals = [sum(side.values()) for side in frames]
+    print(f"== {workload}: {totals_line(totals, ' opcodes')}, "
+          f"{totals_line(frame_totals, ' frames')}")
+    rows = rows_of(sides, top)
+    for (name, counts), entered in zip(rows, aligned(rows, top, frames)):
+        cells = ""
+        for column in (counts, entered):
+            cells += "".join(f"{count:>14,}" for count in column)
+            if len(column) > 1:
+                cells += f"{column[-1] - column[0]:>+14,}"
+        print(f"{cells}  {name}")
     held = [sum(side.values()) for side in dicts]
     print("   objects with a real __dict__: " + " -> ".join(map(str, held)))
     for name in sorted(set().union(*dicts)):
         cells = " -> ".join(str(side.get(name, 0)) for side in dicts)
         print(f"{cells:>14}  {name}")
-    return totals, held
+    return totals, frame_totals, held
 
 
 def main(argv: list[str]) -> int:
@@ -219,7 +257,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--top", type=int, default=12,
                         help="functions listed per workload (default 12)")
     parser.add_argument("--fail-above", type=float, metavar="PCT",
-                        help="exit 1 if a workload's count rose by more")
+                        help="exit 1 if a workload's opcodes or frames rose by more")
     args = parser.parse_args(argv)
     if len(args.checkouts) > 2:
         parser.error("one checkout or two")
@@ -228,25 +266,28 @@ def main(argv: list[str]) -> int:
     workloads = args.workload
     if workloads == ["all"]:
         workloads = [workload["name"] for workload in SPEC["workloads"]]
-    totals, dicts = {}, {}
+    totals, frames, dicts = {}, {}, {}
     for workload in workloads:
         sides = [measure_in_child(checkout, workload)
                  for checkout in args.checkouts]
-        totals[workload], dicts[workload] = report(workload, sides, args.top)
+        totals[workload], frames[workload], dicts[workload] = report(
+            workload, sides, args.top)
     if len(totals) > 1:
         two = len(args.checkouts) == 2
-        print("\n| workload | " + ("parent | change | change | real dicts |"
-                                   if two else "opcodes | real dicts |"))
-        print("|---|" + ("---:|" * (4 if two else 2)))
+        print("\n| workload | " + ("parent | change | change | frames | "
+                                   "real dicts |" if two else
+                                   "opcodes | frames | real dicts |"))
+        print("|---|" + ("---:|" * (5 if two else 3)))
         for workload, counts in totals.items():
             cells = " | ".join(f"{count:,}" for count in counts)
             extra = f" | {change(*counts)}" if two else ""
+            entered = totals_line(frames[workload], "")
             held = " -> ".join(map(str, dicts[workload]))
-            print(f"| `{workload}` | {cells}{extra} | {held} |")
+            print(f"| `{workload}` | {cells}{extra} | {entered} | {held} |")
     if args.fail_above is not None and (
-            rose := risen(totals, args.fail_above, dicts)):
-        print(f"\nrose by more than {args.fail_above:g} %, or left more "
-              "objects with a real __dict__: " + ", ".join(rose))
+            rose := risen(totals, args.fail_above, dicts, frames)):
+        print(f"\nopcodes or frames rose by more than {args.fail_above:g} %, "
+              "or left more objects with a real __dict__: " + ", ".join(rose))
         return 1
     return 0
 

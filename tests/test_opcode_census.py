@@ -13,7 +13,7 @@ from repro.system.config import SystemConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from opcode_census import (  # noqa: E402
-    ROOT, by_function, census, dict_holders, real_dict, risen, rows_of,
+    ROOT, aligned, by_function, census, dict_holders, real_dict, risen, rows_of,
 )
 
 
@@ -32,12 +32,40 @@ def test_counts_repeat_and_the_rows_sum_to_the_total():
             assert sum(counts[side] for __, counts in rows) == total
 
 
+def test_frames_count_every_call_and_generator_resumption():
+    def generator():
+        yield 1
+        yield 2
+
+    def call():
+        for __ in range(3):
+            list(generator())
+
+    opcodes, frames, __ = census(call)
+    entered = by_function(frames, ROOT)
+    name = "tests/test_opcode_census.py:" + generator.__qualname__
+    # Each list() enters the generator three times: two yields, one return.
+    assert entered[name] == 9
+    assert entered["tests/test_opcode_census.py:" + call.__qualname__] == 1
+    assert set(entered) <= set(by_function(opcodes, ROOT))
+
+
+def test_frame_rows_line_up_with_the_opcode_rows_and_sum_to_the_total():
+    opcodes = [{"a": 50, "b": 40, "c": 3, "d": 1}, {"a": 10, "b": 40, "c": 3}]
+    frames = [{"a": 5, "b": 7, "c": 2, "d": 1}, {"a": 1, "b": 6, "c": 4}]
+    rows = rows_of(opcodes, top=2)
+    assert [name for name, __ in rows] == ["a", "d", "(2 other functions)"]
+    assert aligned(rows, 2, frames) == [[5, 1], [1, 0], [9, 10]]
+
+
 def test_fail_above_names_only_the_workloads_that_rose_past_it():
     totals = {"flat": [1000, 1000], "fell": [1000, 900],
               "within": [1000, 1020], "rose": [1000, 1021]}
     assert risen(totals, 2) == ["rose"]
     dicts = {"flat": [0, 0], "fell": [8, 0], "within": [3, 4]}
     assert risen(totals, 2, dicts) == ["within", "rose"]
+    frames = {"flat": [100, 103], "fell": [100, 102]}
+    assert risen(totals, 2, frames=frames) == ["flat", "rose"]
 
 
 class _Wide:
