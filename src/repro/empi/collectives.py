@@ -5,8 +5,9 @@ The paper's evaluation stops at barriers; its future-work section asks for
 This module gives MEDEA programs MPI-style collectives — broadcast,
 reduce, allreduce, scatter and gather — each runnable over **both**
 programming models.  A collective call is accepted in one front
-(:class:`Communicator`); a backend supplies its plan choice and
-executor:
+(:class:`Communicator`), planned by one rule
+(:func:`repro.empi.schedules.plan`: the ``(ranks, schedule, path)``
+pieces it runs) and run by one executor per model:
 
 * the hybrid message-passing path
   (:class:`~repro.empi.runtime.EmpiCollectives`): data rides the TIE
@@ -23,8 +24,8 @@ reduction is not associative, so each (algorithm, op) pair fixes one
 combine order and the pure-python reference functions here replicate it
 *exactly*, written independently of the schedules.  Apps validate bit
 for bit against these references, never against a reordered numpy
-shortcut.  To add an algorithm, write one schedule function and one
-independent reference, and pick it in each backend's plan choice.
+shortcut.  An algorithm is one schedule function, one independent
+reference here and one branch of :func:`~repro.empi.schedules.plan`.
 """
 
 from __future__ import annotations
@@ -65,9 +66,10 @@ class CollectiveAlgorithm(enum.Enum):
 
     ``ring`` and ``hier`` have no root, so a rooted collective under
     them runs the tree (:meth:`rooted`); scatter and gather always run
-    linear.  To add an algorithm, write one schedule function and one
-    independent reference of its combine order
-    (:func:`reference_reduce` / :func:`reference_allreduce`).
+    linear.  An algorithm is one schedule function, one independent
+    reference of its combine order (:func:`reference_reduce` /
+    :func:`reference_allreduce`) and one branch of
+    :func:`~repro.empi.schedules.plan`.
     """
 
     LINEAR = "linear"
@@ -99,9 +101,10 @@ class CollectiveAlgorithm(enum.Enum):
 
         Ring and hier are allreduce schedules — they have no root — so
         rooted collectives under them demote to the binomial tree;
-        every other setting is itself.  All the machine paths (blocking,
-        fragments, both backends) and the references resolve through
-        this one place, so the demotion can never drift between them.
+        every other setting is itself.  The one plan rule
+        (:func:`~repro.empi.schedules.plan`, which every machine path of
+        both backends runs) and the references resolve through this one
+        place, so the demotion can never drift between them.
         """
         if self is RING or self is HIER:
             return TREE
@@ -294,14 +297,17 @@ class Communicator(EngineCompletion):
     the engine-idle guard and is bracketed with zero-cycle phase notes,
     so the trace exporter renders it as a span; an ``i<op>`` call is
     posted in the engine's ``"collective"`` turn under the label
-    ``i<op>[<algorithm>]``.  A backend supplies what differs between the
-    models: its plan choice and executor (``_bcast`` / ``_reduce`` /
-    ``_allreduce``, run blocking or as a posted request's fragment per
-    ``frag``), its ``_scatter`` / ``_gather`` bodies, and ``barrier``,
-    ``send``, ``recv``, ``isend`` and ``irecv``; plus the attributes
-    ``ctx``, ``engine``, ``algorithm`` (chosen once at construction, the
-    sweep axis the DSE harness turns), ``n_workers`` and ``comm_name``
-    (the communicator's name in the agreement).
+    ``i<op>[<algorithm>]``; a reduce returns ``None`` off the root.  The
+    plan of a bcast, reduce or allreduce is chosen by one rule for both
+    models, :func:`~repro.empi.schedules.plan`.  A backend supplies what
+    differs between the models: its executor (``_collective``, which
+    calls the rule and runs the pieces, blocking or as a posted
+    request's fragment per ``frag``), its ``_scatter`` / ``_gather``
+    bodies, and ``barrier``, ``send``, ``recv``, ``isend`` and
+    ``irecv``; plus the attributes ``ctx``, ``engine``, ``algorithm``
+    (chosen once at construction, the sweep axis the DSE harness
+    turns), ``n_workers`` and ``comm_name`` (the communicator's name in
+    the agreement).
     """
 
     model: CommModel
@@ -313,8 +319,8 @@ class Communicator(EngineCompletion):
               n_values: int) -> "Program":
         """MPI_bcast: every rank returns the root's ``n_values`` doubles."""
         self._check_payload(root, values, n_values)
-        return self._blocking("bcast", root, n_values,
-                              self._bcast(root, values, n_values, False))
+        return self._blocking("bcast", root, n_values, self._collective(
+            "bcast", root, values, n_values, None, False))
 
     def reduce(self, root: int, values: list[float],
                op: ReduceOp | str = ReduceOp.SUM) -> "Program":
@@ -323,14 +329,14 @@ class Communicator(EngineCompletion):
         :func:`reference_reduce`."""
         op = ReduceOp.parse(op)
         return self._blocking("reduce", root, len(values),
-                              self._reduce(root, values, op, False))
+                              self._reduce_at_root(root, values, op, False))
 
     def allreduce(self, values: list[float],
                   op: ReduceOp | str = ReduceOp.SUM) -> "Program":
         """MPI_allreduce: every rank returns :func:`reference_allreduce`."""
         op = ReduceOp.parse(op)
-        return self._blocking("allreduce", None, len(values),
-                              self._allreduce(values, op, False))
+        return self._blocking("allreduce", None, len(values), self._collective(
+            "allreduce", None, values, len(values), op, False))
 
     def scatter(self, root: int, chunks: list[list[float]] | None,
                 n_values: int) -> "Program":
@@ -354,22 +360,22 @@ class Communicator(EngineCompletion):
                n_values: int) -> "Program":
         """MPI_Ibcast: ``bcast`` as a request; ``wait`` returns its result."""
         self._check_payload(root, values, n_values)
-        return self._posted("bcast", root, n_values,
-                            self._bcast(root, values, n_values, True))
+        return self._posted("bcast", root, n_values, self._collective(
+            "bcast", root, values, n_values, None, True))
 
     def ireduce(self, root: int, values: list[float],
                 op: ReduceOp | str = ReduceOp.SUM) -> "Program":
         """MPI_Ireduce: ``reduce`` as a request, the same combine order."""
         op = ReduceOp.parse(op)
         return self._posted("reduce", root, len(values),
-                            self._reduce(root, values, op, True))
+                            self._reduce_at_root(root, values, op, True))
 
     def iallreduce(self, values: list[float],
                    op: ReduceOp | str = ReduceOp.SUM) -> "Program":
         """MPI_Iallreduce: ``allreduce`` as a request, the same bits."""
         op = ReduceOp.parse(op)
-        return self._posted("allreduce", None, len(values),
-                            self._allreduce(values, op, True))
+        return self._posted("allreduce", None, len(values), self._collective(
+            "allreduce", None, values, len(values), op, True))
 
     # -- acceptance -------------------------------------------------------------
 
@@ -412,6 +418,14 @@ class Communicator(EngineCompletion):
             self.engine.in_turn("collective", self._span(label, body)), label
         )
 
+    def _reduce_at_root(self, root: int, values: list[float], op: ReduceOp,
+                        frag: bool) -> "Program":
+        """A reduce's body: the backend runs its plan; the accumulator is
+        the result at ``root``, ``None`` elsewhere."""
+        acc = yield from self._collective("reduce", root, values,
+                                          len(values), op, frag)
+        return acc if self.ctx.rank == root else None
+
     def _phase(self, label: str, body: "Program") -> "Program":
         """Bracket a blocking call with zero-cycle phase notes, which the
         trace exporter renders as a span on the rank's timeline."""
@@ -438,8 +452,9 @@ def make_comm(
 ):
     """Build the collective backend for one rank's program.
 
-    A collective call is accepted in one front (:class:`Communicator`);
-    a backend supplies its plan choice and executor.  ``empi`` ignores
+    A collective call is accepted in one front (:class:`Communicator`)
+    and planned by :func:`~repro.empi.schedules.plan`; a backend
+    supplies its executor.  ``empi`` ignores
     the shared-memory arguments; ``pure_sm`` carves its slot arena at
     ``base_addr`` (default: the bottom of the shared segment) sized for
     vectors of up to ``max_values`` doubles, plus — when ``p2p_values``

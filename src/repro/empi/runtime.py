@@ -19,28 +19,27 @@ runtime MPI-like out-of-band tolerance with a tiny footprint.
 :class:`Empi` is the transport: tokens, barriers, point-to-point,
 request fragments, the flavours and the critical-path span and hop
 notes.  A collective call is accepted in one front
-(:class:`~repro.empi.collectives.Communicator`); a backend supplies its
-plan choice and executor.  :class:`EmpiCollectives` is the eMPI one:
-each algorithm is a schedule (:mod:`repro.empi.schedules`), rooted
-collectives pass the ranks rotated so the root leads, ``hier`` composes
-ring and tree over chiplet groups, and :meth:`EmpiCollectives._execute`
-runs any schedule for one rank over a *point-to-point flavour*
-(:class:`_TieFlavour`, :class:`_DmaFlavour`).  What varies between the
-blocking op, the non-blocking request and the DMA-engine offload is only
-the flavour, chosen once per call in ``_bcast`` / ``_reduce`` /
-``_allreduce`` beside the schedule.
+(:class:`~repro.empi.collectives.Communicator`), and its plan — the
+``(ranks, schedule, path)`` pieces — is chosen by one rule,
+:func:`repro.empi.schedules.plan`, for both programming models.
+:class:`EmpiCollectives` only executes: its ``_collective`` runs any
+plan for one rank, each piece over the *point-to-point flavour* its path
+names (:class:`_TieFlavour`, :class:`_DmaFlavour`).  What varies between
+the blocking op, the non-blocking request and the DMA-engine offload is
+only the flavour.
 
-* To add an **algorithm**: write one schedule function and one
-  independent reference (of its combine order, in
-  :mod:`repro.empi.collectives`), and pick the schedule in
-  ``_bcast``/``_reduce``/``_allreduce``.  Blocking, non-blocking,
-  engine-offloaded and shared-memory variants then exist by
-  construction.
+* To add an **algorithm**: write one schedule function, one independent
+  reference (of its combine order, in :mod:`repro.empi.collectives`) and
+  one branch of :func:`~repro.empi.schedules.plan`.  Blocking,
+  non-blocking, engine-offloaded and shared-memory variants then exist
+  by construction.
 * To add a **flavour** (say, in-switch combining): write one class with
   the generator methods ``send`` (to a list of ranks) / ``recv`` /
   ``recv_combine`` (and ``expect_combine`` when ``prepost`` is set),
-  emitting its ``cph`` hop notes at send/receive completion, and select
-  it where the existing two are selected.  No schedule changes.
+  emitting its ``cph`` hop notes at send/receive completion, name its
+  path in :mod:`repro.empi.schedules`, choose it in
+  :func:`~repro.empi.schedules.plan` and select it in ``_collective``
+  beside the existing two.  No schedule function changes.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import enum
 import typing
 
 from repro.empi.collectives import (
-    HIER, HW, LINEAR, RING, TREE,
+    HW,
     CollectiveAlgorithm,
     CommModel,
     Communicator,
@@ -62,10 +61,7 @@ from repro.empi.requests import (
     EngineCompletion,
     ProgressEngine,
 )
-from repro.empi.schedules import (
-    fold, hier_allreduce, linear_bcast, linear_reduce,
-    ring_allreduce, rotated, tree_bcast, tree_reduce,
-)
+from repro.empi.schedules import DMA, fold, plan
 from repro.errors import ConfigError, ProgramError, parse_enum
 from repro.kernel.trace import CP_ENTER, CP_EXIT, CP_HOP
 from repro.mem.values import pack_doubles, unpack_doubles
@@ -456,10 +452,9 @@ class EmpiCollectives(Communicator):
     """The message-passing backend: collectives over TIE streams and tokens.
 
     The front (:class:`~repro.empi.collectives.Communicator`) accepts
-    each call; this class supplies the eMPI plan choice — the schedule
-    and the point-to-point flavour, chosen once per call in ``_bcast`` /
-    ``_reduce`` / ``_allreduce`` — and :meth:`_execute`, which runs the
-    plan for this rank.  Point-to-point, barriers, fragments and the
+    each call and :func:`~repro.empi.schedules.plan` chooses its plan;
+    this class executes it (:meth:`_collective`, over the flavour each
+    piece's path names).  Point-to-point, barriers, fragments and the
     critical-path notes are the rank's :class:`Empi` transport.
     """
 
@@ -498,80 +493,78 @@ class EmpiCollectives(Communicator):
     def irecv(self, src_rank: int, n_values: int) -> "Program":
         return self.empi.irecv(src_rank, n_values)
 
-    # -- the plan choice ------------------------------------------------------------------
+    def _collective(self, collective: str, root: int | None,
+                    values: list[float] | None, n_values: int,
+                    op: ReduceOp | None, frag: bool) -> "Program":
+        """Run this rank's part of the plan :func:`~repro.empi.schedules.plan`
+        makes for one bcast, reduce or allreduce.
 
-    def _require_hw(self, what: str) -> None:
-        if self.ctx.dma_queue_depth < 1:
+        This rank runs, in order, the pieces that list it, its position
+        in ``ranks`` naming its transfers, over the flavour the piece's
+        path names: :class:`_DmaFlavour` for ``DMA``, :class:`_TieFlavour`
+        otherwise (``frag`` picks blocking ops or a request's fragments).
+        The accumulator starts as ``values`` (zeros for a broadcast
+        receiver) and carries across the pieces.  Each round pre-posts
+        every combining receive where the flavour does
+        (``expect_combine``: the DMA ``qreduce``), does its send — to all
+        its receivers at once: on the DMA flavour one multicast
+        descriptor, hop ``('snd', '*')`` for several — then completes
+        the receives in listed order.  A receive from the rank itself
+        (the linear reduce's root) folds its own contribution in with a
+        ``compute``, no receive and no hop.  The flavours emit a ``rcv``
+        hop as a receive completes, before the combine's ``compute``,
+        and a ``snd`` hop after a send.
+        """
+        ctx = self.ctx
+        algorithm = self.algorithm
+        engine = ctx.dma_queue_depth >= 1
+        pieces = plan(collective, algorithm, self.model, self.n_workers, root,
+                      n_values, ctx.rank_groups, engine, ctx.dma_reduce_assist)
+        if pieces and algorithm is HW and not engine:
             raise ProgramError(
-                f"rank {self.ctx.rank}: the 'hw' collective algorithm "
-                f"({what}) needs the DMA/TX-queue engine; set "
-                f"dma_tx_queue_depth >= 1 on the SystemConfig"
+                f"rank {ctx.rank}: the 'hw' collective algorithm "
+                f"({'i' if frag else ''}{collective}) needs the DMA/TX-queue "
+                f"engine; set dma_tx_queue_depth >= 1 on the SystemConfig"
             )
-
-    def _bcast(self, root: int, values: list[float] | None, n_values: int,
-               frag: bool) -> "Program":
-        """``hw`` runs the linear schedule on the DMA engine: the root's
-        one-to-many send is ONE multicast descriptor, a single injection
-        whatever P is."""
-        n = self.n_workers
-        if n == 1:
-            return list(values)  # type: ignore[arg-type]
-        algorithm = self.algorithm.rooted()
-        p2p: _Flavour = _TieFlavour(self.empi, frag)
-        if algorithm is TREE:
-            plan = ((rotated(n, root), tree_bcast(n, n_values)),)
-        else:
-            plan = ((tuple(range(n)), linear_bcast(n, root, n_values)),)
-            if algorithm is HW:
-                self._require_hw("ibcast" if frag else "bcast")
-                p2p = _DmaFlavour(self.empi, frag, "bcast[hw]")
-        result = yield from self._execute(plan, values, n_values, None, p2p)
-        return result
-
-    def _reduce(self, root: int, values: list[float], op: ReduceOp,
-                frag: bool) -> "Program":
-        """``hw`` runs the tree; with the engine's reduction assist on,
-        children stream their accumulators as single-member multicast
-        descriptors and parents combine at the engine (``qreduce``)."""
-        ctx = self.ctx
-        n = self.n_workers
-        if n == 1:
-            return list(values)
-        p2p: _Flavour = _TieFlavour(self.empi, frag)
-        if self.algorithm is HW:
-            self._require_hw("ireduce" if frag else "reduce")
-            if ctx.dma_reduce_assist:
-                p2p = _DmaFlavour(self.empi, frag, "reduce[hw]")
-        if self.algorithm.rooted().combine_order() is LINEAR:
-            plan = ((tuple(range(n)), linear_reduce(n, root, len(values))),)
-        else:
-            plan = ((rotated(n, root), tree_reduce(n, len(values))),)
-        acc = yield from self._execute(plan, values, len(values), op, p2p)
-        return acc if ctx.rank == root else None
-
-    def _allreduce(self, values: list[float], op: ReduceOp,
-                   frag: bool) -> "Program":
-        """Reduce at rank 0, then broadcast the result.  Under ``ring``
-        one reduce-scatter + allgather schedule instead, on the DMA
-        engine (``qreduce`` combines) when one is fitted with the
-        reduction assist on, the TIE otherwise; under ``hier`` the
-        chiplet composition over ``ctx.rank_groups``."""
-        ctx = self.ctx
-        n = self.n_workers
-        p2p: _Flavour = _TieFlavour(self.empi, frag)
-        if self.algorithm is RING:
-            plan = ((tuple(range(n)), ring_allreduce(n, len(values))),)
-            if ctx.dma_queue_depth >= 1 and ctx.dma_reduce_assist:
-                p2p = _DmaFlavour(self.empi, frag, "allreduce[ring]")
-        elif self.algorithm is HIER:
-            groups = ctx.rank_groups or [range(n)]
-            plan = hier_allreduce(tuple(map(tuple, groups)), len(values))
-        else:
-            reduced = yield from self._reduce(0, values, op, frag)
-            result = yield from self._bcast(0, reduced, len(values), frag)
-            return result
-        result = yield from self._execute(plan, values, len(values), op, p2p)
-        return result
+        me = ctx.rank
+        acc = [0.0] * n_values if values is None else list(values)
+        for ranks, schedule, path in pieces:
+            if me not in ranks:
+                continue
+            if path is DMA:
+                p2p: _Flavour = _DmaFlavour(
+                    self.empi, frag, f"{collective}[{algorithm.value}]")
+            else:
+                p2p = _TieFlavour(self.empi, frag)
+            prepost = p2p.prepost
+            pos = ranks.index(me)
+            for own in schedule.steps(pos):
+                if prepost:
+                    for src, dst, (start, stop), combine in own:
+                        if dst == pos and src != pos and combine:
+                            yield from p2p.expect_combine(
+                                ranks[src], acc[start:stop], op)
+                dsts = []
+                for src, dst, segment, __ in own:
+                    if src == pos and dst != pos:
+                        dsts.append(ranks[dst])
+                        start, stop = segment
+                if dsts:
+                    yield from p2p.send(dsts, acc[start:stop])
+                for src, dst, segment, combine in own:
+                    if dst != pos:
+                        continue
+                    start, stop = segment
+                    if src == pos:
+                        yield from fold(acc, segment, values[start:stop],
+                                        combine, op, ctx.cost)
+                    elif combine:
+                        acc[start:stop] = yield from p2p.recv_combine(
+                            ranks[src], acc[start:stop], op
+                        )
+                    else:
+                        acc[start:stop] = yield from p2p.recv(ranks[src], stop - start)
+        return acc
 
     def _scatter(self, root: int, chunks: list[list[float]] | None,
                  n_values: int) -> "Program":
@@ -603,57 +596,3 @@ class EmpiCollectives(Communicator):
             else:
                 gathered.append((yield from ctx.recv_doubles(rank, len(values))))
         return gathered
-
-    def _execute(self, plan: tuple, values: list[float] | None,
-                 n_values: int, op: ReduceOp | None,
-                 p2p: _Flavour) -> "Program":
-        """Run this rank's part of ``plan`` over the flavour ``p2p``.
-
-        A plan is ``(ranks, schedule)`` pieces (see
-        :mod:`repro.empi.schedules`); this rank runs, in order, those
-        that list it, its position in ``ranks`` naming its transfers.
-        The accumulator starts as ``values`` (zeros for a broadcast
-        receiver).  Each round pre-posts every combining receive where
-        the flavour does (``expect_combine``: the DMA ``qreduce``), does
-        its send — to all its receivers at once: on the DMA flavour one
-        multicast descriptor, hop ``('snd', '*')`` for several — then
-        completes the receives in listed order.  A receive from the rank
-        itself (the linear reduce's root) folds its own contribution in
-        with a ``compute``, no receive and no hop.  The flavours emit a
-        ``rcv`` hop as a receive completes, before the combine's
-        ``compute``, and a ``snd`` hop after a send.
-        """
-        me = self.ctx.rank
-        prepost = p2p.prepost
-        acc = [0.0] * n_values if values is None else list(values)
-        for ranks, schedule in plan:
-            if me not in ranks:
-                continue
-            pos = ranks.index(me)
-            for own in schedule.steps(pos):
-                if prepost:
-                    for src, dst, (start, stop), combine in own:
-                        if dst == pos and src != pos and combine:
-                            yield from p2p.expect_combine(
-                                ranks[src], acc[start:stop], op)
-                dsts = []
-                for src, dst, segment, __ in own:
-                    if src == pos and dst != pos:
-                        dsts.append(ranks[dst])
-                        start, stop = segment
-                if dsts:
-                    yield from p2p.send(dsts, acc[start:stop])
-                for src, dst, segment, combine in own:
-                    if dst != pos:
-                        continue
-                    start, stop = segment
-                    if src == pos:
-                        yield from fold(acc, segment, values[start:stop],
-                                        combine, op, self.ctx.cost)
-                    elif combine:
-                        acc[start:stop] = yield from p2p.recv_combine(
-                            ranks[src], acc[start:stop], op
-                        )
-                    else:
-                        acc[start:stop] = yield from p2p.recv(ranks[src], stop - start)
-        return acc

@@ -1,4 +1,5 @@
-"""Collective schedules: each algorithm's transfer pattern, written once.
+"""Collective schedules: each algorithm's transfer pattern, written once,
+and the one rule that plans a collective from them.
 
 A schedule is a collective algorithm with no machine in it: its rounds
 over the positions 0..k-1 of a rank list, each round a tuple of
@@ -11,19 +12,27 @@ In a round a position sends at most one segment, to one receiver or to
 many (a one-to-many send).  Empty-segment transfers are dropped when a
 schedule is built, so a zero-length collective moves nothing.
 
-The caller supplies the ranks: ``range(P)`` for linear and ring, the
-ranks rotated so the root is position 0 for the trees, each chiplet
-group for ``hier``.  A *plan* is a sequence of ``(ranks, schedule)``
-pieces; a rank runs, in order, the pieces that list it, so disjoint
-pieces one after the other run side by side.  Two executors run them:
-:meth:`repro.empi.runtime.EmpiCollectives._execute` (messages, over the
-TIE or DMA flavour) and
-:meth:`repro.empi.smsync.SharedMemoryCollectives._execute` (the slot
-arena, where a position is a slot).  To add an algorithm,
-write one schedule function here and one independent reference in
-:mod:`repro.empi.collectives`; a reference derived from the schedule
-could not catch a schedule bug.  Schedules are memoised per shape (size,
-root position, vector length), so every group of one size shares one.
+A *plan* is a value: the ``(ranks, schedule, path)`` pieces one bcast,
+reduce or allreduce runs, from :func:`plan`, the only code that picks a
+schedule, its ranks (``range(P)`` for linear and ring, rotated so the
+root is position 0 for the trees, each chiplet group for ``hier``) and
+its path.  A rank runs, in order, the pieces that list it, so disjoint
+pieces one after the other run side by side.  Two executors only
+execute: :meth:`repro.empi.runtime.EmpiCollectives._collective`
+(messages, over the TIE or on the DMA engine) and
+:meth:`repro.empi.smsync.SharedMemoryCollectives._collective` (the slot
+arena, where a position is a slot).
+
+To add an algorithm, write one schedule function here, one independent
+reference in :mod:`repro.empi.collectives` (a reference derived from the
+schedule could not catch a schedule bug) and one branch of
+:func:`plan`.  Schedules are memoised per shape (size, root position,
+vector length), so every group of one size shares one.
+
+Scatter and gather stay bespoke bodies on both backends.  The slot
+arena's scatter root publishes into the *receiver's* slot, while every
+schedule's sender publishes its own; a schedule-run eMPI scatter beside
+a bespoke slot-arena one would be a fork, not a simplification.
 """
 
 from __future__ import annotations
@@ -31,7 +40,14 @@ from __future__ import annotations
 import functools
 import typing
 
-from repro.empi.collectives import combine_cost, combine_values, ring_segments
+from repro.empi.collectives import (
+    HIER, HW, LINEAR, RING, TREE,
+    CollectiveAlgorithm,
+    CommModel,
+    combine_cost,
+    combine_values,
+    ring_segments,
+)
 from repro.errors import ProgramError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -39,6 +55,13 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pe.program import Program
 
 COPY, COMBINE = False, True
+
+#: How a piece runs: over the TIE streams or on the DMA engine (eMPI);
+#: on the slot arena with one publish per round, or with a republish
+#: after every combine (the tree reduce's round shape).
+TIE, DMA, PUBLISH, REPUBLISH = "tie", "dma", "publish", "republish"
+
+_EMPI = CommModel.EMPI
 
 
 class Schedule:
@@ -159,17 +182,67 @@ def ring_allreduce(size: int, n_values: int) -> Schedule:
 @functools.lru_cache(maxsize=64)
 def hier_allreduce(groups: tuple[tuple[int, ...], ...],
                    n_values: int) -> tuple:
-    """The plan: a ring allreduce within every rank group (one per
-    chiplet) side by side; then, with more than one group, tree reduce
+    """The chiplet allreduce's ``(ranks, schedule)`` pieces: a ring
+    allreduce within every rank group (one per chiplet) side by side; then, with more than one group, tree reduce
     and tree bcast across the group leaders (each group's first rank,
     the gateway tile) and a tree bcast from each leader down its group."""
-    plan = [(group, ring_allreduce(len(group), n_values)) for group in groups]
+    pieces = [(group, ring_allreduce(len(group), n_values)) for group in groups]
     if len(groups) > 1:
         leaders = tuple(group[0] for group in groups)
-        plan += [(leaders, tree_reduce(len(leaders), n_values)),
-                 (leaders, tree_bcast(len(leaders), n_values))]
-        plan += [(group, tree_bcast(len(group), n_values)) for group in groups]
-    return tuple(plan)
+        pieces += [(leaders, tree_reduce(len(leaders), n_values)),
+                   (leaders, tree_bcast(len(leaders), n_values))]
+        pieces += [(group, tree_bcast(len(group), n_values)) for group in groups]
+    return tuple(pieces)
+
+
+def plan(collective: str, algorithm: CollectiveAlgorithm, model: CommModel,
+         n_ranks: int, root: int | None, n_values: int, groups,
+         engine: bool, assist: bool) -> tuple:
+    """The ``(ranks, schedule, path)`` pieces a bcast, reduce or allreduce
+    of ``n_values`` doubles over ``n_ranks`` runs.
+
+    A lone rank's plan is ``()``.  Rooted collectives run
+    ``algorithm.rooted()`` in its combine order; a pure-SM bcast is
+    always linear (the MPMMU serialises every reader whatever the
+    schedule).  An allreduce is the ring, ``hier`` over ``groups`` (one
+    rank group per chiplet; ``None`` is one group), or else the reduce
+    at rank 0 followed by the bcast from it.  ``engine`` says a DMA
+    engine is fitted and ``assist`` that its reduction assist is on: the
+    DMA path runs every ``hw`` bcast, a ``hw`` reduce with the assist
+    and a ``ring`` allreduce with both.
+    """
+    if n_ranks == 1:
+        return ()
+    empi = model is _EMPI
+    everyone = tuple(range(n_ranks))
+    if collective == "allreduce":
+        if algorithm is RING:
+            path = (DMA if engine and assist else TIE) if empi else PUBLISH
+            return ((everyone, ring_allreduce(n_ranks, n_values), path),)
+        if algorithm is HIER:
+            groups = tuple(map(tuple, groups or (everyone,)))
+            return tuple((ranks, schedule, TIE) for ranks, schedule
+                         in hier_allreduce(groups, n_values))
+        return (plan("reduce", algorithm, model, n_ranks, 0, n_values,
+                     groups, engine, assist)
+                + plan("bcast", algorithm, model, n_ranks, 0, n_values,
+                       groups, engine, assist))
+    rooted = algorithm.rooted()
+    if collective == "bcast":
+        if not empi:
+            return ((everyone, linear_bcast(n_ranks, root, n_values), PUBLISH),)
+        if rooted is TREE:
+            return ((rotated(n_ranks, root), tree_bcast(n_ranks, n_values), TIE),)
+        return ((everyone, linear_bcast(n_ranks, root, n_values),
+                 DMA if rooted is HW else TIE),)
+    if rooted.combine_order() is LINEAR:
+        return ((everyone, linear_reduce(n_ranks, root, n_values),
+                 TIE if empi else PUBLISH),)
+    if empi:
+        path = DMA if rooted is HW and assist else TIE
+    else:
+        path = REPUBLISH
+    return ((rotated(n_ranks, root), tree_reduce(n_ranks, n_values), path),)
 
 
 class Agreement:

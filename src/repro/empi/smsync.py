@@ -16,16 +16,16 @@ difference between a blocking op and its ``i*`` twin on this backend,
 so delivered bits are equal by construction.
 
 A collective call is accepted in one front
-(:class:`~repro.empi.collectives.Communicator`); a backend supplies its
-plan choice and executor.  :class:`SharedMemoryCollectives` is the
-pure-SM one.
+(:class:`~repro.empi.collectives.Communicator`) and planned by one rule,
+:func:`repro.empi.schedules.plan`, for both programming models.
+:class:`SharedMemoryCollectives` is the pure-SM executor.
 
-* To add an **algorithm**: write one schedule function and one
-  independent reference (see :mod:`repro.empi.schedules`), and pick the
-  schedule in ``_reduce`` / ``_allreduce``;
-  :meth:`SharedMemoryCollectives._execute` runs any schedule as
-  publish-slot / ``barrier_state.wait(pause)`` / read-slot rounds, with
-  the pause the front's blocking or ``i*`` call implies.
+* To add an **algorithm**: write one schedule function, one independent
+  reference and one branch of :func:`~repro.empi.schedules.plan` (see
+  :mod:`repro.empi.schedules`); ``SharedMemoryCollectives._collective``
+  runs any plan as publish-slot / ``barrier_state.wait(pause)`` /
+  read-slot rounds, with the pause the front's blocking or ``i*`` call
+  implies.
 * A new **flavour** here is just another pause op.
 """
 
@@ -34,16 +34,14 @@ from __future__ import annotations
 import typing
 
 from repro.empi.collectives import (
-    HIER, HW, LINEAR, RING,
+    HIER, HW,
     CollectiveAlgorithm,
     CommModel,
     Communicator,
     ReduceOp,
 )
 from repro.empi.requests import RESCHEDULE, ProgressEngine
-from repro.empi.schedules import (
-    Schedule, fold, linear_bcast, linear_reduce, ring_allreduce, tree_reduce,
-)
+from repro.empi.schedules import REPUBLISH, fold, plan
 from repro.errors import ConfigError, ProgramError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -250,10 +248,11 @@ class SharedMemoryCollectives(Communicator):
     boundary is a full shared-memory barrier — the serialization the
     paper's Section III charges against the pure-SM model, now measurable
     per collective.  The front (:class:`~repro.empi.collectives.Communicator`)
-    accepts each call; this class supplies the plan choice, the slot-arena
-    executor and the scatter/gather bodies.  The schedules are the
-    message-passing backend's (:mod:`repro.empi.schedules`), so a
-    program's numerical result is identical under either backend.
+    accepts each call and :func:`~repro.empi.schedules.plan` chooses its
+    plan; this class supplies the slot-arena executor and the
+    scatter/gather bodies.  The schedules are the message-passing
+    backend's, so a program's numerical result is identical under
+    either backend.
     """
 
     model = CommModel.PURE_SM
@@ -395,56 +394,11 @@ class SharedMemoryCollectives(Communicator):
         )
         return result
 
-    def _bcast(self, root: int, values: list[float] | None,
-               n_values: int, frag: bool) -> "Program":
-        """Root publishes its slot; everyone reads it back uncached.
-
-        The MPMMU serializes all readers whatever the software does, so
-        every algorithm runs the linear schedule.
-        """
-        if self.n_workers == 1:
-            return list(values)
-        schedule = linear_bcast(self.n_workers, root, n_values)
-        result = yield from self._execute(
-            schedule, self.ctx.rank, values, n_values, None, frag,
-            republish=False,
-        )
-        return result
-
-    def _reduce(self, root: int, values: list[float], op: ReduceOp,
-                frag: bool) -> "Program":
-        n = self.n_workers
-        if n == 1:
-            return list(values)
-        rank = self.ctx.rank
-        tree = self.algorithm.rooted() is not LINEAR
-        if tree:
-            schedule, slot = tree_reduce(n, len(values)), (rank - root) % n
-        else:
-            schedule, slot = linear_reduce(n, root, len(values)), rank
-        acc = yield from self._execute(
-            schedule, slot, values, len(values), op, frag, republish=tree
-        )
-        return acc if rank == root else None
-
-    def _allreduce(self, values: list[float], op: ReduceOp,
-                   frag: bool) -> "Program":
-        if self.algorithm is RING and self.n_workers > 1:
-            result = yield from self._execute(
-                ring_allreduce(self.n_workers, len(values)), self.ctx.rank,
-                values, len(values), op, frag, republish=False,
-            )
-            return result
-        # Reduce at rank 0 (None elsewhere), then broadcast it.
-        reduced = yield from self._reduce(0, values, op, frag)
-        result = yield from self._bcast(0, reduced, len(values), frag)
-        return result
-
-    def _execute(self, schedule: Schedule, slot: int,
-                 values: list[float] | None, n_values: int,
-                 op: ReduceOp | None, frag: bool,
-                 republish: bool) -> "Program":
-        """Run the part of ``schedule`` at position ``slot`` over the arena.
+    def _collective(self, collective: str, root: int | None,
+                    values: list[float] | None, n_values: int,
+                    op: ReduceOp | None, frag: bool) -> "Program":
+        """Run this rank's part of the plan :func:`~repro.empi.schedules.plan`
+        makes for one bcast, reduce or allreduce, over the arena.
 
         A position is a slot: the relative rank for the tree, the rank
         for linear and ring.  A send publishes the segment to the
@@ -452,47 +406,54 @@ class SharedMemoryCollectives(Communicator):
         barrier, one from the rank itself (the linear reduce's root)
         reads nothing and folds its own contribution in with a
         ``compute``.  The accumulator starts as ``values`` (zeros for a
-        broadcast receiver).  Between barrier polls a blocking call spins
-        and a request's fragment (``frag``) yields ``RESCHEDULE``.
-        Two round shapes, which the pins hold:
+        broadcast receiver) and carries across the pieces.  Between
+        barrier polls a blocking call spins and a request's fragment
+        (``frag``) yields ``RESCHEDULE``.  A piece's path is one of two
+        round shapes, which the pins hold:
 
-        * ``republish`` (the tree): every rank publishes before the first
-          round and after every combine, the root included; a round is
-          barrier, reads; the run closes with two barriers;
-        * otherwise (linear, ring, and every broadcast, which ignores the
-          algorithm): a round is publish once (if sending), barrier,
-          reads, barrier, so a linear run closes with one barrier.
+        * ``REPUBLISH`` (the tree reduce): every rank publishes before
+          the first round and after every combine, the root included; a
+          round is barrier, reads; the piece closes with two barriers;
+        * ``PUBLISH`` (linear, ring, and every broadcast): a round is
+          publish once (if sending), barrier, reads, barrier, so a linear
+          piece closes with one barrier.
         """
+        ctx = self.ctx
+        pieces = plan(collective, self.algorithm, self.model, self.n_workers,
+                      root, n_values, None, False, False)
         barrier = self.barrier_state.wait
         pause = RESCHEDULE if frag else None
-        cost = self.ctx.cost
+        cost = ctx.cost
         acc = [0.0] * n_values if values is None else list(values)
-        if republish:
-            yield from self._write_slot(slot, acc)
-        for own in schedule.steps(slot):
-            if not republish:
-                for src, __, (start, stop), __ in own:
-                    if src == slot:
-                        yield from self._write_slot(slot, acc[start:stop])
-                        break
-            yield from barrier(pause)
-            for src, dst, segment, combine in own:
-                start, stop = segment
-                if dst != slot:
-                    continue
-                if src == slot:
-                    other = values[start:stop]
-                else:
-                    other = yield from self._read_slot(src, stop - start)
-                yield from fold(acc, segment, other, combine, op, cost)
-                if republish:
-                    yield from self._write_slot(slot, acc)
-            if not republish:
-                # A slot may only be republished once its reader is done.
+        for ranks, schedule, path in pieces:
+            slot = ranks.index(ctx.rank)
+            republish = path is REPUBLISH
+            if republish:
+                yield from self._write_slot(slot, acc)
+            for own in schedule.steps(slot):
+                if not republish:
+                    for src, __, (start, stop), __ in own:
+                        if src == slot:
+                            yield from self._write_slot(slot, acc[start:stop])
+                            break
                 yield from barrier(pause)
-        if republish:
-            yield from barrier(pause)
-            yield from barrier(pause)
+                for src, dst, segment, combine in own:
+                    start, stop = segment
+                    if dst != slot:
+                        continue
+                    if src == slot:
+                        other = values[start:stop]
+                    else:
+                        other = yield from self._read_slot(src, stop - start)
+                    yield from fold(acc, segment, other, combine, op, cost)
+                    if republish:
+                        yield from self._write_slot(slot, acc)
+                if not republish:
+                    # A slot may only be republished once its reader is done.
+                    yield from barrier(pause)
+            if republish:
+                yield from barrier(pause)
+                yield from barrier(pause)
         return acc
 
     def _scatter(self, root: int, chunks: list[list[float]] | None,

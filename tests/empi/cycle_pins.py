@@ -17,6 +17,18 @@ zero-cycle ``cph`` notes (:data:`~repro.kernel.trace.CP_HOP`) an eMPI
 collective emits under ``TelemetryConfig(attribution=True)``, one
 ``[cycle, kind, peer]`` list per rank, for every eMPI combination at one
 size (P=5, root 2, 16 values; P=8 on the chiplet package).
+
+A combination pins no cycles where its plan is another's: ``ALIASES``
+lists, per collective, each flat combination whose
+:func:`~repro.empi.schedules.plan` equals a pinned one's at every table
+point (the rooted demotion, the pure-SM linear bcast, a TIE-only plan
+under an engine or with the assist off).  ``test_schedules.py`` holds,
+without simulating, that two flat combinations plan equally exactly when
+this table says so, and each alias's pinned test asserts its own
+equality.  The aliases stay in ``COMBOS``: the drawn differential runs
+them, and the hop pins still run every eMPI combination, the machine-side
+check that an alias's config difference (an engine fitted, the assist
+off) moves nothing of a TIE-only plan.
 """
 
 from __future__ import annotations
@@ -24,14 +36,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.empi.collectives import (
+    CollectiveAlgorithm,
+    CommModel,
     make_comm,
     reference_allreduce,
     reference_reduce,
 )
+from repro.empi.schedules import plan
 from repro.kernel.trace import CP_HOP
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
 from repro.telemetry.config import TelemetryConfig
+from tests.goldens import check
 
 COLLECTIVES = ("bcast", "reduce", "allreduce")
 SCATTER_GATHER = ("scatter", "gather")
@@ -73,6 +89,20 @@ COMBOS = {
     "sm-ring": Combo("pure_sm", "ring"),
     # The hierarchical barrier under the slot arena.
     "sm-tree-chiplet": Combo("pure_sm", "tree", _CHIPLET, sizes=(8,)),
+}
+
+
+#: collective -> {alias: the pinned combination whose plan it runs}.
+ALIASES = {
+    "bcast": {"empi-ring": "empi-tree", "empi-ring-dma": "empi-tree",
+              "empi-hier": "empi-tree", "empi-hw-noassist": "empi-hw",
+              "sm-tree": "sm-linear", "sm-ring": "sm-linear"},
+    "reduce": {"empi-ring": "empi-tree", "empi-ring-dma": "empi-tree",
+               "empi-hier": "empi-tree", "empi-hw-noassist": "empi-tree",
+               "sm-ring": "sm-tree"},
+    "allreduce": {"empi-hier": "empi-ring"},
+    "scatter": {},
+    "gather": {},
 }
 
 
@@ -136,8 +166,9 @@ def run_point(collective: str, combo: Combo, n_workers: int, root: int,
     return system
 
 
-def points(collective: str, combo_name: str) -> dict[str, tuple]:
-    """Every table point of one (collective, combo): key -> its arguments."""
+def grid(collective: str, combo_name: str) -> dict[str, tuple]:
+    """Every table point of one (collective, combo), alias or not: key ->
+    its arguments."""
     combo = COMBOS[combo_name]
     roots = (0,) if collective == "allreduce" else ROOTS
     modes = (True,) if collective in SCATTER_GATHER else (True, False)
@@ -150,6 +181,40 @@ def points(collective: str, combo_name: str) -> dict[str, tuple]:
         for n_values in N_VALUES
         for blocking in modes
     }
+
+
+def points(collective: str, combo_name: str) -> dict[str, tuple]:
+    """The pinned table points of one (collective, combo): none for an
+    alias."""
+    if combo_name in ALIASES[collective]:
+        return {}
+    return grid(collective, combo_name)
+
+
+def plan_of(collective: str, combo_name: str, n_workers: int, root: int,
+            n_values: int) -> tuple:
+    """The plan one flat table point runs, read without simulating."""
+    combo = COMBOS[combo_name]
+    config = SystemConfig(n_workers=n_workers, **combo.overrides)
+    return plan(collective, CollectiveAlgorithm.parse(combo.algorithm),
+                CommModel.parse(combo.model), n_workers,
+                None if collective == "allreduce" else root, n_values, None,
+                config.dma_tx_queue_depth >= 1, config.dma_reduce_assist)
+
+
+def check_pins(collective: str, combo_name: str) -> None:
+    """Hold one (collective, combo) to the store: its measured cycles, or
+    for an alias its plan, equal to its pinned combination's at every
+    table point."""
+    pinned = ALIASES[collective].get(combo_name)
+    if pinned is None:
+        check("collective_cycles", measure(collective, combo_name))
+        return
+    for n_workers, root, n_values, __ in grid(collective, combo_name).values():
+        point = (n_workers, root, n_values)
+        assert plan_of(collective, combo_name, *point) == plan_of(
+            collective, pinned, *point
+        ), f"{collective}: {combo_name} no longer runs {pinned}'s plan"
 
 
 def measure(collective: str, combo_name: str) -> dict[str, int]:

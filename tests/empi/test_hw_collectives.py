@@ -31,8 +31,7 @@ from repro.empi.smsync import SharedMemoryCollectives
 from repro.errors import ConfigError, ProgramError
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
-from tests.empi.cycle_pins import COLLECTIVES, SCATTER_GATHER, measure
-from tests.goldens import check
+from tests.empi.cycle_pins import COLLECTIVES, SCATTER_GATHER, check_pins
 
 
 def run_system(factories, n_workers, **overrides):
@@ -331,12 +330,38 @@ def test_hw_engine_error_names_the_operation():
         run_system([program, lambda ctx: iter(())], 2)
 
 
+@pytest.mark.parametrize("blocking", [True, False])
+@pytest.mark.parametrize("collective", COLLECTIVES)
+def test_hw_without_the_engine_is_a_typed_error_naming_the_call(
+    collective, blocking,
+):
+    """The error names the call the program made: an allreduce, not the
+    reduce it starts with; an ``i<op>``, not its blocking twin."""
+    call = collective if blocking else "i" + collective
+
+    def program(ctx):
+        comm = make_comm(ctx, "empi", "hw", max_values=2)
+        if blocking:
+            yield from _blocking_call(comm, collective, 2)
+        else:
+            payload = [2.0, 2.0]
+            args = {"bcast": (0, payload, 2), "reduce": (0, payload),
+                    "allreduce": (payload,)}[collective]
+            request = yield from getattr(comm, call)(*args)
+            yield from comm.wait(request)
+
+    with pytest.raises(ProgramError,
+                       match=rf"rank 0: .*\({call}\) needs .*dma_tx_queue_depth"):
+        run_system([program, lambda ctx: iter(())], 2)
+
+
 @pytest.mark.parametrize("collective", COLLECTIVES)
 @pytest.mark.parametrize("combo", ["empi-hw", "empi-hw-noassist"])
 def test_hw_cycles_are_pinned(collective, combo):
     """Exact total cycles with the reduction assist on and off,
-    blocking and non-blocking."""
-    check("collective_cycles", measure(collective, combo))
+    blocking and non-blocking; where the assist changes nothing of the
+    plan (bcast) or leaves the tree's TIE plan (reduce), an alias."""
+    check_pins(collective, combo)
 
 
 # ---------------------------------------------------------------------------

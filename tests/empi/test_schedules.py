@@ -1,24 +1,29 @@
 """One schedule per algorithm, run by both executors, held to the references.
 
 Each collective algorithm is one schedule function in
-:mod:`repro.empi.schedules`; the message-passing executor (TIE or DMA
-flavour) and the slot-arena executor run it.  Here:
+:mod:`repro.empi.schedules` and one branch of its plan rule
+(:func:`~repro.empi.schedules.plan`); the message-passing executor (TIE
+or DMA flavour) and the slot-arena executor run the plan.  Here:
 
 * a drawn differential: P, vector length (zero included), root, op,
   path, collective and blocking-vs-``i<op>`` drawn (scatter and gather
   blocking only); every rank's result must equal the independent
   reference of :mod:`repro.empi.collectives` bit for bit (40 examples;
   ``MEDEA_FULL=1`` runs 400);
-* a zero-length collective returns ``[]`` on every path;
+* a zero-length collective returns ``[]`` on every path, and a lone
+  rank's collective returns its input and moves nothing;
 * a communicator whose members disagree on their k-th collective, or a
   root outside the communicator, ends in a typed
   :class:`~repro.errors.ProgramError` naming it (the ``typed_error``
   tests, also run under ``python -O``);
-* the schedules' shapes, read without simulating.
+* the schedules' shapes and the plans, read without simulating: two
+  flat combinations of the pin table plan equally exactly where
+  ``cycle_pins.ALIASES`` says so.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -42,7 +47,14 @@ from repro.empi.schedules import (
 from repro.errors import ProgramError
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
-from tests.empi.cycle_pins import COLLECTIVES, COMBOS, SCATTER_GATHER
+from tests.empi.cycle_pins import (
+    ALIASES,
+    COLLECTIVES,
+    COMBOS,
+    SCATTER_GATHER,
+    grid,
+    plan_of,
+)
 
 #: Every path of the pin table; the chiplet package sized to fit any P.
 PATHS = {
@@ -54,7 +66,7 @@ PATHS = {
 
 def run(collective, path, contributions, root=0, op="sum", blocking=True,
         n_values=None, roots=None):
-    """Run one collective on every rank; return (results, rank groups).
+    """Run one collective on every rank; return (results, system).
 
     ``contributions[r]`` is rank r's vector (a bcast reads only the
     root's; a scatter root sends ``contributions[r]`` to rank r);
@@ -97,7 +109,7 @@ def run(collective, path, contributions, root=0, op="sum", blocking=True,
     ))
     system.load_programs([factory(r) for r in range(n_workers)])
     system.run(max_cycles=2_000_000)
-    return out, system.rank_groups
+    return out, system
 
 
 def expected(collective, path, contributions, root, op, groups):
@@ -159,9 +171,9 @@ def test_drawn_collectives_match_the_references(
                      for __ in range(n_workers)]
     root = root_draw % n_workers
     blocking = blocking or collective in SCATTER_GATHER  # no i* form
-    out, groups = run(collective, path, contributions, root, op, blocking)
+    out, system = run(collective, path, contributions, root, op, blocking)
     assert bits(out) == bits(
-        expected(collective, path, contributions, root, op, groups)
+        expected(collective, path, contributions, root, op, system.rank_groups)
     ), f"{collective} on {path}, P={n_workers}, n={n_values}, root {root}"
 
 
@@ -185,6 +197,19 @@ def test_zero_length_collectives_return_empty(path, collective, blocking):
         assert out == {0: None, 1: [[], []]}
     else:
         assert out == {0: [], 1: []}
+
+
+@pytest.mark.parametrize("blocking", [True, False])
+@pytest.mark.parametrize("collective", COLLECTIVES)
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_a_lone_ranks_collective_moves_nothing(path, collective, blocking):
+    """At P = 1 the plan is empty: the input comes back, no flit is
+    injected and the MPMMU receives no request."""
+    out, system = run(collective, path, [[1.5, -2.0, 0.25]],
+                      blocking=blocking)
+    assert out == {0: [1.5, -2.0, 0.25]}
+    assert system.fabric.stats["flits_injected"] == 0
+    assert system.mpmmu.stats["requests_received"] == 0
 
 
 # -- disagreeing members: typed errors -------------------------------------------
@@ -311,4 +336,43 @@ def test_hier_plans_the_ring_per_group_then_the_leaders():
         ((0, 1), ring_allreduce(2, 6)), ((2, 3, 4), ring_allreduce(3, 6)),
         ((0, 2), tree_reduce(2, 6)), ((0, 2), tree_bcast(2, 6)),
         ((0, 1), tree_bcast(2, 6)), ((2, 3, 4), tree_bcast(3, 6)),
+    )
+
+
+#: The combinations on the flat mesh (the chiplet ones build another
+#: machine, so a plan equal to a flat one's is no alias).
+FLAT = [name for name, combo in COMBOS.items()
+        if "topology_kind" not in combo.overrides]
+
+
+def alias_pairs() -> set:
+    """Every (collective, a, b) that ``ALIASES`` says plan alike: the
+    members of one class, a pinned combination and its aliases."""
+    pairs = set()
+    for collective in COLLECTIVES:
+        classes: dict = {}
+        for alias, pinned in ALIASES[collective].items():
+            classes.setdefault(pinned, {pinned}).add(alias)
+        for members in classes.values():
+            pairs |= {(collective, a, b) for a, b in itertools.combinations(
+                sorted(members, key=FLAT.index), 2)}
+    return pairs
+
+
+def test_plans_are_equal_exactly_for_the_listed_aliases():
+    equal = set()
+    for collective in COLLECTIVES:
+        points = {arguments[:3] for arguments in grid(collective, FLAT[0]).values()}
+        for a, b in itertools.combinations(FLAT, 2):
+            same = {plan_of(collective, a, *point) == plan_of(collective, b, *point)
+                    for point in points}
+            assert len(same) == 1, (
+                f"{collective}: {a} and {b} plan alike at some table points only"
+            )
+            if same.pop():
+                equal.add((collective, a, b))
+    listed = alias_pairs()
+    assert equal == listed and len(equal) == 22, (
+        f"equal plans not listed: {sorted(equal - listed)}; "
+        f"listed aliases planning differently: {sorted(listed - equal)}"
     )
