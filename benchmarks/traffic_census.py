@@ -11,7 +11,10 @@ end of body, ``__repr__`` excepted) with its line count, then the total.
 exits 1 when an unlisted function is unreached: wire it, delete it or list it.
 ``--options`` prints instead ``Class.field  n distinct  values`` for each field
 of every dataclass the traffic hands ``MedeaSystem`` or a ``repro.apps``
-``run_*`` driver (committed as ``benchmarks/options_census.txt``; CI diffs it).
+``run_*`` driver, and of the config and params of every point of each
+registered experiment at full scale, compiled but not run, so a value only
+full scale sets counts too (committed as ``benchmarks/options_census.txt``;
+CI diffs it).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import json
 import runpy
 import sys
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,9 +47,10 @@ def definitions(node: ast.AST, prefix: str = ""):
         yield from definitions(child, name)
 
 
-def observe(traffic) -> tuple[set, dict[str, set[str]]]:
+def observe(traffic, spaces=()) -> tuple[set, dict[str, set[str]]]:
     """Run ``traffic()`` under ``sys.setprofile``: the code objects it entered,
-    and ``Class.field`` -> the values (as text) of the options it handed over."""
+    and ``Class.field`` -> the values (as text) of the options it handed over,
+    then of the config and params of every point of ``spaces`` (not run)."""
     codes, options = set(), {}
 
     def record(owner) -> None:
@@ -77,6 +82,11 @@ def observe(traffic) -> tuple[set, dict[str, set[str]]]:
         traffic()
     finally:
         sys.setprofile(previous)
+    for space in spaces:
+        for point in space.points():
+            record(point.config)
+            if dataclasses.is_dataclass(point.params):
+                record(point.params)
     return codes, options
 
 
@@ -113,6 +123,15 @@ def traffic(out: Path) -> None:
             runpy.run_path(str(script), run_name="__main__")
 
 
+def full_scale():
+    """Every space of each registered experiment's ``build_space(True)``."""
+    from repro.dse.experiments import REGISTRY
+
+    for name in sorted(REGISTRY):
+        built = REGISTRY[name].build_space(True)
+        yield from built if isinstance(built, Sequence) else [built]
+
+
 def report(missing: list[tuple[str, int]], baseline: Path | None) -> int:
     """Print the listing; 1 when ``baseline`` lacks an unreached function."""
     for name, lines in missing:
@@ -141,7 +160,7 @@ if __name__ == "__main__":
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as out, open(f"{out}/stdout", "w") as sink:
         with contextlib.redirect_stdout(sink):
-            codes, options = observe(lambda: traffic(Path(out)))
+            codes, options = observe(lambda: traffic(Path(out)), full_scale())
     if args.options:
         print("\n".join(option_lines(options)))
     else:

@@ -58,6 +58,12 @@ def rhs_value(i: int) -> float:
     return math.sin(0.17 * i) + 1.25
 
 
+#: Compute ops between progress rounds inside overlap regions; 8 is the
+#: measured sweet spot on the reference mesh (frequent enough to keep
+#: collectives moving, rare enough not to tax the compute).
+POLL_INTERVAL = 8
+
+
 @dataclass
 class CgParams:
     """One conjugate-gradient experiment."""
@@ -67,18 +73,12 @@ class CgParams:
     model: CommModel | str = CommModel.EMPI
     algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR
     overlap: bool = False
-    #: Compute ops between progress rounds inside overlap regions; 8 is
-    #: the measured sweet spot on the reference mesh (frequent enough to
-    #: keep collectives moving, rare enough not to tax the compute).
-    poll_interval: int = 8
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigError(f"system must be at least 1x1, got {self.n}")
         if self.iterations < 1:
             raise ConfigError("need at least one CG iteration")
-        if self.poll_interval < 1:
-            raise ConfigError("poll_interval must be >= 1")
         self.model = CommModel.parse(self.model)
         self.algorithm = CollectiveAlgorithm.parse(self.algorithm)
 
@@ -284,9 +284,7 @@ def _make_program(params: CgParams, chunks, rank: int,
                     p_k = yield ctx.load_double(p_a + 8 * (k - 1))
                     request = yield from comm.isend(right_rank, [p_k])
                     send_requests.append(request)
-                yield from comm.overlap(
-                    interior_rows(), params.poll_interval
-                )
+                yield from comm.overlap(interior_rows(), POLL_INTERVAL)
                 if recv_left is not None:
                     halo_left = (yield from comm.wait(recv_left))[0]
                 if recv_right is not None:
@@ -326,9 +324,7 @@ def _make_program(params: CgParams, chunks, rank: int,
             # -- x += alpha p, overlapped with the norm allreduce --------
             if params.overlap:
                 request = yield from comm.iallreduce([rr_new_local])
-                yield from comm.overlap(
-                    x_update(alpha), params.poll_interval
-                )
+                yield from comm.overlap(x_update(alpha), POLL_INTERVAL)
                 rr_new = (yield from comm.wait(request))[0]
             else:
                 rr_new = yield from allreduce_scalar(rr_new_local)

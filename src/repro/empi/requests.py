@@ -7,7 +7,7 @@ WAIT_MSG until the words arrive.  This module adds the MPI-style split:
 an operation is *posted* (returning a :class:`Request`), the hardware
 makes progress on its own (the TIE streams a posted TX descriptor one
 flit per cycle; arriving flits land in the per-source receive streams),
-and the program *completes* the operation later with ``wait``/``test``.
+and the program *completes* the operation later with ``wait``/``waitall``.
 
 Because MEDEA programs are cooperative generators, the runtime part of
 an operation is a **communication fragment**: a generator that yields
@@ -93,32 +93,6 @@ class Request:
         return f"Request({self.label}, {state})"
 
 
-class TurnQueue:
-    """Deterministic FIFO turn-taking for one serialized resource.
-
-    Fragments contending for a resource (the TIE TX port, the front of a
-    per-source receive stream, the collective arena) enter the queue and
-    only act while they hold the head, so concurrent requests can never
-    steal each other's hardware.
-    """
-
-    __slots__ = ("_queue",)
-
-    def __init__(self) -> None:
-        self._queue: deque[object] = deque()
-
-    def enter(self, token: object) -> None:
-        self._queue.append(token)
-
-    def holds(self, token: object) -> bool:
-        return bool(self._queue) and self._queue[0] is token
-
-    def leave(self, token: object) -> None:
-        if not self.holds(token):
-            raise ProgramError("turn queue released out of order")
-        self._queue.popleft()
-
-
 class TimeoutGuard:
     """Round-counting timeout with exponential backoff for eMPI waits.
 
@@ -191,7 +165,7 @@ class ProgressEngine:
 
     def __init__(self) -> None:
         self._active: list[Request] = []
-        self._turns: dict[object, TurnQueue] = {}
+        self._turns: dict[object, deque[object]] = {}
         # Timeout policy (0 budget = wait forever, the fault-free
         # default); set by configure_timeout.
         self.rank = -1
@@ -224,23 +198,26 @@ class ProgressEngine:
 
     # -- resource turn-taking -------------------------------------------------
 
-    def turn(self, key: object) -> TurnQueue:
-        """The (created-on-demand) turn queue for one resource key."""
+    def in_turn(self, key: object, body: "Program") -> "Program":
+        """Run fragment ``body`` once it heads the ``key`` turn queue.
+
+        The one turn rule: fragments contending for a resource (the TIE
+        TX port, the front of a per-source receive stream, a mailbox,
+        the collective arena) queue under its key in the order they
+        first run and act only at the head, so concurrent requests can
+        never steal each other's hardware.  A release cannot be out of
+        order: the token is released here, only by the fragment that
+        holds it, and it holds it only at the head.
+        """
         queue = self._turns.get(key)
         if queue is None:
-            queue = TurnQueue()
-            self._turns[key] = queue
-        return queue
-
-    def in_turn(self, key: object, body: "Program") -> "Program":
-        """Run fragment ``body`` once it heads the ``key`` turn queue."""
-        turn = self.turn(key)
+            queue = self._turns[key] = deque()
         token = object()
-        turn.enter(token)
-        while not turn.holds(token):
+        queue.append(token)
+        while queue[0] is not token:
             yield RESCHEDULE
         result = yield from body
-        turn.leave(token)
+        queue.popleft()
         return result
 
     # -- posting and progressing ----------------------------------------------
@@ -321,52 +298,6 @@ class ProgressEngine:
             result = yield from self.wait(request)
             results.append(result)
         return results
-
-    def waitany(self, requests: list[Request]) -> "Program":
-        """MPI_Waitany: progress until at least one of ``requests`` is
-        complete; returns ``(index, result)`` of the first complete one
-        in list order.  An already-complete request returns immediately
-        without a progress round (matching ``wait``'s semantics)."""
-        if not requests:
-            raise ProgramError("waitany needs at least one request")
-        guard = self.guard(
-            f"waitany on {', '.join(r.label for r in requests)}"
-        )
-        while True:
-            for index, request in enumerate(requests):
-                if request.complete:
-                    return index, request.result
-            yield from self.progress()
-            if guard is not None:
-                guard.tick()
-
-    def waitsome(self, requests: list[Request]) -> "Program":
-        """MPI_Waitsome: progress until at least one of ``requests`` is
-        complete; returns ``[(index, result), ...]`` for every currently
-        complete request, in list order.  An empty list returns ``[]``
-        immediately (mirroring ``waitall([])``)."""
-        if not requests:
-            return []
-        guard = self.guard(
-            f"waitsome on {', '.join(r.label for r in requests)}"
-        )
-        while True:
-            completed = [
-                (index, request.result)
-                for index, request in enumerate(requests)
-                if request.complete
-            ]
-            if completed:
-                return completed
-            yield from self.progress()
-            if guard is not None:
-                guard.tick()
-
-    def test(self, request: Request) -> "Program":
-        """One progress round, then report whether ``request`` finished."""
-        if not request.complete:
-            yield from self.progress()
-        return request.complete
 
     # -- compute-communication overlap ----------------------------------------
 
@@ -457,22 +388,6 @@ class EngineCompletion:
         """MPI_Waitall: results in request order."""
         return self.engine.waitall(requests)
 
-    def waitany(self, requests: list[Request]) -> "Program":
-        """MPI_Waitany: (index, result) of the first completed request."""
-        return self.engine.waitany(requests)
-
-    def waitsome(self, requests: list[Request]) -> "Program":
-        """MPI_Waitsome: [(index, result), ...] of the completed ones."""
-        return self.engine.waitsome(requests)
-
-    def test(self, request: Request) -> "Program":
-        """MPI_Test: one progress round; True when complete."""
-        return self.engine.test(request)
-
-    def progress(self) -> "Program":
-        """One explicit progress round over all outstanding requests."""
-        return self.engine.progress()
-
     def overlap(self, frag: "Program", poll_interval: int = 2) -> "Program":
         """Run a compute fragment while progressing outstanding requests."""
         return self.engine.overlap(frag, poll_interval)
@@ -493,13 +408,6 @@ class OverlapStats:
     overlap_region_cycles: int = 0
     #: Cycles where both held at once — communication actually hidden.
     coexist_cycles: int = 0
-
-    @property
-    def efficiency(self) -> float:
-        """Fraction of in-flight communication hidden behind compute."""
-        if self.inflight_cycles == 0:
-            return 0.0
-        return self.coexist_cycles / self.inflight_cycles
 
 
 #: Signed (in-flight depth, overlap depth) change per event kind.

@@ -378,7 +378,7 @@ class Empi(EngineCompletion):
     #
     # Each posts a *communication fragment* on the engine: TX descriptors
     # and status polls, so the core keeps running while the TIE streams.
-    # Progress happens inside wait/test and inside overlap() (see
+    # Progress happens inside wait/waitall and inside overlap() (see
     # :class:`~repro.empi.requests.EngineCompletion`) — the cooperative
     # analogue of MPI progress.
 
@@ -396,56 +396,39 @@ class Empi(EngineCompletion):
 
     # -- communication fragments -----------------------------------------------------------
 
-    def _frag_send_words(self, dst_node: int, words: list[int]) -> "Program":
-        """Stream ``words`` to ``dst_node`` via a TX descriptor.
+    def _frag_send_doubles(self, dst_rank: int, values: list[float]) -> "Program":
+        """Stream ``values`` to ``dst_rank`` via a TX descriptor, in the TX
+        turn (one message in flight at a time, hardware constraint)."""
+        return self.engine.in_turn("tx", self._tx_descriptor(
+            self.ctx.node_of(dst_rank), pack_doubles(values)))
 
-        Takes the TX turn (one message in flight at a time, hardware
-        constraint), confirms the port idle, posts the descriptor and
-        polls the status register until the TIE drained it — MPI's
-        "send complete = buffer reusable" point.
-        """
-        turn = self.engine.turn("tx")
-        token = object()
-        turn.enter(token)
-        while not turn.holds(token):
-            yield RESCHEDULE
+    def _tx_descriptor(self, dst_node: int, words: list[int]) -> "Program":
+        """Confirm the port idle, post the descriptor and poll the status
+        register until the TIE drained it — MPI's "send complete = buffer
+        reusable" point."""
         while not (yield ("txdone",)):
             yield RESCHEDULE
         yield ("isend", dst_node, words)
         while not (yield ("txdone",)):
             yield RESCHEDULE
-        turn.leave(token)
 
-    def _frag_recv_words(self, src_node: int, n_words: int) -> "Program":
-        """Take the next ``n_words`` of the stream from ``src_node``.
+    def _frag_recv_doubles(self, src_rank: int, n_values: int) -> "Program":
+        """Take the next ``n_values`` doubles of the stream from
+        ``src_rank``, in its per-source turn: concurrently posted receives
+        from one peer complete in posting order (the stream is a single
+        in-order front; skipping would hand request B request A's data)."""
+        src_node = self.ctx.node_of(src_rank)
+        return self.engine.in_turn(("rx", src_node),
+                                   self._rx_poll(src_node, 2 * n_values))
 
-        Holds the per-source turn so concurrently posted receives from
-        one peer complete in posting order (the stream is a single
-        in-order front; skipping would hand request B request A's data).
-        """
-        turn = self.engine.turn(("rx", src_node))
-        token = object()
-        turn.enter(token)
-        while not turn.holds(token):
-            yield RESCHEDULE
+    def _rx_poll(self, src_node: int, n_words: int) -> "Program":
+        """Poll the stream from ``src_node`` until ``n_words`` are there;
+        the doubles they hold."""
         while True:
             words = yield ("trecv", src_node, n_words)
             if words is not None:
-                break
+                return unpack_doubles(words)
             yield RESCHEDULE
-        turn.leave(token)
-        return words
-
-    def _frag_send_doubles(self, dst_rank: int, values: list[float]) -> "Program":
-        return self._frag_send_words(
-            self.ctx.node_of(dst_rank), pack_doubles(values)
-        )
-
-    def _frag_recv_doubles(self, src_rank: int, n_values: int) -> "Program":
-        words = yield from self._frag_recv_words(
-            self.ctx.node_of(src_rank), 2 * n_values
-        )
-        return unpack_doubles(words)
 
 
 class EmpiCollectives(Communicator):

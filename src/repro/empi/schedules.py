@@ -182,16 +182,20 @@ def ring_allreduce(size: int, n_values: int) -> Schedule:
 @functools.lru_cache(maxsize=64)
 def hier_allreduce(groups: tuple[tuple[int, ...], ...],
                    n_values: int) -> tuple:
-    """The chiplet allreduce's ``(ranks, schedule)`` pieces: a ring
-    allreduce within every rank group (one per chiplet) side by side; then, with more than one group, tree reduce
-    and tree bcast across the group leaders (each group's first rank,
-    the gateway tile) and a tree bcast from each leader down its group."""
-    pieces = [(group, ring_allreduce(len(group), n_values)) for group in groups]
+    """The chiplet allreduce's plan, ``(ranks, schedule, TIE)`` pieces: a
+    ring allreduce within every rank group (one per chiplet) side by
+    side; then, with more than one group, tree reduce and tree bcast
+    across the group leaders (each group's first rank, the gateway tile)
+    and a tree bcast from each leader down its group.  Memoised per
+    shape, so every rank and every call shares one plan."""
+    pieces = [(group, ring_allreduce(len(group), n_values), TIE)
+              for group in groups]
     if len(groups) > 1:
         leaders = tuple(group[0] for group in groups)
-        pieces += [(leaders, tree_reduce(len(leaders), n_values)),
-                   (leaders, tree_bcast(len(leaders), n_values))]
-        pieces += [(group, tree_bcast(len(group), n_values)) for group in groups]
+        pieces += [(leaders, tree_reduce(len(leaders), n_values), TIE),
+                   (leaders, tree_bcast(len(leaders), n_values), TIE)]
+        pieces += [(group, tree_bcast(len(group), n_values), TIE)
+                   for group in groups]
     return tuple(pieces)
 
 
@@ -220,9 +224,8 @@ def plan(collective: str, algorithm: CollectiveAlgorithm, model: CommModel,
             path = (DMA if engine and assist else TIE) if empi else PUBLISH
             return ((everyone, ring_allreduce(n_ranks, n_values), path),)
         if algorithm is HIER:
-            groups = tuple(map(tuple, groups or (everyone,)))
-            return tuple((ranks, schedule, TIE) for ranks, schedule
-                         in hier_allreduce(groups, n_values))
+            return hier_allreduce(tuple(map(tuple, groups or (everyone,))),
+                                  n_values)
         return (plan("reduce", algorithm, model, n_ranks, 0, n_values,
                      groups, engine, assist)
                 + plan("bcast", algorithm, model, n_ranks, 0, n_values,

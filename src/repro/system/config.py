@@ -3,7 +3,8 @@
 A field is here because an experiment, a benchmark workload or a test sets
 it (``benchmarks/options_census.txt`` lists each field with the values the
 repo's traffic hands it).  A model constant no run varies — the 16-byte
-line, FIFO depths, the MPMMU's service overhead, DDR write cost — lives
+line, the cache associativity, FIFO depths, the MPMMU's service overhead,
+DDR read latency and write cost — lives
 once, beside the component that owns it, as a named constant or that
 constructor's default.
 """
@@ -42,7 +43,6 @@ class SystemConfig:
     cache_policy: WritePolicy | str = "wb"
 
     # -- L1 details -----------------------------------------------------------
-    cache_assoc: int = 2
     write_buffer_depth: int = 4
 
     # -- NoC ------------------------------------------------------------------
@@ -85,9 +85,6 @@ class SystemConfig:
     # -- arbiter (Fig. 3 configurations) ----------------------------------------
     arbiter_mode: ArbiterMode | str = "dual_fifo"
     arbiter_high_priority: TrafficClass | str = "message"
-
-    # -- DDR --------------------------------------------------------------------------
-    ddr_read_latency: int = 24
 
     # -- memory map ------------------------------------------------------------------
     shared_size: int = 1 << 20
@@ -210,8 +207,6 @@ class SystemConfig:
             )
         if self.write_buffer_depth < 1:
             raise ConfigError("write_buffer_depth must be >= 1")
-        if self.ddr_read_latency < 1:
-            raise ConfigError("ddr_read_latency must be >= 1")
         if self.faults is not None:
             self.faults.validate()
         for name in ("watchdog_cycles", "empi_timeout_cycles",

@@ -95,15 +95,11 @@ class MedeaSystem:
             shared_size=config.shared_size,
             private_size=config.private_size,
         )
-        self.ddr = DdrModel(
-            size_bytes=self.map.total_size,
-            read_latency=config.ddr_read_latency,
-        )
+        self.ddr = DdrModel(size_bytes=self.map.total_size)
         self.mpmmu = MpmmuNode(
             self.fabric.ports_of(MPMMU_NODE),
             cache=L1Cache(
                 MPMMU_CACHE_KB * 1024,
-                assoc=config.cache_assoc,
                 policy=WritePolicy.WRITE_BACK,
                 name="mpmmu.l1",
             ),
@@ -227,7 +223,6 @@ class MedeaSystem:
             ports=ports,
             cache=L1Cache(
                 config.cache_size_bytes,
-                assoc=config.cache_assoc,
                 policy=config.policy,
                 name=f"l1[{rank}]",
             ),

@@ -100,5 +100,3 @@ def test_cg_params_validation():
         CgParams(n=0)
     with pytest.raises(ConfigError):
         CgParams(iterations=0)
-    with pytest.raises(ConfigError):
-        CgParams(poll_interval=0)

@@ -102,9 +102,9 @@ def test_key_is_the_same_for_an_enum_member_and_its_string(field, alias,
 
 
 def test_base_config_propagates():
-    base = SystemConfig(ddr_read_latency=99)
+    base = SystemConfig(write_buffer_depth=7)
     space = tiny_space(base_config=base)
-    assert space.points()[0].config.ddr_read_latency == 99
+    assert space.points()[0].config.write_buffer_depth == 7
 
 
 def test_schema_hash_ignores_value_lists():

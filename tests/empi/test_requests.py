@@ -2,7 +2,7 @@
 
 Three layers of guarantees:
 
-* engine mechanics — turn queues, posting order, overlap accounting —
+* engine mechanics — turn taking, posting order, overlap accounting —
   tested on synthetic fragments with no machine underneath;
 * point-to-point isend/irecv on the machine, over both programming
   models, including ordered matching of concurrent receives from one
@@ -19,7 +19,6 @@ from repro.empi.collectives import make_comm, reference_allreduce
 from repro.empi.requests import (
     RESCHEDULE,
     ProgressEngine,
-    TurnQueue,
     mean_overlap_efficiency,
     overlap_stats,
 )
@@ -58,16 +57,30 @@ def drive(program, results=None):
 # ---------------------------------------------------------------------------
 
 
-def test_turn_queue_is_fifo():
-    queue = TurnQueue()
-    a, b = object(), object()
-    queue.enter(a)
-    queue.enter(b)
-    assert queue.holds(a) and not queue.holds(b)
-    queue.leave(a)
-    assert queue.holds(b)
-    with pytest.raises(ProgramError):
-        queue.leave(a)
+def test_in_turn_completes_one_key_in_posting_order():
+    """Two fragments under one key complete in posting order even when
+    the later one's data is ready first; another key is not held up."""
+    engine = ProgressEngine()
+    ready = {"first": False, "second": True, "other": True}
+
+    def body(name):
+        while not ready[name]:
+            yield ("poll", name)
+            yield RESCHEDULE
+        return name
+
+    first, second, other = (
+        drive(engine.post(engine.in_turn(key, body(name)), name))[1]
+        for key, name in (("rx", "first"), ("rx", "second"), ("tx", "other"))
+    )
+    assert other.complete and not first.complete and not second.complete
+    ops, __ = drive(engine.progress())
+    assert ops == [("poll", "first")]  # the second waits for its turn
+    ready["first"] = True
+    ops, __ = drive(engine.progress())
+    assert ops == [("note", REQUEST_DONE, "first", None),
+                   ("note", REQUEST_DONE, "second", None)]
+    assert (first.result, second.result) == ("first", "second")
 
 
 def test_post_gives_an_eager_first_slice():
@@ -198,106 +211,15 @@ def test_overlap_stats_accounting():
     assert per_rank[0].inflight_cycles == 50
     assert per_rank[0].overlap_region_cycles == 30
     assert per_rank[0].coexist_cycles == 30
-    assert per_rank[0].efficiency == pytest.approx(0.6)
     assert per_rank[1].inflight_cycles == 0
-    assert per_rank[1].efficiency == 0.0
+    assert mean_overlap_efficiency({1: per_rank[1]}) == 0.0
     assert mean_overlap_efficiency(per_rank) == pytest.approx(0.6)
 
 
-def test_waitany_returns_first_complete_in_list_order():
-    engine = ProgressEngine()
-    gates = {"a": False, "b": False}
-
-    def frag(name):
-        while not gates[name]:
-            yield ("poll", name)
-            yield RESCHEDULE
-        return name.upper()
-
-    __, req_a = drive(engine.post(frag("a"), "a"))
-    __, req_b = drive(engine.post(frag("b"), "b"))
-
-    program = engine.waitany([req_a, req_b])
-    value = None
-    polls = 0
-    while True:
-        try:
-            op = program.send(value)
-        except StopIteration as stop:
-            index, result = stop.value
-            break
-        if op[0] == "poll":
-            polls += 1
-            if polls == 3:
-                gates["b"] = True  # b completes first
-        value = None
-    assert (index, result) == (1, "B")
-    assert not req_a.complete  # waitany does not wait for the rest
-
-
-def test_waitany_on_already_complete_request_needs_no_progress():
-    engine = ProgressEngine()
-
-    def frag():
-        return "done"
-        yield  # pragma: no cover - makes this a generator
-
-    __, request = drive(engine.post(frag(), "f"))
-    assert request.complete
-    ops, (index, result) = drive(engine.waitany([request]))
-    assert (index, result) == (0, "done")
-    assert ops == []  # completed without a progress round (like wait)
-
-
-def test_waitany_rejects_empty_list():
-    engine = ProgressEngine()
-    with pytest.raises(ProgramError):
-        drive(engine.waitany([]))
-
-
-def test_waitsome_returns_all_currently_complete():
-    engine = ProgressEngine()
-    gates = {"a": False, "b": False, "c": False}
-
-    def frag(name):
-        while not gates[name]:
-            yield ("poll", name)
-            yield RESCHEDULE
-        return name.upper()
-
-    requests = [drive(engine.post(frag(n), n))[1] for n in ("a", "b", "c")]
-
-    program = engine.waitsome(requests)
-    value = None
-    polls = 0
-    while True:
-        try:
-            op = program.send(value)
-        except StopIteration as stop:
-            completed = stop.value
-            break
-        if op[0] == "poll":
-            polls += 1
-            if polls == 3:
-                # Both gates open before the next round starts, so two
-                # requests complete in one round; both must be reported.
-                gates["a"] = True
-                gates["c"] = True
-        value = None
-    assert completed == [(0, "A"), (2, "C")]
-    assert not requests[1].complete
-
-
-def test_waitsome_empty_list_returns_immediately():
-    engine = ProgressEngine()
-    ops, completed = drive(engine.waitsome([]))
-    assert completed == [] and ops == []
-
-
 @pytest.mark.parametrize("model", ["empi", "pure_sm"])
-def test_waitany_waitsome_on_the_machine(model):
-    """waitany picks whichever receive lands first; waitsome then
-    drains the rest — mirroring waitall's semantics per request."""
+def test_receives_from_two_peers_complete_independently(model):
+    """A receive from a fast peer completes while an earlier-posted one
+    from a slow peer is still pending: each source takes its own turn."""
     observed = {}
 
     def listener(ctx):
@@ -305,14 +227,9 @@ def test_waitany_waitsome_on_the_machine(model):
         yield from comm.barrier()
         slow = yield from comm.irecv(1, 1)
         fast = yield from comm.irecv(2, 1)
-        index, result = yield from comm.waitany([slow, fast])
-        observed["first"] = (index, result)
-        # The fast receive is already complete, so waitsome reports it
-        # immediately without blocking on the slow one...
-        observed["some"] = yield from comm.waitsome([slow, fast])
-        # ...and waitsome over the still-pending one progresses until it
-        # lands.
-        observed["rest"] = yield from comm.waitsome([slow])
+        observed["fast"] = yield from comm.wait(fast)
+        observed["slow_pending"] = not slow.complete
+        observed["slow"] = yield from comm.wait(slow)
         yield from comm.barrier()
 
     def fast_peer(ctx):
@@ -331,9 +248,7 @@ def test_waitany_waitsome_on_the_machine(model):
         yield from comm.barrier()
 
     run_system([listener, slow_peer, fast_peer], 3)
-    assert observed["first"] == (1, [2.5])  # the fast peer won
-    assert observed["some"] == [(1, [2.5])]
-    assert observed["rest"] == [(0, [1.5])]
+    assert observed == {"fast": [2.5], "slow_pending": True, "slow": [1.5]}
 
 
 # ---------------------------------------------------------------------------
@@ -442,19 +357,20 @@ def test_blocking_ops_refused_with_outstanding_requests(model):
 
 
 @pytest.mark.parametrize("model", ["empi", "pure_sm"])
-def test_test_polls_without_blocking(model):
+def test_overlap_progresses_a_pending_receive(model):
     observed = {}
+
+    def spin():
+        yield ("compute", 16)
 
     def early(ctx):
         comm = make_comm(ctx, model, max_values=1, p2p_values=1)
         yield from comm.barrier()
         request = yield from comm.irecv(1, 1)
-        # The peer sends only after a long delay: the first test()
-        # cannot find data.
-        first_test = yield from comm.test(request)
-        observed["first"] = first_test
-        while not (yield from comm.test(request)):
-            yield ("compute", 16)
+        # The peer sends only after a long delay: posting cannot find data.
+        observed["first"] = request.complete
+        while not request.complete:
+            yield from comm.overlap(spin(), poll_interval=1)
         observed["value"] = request.result
         yield from comm.barrier()
 

@@ -37,6 +37,7 @@ from repro.empi.collectives import (
     reference_reduce,
 )
 from repro.empi.schedules import (
+    TIE,
     hier_allreduce,
     linear_bcast,
     linear_reduce,
@@ -330,12 +331,14 @@ def test_empty_segments_are_dropped_rounds_kept():
 
 
 def test_hier_plans_the_ring_per_group_then_the_leaders():
-    assert hier_allreduce(((0, 1, 2),), 6) == (((0, 1, 2), ring_allreduce(3, 6)),)
+    assert hier_allreduce(((0, 1, 2),), 6) == (
+        ((0, 1, 2), ring_allreduce(3, 6), TIE),)
     groups = ((0, 1), (2, 3, 4))
     assert hier_allreduce(groups, 6) == (
-        ((0, 1), ring_allreduce(2, 6)), ((2, 3, 4), ring_allreduce(3, 6)),
-        ((0, 2), tree_reduce(2, 6)), ((0, 2), tree_bcast(2, 6)),
-        ((0, 1), tree_bcast(2, 6)), ((2, 3, 4), tree_bcast(3, 6)),
+        ((0, 1), ring_allreduce(2, 6), TIE),
+        ((2, 3, 4), ring_allreduce(3, 6), TIE),
+        ((0, 2), tree_reduce(2, 6), TIE), ((0, 2), tree_bcast(2, 6), TIE),
+        ((0, 1), tree_bcast(2, 6), TIE), ((2, 3, 4), tree_bcast(3, 6), TIE),
     )
 
 

@@ -52,7 +52,7 @@ def test_block_transactions_via_cache_miss():
         value = yield ctx.load(base)
         assert value == 11
 
-    system = run_programs(one_worker(cache_assoc=2), program)
+    system = run_programs(one_worker(), program)
     assert system.mpmmu.stats["served_block_read"] >= 3
     assert system.mpmmu.stats["served_block_write"] >= 1
     assert system.ddr.store.read_word(system.map.private_base(0)) in (0, 11)

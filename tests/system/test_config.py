@@ -49,7 +49,7 @@ def test_with_changes_copies():
         ("eject_width", 0),
         ("write_buffer_depth", 0),
         ("dma_tx_queue_depth", -1),
-        ("ddr_read_latency", 0),
+        ("watchdog_cycles", -1),
         ("grid", (2, 2)),  # too small for 5 nodes (default 4 workers)
     ],
 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -104,3 +105,15 @@ def test_census_counts_the_values_each_option_takes():
     assert [line.split() for line in lines if "n_workers" in line] == [
         ["SystemConfig.n_workers", "2", "distinct", "2,", "3"]
     ]
+
+
+def never_run(config, params):
+    raise AssertionError("a full-scale point is compiled, not run")
+
+
+def test_census_counts_a_value_only_full_scale_sets():
+    quick = tiny_space("options3")
+    full = dataclasses.replace(tiny_space("options3", (2, 3)), app=never_run)
+    __, options = observe(lambda: run_space(quick, backend="inline"), [full])
+    assert options["SystemConfig.n_workers"] == {"2", "3"}
+    assert options["JacobiParams.n"] == {"6"}
