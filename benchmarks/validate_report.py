@@ -10,9 +10,11 @@ Checks the contract the attribution report promises:
 * every critical path's per-edge cycles telescope to its latency
   exactly, and its ``bound_hop`` (when present) names an edge on it.
 
-Usage: ``python benchmarks/validate_report.py report.json``; also
-imported by the telemetry tests, so the CI job and the test suite
-enforce the same schema — the ``validate_trace.py`` pattern.
+Usage: ``PYTHONPATH=src python benchmarks/validate_report.py report.json``;
+also imported by the telemetry tests, so the CI job and the test suite
+enforce the same schema — the ``validate_trace.py`` pattern.  The schema
+tag and the ledger and stall classes are imported from
+:mod:`repro.telemetry.attribution`, the module that writes the report.
 """
 
 from __future__ import annotations
@@ -20,16 +22,10 @@ from __future__ import annotations
 import json
 import sys
 
-SCHEMA = "medea.attribution/1"
-
-LEDGER_CLASSES = (
-    "compute", "wait_msg", "mem_stall", "credit_stall", "tx_stream",
-    "barrier_spin", "lock_spin", "idle",
-)
-
-STALL_CLASSES = (
-    "wait_msg", "mem_stall", "credit_stall", "tx_stream",
-    "barrier_spin", "lock_spin",
+from repro.telemetry.attribution import (
+    LEDGER_CLASSES,
+    REPORT_SCHEMA,
+    STALL_CLASSES,
 )
 
 
@@ -37,9 +33,9 @@ def validate_report(report: dict) -> dict:
     """Raise ``ValueError`` on any schema violation; return a summary."""
     if not isinstance(report, dict):
         raise ValueError("report must be an object")
-    if report.get("schema") != SCHEMA:
+    if report.get("schema") != REPORT_SCHEMA:
         raise ValueError(
-            f"schema mismatch: {report.get('schema')!r} != {SCHEMA!r}"
+            f"schema mismatch: {report.get('schema')!r} != {REPORT_SCHEMA!r}"
         )
     cycles = report.get("cycles")
     if not isinstance(cycles, int) or cycles < 0:

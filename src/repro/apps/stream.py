@@ -32,7 +32,6 @@ from repro.empi.collectives import (
     make_comm,
     reference_allreduce,
 )
-from repro.empi.smsync import SharedMemoryChannel
 from repro.errors import ConfigError, ValidationError
 from repro.system.config import SystemConfig
 from repro.system.medea import MedeaSystem
@@ -113,28 +112,14 @@ def _make_program(params: StreamParams, rank: int, n_workers: int,
     def program(ctx):
         cost = ctx.cost
         n_values = params.block_values
+        # The blocks ride the front's point-to-point calls: TIE streams
+        # under empi, (src, dst) mailboxes after the slot arena under
+        # pure_sm.
         comm = make_comm(
             ctx, params.model, params.algorithm,
-            max_values=max(2, n_values),
+            max_values=max(2, n_values), p2p_values=n_values,
         )
         last = n_workers - 1
-
-        # Pipeline channels. Under empi the TIE streams are the channel;
-        # under pure_sm each edge gets a mailbox after the comm arena.
-        inbox = outbox = None
-        if params.model is CommModel.PURE_SM and n_workers > 1:
-            stride = SharedMemoryChannel.footprint_for(n_values)
-            base = ctx.shared_base + comm.footprint
-
-            def channel(edge: int) -> SharedMemoryChannel:
-                return SharedMemoryChannel(
-                    ctx, base + edge * stride, n_values
-                )
-
-            if rank > 0:
-                inbox = channel(rank - 1)
-            if rank < last:
-                outbox = channel(rank)
 
         # Coefficients arrive by scatter from rank 0.
         chunks = None
@@ -154,10 +139,8 @@ def _make_program(params: StreamParams, rank: int, n_workers: int,
                     source_value(block, i, n_values) for i in range(n_values)
                 ]
                 yield ("compute", sum_cost)  # generator loop
-            elif params.model is CommModel.PURE_SM:
-                values = yield from inbox.recv(n_values)
             else:
-                values = yield from ctx.empi.recv_doubles(rank - 1, n_values)
+                values = yield from comm.recv(rank - 1, n_values)
             values = [a * v + b for v in values]
             yield ("compute", transform_cost)
             block_sum = 0.0
@@ -167,10 +150,7 @@ def _make_program(params: StreamParams, rank: int, n_workers: int,
             local_sum += block_sum
             yield ctx.fp_add()
             if rank < last:
-                if params.model is CommModel.PURE_SM:
-                    yield from outbox.send(values)
-                else:
-                    yield from ctx.empi.send_doubles(rank + 1, values)
+                yield from comm.send(rank + 1, values)
         if rank == last:
             yield ctx.note("pipeline_done")
         yield from comm.barrier()

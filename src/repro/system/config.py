@@ -1,11 +1,16 @@
 """System configuration: the knobs of the MEDEA design space that are turned.
 
-A field is here because an experiment, a benchmark workload or a test sets
-it (``benchmarks/options_census.txt`` lists each field with the values the
-repo's traffic hands it).  A model constant no run varies — the 16-byte
-line, the cache associativity, FIFO depths, the MPMMU's service overhead,
-DDR read latency and write cost — lives
-once, beside the component that owns it, as a named constant or that
+A design field is here because a registered experiment or a benchmark
+workload turns it (``benchmarks/options_census.txt`` lists each field with
+the values the repo's traffic hands it).  The fields that listing shows
+with one value on purpose are run-time hooks that tests set, not design
+points: ``grid``, ``shared_size``, ``private_size``, ``strict_encoding``,
+``trace``, ``watchdog_cycles``, ``empi_timeout_cycles`` and
+``empi_timeout_retries``; ``fp`` is one cost-model object whose own field
+(``FpCostModel.use_mul_high``) the listing counts.  A model constant no run
+varies — the 16-byte line, the cache associativity, FIFO depths, the
+MPMMU's service overhead, DDR read latency and write cost — lives once,
+beside the component that owns it, as a named constant or that
 constructor's default.
 """
 
@@ -146,7 +151,13 @@ class SystemConfig:
         return WritePolicy.parse(self.cache_policy)
 
     def validate(self) -> None:
-        """Raise :class:`ConfigError` on any inconsistent setting."""
+        """Raise :class:`ConfigError` on an inconsistent setting.
+
+        The topology (kind, grid and chiplet sizes, link figures) and the
+        fault plan are checked once, where :class:`MedeaSystem` builds them
+        (:func:`~repro.noc.topology.build_topology`,
+        :class:`~repro.faults.FaultInjector`).
+        """
         if not (1 <= self.n_workers):
             raise ConfigError(f"n_workers must be >= 1, got {self.n_workers}")
         if self.cache_size_kb < 1 or self.cache_size_kb & (self.cache_size_kb - 1):
@@ -157,47 +168,6 @@ class SystemConfig:
         ArbiterMode.parse(self.arbiter_mode)
         parse_enum(TrafficClass, self.arbiter_high_priority, "traffic class")
         parse_enum(BarrierAlgorithm, self.empi_barrier, "barrier algorithm")
-        if self.topology_kind not in ("folded_torus", "mesh", "chiplet"):
-            raise ConfigError(
-                f"unknown topology {self.topology_kind!r}; "
-                f"use 'folded_torus', 'mesh' or 'chiplet'"
-            )
-        if self.grid is not None:
-            width, height = self.grid
-            if width * height < self.n_nodes:
-                raise ConfigError(
-                    f"{self.topology_kind} grid {width}x{height} "
-                    f"({width * height} tiles) too small for "
-                    f"{self.n_nodes} nodes ({self.n_workers} workers + "
-                    f"the MPMMU)"
-                )
-        if self.topology_kind == "chiplet":
-            if self.chiplets < 1:
-                raise ConfigError(
-                    f"chiplet topology needs >= 1 compute chiplet, "
-                    f"got chiplets={self.chiplets}"
-                )
-            if self.chiplet_grid is not None:
-                width, height = self.chiplet_grid
-                if width < 1 or height < 1:
-                    raise ConfigError(
-                        f"chiplet topology needs chiplet_grid dimensions "
-                        f">= 1x1, got {width}x{height}"
-                    )
-                if self.chiplets * width * height < self.n_workers:
-                    raise ConfigError(
-                        f"chiplet topology ({self.chiplets} chiplets of "
-                        f"{width}x{height} = "
-                        f"{self.chiplets * width * height} tiles) too "
-                        f"small for {self.n_workers} workers"
-                    )
-            if self.chiplet_link_latency < 1 or self.chiplet_link_width < 1:
-                raise ConfigError(
-                    f"chiplet topology needs chiplet_link_latency and "
-                    f"chiplet_link_width >= 1, got latency="
-                    f"{self.chiplet_link_latency}, "
-                    f"width={self.chiplet_link_width}"
-                )
         if self.eject_width < 1:
             raise ConfigError("eject_width must be >= 1")
         if self.dma_tx_queue_depth < 0:
@@ -207,8 +177,6 @@ class SystemConfig:
             )
         if self.write_buffer_depth < 1:
             raise ConfigError("write_buffer_depth must be >= 1")
-        if self.faults is not None:
-            self.faults.validate()
         for name in ("watchdog_cycles", "empi_timeout_cycles",
                      "empi_timeout_retries"):
             if getattr(self, name) < 0:

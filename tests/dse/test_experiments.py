@@ -23,7 +23,7 @@ def test_registry_covers_every_artifact():
     assert set(REGISTRY) == {
         "fig6", "fig7", "fig8", "fig9", "compare", "noc",
         "collectives", "hw_collectives", "chiplet_sweep", "matmul",
-        "stream", "cg", "fault_sweep",
+        "stream", "cg", "fault_sweep", "ablations",
     }
 
 

@@ -4,8 +4,8 @@ The report pins compare bytes, so they hold until the next regeneration
 and say nothing about it; these predicates are what a regenerated pin must
 still satisfy.  They read ``inline_reports`` (``conftest.py``): no
 simulation of their own.  Each came from a pytest-benchmark wrapper under
-``benchmarks/`` that no CI job ran; ROADMAP item 5 turns them into a
-claims table.
+``benchmarks/`` that no CI job ran (the ablations' last); ROADMAP item 5
+turns them into a claims table.
 """
 
 from __future__ import annotations
@@ -93,3 +93,29 @@ def test_noc_delivers_everything_and_outliers_stay_sporadic(inline_reports):
     for row in loaded:
         mean_latency, max_latency = float(row[2]), int(row[3])
         assert max_latency > 2 * mean_latency, row
+
+
+@pytest.fixture(scope="module")
+def ablation(inline_reports):
+    """(group, variant) -> cycles per iteration of the ablations report."""
+    return {(group, variant): cycles
+            for group, variant, cycles in inline_reports["ablations"].rows}
+
+
+def test_ablation_deeper_write_buffer_never_slower(ablation):
+    assert (ablation["write_buffer", "depth=8"]
+            <= ablation["write_buffer", "depth=1"])
+
+
+def test_ablation_second_ejection_port_within_five_percent(ablation):
+    assert ablation["eject", "eject=2"] <= ablation["eject", "eject=1"] * 1.05
+
+
+def test_ablation_locked_shared_writes_cost_more(ablation):
+    # Section II-C: lock/flush/unlock is the price of safe shared writes.
+    assert (ablation["write_protocol", "lock/flush/unlock"]
+            > ablation["write_protocol", "barrier-ordered"])
+
+
+def test_ablation_multiply_high_is_faster(ablation):
+    assert ablation["mul_high", "mul-high"] < ablation["mul_high", "16/32-bit mul"]

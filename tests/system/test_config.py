@@ -54,8 +54,12 @@ def test_with_changes_copies():
     ],
 )
 def test_invalid_settings_rejected(field, value):
+    """Refused when the system is built: the topology's checks (kind, grid
+    capacity) are made once, by the factory that builds it."""
+    from repro.system.medea import MedeaSystem
+
     with pytest.raises(ConfigError):
-        SystemConfig(**{field: value}).validate()
+        MedeaSystem(SystemConfig(**{field: value}))
 
 
 def _enum_fields():
